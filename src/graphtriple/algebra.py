@@ -4,10 +4,20 @@ Elements are Gaussian-rational combinations of normal-form generator keys
 (mu, nu, v) with r(mu) = r(nu) = v; vertices are paths of length zero, so
 p_v is the key ((), (), v).
 
-Products reduce by the Cuntz-Krieger relations.  For comparable path pairs
-this is the familiar prefix collapse; for k-graph pairs of incomparable
-degree the correct rule sums over minimal common extensions (the prefix rule
-alone is not associative, which the small-case tests would catch).
+Products reduce by the Cuntz-Krieger relations: S_mu1 S_nu1* . S_mu2 S_nu2*
+is the sum of S_{mu1 xi} S_{nu2 eta}* over the pairs (xi, eta) with
+nu1 xi = mu2 eta minimal.  For comparable paths that is one prefix collapse;
+for k-graph pairs of incomparable degree it sums over the minimal common
+extensions (the prefix rule alone is not associative, which the small-case
+tests would catch).  Three memos, each attached to the ambient, keep the
+kernel from redoing path work:
+
+* the meet table ``_meet_table``, keyed on (nu1, r(nu1), mu2, r(mu2)), holds
+  the (xi, eta) pairs; the ranges name the base vertex of an empty word;
+* the key memo ``_key_cache``, keyed on (mu, nu), holds ``make_key``'s
+  normal-form, path and range-checked generator key;
+* the product memo ``_product_cache``, keyed on the generator key pair
+  (k1, k2), holds the product's key list.
 
 Stored term maps are only unique up to the relation p_v = sum S_e S_e*, so
 equality and zero tests go through a depth-aligned expansion within each
@@ -30,6 +40,8 @@ class PresentationMismatchError(ValueError):
 
 
 def _check_same(a: "AlgebraElement", b: "AlgebraElement") -> None:
+    if a.ambient is b.ambient:
+        return
     if a.ambient.fingerprint() != b.ambient.fingerprint():
         raise PresentationMismatchError("elements live over different presentations")
 
@@ -343,9 +355,8 @@ def _prefix_divide(ambient, long: Word, long_v: str, short: Word,
 def _multiply_keys(ambient, k1: GenKey, k2: GenKey) -> List[GenKey]:
     """S_mu1 S_nu1* . S_mu2 S_nu2* as a list of generator keys.
 
-    Comparable pairs collapse by prefix division; incomparable k-graph pairs
-    sum over minimal common extensions of nu1 and mu2.  Results are memoized
-    on the ambient (pure data, immutable keys).
+    Results are memoized on the ambient per (k1, k2) (pure data, immutable
+    keys); a miss goes to :func:`_multiply_keys_uncached`.
     """
     cache = getattr(ambient, "_product_cache", None)
     if cache is None:
@@ -360,51 +371,77 @@ def _multiply_keys(ambient, k1: GenKey, k2: GenKey) -> List[GenKey]:
 
 
 def _multiply_keys_uncached(ambient, k1: GenKey, k2: GenKey) -> List[GenKey]:
+    """Emit S_{mu1 xi} S_{nu2 eta}* for each (xi, eta) in the meet of nu1, mu2."""
     mu1, nu1, v1 = k1
     mu2, nu2, v2 = k2
-    s_nu1 = key_source_nu(ambient, k1)
-    s_mu2 = key_source_mu(ambient, k2)
+    out = []
+    for xi, eta in _meet(ambient, nu1, v1, mu2, v2):
+        mu = ambient.compose(mu1, xi) if xi else mu1
+        nu = ambient.compose(nu2, eta) if eta else nu2
+        if mu is None or nu is None:
+            continue
+        out.append(_rebuild(ambient, mu, nu, v1))
+    return out
 
+
+def _meet(ambient, nu1: Word, v1: str, mu2: Word, v2: str
+          ) -> List[Tuple[Word, Word]]:
+    """The pairs (xi, eta) with nu1 xi = mu2 eta minimal, memoized.
+
+    v1 = r(nu1) and v2 = r(mu2) name the base vertex of an empty word, so
+    the table key (nu1, v1, mu2, v2) has one entry per distinct word pair.
+    """
+    table = getattr(ambient, "_meet_table", None)
+    if table is None:
+        table = {}
+        ambient._meet_table = table
+    key = (nu1, v1, mu2, v2)
+    hit = table.get(key)
+    if hit is None:
+        hit = _meet_uncached(ambient, nu1, v1, mu2, v2)
+        table[key] = hit
+    return hit
+
+
+def _meet_uncached(ambient, nu1: Word, v1: str, mu2: Word, v2: str
+                   ) -> List[Tuple[Word, Word]]:
+    s_nu1 = ambient.path_source(nu1) if nu1 else v1
+    s_mu2 = ambient.path_source(mu2) if mu2 else v2
     x = _prefix_divide(ambient, nu1, s_nu1, mu2, s_mu2)
-    if x is not None:
-        # nu1 = mu2 . x : result S_mu1 S_{nu2 x}*
-        nu = ambient.compose(nu2, x)
-        if nu is None:
-            return []
-        return [_rebuild(ambient, mu1, nu, v1)]
+    if x is not None:  # nu1 = mu2 . x
+        return [((), x)]
     x = _prefix_divide(ambient, mu2, s_mu2, nu1, s_nu1)
-    if x is not None:
-        mu = ambient.compose(mu1, x)
-        if mu is None:
-            return []
-        return [_rebuild(ambient, mu, nu2, v2)]
+    if x is not None:  # mu2 = nu1 . x
+        return [(x, ())]
     if ambient.k == 1:
         return []
     # minimal common extensions: nu1 xi = mu2 eta with degree join(d nu1, d mu2)
     dn, dm = ambient.degree(nu1), ambient.degree(mu2)
-    join = tuple(max(a, b) for a, b in zip(dn, dm))
-    ext = tuple(j - a for j, a in zip(join, dn))
-    anchor = ambient.path_range(nu1) if nu1 else v1
+    ext = tuple(max(a, b) - a for a, b in zip(dn, dm))
     out = []
-    for xi in ambient.paths_with_degree(ext, anchor, "out-of", max_level=max(ext)):
+    for xi in ambient.paths_with_degree(ext, v1, "out-of", max_level=max(ext)):
         full = ambient.compose(nu1, xi)
         if full is None:
             continue
         eta = _prefix_divide(ambient, full, s_nu1, mu2, s_mu2)
-        if eta is None:
-            continue
-        mu = ambient.compose(mu1, xi)
-        nu = ambient.compose(nu2, eta)
-        if mu is None or nu is None:
-            continue
-        out.append(_rebuild(ambient, mu, nu, v2))
+        if eta is not None:
+            out.append((xi, eta))
     return out
 
 
 def _rebuild(ambient, mu: Word, nu: Word, fallback_vertex: str) -> GenKey:
-    if mu or nu:
-        return make_key(ambient, mu, nu)
-    return ((), (), fallback_vertex)
+    """make_key memoized per (mu, nu); fallback_vertex names p_v for ((), ())."""
+    if not (mu or nu):
+        return ((), (), fallback_vertex)
+    cache = getattr(ambient, "_key_cache", None)
+    if cache is None:
+        cache = {}
+        ambient._key_cache = cache
+    hit = cache.get((mu, nu))
+    if hit is None:
+        hit = make_key(ambient, mu, nu)
+        cache[(mu, nu)] = hit
+    return hit
 
 
 # -- module level operation surface ------------------------------------------------

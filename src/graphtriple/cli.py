@@ -248,6 +248,16 @@ def _jsonable(obj):
     return obj if isinstance(obj, (str, int, float, bool, type(None))) else str(obj)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer: {text!r}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="graphtriple",
                      description="Verify noncommutative-manifold conditions "
@@ -264,7 +274,7 @@ def build_parser() -> _Parser:
         p.add_argument("--level", type=int, default=3,
                        help="truncation level L (default 3)")
         if spectralish:
-            p.add_argument("--window", type=int, default=100000,
+            p.add_argument("--window", type=_positive_int, default=100000,
                            help="spectral window N (default 100000)")
             p.add_argument("--tolerance", type=float, default=0.05)
 

@@ -470,6 +470,13 @@ def parse_graph(text: str) -> GraphPresentation:
     return graph_from_document(doc)
 
 
+def check_array_fields(doc: dict, fields: Sequence[str]) -> None:
+    """Raise GraphFormatError unless each of the fields present is an array."""
+    for key in fields:
+        if key in doc and not isinstance(doc[key], list):
+            raise GraphFormatError(f"field {key!r} must be an array")
+
+
 def graph_from_document(doc: object) -> GraphPresentation:
     if not isinstance(doc, dict):
         raise GraphFormatError("presentation document must be a JSON object")
@@ -481,6 +488,7 @@ def graph_from_document(doc: object) -> GraphPresentation:
             raise GraphFormatError(f"missing required field {key!r}")
     if doc["k"] != 1:
         raise GraphFormatError("graph documents must have k = 1 (use parse_kgraph)")
+    check_array_fields(doc, ("vertices", "edges", "tails", "source_tails"))
     edges = []
     for rec in doc["edges"]:
         if not isinstance(rec, dict):

@@ -22,7 +22,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
-from .graphs import Edge, GraphFormatError, GraphValidationError
+from .graphs import (Edge, GraphFormatError, GraphValidationError,
+                     check_array_fields)
 
 Degree = Tuple[int, ...]
 Word = Tuple[str, ...]
@@ -385,10 +386,14 @@ def kgraph_from_document(doc: object) -> KGraphPresentation:
             raise GraphFormatError(f"missing required field {key!r}")
     if not isinstance(doc["k"], int) or doc["k"] < 1:
         raise GraphFormatError("k must be a positive integer")
+    check_array_fields(
+        doc, ("vertices", "edges", "tails", "source_tails", "squares"))
     if doc["tails"] or doc.get("source_tails"):
         raise GraphFormatError("tails are not supported for k-graph documents")
     edges = []
     for rec in doc["edges"]:
+        if not isinstance(rec, dict):
+            raise GraphFormatError("edge records must be objects")
         extra = set(rec) - _EDGE_KEYS
         if extra:
             raise GraphFormatError(f"unknown edge fields: {sorted(extra)}")
@@ -397,7 +402,8 @@ def kgraph_from_document(doc: object) -> KGraphPresentation:
         edges.append(Edge(rec["id"], rec["source"], rec["range"], rec["color"]))
     squares = []
     for rec in doc.get("squares", ()):
-        if set(rec) != {"first", "second"}:
+        if not isinstance(rec, dict) or set(rec) != {"first", "second"}:
             raise GraphFormatError(f"square record must have first/second: {rec}")
+        check_array_fields(rec, ("first", "second"))
         squares.append((tuple(rec["first"]), tuple(rec["second"])))
     return KGraphPresentation(doc["k"], doc["vertices"], edges, squares)

@@ -618,7 +618,8 @@ def first_order_check(tr: Truncation, max_generator_length: int = 1) -> dict:
     (length 1 generates the algebra; products follow by the derivation
     property).  Products of single generators are key multisets, so the
     commutators compare termwise, falling back to the relation-aware zero
-    test only on a syntactic mismatch.
+    test only on a syntactic mismatch.  The product memo forms each a.z once
+    and every later b reuses it.
     """
     amb = tr.ambient
     gens = generator_keys(amb, max_generator_length)
@@ -631,14 +632,10 @@ def first_order_check(tr: Truncation, max_generator_length: int = 1) -> dict:
         for kz in tr.basis:
             zb = _multiply_keys(amb, kz, kb)
             for ka in gens:
-                left = sorted(
-                    k2 for k1 in zb for k2 in _multiply_keys(amb, ka, k1)
-                )
                 az = _multiply_keys(amb, ka, kz)
-                right = sorted(
-                    k2 for k1 in az for k2 in _multiply_keys(amb, k1, kb)
-                )
-                if left == right:
+                left = [k2 for k1 in zb for k2 in _multiply_keys(amb, ka, k1)]
+                right = [k2 for k1 in az for k2 in _multiply_keys(amb, k1, kb)]
+                if left == right or sorted(left) == sorted(right):
                     continue
                 if _keys_difference(amb, left, right).is_zero():
                     continue

@@ -138,6 +138,27 @@ def two_vertex_2graph() -> KGraphPresentation:
     )
 
 
+def two_extension_2graph() -> KGraphPresentation:
+    """One vertex, two edges of each colour; e1 f2 = f1 e2 makes
+    S_e1* S_f1 = S_f1 S_e1* + S_f2 S_e2* a sum of two terms."""
+    return KGraphPresentation(
+        2,
+        ["v"],
+        [
+            Edge("e1", "v", "v", 1),
+            Edge("e2", "v", "v", 1),
+            Edge("f1", "v", "v", 2),
+            Edge("f2", "v", "v", 2),
+        ],
+        [
+            (("e1", "f1"), ("f1", "e1")),
+            (("e1", "f2"), ("f1", "e2")),
+            (("e2", "f1"), ("f2", "e1")),
+            (("e2", "f2"), ("f2", "e2")),
+        ],
+    )
+
+
 def one_vertex_3graph() -> KGraphPresentation:
     return KGraphPresentation(
         3,

@@ -6,12 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphtriple.algebra import (AlgebraElement, PresentationMismatchError,
-                                 delta_action, dirac_commutator, expectation,
-                                 grade, local_unit, make_key, multiply)
+                                 _multiply_keys, _prefix_divide, delta_action,
+                                 dirac_commutator, expectation, grade,
+                                 key_source_mu, key_source_nu, local_unit,
+                                 make_key, multiply)
 from graphtriple.scalars import GaussianRational, I
+from graphtriple.spectral import build_truncation, generator_keys
+from graphtriple.traces import solve_graph_trace, solve_kgraph_trace
 
-from corpus import (single_loop, torus_2graph, tree_with_ends,
-                    two_vertex_2graph)
+from corpus import (one_vertex_3graph, single_loop, torus_2graph,
+                    tree_with_ends, two_extension_2graph, two_vertex_2graph)
 
 
 def loop_ambient(level=3):
@@ -314,3 +318,77 @@ class TestSerialization:
             AlgebraElement.from_json(
                 amb, [{"mu": [], "nu": [], "re": "1", "im": "0"}]
             )
+
+
+def _reference_product(ambient, k1, k2):
+    """The product as three branches: nu1 = mu2 x, mu2 = nu1 x, or (k-graphs
+    only) a sum over the minimal common extensions of nu1 and mu2."""
+    mu1, nu1, v1 = k1
+    mu2, nu2, v2 = k2
+    s_nu1 = key_source_nu(ambient, k1)
+    s_mu2 = key_source_mu(ambient, k2)
+
+    def rebuild(mu, nu, v):
+        return make_key(ambient, mu, nu) if mu or nu else ((), (), v)
+
+    x = _prefix_divide(ambient, nu1, s_nu1, mu2, s_mu2)
+    if x is not None:
+        nu = ambient.compose(nu2, x)
+        return [] if nu is None else [rebuild(mu1, nu, v1)]
+    x = _prefix_divide(ambient, mu2, s_mu2, nu1, s_nu1)
+    if x is not None:
+        mu = ambient.compose(mu1, x)
+        return [] if mu is None else [rebuild(mu, nu2, v2)]
+    if ambient.k == 1:
+        return []
+    dn, dm = ambient.degree(nu1), ambient.degree(mu2)
+    ext = tuple(max(a, b) - a for a, b in zip(dn, dm))
+    anchor = ambient.path_range(nu1) if nu1 else v1
+    out = []
+    for xi in ambient.paths_with_degree(ext, anchor, "out-of", max_level=max(ext)):
+        full = ambient.compose(nu1, xi)
+        if full is None:
+            continue
+        eta = _prefix_divide(ambient, full, s_nu1, mu2, s_mu2)
+        if eta is None:
+            continue
+        mu = ambient.compose(mu1, xi)
+        nu = ambient.compose(nu2, eta)
+        if mu is not None and nu is not None:
+            out.append(rebuild(mu, nu, v2))
+    return out
+
+
+KERNEL_CASES = {
+    "torus": (torus_2graph, solve_kgraph_trace, 1),
+    "two_vertex": (two_vertex_2graph, solve_kgraph_trace, 1),
+    "3graph": (one_vertex_3graph, solve_kgraph_trace, 1),
+    "tree2": (lambda: tree_with_ends(2), solve_graph_trace, 2),
+}
+
+
+class TestMeetTableKernel:
+    @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+    def test_matches_three_branch_reference(self, name):
+        make, solve, level = KERNEL_CASES[name]
+        g = make()
+        tr = build_truncation(g, solve(g), level)
+        amb = tr.ambient
+        for kg in generator_keys(amb, 1):
+            for kz in tr.basis:
+                for k1, k2 in ((kg, kz), (kz, kg)):
+                    assert sorted(_multiply_keys(amb, k1, k2)) == sorted(
+                        _reference_product(amb, k1, k2)), (k1, k2)
+
+    def test_two_extensions_match_reference(self):
+        amb = two_extension_2graph()
+        gens = generator_keys(amb, 1)
+        two_terms = 0
+        for k1 in gens:
+            for k2 in gens:
+                got = _multiply_keys(amb, k1, k2)
+                assert sorted(got) == sorted(_reference_product(amb, k1, k2))
+                two_terms += len(got) == 2
+        assert two_terms
+        assert _multiply_keys(amb, ((), ("e1",), "v"), (("f1",), (), "v")) == [
+            (("f1",), ("e1",), "v"), (("f2",), ("e2",), "v")]

@@ -58,6 +58,34 @@ class TestExitCodes:
             run(["analyze", str(bad)])
         assert exc.value.code == EX_DATAERR
 
+    @pytest.mark.parametrize("doc", [
+        {"k": 1, "vertices": "ab", "edges": [], "tails": []},
+        {"k": 1, "vertices": ["a"], "edges": 5, "tails": []},
+        {"k": 1, "vertices": ["a"], "edges": ["e"], "tails": []},
+        {"k": 1, "vertices": ["a"], "edges": [], "tails": "a"},
+        {"k": 1, "vertices": ["a"], "edges": [], "tails": [],
+         "source_tails": "a"},
+        {"k": 2, "vertices": "v", "edges": [], "tails": []},
+        {"k": 2, "vertices": ["v"], "edges": 5, "tails": []},
+        {"k": 2, "vertices": ["v"], "edges": [5], "tails": []},
+        {"k": 2, "vertices": ["v"], "edges": [], "tails": [], "squares": {}},
+        {"k": 2, "vertices": ["v"], "edges": [], "tails": [],
+         "squares": [{"first": "ef", "second": ["f", "e"]}]},
+    ])
+    def test_non_array_fields_are_format_errors(self, doc, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            run(["analyze", str(bad)])
+        assert exc.value.code == EX_DATAERR
+        assert "validation failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("window", ["-5", "0", "ten"])
+    def test_non_positive_window_is_usage_error(self, loop_file, window, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["conditions", loop_file, "--window", window])
+        assert exc.value.code == EX_USAGE
+
     def test_syntax_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")

@@ -1,9 +1,11 @@
 import random
 import pytest
 
-from graphtriple.algebra import AlgebraElement, key_degree
+from graphtriple import spectral
+from graphtriple.algebra import AlgebraElement, _multiply_keys, key_degree
 from graphtriple.scalars import GaussianRational
-from graphtriple.spectral import (DecompositionError, ThetaSum, build_D,
+from graphtriple.spectral import (DecompositionError, ThetaSum, Truncation,
+                                  build_D,
                                   build_truncation, closedness_eval,
                                   commutant_probe, decompose_projection,
                                   decompose_projection_kgraph,
@@ -18,7 +20,8 @@ from graphtriple.traces import (solve_graph_trace, solve_kgraph_trace,
                                 trace_functional)
 
 from corpus import (bi_infinite_path, single_loop, torus_2graph,
-                    tree_with_ends, two_disjoint_loops, two_vertex_2graph)
+                    tree_with_ends, two_disjoint_loops, two_extension_2graph,
+                    two_vertex_2graph)
 
 
 def loop_setup(level=3):
@@ -269,6 +272,45 @@ class TestFirstOrderAndFriends:
         t = solve_kgraph_trace(g)
         tr = build_truncation(g, t, 2)
         assert first_order_check(tr)["pass"]
+
+    @staticmethod
+    def _corrupt_product(monkeypatch, ka, kz, wrong):
+        """Make a.z return `wrong` inside first_order_check; every other
+        product stays exact."""
+        def product(amb, k1, k2):
+            if (k1, k2) == (ka, kz):
+                return wrong
+            return _multiply_keys(amb, k1, k2)
+        monkeypatch.setattr(spectral, "_multiply_keys", product)
+
+    def test_first_order_fails_on_corrupted_single_key_product(self, monkeypatch):
+        _, _, tr = loop_setup(2)
+        amb = tr.ambient
+        ka = kb = (("e0",), (), "v0")
+        kz = (("e0", "e0"), (), "v0")
+        assert kz in tr.basis and first_order_check(tr)["pass"]
+        # a.z = S_e^3 reported as S_e^2: a(zb) = S_e^4 but (az)b = S_e^3
+        self._corrupt_product(monkeypatch, ka, kz, [kz])
+        result = first_order_check(tr)
+        assert not result["pass"]
+        for kind in ("[a,b_op]", "[[D,a],b_op]"):
+            assert {"kind": kind, "a": ka, "b": kb, "z": kz} in result["failures"]
+
+    def test_first_order_fails_on_corrupted_multi_term_product(self, monkeypatch):
+        amb = two_extension_2graph()
+        ka = ((), ("e1",), "v")
+        kz = (("f1",), (), "v")
+        kb = (("e2",), (), "v")
+        basis = (((), (), "v"), kz)
+        tr = Truncation(amb, None, 1, basis, (1, 1))
+        assert first_order_check(tr)["pass"]
+        # S_e1* S_f1 = S_f1 S_e1* + S_f2 S_e2*; pair the extensions wrongly
+        assert len(_multiply_keys(amb, ka, kz)) == 2
+        self._corrupt_product(monkeypatch, ka, kz, [
+            (("f1",), ("e2",), "v"), (("f2",), ("e1",), "v")])
+        result = first_order_check(tr)
+        assert not result["pass"]
+        assert {"kind": "[a,b_op]", "a": ka, "b": kb, "z": kz} in result["failures"]
 
     def test_left_action_counterexample_on_tree(self):
         _, _, tr = tree_setup(2)
