@@ -14,7 +14,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .clifford import sign_table_check, volume_form
+from .clifford import KMAX, sign_table_check, volume_form
 from .conditions import evaluate_all, hypothesis_check, kgraph_hypothesis_check
 from .graphs import (GraphFormatError, GraphPresentation, GraphValidationError,
                      graph_from_document)
@@ -258,6 +258,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _kmax(text: str) -> int:
+    value = _positive_int(text)
+    if value > KMAX:
+        raise argparse.ArgumentTypeError(f"must be at most {KMAX}: {text!r}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="graphtriple",
                      description="Verify noncommutative-manifold conditions "
@@ -294,9 +301,10 @@ def build_parser() -> _Parser:
     cond = sub.add_parser("conditions", help="evaluate the nine conditions")
     common(cond, spectralish=True)
     cl = sub.add_parser("clifford", help="reality sign table")
-    cl.add_argument("--kmax", type=int, default=8)
+    cl.add_argument("--kmax", type=_kmax, default=8,
+                    help=f"largest k in the table, 1..{KMAX} (default 8)")
     cl.add_argument("--out")
-    cl.add_argument("--format", choices=["json", "csv", "text"], default="json")
+    cl.add_argument("--format", choices=["json"], default="json")
     return parser
 
 

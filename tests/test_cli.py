@@ -86,6 +86,21 @@ class TestExitCodes:
             run(["conditions", loop_file, "--window", window])
         assert exc.value.code == EX_USAGE
 
+    @pytest.mark.parametrize("kmax", ["0", "-2", "17", "nine"])
+    def test_clifford_kmax_out_of_range_is_usage_error(self, kmax, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["clifford", "--kmax", kmax])
+        assert exc.value.code == EX_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "--kmax" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "text"])
+    def test_clifford_format_other_than_json_is_usage_error(self, fmt, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["clifford", "--kmax", "3", "--format", fmt])
+        assert exc.value.code == EX_USAGE
+        assert capsys.readouterr().out == ""
+
     def test_syntax_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
@@ -129,6 +144,15 @@ class TestSubcommands:
         assert run(["clifford", "--kmax", "8"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["pass"]
+
+    def test_clifford_two_bott_periods(self, capsys):
+        assert run(["clifford", "--kmax", "16", "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["pass"]
+        assert sorted(doc["table"], key=int) == [str(k) for k in range(1, 17)]
+        for k in range(1, 9):
+            assert doc["table"][str(k)] == doc["table"][str(k + 8)]
+            assert doc["omega_squares"][str(k)] == doc["omega_squares"][str(k + 8)]
 
     def test_spectral_csv(self, loop_file, capsys):
         assert run(["spectral", loop_file, "--window", "2000",

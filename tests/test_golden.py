@@ -1,8 +1,10 @@
-"""Byte-for-byte golden reports for `graphtriple conditions --level 1`.
+"""Byte-for-byte golden reports for `graphtriple conditions --level 1` and
+`graphtriple clifford`.
 
 The files in tests/golden/ hold the CLI output for a fixed set of corpus
-presentations.  Refactors of the product kernel and the evaluators must keep
-them unchanged.  To rewrite them after an intended report change, run
+presentations and for the Clifford sign table at two values of --kmax.
+Refactors of the product kernel, the evaluators and the Clifford layer must
+keep them unchanged.  To rewrite them after an intended report change, run
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -32,6 +34,11 @@ CASES = {
     "single_loop_3": lambda: single_loop(3),
 }
 
+CLIFFORD_CASES = {
+    "clifford_kmax5": ["clifford", "--kmax", "5"],
+    "clifford_kmax8": ["clifford", "--kmax", "8"],
+}
+
 
 def _document(g) -> dict:
     if isinstance(g, GraphPresentation):
@@ -50,8 +57,11 @@ def _document(g) -> dict:
 
 
 def _report(name: str, workdir: Path) -> str:
-    src = workdir / f"{name}.json"
     out = workdir / f"{name}.report.json"
+    if name in CLIFFORD_CASES:
+        run(CLIFFORD_CASES[name] + ["--out", str(out)])
+        return out.read_text()
+    src = workdir / f"{name}.json"
     src.write_text(json.dumps(_document(CASES[name]())))
     run(["conditions", str(src), "--level", "1", "--out", str(out)])
     return out.read_text()
@@ -63,11 +73,17 @@ def test_conditions_report_matches_golden(name, tmp_path):
     assert _report(name, tmp_path) == expected
 
 
+@pytest.mark.parametrize("name", sorted(CLIFFORD_CASES))
+def test_clifford_report_matches_golden(name, tmp_path):
+    expected = (GOLDEN_DIR / f"{name}.json").read_text()
+    assert _report(name, tmp_path) == expected
+
+
 if __name__ == "__main__":
     import tempfile
 
     GOLDEN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for case in sorted(CASES):
+        for case in sorted(CASES) + sorted(CLIFFORD_CASES):
             (GOLDEN_DIR / f"{case}.json").write_text(_report(case, Path(tmp)))
             print(f"wrote {case}")
