@@ -271,11 +271,10 @@ def build_parser() -> _Parser:
                                  "for graph and k-graph algebras.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, spectralish=False):
+    def common(p, spectralish=False, formats=("json",)):
         p.add_argument("input", help="presentation document (JSON)")
         p.add_argument("--out", help="write the report to this file")
-        p.add_argument("--format", choices=["json", "csv", "text"],
-                       default="json")
+        p.add_argument("--format", choices=list(formats), default="json")
         p.add_argument("--end-value", action="append", metavar="END=VALUE",
                        help="trace value for an end (default 1)")
         p.add_argument("--level", type=int, default=3,
@@ -294,7 +293,7 @@ def build_parser() -> _Parser:
                     help="verify b(c) = 0 and the cancellation steps "
                          "(always done; flag kept for scripting clarity)")
     sp = sub.add_parser("spectral", help="singular value profile")
-    common(sp, spectralish=True)
+    common(sp, spectralish=True, formats=("json", "csv"))
     sp.add_argument("--vertex", help="profile p_v instead of (1+D^2)^{-1/2}")
     sp.add_argument("--csv", action="store_true",
                     help="shorthand for --format csv")

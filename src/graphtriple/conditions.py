@@ -13,7 +13,7 @@ from typing import Dict, Optional, Tuple, Union
 
 from .algebra import AlgebraElement, delta_action
 from .clifford import SIGN_TABLE, reality_operator, volume_form
-from .graphs import GraphPresentation
+from .graphs import GraphPresentation, GraphValidationError
 from .hochschild import (check_orientation_1graph, orientation_cycle_kgraph,
                          pi_D_identity_check, verify_cancellation_steps)
 from .kgraphs import KGraphPresentation
@@ -23,7 +23,7 @@ from .spectral import (build_truncation, closedness_eval, commutant_probe,
                        kgraph_lattice_profile, reality_check_1graph,
                        singular_profile, spin_c_generation_check,
                        vertex_multiplicities)
-from .traces import (NoFaithfulTraceError, canonical_F_form,
+from .traces import (NoFaithfulTraceError, NonDiagonalError, canonical_F_form,
                      fixed_point_norms, solve_graph_trace, solve_kgraph_trace)
 
 CONDITION_NAMES = (
@@ -283,7 +283,7 @@ def _finiteness_tree(g: GraphPresentation, trace, amb) -> Tuple[bool, dict]:
             f = f + AlgebraElement(amb, {key: coeffs[j % len(coeffs)]})
         try:
             form = canonical_F_form(f, g)
-        except Exception:
+        except (NonDiagonalError, GraphValidationError):
             continue
         norms = fixed_point_norms(form, trace)
         samples += 1

@@ -25,8 +25,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from . import linalg
-from .algebra import (AlgebraElement, GenKey, _multiply_keys, expand_key_to,
-                      key_degree, key_source_mu, key_source_nu)
+from .algebra import (AlgebraElement, GenKey, _multiply_keys,
+                      alignment_targets, expand_key_to, key_degree,
+                      key_source_mu, key_source_nu, make_key)
 from .clifford import word_span_dimension
 from .graphs import ExpandedGraph, GraphPresentation
 from .kgraphs import KGraphPresentation
@@ -139,25 +140,33 @@ def generator_keys(ambient, max_length: int) -> List[GenKey]:
 
 def to_basis_coordinates(tr: Truncation, a: AlgebraElement):
     """Expand an element over the maximal basis; returns (coords, leaked)."""
-    amb = tr.ambient
-    index = tr.index()
     coords: Dict[int, GaussianRational] = {}
     leaked = False
     for key, c in a.terms.items():
-        mu, nu, _ = key
-        lengths = _color_lengths(amb, mu) + _color_lengths(amb, nu)
-        if any(x > tr.level for x in lengths):
+        indices = _basis_indices(tr, key)
+        if indices is None:
             leaked = True
             continue
-        target = tr.nu_target(key_degree(amb, key))
-        for newkey in expand_key_to(amb, key, target):
-            i = index[newkey]
+        for i in indices:
             val = coords.get(i, GaussianRational(0)) + c
             if val.is_zero():
                 coords.pop(i, None)
             else:
                 coords[i] = val
     return coords, leaked
+
+
+def _basis_indices(tr: Truncation, key: GenKey) -> Optional[List[int]]:
+    """Basis indices of one generator's expansion; None when a path of the
+    generator is longer than the level in some colour (it leaks)."""
+    amb = tr.ambient
+    mu, nu, _ = key
+    lengths = _color_lengths(amb, mu) + _color_lengths(amb, nu)
+    if any(x > tr.level for x in lengths):
+        return None
+    index = tr.index()
+    target = tr.nu_target(key_degree(amb, key))
+    return [index[newkey] for newkey in expand_key_to(amb, key, target)]
 
 
 def _color_lengths(amb, word) -> tuple:
@@ -618,29 +627,56 @@ def first_order_check(tr: Truncation, max_generator_length: int = 1) -> dict:
     (length 1 generates the algebra; products follow by the derivation
     property).  Products of single generators are key multisets, so the
     commutators compare termwise, falling back to the relation-aware zero
-    test only on a syntactic mismatch.  The product memo forms each a.z once
-    and every later b reuses it.
+    test only on a syntactic mismatch.
+
+    Most a.k products are zero, so the loop runs over a transposed left-
+    product index: by_key[k] lists (index of a, a.k) for the generators a
+    with a.k nonzero, each (a, k) product formed once.  For each (b, z),
+    a(zb) is gathered per a from by_key over the keys of zb and (az)b from
+    by_key[z].  Every a outside both groups has a.z = 0 and a.k = 0 for each
+    key k of zb, so both sides are the empty list: every (a, b, z) triple is
+    still decided, by the index, and failures keep the (b, z, a) order.
     """
     amb = tr.ambient
     gens = generator_keys(amb, max_generator_length)
-    weights = {}
+    weights = []
     for ka in gens:
         deg_a = key_degree(amb, ka)
-        weights[ka] = deg_a[0] if amb.k == 1 else sum(deg_a)
+        weights.append(deg_a[0] if amb.k == 1 else sum(deg_a))
+    # two parallel tuples per key rather than a pair per (a, k): on
+    # one-vertex k-graphs nearly every a.k is nonzero, and the index lives
+    # while the product memo fills, so it is kept small
+    by_key: Dict[GenKey, Tuple[Tuple[int, ...], Tuple[List[GenKey], ...]]] = {}
+
+    def left_products(key: GenKey):
+        hit = by_key.get(key)
+        if hit is None:
+            prods = [_multiply_keys(amb, ka, key) for ka in gens]
+            nonzero = tuple(ia for ia, p in enumerate(prods) if p)
+            hit = by_key[key] = (nonzero, tuple(prods[ia] for ia in nonzero))
+        return zip(*hit)
+
     failures = []
     for kb in gens:
         for kz in tr.basis:
-            zb = _multiply_keys(amb, kz, kb)
-            for ka in gens:
-                az = _multiply_keys(amb, ka, kz)
-                left = [k2 for k1 in zb for k2 in _multiply_keys(amb, ka, k1)]
-                right = [k2 for k1 in az for k2 in _multiply_keys(amb, k1, kb)]
+            lefts: Dict[int, List[GenKey]] = {}
+            for k1 in _multiply_keys(amb, kz, kb):
+                for ia, prods in left_products(k1):
+                    lefts.setdefault(ia, []).extend(prods)
+            rights = {
+                ia: [k2 for k1 in az for k2 in _multiply_keys(amb, k1, kb)]
+                for ia, az in left_products(kz)
+            }
+            for ia in sorted(lefts.keys() | rights.keys()):
+                left = lefts.get(ia, [])
+                right = rights.get(ia, [])
                 if left == right or sorted(left) == sorted(right):
                     continue
                 if _keys_difference(amb, left, right).is_zero():
                     continue
+                ka = gens[ia]
                 failures.append({"kind": "[a,b_op]", "a": ka, "b": kb, "z": kz})
-                if weights[ka]:
+                if weights[ia]:
                     failures.append(
                         {"kind": "[[D,a],b_op]", "a": ka, "b": kb, "z": kz}
                     )
@@ -689,13 +725,20 @@ def _d_commutator_scalar(a: AlgebraElement) -> AlgebraElement:
 
 
 def reality_check_1graph(tr: Truncation) -> dict:
-    """J x = x*: J^2 = 1, JDJ = -D, J a* J = right multiplication by a."""
+    """J x = x*: J^2 = 1, JDJ = -D, J a* J = right multiplication by a.
+
+    J a* J z = (a* z*)* is compared with z a as key lists: the involution
+    swaps (mu, nu, v) to (nu, mu, v) key by key, and products of single
+    generators carry coefficient 1, so the two sides agree when the swapped
+    keys of a* z* and the keys of z a agree as multisets.  Only a mismatch
+    goes to the relation-aware zero test.
+    """
     amb = tr.ambient
     if amb.k != 1:
         raise ValueError("reality_check_1graph needs a 1-graph truncation")
     D = DiracOperator(tr)
     failures = []
-    gens = generator_keys(amb, 1)
+    gens = [(ka, _swap(ka)) for ka in generator_keys(amb, 1)]
     for kz in tr.basis:
         z = AlgebraElement(amb, {kz: GaussianRational(1)})
         if not (z.involution().involution() - z).is_zero():
@@ -703,13 +746,21 @@ def reality_check_1graph(tr: Truncation) -> dict:
         jdj = D.apply(z.involution()).involution()
         if not (jdj + D.apply(z)).is_zero():
             failures.append({"kind": "JDJ=-D", "z": kz})
-        for ka in gens:
-            a = AlgebraElement(amb, {ka: GaussianRational(1)})
-            left = (a.involution() * z.involution()).involution()
-            right = z * a
-            if not (left - right).is_zero():
+        z_star = _swap(kz)
+        for ka, a_star in gens:
+            left = [_swap(k) for k in _multiply_keys(amb, a_star, z_star)]
+            right = _multiply_keys(amb, kz, ka)
+            if left == right or sorted(left) == sorted(right):
+                continue
+            if not _keys_difference(amb, left, right).is_zero():
                 failures.append({"kind": "Ja*J=a_op", "a": ka, "z": kz})
     return {"pass": not failures, "failures": failures}
+
+
+def _swap(key: GenKey) -> GenKey:
+    """The key of (S_mu S_nu*)* = S_nu S_mu*."""
+    mu, nu, v = key
+    return (nu, mu, v)
 
 
 def spin_c_generation_check(tr: Truncation) -> dict:
@@ -781,30 +832,25 @@ class _SparseEchelon:
 
 
 def _sparse_matrix(tr: Truncation, op: AlgebraElement, side: str):
-    """Truncated matrix of left/right multiplication in basis coordinates."""
+    """Truncated matrix of left/right multiplication in basis coordinates.
+
+    Column j sums the real coefficients of op's terms over the basis
+    expansions of the keys of term . z_j (or z_j . term); keys that leak
+    past the level drop out, as in `to_basis_coordinates`.
+    """
     amb = tr.ambient
+    terms = [(key, c.re) for key, c in op.terms.items()]
     cols: List[Dict[int, Fraction]] = []
-    for key in tr.basis:
-        z = AlgebraElement(amb, {key: GaussianRational(1)})
-        w = op * z if side == "left" else z * op
-        coords, _ = to_basis_coordinates(tr, w)
-        cols.append({i: c.re for i, c in coords.items() if c.re})
-    return cols
-
-
-def _mat_mul_sparse(a: List[Dict[int, Fraction]], b: List[Dict[int, Fraction]]):
-    out: List[Dict[int, Fraction]] = []
-    for col in b:
+    for kz in tr.basis:
         acc: Dict[int, Fraction] = {}
-        for l, v in col.items():
-            for i, w in a[l].items():
-                val = acc.get(i, Fraction(0)) + v * w
-                if val:
-                    acc[i] = val
-                else:
-                    acc.pop(i, None)
-        out.append(acc)
-    return out
+        for kop, c in terms:
+            prods = (_multiply_keys(amb, kop, kz) if side == "left"
+                     else _multiply_keys(amb, kz, kop))
+            for key in prods:
+                for i in _basis_indices(tr, key) or ():
+                    acc[i] = acc.get(i, 0) + c
+        cols.append({i: v for i, v in acc.items() if v})
+    return cols
 
 
 def theta_matrix(tr: Truncation, i: int, j: int,
@@ -840,8 +886,10 @@ def left_fixed_point_commutant(tr: Truncation) -> int:
     """Exact dimension of {f in span of diagonal generators: [f, A_c] = 0}.
 
     These are the candidates the irreducibility argument constrains: the
-    fixed-point algebra elements commuting with every generator.  The dimension equals
-    the number of connected components (the constants per component).
+    fixed-point algebra elements commuting with every generator.  The
+    dimension equals the number of connected components (the constants per
+    component).  The constraint rows come from key products with integer
+    coefficients (`_aligned_commutator`).
     """
     amb = tr.ambient
     diag = sorted(
@@ -855,20 +903,14 @@ def left_fixed_point_commutant(tr: Truncation) -> int:
     ech = _SparseEchelon()
     col_of = {key: i for i, key in enumerate(diag)}
     for eid in amb.edge_order:
-        for gen in (
-            AlgebraElement.generator(amb, (eid,), ()),
-            AlgebraElement.generator(amb, (), (eid,)),
-        ):
-            rows: Dict[GenKey, Dict[int, Fraction]] = {}
+        s_e = make_key(amb, (eid,), ())
+        for gen in (s_e, _swap(s_e)):
+            rows: Dict[GenKey, Dict[int, int]] = {}
             for key in diag:
-                f = AlgebraElement(amb, {key: GaussianRational(1)})
-                comm = f * gen - gen * f
-                for ckey, c in comm.aligned_terms().items():
-                    rows.setdefault(ckey, {})[col_of[key]] = c.re
+                for ckey, c in _aligned_commutator(amb, key, gen).items():
+                    rows.setdefault(ckey, {})[col_of[key]] = c
             for row in rows.values():
-                row = {c: v for c, v in row.items() if v}
-                if row:
-                    ech.insert(row)
+                ech.insert(row)
     null = ech.nullspace(len(diag))
     # candidates are dependent modulo the CK relations (e.g. p_v = S_e S_e*
     # at single-exit vertices), so count solution elements in the common
@@ -888,18 +930,43 @@ def left_fixed_point_commutant(tr: Truncation) -> int:
     return len(sol_ech.pivots)
 
 
+def _aligned_commutator(amb, kf: GenKey, kg: GenKey) -> Dict[GenKey, int]:
+    """`aligned_terms` of f g - g f for single generators f, g, in integers."""
+    terms: Dict[GenKey, int] = {}
+    for key in _multiply_keys(amb, kf, kg):
+        terms[key] = terms.get(key, 0) + 1
+    for key in _multiply_keys(amb, kg, kf):
+        terms[key] = terms.get(key, 0) - 1
+    terms = {key: c for key, c in terms.items() if c}
+    targets = alignment_targets(amb, terms)
+    out: Dict[GenKey, int] = {}
+    for key, c in terms.items():
+        for newkey in expand_key_to(amb, key, targets[key_degree(amb, key)]):
+            val = out.get(newkey, 0) + c
+            if val:
+                out[newkey] = val
+            else:
+                out.pop(newkey, None)
+    return out
+
+
 def commutant_probe(tr: Truncation, margin: int = 1) -> dict:
     """Probe the operators commuting with D and the generator actions.
 
     `dimension_interior` is the exact dimension of the fixed-point-algebra
     commutant (constants per connected component), which is the candidate
-    set the irreducibility argument actually constrains.  The full truncated Theta-span solve is reported as a diagnostic:
-    its excess over the interior dimension consists of truncation-boundary
-    and right-action artifacts, which no finite window can exclude.
+    set the irreducibility argument actually constrains.  The full truncated
+    Theta-span solve is reported as a diagnostic: its excess over the
+    interior dimension consists of truncation-boundary and right-action
+    artifacts, which no finite window can exclude.
+
+    The operator matrices are built from key products and basis expansions
+    (`_sparse_matrix`), and T*A goes through a row index of A built once
+    per operator, so each Theta matrix meets only the entries of A in the
+    rows it uses instead of scanning all columns of A.
     """
     amb = tr.ambient
     basis = tr.basis
-    n = len(basis)
     degrees = [key_degree(amb, key) for key in basis]
     blocks: Dict[tuple, List[int]] = {}
     for j, d in enumerate(degrees):
@@ -934,10 +1001,14 @@ def commutant_probe(tr: Truncation, margin: int = 1) -> dict:
 
     ech = _SparseEchelon()
     for a_cols in ops:
+        a_rows: Dict[int, List[Tuple[int, Fraction]]] = {}
+        for col, entries in enumerate(a_cols):
+            for l, v in entries.items():
+                a_rows.setdefault(l, []).append((col, v))
         # rows indexed by matrix entry (i, col); unknowns by Theta index
         rows: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
         for u, t_cols in enumerate(mats):
-            ta = _mat_mul_sparse_cols(t_cols, a_cols, n)
+            ta = _mat_mul_sparse_rows(t_cols, a_rows)
             at = _mat_mul_sparse_cols_left(a_cols, t_cols)
             for col, entries in _sparse_diff(ta, at):
                 for i, v in entries.items():
@@ -991,24 +1062,22 @@ def commutant_probe(tr: Truncation, margin: int = 1) -> dict:
     }
 
 
-def _mat_mul_sparse_cols(t_cols: Dict[int, Dict[int, Fraction]],
-                         a_cols: List[Dict[int, Fraction]], n: int):
-    """Columns of T*A where T is given by sparse columns keyed by index."""
+def _mat_mul_sparse_rows(t_cols: Dict[int, Dict[int, Fraction]],
+                         a_rows: Dict[int, List[Tuple[int, Fraction]]]):
+    """Columns of T*A, with T by sparse columns and A by its row index:
+    column l of T meets only the entries (l, col) of A."""
     out: Dict[int, Dict[int, Fraction]] = {}
-    for col in range(n):
-        acc: Dict[int, Fraction] = {}
-        for l, v in a_cols[col].items():
-            tc = t_cols.get(l)
-            if not tc:
-                continue
+    for l, tc in t_cols.items():
+        for col, v in a_rows.get(l, ()):
+            acc = out.setdefault(col, {})
             for i, w in tc.items():
-                val = acc.get(i, Fraction(0)) + v * w
-                if val:
-                    acc[i] = val
-                else:
-                    acc.pop(i, None)
+                acc[i] = acc.get(i, 0) + v * w
+    for col in list(out):
+        acc = {i: v for i, v in out[col].items() if v}
         if acc:
             out[col] = acc
+        else:
+            del out[col]
     return out
 
 

@@ -217,7 +217,9 @@ def canonical_F_form(
 
     Extends or splits every S_alpha S_alpha* through the Cuntz-Krieger
     relation until the path terminates inside an end; duplicate projections
-    merge.  Value preserving.
+    merge.  Value preserving.  Raises NonDiagonalError for a term with
+    mu != nu and GraphValidationError for a vertex with no forward
+    extension.
     """
     ends = tuple(presentation.find_ends())
     end_index = {e.id: i + 1 for i, e in enumerate(ends)}

@@ -101,6 +101,23 @@ class TestExitCodes:
         assert exc.value.code == EX_USAGE
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--format", "csv"],
+        ["trace", "--format", "text"],
+        ["ktheory", "--format", "csv"],
+        ["hochschild", "--format", "text"],
+        ["spectral", "--format", "text"],
+        ["conditions", "--format", "csv"],
+        ["conditions", "--format", "text"],
+    ])
+    def test_format_not_emitted_is_usage_error(self, argv, loop_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run([argv[0], loop_file] + argv[1:])
+        assert exc.value.code == EX_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage:") and "--format" in captured.err
+
     def test_syntax_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
@@ -159,6 +176,14 @@ class TestSubcommands:
                     "--format", "csv"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("t,F_T")
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze"], ["trace"], ["ktheory"], ["hochschild"],
+        ["spectral", "--vertex", "b", "--window", "2000"],
+    ])
+    def test_format_json_everywhere(self, argv, tree_file, capsys):
+        assert run([argv[0], tree_file, "--format", "json"] + argv[1:]) == 0
+        json.loads(capsys.readouterr().out)
 
     def test_spectral_vertex_profile(self, tree_file, capsys):
         assert run(["spectral", tree_file, "--vertex", "b",

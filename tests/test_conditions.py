@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from graphtriple import conditions
 from graphtriple.conditions import (CONDITION_NAMES, evaluate_all,
                                     hypothesis_check, kgraph_hypothesis_check)
+from graphtriple.traces import NonDiagonalError
 
 from corpus import (bi_infinite_path, double_entry_tree, dyadic_tree,
                     loop_with_exit_tree, one_vertex_3graph, single_loop,
@@ -105,3 +107,21 @@ class TestEvaluateAll:
         for entry in doc["conditions"].values():
             assert entry["status"] in ("holds", "fails", "not_applicable")
             assert entry["name"] in CONDITION_NAMES
+
+
+class TestFinitenessSamples:
+    def test_documented_errors_skip_the_sample(self, monkeypatch):
+        def non_diagonal(f, g):
+            raise NonDiagonalError("not diagonal")
+        monkeypatch.setattr(conditions, "canonical_F_form", non_diagonal)
+        report = evaluate_all(tree_with_ends(2), level=1, window=1000)
+        entry = report.entries["finiteness"]
+        assert entry.status == "holds"
+        assert entry.witness["norm_samples"] == 0
+
+    def test_unrelated_error_propagates(self, monkeypatch):
+        def broken(f, g):
+            raise KeyError("unrelated")
+        monkeypatch.setattr(conditions, "canonical_F_form", broken)
+        with pytest.raises(KeyError):
+            evaluate_all(tree_with_ends(2), level=1, window=1000)

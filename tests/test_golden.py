@@ -1,8 +1,9 @@
-"""Byte-for-byte golden reports for `graphtriple conditions --level 1` and
+"""Byte-for-byte golden reports for `graphtriple conditions` and
 `graphtriple clifford`.
 
 The files in tests/golden/ hold the CLI output for a fixed set of corpus
-presentations and for the Clifford sign table at two values of --kmax.
+presentations, each at the truncation level given in CASES, and for the
+Clifford sign table at two values of --kmax.
 Refactors of the product kernel, the evaluators and the Clifford layer must
 keep them unchanged.  To rewrite them after an intended report change, run
 
@@ -17,21 +18,31 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from corpus import (one_vertex_3graph, single_exit_violating_2graph,  # noqa: E402
-                    single_loop, torus_2graph, tree_with_ends,
+from corpus import (bi_infinite_path, double_entry_tree,  # noqa: E402
+                    dyadic_tree, loop_with_exit, one_vertex_3graph,
+                    single_exit_violating_2graph, single_loop, sink_path,
+                    torus_2graph, tree_with_ends, two_disjoint_loops,
                     two_vertex_2graph)
 from graphtriple.cli import run  # noqa: E402
 from graphtriple.graphs import GraphPresentation, graph_to_document  # noqa: E402
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
+# name -> (presentation factory, truncation level); the 1-graphs below
+# the first six run at level 2 unless level 2 takes over a second
 CASES = {
-    "torus_2graph": torus_2graph,
-    "two_vertex_2graph": two_vertex_2graph,
-    "one_vertex_3graph": one_vertex_3graph,
-    "single_exit_violating_2graph": single_exit_violating_2graph,
-    "tree_with_ends_2": lambda: tree_with_ends(2),
-    "single_loop_3": lambda: single_loop(3),
+    "torus_2graph": (torus_2graph, 1),
+    "two_vertex_2graph": (two_vertex_2graph, 1),
+    "one_vertex_3graph": (one_vertex_3graph, 1),
+    "single_exit_violating_2graph": (single_exit_violating_2graph, 1),
+    "tree_with_ends_2": (lambda: tree_with_ends(2), 1),
+    "single_loop_3": (lambda: single_loop(3), 1),
+    "bi_infinite_path": (bi_infinite_path, 2),
+    "sink_path": (sink_path, 2),
+    "double_entry_tree": (double_entry_tree, 2),
+    "two_disjoint_loops": (two_disjoint_loops, 2),
+    "loop_with_exit": (loop_with_exit, 2),
+    "dyadic_tree_2": (lambda: dyadic_tree(2), 1),
 }
 
 CLIFFORD_CASES = {
@@ -61,9 +72,10 @@ def _report(name: str, workdir: Path) -> str:
     if name in CLIFFORD_CASES:
         run(CLIFFORD_CASES[name] + ["--out", str(out)])
         return out.read_text()
+    factory, level = CASES[name]
     src = workdir / f"{name}.json"
-    src.write_text(json.dumps(_document(CASES[name]())))
-    run(["conditions", str(src), "--level", "1", "--out", str(out)])
+    src.write_text(json.dumps(_document(factory())))
+    run(["conditions", str(src), "--level", str(level), "--out", str(out)])
     return out.read_text()
 
 

@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+
 import pytest
 
 from graphtriple import spectral
@@ -22,6 +24,56 @@ from graphtriple.traces import (solve_graph_trace, solve_kgraph_trace,
 from corpus import (bi_infinite_path, single_loop, torus_2graph,
                     tree_with_ends, two_disjoint_loops, two_extension_2graph,
                     two_vertex_2graph)
+
+
+def first_order_oracle(tr, max_generator_length=1):
+    """The plain (b, z, a) triple loop that `first_order_check` replaced:
+    a(zb) and (az)b formed for every triple, with no product index.
+    Products go through spectral._multiply_keys, so a monkeypatched
+    product reaches the oracle and the checked function alike."""
+    amb = tr.ambient
+    gens = generator_keys(amb, max_generator_length)
+    weights = {}
+    for ka in gens:
+        deg_a = key_degree(amb, ka)
+        weights[ka] = deg_a[0] if amb.k == 1 else sum(deg_a)
+    failures = []
+    for kb in gens:
+        for kz in tr.basis:
+            zb = spectral._multiply_keys(amb, kz, kb)
+            for ka in gens:
+                az = spectral._multiply_keys(amb, ka, kz)
+                left = [k2 for k1 in zb
+                        for k2 in spectral._multiply_keys(amb, ka, k1)]
+                right = [k2 for k1 in az
+                         for k2 in spectral._multiply_keys(amb, k1, kb)]
+                if left == right or sorted(left) == sorted(right):
+                    continue
+                if spectral._keys_difference(amb, left, right).is_zero():
+                    continue
+                failures.append({"kind": "[a,b_op]", "a": ka, "b": kb, "z": kz})
+                if weights[ka]:
+                    failures.append(
+                        {"kind": "[[D,a],b_op]", "a": ka, "b": kb, "z": kz}
+                    )
+    return {"pass": not failures, "failures": failures, "generators": len(gens)}
+
+
+def sparse_matrix_oracle(tr, op, side):
+    """Columns of left/right multiplication by op through element products
+    and `to_basis_coordinates`, the route `_sparse_matrix` replaced."""
+    cols = []
+    for key in tr.basis:
+        z = AlgebraElement(tr.ambient, {key: GaussianRational(1)})
+        coords, _ = to_basis_coordinates(tr, op * z if side == "left" else z * op)
+        cols.append({i: c.re for i, c in coords.items() if c.re})
+    return cols
+
+
+def torus_setup(level=2):
+    g = torus_2graph()
+    t = solve_kgraph_trace(g)
+    return g, t, build_truncation(g, t, level)
 
 
 def loop_setup(level=3):
@@ -312,6 +364,37 @@ class TestFirstOrderAndFriends:
         assert not result["pass"]
         assert {"kind": "[a,b_op]", "a": ka, "b": kb, "z": kz} in result["failures"]
 
+    @pytest.mark.parametrize("setup", [loop_setup, tree_setup, torus_setup])
+    def test_first_order_matches_triple_loop_oracle(self, setup):
+        _, _, tr = setup()
+        assert first_order_check(tr) == first_order_oracle(tr)
+
+    def test_index_reaches_triples_with_zero_products(self, monkeypatch):
+        # p_b . S_nu* is zero because nu starts at b~s1, not at b; a
+        # nonzero a.z there must still reach the comparison
+        _, _, tr = tree_setup(2)
+        amb = tr.ambient
+        ka = ((), (), "b")
+        kz = ((), ("b~se1", "e1"), "c1")
+        assert kz in tr.basis and _multiply_keys(amb, ka, kz) == []
+        self._corrupt_product(monkeypatch, ka, kz, [kz])
+        result = first_order_check(tr)
+        assert result == first_order_oracle(tr)
+        assert not result["pass"]
+        assert all(f["kind"] == "[a,b_op]" for f in result["failures"])
+        assert {(f["a"], f["z"]) for f in result["failures"]} == {(ka, kz)}
+
+    def test_reality_fails_on_corrupted_product(self, monkeypatch):
+        _, _, tr = loop_setup(2)
+        ka = (("e0",), (), "v0")
+        kz = (("e0", "e0"), (), "v0")
+        assert kz in tr.basis and reality_check_1graph(tr)["pass"]
+        # z.a = S_e^3 reported as S_e^2, while (a* z*)* stays S_e^3
+        self._corrupt_product(monkeypatch, kz, ka, [kz])
+        result = reality_check_1graph(tr)
+        assert not result["pass"]
+        assert result["failures"] == [{"kind": "Ja*J=a_op", "a": ka, "z": kz}]
+
     def test_left_action_counterexample_on_tree(self):
         _, _, tr = tree_setup(2)
         witness = first_order_left_counterexample(tr)
@@ -355,6 +438,64 @@ class TestCommutant:
         t = solve_kgraph_trace(g)
         tr = build_truncation(g, t, 2)
         assert commutant_probe(tr)["dimension_interior"] == 1
+
+    @pytest.mark.parametrize("setup", [tree_setup, torus_setup])
+    def test_sparse_matrix_matches_element_route(self, setup):
+        _, _, tr = setup(2)
+        amb = tr.ambient
+        ops = []
+        for eid in amb.edge_order:
+            s_e = AlgebraElement.generator(amb, (eid,), ())
+            ops += [s_e, s_e.involution(), s_e * s_e.involution()]
+        ops += [AlgebraElement.vertex(amb, v) for v in amb.vertices]
+        # cancelling and non-unit coefficients
+        ops.append(ops[2].scale(3) - ops[-1] + ops[1].scale(Fraction(1, 2)))
+        for op in ops:
+            for side in ("left", "right"):
+                assert (spectral._sparse_matrix(tr, op, side)
+                        == sparse_matrix_oracle(tr, op, side)), (op, side)
+
+    @pytest.mark.parametrize("setup", [tree_setup, torus_setup])
+    def test_aligned_commutator_matches_element_route(self, setup):
+        _, _, tr = setup(2)
+        amb = tr.ambient
+        diag = [key for key in generator_keys(amb, 1) if key[0] == key[1]]
+        for eid in amb.edge_order:
+            s_e = AlgebraElement.generator(amb, (eid,), ())
+            for g in (s_e, s_e.involution()):
+                (kg,) = g.terms
+                for kf in diag:
+                    f = AlgebraElement(amb, {kf: GaussianRational(1)})
+                    want = {k: c.re for k, c in
+                            (f * g - g * f).aligned_terms().items()}
+                    assert spectral._aligned_commutator(amb, kf, kg) == want
+
+    def test_row_index_product_matches_dense(self):
+        rng = random.Random(3)
+        n = 7
+
+        def entry():
+            return Fraction(rng.choice([-2, -1, 1, 1, 3]), rng.choice([1, 2]))
+
+        t_cols = {l: {i: entry() for i in rng.sample(range(n), 3)}
+                  for l in rng.sample(range(n), 4)}
+        a_cols = [{l: entry() for l in rng.sample(range(n), 2)}
+                  for _ in range(n)]
+        a_rows = {}
+        for col, entries in enumerate(a_cols):
+            for l, v in entries.items():
+                a_rows.setdefault(l, []).append((col, v))
+        dense = {}
+        for col in range(n):
+            acc = {}
+            for i in range(n):
+                v = sum(t_cols.get(l, {}).get(i, 0) * a_cols[col].get(l, 0)
+                        for l in range(n))
+                if v:
+                    acc[i] = v
+            if acc:
+                dense[col] = acc
+        assert spectral._mat_mul_sparse_rows(t_cols, a_rows) == dense
 
     def test_artifacts_reported(self):
         _, _, tr = tree_setup(2)
