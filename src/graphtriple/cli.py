@@ -15,7 +15,8 @@ import sys
 from fractions import Fraction
 
 from .clifford import KMAX, sign_table_check, volume_form
-from .conditions import evaluate_all, hypothesis_check, kgraph_hypothesis_check
+from .conditions import (_jsonable, evaluate_all, hypothesis_check,
+                         kgraph_hypothesis_check)
 from .graphs import (GraphFormatError, GraphPresentation, GraphValidationError,
                      graph_from_document)
 from .hochschild import (check_orientation_1graph,
@@ -237,17 +238,6 @@ def _cmd_conditions(args) -> int:
     return report.exit_code()
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {
-            (k if isinstance(k, str) else str(k)): _jsonable(v)
-            for k, v in obj.items()
-        }
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    return obj if isinstance(obj, (str, int, float, bool, type(None))) else str(obj)
-
-
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -287,11 +277,7 @@ def build_parser() -> _Parser:
     common(sub.add_parser("analyze", help="structural report"))
     common(sub.add_parser("trace", help="solve the graph trace"))
     common(sub.add_parser("ktheory", help="K-theory ranks"))
-    ho = sub.add_parser("hochschild", help="orientation cycle checks")
-    common(ho)
-    ho.add_argument("--check-cycle", action="store_true",
-                    help="verify b(c) = 0 and the cancellation steps "
-                         "(always done; flag kept for scripting clarity)")
+    common(sub.add_parser("hochschild", help="orientation cycle checks"))
     sp = sub.add_parser("spectral", help="singular value profile")
     common(sp, spectralish=True, formats=("json", "csv"))
     sp.add_argument("--vertex", help="profile p_v instead of (1+D^2)^{-1/2}")

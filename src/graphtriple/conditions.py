@@ -407,6 +407,8 @@ def _failing_step(cancel: dict) -> dict:
 
 
 def _jsonable(obj):
+    """obj with dict keys as strings, sequences as lists and other
+    non-JSON leaves as their str()."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -357,13 +357,6 @@ class KGraphPresentation:
         )
 
 
-def enumerate_paths(g: KGraphPresentation, n: Degree, v: Optional[str],
-                    direction: str,
-                    max_level: int = DEFAULT_TRUNCATION) -> List[Word]:
-    """All normal-form paths of degree n into / out of v, in stable order."""
-    return g.paths_with_degree(n, v, direction, max_level=max_level)
-
-
 def parse_kgraph(text: str) -> KGraphPresentation:
     """Parse and validate a k-graph presentation document."""
     try:

@@ -25,9 +25,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from . import linalg
-from .algebra import (AlgebraElement, GenKey, _multiply_keys,
-                      alignment_targets, expand_key_to, key_degree,
-                      key_source_mu, key_source_nu, make_key)
+from .algebra import (AlgebraElement, GenKey, alignment_targets,
+                      expand_key_to, kernel, key_degree, key_source_mu,
+                      key_source_nu, make_key)
 from .clifford import word_span_dimension
 from .graphs import ExpandedGraph, GraphPresentation
 from .kgraphs import KGraphPresentation
@@ -50,11 +50,19 @@ class Truncation:
     basis: Tuple[GenKey, ...]
     gram: Tuple[Fraction, ...]
     _index: Optional[Dict[GenKey, int]] = field(default=None, repr=False)
+    _ids: Optional[List[int]] = field(default=None, repr=False)
 
     def index(self) -> Dict[GenKey, int]:
         if self._index is None:
             self._index = {key: i for i, key in enumerate(self.basis)}
         return self._index
+
+    def key_ids(self) -> List[int]:
+        """The basis keys' ids in the ambient's product kernel."""
+        if self._ids is None:
+            kern = kernel(self.ambient)
+            self._ids = [kern.key_id(key) for key in self.basis]
+        return self._ids
 
     def index_of(self, key: GenKey) -> int:
         return self.index()[key]
@@ -629,50 +637,67 @@ def first_order_check(tr: Truncation, max_generator_length: int = 1) -> dict:
     commutators compare termwise, falling back to the relation-aware zero
     test only on a syntactic mismatch.
 
-    Most a.k products are zero, so the loop runs over a transposed left-
-    product index: by_key[k] lists (index of a, a.k) for the generators a
-    with a.k nonzero, each (a, k) product formed once.  For each (b, z),
-    a(zb) is gathered per a from by_key over the keys of zb and (az)b from
-    by_key[z].  Every a outside both groups has a.z = 0 and a.k = 0 for each
-    key k of zb, so both sides are the empty list: every (a, b, z) triple is
-    still decided, by the index, and failures keep the (b, z, a) order.
+    The loop works on key ids of the ambient's product kernel and runs over
+    a transposed left-product index: by_key[k] maps the index of each
+    generator a with a.k nonzero to the key ids of a.k, each (a, k) product
+    formed once.  For each (b, z), a(zb) is gathered per a from by_key over
+    the keys of zb (by_key itself when zb is one key) and (az)b from
+    by_key[z].  Every a outside both maps has a.z = 0 and a.k = 0 for each
+    key k of zb, so both sides are empty.  When the two maps are equal every
+    a passes; otherwise each a is compared on its own, and failures keep
+    the (b, z, a) order.
     """
     amb = tr.ambient
+    kern = kernel(amb)
+    product = kern.product
     gens = generator_keys(amb, max_generator_length)
+    gen_ids = [kern.key_id(ka) for ka in gens]
     weights = []
     for ka in gens:
         deg_a = key_degree(amb, ka)
         weights.append(deg_a[0] if amb.k == 1 else sum(deg_a))
-    # two parallel tuples per key rather than a pair per (a, k): on
-    # one-vertex k-graphs nearly every a.k is nonzero, and the index lives
-    # while the product memo fills, so it is kept small
-    by_key: Dict[GenKey, Tuple[Tuple[int, ...], Tuple[List[GenKey], ...]]] = {}
+    by_key: Dict[int, Dict[int, Tuple[int, ...]]] = {}
 
-    def left_products(key: GenKey):
-        hit = by_key.get(key)
+    def left_products(kid: int) -> Dict[int, Tuple[int, ...]]:
+        hit = by_key.get(kid)
         if hit is None:
-            prods = [_multiply_keys(amb, ka, key) for ka in gens]
-            nonzero = tuple(ia for ia, p in enumerate(prods) if p)
-            hit = by_key[key] = (nonzero, tuple(prods[ia] for ia in nonzero))
-        return zip(*hit)
+            hit = by_key[kid] = {}
+            for ia, ka in enumerate(gen_ids):
+                prods = product(ka, kid)
+                if prods:
+                    hit[ia] = prods
+        return hit
 
     failures = []
-    for kb in gens:
-        for kz in tr.basis:
-            lefts: Dict[int, List[GenKey]] = {}
-            for k1 in _multiply_keys(amb, kz, kb):
-                for ia, prods in left_products(k1):
-                    lefts.setdefault(ia, []).extend(prods)
-            rights = {
-                ia: [k2 for k1 in az for k2 in _multiply_keys(amb, k1, kb)]
-                for ia, az in left_products(kz)
-            }
+    for kb, b in zip(gens, gen_ids):
+        for kz, z in zip(tr.basis, tr.key_ids()):
+            zb = product(z, b)
+            if len(zb) == 1:
+                lefts = left_products(zb[0])
+            else:
+                lefts = {}
+                for k1 in zb:
+                    for ia, prods in left_products(k1).items():
+                        lefts[ia] = lefts.get(ia, ()) + prods
+            rights = {}
+            for ia, az in left_products(z).items():
+                # a.z is almost always one key: reuse the memo's tuple
+                # instead of rebuilding it through a generator.
+                if len(az) == 1:
+                    right = product(az[0], b)
+                else:
+                    right = tuple(k2 for k1 in az for k2 in product(k1, b))
+                if right:
+                    rights[ia] = right
+            if lefts == rights:
+                continue
             for ia in sorted(lefts.keys() | rights.keys()):
-                left = lefts.get(ia, [])
-                right = rights.get(ia, [])
+                left = lefts.get(ia, ())
+                right = rights.get(ia, ())
                 if left == right or sorted(left) == sorted(right):
                     continue
-                if _keys_difference(amb, left, right).is_zero():
+                if _keys_difference(amb, [kern.keys[k] for k in left],
+                                    [kern.keys[k] for k in right]).is_zero():
                     continue
                 ka = gens[ia]
                 failures.append({"kind": "[a,b_op]", "a": ka, "b": kb, "z": kz})
@@ -727,32 +752,46 @@ def _d_commutator_scalar(a: AlgebraElement) -> AlgebraElement:
 def reality_check_1graph(tr: Truncation) -> dict:
     """J x = x*: J^2 = 1, JDJ = -D, J a* J = right multiplication by a.
 
-    J a* J z = (a* z*)* is compared with z a as key lists: the involution
-    swaps (mu, nu, v) to (nu, mu, v) key by key, and products of single
-    generators carry coefficient 1, so the two sides agree when the swapped
-    keys of a* z* and the keys of z a agree as multisets.  Only a mismatch
-    goes to the relation-aware zero test.
+    J a* J z = (a* z*)* is compared with z a as lists of kernel key ids: the
+    involution swaps (mu, nu, v) to (nu, mu, v) key by key (a swap table on
+    ids), and products of single generators carry coefficient 1, so the two
+    sides agree when the swapped keys of a* z* and the keys of z a agree as
+    multisets.  Only a mismatch goes to the relation-aware zero test.
     """
     amb = tr.ambient
     if amb.k != 1:
         raise ValueError("reality_check_1graph needs a 1-graph truncation")
     D = DiracOperator(tr)
+    kern = kernel(amb)
+    keys, product = kern.keys, kern.product
+    swapped: Dict[int, int] = {}
+
+    def swap(kid: int) -> int:
+        hit = swapped.get(kid)
+        if hit is None:
+            hit = swapped[kid] = kern.key_id(_swap(keys[kid]))
+        return hit
+
     failures = []
-    gens = [(ka, _swap(ka)) for ka in generator_keys(amb, 1)]
-    for kz in tr.basis:
+    gens = []
+    for ka in generator_keys(amb, 1):
+        a = kern.key_id(ka)
+        gens.append((ka, a, swap(a)))
+    for kz, z_id in zip(tr.basis, tr.key_ids()):
         z = AlgebraElement(amb, {kz: GaussianRational(1)})
         if not (z.involution().involution() - z).is_zero():
             failures.append({"kind": "J^2", "z": kz})
         jdj = D.apply(z.involution()).involution()
         if not (jdj + D.apply(z)).is_zero():
             failures.append({"kind": "JDJ=-D", "z": kz})
-        z_star = _swap(kz)
-        for ka, a_star in gens:
-            left = [_swap(k) for k in _multiply_keys(amb, a_star, z_star)]
-            right = _multiply_keys(amb, kz, ka)
+        z_star = swap(z_id)
+        for ka, a, a_star in gens:
+            left = tuple(swap(k) for k in product(a_star, z_star))
+            right = product(z_id, a)
             if left == right or sorted(left) == sorted(right):
                 continue
-            if not _keys_difference(amb, left, right).is_zero():
+            if not _keys_difference(amb, [keys[k] for k in left],
+                                    [keys[k] for k in right]).is_zero():
                 failures.append({"kind": "Ja*J=a_op", "a": ka, "z": kz})
     return {"pass": not failures, "failures": failures}
 
@@ -838,16 +877,16 @@ def _sparse_matrix(tr: Truncation, op: AlgebraElement, side: str):
     expansions of the keys of term . z_j (or z_j . term); keys that leak
     past the level drop out, as in `to_basis_coordinates`.
     """
-    amb = tr.ambient
-    terms = [(key, c.re) for key, c in op.terms.items()]
+    kern = kernel(tr.ambient)
+    terms = [(kern.key_id(key), c.re) for key, c in op.terms.items()]
     cols: List[Dict[int, Fraction]] = []
-    for kz in tr.basis:
+    for z in tr.key_ids():
         acc: Dict[int, Fraction] = {}
         for kop, c in terms:
-            prods = (_multiply_keys(amb, kop, kz) if side == "left"
-                     else _multiply_keys(amb, kz, kop))
-            for key in prods:
-                for i in _basis_indices(tr, key) or ():
+            prods = (kern.product(kop, z) if side == "left"
+                     else kern.product(z, kop))
+            for kid in prods:
+                for i in _basis_indices(tr, kern.keys[kid]) or ():
                     acc[i] = acc.get(i, 0) + c
         cols.append({i: v for i, v in acc.items() if v})
     return cols
@@ -857,18 +896,18 @@ def theta_matrix(tr: Truncation, i: int, j: int,
                  block: Sequence[int]) -> Dict[int, Dict[int, Fraction]]:
     """Sparse columns of Theta_{z_i, z_j} (nonzero only on z_j's block)."""
     amb = tr.ambient
-    zi = tr.basis[i]
-    zj = tr.basis[j]
-    yinv = (zj[1], zj[0], zj[2])
+    kern = kernel(amb)
+    keys, ids = kern.keys, tr.key_ids()
+    yinv = kern.key_id(_swap(tr.basis[j]))
     cols: Dict[int, Dict[int, Fraction]] = {}
     zero_deg = (0,) * amb.k
     for l in block:
-        zl = tr.basis[l]
         acc: Dict[int, Fraction] = {}
-        for mid in _multiply_keys(amb, yinv, zl):
-            if key_degree(amb, mid) != zero_deg:
+        for mid in kern.product(yinv, ids[l]):
+            if key_degree(amb, keys[mid]) != zero_deg:
                 continue
-            for out in _multiply_keys(amb, zi, mid):
+            for kid in kern.product(ids[i], mid):
+                out = keys[kid]
                 target = tr.nu_target(key_degree(amb, out))
                 for newkey in expand_key_to(amb, out, target):
                     idx = tr.index_of(newkey)
@@ -932,12 +971,14 @@ def left_fixed_point_commutant(tr: Truncation) -> int:
 
 def _aligned_commutator(amb, kf: GenKey, kg: GenKey) -> Dict[GenKey, int]:
     """`aligned_terms` of f g - g f for single generators f, g, in integers."""
-    terms: Dict[GenKey, int] = {}
-    for key in _multiply_keys(amb, kf, kg):
-        terms[key] = terms.get(key, 0) + 1
-    for key in _multiply_keys(amb, kg, kf):
-        terms[key] = terms.get(key, 0) - 1
-    terms = {key: c for key, c in terms.items() if c}
+    kern = kernel(amb)
+    f, g = kern.key_id(kf), kern.key_id(kg)
+    counts: Dict[int, int] = {}
+    for kid in kern.product(f, g):
+        counts[kid] = counts.get(kid, 0) + 1
+    for kid in kern.product(g, f):
+        counts[kid] = counts.get(kid, 0) - 1
+    terms = {kern.keys[kid]: c for kid, c in counts.items() if c}
     targets = alignment_targets(amb, terms)
     out: Dict[GenKey, int] = {}
     for key, c in terms.items():

@@ -231,7 +231,7 @@ def canonical_F_form(
         if mu != nu:
             raise NonDiagonalError(f"term {key} is not diagonal")
         src = key_source_mu(f.ambient, key)
-        queue.append((_core_vertex(src), _core_vertex(v), c))
+        queue.append((src, v, c))
 
     terms: Dict[Tuple[str, int], GaussianRational] = {}
     while queue:
@@ -266,12 +266,6 @@ def canonical_F_form(
         for w in successors:
             queue.append((src, w, c))
     return FixedPointCanonicalForm(presentation, ends, terms, exact=True)
-
-
-def _core_vertex(v: str) -> str:
-    # sources keep their expansion name: the (v, n) path starts wherever the
-    # original projection did
-    return v
 
 
 def canonical_F_form_numeric(

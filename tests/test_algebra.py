@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphtriple.algebra import (AlgebraElement, PresentationMismatchError,
-                                 _multiply_keys, _prefix_divide, delta_action,
-                                 dirac_commutator, expectation, grade,
-                                 key_source_mu, key_source_nu, local_unit,
-                                 make_key, multiply)
+                                 _meet, _multiply_keys, _prefix_divide,
+                                 delta_action, dirac_commutator, expectation,
+                                 grade, kernel, key_source_mu, key_source_nu,
+                                 local_unit, make_key, multiply)
 from graphtriple.scalars import GaussianRational, I
 from graphtriple.spectral import build_truncation, generator_keys
 from graphtriple.traces import solve_graph_trace, solve_kgraph_trace
@@ -364,6 +364,7 @@ KERNEL_CASES = {
     "two_vertex": (two_vertex_2graph, solve_kgraph_trace, 1),
     "3graph": (one_vertex_3graph, solve_kgraph_trace, 1),
     "tree2": (lambda: tree_with_ends(2), solve_graph_trace, 2),
+    "torus_L2": (torus_2graph, solve_kgraph_trace, 2),
 }
 
 
@@ -392,3 +393,70 @@ class TestMeetTableKernel:
         assert two_terms
         assert _multiply_keys(amb, ((), ("e1",), "v"), (("f1",), (), "v")) == [
             (("f1",), ("e1",), "v"), (("f2",), ("e2",), "v")]
+
+
+def _tuple_route_product(ambient, k1, k2):
+    """The product on generator keys with no id table: the meet of nu1 and
+    mu2, then compose and make_key on the words."""
+    mu1, nu1, v1 = k1
+    mu2, nu2, v2 = k2
+    out = []
+    for xi, eta in _meet(ambient, nu1, v1, mu2, v2):
+        mu = ambient.compose(mu1, xi) if xi else mu1
+        nu = ambient.compose(nu2, eta) if eta else nu2
+        if mu is None or nu is None:
+            continue
+        out.append(make_key(ambient, mu, nu) if mu or nu else ((), (), v1))
+    return out
+
+
+class TestInternedKernel:
+    @staticmethod
+    def _id_product(amb, k1, k2):
+        kern = kernel(amb)
+        ids = kern.product(kern.key_id(k1), kern.key_id(k2))
+        return [kern.keys[k] for k in ids]
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+    def test_matches_tuple_route(self, name):
+        make, solve, level = KERNEL_CASES[name]
+        g = make()
+        tr = build_truncation(g, solve(g), level)
+        amb = tr.ambient
+        for kg in generator_keys(amb, 1):
+            for kz in tr.basis:
+                for k1, k2 in ((kg, kz), (kz, kg)):
+                    assert self._id_product(amb, k1, k2) == \
+                        _tuple_route_product(amb, k1, k2), (k1, k2)
+        assert len(amb._product_cache) == len(kernel(amb).products) > 0
+
+    def test_two_term_meets_match_tuple_route(self):
+        amb = two_extension_2graph()
+        gens = generator_keys(amb, 1)
+        two_terms = 0
+        for k1 in gens:
+            for k2 in gens:
+                got = self._id_product(amb, k1, k2)
+                assert got == _tuple_route_product(amb, k1, k2), (k1, k2)
+                two_terms += len(got) == 2
+        assert two_terms
+
+    def test_equal_paths_share_ids(self):
+        amb = torus_2graph()
+        kern = kernel(amb)
+        e, f = ("e",), ("f",)
+        ef = kern.compose(kern.word_id(e), kern.word_id(f))
+        a, b = amb._swap[("e", "f")]
+        ba = kern.compose(kern.word_id((a,)), kern.word_id((b,)))
+        assert ef == ba == kern.word_id(amb.normal(("e", "f")))
+
+    def test_empty_word_has_one_id_per_vertex(self):
+        amb = two_vertex_2graph()
+        kern = kernel(amb)
+        u, w = kern.word_id((), "u"), kern.word_id((), "w")
+        assert u != w and kern.word_range[u] == "u"
+        assert kern.word_id((), "u") == u
+        # S_a* S_a = p_w for the edge a: u -> w, with p_w not yet interned
+        assert ((), (), "w") not in kern.key_ids
+        assert _multiply_keys(amb, ((), ("a",), "w"), (("a",), (), "w")) == [
+            ((), (), "w")]

@@ -118,6 +118,14 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("usage:") and "--format" in captured.err
 
+    def test_check_cycle_is_an_unknown_flag(self, torus_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["hochschild", torus_file, "--check-cycle"])
+        assert exc.value.code == EX_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --check-cycle" in captured.err
+
     def test_syntax_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")

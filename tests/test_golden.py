@@ -1,9 +1,10 @@
-"""Byte-for-byte golden reports for `graphtriple conditions` and
-`graphtriple clifford`.
+"""Byte-for-byte golden reports for `graphtriple conditions`,
+`graphtriple spectral` and `graphtriple clifford`.
 
 The files in tests/golden/ hold the CLI output for a fixed set of corpus
-presentations, each at the truncation level given in CASES, and for the
-Clifford sign table at two values of --kmax.
+presentations, each at the truncation level given in CASES, for the
+spectral profiles in SPECTRAL_CASES and for the Clifford sign table at two
+values of --kmax.
 Refactors of the product kernel, the evaluators and the Clifford layer must
 keep them unchanged.  To rewrite them after an intended report change, run
 
@@ -43,6 +44,14 @@ CASES = {
     "two_disjoint_loops": (two_disjoint_loops, 2),
     "loop_with_exit": (loop_with_exit, 2),
     "dyadic_tree_2": (lambda: dyadic_tree(2), 1),
+    "torus_2graph_L2": (torus_2graph, 2),
+    "two_vertex_2graph_L2": (two_vertex_2graph, 2),
+    "tree_with_ends_3": (lambda: tree_with_ends(3), 1),
+}
+
+# name -> (presentation factory, spectral flags)
+SPECTRAL_CASES = {
+    "spectral_tree_with_ends_2": (lambda: tree_with_ends(2), ["--vertex", "b"]),
 }
 
 CLIFFORD_CASES = {
@@ -72,15 +81,26 @@ def _report(name: str, workdir: Path) -> str:
     if name in CLIFFORD_CASES:
         run(CLIFFORD_CASES[name] + ["--out", str(out)])
         return out.read_text()
-    factory, level = CASES[name]
     src = workdir / f"{name}.json"
+    if name in SPECTRAL_CASES:
+        factory, flags = SPECTRAL_CASES[name]
+        argv = ["spectral", str(src)] + flags
+    else:
+        factory, level = CASES[name]
+        argv = ["conditions", str(src), "--level", str(level)]
     src.write_text(json.dumps(_document(factory())))
-    run(["conditions", str(src), "--level", str(level), "--out", str(out)])
+    run(argv + ["--out", str(out)])
     return out.read_text()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_conditions_report_matches_golden(name, tmp_path):
+    expected = (GOLDEN_DIR / f"{name}.json").read_text()
+    assert _report(name, tmp_path) == expected
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRAL_CASES))
+def test_spectral_report_matches_golden(name, tmp_path):
     expected = (GOLDEN_DIR / f"{name}.json").read_text()
     assert _report(name, tmp_path) == expected
 
@@ -96,6 +116,6 @@ if __name__ == "__main__":
 
     GOLDEN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for case in sorted(CASES) + sorted(CLIFFORD_CASES):
+        for case in sorted(CASES) + sorted(SPECTRAL_CASES) + sorted(CLIFFORD_CASES):
             (GOLDEN_DIR / f"{case}.json").write_text(_report(case, Path(tmp)))
             print(f"wrote {case}")

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from graphtriple import spectral
-from graphtriple.algebra import AlgebraElement, _multiply_keys, key_degree
+from graphtriple.algebra import (AlgebraElement, _multiply_keys, kernel,
+                                 key_degree)
 from graphtriple.scalars import GaussianRational
 from graphtriple.spectral import (DecompositionError, ThetaSum, Truncation,
                                   build_D,
@@ -29,8 +30,9 @@ from corpus import (bi_infinite_path, single_loop, torus_2graph,
 def first_order_oracle(tr, max_generator_length=1):
     """The plain (b, z, a) triple loop that `first_order_check` replaced:
     a(zb) and (az)b formed for every triple, with no product index.
-    Products go through spectral._multiply_keys, so a monkeypatched
-    product reaches the oracle and the checked function alike."""
+    Products go through the generator key boundary _multiply_keys, which
+    reads the ambient's product memo, so a product seeded there reaches the
+    oracle and the checked function alike."""
     amb = tr.ambient
     gens = generator_keys(amb, max_generator_length)
     weights = {}
@@ -40,13 +42,13 @@ def first_order_oracle(tr, max_generator_length=1):
     failures = []
     for kb in gens:
         for kz in tr.basis:
-            zb = spectral._multiply_keys(amb, kz, kb)
+            zb = _multiply_keys(amb, kz, kb)
             for ka in gens:
-                az = spectral._multiply_keys(amb, ka, kz)
+                az = _multiply_keys(amb, ka, kz)
                 left = [k2 for k1 in zb
-                        for k2 in spectral._multiply_keys(amb, ka, k1)]
+                        for k2 in _multiply_keys(amb, ka, k1)]
                 right = [k2 for k1 in az
-                         for k2 in spectral._multiply_keys(amb, k1, kb)]
+                         for k2 in _multiply_keys(amb, k1, kb)]
                 if left == right or sorted(left) == sorted(right):
                     continue
                 if spectral._keys_difference(amb, left, right).is_zero():
@@ -326,29 +328,27 @@ class TestFirstOrderAndFriends:
         assert first_order_check(tr)["pass"]
 
     @staticmethod
-    def _corrupt_product(monkeypatch, ka, kz, wrong):
-        """Make a.z return `wrong` inside first_order_check; every other
-        product stays exact."""
-        def product(amb, k1, k2):
-            if (k1, k2) == (ka, kz):
-                return wrong
-            return _multiply_keys(amb, k1, k2)
-        monkeypatch.setattr(spectral, "_multiply_keys", product)
+    def _corrupt_product(amb, ka, kz, wrong):
+        """Make a.z return `wrong` by seeding the ambient's product memo;
+        every other product stays exact."""
+        kern = kernel(amb)
+        kern.products[kern.key_id(ka), kern.key_id(kz)] = tuple(
+            kern.key_id(key) for key in wrong)
 
-    def test_first_order_fails_on_corrupted_single_key_product(self, monkeypatch):
+    def test_first_order_fails_on_corrupted_single_key_product(self):
         _, _, tr = loop_setup(2)
         amb = tr.ambient
         ka = kb = (("e0",), (), "v0")
         kz = (("e0", "e0"), (), "v0")
         assert kz in tr.basis and first_order_check(tr)["pass"]
         # a.z = S_e^3 reported as S_e^2: a(zb) = S_e^4 but (az)b = S_e^3
-        self._corrupt_product(monkeypatch, ka, kz, [kz])
+        self._corrupt_product(amb, ka, kz, [kz])
         result = first_order_check(tr)
         assert not result["pass"]
         for kind in ("[a,b_op]", "[[D,a],b_op]"):
             assert {"kind": kind, "a": ka, "b": kb, "z": kz} in result["failures"]
 
-    def test_first_order_fails_on_corrupted_multi_term_product(self, monkeypatch):
+    def test_first_order_fails_on_corrupted_multi_term_product(self):
         amb = two_extension_2graph()
         ka = ((), ("e1",), "v")
         kz = (("f1",), (), "v")
@@ -358,7 +358,7 @@ class TestFirstOrderAndFriends:
         assert first_order_check(tr)["pass"]
         # S_e1* S_f1 = S_f1 S_e1* + S_f2 S_e2*; pair the extensions wrongly
         assert len(_multiply_keys(amb, ka, kz)) == 2
-        self._corrupt_product(monkeypatch, ka, kz, [
+        self._corrupt_product(amb, ka, kz, [
             (("f1",), ("e2",), "v"), (("f2",), ("e1",), "v")])
         result = first_order_check(tr)
         assert not result["pass"]
@@ -369,7 +369,7 @@ class TestFirstOrderAndFriends:
         _, _, tr = setup()
         assert first_order_check(tr) == first_order_oracle(tr)
 
-    def test_index_reaches_triples_with_zero_products(self, monkeypatch):
+    def test_index_reaches_triples_with_zero_products(self):
         # p_b . S_nu* is zero because nu starts at b~s1, not at b; a
         # nonzero a.z there must still reach the comparison
         _, _, tr = tree_setup(2)
@@ -377,20 +377,21 @@ class TestFirstOrderAndFriends:
         ka = ((), (), "b")
         kz = ((), ("b~se1", "e1"), "c1")
         assert kz in tr.basis and _multiply_keys(amb, ka, kz) == []
-        self._corrupt_product(monkeypatch, ka, kz, [kz])
+        self._corrupt_product(amb, ka, kz, [kz])
         result = first_order_check(tr)
         assert result == first_order_oracle(tr)
         assert not result["pass"]
         assert all(f["kind"] == "[a,b_op]" for f in result["failures"])
         assert {(f["a"], f["z"]) for f in result["failures"]} == {(ka, kz)}
 
-    def test_reality_fails_on_corrupted_product(self, monkeypatch):
+    def test_reality_fails_on_corrupted_product(self):
         _, _, tr = loop_setup(2)
+        amb = tr.ambient
         ka = (("e0",), (), "v0")
         kz = (("e0", "e0"), (), "v0")
         assert kz in tr.basis and reality_check_1graph(tr)["pass"]
         # z.a = S_e^3 reported as S_e^2, while (a* z*)* stays S_e^3
-        self._corrupt_product(monkeypatch, kz, ka, [kz])
+        self._corrupt_product(amb, kz, ka, [kz])
         result = reality_check_1graph(tr)
         assert not result["pass"]
         assert result["failures"] == [{"kind": "Ja*J=a_op", "a": ka, "z": kz}]
