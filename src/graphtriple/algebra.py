@@ -4,6 +4,16 @@ Elements are Gaussian-rational combinations of normal-form generator keys
 (mu, nu, v) with r(mu) = r(nu) = v; vertices are paths of length zero, so
 p_v is the key ((), (), v).
 
+The ambient is a k-graph, and an expanded 1-graph (``ExpandedGraph``) is
+the case k = 1 (factorisation property, Kumjian-Pask 2000).  Both give one
+protocol: the rank ``k``, a tuple ``degree`` of a word, the sorted
+``paths_with_degree(n, v, direction, max_level)``, ``edge_color``, the
+colour-sorted ``normal`` form, ``compose``, ``divide_prefix``, and the
+truncation boundary ``boundary_out`` / ``boundary_in`` (empty for a finite
+k-graph).  k = 1 is told apart only where a public result shows it: the
+int ``grade()`` labels, and the scalar ``dirac_commutator`` and
+``delta_action`` bound, which carry no Clifford factor.
+
 Products reduce by the Cuntz-Krieger relations: S_mu1 S_nu1* . S_mu2 S_nu2*
 is the sum of S_{mu1 xi} S_{nu2 eta}* over the pairs (xi, eta) with
 nu1 xi = mu2 eta minimal.  For comparable paths that is one prefix collapse;
@@ -33,6 +43,7 @@ gauge degree class, where the generators are linearly independent.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -158,7 +169,7 @@ class AlgebraElement:
 
     def expectation(self) -> "AlgebraElement":
         """Average over the gauge action: the degree-zero component."""
-        return self.component(0 if self.ambient.k == 1 else tuple([0] * self.ambient.k))
+        return self.component((0,) * self.ambient.k)
 
     # -- canonical comparison ---------------------------------------------------------
 
@@ -264,15 +275,11 @@ def make_key(ambient, mu: Word, nu: Word) -> GenKey:
 
 def key_degree(ambient, key: GenKey) -> tuple:
     mu, nu, _ = key
-    dm, dn = ambient.degree(mu), ambient.degree(nu)
-    if ambient.k == 1:
-        return (dm - dn,)
-    return tuple(a - b for a, b in zip(dm, dn))
+    return tuple(map(operator.sub, ambient.degree(mu), ambient.degree(nu)))
 
 
 def key_degree_nu(ambient, key: GenKey) -> tuple:
-    d = ambient.degree(key[1])
-    return (d,) if ambient.k == 1 else d
+    return ambient.degree(key[1])
 
 
 def key_source_mu(ambient, key: GenKey) -> str:
@@ -323,26 +330,26 @@ def expand_key_to(ambient, key: GenKey, target_nu_degree: tuple) -> List[GenKey]
 
 
 def _expansion_family(ambient, w: str, n: tuple) -> List[Word]:
-    """Paths out of w by which to expand: degree-n ones plus sink-truncated."""
-    if ambient.k == 1:
-        want = n[0]
+    """Paths out of w by which to expand: degree-n ones, colours in order,
+    cut short at a sink, in lexicographic order.  A sink occurs only in a
+    1-graph: every vertex of a k-graph emits an edge of each colour."""
 
-        def go(u: str, left: int) -> List[Word]:
-            if left == 0:
-                return [()]
-            outs = ambient.out_edges(u)
-            if not outs:
-                return [()]  # dead end: CK does not apply at sinks
-            acc = []
-            for eid in outs:
-                for rest in go(ambient.edge_range(eid), left - 1):
+    def go(u: str, left: tuple) -> List[Word]:
+        c = next((i for i, x in enumerate(left) if x), None)
+        if c is None:
+            return [()]
+        outs = ambient.out_edges(u)
+        if not outs:
+            return [()]  # dead end: CK does not apply at sinks
+        rem = left[:c] + (left[c] - 1,) + left[c + 1:]
+        acc = []
+        for eid in outs:
+            if ambient.edge_color(eid) == c + 1:
+                for rest in go(ambient.edge_range(eid), rem):
                     acc.append((eid,) + rest)
-            return acc
+        return acc
 
-        return go(w, want)
-    if not any(n):
-        return [()]
-    return ambient.paths_with_degree(n, w, "out-of", max_level=max(n))
+    return go(w, tuple(n))
 
 
 def _prefix_divide(ambient, long: Word, long_v: str, short: Word,
@@ -479,6 +486,10 @@ def _meet(ambient, nu1: Word, v1: str, mu2: Word, v2: str
     """The pairs (xi, eta) with nu1 xi = mu2 eta minimal.
 
     v1 = r(nu1) and v2 = r(mu2) name the base vertex of an empty word.
+    When d(nu1) and d(mu2) are comparable, a minimal common extension has
+    degree max(d(nu1), d(mu2)), so one word is a prefix of the other, which
+    the two prefix tests decide; otherwise the meet sums over the paths xi
+    of degree join(d nu1, d mu2) - d(nu1).
     """
     s_nu1 = ambient.path_source(nu1) if nu1 else v1
     s_mu2 = ambient.path_source(mu2) if mu2 else v2
@@ -488,10 +499,9 @@ def _meet(ambient, nu1: Word, v1: str, mu2: Word, v2: str
     x = _prefix_divide(ambient, mu2, s_mu2, nu1, s_nu1)
     if x is not None:  # mu2 = nu1 . x
         return [(x, ())]
-    if ambient.k == 1:
-        return []
-    # minimal common extensions: nu1 xi = mu2 eta with degree join(d nu1, d mu2)
     dn, dm = ambient.degree(nu1), ambient.degree(mu2)
+    if all(map(operator.le, dn, dm)) or all(map(operator.ge, dn, dm)):
+        return []
     ext = tuple(max(a, b) - a for a, b in zip(dn, dm))
     out = []
     for xi in ambient.paths_with_degree(ext, v1, "out-of", max_level=max(ext)):
@@ -505,22 +515,6 @@ def _meet(ambient, nu1: Word, v1: str, mu2: Word, v2: str
 
 
 # -- module level operation surface ------------------------------------------------
-
-
-def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    return a * b
-
-
-def involution(a: AlgebraElement) -> AlgebraElement:
-    return a.involution()
-
-
-def grade(a: AlgebraElement) -> Dict[object, AlgebraElement]:
-    return a.grade()
-
-
-def expectation(a: AlgebraElement) -> AlgebraElement:
-    return a.expectation()
 
 
 def local_unit(elements: Iterable[AlgebraElement]) -> AlgebraElement:

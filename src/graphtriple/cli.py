@@ -56,7 +56,7 @@ def _load(path: str):
         )
         sys.exit(EX_DATAERR)
     try:
-        if isinstance(doc, dict) and doc.get("k", 1) == 1 and "squares" not in doc:
+        if isinstance(doc, dict) and doc.get("k", 1) == 1:
             return graph_from_document(doc)
         return kgraph_from_document(doc)
     except (GraphFormatError, GraphValidationError) as exc:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
@@ -52,11 +52,118 @@ class Classification:
     n: Optional[int] = None
 
 
+DEFAULT_TRUNCATION = 8
+
+
+class TruncationExceededError(ValueError):
+    """Raised when an enumeration exceeds the configured truncation level."""
+
+
+class EdgeSkeleton:
+    """Edge indexing and path enumeration shared by presentations and
+    ambients: ``vertices``, ``edges`` (id -> Edge) and the sorted per-vertex
+    ``_out`` / ``_in`` edge tuples.  An expanded 1-graph has every edge of
+    colour 1, so ``paths_with_degree`` serves it as the case k = 1."""
+
+    boundary_out: AbstractSet[str] = frozenset()
+    boundary_in: AbstractSet[str] = frozenset()
+
+    def _index_edges(self, edges: Sequence[Edge]) -> None:
+        self.edges: Dict[str, Edge] = {e.id: e for e in edges}
+        self.edge_order: Tuple[str, ...] = tuple(sorted(self.edges))
+        self._out: Dict[str, Tuple[str, ...]] = {v: () for v in self.vertices}
+        self._in: Dict[str, Tuple[str, ...]] = {v: () for v in self.vertices}
+        for eid in self.edge_order:
+            e = self.edges[eid]
+            self._out[e.source] += (eid,)
+            self._in[e.range] += (eid,)
+
+    def out_edges(self, v: str) -> Tuple[str, ...]:
+        return self._out[v]
+
+    def in_edges(self, v: str) -> Tuple[str, ...]:
+        return self._in[v]
+
+    def edge_source(self, eid: str) -> str:
+        return self.edges[eid].source
+
+    def edge_range(self, eid: str) -> str:
+        return self.edges[eid].range
+
+    def edge_color(self, eid: str) -> int:
+        return self.edges[eid].color
+
+    def path_source(self, path: Tuple[str, ...]) -> str:
+        return self.edges[path[0]].source
+
+    def path_range(self, path: Tuple[str, ...]) -> str:
+        return self.edges[path[-1]].range
+
+    def is_path(self, path: Tuple[str, ...]) -> bool:
+        return all(
+            self.edges[a].range == self.edges[b].source
+            for a, b in zip(path, path[1:])
+        )
+
+    def connected(self) -> bool:
+        if not self.vertices:
+            return True
+        g = nx.Graph()
+        g.add_nodes_from(self.vertices)
+        for e in self.edges.values():
+            g.add_edge(e.source, e.range)
+        return nx.is_connected(g)
+
+    def paths_with_degree(
+        self, n: Tuple[int, ...], v: Optional[str], direction: str,
+        max_level: int = DEFAULT_TRUNCATION,
+    ) -> List[Tuple[str, ...]]:
+        """All colour-sorted paths of degree n into / out of v (None = all),
+        in lexicographic order."""
+        if any(c > max_level for c in n):
+            raise TruncationExceededError(
+                f"degree {n} exceeds truncation level {max_level}"
+            )
+        if direction not in ("into", "out-of"):
+            raise ValueError("direction must be 'into' or 'out-of'")
+
+        def go_out(u: str, left: Tuple[int, ...]) -> List[Tuple[str, ...]]:
+            if not any(left):
+                return [()]
+            c = next(i for i, x in enumerate(left) if x)
+            rem = tuple(x - 1 if i == c else x for i, x in enumerate(left))
+            acc = []
+            for eid in self._out[u]:
+                if self.edges[eid].color == c + 1:
+                    for rest in go_out(self.edges[eid].range, rem):
+                        acc.append((eid,) + rest)
+            return acc
+
+        def go_in(u: str, left: Tuple[int, ...]) -> List[Tuple[str, ...]]:
+            if not any(left):
+                return [()]
+            c = max(i for i, x in enumerate(left) if x)
+            rem = tuple(x - 1 if i == c else x for i, x in enumerate(left))
+            acc = []
+            for eid in self._in[u]:
+                if self.edges[eid].color == c + 1:
+                    for rest in go_in(self.edges[eid].source, rem):
+                        acc.append(rest + (eid,))
+            return acc
+
+        go = go_out if direction == "out-of" else go_in
+        if v is None:
+            words = [w for u in self.vertices for w in go(u, n)]
+        else:
+            words = go(v, n)
+        return sorted(words)
+
+
 _GRAPH_KEYS = {"k", "vertices", "edges", "tails", "source_tails"}
 _EDGE_KEYS = {"id", "source", "range"}
 
 
-class GraphPresentation:
+class GraphPresentation(EdgeSkeleton):
     """Validated finite presentation of a (possibly infinite) directed graph."""
 
     def __init__(
@@ -67,17 +174,10 @@ class GraphPresentation:
         source_tails: Sequence[str] = (),
     ):
         self.vertices: Tuple[str, ...] = tuple(sorted(vertices))
-        self.edges: Dict[str, Edge] = {e.id: e for e in edges}
-        self.edge_order: Tuple[str, ...] = tuple(sorted(self.edges))
         self.tails: Tuple[str, ...] = tuple(sorted(tails))
         self.source_tails: Tuple[str, ...] = tuple(sorted(source_tails))
         self._validate(edges)
-        self._out: Dict[str, Tuple[str, ...]] = {v: () for v in self.vertices}
-        self._in: Dict[str, Tuple[str, ...]] = {v: () for v in self.vertices}
-        for eid in self.edge_order:
-            e = self.edges[eid]
-            self._out[e.source] += (eid,)
-            self._in[e.range] += (eid,)
+        self._index_edges(edges)
 
     # -- validation ---------------------------------------------------------
 
@@ -119,12 +219,6 @@ class GraphPresentation:
         # sinks; the smallest tail graph is a single marked vertex
 
     # -- basic structure ----------------------------------------------------
-
-    def out_edges(self, v: str) -> Tuple[str, ...]:
-        return self._out[v]
-
-    def in_edges(self, v: str) -> Tuple[str, ...]:
-        return self._in[v]
 
     def is_sink(self, v: str) -> bool:
         return not self._out[v] and v not in self.tails
@@ -177,15 +271,6 @@ class GraphPresentation:
             if len(inside) > 1:
                 return True
         return False
-
-    def connected(self) -> bool:
-        if not self.vertices:
-            return True
-        g = nx.Graph()
-        g.add_nodes_from(self.vertices)
-        for e in self.edges.values():
-            g.add_edge(e.source, e.range)
-        return nx.is_connected(g)
 
     def reaches_sink(self, v: str) -> bool:
         """Whether some finite forward path from v dies at a sink."""
@@ -324,12 +409,14 @@ class GraphPresentation:
         )
 
 
-class ExpandedGraph:
+class ExpandedGraph(EdgeSkeleton):
     """Finite window of the conceptual graph: core plus depth-d tail segments.
 
-    Serves as the ambient for exact path algebra.  Vertices added for a tail
-    rooted at v are named ``v~t1..v~td`` (and ``v~s1..`` for source tails);
-    the outermost added vertices form the truncation boundary.
+    Serves as the ambient for exact path algebra, as a k-graph with k = 1:
+    every edge has colour 1 and a path's degree is the 1-tuple of its
+    length.  Vertices added for a tail rooted at v are named ``v~t1..v~td``
+    (and ``v~s1..`` for source tails); the outermost added vertices form the
+    truncation boundary.
     """
 
     def __init__(self, presentation: GraphPresentation, depth: int):
@@ -366,46 +453,15 @@ class ExpandedGraph:
                 prev = v
             self.boundary_in.add(prev)
         self.vertices: Tuple[str, ...] = tuple(sorted(verts))
-        self.edges: Dict[str, Edge] = {e.id: e for e in edges}
-        self.edge_order: Tuple[str, ...] = tuple(sorted(self.edges))
-        self._out: Dict[str, Tuple[str, ...]] = {v: () for v in self.vertices}
-        self._in: Dict[str, Tuple[str, ...]] = {v: () for v in self.vertices}
-        for eid in self.edge_order:
-            e = self.edges[eid]
-            self._out[e.source] += (eid,)
-            self._in[e.range] += (eid,)
+        self._index_edges(edges)
 
     # -- ambient interface used by the path algebra -------------------------
 
     def fingerprint(self) -> tuple:
         return self.presentation.fingerprint() + (self.depth,)
 
-    def out_edges(self, v: str) -> Tuple[str, ...]:
-        return self._out[v]
-
-    def in_edges(self, v: str) -> Tuple[str, ...]:
-        return self._in[v]
-
-    def edge_source(self, eid: str) -> str:
-        return self.edges[eid].source
-
-    def edge_range(self, eid: str) -> str:
-        return self.edges[eid].range
-
-    def path_source(self, path: Tuple[str, ...]) -> str:
-        return self.edges[path[0]].source
-
-    def path_range(self, path: Tuple[str, ...]) -> str:
-        return self.edges[path[-1]].range
-
-    def is_path(self, path: Tuple[str, ...]) -> bool:
-        for a, b in zip(path, path[1:]):
-            if self.edges[a].range != self.edges[b].source:
-                return False
-        return True
-
-    def degree(self, path: Tuple[str, ...]) -> int:
-        return len(path)
+    def degree(self, path: Tuple[str, ...]) -> Tuple[int]:
+        return (len(path),)
 
     def normal(self, path: Tuple[str, ...]) -> Tuple[str, ...]:
         return path
@@ -424,25 +480,6 @@ class ExpandedGraph:
         if len(alpha) > len(nu) or nu[: len(alpha)] != alpha:
             return None
         return nu[len(alpha):]
-
-    def paths_from(self, v: str, length: int) -> List[Tuple[str, ...]]:
-        """All paths of the given length with source v, in lexicographic order."""
-        if length == 0:
-            return [()]
-        out = []
-        for eid in self._out[v]:
-            for rest in self.paths_from(self.edges[eid].range, length - 1):
-                out.append((eid,) + rest)
-        return out
-
-    def paths_into(self, v: str, length: int) -> List[Tuple[str, ...]]:
-        if length == 0:
-            return [()]
-        out = []
-        for eid in self._in[v]:
-            for rest in self.paths_into(self.edges[eid].source, length - 1):
-                out.append(rest + (eid,))
-        return out
 
     def interior_vertices(self) -> List[str]:
         """Vertices with unbounded entering paths and no reachable sink, where

@@ -20,10 +20,8 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
-from .graphs import (Edge, GraphFormatError, GraphValidationError,
-                     check_array_fields)
+from .graphs import (Edge, EdgeSkeleton, GraphFormatError,
+                     GraphValidationError, check_array_fields)
 
 Degree = Tuple[int, ...]
 Word = Tuple[str, ...]
@@ -31,15 +29,12 @@ Word = Tuple[str, ...]
 _KGRAPH_KEYS = {"k", "vertices", "edges", "tails", "squares", "source_tails"}
 _EDGE_KEYS = {"id", "source", "range", "color"}
 
-DEFAULT_TRUNCATION = 8
 
+class KGraphPresentation(EdgeSkeleton):
+    """Validated k-graph presentation; also the ambient for its path algebra.
 
-class TruncationExceededError(ValueError):
-    """Raised when an enumeration exceeds the configured truncation level."""
-
-
-class KGraphPresentation:
-    """Validated k-graph presentation; also the ambient for its path algebra."""
+    A finite k-graph has no truncation boundary, so ``boundary_out`` and
+    ``boundary_in`` stay empty."""
 
     def __init__(self, k: int, vertices: Sequence[str], edges: Sequence[Edge],
                  squares: Sequence[Tuple[Word, Word]]):
@@ -47,15 +42,8 @@ class KGraphPresentation:
             raise GraphValidationError("rank k must be a positive integer")
         self.k = k
         self.vertices: Tuple[str, ...] = tuple(sorted(vertices))
-        self.edges: Dict[str, Edge] = {e.id: e for e in edges}
-        self.edge_order: Tuple[str, ...] = tuple(sorted(self.edges))
         self._validate_skeleton(edges)
-        self._out: Dict[str, Tuple[str, ...]] = {v: () for v in self.vertices}
-        self._in: Dict[str, Tuple[str, ...]] = {v: () for v in self.vertices}
-        for eid in self.edge_order:
-            e = self.edges[eid]
-            self._out[e.source] += (eid,)
-            self._in[e.range] += (eid,)
+        self._index_edges(edges)
         self._swap: Dict[Tuple[str, str], Tuple[str, str]] = {}
         self._install_squares(squares)
         self._check_square_coverage()
@@ -95,7 +83,7 @@ class KGraphPresentation:
             for pair in (first, second):
                 if len(pair) != 2 or any(e not in self.edges for e in pair):
                     raise GraphValidationError(f"square references unknown edges: {pair}")
-                if not self.is_word_composable(pair):
+                if not self.is_path(pair):
                     raise GraphValidationError(f"square pair {pair} is not composable")
             (e, f), (a, b) = tuple(first), tuple(second)
             ce, cf = self.edges[e].color, self.edges[f].color
@@ -142,38 +130,6 @@ class KGraphPresentation:
                             f"{a} != {b}"
                         )
 
-    # -- skeleton access -------------------------------------------------------
-
-    def out_edges(self, v: str) -> Tuple[str, ...]:
-        return self._out[v]
-
-    def in_edges(self, v: str) -> Tuple[str, ...]:
-        return self._in[v]
-
-    def edge_source(self, eid: str) -> str:
-        return self.edges[eid].source
-
-    def edge_range(self, eid: str) -> str:
-        return self.edges[eid].range
-
-    def edge_color(self, eid: str) -> int:
-        return self.edges[eid].color
-
-    def is_word_composable(self, word: Word) -> bool:
-        return all(
-            self.edges[a].range == self.edges[b].source
-            for a, b in zip(word, word[1:])
-        )
-
-    def connected(self) -> bool:
-        if not self.vertices:
-            return True
-        g = nx.Graph()
-        g.add_nodes_from(self.vertices)
-        for e in self.edges.values():
-            g.add_edge(e.source, e.range)
-        return nx.is_connected(g)
-
     def fingerprint(self) -> tuple:
         return (
             self.k,
@@ -195,15 +151,6 @@ class KGraphPresentation:
         for eid in word:
             d[self.edges[eid].color - 1] += 1
         return tuple(d)
-
-    def path_source(self, word: Word) -> str:
-        return self.edges[word[0]].source
-
-    def path_range(self, word: Word) -> str:
-        return self.edges[word[-1]].range
-
-    def is_path(self, word: Word) -> bool:
-        return self.is_word_composable(word)
 
     def normal(self, word: Word) -> Word:
         """Color-sorted normal form, reached by leftmost square moves."""
@@ -290,49 +237,6 @@ class KGraphPresentation:
             head, rest = self.split_prefix(rest, target)
             factors.append(head)
         return tuple(factors)
-
-    def paths_with_degree(
-        self, n: Degree, v: Optional[str], direction: str,
-        max_level: int = DEFAULT_TRUNCATION,
-    ) -> List[Word]:
-        """All normal-form paths of degree n into / out of v (None = all)."""
-        if any(c > max_level for c in n):
-            raise TruncationExceededError(
-                f"degree {n} exceeds truncation level {max_level}"
-            )
-        if direction not in ("into", "out-of"):
-            raise ValueError("direction must be 'into' or 'out-of'")
-
-        def go_out(u: str, left: Tuple[int, ...]) -> List[Word]:
-            if not any(left):
-                return [()]
-            c = next(i for i, x in enumerate(left) if x)
-            rem = tuple(x - 1 if i == c else x for i, x in enumerate(left))
-            acc = []
-            for eid in self._out[u]:
-                if self.edges[eid].color == c + 1:
-                    for rest in go_out(self.edges[eid].range, rem):
-                        acc.append((eid,) + rest)
-            return acc
-
-        def go_in(u: str, left: Tuple[int, ...]) -> List[Word]:
-            if not any(left):
-                return [()]
-            c = max(i for i, x in enumerate(left) if x)
-            rem = tuple(x - 1 if i == c else x for i, x in enumerate(left))
-            acc = []
-            for eid in self._in[u]:
-                if self.edges[eid].color == c + 1:
-                    for rest in go_in(self.edges[eid].source, rem):
-                        acc.append(rest + (eid,))
-            return acc
-
-        go = go_out if direction == "out-of" else go_in
-        if v is None:
-            words = [w for u in self.vertices for w in go(u, n)]
-        else:
-            words = go(v, n)
-        return sorted(words)
 
     def single_exit_check(self) -> dict:
         """Single exit condition: |Lambda^{e_i} v| = 1 for all v, i.

@@ -1,52 +1,58 @@
-"""Exact rational dense linear algebra: echelon form and nullspace bases."""
+"""Exact rational elimination on sparse rows: rank and nullspace bases."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List
+from typing import Dict, Hashable, List
 
 
-def row_echelon(rows: List[List[Fraction]]) -> List[int]:
-    """Reduce rows in place; return the pivot column indices."""
-    if not rows:
-        return []
-    n_cols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
+class SparseEchelon:
+    """Incremental exact row reduction for sparse rows {column: value}.
 
+    Columns are any mutually comparable keys (ints, or tuples for matrix
+    entries); a row's leading column is its least one.  Rows must carry
+    nonzero values only.
+    """
 
-def nullspace(rows: List[List[Fraction]], n_cols: int) -> List[List[Fraction]]:
-    """Basis of the right nullspace of the given matrix."""
-    work = [list(map(Fraction, row)) for row in rows]
-    pivots = row_echelon(work)
-    pivot_set = set(pivots)
-    free = [c for c in range(n_cols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * n_cols
-        vec[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            vec[c] = -work[r][f]
-        basis.append(vec)
-    return basis
+    def __init__(self):
+        self.pivots: Dict[Hashable, Dict[Hashable, Fraction]] = {}
 
+    def insert(self, row: Dict[Hashable, Fraction]) -> None:
+        row = dict(row)
+        while row:
+            lead = min(row)
+            piv = self.pivots.get(lead)
+            if piv is None:
+                inv = Fraction(1) / row[lead]
+                self.pivots[lead] = {c: v * inv for c, v in row.items()}
+                return
+            factor = row[lead]
+            for c, v in piv.items():
+                val = row.get(c, Fraction(0)) - factor * v
+                if val:
+                    row[c] = val
+                else:
+                    row.pop(c, None)
 
-def rank(rows: List[List[Fraction]]) -> int:
-    work = [list(map(Fraction, row)) for row in rows]
-    return len(row_echelon(work))
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def nullspace(self, n_cols: int) -> List[Dict[int, Fraction]]:
+        """Basis of the right nullspace over int columns 0..n_cols-1: one
+        vector per free column f, with 1 at f and 0 at the other free
+        columns, in increasing order of f."""
+        pivot_cols = sorted(self.pivots)
+        free = [c for c in range(n_cols) if c not in self.pivots]
+        basis = []
+        for f in free:
+            vec: Dict[int, Fraction] = {f: Fraction(1)}
+            for c in reversed(pivot_cols):
+                row = self.pivots[c]
+                val = -sum(
+                    (v * vec.get(j, Fraction(0)) for j, v in row.items() if j != c),
+                    Fraction(0),
+                )
+                if val:
+                    vec[c] = val
+            basis.append(vec)
+        return basis

@@ -24,13 +24,13 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from . import linalg
-from .algebra import (AlgebraElement, GenKey, alignment_targets,
-                      expand_key_to, kernel, key_degree, key_source_mu,
-                      key_source_nu, make_key)
+from .algebra import (AlgebraElement, GenKey, _as_degree_tuple,
+                      alignment_targets, expand_key_to, kernel, key_degree,
+                      key_source_mu, key_source_nu, make_key)
 from .clifford import word_span_dimension
-from .graphs import ExpandedGraph, GraphPresentation
+from .graphs import GraphPresentation
 from .kgraphs import KGraphPresentation
+from .linalg import SparseEchelon
 from .scalars import GaussianRational
 from .traces import GraphTrace, KGraphTrace, trace_functional
 
@@ -77,7 +77,9 @@ def build_truncation(presentation, trace, level: int,
     """Enumerate the orthogonal maximal-generator basis at the given level.
 
     Tails expand a little deeper than the level so that some basis vectors
-    live entirely away from the truncation cut.
+    live entirely away from the truncation cut.  A pair (mu, nu) into w
+    needs max(d(mu), d(nu)) = level in every colour, unless w is a sink
+    (only 1-graphs have sinks), where every pair up to the level counts.
     """
     if level < 1:
         raise ValueError("truncation level must be >= 1")
@@ -85,31 +87,20 @@ def build_truncation(presentation, trace, level: int,
         ambient = presentation.expand(level + max(expansion_margin, 0))
     else:
         ambient = presentation
-    k = ambient.k
+    box = _degree_box(ambient.k, level)
     keys: Set[GenKey] = set()
-    if k == 1:
-        for w in ambient.vertices:
-            is_sink = not ambient.out_edges(w)
-            into = {b: ambient.paths_into(w, b) for b in range(level + 1)}
-            for a in range(level + 1):
-                for b in range(level + 1):
-                    if max(a, b) != level and not is_sink:
-                        continue
-                    for mu in into[a]:
-                        for nu in into[b]:
-                            keys.add((mu, nu, w))
-    else:
-        box = _degree_box(k, level)
-        for w in ambient.vertices:
-            for da in box:
-                for db in box:
-                    if any(max(a, b) != level for a, b in zip(da, db)):
-                        continue
-                    mus = ambient.paths_with_degree(da, w, "into", max_level=level)
-                    nus = ambient.paths_with_degree(db, w, "into", max_level=level)
-                    for mu in mus:
-                        for nu in nus:
-                            keys.add((mu, nu, w))
+    for w in ambient.vertices:
+        is_sink = not ambient.out_edges(w)
+        into = {d: ambient.paths_with_degree(d, w, "into", max_level=level)
+                for d in box}
+        for da in box:
+            for db in box:
+                if not is_sink and any(
+                        max(a, b) != level for a, b in zip(da, db)):
+                    continue
+                for mu in into[da]:
+                    for nu in into[db]:
+                        keys.add((mu, nu, w))
     if not keys:
         raise ValueError("degenerate presentation: empty truncation basis")
     basis = tuple(sorted(keys))
@@ -128,18 +119,12 @@ def _degree_box(k: int, level: int) -> List[Tuple[int, ...]]:
 
 def generator_keys(ambient, max_length: int) -> List[GenKey]:
     """Algebra generators (operators, not basis vectors) up to a path length."""
+    box = _degree_box(ambient.k, max_length)
     keys: Set[GenKey] = set()
     for w in ambient.vertices:
-        if ambient.k == 1:
-            into = [p for b in range(max_length + 1)
-                    for p in ambient.paths_into(w, b)]
-        else:
-            into = [
-                p
-                for d in _degree_box(ambient.k, max_length)
+        into = [p for d in box
                 for p in ambient.paths_with_degree(d, w, "into",
-                                                   max_level=max_length)
-            ]
+                                                   max_level=max_length)]
         for mu in into:
             for nu in into:
                 keys.add((mu, nu, w))
@@ -169,18 +154,11 @@ def _basis_indices(tr: Truncation, key: GenKey) -> Optional[List[int]]:
     generator is longer than the level in some colour (it leaks)."""
     amb = tr.ambient
     mu, nu, _ = key
-    lengths = _color_lengths(amb, mu) + _color_lengths(amb, nu)
-    if any(x > tr.level for x in lengths):
+    if any(x > tr.level for x in amb.degree(mu) + amb.degree(nu)):
         return None
     index = tr.index()
     target = tr.nu_target(key_degree(amb, key))
     return [index[newkey] for newkey in expand_key_to(amb, key, target)]
-
-
-def _color_lengths(amb, word) -> tuple:
-    if amb.k == 1:
-        return (len(word),)
-    return amb.degree(word)
 
 
 # -- the Dirac operator ---------------------------------------------------------------
@@ -213,10 +191,6 @@ class DiracOperator:
         D (k = 1); the k >= 2 block i sum gamma^m n_m is self-adjoint because
         the gammas are anti-Hermitian (verified exactly in clifford tests)."""
         return True
-
-
-def build_D(truncation: Truncation) -> DiracOperator:
-    return DiracOperator(truncation)
 
 
 # -- Theta decompositions and the semifinite trace ------------------------------------
@@ -258,71 +232,39 @@ def semifinite_trace(theta: ThetaSum, trace) -> GaussianRational:
     return theta.tau_tilde(trace)
 
 
-def decompose_projection(v: str, degree: int, tr: Truncation,
+def decompose_projection(v: str, degree: int | Tuple[int, ...], tr: Truncation,
                          validate: bool = True) -> ThetaSum:
     """Rank-one decomposition of p_v Phi_degree on the truncated module.
 
-    degree >= 0 uses {Theta_{S_mu, S_mu}: s(mu) = v, |mu| = degree}; negative
-    degree uses the mirrored singleton Theta_{x,x} with x = p_v S_mu* for one
-    path mu of length |degree| into v.  Validated pointwise on every basis
-    vector unless disabled.
+    degree is an int (1-graphs) or a tuple with one entry per colour, each
+    at most the level in absolute value.  Split it as pos - neg with pos,
+    neg >= 0: the sum is of Theta_{x,x} with x = S_alpha S_beta*, over the
+    paths alpha of degree pos out of v, with beta the first path of degree
+    neg into r(alpha) (alpha skipped when there is none).  Degree zero is
+    Theta_{p_v, p_v}.  Validated pointwise on every basis vector unless
+    disabled.
     """
     amb = tr.ambient
-    if amb.k != 1:
-        raise ValueError("decompose_projection handles 1-graph truncations")
-    if abs(degree) > tr.level:
+    degree = _as_degree_tuple(amb, degree)
+    if any(abs(d) > tr.level for d in degree):
         raise ValueError("|degree| exceeds the truncation level")
-    parts: List[Tuple[GaussianRational, AlgebraElement, AlgebraElement]] = []
-    one = GaussianRational(1)
-    if degree == 0:
-        x = AlgebraElement.vertex(amb, v)
-        parts.append((one, x, x))
-    elif degree > 0:
-        for mu in amb.paths_from(v, degree):
-            x = AlgebraElement.generator(amb, mu, ())
-            parts.append((one, x, x))
-    else:
-        into = amb.paths_into(v, -degree)
-        if into:
-            x = AlgebraElement.generator(amb, (), into[0])
-            parts.append((one, x, x))
-    theta = ThetaSum(parts)
-    if validate:
-        _validate_projection_decomposition(theta, v, (degree,), tr)
-    return theta
-
-
-def decompose_projection_kgraph(v: str, degree: Tuple[int, ...], tr: Truncation,
-                                validate: bool = True) -> ThetaSum:
-    """k-graph analogue: Theta_{x,x} per out-path of the positive degree part,
-    paired with an entering path of the negative part."""
-    amb = tr.ambient
     pos = tuple(max(d, 0) for d in degree)
     neg = tuple(max(-d, 0) for d in degree)
     parts = []
     one = GaussianRational(1)
-    if not any(pos) and not any(neg):
+    if not any(degree):
         x = AlgebraElement.vertex(amb, v)
         parts.append((one, x, x))
     else:
-        alphas = (
-            amb.paths_with_degree(pos, v, "out-of", max_level=max(pos))
-            if any(pos) else [()]
-        )
-        for alpha in alphas:
+        for alpha in amb.paths_with_degree(pos, v, "out-of", max_level=tr.level):
             anchor = amb.path_range(alpha) if alpha else v
-            if any(neg):
-                betas = amb.paths_with_degree(neg, anchor, "into",
-                                              max_level=max(neg))
-                if not betas:
-                    continue
+            betas = amb.paths_with_degree(neg, anchor, "into", max_level=tr.level)
+            if betas:
                 x = AlgebraElement.generator(amb, alpha, betas[0])
-            else:
-                x = AlgebraElement.generator(amb, alpha, ())
-            parts.append((one, x, x))
+                parts.append((one, x, x))
     theta = ThetaSum(parts)
     if validate:
-        _validate_projection_decomposition(theta, v, tuple(degree), tr)
+        _validate_projection_decomposition(theta, v, degree, tr)
     return theta
 
 
@@ -652,10 +594,7 @@ def first_order_check(tr: Truncation, max_generator_length: int = 1) -> dict:
     product = kern.product
     gens = generator_keys(amb, max_generator_length)
     gen_ids = [kern.key_id(ka) for ka in gens]
-    weights = []
-    for ka in gens:
-        deg_a = key_degree(amb, ka)
-        weights.append(deg_a[0] if amb.k == 1 else sum(deg_a))
+    weights = [sum(key_degree(amb, ka)) for ka in gens]
     by_key: Dict[int, Dict[int, Tuple[int, ...]]] = {}
 
     def left_products(kid: int) -> Dict[int, Tuple[int, ...]]:
@@ -742,8 +681,7 @@ def _d_commutator_scalar(a: AlgebraElement) -> AlgebraElement:
     amb = a.ambient
     out = {}
     for key, c in a.terms.items():
-        d = key_degree(amb, key)
-        weight = d[0] if amb.k == 1 else sum(d)
+        weight = sum(key_degree(amb, key))
         if weight:
             out[key] = c * weight
     return AlgebraElement(amb, out)
@@ -829,47 +767,6 @@ def spin_c_generation_check(tr: Truncation) -> dict:
 # -- commutant probe -------------------------------------------------------------------
 
 
-class _SparseEchelon:
-    """Incremental exact row reduction for sparse constraint rows."""
-
-    def __init__(self):
-        self.pivots: Dict[int, Dict[int, Fraction]] = {}
-
-    def insert(self, row: Dict[int, Fraction]) -> None:
-        row = dict(row)
-        while row:
-            lead = min(row)
-            piv = self.pivots.get(lead)
-            if piv is None:
-                inv = Fraction(1) / row[lead]
-                self.pivots[lead] = {c: v * inv for c, v in row.items()}
-                return
-            factor = row[lead]
-            for c, v in piv.items():
-                val = row.get(c, Fraction(0)) - factor * v
-                if val:
-                    row[c] = val
-                else:
-                    row.pop(c, None)
-
-    def nullspace(self, n_cols: int) -> List[Dict[int, Fraction]]:
-        pivot_cols = sorted(self.pivots)
-        free = [c for c in range(n_cols) if c not in self.pivots]
-        basis = []
-        for f in free:
-            vec: Dict[int, Fraction] = {f: Fraction(1)}
-            for c in reversed(pivot_cols):
-                row = self.pivots[c]
-                val = -sum(
-                    (v * vec.get(j, Fraction(0)) for j, v in row.items() if j != c),
-                    Fraction(0),
-                )
-                if val:
-                    vec[c] = val
-            basis.append(vec)
-        return basis
-
-
 def _sparse_matrix(tr: Truncation, op: AlgebraElement, side: str):
     """Truncated matrix of left/right multiplication in basis coordinates.
 
@@ -939,7 +836,7 @@ def left_fixed_point_commutant(tr: Truncation) -> int:
             if key[0] == key[1]
         }
     )
-    ech = _SparseEchelon()
+    ech = SparseEchelon()
     col_of = {key: i for i, key in enumerate(diag)}
     for eid in amb.edge_order:
         s_e = make_key(amb, (eid,), ())
@@ -962,7 +859,7 @@ def left_fixed_point_commutant(tr: Truncation) -> int:
         )
         coords, _ = to_basis_coordinates(tr, f)
         sol_rows.append({i: c.re for i, c in coords.items() if c.re})
-    sol_ech = _SparseEchelon()
+    sol_ech = SparseEchelon()
     for row in sol_rows:
         if row:
             sol_ech.insert(row)
@@ -1040,7 +937,7 @@ def commutant_probe(tr: Truncation, margin: int = 1) -> dict:
         ops.append(_sparse_matrix(tr, AlgebraElement.vertex(amb, v), "left"))
         ops.append(_sparse_matrix(tr, AlgebraElement.vertex(amb, v), "right"))
 
-    ech = _SparseEchelon()
+    ech = SparseEchelon()
     for a_cols in ops:
         a_rows: Dict[int, List[Tuple[int, Fraction]]] = {}
         for col, entries in enumerate(a_cols):
@@ -1061,8 +958,7 @@ def commutant_probe(tr: Truncation, margin: int = 1) -> dict:
     interior = _interior_flags(tr, margin)
 
     def span_rank(flags: Optional[List[bool]]) -> int:
-        entry_index: Dict[Tuple[int, int], int] = {}
-        dense_rows = []
+        span = SparseEchelon()
         for vec in null:
             acc: Dict[Tuple[int, int], Fraction] = {}
             for u, cu in vec.items():
@@ -1077,19 +973,8 @@ def commutant_probe(tr: Truncation, margin: int = 1) -> dict:
                             acc[(i, j)] = val
                         else:
                             acc.pop((i, j), None)
-            for e in acc:
-                entry_index.setdefault(e, len(entry_index))
-            dense_rows.append(acc)
-        if not entry_index:
-            return 0
-        order = {e: pos for e, pos in entry_index.items()}
-        dense = []
-        for acc in dense_rows:
-            row = [Fraction(0)] * len(order)
-            for e, v in acc.items():
-                row[order[e]] = v
-            dense.append(row)
-        return linalg.rank(dense)
+            span.insert(acc)
+        return span.rank()
 
     full_rank = span_rank(None)
     interior_rank = span_rank(interior)
@@ -1156,9 +1041,7 @@ def _sparse_diff(ta: Dict[int, Dict[int, Fraction]],
 
 def _interior_flags(tr: Truncation, margin: int) -> List[bool]:
     amb = tr.ambient
-    boundary: Set[str] = set()
-    if isinstance(amb, ExpandedGraph):
-        boundary = amb.boundary_out | amb.boundary_in
+    boundary = amb.boundary_out | amb.boundary_in
     if not boundary:
         return [True] * len(tr.basis)
     dist: Dict[str, int] = {}

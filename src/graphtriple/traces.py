@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import linalg
 from .algebra import AlgebraElement, key_source_mu
 from .graphs import End, GraphPresentation, GraphValidationError
 from .kgraphs import KGraphPresentation
+from .linalg import SparseEchelon
 from .scalars import GaussianRational
 
 
@@ -113,16 +113,17 @@ def solve_kgraph_trace(g: KGraphPresentation) -> KGraphTrace:
     """
     verts = list(g.vertices)
     index = {v: i for i, v in enumerate(verts)}
-    rows: List[List[Fraction]] = []
+    ech = SparseEchelon()
     for c in range(1, g.k + 1):
         for v in verts:
-            row = [Fraction(0)] * len(verts)
-            row[index[v]] += 1
+            row = {index[v]: Fraction(1)}
             for eid in g.out_edges(v):
                 if g.edges[eid].color == c:
-                    row[index[g.edges[eid].range]] -= 1
-            rows.append(row)
-    basis = linalg.nullspace(rows, len(verts))
+                    j = index[g.edges[eid].range]
+                    row[j] = row.get(j, Fraction(0)) - 1
+            ech.insert({j: x for j, x in row.items() if x})
+    basis = [[vec.get(i, Fraction(0)) for i in range(len(verts))]
+             for vec in ech.nullspace(len(verts))]
     candidates = list(basis)
     if basis:
         candidates.append([sum(col) for col in zip(*basis)])

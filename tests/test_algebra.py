@@ -6,16 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphtriple.algebra import (AlgebraElement, PresentationMismatchError,
-                                 _meet, _multiply_keys, _prefix_divide,
-                                 delta_action, dirac_commutator, expectation,
-                                 grade, kernel, key_source_mu, key_source_nu,
-                                 local_unit, make_key, multiply)
+                                 _expansion_family, _meet, _multiply_keys,
+                                 _prefix_divide, delta_action,
+                                 dirac_commutator, kernel, key_source_mu,
+                                 key_source_nu, local_unit, make_key)
 from graphtriple.scalars import GaussianRational, I
 from graphtriple.spectral import build_truncation, generator_keys
 from graphtriple.traces import solve_graph_trace, solve_kgraph_trace
 
-from corpus import (one_vertex_3graph, single_loop, torus_2graph,
-                    tree_with_ends, two_extension_2graph, two_vertex_2graph)
+from corpus import (bi_infinite_path, double_entry_tree, one_vertex_3graph,
+                    single_loop, sink_path, torus_2graph, tree_with_ends,
+                    two_extension_2graph, two_vertex_2graph)
 
 
 def loop_ambient(level=3):
@@ -56,8 +57,8 @@ class TestMultiplication:
 
     def test_presentation_mismatch(self):
         with pytest.raises(PresentationMismatchError):
-            multiply(gen(loop_ambient(), ("e0",)),
-                     AlgebraElement.vertex(tree_ambient(), "b"))
+            gen(loop_ambient(), ("e0",)) * AlgebraElement.vertex(
+                tree_ambient(), "b")
 
     def test_ck_identity_every_nonsink_vertex(self):
         for g in [single_loop(2), tree_with_ends(2), tree_with_ends(3)]:
@@ -107,7 +108,7 @@ def all_keys(amb, max_len):
     for w in amb.vertices:
         into = [()]
         for j in range(1, max_len + 1):
-            into.extend(amb.paths_into(w, j))
+            into.extend(amb.paths_with_degree((j,), w, "into"))
         for mu in into:
             for nu in into:
                 keys.append((mu, nu, w))
@@ -185,15 +186,15 @@ def _kgraph_keys(g, max_deg):
 class TestGrading:
     def test_edge_has_degree_one(self):
         amb = LOOP_AMB
-        assert set(grade(gen(amb, ("e0",)))) == {1}
+        assert set(gen(amb, ("e0",)).grade()) == {1}
 
     def test_vertex_degree_zero(self):
-        assert set(grade(AlgebraElement.vertex(LOOP_AMB, "v0"))) == {0}
+        assert set(AlgebraElement.vertex(LOOP_AMB, "v0").grade()) == {0}
 
     def test_mixed_degrees_split(self):
         amb = TREE_AMB
         a = gen(amb, ("e1",)) + gen(amb, ("e1",), ("e1",))
-        parts = grade(a)
+        parts = a.grade()
         assert set(parts) == {0, 1}
 
     def test_phi_idempotent_orthogonal(self):
@@ -202,7 +203,7 @@ class TestGrading:
         assert a.component(1).component(1).equals(a.component(1))
         assert a.component(1).component(0).is_zero()
         total = AlgebraElement.zero(amb)
-        for part in grade(a).values():
+        for part in a.grade().values():
             total = total + part
         assert total.equals(a)
 
@@ -210,22 +211,22 @@ class TestGrading:
            small_elements(TREE_AMB, TREE_KEYS))
     @settings(max_examples=40, deadline=None)
     def test_grading_multiplicative(self, a, b):
-        degs_a = {d for d, p in grade(a).items() if not p.is_zero()}
-        degs_b = {d for d, p in grade(b).items() if not p.is_zero()}
-        degs_ab = {d for d, p in grade(a * b).items() if not p.is_zero()}
+        degs_a = {d for d, p in a.grade().items() if not p.is_zero()}
+        degs_b = {d for d, p in b.grade().items() if not p.is_zero()}
+        degs_ab = {d for d, p in (a * b).grade().items() if not p.is_zero()}
         allowed = {da + db for da in degs_a for db in degs_b}
         assert degs_ab <= allowed
 
     def test_expectation_examples(self):
         amb = LOOP_AMB
-        assert expectation(gen(amb, ("e0",))).is_zero()
+        assert gen(amb, ("e0",)).expectation().is_zero()
         p = gen(amb, ("e0",), ("e0",))
-        assert expectation(p).equals(p)
+        assert p.expectation().equals(p)
 
     def test_kgraph_grading_tuple_keys(self):
         g = torus_2graph()
         a = gen(g, ("e",)) + gen(g, ("f",))
-        assert set(grade(a)) == {(1, 0), (0, 1)}
+        assert set(a.grade()) == {(1, 0), (0, 1)}
 
 
 class TestLocalUnits:
@@ -365,6 +366,10 @@ KERNEL_CASES = {
     "3graph": (one_vertex_3graph, solve_kgraph_trace, 1),
     "tree2": (lambda: tree_with_ends(2), solve_graph_trace, 2),
     "torus_L2": (torus_2graph, solve_kgraph_trace, 2),
+    "sink_path": (sink_path, solve_graph_trace, 2),
+    "bi_infinite_path": (bi_infinite_path, solve_graph_trace, 2),
+    "double_entry_tree": (double_entry_tree, solve_graph_trace, 2),
+    "loop1": (lambda: single_loop(1), solve_graph_trace, 2),
 }
 
 
@@ -393,6 +398,49 @@ class TestMeetTableKernel:
         assert two_terms
         assert _multiply_keys(amb, ((), ("e1",), "v"), (("f1",), (), "v")) == [
             (("f1",), ("e1",), "v"), (("f2",), ("e2",), "v")]
+
+    def test_expansion_stops_at_a_sink(self):
+        # sink_path: v -e-> w with w a sink, fed by a source tail at v
+        amb = sink_path().expand(2)
+        assert _expansion_family(amb, "v", (2,)) == [("e",)]
+        assert _expansion_family(amb, "w", (1,)) == [()]
+        assert _expansion_family(amb, "v~s1", (3,)) == [("v~se1", "e")]
+        assert _expansion_family(amb, "v", (0,)) == [()]
+
+    def test_expansion_matches_paths_with_degree_on_kgraphs(self):
+        for g in (torus_2graph(), two_extension_2graph(), two_vertex_2graph()):
+            for v in g.vertices:
+                for n in ((0, 0), (1, 0), (0, 2), (2, 1)):
+                    assert _expansion_family(g, v, n) == g.paths_with_degree(
+                        n, v, "out-of")
+
+    def test_meet_on_comparable_degrees_is_a_prefix_test(self):
+        # comparable degrees: a minimal common extension has the larger
+        # degree, so nu1 xi = mu2 eta with xi or eta a vertex.  The meet is
+        # the prefix pair or empty, and the reference's sum over extensions
+        # finds nothing more.
+        amb = two_extension_2graph()
+        assert _meet(amb, ("e1",), "v", ("e1", "f1"), "v") == [(("f1",), ())]
+        assert _meet(amb, ("e1", "f1"), "v", ("e1",), "v") == [((), ("f1",))]
+        assert _meet(amb, ("e2",), "v", ("e1", "f1"), "v") == []
+        assert _meet(amb, ("e1",), "v", ("e2",), "v") == []
+        words = [w for d in ((0, 0), (1, 0), (0, 1), (1, 1), (2, 1))
+                 for w in amb.paths_with_degree(d, "v", "out-of")]
+        sizes = set()
+        for nu1 in words:
+            for mu2 in words:
+                dn, dm = amb.degree(nu1), amb.degree(mu2)
+                if not (all(a <= b for a, b in zip(dn, dm))
+                        or all(a >= b for a, b in zip(dn, dm))):
+                    continue
+                got = _meet(amb, nu1, "v", mu2, "v")
+                assert len(got) <= 1
+                assert all(not xi or not eta for xi, eta in got)
+                k1, k2 = ((), nu1, "v"), (mu2, (), "v")
+                assert sorted(_multiply_keys(amb, k1, k2)) == sorted(
+                    _reference_product(amb, k1, k2)), (nu1, mu2)
+                sizes.add(len(got))
+        assert sizes == {0, 1}
 
 
 def _tuple_route_product(ambient, k1, k2):

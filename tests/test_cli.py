@@ -126,6 +126,26 @@ class TestExitCodes:
         assert captured.out == ""
         assert "unrecognized arguments: --check-cycle" in captured.err
 
+    @pytest.mark.parametrize("command", [
+        "analyze", "trace", "ktheory", "hochschild", "spectral", "conditions",
+    ])
+    def test_k1_document_with_squares_is_data_error(self, command, tmp_path,
+                                                    capsys):
+        # every k = 1 document goes to the 1-graph loader, which has no
+        # squares and no edge colours
+        doc = {"k": 1, "vertices": ["v"],
+               "edges": [{"id": "e", "source": "v", "range": "v", "color": 1}],
+               "squares": [], "tails": []}
+        path = tmp_path / "k1.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            run([command, str(path)])
+        assert exc.value.code == EX_DATAERR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert "validation failure" in captured.err
+
     def test_syntax_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")

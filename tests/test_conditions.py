@@ -5,12 +5,26 @@ import pytest
 from graphtriple import conditions
 from graphtriple.conditions import (CONDITION_NAMES, evaluate_all,
                                     hypothesis_check, kgraph_hypothesis_check)
-from graphtriple.traces import NonDiagonalError
+from graphtriple.traces import (NoFaithfulTraceError, NonDiagonalError,
+                                solve_graph_trace)
 
 from corpus import (bi_infinite_path, double_entry_tree, dyadic_tree,
-                    loop_with_exit_tree, one_vertex_3graph, single_loop,
-                    sink_path, single_exit_violating_2graph, torus_2graph,
-                    tree_with_ends, two_disjoint_loops, two_vertex_2graph)
+                    loop_with_exit, loop_with_exit_tree, one_vertex_3graph,
+                    single_loop, sink_path, single_exit_violating_2graph,
+                    torus_2graph, tree_with_ends, two_disjoint_loops,
+                    two_vertex_2graph)
+
+GRAPH_CORPUS = {
+    **{f"loop{n}": single_loop(n) for n in range(1, 6)},
+    "bi_path": bi_infinite_path(),
+    **{f"tree{n}": tree_with_ends(n) for n in range(1, 5)},
+    **{f"dyadic{d}": dyadic_tree(d) for d in range(1, 4)},
+    "sink_path": sink_path(),
+    "loop_with_exit": loop_with_exit(),
+    "loop_with_exit_tree": loop_with_exit_tree(),
+    "double_entry_tree": double_entry_tree(),
+    "two_disjoint_loops": two_disjoint_loops(),
+}
 
 
 class TestHypothesisCheck:
@@ -32,6 +46,18 @@ class TestHypothesisCheck:
         assert counts == [2, 4, 8]
         assert all(hypothesis_check(dyadic_tree(d))["fg_ktheory"]
                    for d in (1, 2, 3))
+
+    @pytest.mark.parametrize("name", sorted(GRAPH_CORPUS))
+    def test_trace_flag_matches_the_solver(self, name):
+        g = GRAPH_CORPUS[name]
+        try:
+            solve_graph_trace(g)
+            solvable = True
+        except NoFaithfulTraceError:
+            solvable = False
+        assert hypothesis_check(g)["faithful_graph_trace_exists"] is solvable
+        assert solvable == (name not in ("loop_with_exit",
+                                         "loop_with_exit_tree"))
 
     def test_kgraph_hypotheses(self):
         hyp = kgraph_hypothesis_check(torus_2graph())

@@ -175,8 +175,9 @@ class TestExpansion:
 
     def test_paths(self):
         amb = bi_infinite_path().expand(3)
-        assert amb.paths_from("v", 2) == [("v~te1", "v~te2")]
-        assert amb.paths_into("v", 2) == [("v~se2", "v~se1")]
+        assert amb.paths_with_degree((2,), "v", "out-of") == [
+            ("v~te1", "v~te2")]
+        assert amb.paths_with_degree((2,), "v", "into") == [("v~se2", "v~se1")]
 
 
 @st.composite

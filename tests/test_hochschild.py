@@ -44,7 +44,7 @@ class TestBoundary:
         amb = tree_with_ends(2).expand(2)
         keys = []
         for w in amb.vertices:
-            into = [()] + [p for p in amb.paths_into(w, 1)]
+            into = [()] + amb.paths_with_degree((1,), w, "into")
             for mu in into:
                 for nu in into:
                     keys.append((mu, nu, w))

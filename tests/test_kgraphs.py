@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphtriple.graphs import Edge, GraphFormatError, GraphValidationError
-from graphtriple.kgraphs import (KGraphPresentation, TruncationExceededError,
-                                 parse_kgraph)
+from graphtriple.graphs import (Edge, GraphFormatError, GraphValidationError,
+                               TruncationExceededError)
+from graphtriple.kgraphs import KGraphPresentation, parse_kgraph
 
 from corpus import (one_vertex_3graph, one_vertex_kgraph,
                     single_exit_violating_2graph, torus_2graph,

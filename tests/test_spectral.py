@@ -7,11 +7,10 @@ from graphtriple import spectral
 from graphtriple.algebra import (AlgebraElement, _multiply_keys, kernel,
                                  key_degree)
 from graphtriple.scalars import GaussianRational
-from graphtriple.spectral import (DecompositionError, ThetaSum, Truncation,
-                                  build_D,
+from graphtriple.spectral import (DecompositionError, DiracOperator,
+                                  ThetaSum, Truncation,
                                   build_truncation, closedness_eval,
                                   commutant_probe, decompose_projection,
-                                  decompose_projection_kgraph,
                                   direct_summation_oracle, first_order_check,
                                   first_order_left_counterexample,
                                   generator_keys, kgraph_lattice_profile,
@@ -136,7 +135,7 @@ class TestTruncation:
 
     def test_D_degrees_and_symmetry(self):
         _, _, tr = loop_setup(2)
-        D = build_D(tr)
+        D = DiracOperator(tr)
         assert D.is_symmetric()
         for key in tr.basis:
             assert D.degree(key) == key_degree(tr.ambient, key)[0]
@@ -157,7 +156,7 @@ class TestThetaDecompositions:
     def test_rank_one_value(self):
         g, t, tr = tree_setup(2)
         amb = tr.ambient
-        mu = amb.paths_from("b", 1)[0]
+        mu = amb.paths_with_degree((1,), "b", "out-of")[0]
         x = AlgebraElement.generator(amb, mu, ())
         theta = ThetaSum([(GaussianRational(1), x, x)])
         # tau~(Theta_{S_mu,S_mu}) = tau(p_{r(mu)})
@@ -180,7 +179,7 @@ class TestThetaDecompositions:
         one = GaussianRational(1)
         a = ThetaSum([(one, AlgebraElement.vertex(amb, "b"),
                        AlgebraElement.vertex(amb, "b"))])
-        mu = amb.paths_from("b", 1)[0]
+        mu = amb.paths_with_degree((1,), "b", "out-of")[0]
         x = AlgebraElement.generator(amb, mu, ())
         b = ThetaSum([(one, x, x)])
         ab = a.compose(b)
@@ -192,7 +191,7 @@ class TestThetaDecompositions:
         t = solve_kgraph_trace(g)
         tr = build_truncation(g, t, 2)
         for deg in [(0, 0), (1, 0), (0, -1), (1, -1), (2, 1)]:
-            theta = decompose_projection_kgraph("v", deg, tr)
+            theta = decompose_projection("v", deg, tr)
             assert semifinite_trace(theta, t) == GaussianRational(1), deg
 
 

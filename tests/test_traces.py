@@ -110,7 +110,7 @@ def tree_elements():
     amb = g.expand(2)
     keys = []
     for w in amb.vertices:
-        into = [()] + [p for j in (1, 2) for p in amb.paths_into(w, j)]
+        into = [()] + [p for j in (1, 2) for p in amb.paths_with_degree((j,), w, "into")]
         for mu in into:
             for nu in into:
                 keys.append((mu, nu, w))
