@@ -56,7 +56,8 @@ def _load(path: str):
         )
         sys.exit(EX_DATAERR)
     try:
-        if isinstance(doc, dict) and doc.get("k", 1) == 1:
+        k = doc.get("k", 1) if isinstance(doc, dict) else None
+        if type(k) is int and k == 1:
             return graph_from_document(doc)
         return kgraph_from_document(doc)
     except (GraphFormatError, GraphValidationError) as exc:
@@ -261,30 +262,38 @@ def build_parser() -> _Parser:
                                  "for graph and k-graph algebras.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, spectralish=False, formats=("json",)):
+    def common(p, end_value=False, level=False, window=False,
+               tolerance=False, formats=("json",)):
+        """Add the input, --out and --format, and only the flags that the
+        subcommand reads."""
         p.add_argument("input", help="presentation document (JSON)")
         p.add_argument("--out", help="write the report to this file")
         p.add_argument("--format", choices=list(formats), default="json")
-        p.add_argument("--end-value", action="append", metavar="END=VALUE",
-                       help="trace value for an end (default 1)")
-        p.add_argument("--level", type=int, default=3,
-                       help="truncation level L (default 3)")
-        if spectralish:
+        if end_value:
+            p.add_argument("--end-value", action="append", metavar="END=VALUE",
+                           help="trace value for an end (default 1)")
+        if level:
+            p.add_argument("--level", type=int, default=3,
+                           help="truncation level L (default 3)")
+        if window:
             p.add_argument("--window", type=_positive_int, default=100000,
                            help="spectral window N (default 100000)")
+        if tolerance:
             p.add_argument("--tolerance", type=float, default=0.05)
 
     common(sub.add_parser("analyze", help="structural report"))
-    common(sub.add_parser("trace", help="solve the graph trace"))
+    common(sub.add_parser("trace", help="solve the graph trace"),
+           end_value=True)
     common(sub.add_parser("ktheory", help="K-theory ranks"))
-    common(sub.add_parser("hochschild", help="orientation cycle checks"))
+    common(sub.add_parser("hochschild", help="orientation cycle checks"),
+           level=True)
     sp = sub.add_parser("spectral", help="singular value profile")
-    common(sp, spectralish=True, formats=("json", "csv"))
+    common(sp, end_value=True, window=True, formats=("json", "csv"))
     sp.add_argument("--vertex", help="profile p_v instead of (1+D^2)^{-1/2}")
     sp.add_argument("--csv", action="store_true",
                     help="shorthand for --format csv")
     cond = sub.add_parser("conditions", help="evaluate the nine conditions")
-    common(cond, spectralish=True)
+    common(cond, end_value=True, level=True, window=True, tolerance=True)
     cl = sub.add_parser("clifford", help="reality sign table")
     cl.add_argument("--kmax", type=_kmax, default=8,
                     help=f"largest k in the table, 1..{KMAX} (default 8)")

@@ -126,7 +126,12 @@ def evaluate_all(
     window: int = 100_000,
     tolerance: float = 0.05,
 ) -> ConditionReport:
-    if isinstance(presentation, KGraphPresentation) and presentation.k >= 2:
+    if isinstance(presentation, KGraphPresentation):
+        if presentation.k == 1:
+            raise ValueError(
+                "a k = 1 presentation is evaluated as a 1-graph; build it"
+                " with graph_from_document or GraphPresentation"
+            )
         return _evaluate_kgraph(presentation, level, window, tolerance)
     return _evaluate_graph(presentation, end_values, level, window, tolerance)
 
@@ -184,9 +189,14 @@ def _evaluate_graph(g: GraphPresentation, end_values, level, window,
     else:
         dim_witness = []
         ok = True
+        profiles = {}  # one profile per distinct multiplicity model
         for v in sample:
             model = vertex_multiplicities(g, trace, v)
-            prof = singular_profile(model, window)
+            key = (model.vertex_mass, tuple(model.forward_head),
+                   model.forward_tail, model.backward_depth)
+            if key not in profiles:
+                profiles[key] = singular_profile(model, window)
+            prof = profiles[key]
             target = 2.0 * float(trace.vertex_value(v))
             positive = prof.limit_estimate is not None and prof.limit_estimate > 0
             matches = (

@@ -523,7 +523,7 @@ def graph_from_document(doc: object) -> GraphPresentation:
     for key in ("k", "vertices", "edges", "tails"):
         if key not in doc:
             raise GraphFormatError(f"missing required field {key!r}")
-    if doc["k"] != 1:
+    if type(doc["k"]) is not int or doc["k"] != 1:
         raise GraphFormatError("graph documents must have k = 1 (use parse_kgraph)")
     check_array_fields(doc, ("vertices", "edges", "tails", "source_tails"))
     edges = []

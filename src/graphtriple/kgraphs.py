@@ -281,7 +281,7 @@ def kgraph_from_document(doc: object) -> KGraphPresentation:
     for key in ("k", "vertices", "edges", "tails"):
         if key not in doc:
             raise GraphFormatError(f"missing required field {key!r}")
-    if not isinstance(doc["k"], int) or doc["k"] < 1:
+    if type(doc["k"]) is not int or doc["k"] < 1:
         raise GraphFormatError("k must be a positive integer")
     check_array_fields(
         doc, ("vertices", "edges", "tails", "source_tails", "squares"))

@@ -391,35 +391,67 @@ class SpectralProfile:
         return "\n".join(lines) + "\n"
 
 
+def _mass_runs(model: MultiplicityModel,
+               window: int) -> List[Tuple[int, int, float]]:
+    """Level mass at gauge levels 0..window as constant runs (start, stop,
+    value): forward mass plus tau(p_v) on 1..backward_depth.  The exact head
+    gives one run per level, then the tail gives at most two runs, with and
+    without the backward mass."""
+    n = window + 1
+    vertex = float(model.vertex_mass)
+    d = model.backward_depth
+    back_stop = n if d is None else min(d, window) + 1
+
+    def back(j: int) -> float:
+        return vertex if 1 <= j < back_stop else 0.0
+
+    head = model.forward_head[:n]
+    runs = [(j, j + 1, float(h) + back(j)) for j, h in enumerate(head)]
+    tail = float(model.forward_tail)
+    cuts = sorted({len(head), n}
+                  | {c for c in (1, back_stop) if len(head) < c < n})
+    runs.extend((a, b, tail + back(a)) for a, b in zip(cuts, cuts[1:]))
+    return runs
+
+
 def singular_profile(model: MultiplicityModel, window: int,
                      sample_count: int = 48) -> SpectralProfile:
     """F_T profile of the operator with eigenvalue (1+k^2)^{-1/2} at gauge
-    degree k and tau~-mass model.mass(k), plus the extrapolated limit."""
+    degree k and tau~-mass model.mass(k), plus the extrapolated limit.
+
+    Two window-length float64 buffers are alive at once (16 bytes per
+    window step).  `grid` holds 1 + k^2, then the eigenvalues, then
+    eigenvalue * mass and its running sum; `level` holds the zeta terms,
+    then the level mass and its running sum.  The level mass is written run
+    by run from `_mass_runs`, and F_T = cum_int / log(1 + cum_mass) is only
+    formed at the sample points.  Every float is the one the whole-array
+    form gives: each elementwise step sees the same operands, and the zeta
+    sum keeps one full buffer because numpy's pairwise summation tree
+    depends on the whole array, so a chunked sum would change its bits."""
     if window < 100:
         return SpectralProfile(
             window, [], [], None, None, None,
             {"error": "window too small for a stable estimate"},
         )
-    ks = np.arange(0, window + 1, dtype=np.float64)
-    lam = 1.0 / np.sqrt(1.0 + ks * ks)
+    runs = _mass_runs(model, window)
+    grid = np.arange(0, window + 1, dtype=np.float64)
+    np.multiply(grid, grid, out=grid)
+    np.add(grid, 1.0, out=grid)  # 1 + k^2
 
-    level_mass = np.empty(window + 1, dtype=np.float64)
-    head = model.forward_head
-    for j in range(min(len(head), window + 1)):
-        level_mass[j] = float(head[j])
-    if window + 1 > len(head):
-        level_mass[len(head):] = float(model.forward_tail)
-    back = np.full(window + 1, float(model.vertex_mass))
-    back[0] = 0.0
-    d = model.backward_depth
-    if d is not None:
-        back[min(d, window) + 1:] = 0.0
-    level_mass = level_mass + back
+    s = 0.5 + 1.0 / math.log(window)
+    level = np.power(grid, -s)
+    for a, b, value in runs:
+        level[a:b] *= value
+    zeta = float(np.sum(level) * (s - 0.5))
 
-    cum_mass = np.cumsum(level_mass)
-    cum_int = np.cumsum(lam * level_mass)
-    with np.errstate(divide="ignore"):
-        f_vals = cum_int / np.log1p(cum_mass)
+    np.sqrt(grid, out=grid)
+    np.divide(1.0, grid, out=grid)  # eigenvalues (1 + k^2)^{-1/2}
+    lead = [(float(grid[j]), model.mass(j)) for j in range(min(8, window))]
+    for a, b, value in runs:
+        grid[a:b] *= value
+        level[a:b] = value
+    cum_int = np.cumsum(grid, out=grid)
+    cum_mass = np.cumsum(level, out=level)
 
     idx = np.unique(
         np.clip(
@@ -427,12 +459,15 @@ def singular_profile(model: MultiplicityModel, window: int,
             8, window,
         )
     )
-    samples = [(float(cum_mass[i]), float(f_vals[i])) for i in idx]
+    t_vals = cum_mass[idx]
+    with np.errstate(divide="ignore"):
+        f_vals = cum_int[idx] / np.log1p(t_vals)
+    samples = [(float(t), float(f)) for t, f in zip(t_vals, f_vals)]
 
     # F(t) = L + C / log(1+t) + O(1/t): linear fit in x = 1/log(1+t)
-    tail_idx = idx[idx >= max(64, window // 1024)]
-    x = 1.0 / np.log1p(cum_mass[tail_idx])
-    y = f_vals[tail_idx]
+    tail = idx >= max(64, window // 1024)
+    x = 1.0 / np.log1p(t_vals[tail])
+    y = f_vals[tail]
     coeffs = np.polyfit(x, y, 1)
     limit = float(coeffs[1])
     resid = y - np.polyval(coeffs, x)
@@ -441,10 +476,6 @@ def singular_profile(model: MultiplicityModel, window: int,
         float(max(np.max(y), limit)),
     )
 
-    s = 0.5 + 1.0 / math.log(window)
-    zeta = float(np.sum(level_mass * (1.0 + ks * ks) ** (-s)) * (s - 0.5))
-
-    lead = [(float(lam[j]), model.mass(j)) for j in range(min(8, window))]
     return SpectralProfile(
         window=window,
         eigenvalues=lead,
@@ -455,7 +486,7 @@ def singular_profile(model: MultiplicityModel, window: int,
         diagnostics={
             "fit_slope": float(coeffs[0]),
             "fit_residual_max": float(np.max(np.abs(resid))),
-            "raw_F_at_window": float(f_vals[-1]),
+            "raw_F_at_window": float(f_vals[-1]),  # idx ends at the window
         },
     )
 

@@ -146,6 +146,41 @@ class TestExitCodes:
         assert "Traceback" not in captured.err
         assert "validation failure" in captured.err
 
+    @pytest.mark.parametrize("command", ["analyze", "conditions"])
+    @pytest.mark.parametrize("k", [True, 1.0])
+    def test_k_that_is_not_an_int_is_data_error(self, command, k, tmp_path,
+                                                capsys):
+        doc = {"k": k, "vertices": ["v"],
+               "edges": [{"id": "e", "source": "v", "range": "v"}],
+               "tails": []}
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            run([command, str(path)])
+        assert exc.value.code == EX_DATAERR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "validation failure" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["spectral", "--level", "2"],
+        ["spectral", "--tolerance", "0.1"],
+        ["analyze", "--level", "2"],
+        ["analyze", "--end-value", "tail:v=1"],
+        ["ktheory", "--level", "2"],
+        ["ktheory", "--end-value", "tail:v=1"],
+        ["trace", "--level", "2"],
+        ["hochschild", "--end-value", "tail:v=1"],
+    ])
+    def test_flag_the_subcommand_does_not_read_is_usage_error(
+            self, argv, loop_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run([argv[0], loop_file] + argv[1:])
+        assert exc.value.code == EX_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {argv[1]}" in captured.err
+
     def test_syntax_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")

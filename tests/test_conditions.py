@@ -125,6 +125,27 @@ class TestEvaluateAll:
         assert json.dumps(rep1.to_json(), sort_keys=True) == \
             json.dumps(rep2.to_json(), sort_keys=True)
 
+    def test_k1_kgraph_presentation_is_a_value_error(self):
+        from graphtriple.graphs import Edge
+        from graphtriple.kgraphs import KGraphPresentation
+        g = KGraphPresentation(1, ["v"], [Edge("e", "v", "v", 1)], [])
+        with pytest.raises(ValueError, match="graph_from_document"):
+            evaluate_all(g, level=1, window=1000)
+
+    def test_one_profile_per_distinct_multiplicity_model(self, monkeypatch):
+        # the five vertices of a 5-loop share one multiplicity model
+        calls = []
+        real = conditions.singular_profile
+
+        def counted(model, window):
+            calls.append(model)
+            return real(model, window)
+        monkeypatch.setattr(conditions, "singular_profile", counted)
+        report = evaluate_all(single_loop(5), level=1, window=1000)
+        samples = report.entries["dimension"].witness["samples"]
+        assert len(samples) == 5 and len(calls) == 1
+        assert len({s["limit"] for s in samples}) == 1
+
     def test_report_shape(self):
         rep = evaluate_all(single_loop(1), window=5000)
         doc = rep.to_json()

@@ -20,9 +20,10 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from corpus import (bi_infinite_path, double_entry_tree,  # noqa: E402
-                    dyadic_tree, loop_with_exit, one_vertex_3graph,
-                    single_exit_violating_2graph, single_loop, sink_path,
-                    torus_2graph, tree_with_ends, two_disjoint_loops,
+                    dyadic_tree, loop_with_exit, loop_with_exit_tree,
+                    one_vertex_3graph, single_exit_violating_2graph,
+                    single_loop, sink_path, torus_2graph, tree_with_ends,
+                    two_disjoint_loops, two_extension_2graph,
                     two_vertex_2graph)
 from graphtriple.cli import run  # noqa: E402
 from graphtriple.graphs import GraphPresentation, graph_to_document  # noqa: E402
@@ -47,11 +48,19 @@ CASES = {
     "torus_2graph_L2": (torus_2graph, 2),
     "two_vertex_2graph_L2": (two_vertex_2graph, 2),
     "tree_with_ends_3": (lambda: tree_with_ends(3), 1),
+    "tree_with_ends_4_L2": (lambda: tree_with_ends(4), 2),
+    "loop_with_exit_tree": (loop_with_exit_tree, 2),
+    "two_extension_2graph": (two_extension_2graph, 1),
 }
 
-# name -> (presentation factory, spectral flags)
+# name -> (presentation factory, spectral flags); a case with
+# "--format csv" is stored as <name>.csv
 SPECTRAL_CASES = {
     "spectral_tree_with_ends_2": (lambda: tree_with_ends(2), ["--vertex", "b"]),
+    "spectral_tree_with_ends_3_W1e6": (
+        lambda: tree_with_ends(3), ["--vertex", "c2", "--window", "1000000"]),
+    "spectral_single_loop_3": (lambda: single_loop(3), []),
+    "spectral_sink_path_csv": (sink_path, ["--vertex", "v", "--format", "csv"]),
 }
 
 CLIFFORD_CASES = {
@@ -76,6 +85,11 @@ def _document(g) -> dict:
     }
 
 
+def _golden_path(name: str) -> Path:
+    csv = "csv" in SPECTRAL_CASES.get(name, (None, []))[1]
+    return GOLDEN_DIR / f"{name}.{'csv' if csv else 'json'}"
+
+
 def _report(name: str, workdir: Path) -> str:
     out = workdir / f"{name}.report.json"
     if name in CLIFFORD_CASES:
@@ -95,19 +109,19 @@ def _report(name: str, workdir: Path) -> str:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_conditions_report_matches_golden(name, tmp_path):
-    expected = (GOLDEN_DIR / f"{name}.json").read_text()
+    expected = _golden_path(name).read_text()
     assert _report(name, tmp_path) == expected
 
 
 @pytest.mark.parametrize("name", sorted(SPECTRAL_CASES))
 def test_spectral_report_matches_golden(name, tmp_path):
-    expected = (GOLDEN_DIR / f"{name}.json").read_text()
+    expected = _golden_path(name).read_text()
     assert _report(name, tmp_path) == expected
 
 
 @pytest.mark.parametrize("name", sorted(CLIFFORD_CASES))
 def test_clifford_report_matches_golden(name, tmp_path):
-    expected = (GOLDEN_DIR / f"{name}.json").read_text()
+    expected = _golden_path(name).read_text()
     assert _report(name, tmp_path) == expected
 
 
@@ -117,5 +131,5 @@ if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for case in sorted(CASES) + sorted(SPECTRAL_CASES) + sorted(CLIFFORD_CASES):
-            (GOLDEN_DIR / f"{case}.json").write_text(_report(case, Path(tmp)))
+            _golden_path(case).write_text(_report(case, Path(tmp)))
             print(f"wrote {case}")

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphtriple.graphs import (Edge, GraphFormatError, GraphPresentation,
-                                GraphValidationError, graph_to_document,
-                                parse_graph)
+                                GraphValidationError, graph_from_document,
+                                graph_to_document, parse_graph)
 
 from corpus import (bi_infinite_path, loop_with_exit, single_loop,
                     tree_with_ends, two_disjoint_loops)
@@ -53,6 +53,18 @@ class TestParse:
         bad["color"] = 1
         with pytest.raises(GraphFormatError, match="unknown"):
             parse_graph(json.dumps(bad))
+
+    @pytest.mark.parametrize("k", [True, 1.0])
+    def test_k_must_be_an_int(self, k):
+        from graphtriple.kgraphs import kgraph_from_document
+        bad = json.loads(doc(["v"], [("e", "v", "v")]))
+        bad["k"] = k
+        with pytest.raises(GraphFormatError):
+            graph_from_document(bad)
+        for rec in bad["edges"]:
+            rec["color"] = 1
+        with pytest.raises(GraphFormatError):
+            kgraph_from_document(bad)
 
     def test_roundtrip(self):
         g = tree_with_ends(3)

@@ -1,13 +1,20 @@
+import math
 import random
+import tracemalloc
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphtriple import spectral
 from graphtriple.algebra import (AlgebraElement, _multiply_keys, kernel,
                                  key_degree)
 from graphtriple.scalars import GaussianRational
 from graphtriple.spectral import (DecompositionError, DiracOperator,
+                                  MultiplicityModel, SpectralProfile,
                                   ThetaSum, Truncation,
                                   build_truncation, closedness_eval,
                                   commutant_probe, decompose_projection,
@@ -278,6 +285,149 @@ class TestProfiles:
         assert all(a >= b for a, b in zip(tail, tail[1:]))
         assert all(f >= prof1.limit_estimate - 1e-6 for f in tail)
         assert round(prof1.limit_estimate, 3) == round(prof2.limit_estimate, 3)
+
+
+def singular_profile_oracle(model, window, sample_count=48):
+    """`singular_profile` as it was with about nine window-length arrays:
+    every array built whole, f_vals over the whole window.  The two-buffer
+    version must report the same floats bit for bit."""
+    if window < 100:
+        return SpectralProfile(
+            window, [], [], None, None, None,
+            {"error": "window too small for a stable estimate"},
+        )
+    ks = np.arange(0, window + 1, dtype=np.float64)
+    lam = 1.0 / np.sqrt(1.0 + ks * ks)
+
+    level_mass = np.empty(window + 1, dtype=np.float64)
+    head = model.forward_head
+    for j in range(min(len(head), window + 1)):
+        level_mass[j] = float(head[j])
+    if window + 1 > len(head):
+        level_mass[len(head):] = float(model.forward_tail)
+    back = np.full(window + 1, float(model.vertex_mass))
+    back[0] = 0.0
+    d = model.backward_depth
+    if d is not None:
+        back[min(d, window) + 1:] = 0.0
+    level_mass = level_mass + back
+
+    cum_mass = np.cumsum(level_mass)
+    cum_int = np.cumsum(lam * level_mass)
+    with np.errstate(divide="ignore"):
+        f_vals = cum_int / np.log1p(cum_mass)
+
+    idx = np.unique(
+        np.clip(
+            np.geomspace(8, window, num=sample_count).astype(np.int64),
+            8, window,
+        )
+    )
+    samples = [(float(cum_mass[i]), float(f_vals[i])) for i in idx]
+
+    tail_idx = idx[idx >= max(64, window // 1024)]
+    x = 1.0 / np.log1p(cum_mass[tail_idx])
+    y = f_vals[tail_idx]
+    coeffs = np.polyfit(x, y, 1)
+    limit = float(coeffs[1])
+    resid = y - np.polyval(coeffs, x)
+    lim_band = (
+        float(min(np.min(y), limit)),
+        float(max(np.max(y), limit)),
+    )
+
+    s = 0.5 + 1.0 / math.log(window)
+    zeta = float(np.sum(level_mass * (1.0 + ks * ks) ** (-s)) * (s - 0.5))
+
+    lead = [(float(lam[j]), model.mass(j)) for j in range(min(8, window))]
+    return SpectralProfile(
+        window=window,
+        eigenvalues=lead,
+        f_samples=samples,
+        limit_estimate=limit,
+        band=lim_band,
+        zeta_residue=zeta,
+        diagnostics={
+            "fit_slope": float(coeffs[0]),
+            "fit_residual_max": float(np.max(np.abs(resid))),
+            "raw_F_at_window": float(f_vals[-1]),
+        },
+    )
+
+
+def _profile_or_error(fn, model, window):
+    """The reported bits of a profile: float reprs of the JSON document,
+    the CSV text and the eigenvalue pairs; or the exception raised."""
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            prof = fn(model, window)
+        except Exception as exc:  # the two must raise alike
+            return ("raised", type(exc).__name__, str(exc))
+    return (repr(prof.to_json()), prof.to_csv(), repr(prof.eigenvalues))
+
+
+_MASSES = st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 3),
+                           Fraction(2), Fraction(5, 2), Fraction(22, 7)])
+
+
+@st.composite
+def profile_cases(draw):
+    window = draw(st.one_of(st.sampled_from([99, 100, 101, 128]),
+                            st.integers(100, 2 * 10 ** 5)))
+    head = draw(st.one_of(
+        st.lists(_MASSES, max_size=12),
+        st.lists(st.just(Fraction(0)), max_size=4),
+        st.lists(_MASSES, min_size=95, max_size=140),
+    ))
+    depth = draw(st.one_of(
+        st.none(), st.just(0), st.integers(1, max(1, window - 1)),
+        st.integers(window, 3 * window),
+    ))
+    vertex_mass = draw(st.one_of(st.just(Fraction(0)), _MASSES))
+    tail = draw(st.one_of(st.just(Fraction(0)), _MASSES))
+    return MultiplicityModel(vertex_mass, head, tail, depth), window
+
+
+class TestProfileBuffers:
+    @given(profile_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_oracle_bit_for_bit(self, case):
+        model, window = case
+        assert _profile_or_error(singular_profile, model, window) == \
+            _profile_or_error(singular_profile_oracle, model, window)
+
+    @pytest.mark.parametrize("depth", [None, 0, 7, 10 ** 6 + 5])
+    def test_matches_oracle_at_window_1e6(self, depth):
+        model = MultiplicityModel(
+            Fraction(3, 2), [Fraction(1), Fraction(5, 2), Fraction(0)],
+            Fraction(7, 3), depth)
+        assert _profile_or_error(singular_profile, model, 10 ** 6) == \
+            _profile_or_error(singular_profile_oracle, model, 10 ** 6)
+
+    def test_corpus_models_match_oracle(self):
+        from corpus import sink_path
+        for g in (single_loop(3), tree_with_ends(3), sink_path()):
+            t = solve_graph_trace(g)
+            for v in g.vertices:
+                model = vertex_multiplicities(g, t, v)
+                for window in (100, 4099):
+                    assert _profile_or_error(singular_profile, model, window) \
+                        == _profile_or_error(singular_profile_oracle, model,
+                                             window)
+
+    def test_peak_memory_is_two_window_buffers(self):
+        g = tree_with_ends(2)
+        model = vertex_multiplicities(g, solve_graph_trace(g), "b")
+        window = 10 ** 6
+        singular_profile(model, window)  # warm-up: imports and caches
+        tracemalloc.start()
+        try:
+            singular_profile(model, window)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * 8 * (window + 1)
 
 
 class TestClosedness:
