@@ -95,11 +95,6 @@ class AlgebraElement:
         key = make_key(ambient, tuple(mu), tuple(nu))
         return AlgebraElement(ambient, {key: GaussianRational.coerce(coeff)})
 
-    @staticmethod
-    def path_isometry(ambient, mu: Sequence[str]) -> "AlgebraElement":
-        """S_mu (with S_v = p_v for empty mu ruled out: mu must be nonempty)."""
-        return AlgebraElement.generator(ambient, tuple(mu), ())
-
     # -- linear structure ------------------------------------------------------
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
@@ -205,9 +200,6 @@ class AlgebraElement:
             verts.add(key_source_mu(self.ambient, (mu, nu, v)))
             verts.add(key_source_nu(self.ambient, (mu, nu, v)))
         return sorted(verts)
-
-    def is_diagonal(self) -> bool:
-        return all(mu == nu for (mu, nu, _) in self.terms)
 
     def __repr__(self) -> str:
         if not self.terms:

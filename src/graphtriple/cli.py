@@ -290,8 +290,6 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("spectral", help="singular value profile")
     common(sp, end_value=True, window=True, formats=("json", "csv"))
     sp.add_argument("--vertex", help="profile p_v instead of (1+D^2)^{-1/2}")
-    sp.add_argument("--csv", action="store_true",
-                    help="shorthand for --format csv")
     cond = sub.add_parser("conditions", help="evaluate the nine conditions")
     common(cond, end_value=True, level=True, window=True, tolerance=True)
     cl = sub.add_parser("clifford", help="reality sign table")
@@ -315,8 +313,6 @@ _COMMANDS = {
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "csv", False):
-        args.format = "csv"
     try:
         return _COMMANDS[args.command](args)
     except (GraphFormatError, GraphValidationError) as exc:

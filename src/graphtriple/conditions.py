@@ -38,7 +38,7 @@ CONDITION_NAMES = (
     "irreducibility",
 )
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
 @dataclass

@@ -226,9 +226,6 @@ class GraphPresentation(EdgeSkeleton):
     def is_source(self, v: str) -> bool:
         return not self._in[v] and v not in self.source_tails
 
-    def conceptual_out_degree(self, v: str) -> int:
-        return len(self._out[v]) + (1 if v in self.tails else 0)
-
     def conceptual_in_degree(self, v: str) -> int:
         return len(self._in[v]) + (1 if v in self.source_tails else 0)
 

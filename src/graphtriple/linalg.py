@@ -9,8 +9,8 @@ from typing import Dict, Hashable, List
 class SparseEchelon:
     """Incremental exact row reduction for sparse rows {column: value}.
 
-    Columns are any mutually comparable keys (ints, or tuples for matrix
-    entries); a row's leading column is its least one.  Rows must carry
+    Columns are any mutually comparable keys; a row's leading column is its
+    least one.  Rows must carry
     nonzero values only.
     """
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .algebra import (AlgebraElement, GenKey, _as_degree_tuple,
                       alignment_targets, expand_key_to, kernel, key_degree,
-                      key_source_mu, key_source_nu, make_key)
+                      key_source_mu, make_key)
 from .clifford import word_span_dimension
 from .graphs import GraphPresentation
 from .kgraphs import KGraphPresentation
@@ -63,9 +63,6 @@ class Truncation:
             kern = kernel(self.ambient)
             self._ids = [kern.key_id(key) for key in self.basis]
         return self._ids
-
-    def index_of(self, key: GenKey) -> int:
-        return self.index()[key]
 
     def nu_target(self, degree: tuple) -> tuple:
         """The aligned nu-degree for basis vectors in the given degree class."""
@@ -171,20 +168,6 @@ class DiracOperator:
     def degree(self, key: GenKey):
         d = key_degree(self.truncation.ambient, key)
         return d[0] if self.truncation.ambient.k == 1 else d
-
-    def apply(self, a: AlgebraElement) -> AlgebraElement:
-        """k = 1 action: scale each component by its degree."""
-        amb = a.ambient
-        if amb.k != 1:
-            raise ValueError("apply() is the scalar k = 1 action")
-        return AlgebraElement(
-            amb,
-            {k: c * key_degree(amb, k)[0] for k, c in a.terms.items()},
-        )
-
-    def eigenvalue_sq(self, key: GenKey) -> int:
-        d = key_degree(self.truncation.ambient, key)
-        return sum(x * x for x in d)
 
     def is_symmetric(self) -> bool:
         """<Dx, y> = <x, Dy>: the degrees are real and the basis diagonalizes
@@ -419,6 +402,10 @@ def singular_profile(model: MultiplicityModel, window: int,
     """F_T profile of the operator with eigenvalue (1+k^2)^{-1/2} at gauge
     degree k and tau~-mass model.mass(k), plus the extrapolated limit.
 
+    When the mass sits on finitely many levels (no forward tail and a
+    bounded backward depth) the operator has finite rank, F_T tends to 0
+    and the limit is reported as 0.0 with no fit.
+
     Two window-length float64 buffers are alive at once (16 bytes per
     window step).  `grid` holds 1 + k^2, then the eigenvalues, then
     eigenvalue * mass and its running sum; `level` holds the zeta terms,
@@ -463,6 +450,12 @@ def singular_profile(model: MultiplicityModel, window: int,
     with np.errstate(divide="ignore"):
         f_vals = cum_int[idx] / np.log1p(t_vals)
     samples = [(float(t), float(f)) for t, f in zip(t_vals, f_vals)]
+    raw_f = float(f_vals[-1])  # idx ends at the window
+    if model.forward_tail == 0 and model.backward_depth is not None:
+        return SpectralProfile(
+            window, lead, samples, 0.0, (0.0, 0.0), zeta,
+            {"finite_rank": True, "raw_F_at_window": raw_f},
+        )
 
     # F(t) = L + C / log(1+t) + O(1/t): linear fit in x = 1/log(1+t)
     tail = idx >= max(64, window // 1024)
@@ -486,7 +479,7 @@ def singular_profile(model: MultiplicityModel, window: int,
         diagnostics={
             "fit_slope": float(coeffs[0]),
             "fit_residual_max": float(np.max(np.abs(resid))),
-            "raw_F_at_window": float(f_vals[-1]),  # idx ends at the window
+            "raw_F_at_window": raw_f,
         },
     )
 
@@ -719,7 +712,12 @@ def _d_commutator_scalar(a: AlgebraElement) -> AlgebraElement:
 
 
 def reality_check_1graph(tr: Truncation) -> dict:
-    """J x = x*: J^2 = 1, JDJ = -D, J a* J = right multiplication by a.
+    """J x = x*: J a* J = right multiplication by a.
+
+    J is the key swap (mu, nu, v) -> (nu, mu, v).  It is its own inverse,
+    so J^2 = 1, and the swapped key has minus the degree, so JDJ = -D; both
+    hold on every basis key by construction, and the verdict rests on
+    J a* J = a_op alone.
 
     J a* J z = (a* z*)* is compared with z a as lists of kernel key ids: the
     involution swaps (mu, nu, v) to (nu, mu, v) key by key (a swap table on
@@ -730,7 +728,6 @@ def reality_check_1graph(tr: Truncation) -> dict:
     amb = tr.ambient
     if amb.k != 1:
         raise ValueError("reality_check_1graph needs a 1-graph truncation")
-    D = DiracOperator(tr)
     kern = kernel(amb)
     keys, product = kern.keys, kern.product
     swapped: Dict[int, int] = {}
@@ -747,12 +744,6 @@ def reality_check_1graph(tr: Truncation) -> dict:
         a = kern.key_id(ka)
         gens.append((ka, a, swap(a)))
     for kz, z_id in zip(tr.basis, tr.key_ids()):
-        z = AlgebraElement(amb, {kz: GaussianRational(1)})
-        if not (z.involution().involution() - z).is_zero():
-            failures.append({"kind": "J^2", "z": kz})
-        jdj = D.apply(z.involution()).involution()
-        if not (jdj + D.apply(z)).is_zero():
-            failures.append({"kind": "JDJ=-D", "z": kz})
         z_star = swap(z_id)
         for ka, a, a_star in gens:
             left = tuple(swap(k) for k in product(a_star, z_star))
@@ -798,64 +789,14 @@ def spin_c_generation_check(tr: Truncation) -> dict:
 # -- commutant probe -------------------------------------------------------------------
 
 
-def _sparse_matrix(tr: Truncation, op: AlgebraElement, side: str):
-    """Truncated matrix of left/right multiplication in basis coordinates.
-
-    Column j sums the real coefficients of op's terms over the basis
-    expansions of the keys of term . z_j (or z_j . term); keys that leak
-    past the level drop out, as in `to_basis_coordinates`.
-    """
-    kern = kernel(tr.ambient)
-    terms = [(kern.key_id(key), c.re) for key, c in op.terms.items()]
-    cols: List[Dict[int, Fraction]] = []
-    for z in tr.key_ids():
-        acc: Dict[int, Fraction] = {}
-        for kop, c in terms:
-            prods = (kern.product(kop, z) if side == "left"
-                     else kern.product(z, kop))
-            for kid in prods:
-                for i in _basis_indices(tr, kern.keys[kid]) or ():
-                    acc[i] = acc.get(i, 0) + c
-        cols.append({i: v for i, v in acc.items() if v})
-    return cols
-
-
-def theta_matrix(tr: Truncation, i: int, j: int,
-                 block: Sequence[int]) -> Dict[int, Dict[int, Fraction]]:
-    """Sparse columns of Theta_{z_i, z_j} (nonzero only on z_j's block)."""
-    amb = tr.ambient
-    kern = kernel(amb)
-    keys, ids = kern.keys, tr.key_ids()
-    yinv = kern.key_id(_swap(tr.basis[j]))
-    cols: Dict[int, Dict[int, Fraction]] = {}
-    zero_deg = (0,) * amb.k
-    for l in block:
-        acc: Dict[int, Fraction] = {}
-        for mid in kern.product(yinv, ids[l]):
-            if key_degree(amb, keys[mid]) != zero_deg:
-                continue
-            for kid in kern.product(ids[i], mid):
-                out = keys[kid]
-                target = tr.nu_target(key_degree(amb, out))
-                for newkey in expand_key_to(amb, out, target):
-                    idx = tr.index_of(newkey)
-                    val = acc.get(idx, Fraction(0)) + 1
-                    if val:
-                        acc[idx] = val
-                    else:
-                        acc.pop(idx, None)
-        if acc:
-            cols[l] = acc
-    return cols
-
-
-def left_fixed_point_commutant(tr: Truncation) -> int:
+def commutant_probe(tr: Truncation) -> dict:
     """Exact dimension of {f in span of diagonal generators: [f, A_c] = 0}.
 
     These are the candidates the irreducibility argument constrains: the
     fixed-point algebra elements commuting with every generator.  The
     dimension equals the number of connected components (the constants per
-    component).  The constraint rows come from key products with integer
+    component), so irreducibility holds when it is 1 on a connected
+    presentation.  The constraint rows come from key products with integer
     coefficients (`_aligned_commutator`).
     """
     amb = tr.ambient
@@ -882,19 +823,17 @@ def left_fixed_point_commutant(tr: Truncation) -> int:
     # candidates are dependent modulo the CK relations (e.g. p_v = S_e S_e*
     # at single-exit vertices), so count solution elements in the common
     # basis frame, not coefficient vectors
-    sol_rows = []
+    sol_ech = SparseEchelon()
     for vec in null:
         f = AlgebraElement(
             amb,
             {diag[c]: GaussianRational(v) for c, v in vec.items()},
         )
         coords, _ = to_basis_coordinates(tr, f)
-        sol_rows.append({i: c.re for i, c in coords.items() if c.re})
-    sol_ech = SparseEchelon()
-    for row in sol_rows:
+        row = {i: c.re for i, c in coords.items() if c.re}
         if row:
             sol_ech.insert(row)
-    return len(sol_ech.pivots)
+    return {"dimension_interior": sol_ech.rank()}
 
 
 def _aligned_commutator(amb, kf: GenKey, kg: GenKey) -> Dict[GenKey, int]:
@@ -917,182 +856,3 @@ def _aligned_commutator(amb, kf: GenKey, kg: GenKey) -> Dict[GenKey, int]:
             else:
                 out.pop(newkey, None)
     return out
-
-
-def commutant_probe(tr: Truncation, margin: int = 1) -> dict:
-    """Probe the operators commuting with D and the generator actions.
-
-    `dimension_interior` is the exact dimension of the fixed-point-algebra
-    commutant (constants per connected component), which is the candidate
-    set the irreducibility argument actually constrains.  The full truncated
-    Theta-span solve is reported as a diagnostic: its excess over the
-    interior dimension consists of truncation-boundary and right-action
-    artifacts, which no finite window can exclude.
-
-    The operator matrices are built from key products and basis expansions
-    (`_sparse_matrix`), and T*A goes through a row index of A built once
-    per operator, so each Theta matrix meets only the entries of A in the
-    rows it uses instead of scanning all columns of A.
-    """
-    amb = tr.ambient
-    basis = tr.basis
-    degrees = [key_degree(amb, key) for key in basis]
-    blocks: Dict[tuple, List[int]] = {}
-    for j, d in enumerate(degrees):
-        blocks.setdefault(d, []).append(j)
-
-    # unique Theta matrices over same-degree pairs (they repeat heavily)
-    mats: List[Dict[int, Dict[int, Fraction]]] = []
-    seen: Dict[tuple, int] = {}
-    for d, block in sorted(blocks.items()):
-        for i in block:
-            for j in block:
-                cols = theta_matrix(tr, i, j, block)
-                if not cols:
-                    continue
-                fp = tuple(
-                    (l, tuple(sorted(col.items()))) for l, col in sorted(cols.items())
-                )
-                if fp not in seen:
-                    seen[fp] = len(mats)
-                    mats.append(cols)
-    r = len(mats)
-
-    ops: List[List[Dict[int, Fraction]]] = []
-    for eid in amb.edge_order:
-        s_e = AlgebraElement.generator(amb, (eid,), ())
-        ops.append(_sparse_matrix(tr, s_e, "left"))
-        ops.append(_sparse_matrix(tr, s_e.involution(), "left"))
-        ops.append(_sparse_matrix(tr, s_e * s_e.involution(), "right"))
-    for v in amb.vertices:
-        ops.append(_sparse_matrix(tr, AlgebraElement.vertex(amb, v), "left"))
-        ops.append(_sparse_matrix(tr, AlgebraElement.vertex(amb, v), "right"))
-
-    ech = SparseEchelon()
-    for a_cols in ops:
-        a_rows: Dict[int, List[Tuple[int, Fraction]]] = {}
-        for col, entries in enumerate(a_cols):
-            for l, v in entries.items():
-                a_rows.setdefault(l, []).append((col, v))
-        # rows indexed by matrix entry (i, col); unknowns by Theta index
-        rows: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
-        for u, t_cols in enumerate(mats):
-            ta = _mat_mul_sparse_rows(t_cols, a_rows)
-            at = _mat_mul_sparse_cols_left(a_cols, t_cols)
-            for col, entries in _sparse_diff(ta, at):
-                for i, v in entries.items():
-                    rows.setdefault((i, col), {})[u] = v
-        for row in rows.values():
-            ech.insert(row)
-
-    null = ech.nullspace(r)
-    interior = _interior_flags(tr, margin)
-
-    def span_rank(flags: Optional[List[bool]]) -> int:
-        span = SparseEchelon()
-        for vec in null:
-            acc: Dict[Tuple[int, int], Fraction] = {}
-            for u, cu in vec.items():
-                for j, col in mats[u].items():
-                    if flags is not None and not flags[j]:
-                        continue
-                    for i, v in col.items():
-                        if flags is not None and not flags[i]:
-                            continue
-                        val = acc.get((i, j), Fraction(0)) + cu * v
-                        if val:
-                            acc[(i, j)] = val
-                        else:
-                            acc.pop((i, j), None)
-            span.insert(acc)
-        return span.rank()
-
-    full_rank = span_rank(None)
-    interior_rank = span_rank(interior)
-    left_dim = left_fixed_point_commutant(tr)
-    return {
-        "dimension_interior": left_dim,
-        "theta_span_dimension": full_rank,
-        "theta_span_interior": interior_rank,
-        "truncation_artifacts": full_rank - left_dim,
-        "theta_matrices": r,
-    }
-
-
-def _mat_mul_sparse_rows(t_cols: Dict[int, Dict[int, Fraction]],
-                         a_rows: Dict[int, List[Tuple[int, Fraction]]]):
-    """Columns of T*A, with T by sparse columns and A by its row index:
-    column l of T meets only the entries (l, col) of A."""
-    out: Dict[int, Dict[int, Fraction]] = {}
-    for l, tc in t_cols.items():
-        for col, v in a_rows.get(l, ()):
-            acc = out.setdefault(col, {})
-            for i, w in tc.items():
-                acc[i] = acc.get(i, 0) + v * w
-    for col in list(out):
-        acc = {i: v for i, v in out[col].items() if v}
-        if acc:
-            out[col] = acc
-        else:
-            del out[col]
-    return out
-
-
-def _mat_mul_sparse_cols_left(a_cols: List[Dict[int, Fraction]],
-                              t_cols: Dict[int, Dict[int, Fraction]]):
-    """Columns of A*T for T keyed by column index."""
-    out: Dict[int, Dict[int, Fraction]] = {}
-    for col, tc in t_cols.items():
-        acc: Dict[int, Fraction] = {}
-        for l, v in tc.items():
-            for i, w in a_cols[l].items():
-                val = acc.get(i, Fraction(0)) + v * w
-                if val:
-                    acc[i] = val
-                else:
-                    acc.pop(i, None)
-        if acc:
-            out[col] = acc
-    return out
-
-
-def _sparse_diff(ta: Dict[int, Dict[int, Fraction]],
-                 at: Dict[int, Dict[int, Fraction]]):
-    for col in set(ta) | set(at):
-        entries = dict(ta.get(col, {}))
-        for i, v in at.get(col, {}).items():
-            val = entries.get(i, Fraction(0)) - v
-            if val:
-                entries[i] = val
-            else:
-                entries.pop(i, None)
-        if entries:
-            yield col, entries
-
-
-def _interior_flags(tr: Truncation, margin: int) -> List[bool]:
-    amb = tr.ambient
-    boundary = amb.boundary_out | amb.boundary_in
-    if not boundary:
-        return [True] * len(tr.basis)
-    dist: Dict[str, int] = {}
-    frontier = set(boundary)
-    level = 0
-    while frontier:
-        for v in frontier:
-            dist.setdefault(v, level)
-        nxt = set()
-        for v in frontier:
-            for eid in amb.out_edges(v):
-                nxt.add(amb.edge_range(eid))
-            for eid in amb.in_edges(v):
-                nxt.add(amb.edge_source(eid))
-        frontier = {v for v in nxt if v not in dist}
-        level += 1
-    flags = []
-    for key in tr.basis:
-        verts = {
-            key[2], key_source_mu(amb, key), key_source_nu(amb, key),
-        }
-        flags.append(all(dist.get(v, 10 ** 9) > margin for v in verts))
-    return flags

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .algebra import AlgebraElement, key_source_mu
 from .graphs import End, GraphPresentation, GraphValidationError
@@ -222,76 +222,65 @@ def canonical_F_form(
     mu != nu and GraphValidationError for a vertex with no forward
     extension.
     """
-    ends = tuple(presentation.find_ends())
-    end_index = {e.id: i + 1 for i, e in enumerate(ends)}
-    stationary = _stationary_end(presentation)
-
-    queue: List[Tuple[str, str, GaussianRational]] = []
+    queue = []
     for key, c in f.terms.items():
         mu, nu, v = key
         if mu != nu:
             raise NonDiagonalError(f"term {key} is not diagonal")
-        src = key_source_mu(f.ambient, key)
-        queue.append((src, v, c))
-
-    terms: Dict[Tuple[str, int], GaussianRational] = {}
-    while queue:
-        src, u, c = queue.pop()
-        if "~t" in u:
-            end_id = f"tail:{u.split('~', 1)[0]}"
-        elif "~s" in u:
-            # a source-tail vertex extends through its chain into the core
-            queue.append((src, u.split("~", 1)[0], c))
-            continue
-        else:
-            end_id = stationary.get(u)
-        if end_id is not None:
-            k = (src, end_index[end_id])
-            val = terms.get(k, GaussianRational(0)) + c
-            if val.is_zero():
-                terms.pop(k, None)
-            else:
-                terms[k] = val
-            continue
-        successors = [presentation.edges[e].range for e in presentation.out_edges(u)]
-        if u in presentation.tails:
-            # the tail branch is already stationary
-            k = (src, end_index[f"tail:{u}"])
-            val = terms.get(k, GaussianRational(0)) + c
-            if val.is_zero():
-                terms.pop(k, None)
-            else:
-                terms[k] = val
-        if not successors and u not in presentation.tails:
-            raise GraphValidationError(f"vertex {u} has no forward extension")
-        for w in successors:
-            queue.append((src, w, c))
-    return FixedPointCanonicalForm(presentation, ends, terms, exact=True)
+        queue.append((key_source_mu(f.ambient, key), v, c))
+    return _fold_into_ends(presentation, queue, GaussianRational(0))
 
 
 def canonical_F_form_numeric(
     projections: Sequence[Tuple[complex, str]], presentation: GraphPresentation
 ) -> FixedPointCanonicalForm:
     """Float-coefficient variant: input is a list of (coefficient, vertex)."""
+    queue = [(v, v, complex(c)) for c, v in projections]
+    return _fold_into_ends(presentation, queue, 0j)
+
+
+def _fold_into_ends(presentation: GraphPresentation, queue: list,
+                    zero) -> FixedPointCanonicalForm:
+    """Walk each (source, vertex, coefficient) forward until it reaches an
+    end and sum the coefficients per (source, end index).
+
+    One walk for both coefficient types: `zero` is GaussianRational(0) for
+    the exact form and 0j for the numeric one.  Vertices of an expanded
+    ambient map back to the presentation: v~t* lies on the tail of v, and
+    v~s* extends through its chain into v.  Zero sums drop out at the end.
+    """
     ends = tuple(presentation.find_ends())
     end_index = {e.id: i + 1 for i, e in enumerate(ends)}
     stationary = _stationary_end(presentation)
-    terms: Dict[Tuple[str, int], complex] = {}
-    queue = [(v, v, complex(c)) for c, v in projections]
+    terms: Dict[Tuple[str, int], object] = {}
+
+    def add(src: str, end_id: str, c) -> None:
+        k = (src, end_index[end_id])
+        terms[k] = terms.get(k, zero) + c
+
     while queue:
         src, u, c = queue.pop()
-        end_id = stationary.get(u)
-        if end_id is not None:
-            k = (src, end_index[end_id])
-            terms[k] = terms.get(k, 0j) + c
+        if "~t" in u:
+            end_id = f"tail:{u.split('~', 1)[0]}"
+        elif "~s" in u:
+            queue.append((src, u.split("~", 1)[0], c))
             continue
+        else:
+            end_id = stationary.get(u)
+        if end_id is not None:
+            add(src, end_id, c)
+            continue
+        successors = [presentation.edges[e].range for e in presentation.out_edges(u)]
         if u in presentation.tails:
-            k = (src, end_index[f"tail:{u}"])
-            terms[k] = terms.get(k, 0j) + c
-        for eid in presentation.out_edges(u):
-            queue.append((src, presentation.edges[eid].range, c))
-    terms = {k: v for k, v in terms.items() if v != 0}
-    return FixedPointCanonicalForm(presentation, ends, terms, exact=False)
+            # the tail branch is already stationary
+            add(src, f"tail:{u}", c)
+        elif not successors:
+            raise GraphValidationError(f"vertex {u} has no forward extension")
+        for w in successors:
+            queue.append((src, w, c))
+    terms = {k: c for k, c in terms.items() if c}
+    return FixedPointCanonicalForm(presentation, ends, terms,
+                                   exact=isinstance(zero, GaussianRational))
 
 
 def fixed_point_norms(form: FixedPointCanonicalForm, trace: GraphTrace) -> dict:

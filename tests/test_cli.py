@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -171,6 +172,7 @@ class TestExitCodes:
         ["ktheory", "--end-value", "tail:v=1"],
         ["trace", "--level", "2"],
         ["hochschild", "--end-value", "tail:v=1"],
+        ["spectral", "--csv"],
     ])
     def test_flag_the_subcommand_does_not_read_is_usage_error(
             self, argv, loop_file, capsys):
@@ -247,6 +249,19 @@ class TestSubcommands:
     def test_format_json_everywhere(self, argv, tree_file, capsys):
         assert run([argv[0], tree_file, "--format", "json"] + argv[1:]) == 0
         json.loads(capsys.readouterr().out)
+
+    def test_spectral_finite_rank_limit_is_zero(self, tmp_path, capsys):
+        # one vertex, no edges: the mass sits on level 0 alone, so the
+        # operator has finite rank and there is no log-growth to fit
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps(
+            {"k": 1, "vertices": ["v"], "edges": [], "tails": []}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's RankWarning, say
+            assert run(["spectral", str(path), "--vertex", "v"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["limit"] == 0.0
+        assert captured.err == ""
 
     def test_spectral_vertex_profile(self, tree_file, capsys):
         assert run(["spectral", tree_file, "--vertex", "b",

@@ -149,7 +149,7 @@ class TestEvaluateAll:
     def test_report_shape(self):
         rep = evaluate_all(single_loop(1), window=5000)
         doc = rep.to_json()
-        assert doc["report_version"] == 1
+        assert doc["report_version"] == 2
         assert set(doc["conditions"]) == set(CONDITION_NAMES)
         for entry in doc["conditions"].values():
             assert entry["status"] in ("holds", "fails", "not_applicable")

@@ -9,6 +9,12 @@ Refactors of the product kernel, the evaluators and the Clifford layer must
 keep them unchanged.  To rewrite them after an intended report change, run
 
     PYTHONPATH=src python tests/test_golden.py
+
+A change to the `conditions` report fields bumps REPORT_VERSION.  The
+report-version-1 goldens stay in tests/golden/v1/ and every change since
+is listed in V1_TO_V2: each v1 twin with those changes applied must equal
+its current golden byte for byte, so no status and no other field moves
+silently.
 """
 
 import json
@@ -29,6 +35,7 @@ from graphtriple.cli import run  # noqa: E402
 from graphtriple.graphs import GraphPresentation, graph_to_document  # noqa: E402
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+V1_DIR = GOLDEN_DIR / "v1"
 
 # name -> (presentation factory, truncation level); the 1-graphs below
 # the first six run at level 2 unless level 2 takes over a second
@@ -111,6 +118,42 @@ def _report(name: str, workdir: Path) -> str:
 def test_conditions_report_matches_golden(name, tmp_path):
     expected = _golden_path(name).read_text()
     assert _report(name, tmp_path) == expected
+
+
+DROP = object()
+
+# Every conditions-report change from report version 1, as (path, value);
+# DROP removes the field where the v1 report has it.
+V1_TO_V2 = [
+    (("report_version",), 2),
+    # the truncated Theta-span diagnostic of the commutant probe, which no
+    # verdict read; irreducibility rests on dimension_interior alone
+    (("conditions", "irreducibility", "witness", "theta_matrices"), DROP),
+    (("conditions", "irreducibility", "witness", "theta_span_dimension"), DROP),
+    (("conditions", "irreducibility", "witness", "theta_span_interior"), DROP),
+    (("conditions", "irreducibility", "witness", "truncation_artifacts"), DROP),
+]
+
+
+def _apply_changes(doc: dict, changes) -> dict:
+    for path, value in changes:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is DROP:
+            parent.pop(path[-1], None)
+        else:
+            parent[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_v1_twin_differs_only_by_listed_changes(name):
+    v1 = json.loads((V1_DIR / f"{name}.json").read_text())
+    assert v1["report_version"] == 1
+    v2 = _apply_changes(v1, V1_TO_V2)
+    expected = _golden_path(name).read_text()
+    assert json.dumps(v2, sort_keys=True, indent=2) + "\n" == expected
 
 
 @pytest.mark.parametrize("name", sorted(SPECTRAL_CASES))

@@ -13,9 +13,9 @@ from graphtriple.traces import (FixedPointCanonicalForm, NoFaithfulTraceError,
                                 ktheory_ranks, solve_graph_trace,
                                 solve_kgraph_trace, trace_functional)
 
-from corpus import (bi_infinite_path, dyadic_tree, loop_with_exit,
-                    single_loop, torus_2graph, tree_with_ends,
-                    two_vertex_2graph)
+from corpus import (bi_infinite_path, double_entry_tree, dyadic_tree,
+                    loop_with_exit, single_loop, sink_path, torus_2graph,
+                    tree_with_ends, two_vertex_2graph)
 
 
 class TestSolveGraphTrace:
@@ -220,6 +220,24 @@ class TestCanonicalForm:
             canonical_F_form(
                 AlgebraElement.generator(amb, ("e1",), ()), g
             )
+
+    @pytest.mark.parametrize("g", [
+        tree_with_ends(2), tree_with_ends(3), tree_with_ends(4),
+        dyadic_tree(2), double_entry_tree(), sink_path(), bi_infinite_path(),
+    ], ids=lambda g: "-".join(g.vertices))
+    def test_numeric_form_is_exact_form_cast(self, g):
+        # Gaussian integer coefficients, which cast to complex exactly
+        coeffs = [GaussianRational(1), GaussianRational(-1),
+                  GaussianRational(2, 1), GaussianRational(1, -3)]
+        pairs = [(coeffs[i % len(coeffs)], v)
+                 for i, v in enumerate(g.vertices)]
+        amb = g.expand(2)
+        f = AlgebraElement(amb, {((), (), v): c for c, v in pairs})
+        exact = canonical_F_form(f, g)
+        numeric = canonical_F_form_numeric(
+            [(complex(c), v) for c, v in pairs], g)
+        assert exact.exact and not numeric.exact
+        assert numeric.terms == {k: complex(c) for k, c in exact.terms.items()}
 
     @given(tree_elements())
     @settings(max_examples=40, deadline=None)
