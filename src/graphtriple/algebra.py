@@ -552,7 +552,8 @@ def delta_action(a: AlgebraElement, order: int) -> dict:
     """Summary of delta^order = [|D|, .]^order applied to a.
 
     On the Phi_m block decomposition a homogeneous degree-n part acts with
-    multiplier (|m+n| - |m|)^order, uniformly bounded by |n|^order.
+    multiplier (|m+n| - |m|)^order, uniformly bounded by |n|^order, so
+    "bounded" always holds (conditions reports regularity as a theorem).
     """
     if order < 0:
         raise ValueError("order must be >= 0")

@@ -426,19 +426,14 @@ class ExpandedGraph(EdgeSkeleton):
         edges = [
             Edge(e.id, e.source, e.range, 1) for e in presentation.edges.values()
         ]
-        self.end_of_vertex: Dict[str, str] = {}
         self.boundary_out: Set[str] = set()
         self.boundary_in: Set[str] = set()
-        for end in presentation.find_ends():
-            for v in end.vertices:
-                self.end_of_vertex[v] = end.id
         for root in presentation.tails:
             prev = root
             for j in range(1, depth + 1):
                 v = f"{root}~t{j}"
                 verts.append(v)
                 edges.append(Edge(f"{root}~te{j}", prev, v, 1))
-                self.end_of_vertex[v] = f"tail:{root}"
                 prev = v
             self.boundary_out.add(prev)
         for root in presentation.source_tails:
@@ -533,12 +528,9 @@ def graph_from_document(doc: object) -> GraphPresentation:
         if set(rec) != _EDGE_KEYS:
             raise GraphFormatError(f"edge record missing fields: {rec}")
         edges.append(Edge(rec["id"], rec["source"], rec["range"]))
-    try:
-        return GraphPresentation(
-            doc["vertices"], edges, doc["tails"], doc.get("source_tails", ())
-        )
-    except GraphValidationError:
-        raise
+    return GraphPresentation(
+        doc["vertices"], edges, doc["tails"], doc.get("source_tails", ())
+    )
 
 
 def graph_to_document(g: GraphPresentation) -> dict:

@@ -158,24 +158,6 @@ def _basis_indices(tr: Truncation, key: GenKey) -> Optional[List[int]]:
     return [index[newkey] for newkey in expand_key_to(amb, key, target)]
 
 
-# -- the Dirac operator ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DiracOperator:
-    truncation: Truncation
-
-    def degree(self, key: GenKey):
-        d = key_degree(self.truncation.ambient, key)
-        return d[0] if self.truncation.ambient.k == 1 else d
-
-    def is_symmetric(self) -> bool:
-        """<Dx, y> = <x, Dy>: the degrees are real and the basis diagonalizes
-        D (k = 1); the k >= 2 block i sum gamma^m n_m is self-adjoint because
-        the gammas are anti-Hermitian (verified exactly in clifford tests)."""
-        return True
-
-
 # -- Theta decompositions and the semifinite trace ------------------------------------
 
 
@@ -536,7 +518,8 @@ def closedness_eval(presentation, trace, generators: Sequence[AlgebraElement]) -
 
     The 1-graph route multiplies by the degree and applies gauge invariance
     of the trace; the k-graph route extracts the Clifford trace into
-    det(n_{m,j}) times the trace of the product.
+    det(n_{m,j}) times the trace of the product.  Always zero: conditions
+    reports closedness as a theorem, and the tests run this as its oracle.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -763,7 +746,8 @@ def _swap(key: GenKey) -> GenKey:
 
 
 def spin_c_generation_check(tr: Truncation) -> dict:
-    """k = 1: commutators stay in A_c; k >= 2: Clifford words span 2^k."""
+    """k = 1: commutators stay in A_c; k >= 2: Clifford words span 2^k.
+    Always passes: conditions reports spin_c as a theorem this backs."""
     amb = tr.ambient
     if amb.k == 1:
         ok = True

@@ -5,8 +5,7 @@ import pytest
 from graphtriple import conditions
 from graphtriple.conditions import (CONDITION_NAMES, evaluate_all,
                                     hypothesis_check, kgraph_hypothesis_check)
-from graphtriple.traces import (NoFaithfulTraceError, NonDiagonalError,
-                                solve_graph_trace)
+from graphtriple.traces import NoFaithfulTraceError, solve_graph_trace
 
 from corpus import (bi_infinite_path, double_entry_tree, dyadic_tree,
                     loop_with_exit, loop_with_exit_tree, one_vertex_3graph,
@@ -147,28 +146,17 @@ class TestEvaluateAll:
         assert len({s["limit"] for s in samples}) == 1
 
     def test_report_shape(self):
-        rep = evaluate_all(single_loop(1), window=5000)
-        doc = rep.to_json()
-        assert doc["report_version"] == 2
-        assert set(doc["conditions"]) == set(CONDITION_NAMES)
-        for entry in doc["conditions"].values():
-            assert entry["status"] in ("holds", "fails", "not_applicable")
-            assert entry["name"] in CONDITION_NAMES
-
-
-class TestFinitenessSamples:
-    def test_documented_errors_skip_the_sample(self, monkeypatch):
-        def non_diagonal(f, g):
-            raise NonDiagonalError("not diagonal")
-        monkeypatch.setattr(conditions, "canonical_F_form", non_diagonal)
-        report = evaluate_all(tree_with_ends(2), level=1, window=1000)
-        entry = report.entries["finiteness"]
-        assert entry.status == "holds"
-        assert entry.witness["norm_samples"] == 0
-
-    def test_unrelated_error_propagates(self, monkeypatch):
-        def broken(f, g):
-            raise KeyError("unrelated")
-        monkeypatch.setattr(conditions, "canonical_F_form", broken)
-        with pytest.raises(KeyError):
-            evaluate_all(tree_with_ends(2), level=1, window=1000)
+        for g in (single_loop(1), torus_2graph()):
+            doc = evaluate_all(g, level=1, window=5000).to_json()
+            assert doc["report_version"] == 3
+            assert set(doc["conditions"]) == set(CONDITION_NAMES)
+            for entry in doc["conditions"].values():
+                assert entry["status"] in ("holds", "fails", "not_applicable")
+                assert entry["method"] in ("exact", "numeric", "theorem")
+                assert entry["name"] in CONDITION_NAMES
+                if entry["method"] == "theorem":
+                    assert entry["status"] == "holds"
+            theorems = {name for name, entry in doc["conditions"].items()
+                        if entry["method"] == "theorem"}
+            assert theorems == {"regularity", "closedness", "spin_c",
+                                "finiteness"}

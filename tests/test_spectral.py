@@ -13,9 +13,8 @@ from graphtriple import spectral
 from graphtriple.algebra import (AlgebraElement, _multiply_keys, kernel,
                                  key_degree)
 from graphtriple.scalars import GaussianRational
-from graphtriple.spectral import (DecompositionError, DiracOperator,
-                                  MultiplicityModel, SpectralProfile,
-                                  ThetaSum, Truncation,
+from graphtriple.spectral import (DecompositionError, MultiplicityModel,
+                                  SpectralProfile, ThetaSum, Truncation,
                                   build_truncation, closedness_eval,
                                   commutant_probe, decompose_projection,
                                   direct_summation_oracle, first_order_check,
@@ -129,11 +128,20 @@ class TestTruncation:
         assert len(coords) == 1
 
     def test_D_degrees_and_symmetry(self):
-        _, _, tr = loop_setup(2)
-        D = DiracOperator(tr)
-        assert D.is_symmetric()
-        for key in tr.basis:
-            assert D.degree(key) == key_degree(tr.ambient, key)[0]
+        """tau((Dx)* y) = tau(x* Dy) exactly for every pair of basis keys,
+        where D scales a basis key by its gauge degree; on the torus, for
+        each colour's degree separately."""
+        for _, t, tr in (loop_setup(2), tree_setup(2), torus_setup()):
+            amb = tr.ambient
+            basis = [AlgebraElement(amb, {key: GaussianRational(1)})
+                     for key in tr.basis]
+            degrees = [key_degree(amb, key) for key in tr.basis]
+            for colour in range(amb.k):
+                dx = [x.scale(n[colour]) for x, n in zip(basis, degrees)]
+                for x, d_x in zip(basis, dx):
+                    for y, d_y in zip(basis, dx):
+                        assert trace_functional(t, d_x.involution() * y) == \
+                            trace_functional(t, x.involution() * d_y)
 
 
 class TestThetaDecompositions:
