@@ -125,11 +125,7 @@ class AlgebraElement:
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 for key in _multiply_keys(amb, k1, k2):
-                    c = out.get(key, GaussianRational(0)) + c1 * c2
-                    if c.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = c
+                    accumulate(out, key, c1 * c2)
         return AlgebraElement(amb, out)
 
     def involution(self) -> "AlgebraElement":
@@ -170,18 +166,7 @@ class AlgebraElement:
 
     def aligned_terms(self) -> Dict[GenKey, GaussianRational]:
         """Depth-aligned canonical coefficients (zero iff the element is zero)."""
-        amb = self.ambient
-        targets = alignment_targets(amb, self.terms)
-        out: Dict[GenKey, GaussianRational] = {}
-        for key, coeff in self.terms.items():
-            target = targets[key_degree(amb, key)]
-            for newkey in expand_key_to(amb, key, target):
-                val = out.get(newkey, GaussianRational(0)) + coeff
-                if val.is_zero():
-                    out.pop(newkey, None)
-                else:
-                    out[newkey] = val
-        return out
+        return aligned(self.ambient, self.terms)
 
     def is_zero(self) -> bool:
         if not self.terms:
@@ -303,6 +288,29 @@ def alignment_targets(ambient, terms: Iterable[GenKey]) -> Dict[tuple, tuple]:
         else:
             targets[d] = dn
     return targets
+
+
+def accumulate(terms: dict, key, c) -> None:
+    """Add c to terms[key], dropping the key when the sum is zero."""
+    if key in terms:
+        c = terms[key] + c
+    if c:
+        terms[key] = c
+    else:
+        terms.pop(key, None)
+
+
+def aligned(ambient, terms: dict) -> dict:
+    """Depth-aligned canonical form of a term map with Gaussian-rational or
+    int coefficients: each key CK-expanded to the alignment target of its
+    degree class, the expansions summed and zero sums dropped.  Empty iff
+    the combination is zero."""
+    targets = alignment_targets(ambient, terms)
+    out: dict = {}
+    for key, c in terms.items():
+        for newkey in expand_key_to(ambient, key, targets[key_degree(ambient, key)]):
+            accumulate(out, newkey, c)
+    return out
 
 
 def expand_key_to(ambient, key: GenKey, target_nu_degree: tuple) -> List[GenKey]:
@@ -519,10 +527,7 @@ def local_unit(elements: Iterable[AlgebraElement]) -> AlgebraElement:
     for a in elements:
         _check_same(elements[0], a)
         verts.update(a.support_vertices())
-    out = AlgebraElement.zero(amb)
-    for v in sorted(verts):
-        out = out + AlgebraElement.vertex(amb, v)
-    return out
+    return sum_of_vertex_projections(amb, verts)
 
 
 def dirac_commutator(a: AlgebraElement):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -18,15 +19,12 @@ from .clifford import KMAX, sign_table_check, volume_form
 from .conditions import (_jsonable, evaluate_all, hypothesis_check,
                          kgraph_hypothesis_check)
 from .graphs import (GraphFormatError, GraphPresentation, GraphValidationError,
-                     graph_from_document)
-from .hochschild import (check_orientation_1graph,
-                         orientation_cycle_kgraph, pi_D_identity_check,
-                         verify_cancellation_steps)
+                     graph_from_document, read_document)
+from .hochschild import check_orientation_1graph, verify_cancellation_steps
 from .kgraphs import kgraph_from_document
 from .spectral import (singular_profile, total_multiplicities,
                        vertex_multiplicities)
-from .traces import (NoFaithfulTraceError, ktheory_ranks, solve_graph_trace,
-                     solve_kgraph_trace)
+from .traces import ktheory_ranks, solve_graph_trace, solve_kgraph_trace
 
 EX_USAGE = 64
 EX_DATAERR = 65
@@ -48,14 +46,7 @@ def _load(path: str):
         print(f"cannot read {path}: {exc}", file=sys.stderr)
         sys.exit(EX_NOINPUT)
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        print(
-            f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}",
-            file=sys.stderr,
-        )
-        sys.exit(EX_DATAERR)
-    try:
+        doc = read_document(text)
         k = doc.get("k", 1) if isinstance(doc, dict) else None
         if type(k) is int and k == 1:
             return graph_from_document(doc)
@@ -86,7 +77,11 @@ def _parse_end_values(pairs):
         if "=" not in item:
             raise GraphValidationError(f"end value must be END=VALUE: {item!r}")
         key, val = item.split("=", 1)
-        out[key] = Fraction(val)
+        try:
+            out[key] = Fraction(val)
+        except (ValueError, ZeroDivisionError):
+            raise GraphValidationError(
+                f"end value must be a rational number: {item!r}") from None
     return out
 
 
@@ -119,19 +114,15 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_trace(args) -> int:
     g = _load(args.input)
-    try:
-        if isinstance(g, GraphPresentation):
-            trace = solve_graph_trace(g, _parse_end_values(args.end_value))
-            payload = {
-                "vertices": {v: str(trace.values[v]) for v in g.vertices},
-                "ends": {k: str(v) for k, v in trace.end_values.items()},
-            }
-        else:
-            trace = solve_kgraph_trace(g)
-            payload = {"vertices": {v: str(trace.values[v]) for v in g.vertices}}
-    except (NoFaithfulTraceError, GraphValidationError) as exc:
-        print(f"validation failure: {exc}", file=sys.stderr)
-        return EX_DATAERR
+    if isinstance(g, GraphPresentation):
+        trace = solve_graph_trace(g, _parse_end_values(args.end_value))
+        payload = {
+            "vertices": {v: str(trace.values[v]) for v in g.vertices},
+            "ends": {k: str(v) for k, v in trace.end_values.items()},
+        }
+    else:
+        trace = solve_kgraph_trace(g)
+        payload = {"vertices": {v: str(trace.values[v]) for v in g.vertices}}
     _emit(payload, args)
     return 0
 
@@ -141,12 +132,7 @@ def _cmd_ktheory(args) -> int:
     if not isinstance(g, GraphPresentation):
         print("K-theory ranks are computed for 1-graphs", file=sys.stderr)
         return EX_DATAERR
-    try:
-        payload = ktheory_ranks(g)
-    except GraphValidationError as exc:
-        print(f"validation failure: {exc}", file=sys.stderr)
-        return EX_DATAERR
-    _emit(payload, args)
+    _emit(ktheory_ranks(g), args)
     return 0
 
 
@@ -164,8 +150,6 @@ def _cmd_hochschild(args) -> int:
         }
     else:
         cancel = verify_cancellation_steps(g)
-        cycle = orientation_cycle_kgraph(g)
-        pid = pi_D_identity_check(cycle)
         payload = {
             "b_ck_zero": cancel["b_ck_zero"],
             "cancellation_steps": {
@@ -179,7 +163,7 @@ def _cmd_hochschild(args) -> int:
                 "step2": cancel["step2_witness"],
                 "step3": cancel["step3_witness"],
             }),
-            "pi_D_is_volume_form": pid["pass"],
+            "pi_D_is_volume_form": cancel["pi_D_is_volume_form"],
         }
     _emit(payload, args)
     return 0
@@ -214,7 +198,7 @@ def _cmd_spectral(args) -> int:
             model = vertex_multiplicities(g, trace, args.vertex)
         else:
             model = total_multiplicities(g, trace)
-    except (NoFaithfulTraceError, GraphValidationError, ValueError) as exc:
+    except ValueError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EX_DATAERR
     profile = singular_profile(model, args.window)
@@ -232,7 +216,7 @@ def _cmd_conditions(args) -> int:
             window=args.window,
             tolerance=args.tolerance,
         )
-    except (GraphValidationError, ValueError) as exc:
+    except ValueError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EX_DATAERR
     _emit(report, args)
@@ -246,6 +230,17 @@ def _positive_int(text: str) -> int:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer: {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite positive number: {text!r}")
     return value
 
 
@@ -273,13 +268,13 @@ def build_parser() -> _Parser:
             p.add_argument("--end-value", action="append", metavar="END=VALUE",
                            help="trace value for an end (default 1)")
         if level:
-            p.add_argument("--level", type=int, default=3,
+            p.add_argument("--level", type=_positive_int, default=3,
                            help="truncation level L (default 3)")
         if window:
             p.add_argument("--window", type=_positive_int, default=100000,
                            help="spectral window N (default 100000)")
         if tolerance:
-            p.add_argument("--tolerance", type=float, default=0.05)
+            p.add_argument("--tolerance", type=_positive_float, default=0.05)
 
     common(sub.add_parser("analyze", help="structural report"))
     common(sub.add_parser("trace", help="solve the graph trace"),

@@ -157,6 +157,11 @@ def _check_generators(k: int, gens: Sequence[Monomial]) -> None:
                 raise AssertionError(f"gamma^{j}, gamma^{l} anticommutator wrong")
 
 
+def volume_phase(k: int) -> int:
+    """The q with i**q = i^ceil((k+1)/2), the phase of omega_C."""
+    return -((k + 1) // -2)
+
+
 def volume_form(k: int, gens: Sequence[Monomial] = None) -> dict:
     """omega_C = i^ceil((k+1)/2) gamma^1 ... gamma^k, with omega_C^2 reported.
 
@@ -164,7 +169,7 @@ def volume_form(k: int, gens: Sequence[Monomial] = None) -> dict:
     grading i*omega_C (even k) squares to +Id and is what the sign table uses.
     """
     gens = list(gens) if gens is not None else generators(k)
-    omega = reduce(matmul, gens).times_i(-((k + 1) // -2))  # ceil((k+1)/2)
+    omega = reduce(matmul, gens).times_i(volume_phase(k))
     sq_scalar = (omega @ omega).scalar()
     out = {
         "k": k,

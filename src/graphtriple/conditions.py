@@ -11,6 +11,12 @@ presentation the parsers accept.  They are reported with method "theorem"
 and their argument (THEOREMS) as witness; `delta_action`,
 `closedness_eval`, `spin_c_generation_check` and `canonical_F_form` with
 `fixed_point_norms` re-derive them in the tests.
+
+1-graph orientability is decided by the closed form of b(c) alone: c is a
+cycle iff every coefficient of `boundary_coefficients_1graph` vanishes.
+The truncated b(c) and pi_D(c) checks follow from it and run in
+`graphtriple hochschild` and the tests.  k-graph orientability reads b(c_k)
+and pi_D(c_k) from `verify_cancellation_steps`, which builds c_k once.
 """
 
 from __future__ import annotations
@@ -20,8 +26,7 @@ from typing import Dict, Optional, Union
 
 from .clifford import SIGN_TABLE, reality_operator, volume_form
 from .graphs import GraphPresentation
-from .hochschild import (check_orientation_1graph, orientation_cycle_kgraph,
-                         pi_D_identity_check, verify_cancellation_steps)
+from .hochschild import boundary_coefficients_1graph, verify_cancellation_steps
 from .kgraphs import KGraphPresentation
 from .spectral import (build_truncation, commutant_probe, first_order_check,
                        kgraph_lattice_profile, reality_check_1graph,
@@ -157,6 +162,8 @@ def evaluate_all(
     window: int = 100_000,
     tolerance: float = 0.05,
 ) -> ConditionReport:
+    if level < 1:
+        raise ValueError("truncation level must be >= 1")
     if isinstance(presentation, KGraphPresentation):
         if presentation.k == 1:
             raise ValueError(
@@ -186,20 +193,13 @@ def _evaluate_graph(g: GraphPresentation, end_values, level, window,
         trace = None
 
     # orientability is combinatorial and stays evaluable without the trace
-    orient = check_orientation_1graph(g, depth=level)
-    if orient["orientable"]:
-        entries["orientability"] = ConditionEntry(
-            "orientability", "holds", "exact",
-            {"boundary_coefficients": orient["boundary_coefficients"]},
-        )
-    else:
-        witness = {
-            v: c for v, c in orient["boundary_coefficients"].items() if c != 0
-        }
-        entries["orientability"] = ConditionEntry(
-            "orientability", "fails", "exact",
-            {"nonzero_boundary_coefficients": witness},
-        )
+    coeffs = boundary_coefficients_1graph(g)
+    nonzero = {v: c for v, c in coeffs.items() if c}
+    entries["orientability"] = ConditionEntry(
+        "orientability", "fails" if nonzero else "holds", "exact",
+        {"nonzero_boundary_coefficients": nonzero} if nonzero
+        else {"boundary_coefficients": coeffs},
+    )
 
     if trace is None:
         return _shared_entries(entries, hyp, params, None, None)
@@ -264,14 +264,12 @@ def _evaluate_kgraph(g: KGraphPresentation, level, window,
     k = g.k
 
     cancel = verify_cancellation_steps(g)
-    cycle = orientation_cycle_kgraph(g)
-    pid = pi_D_identity_check(cycle)
-    orient_ok = cancel["b_ck_zero"] and pid["pass"]
+    orient_ok = cancel["b_ck_zero"] and cancel["pi_D_is_volume_form"]
     entries["orientability"] = ConditionEntry(
         "orientability", "holds" if orient_ok else "fails", "exact",
         {
             "b_ck_zero": cancel["b_ck_zero"],
-            "pi_D_is_volume_form": pid["pass"],
+            "pi_D_is_volume_form": cancel["pi_D_is_volume_form"],
             "failing_step": None if cancel["pass"] else _failing_step(cancel),
         },
     )

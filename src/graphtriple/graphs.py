@@ -69,10 +69,22 @@ class EdgeSkeleton:
     boundary_in: AbstractSet[str] = frozenset()
 
     def _index_edges(self, edges: Sequence[Edge]) -> None:
-        self.edges: Dict[str, Edge] = {e.id: e for e in edges}
-        self.edge_order: Tuple[str, ...] = tuple(sorted(self.edges))
+        """Index the edges; GraphValidationError on a repeated vertex or edge
+        id, or on an edge that joins an undeclared vertex."""
+        if len(set(self.vertices)) != len(self.vertices):
+            raise GraphValidationError("duplicate vertex identifier")
         self._out: Dict[str, Tuple[str, ...]] = {v: () for v in self.vertices}
         self._in: Dict[str, Tuple[str, ...]] = {v: () for v in self.vertices}
+        self.edges: Dict[str, Edge] = {}
+        for e in edges:
+            if e.id in self.edges:
+                raise GraphValidationError(f"duplicate edge id {e.id!r}")
+            for v in (e.source, e.range):
+                if v not in self._out:
+                    raise GraphValidationError(
+                        f"edge {e.id!r} references undeclared vertex {v!r}")
+            self.edges[e.id] = e
+        self.edge_order: Tuple[str, ...] = tuple(sorted(self.edges))
         for eid in self.edge_order:
             e = self.edges[eid]
             self._out[e.source] += (eid,)
@@ -182,26 +194,11 @@ class GraphPresentation(EdgeSkeleton):
     # -- validation ---------------------------------------------------------
 
     def _validate(self, edges: Sequence[Edge]) -> None:
-        if len(set(self.vertices)) != len(self.vertices):
-            raise GraphValidationError("duplicate vertex identifier")
-        seen: Set[str] = set()
         vset = set(self.vertices)
         for ident in list(self.vertices) + [e.id for e in edges]:
             if not isinstance(ident, str) or not ident or "~" in ident:
                 raise GraphValidationError(
                     f"identifier {ident!r} must be a nonempty string without '~'"
-                )
-        for e in edges:
-            if e.id in seen:
-                raise GraphValidationError(f"duplicate edge id {e.id!r}")
-            seen.add(e.id)
-            if e.source not in vset:
-                raise GraphValidationError(
-                    f"edge {e.id!r} references undeclared vertex {e.source!r}"
-                )
-            if e.range not in vset:
-                raise GraphValidationError(
-                    f"edge {e.id!r} references undeclared vertex {e.range!r}"
                 )
         for v in self.tails:
             if v not in vset:
@@ -488,46 +485,58 @@ class ExpandedGraph(EdgeSkeleton):
         ]
 
 
-def parse_graph(text: str) -> GraphPresentation:
-    """Parse and validate a 1-graph presentation document."""
+def read_document(text: str) -> object:
+    """The JSON value of a presentation document's text."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    return graph_from_document(doc)
 
 
-def check_array_fields(doc: dict, fields: Sequence[str]) -> None:
-    """Raise GraphFormatError unless each of the fields present is an array."""
-    for key in fields:
-        if key in doc and not isinstance(doc[key], list):
-            raise GraphFormatError(f"field {key!r} must be an array")
+def parse_graph(text: str) -> GraphPresentation:
+    """Parse and validate a 1-graph presentation document."""
+    return graph_from_document(read_document(text))
 
 
-def graph_from_document(doc: object) -> GraphPresentation:
+def document_edges(doc: object, fields: AbstractSet[str],
+                   edge_fields: AbstractSet[str]) -> List[Edge]:
+    """Check a presentation document's schema and return its edges.
+
+    GraphFormatError unless doc is a JSON object with no field outside
+    `fields`, with k, vertices, edges and tails present, a positive int k,
+    every other field an array, and every edge record an object with
+    exactly `edge_fields`.
+    """
     if not isinstance(doc, dict):
         raise GraphFormatError("presentation document must be a JSON object")
-    unknown = set(doc) - _GRAPH_KEYS
+    unknown = set(doc) - fields
     if unknown:
         raise GraphFormatError(f"unknown fields: {sorted(unknown)}")
     for key in ("k", "vertices", "edges", "tails"):
         if key not in doc:
             raise GraphFormatError(f"missing required field {key!r}")
-    if type(doc["k"]) is not int or doc["k"] != 1:
-        raise GraphFormatError("graph documents must have k = 1 (use parse_kgraph)")
-    check_array_fields(doc, ("vertices", "edges", "tails", "source_tails"))
-    edges = []
+    if type(doc["k"]) is not int or doc["k"] < 1:
+        raise GraphFormatError("k must be a positive integer")
+    for key in sorted(fields - {"k"}):
+        if key in doc and not isinstance(doc[key], list):
+            raise GraphFormatError(f"field {key!r} must be an array")
     for rec in doc["edges"]:
         if not isinstance(rec, dict):
             raise GraphFormatError("edge records must be objects")
-        extra = set(rec) - _EDGE_KEYS
+        extra = set(rec) - edge_fields
         if extra:
             raise GraphFormatError(f"unknown edge fields: {sorted(extra)}")
-        if set(rec) != _EDGE_KEYS:
+        if set(rec) != edge_fields:
             raise GraphFormatError(f"edge record missing fields: {rec}")
-        edges.append(Edge(rec["id"], rec["source"], rec["range"]))
+    return [Edge(**rec) for rec in doc["edges"]]
+
+
+def graph_from_document(doc: object) -> GraphPresentation:
+    if isinstance(doc, dict) and doc.get("k", 1) != 1:
+        raise GraphFormatError("graph documents must have k = 1 (use parse_kgraph)")
+    edges = document_edges(doc, _GRAPH_KEYS, _EDGE_KEYS)
     return GraphPresentation(
         doc["vertices"], edges, doc["tails"], doc.get("source_tails", ())
     )

@@ -5,6 +5,15 @@ Chains are exact linear combinations of tensors of single generators.  Zero
 tests canonicalize every tensor slot by the same depth-aligned Cuntz-Krieger
 expansion the algebra uses, since slot entries are only well defined modulo
 the relation p_v = sum S_e S_e*.
+
+For a 1-graph, b(c) = sum_v (|v|_1 - [v emits]) p_v on the conceptual
+graph (`boundary_coefficients_1graph`), so c is a cycle exactly when every
+coefficient vanishes, and that closed form is what `conditions` reports.
+On a truncation the boundary b(c) is that sum plus the boundary residue
+and pi_D(c) = sum_e p_{r(e)}; `check_orientation_1graph` computes both
+and backs `graphtriple hochschild`.  For a k-graph,
+`verify_cancellation_steps` builds c_k once and reports b(c_k) = 0, the
+three cancellation steps and pi_D(c_k) = omega_C (x) 1 from it.
 """
 
 from __future__ import annotations
@@ -14,10 +23,10 @@ import math
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .algebra import (AlgebraElement, GenKey, _multiply_keys, alignment_targets,
-                      expand_key_to, key_degree, key_source_mu, make_key,
-                      sum_of_vertex_projections)
-from .clifford import word_product
+from .algebra import (AlgebraElement, GenKey, _multiply_keys, accumulate,
+                      alignment_targets, expand_key_to, key_degree,
+                      key_source_mu, make_key, sum_of_vertex_projections)
+from .clifford import volume_phase, word_product
 from .graphs import ExpandedGraph, GraphPresentation
 from .kgraphs import KGraphPresentation
 from .scalars import GaussianRational, ONE
@@ -47,11 +56,7 @@ class HochschildChain:
             raise ValueError("cannot add chains of different arity")
         out = dict(self.terms)
         for fac, c in other.terms.items():
-            val = out.get(fac, GaussianRational(0)) + c
-            if val.is_zero():
-                out.pop(fac, None)
-            else:
-                out[fac] = val
+            accumulate(out, fac, c)
         return HochschildChain(self.ambient, self.arity, out)
 
     def scale(self, c) -> "HochschildChain":
@@ -71,22 +76,14 @@ class HochschildChain:
         amb = self.ambient
         n = self.arity - 1
         out: Dict[FactorTuple, GaussianRational] = {}
-
-        def put(fac: FactorTuple, c: GaussianRational) -> None:
-            val = out.get(fac, GaussianRational(0)) + c
-            if val.is_zero():
-                out.pop(fac, None)
-            else:
-                out[fac] = val
-
         for fac, c in self.terms.items():
             for j in range(n):
                 sign = GaussianRational((-1) ** j)
                 for key in _multiply_keys(amb, fac[j], fac[j + 1]):
-                    put(fac[:j] + (key,) + fac[j + 2:], c * sign)
+                    accumulate(out, fac[:j] + (key,) + fac[j + 2:], c * sign)
             sign = GaussianRational((-1) ** n)
             for key in _multiply_keys(amb, fac[n], fac[0]):
-                put((key,) + fac[1:n], c * sign)
+                accumulate(out, (key,) + fac[1:n], c * sign)
         return HochschildChain(amb, n, out)
 
     def canonical_terms(self) -> Dict[FactorTuple, GaussianRational]:
@@ -104,11 +101,7 @@ class HochschildChain:
         for fac, c in self.terms.items():
             for combo in itertools.product(*(slot_maps[i][fac[i]]
                                              for i in range(self.arity))):
-                val = out.get(combo, GaussianRational(0)) + c
-                if val.is_zero():
-                    out.pop(combo, None)
-                else:
-                    out[combo] = val
+                accumulate(out, combo, c)
         return out
 
     def is_zero(self) -> bool:
@@ -160,7 +153,7 @@ def orientation_cycle_kgraph(g: KGraphPresentation) -> HochschildChain:
     """c_k = i^ceil((k+1)/2) sum_mu (1/k!) sum_sigma (-1)^sigma
     S_mu* (x) S_{mu^sigma_1} (x) ... (x) S_{mu^sigma_k}."""
     k = g.k
-    scalar = GaussianRational.i_power(-((k + 1) // -2))
+    scalar = GaussianRational.i_power(volume_phase(k))
     inv_fact = GaussianRational(Fraction(1, math.factorial(k)))
     terms: Dict[FactorTuple, GaussianRational] = {}
     for mu in g.unit_degree_paths():
@@ -170,13 +163,7 @@ def orientation_cycle_kgraph(g: KGraphPresentation) -> HochschildChain:
             factors = tuple(
                 make_key(g, piece, ()) for piece in g.factorize(mu, sigma)
             )
-            fac = (star,) + factors
-            c = scalar * inv_fact * sign
-            val = terms.get(fac, GaussianRational(0)) + c
-            if val.is_zero():
-                terms.pop(fac, None)
-            else:
-                terms[fac] = val
+            accumulate(terms, (star,) + factors, scalar * inv_fact * sign)
     return HochschildChain(g, k + 1, terms)
 
 
@@ -250,16 +237,14 @@ def pi_D_identity_check(chain: HochschildChain, vertices: Optional[Iterable[str]
     volume form scalar i^ceil((k+1)/2).
     """
     amb = chain.ambient
-    target = sum_of_vertex_projections(
-        amb, vertices if vertices is not None else None
-    )
+    target = sum_of_vertex_projections(amb, vertices)
     rep = pi_D(chain)
     if amb.k == 1:
         piece = _restrict_to_sources(rep, target.support_vertices())
         ok = piece.equals(target)
         return {"pass": ok, "representation": rep}
     k = amb.k
-    scalar = GaussianRational.i_power(-((k + 1) // -2))
+    scalar = GaussianRational.i_power(volume_phase(k))
     full = tuple(range(1, k + 1))
     words = rep["words"]
     ok = set(words) == {full} and words[full].equals(target.scale(scalar))
@@ -289,11 +274,8 @@ def check_orientation_1graph(g: GraphPresentation, depth: int = 3) -> dict:
     coeffs = boundary_coefficients_1graph(g)
     closed_form_zero = all(v == 0 for v in coeffs.values())
 
-    residue = AlgebraElement.zero(amb)
-    for u in sorted(amb.boundary_out):
-        residue = residue + AlgebraElement.vertex(amb, u)
-    for w in sorted(amb.boundary_in):
-        residue = residue - AlgebraElement.vertex(amb, w)
+    residue = (sum_of_vertex_projections(amb, amb.boundary_out)
+               - sum_of_vertex_projections(amb, amb.boundary_in))
     bc = cycle.boundary()
     bc_elt = AlgebraElement(
         amb, {fac[0]: c for fac, c in bc.terms.items()}
@@ -325,6 +307,11 @@ def verify_cancellation_steps(g: KGraphPresentation) -> dict:
     tensors agree termwise; (iii) every head term is cancelled by the
     Cuntz-Krieger sum over entering edges (single exit makes the matching
     one-to-one).  Reports the failing step and a witness otherwise.
+
+    c_k is built once, and both b(c_k) = 0 (`b_ck_zero`) and
+    pi_D(c_k) = omega_C (x) 1 (`pi_D_is_volume_form`, from
+    `pi_D_identity_check`) are read off it.  `pass` is the three steps and
+    b(c_k) = 0; it does not include pi_D.
     """
     k = g.k
     mus = g.unit_degree_paths()
@@ -351,13 +338,8 @@ def verify_cancellation_steps(g: KGraphPresentation) -> dict:
         for j in range(1, k):
             total: Dict[FactorTuple, GaussianRational] = {}
             for sigma in perms:
-                sign = GaussianRational(permutation_sign(sigma))
-                fac = _merged_tensor(g, mu, sigma, j)
-                val = total.get(fac, GaussianRational(0)) + sign
-                if val.is_zero():
-                    total.pop(fac, None)
-                else:
-                    total[fac] = val
+                accumulate(total, _merged_tensor(g, mu, sigma, j),
+                           permutation_sign(sigma))
             if total:
                 step1_ok, step1_witness = False, {"mu": mu, "j": j}
 
@@ -401,6 +383,7 @@ def verify_cancellation_steps(g: KGraphPresentation) -> dict:
         "step3_ck_cancellation": step3_ok,
         "step3_witness": step3_witness,
         "b_ck_zero": b_zero,
+        "pi_D_is_volume_form": pi_D_identity_check(cycle)["pass"],
         "pass": step1_ok and step2_ok and step3_ok and b_zero,
     }
 

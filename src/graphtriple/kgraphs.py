@@ -17,11 +17,10 @@ color".  Internal data never flips.
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .graphs import (Edge, EdgeSkeleton, GraphFormatError,
-                     GraphValidationError, check_array_fields)
+                     GraphValidationError, document_edges, read_document)
 
 Degree = Tuple[int, ...]
 Word = Tuple[str, ...]
@@ -42,8 +41,8 @@ class KGraphPresentation(EdgeSkeleton):
             raise GraphValidationError("rank k must be a positive integer")
         self.k = k
         self.vertices: Tuple[str, ...] = tuple(sorted(vertices))
-        self._validate_skeleton(edges)
         self._index_edges(edges)
+        self._validate_colors()
         self._swap: Dict[Tuple[str, str], Tuple[str, str]] = {}
         self._install_squares(squares)
         self._check_square_coverage()
@@ -52,26 +51,16 @@ class KGraphPresentation(EdgeSkeleton):
 
     # -- validation ----------------------------------------------------------
 
-    def _validate_skeleton(self, edges: Sequence[Edge]) -> None:
-        if len(set(self.vertices)) != len(self.vertices):
-            raise GraphValidationError("duplicate vertex identifier")
-        vset = set(self.vertices)
-        seen = set()
-        for e in edges:
-            if e.id in seen:
-                raise GraphValidationError(f"duplicate edge id {e.id!r}")
-            seen.add(e.id)
-            if e.source not in vset or e.range not in vset:
-                raise GraphValidationError(
-                    f"edge {e.id!r} references an undeclared vertex"
-                )
+    def _validate_colors(self) -> None:
+        for e in self.edges.values():
             if not 1 <= e.color <= self.k:
                 raise GraphValidationError(
                     f"edge {e.id!r} has color {e.color} outside 1..{self.k}"
                 )
-        for v in vset:
+        for v in self.vertices:
+            emitted = {self.edges[eid].color for eid in self._out[v]}
             for c in range(1, self.k + 1):
-                if not any(e.source == v and e.color == c for e in edges):
+                if c not in emitted:
                     raise GraphValidationError(
                         f"vertex {v!r} emits no edge of color {c}"
                         " (presentation must be row-finite with no sources"
@@ -263,44 +252,18 @@ class KGraphPresentation(EdgeSkeleton):
 
 def parse_kgraph(text: str) -> KGraphPresentation:
     """Parse and validate a k-graph presentation document."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(
-            f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    return kgraph_from_document(doc)
+    return kgraph_from_document(read_document(text))
 
 
 def kgraph_from_document(doc: object) -> KGraphPresentation:
-    if not isinstance(doc, dict):
-        raise GraphFormatError("presentation document must be a JSON object")
-    unknown = set(doc) - _KGRAPH_KEYS
-    if unknown:
-        raise GraphFormatError(f"unknown fields: {sorted(unknown)}")
-    for key in ("k", "vertices", "edges", "tails"):
-        if key not in doc:
-            raise GraphFormatError(f"missing required field {key!r}")
-    if type(doc["k"]) is not int or doc["k"] < 1:
-        raise GraphFormatError("k must be a positive integer")
-    check_array_fields(
-        doc, ("vertices", "edges", "tails", "source_tails", "squares"))
+    edges = document_edges(doc, _KGRAPH_KEYS, _EDGE_KEYS)
     if doc["tails"] or doc.get("source_tails"):
         raise GraphFormatError("tails are not supported for k-graph documents")
-    edges = []
-    for rec in doc["edges"]:
-        if not isinstance(rec, dict):
-            raise GraphFormatError("edge records must be objects")
-        extra = set(rec) - _EDGE_KEYS
-        if extra:
-            raise GraphFormatError(f"unknown edge fields: {sorted(extra)}")
-        if set(rec) != _EDGE_KEYS:
-            raise GraphFormatError(f"edge record missing fields: {rec}")
-        edges.append(Edge(rec["id"], rec["source"], rec["range"], rec["color"]))
     squares = []
     for rec in doc.get("squares", ()):
         if not isinstance(rec, dict) or set(rec) != {"first", "second"}:
             raise GraphFormatError(f"square record must have first/second: {rec}")
-        check_array_fields(rec, ("first", "second"))
+        if not all(isinstance(rec[key], list) for key in rec):
+            raise GraphFormatError(f"square pairs must be arrays: {rec}")
         squares.append((tuple(rec["first"]), tuple(rec["second"])))
     return KGraphPresentation(doc["k"], doc["vertices"], edges, squares)

@@ -24,8 +24,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .algebra import (AlgebraElement, GenKey, _as_degree_tuple,
-                      alignment_targets, expand_key_to, kernel, key_degree,
+from .algebra import (AlgebraElement, GenKey, _as_degree_tuple, accumulate,
+                      aligned, expand_key_to, kernel, key_degree,
                       key_source_mu, make_key)
 from .clifford import word_span_dimension
 from .graphs import GraphPresentation
@@ -69,11 +69,10 @@ class Truncation:
         return tuple(self.level - max(d, 0) for d in degree)
 
 
-def build_truncation(presentation, trace, level: int,
-                     expansion_margin: int = 2) -> Truncation:
+def build_truncation(presentation, trace, level: int) -> Truncation:
     """Enumerate the orthogonal maximal-generator basis at the given level.
 
-    Tails expand a little deeper than the level so that some basis vectors
+    Tails expand two steps deeper than the level so that some basis vectors
     live entirely away from the truncation cut.  A pair (mu, nu) into w
     needs max(d(mu), d(nu)) = level in every colour, unless w is a sink
     (only 1-graphs have sinks), where every pair up to the level counts.
@@ -81,7 +80,7 @@ def build_truncation(presentation, trace, level: int,
     if level < 1:
         raise ValueError("truncation level must be >= 1")
     if isinstance(presentation, GraphPresentation):
-        ambient = presentation.expand(level + max(expansion_margin, 0))
+        ambient = presentation.expand(level + 2)
     else:
         ambient = presentation
     box = _degree_box(ambient.k, level)
@@ -138,11 +137,7 @@ def to_basis_coordinates(tr: Truncation, a: AlgebraElement):
             leaked = True
             continue
         for i in indices:
-            val = coords.get(i, GaussianRational(0)) + c
-            if val.is_zero():
-                coords.pop(i, None)
-            else:
-                coords[i] = val
+            accumulate(coords, i, c)
     return coords, leaked
 
 
@@ -197,8 +192,8 @@ def semifinite_trace(theta: ThetaSum, trace) -> GaussianRational:
     return theta.tau_tilde(trace)
 
 
-def decompose_projection(v: str, degree: int | Tuple[int, ...], tr: Truncation,
-                         validate: bool = True) -> ThetaSum:
+def decompose_projection(v: str, degree: int | Tuple[int, ...],
+                         tr: Truncation) -> ThetaSum:
     """Rank-one decomposition of p_v Phi_degree on the truncated module.
 
     degree is an int (1-graphs) or a tuple with one entry per colour, each
@@ -206,8 +201,7 @@ def decompose_projection(v: str, degree: int | Tuple[int, ...], tr: Truncation,
     neg >= 0: the sum is of Theta_{x,x} with x = S_alpha S_beta*, over the
     paths alpha of degree pos out of v, with beta the first path of degree
     neg into r(alpha) (alpha skipped when there is none).  Degree zero is
-    Theta_{p_v, p_v}.  Validated pointwise on every basis vector unless
-    disabled.
+    Theta_{p_v, p_v}.  Validated pointwise on every basis vector.
     """
     amb = tr.ambient
     degree = _as_degree_tuple(amb, degree)
@@ -228,8 +222,7 @@ def decompose_projection(v: str, degree: int | Tuple[int, ...], tr: Truncation,
                 x = AlgebraElement.generator(amb, alpha, betas[0])
                 parts.append((one, x, x))
     theta = ThetaSum(parts)
-    if validate:
-        _validate_projection_decomposition(theta, v, degree, tr)
+    _validate_projection_decomposition(theta, v, degree, tr)
     return theta
 
 
@@ -379,10 +372,10 @@ def _mass_runs(model: MultiplicityModel,
     return runs
 
 
-def singular_profile(model: MultiplicityModel, window: int,
-                     sample_count: int = 48) -> SpectralProfile:
+def singular_profile(model: MultiplicityModel, window: int) -> SpectralProfile:
     """F_T profile of the operator with eigenvalue (1+k^2)^{-1/2} at gauge
-    degree k and tau~-mass model.mass(k), plus the extrapolated limit.
+    degree k and tau~-mass model.mass(k), sampled at 48 geometrically spaced
+    levels, plus the extrapolated limit.
 
     When the mass sits on finitely many levels (no forward tail and a
     bounded backward depth) the operator has finite rank, F_T tends to 0
@@ -424,7 +417,7 @@ def singular_profile(model: MultiplicityModel, window: int,
 
     idx = np.unique(
         np.clip(
-            np.geomspace(8, window, num=sample_count).astype(np.int64),
+            np.geomspace(8, window, num=48).astype(np.int64),
             8, window,
         )
     )
@@ -577,14 +570,14 @@ def _det(m: List[List[Fraction]]) -> Fraction:
     return total
 
 
-def first_order_check(tr: Truncation, max_generator_length: int = 1) -> dict:
+def first_order_check(tr: Truncation) -> dict:
     """[a, b^op] = 0 and [[D, a], b^op] = 0 exactly on all basis vectors.
 
-    a, b range over algebra generators with paths up to the given length
-    (length 1 generates the algebra; products follow by the derivation
+    a, b range over algebra generators with paths of length at most 1
+    (they generate the algebra; products follow by the derivation
     property).  Products of single generators are key multisets, so the
     commutators compare termwise, falling back to the relation-aware zero
-    test only on a syntactic mismatch.
+    test (`_aligned_difference` is empty) only on a syntactic mismatch.
 
     The loop works on key ids of the ambient's product kernel and runs over
     a transposed left-product index: by_key[k] maps the index of each
@@ -599,7 +592,7 @@ def first_order_check(tr: Truncation, max_generator_length: int = 1) -> dict:
     amb = tr.ambient
     kern = kernel(amb)
     product = kern.product
-    gens = generator_keys(amb, max_generator_length)
+    gens = generator_keys(amb, 1)
     gen_ids = [kern.key_id(ka) for ka in gens]
     weights = [sum(key_degree(amb, ka)) for ka in gens]
     by_key: Dict[int, Dict[int, Tuple[int, ...]]] = {}
@@ -642,8 +635,7 @@ def first_order_check(tr: Truncation, max_generator_length: int = 1) -> dict:
                 right = rights.get(ia, ())
                 if left == right or sorted(left) == sorted(right):
                     continue
-                if _keys_difference(amb, [kern.keys[k] for k in left],
-                                    [kern.keys[k] for k in right]).is_zero():
+                if not _aligned_difference(kern, left, right):
                     continue
                 ka = gens[ia]
                 failures.append({"kind": "[a,b_op]", "a": ka, "b": kb, "z": kz})
@@ -654,13 +646,15 @@ def first_order_check(tr: Truncation, max_generator_length: int = 1) -> dict:
     return {"pass": not failures, "failures": failures, "generators": len(gens)}
 
 
-def _keys_difference(amb, left, right) -> AlgebraElement:
-    terms: Dict[GenKey, GaussianRational] = {}
-    for key in left:
-        terms[key] = terms.get(key, GaussianRational(0)) + 1
-    for key in right:
-        terms[key] = terms.get(key, GaussianRational(0)) - 1
-    return AlgebraElement(amb, terms)
+def _aligned_difference(kern, left, right) -> Dict[GenKey, int]:
+    """`aligned` of the sum of the keys with ids in left minus the sum of
+    those in right, in integers: empty iff the two sums are equal."""
+    counts: Dict[GenKey, int] = {}
+    for kid in left:
+        accumulate(counts, kern.keys[kid], 1)
+    for kid in right:
+        accumulate(counts, kern.keys[kid], -1)
+    return aligned(kern.ambient, counts)
 
 
 def first_order_left_counterexample(tr: Truncation) -> Optional[dict]:
@@ -733,8 +727,7 @@ def reality_check_1graph(tr: Truncation) -> dict:
             right = product(z_id, a)
             if left == right or sorted(left) == sorted(right):
                 continue
-            if not _keys_difference(amb, [keys[k] for k in left],
-                                    [keys[k] for k in right]).is_zero():
+            if _aligned_difference(kern, left, right):
                 failures.append({"kind": "Ja*J=a_op", "a": ka, "z": kz})
     return {"pass": not failures, "failures": failures}
 
@@ -824,19 +817,4 @@ def _aligned_commutator(amb, kf: GenKey, kg: GenKey) -> Dict[GenKey, int]:
     """`aligned_terms` of f g - g f for single generators f, g, in integers."""
     kern = kernel(amb)
     f, g = kern.key_id(kf), kern.key_id(kg)
-    counts: Dict[int, int] = {}
-    for kid in kern.product(f, g):
-        counts[kid] = counts.get(kid, 0) + 1
-    for kid in kern.product(g, f):
-        counts[kid] = counts.get(kid, 0) - 1
-    terms = {kern.keys[kid]: c for kid, c in counts.items() if c}
-    targets = alignment_targets(amb, terms)
-    out: Dict[GenKey, int] = {}
-    for key, c in terms.items():
-        for newkey in expand_key_to(amb, key, targets[key_degree(amb, key)]):
-            val = out.get(newkey, 0) + c
-            if val:
-                out[newkey] = val
-            else:
-                out.pop(newkey, None)
-    return out
+    return _aligned_difference(kern, kern.product(f, g), kern.product(g, f))

@@ -62,12 +62,16 @@ def solve_graph_trace(
     """Propagate end values backward through the graph.
 
     End values default to 1.  Raises NoFaithfulTraceError when a loop has an
-    exit (then no faithful trace exists at all).
+    exit (then no faithful trace exists at all), and GraphValidationError
+    when end_values misses an end or names one the presentation lacks.
     """
     ends = g.find_ends()
     report = g.structural_report()
     if report["loops_with_exit"]:
         raise NoFaithfulTraceError("a loop has an exit; no faithful graph trace")
+    unknown = sorted(set(end_values or ()) - {end.id for end in ends})
+    if unknown:
+        raise GraphValidationError(f"no such end: {', '.join(unknown)}")
     ev: Dict[str, Fraction] = {}
     for end in ends:
         if end_values is None:

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from graphtriple.algebra import (AlgebraElement, PresentationMismatchError,
                                  _expansion_family, _meet, _multiply_keys,
-                                 _prefix_divide, delta_action,
-                                 dirac_commutator, kernel, key_source_mu,
-                                 key_source_nu, local_unit, make_key)
+                                 _prefix_divide, accumulate, aligned,
+                                 delta_action, dirac_commutator, kernel,
+                                 key_source_mu, key_source_nu, local_unit,
+                                 make_key)
 from graphtriple.scalars import GaussianRational, I
 from graphtriple.spectral import build_truncation, generator_keys
 from graphtriple.traces import solve_graph_trace, solve_kgraph_trace
@@ -227,6 +228,51 @@ class TestGrading:
         g = torus_2graph()
         a = gen(g, ("e",)) + gen(g, ("f",))
         assert set(a.grade()) == {(1, 0), (0, 1)}
+
+
+TORUS = torus_2graph()
+TORUS_KEYS = generator_keys(TORUS, 1)
+
+
+class TestAligned:
+    def test_accumulate_drops_zero_sums(self):
+        terms = {}
+        accumulate(terms, "a", 0)
+        accumulate(terms, "b", GaussianRational(0))
+        assert terms == {}
+        accumulate(terms, "a", 2)
+        accumulate(terms, "a", GaussianRational(-2))
+        assert terms == {}
+        accumulate(terms, "a", GaussianRational(1, 1))
+        assert terms == {"a": GaussianRational(1, 1)}
+
+    def test_ck_relation_aligns_to_zero(self):
+        amb = LOOP_AMB
+        pv, ee = ((), (), "v0"), (("e0",), ("e0",), "v0")
+        assert aligned(amb, {pv: 1, ee: -1}) == {}
+        assert aligned(amb, {pv: GaussianRational(0, 1),
+                             ee: GaussianRational(0, -1)}) == {}
+
+    @pytest.mark.parametrize("amb,keys", [(TREE_AMB, TREE_KEYS),
+                                          (TORUS, TORUS_KEYS)],
+                             ids=["tree", "torus"])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_int_and_gaussian_match_aligned_terms(self, amb, keys, data):
+        counts = {}
+        for key, c in data.draw(st.lists(
+                st.tuples(st.sampled_from(keys), st.integers(-2, 2)),
+                max_size=6)):
+            accumulate(counts, key, c)
+        phase = GaussianRational(Fraction(1, 2), Fraction(-3, 2))
+        want = AlgebraElement(
+            amb, {k: GaussianRational(c) for k, c in counts.items()}
+        ).aligned_terms()
+        got_int = aligned(amb, counts)
+        got_gauss = aligned(amb, {k: phase * c for k, c in counts.items()})
+        assert set(got_int) == set(got_gauss) == set(want)
+        assert all(got_int[k] == want[k] for k in want)
+        assert all(got_gauss[k] == phase * want[k] for k in want)
 
 
 class TestLocalUnits:

@@ -183,6 +183,43 @@ class TestExitCodes:
         assert captured.out == ""
         assert f"unrecognized arguments: {argv[1]}" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["hochschild", "--level", "-1"],
+        ["hochschild", "--level", "0"],
+        ["conditions", "--level", "0"],
+        ["conditions", "--level", "two"],
+        ["conditions", "--tolerance", "nan"],
+        ["conditions", "--tolerance", "-1"],
+        ["conditions", "--tolerance", "0"],
+        ["conditions", "--tolerance", "inf"],
+    ])
+    def test_flag_value_outside_its_domain_is_usage_error(self, argv, loop_file,
+                                                          capsys):
+        with pytest.raises(SystemExit) as exc:
+            run([argv[0], loop_file] + argv[1:])
+        assert exc.value.code == EX_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage:") and argv[1] in captured.err
+
+    @pytest.mark.parametrize("command", ["trace", "spectral", "conditions"])
+    @pytest.mark.parametrize("values", [
+        ["tail:c1=abc", "tail:c2=1"],
+        ["tail:c1=1/0", "tail:c2=1"],
+        ["tail:c1=1", "tail:c2=1", "tail:zz=5"],
+    ], ids=["not_a_number", "zero_denominator", "unknown_end"])
+    def test_bad_end_value_is_data_error(self, command, values, tree_file,
+                                         capsys):
+        # spectral profiles a vertex, so that only the end value can fail
+        argv = [command, tree_file] + (["--vertex", "b"]
+                                       if command == "spectral" else [])
+        for value in values:
+            argv += ["--end-value", value]
+        assert run(argv) == EX_DATAERR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("validation failure: ")
+
     def test_syntax_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")

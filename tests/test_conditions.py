@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from graphtriple import conditions
+from graphtriple import conditions, hochschild
 from graphtriple.conditions import (CONDITION_NAMES, evaluate_all,
                                     hypothesis_check, kgraph_hypothesis_check)
 from graphtriple.traces import NoFaithfulTraceError, solve_graph_trace
@@ -144,6 +144,20 @@ class TestEvaluateAll:
         samples = report.entries["dimension"].witness["samples"]
         assert len(samples) == 5 and len(calls) == 1
         assert len({s["limit"] for s in samples}) == 1
+
+    def test_kgraph_cycle_is_built_once(self, monkeypatch):
+        calls = []
+        real = hochschild.orientation_cycle_kgraph
+
+        def counted(g):
+            calls.append(g)
+            return real(g)
+        for module in (hochschild, conditions):
+            monkeypatch.setattr(module, "orientation_cycle_kgraph", counted,
+                                raising=False)
+        report = evaluate_all(torus_2graph(), level=1, window=1000)
+        assert report.entries["orientability"].status == "holds"
+        assert len(calls) == 1
 
     def test_report_shape(self):
         for g in (single_loop(1), torus_2graph()):

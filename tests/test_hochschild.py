@@ -16,10 +16,20 @@ from graphtriple.hochschild import (HochschildChain,
                                     verify_cancellation_steps)
 from graphtriple.scalars import GaussianRational
 
-from corpus import (ORIENTATION_CORPUS_1GRAPH, double_entry_tree,
-                    one_vertex_3graph, single_exit_violating_2graph,
-                    single_loop, torus_2graph, tree_with_ends,
+from corpus import (ORIENTATION_CORPUS_1GRAPH, double_entry_tree, dyadic_tree,
+                    loop_with_exit, one_vertex_3graph,
+                    single_exit_violating_2graph, single_loop, sink_path,
+                    torus_2graph, tree_with_ends, two_disjoint_loops,
                     two_vertex_2graph)
+
+# every 1-graph of the corpus, orientable or not
+ALL_1GRAPHS = ORIENTATION_CORPUS_1GRAPH + [
+    *((f"dyadic{d}", dyadic_tree(d)) for d in (1, 2, 3)),
+    ("sink_path", sink_path()),
+    ("loop_with_exit", loop_with_exit()),
+    ("double_entry_tree", double_entry_tree()),
+    ("two_disjoint_loops", two_disjoint_loops()),
+]
 
 
 def chain_of(amb, *factors, coeff=GaussianRational(1)):
@@ -113,6 +123,16 @@ class TestOrientation1Graph:
         rep = check_orientation_1graph(double_entry_tree(), depth=3)
         assert not rep["closed_form_zero"]
         assert not rep["orientable"]
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    @pytest.mark.parametrize("name,g", ALL_1GRAPHS)
+    def test_truncated_checks_agree_with_closed_form(self, name, g, level):
+        # conditions decides 1-graph orientability from b(c)'s coefficients
+        # alone; the truncated checks must give the same verdict
+        closed = all(c == 0 for c in boundary_coefficients_1graph(g).values())
+        rep = check_orientation_1graph(g, depth=level)
+        assert rep["orientable"] == closed, name
+        assert rep["truncated_boundary_is_boundary_residue"] == closed, name
 
 
 class TestOrientationKGraph:
