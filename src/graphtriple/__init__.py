@@ -5,8 +5,8 @@ Given a finitely presented directed graph or k-graph, the package builds
 the Cuntz-Krieger path algebra with exact Gaussian-rational coefficients,
 the gauge spectral triple data at a truncation, the Hochschild orientation
 cycles and the Clifford/reality operators, and checks the nine conditions
-for semifinite nonunital noncommutative manifolds: exactly where possible,
-numerically where a Dixmier limit is involved.
+for semifinite nonunital noncommutative manifolds, exactly or by a stated
+theorem; Dixmier limits come from closed forms.
 """
 
 from .algebra import AlgebraElement

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -213,8 +212,6 @@ def _cmd_conditions(args) -> int:
             g,
             end_values=_parse_end_values(args.end_value),
             level=args.level,
-            window=args.window,
-            tolerance=args.tolerance,
         )
     except ValueError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
@@ -233,17 +230,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(
-            f"must be a finite positive number: {text!r}")
-    return value
-
-
 def _kmax(text: str) -> int:
     value = _positive_int(text)
     if value > KMAX:
@@ -257,8 +243,7 @@ def build_parser() -> _Parser:
                                  "for graph and k-graph algebras.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, end_value=False, level=False, window=False,
-               tolerance=False, formats=("json",)):
+    def common(p, end_value=False, level=False, formats=("json",)):
         """Add the input, --out and --format, and only the flags that the
         subcommand reads."""
         p.add_argument("input", help="presentation document (JSON)")
@@ -270,11 +255,6 @@ def build_parser() -> _Parser:
         if level:
             p.add_argument("--level", type=_positive_int, default=3,
                            help="truncation level L (default 3)")
-        if window:
-            p.add_argument("--window", type=_positive_int, default=100000,
-                           help="spectral window N (default 100000)")
-        if tolerance:
-            p.add_argument("--tolerance", type=_positive_float, default=0.05)
 
     common(sub.add_parser("analyze", help="structural report"))
     common(sub.add_parser("trace", help="solve the graph trace"),
@@ -283,10 +263,12 @@ def build_parser() -> _Parser:
     common(sub.add_parser("hochschild", help="orientation cycle checks"),
            level=True)
     sp = sub.add_parser("spectral", help="singular value profile")
-    common(sp, end_value=True, window=True, formats=("json", "csv"))
+    common(sp, end_value=True, formats=("json", "csv"))
+    sp.add_argument("--window", type=_positive_int, default=100000,
+                    help="spectral window N (default 100000)")
     sp.add_argument("--vertex", help="profile p_v instead of (1+D^2)^{-1/2}")
     cond = sub.add_parser("conditions", help="evaluate the nine conditions")
-    common(cond, end_value=True, level=True, window=True, tolerance=True)
+    common(cond, end_value=True, level=True)
     cl = sub.add_parser("clifford", help="reality sign table")
     cl.add_argument("--kmax", type=_kmax, default=8,
                     help=f"largest k in the table, 1..{KMAX} (default 8)")

@@ -17,10 +17,15 @@ cycle iff every coefficient of `boundary_coefficients_1graph` vanishes.
 The truncated b(c) and pi_D(c) checks follow from it and run in
 `graphtriple hochschild` and the tests.  k-graph orientability reads b(c_k)
 and pi_D(c_k) from `verify_cancellation_steps`, which builds c_k once.
+
+Dimension is decided from closed forms: on a 1-graph the Fraction
+`MultiplicityModel.dixmier_limit` against 2 tau(p_v), on a k-graph the
+theorem that the limit is the trace mass times the unit k-ball volume.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Union
 
@@ -29,8 +34,7 @@ from .graphs import GraphPresentation
 from .hochschild import boundary_coefficients_1graph, verify_cancellation_steps
 from .kgraphs import KGraphPresentation
 from .spectral import (build_truncation, commutant_probe, first_order_check,
-                       kgraph_lattice_profile, reality_check_1graph,
-                       singular_profile, vertex_multiplicities)
+                       reality_check_1graph, vertex_multiplicities)
 from .traces import (NoFaithfulTraceError, solve_graph_trace,
                      solve_kgraph_trace)
 
@@ -46,11 +50,18 @@ CONDITION_NAMES = (
     "irreducibility",
 )
 
-REPORT_VERSION = 3
+REPORT_VERSION = 4
 
 # The argument behind each verdict that holds by construction; the witness
 # of its "theorem" entry (Connes, CMP 182, 1996, for the conditions).
 THEOREMS = {
+    "dimension": (
+        "each n in Z^k carries tau~-mass sum tau(p_v) = mass > 0 (tau is"
+        " faithful), and V_k R^k + O(R^(k-1)) of them have |n| <= R, so the"
+        " Dixmier limit of (1+D^2)^(-k/2) is mass k V_k log R / k log R ="
+        " mass V_k, V_k = pi^(k/2)/Gamma(k/2+1) (Gracia-Bondia-Varilly-"
+        "Figueroa, Elements of Noncommutative Geometry, ch. 7)"
+    ),
     "regularity": (
         "delta = [|D|, .] multiplies the gauge-degree-n part of a generator"
         " by |m + n| - |m| on the degree-m block, at most |n| in absolute"
@@ -81,7 +92,7 @@ THEOREMS = {
 class ConditionEntry:
     name: str
     status: str  # holds | fails | not_applicable
-    method: str  # exact | numeric | theorem (holds by the THEOREMS argument)
+    method: str  # exact | theorem (holds by the THEOREMS argument)
     witness: object = None
 
     def to_json(self) -> dict:
@@ -159,8 +170,6 @@ def evaluate_all(
     presentation: Union[GraphPresentation, KGraphPresentation],
     end_values: Optional[dict] = None,
     level: int = 3,
-    window: int = 100_000,
-    tolerance: float = 0.05,
 ) -> ConditionReport:
     if level < 1:
         raise ValueError("truncation level must be >= 1")
@@ -170,8 +179,8 @@ def evaluate_all(
                 "a k = 1 presentation is evaluated as a 1-graph; build it"
                 " with graph_from_document or GraphPresentation"
             )
-        return _evaluate_kgraph(presentation, level, window, tolerance)
-    return _evaluate_graph(presentation, end_values, level, window, tolerance)
+        return _evaluate_kgraph(presentation, level)
+    return _evaluate_graph(presentation, end_values, level)
 
 
 def _na(name: str, broken: str) -> ConditionEntry:
@@ -181,11 +190,11 @@ def _na(name: str, broken: str) -> ConditionEntry:
     )
 
 
-def _evaluate_graph(g: GraphPresentation, end_values, level, window,
-                    tolerance) -> ConditionReport:
+def _evaluate_graph(g: GraphPresentation, end_values,
+                    level) -> ConditionReport:
     hyp = hypothesis_check(g)
     entries: Dict[str, ConditionEntry] = {}
-    params = {"level": level, "window": window, "tolerance": tolerance}
+    params = {"level": level}
 
     try:
         trace = solve_graph_trace(g, end_values)
@@ -206,7 +215,7 @@ def _evaluate_graph(g: GraphPresentation, end_values, level, window,
 
     tr = build_truncation(g, trace, level)
 
-    # dimension: positivity of the Dixmier functional on p_v samples
+    # dimension: the exact Dixmier limit of p_v(1+D^2)^{-1/2} on samples
     interior = tr.ambient.interior_vertices()
     sample = sorted(set(v for v in interior if v in g.vertices)) or [
         v for v in g.vertices if not g.reaches_sink(v)
@@ -216,30 +225,18 @@ def _evaluate_graph(g: GraphPresentation, end_values, level, window,
     else:
         dim_witness = []
         ok = True
-        profiles = {}  # one profile per distinct multiplicity model
         for v in sample:
             model = vertex_multiplicities(g, trace, v)
-            key = (model.vertex_mass, tuple(model.forward_head),
-                   model.forward_tail, model.backward_depth)
-            if key not in profiles:
-                profiles[key] = singular_profile(model, window)
-            prof = profiles[key]
-            target = 2.0 * float(trace.vertex_value(v))
-            positive = prof.limit_estimate is not None and prof.limit_estimate > 0
-            matches = (
-                prof.limit_estimate is not None
-                and g.backward_infinite(v)
-                and abs(prof.limit_estimate - target) <= tolerance * target
-            )
-            ok = ok and positive and (matches or not g.backward_infinite(v))
-            dim_witness.append({
-                "vertex": v,
-                "limit": prof.limit_estimate,
-                "target": target,
-            })
+            limit = model.dixmier_limit()
+            target = 2 * trace.vertex_value(v)
+            # the target binds where the mass is tau(p_v) at every level < 0
+            ok = ok and limit > 0 and (
+                limit == target or model.backward_depth is not None)
+            dim_witness.append(
+                {"vertex": v, "limit": str(limit), "target": str(target)})
         entries["dimension"] = ConditionEntry(
-            "dimension", "holds" if ok else "fails", "numeric",
-            {"samples": dim_witness, "window": window, "tolerance": tolerance},
+            "dimension", "holds" if ok else "fails", "exact",
+            {"samples": dim_witness},
         )
 
     re = reality_check_1graph(tr)
@@ -256,11 +253,10 @@ def _evaluate_graph(g: GraphPresentation, end_values, level, window,
     return _shared_entries(entries, hyp, params, tr, finite)
 
 
-def _evaluate_kgraph(g: KGraphPresentation, level, window,
-                     tolerance) -> ConditionReport:
+def _evaluate_kgraph(g: KGraphPresentation, level) -> ConditionReport:
     hyp = kgraph_hypothesis_check(g)
     entries: Dict[str, ConditionEntry] = {}
-    params = {"level": level, "window": window, "tolerance": tolerance}
+    params = {"level": level}
     k = g.k
 
     cancel = verify_cancellation_steps(g)
@@ -281,12 +277,12 @@ def _evaluate_kgraph(g: KGraphPresentation, level, window,
 
     tr = build_truncation(g, trace, min(level, 2))
 
-    prof = kgraph_lattice_profile(g, trace, window=32)
-    positive = prof.limit_estimate is not None and prof.limit_estimate > 0
+    mass = sum(trace.values[v] for v in g.vertices)
+    ball = math.pi ** (k / 2) / math.gamma(k / 2 + 1)
     entries["dimension"] = ConditionEntry(
-        "dimension", "holds" if positive else "fails", "numeric",
-        {"measured_constant": prof.limit_estimate, "note":
-         "normalization constant reported, not asserted"},
+        "dimension", "holds", "theorem",
+        {"argument": THEOREMS["dimension"], "trace_mass": str(mass),
+         "constant": "pi^(k/2)/Gamma(k/2+1)", "limit": float(mass) * ball},
     )
 
     data = reality_operator(k)

@@ -506,8 +506,8 @@ def document_edges(doc: object, fields: AbstractSet[str],
 
     GraphFormatError unless doc is a JSON object with no field outside
     `fields`, with k, vertices, edges and tails present, a positive int k,
-    every other field an array, and every edge record an object with
-    exactly `edge_fields`.
+    every other field an array, string vertices, and every edge record an
+    object with exactly `edge_fields`: string id, source, range, int color.
     """
     if not isinstance(doc, dict):
         raise GraphFormatError("presentation document must be a JSON object")
@@ -522,6 +522,8 @@ def document_edges(doc: object, fields: AbstractSet[str],
     for key in sorted(fields - {"k"}):
         if key in doc and not isinstance(doc[key], list):
             raise GraphFormatError(f"field {key!r} must be an array")
+    if not all(isinstance(v, str) for v in doc["vertices"]):
+        raise GraphFormatError("vertices must be strings")
     for rec in doc["edges"]:
         if not isinstance(rec, dict):
             raise GraphFormatError("edge records must be objects")
@@ -530,6 +532,11 @@ def document_edges(doc: object, fields: AbstractSet[str],
             raise GraphFormatError(f"unknown edge fields: {sorted(extra)}")
         if set(rec) != edge_fields:
             raise GraphFormatError(f"edge record missing fields: {rec}")
+        if not all(isinstance(rec[f], str) for f in ("id", "source", "range")):
+            raise GraphFormatError(
+                f"edge id, source and range must be strings: {rec}")
+        if "color" in rec and type(rec["color"]) is not int:
+            raise GraphFormatError(f"edge color must be an integer: {rec}")
     return [Edge(**rec) for rec in doc["edges"]]
 
 

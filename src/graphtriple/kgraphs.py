@@ -263,7 +263,8 @@ def kgraph_from_document(doc: object) -> KGraphPresentation:
     for rec in doc.get("squares", ()):
         if not isinstance(rec, dict) or set(rec) != {"first", "second"}:
             raise GraphFormatError(f"square record must have first/second: {rec}")
-        if not all(isinstance(rec[key], list) for key in rec):
-            raise GraphFormatError(f"square pairs must be arrays: {rec}")
+        if not all(isinstance(rec[key], list)
+                   and all(isinstance(e, str) for e in rec[key]) for key in rec):
+            raise GraphFormatError(f"square pairs must be arrays of ids: {rec}")
         squares.append((tuple(rec["first"]), tuple(rec["second"])))
     return KGraphPresentation(doc["k"], doc["vertices"], edges, squares)

@@ -9,9 +9,9 @@ gauge degree (tensored with i sum gamma^m n_m for k-graphs).
 
 The semifinite trace is evaluated exclusively through Theta-decompositions
 validated pointwise on the basis: tau~(Theta_{x,y}) = tau((y|x)_R), never as
-a Hilbert-space matrix trace.  Dixmier functionals are modeled by F_T
-samples, a limsup/liminf band and a linear extrapolation in 1/log(1+t); the
-cumulative eigenvalue integral grows as 2 g log t + C + O(1/t), so the
+a Hilbert-space matrix trace.  `MultiplicityModel.dixmier_limit` is the
+exact Dixmier limit; the F_T profiles of `graphtriple spectral` fit it
+linearly in 1/log(1+t), as F_T = 2 g + C / log t + O(1/t), so the
 extrapolated intercept is exact to O(1/window).
 """
 
@@ -268,6 +268,19 @@ class MultiplicityModel:
             return self.vertex_mass
         return Fraction(0)
 
+    def dixmier_limit(self) -> Fraction:
+        """The Dixmier limit of the p_v profile, exactly: c+ + c-.
+
+        c+ = forward_tail, and c- = vertex_mass if backward_depth is None,
+        else 0.  But for finitely many levels, mass(n) is c+ for n > 0 and
+        c- for n < 0, so sum_{|n| <= N} mass(n) (1 + n^2)^{-1/2} =
+        (c+ + c-) log N + O(1), while the cumulative mass is (c+ + c-) N +
+        O(1), with log N + O(1) as its log when c+ + c- > 0.  When c+ = c- = 0
+        the operator has finite rank, and the limit is 0.
+        """
+        backward = self.vertex_mass if self.backward_depth is None else 0
+        return self.forward_tail + backward
+
 
 def vertex_multiplicities(g: GraphPresentation, trace: GraphTrace,
                           v: str) -> MultiplicityModel:
@@ -474,8 +487,8 @@ def direct_summation_oracle(model: MultiplicityModel, window: int) -> float:
 
 def kgraph_lattice_profile(g: KGraphPresentation, trace: KGraphTrace,
                            window: int = 64) -> SpectralProfile:
-    """Numeric (k,infty) profile on the degree lattice; the normalization
-    constant is measured and reported, not asserted."""
+    """Numeric (k,infty) profile on the degree lattice.  `conditions` uses
+    the closed form instead: trace mass times pi^(k/2)/Gamma(k/2+1)."""
     k = g.k
     total_mass = float(sum(trace.values[v] for v in g.vertices))
     axes = [np.arange(-window, window + 1)] * k

@@ -299,10 +299,10 @@ def test_criterion_10_condition_oracle_and_mutants():
     """evaluate_all returns nine holds on every hypothesis-passing
     presentation; five crafted mutants each flip a condition with witness."""
     passing = [
-        ("loop1", single_loop(1), {"window": 10000}),
-        ("loop3", single_loop(3), {"window": 10000}),
-        ("bi_path", bi_infinite_path(), {"level": 2, "window": 10000}),
-        ("tree2", tree_with_ends(2), {"level": 2, "window": 10000}),
+        ("loop1", single_loop(1), {}),
+        ("loop3", single_loop(3), {}),
+        ("bi_path", bi_infinite_path(), {"level": 2}),
+        ("tree2", tree_with_ends(2), {"level": 2}),
         ("torus", torus_2graph(), {"level": 2}),
         ("two_vertex_2graph", two_vertex_2graph(), {"level": 2}),
         ("3graph", one_vertex_3graph(), {"level": 1}),
@@ -324,10 +324,10 @@ def test_criterion_10_condition_oracle_and_mutants():
         ok = ok and hyp_ok and rep.all_hold()
 
     mutants = [
-        ("double_entry", double_entry_tree(), {"level": 2, "window": 10000}),
-        ("sink_path", sink_path(), {"level": 2, "window": 10000}),
-        ("two_loops", two_disjoint_loops(), {"window": 10000}),
-        ("loop_with_exit", loop_with_exit_tree(), {"level": 2, "window": 10000}),
+        ("double_entry", double_entry_tree(), {"level": 2}),
+        ("sink_path", sink_path(), {"level": 2}),
+        ("two_loops", two_disjoint_loops(), {}),
+        ("loop_with_exit", loop_with_exit_tree(), {"level": 2}),
         ("single_exit_violating", single_exit_violating_2graph(), {"level": 2}),
     ]
     flipped = 0

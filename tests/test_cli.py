@@ -1,5 +1,6 @@
 import json
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -81,10 +82,32 @@ class TestExitCodes:
         assert exc.value.code == EX_DATAERR
         assert "validation failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["analyze", "conditions"])
+    @pytest.mark.parametrize("field,value", [
+        ("color", "1"), ("color", True), ("id", 5), ("source", ["v"]),
+        ("range", None), ("vertices", [["v"]]),
+        ("squares", [{"first": [["e"], "f"], "second": ["f", "e"]}]),
+    ])
+    def test_kgraph_field_of_wrong_type_is_data_error(
+            self, command, field, value, torus_file, tmp_path, capsys):
+        doc = json.loads(Path(torus_file).read_text())
+        if field in ("vertices", "squares"):
+            doc[field] = value
+        else:
+            doc["edges"][0][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit) as exc:
+            run([command, str(bad)])
+        assert exc.value.code == EX_DATAERR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("validation failure")
+
     @pytest.mark.parametrize("window", ["-5", "0", "ten"])
     def test_non_positive_window_is_usage_error(self, loop_file, window, capsys):
         with pytest.raises(SystemExit) as exc:
-            run(["conditions", loop_file, "--window", window])
+            run(["spectral", loop_file, "--window", window])
         assert exc.value.code == EX_USAGE
 
     @pytest.mark.parametrize("kmax", ["0", "-2", "17", "nine"])
@@ -173,6 +196,8 @@ class TestExitCodes:
         ["trace", "--level", "2"],
         ["hochschild", "--end-value", "tail:v=1"],
         ["spectral", "--csv"],
+        ["conditions", "--window", "100"],
+        ["conditions", "--tolerance", "0.05"],
     ])
     def test_flag_the_subcommand_does_not_read_is_usage_error(
             self, argv, loop_file, capsys):
@@ -307,7 +332,7 @@ class TestSubcommands:
         assert abs(doc["limit"] - 4.0) < 0.2
 
     def test_conditions_exit_zero(self, loop_file, capsys):
-        assert run(["conditions", loop_file, "--window", "5000"]) == 0
+        assert run(["conditions", loop_file]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert all(e["status"] == "holds"
                    for e in doc["conditions"].values())
@@ -322,12 +347,12 @@ class TestSubcommands:
         }
         path = tmp_path / "two.json"
         path.write_text(json.dumps(doc))
-        assert run(["conditions", str(path), "--window", "5000"]) == 2
+        assert run(["conditions", str(path)]) == 2
 
     def test_byte_identical_reruns(self, loop_file, capsys):
-        run(["conditions", loop_file, "--window", "5000"])
+        run(["conditions", loop_file])
         first = capsys.readouterr().out
-        run(["conditions", loop_file, "--window", "5000"])
+        run(["conditions", loop_file])
         second = capsys.readouterr().out
         assert first == second
 

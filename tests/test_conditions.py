@@ -1,11 +1,17 @@
+import dataclasses
 import json
+import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from graphtriple import conditions, hochschild
+from graphtriple import conditions, hochschild, spectral
 from graphtriple.conditions import (CONDITION_NAMES, evaluate_all,
                                     hypothesis_check, kgraph_hypothesis_check)
-from graphtriple.traces import NoFaithfulTraceError, solve_graph_trace
+from graphtriple.spectral import singular_profile, vertex_multiplicities
+from graphtriple.traces import (NoFaithfulTraceError, solve_graph_trace,
+                                solve_kgraph_trace)
 
 from corpus import (bi_infinite_path, double_entry_tree, dyadic_tree,
                     loop_with_exit, loop_with_exit_tree, one_vertex_3graph,
@@ -79,20 +85,20 @@ PASSING = [
 class TestEvaluateAll:
     @pytest.mark.parametrize("name,g,kw", PASSING, ids=[p[0] for p in PASSING])
     def test_nine_hold_on_passing_presentations(self, name, g, kw):
-        rep = evaluate_all(g, window=10000, **kw)
+        rep = evaluate_all(g, **kw)
         statuses = {n: e.status for n, e in rep.entries.items()}
         assert rep.all_hold(), (name, statuses)
         assert set(statuses) == set(CONDITION_NAMES)
         assert rep.exit_code() == 0
 
     def test_double_entry_fails_orientability_with_witness(self):
-        rep = evaluate_all(double_entry_tree(), level=2, window=10000)
+        rep = evaluate_all(double_entry_tree(), level=2)
         entry = rep.entries["orientability"]
         assert entry.status == "fails"
         assert entry.witness["nonzero_boundary_coefficients"] == {"c": 1}
 
     def test_loop_with_exit_marks_not_applicable(self):
-        rep = evaluate_all(loop_with_exit_tree(), level=2, window=10000)
+        rep = evaluate_all(loop_with_exit_tree(), level=2)
         assert rep.exit_code() == 3
         na = [n for n, e in rep.entries.items()
               if e.status == "not_applicable"]
@@ -101,13 +107,13 @@ class TestEvaluateAll:
             "faithful_graph_trace_exists"
 
     def test_disconnected_fails_irreducibility(self):
-        rep = evaluate_all(two_disjoint_loops(), window=10000)
+        rep = evaluate_all(two_disjoint_loops())
         entry = rep.entries["irreducibility"]
         assert entry.status == "fails"
         assert entry.witness["dimension_interior"] == 2
 
     def test_sink_fails_orientability(self):
-        rep = evaluate_all(sink_path(), level=2, window=10000)
+        rep = evaluate_all(sink_path(), level=2)
         assert rep.entries["orientability"].status == "fails"
         assert rep.entries["orientability"].witness[
             "nonzero_boundary_coefficients"]["w"] == 1
@@ -119,8 +125,8 @@ class TestEvaluateAll:
         assert entry.witness["failing_step"]["step"] == "step3_ck_cancellation"
 
     def test_report_json_deterministic(self):
-        rep1 = evaluate_all(single_loop(1), window=5000)
-        rep2 = evaluate_all(single_loop(1), window=5000)
+        rep1 = evaluate_all(single_loop(1))
+        rep2 = evaluate_all(single_loop(1))
         assert json.dumps(rep1.to_json(), sort_keys=True) == \
             json.dumps(rep2.to_json(), sort_keys=True)
 
@@ -129,21 +135,20 @@ class TestEvaluateAll:
         from graphtriple.kgraphs import KGraphPresentation
         g = KGraphPresentation(1, ["v"], [Edge("e", "v", "v", 1)], [])
         with pytest.raises(ValueError, match="graph_from_document"):
-            evaluate_all(g, level=1, window=1000)
+            evaluate_all(g, level=1)
 
-    def test_one_profile_per_distinct_multiplicity_model(self, monkeypatch):
-        # the five vertices of a 5-loop share one multiplicity model
-        calls = []
-        real = conditions.singular_profile
-
-        def counted(model, window):
-            calls.append(model)
-            return real(model, window)
-        monkeypatch.setattr(conditions, "singular_profile", counted)
-        report = evaluate_all(single_loop(5), level=1, window=1000)
-        samples = report.entries["dimension"].witness["samples"]
-        assert len(samples) == 5 and len(calls) == 1
-        assert len({s["limit"] for s in samples}) == 1
+    def test_conditions_computes_no_profile(self, monkeypatch):
+        # dimension is decided from closed forms, so neither windowed
+        # profile runs, on either rank
+        def refuse(*args, **kwargs):
+            raise AssertionError("conditions computed a profile")
+        for name in ("singular_profile", "kgraph_lattice_profile"):
+            for module in (spectral, conditions):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        for g in (single_loop(5), tree_with_ends(2), torus_2graph(),
+                  one_vertex_3graph()):
+            assert evaluate_all(g, level=1).entries["dimension"].status \
+                == "holds"
 
     def test_kgraph_cycle_is_built_once(self, monkeypatch):
         calls = []
@@ -155,22 +160,126 @@ class TestEvaluateAll:
         for module in (hochschild, conditions):
             monkeypatch.setattr(module, "orientation_cycle_kgraph", counted,
                                 raising=False)
-        report = evaluate_all(torus_2graph(), level=1, window=1000)
+        report = evaluate_all(torus_2graph(), level=1)
         assert report.entries["orientability"].status == "holds"
         assert len(calls) == 1
 
     def test_report_shape(self):
-        for g in (single_loop(1), torus_2graph()):
-            doc = evaluate_all(g, level=1, window=5000).to_json()
-            assert doc["report_version"] == 3
+        for g, dimension in ((single_loop(1), set()),
+                             (torus_2graph(), {"dimension"})):
+            doc = evaluate_all(g, level=1).to_json()
+            assert doc["report_version"] == 4
+            assert doc["parameters"] == {"level": 1}
             assert set(doc["conditions"]) == set(CONDITION_NAMES)
             for entry in doc["conditions"].values():
                 assert entry["status"] in ("holds", "fails", "not_applicable")
-                assert entry["method"] in ("exact", "numeric", "theorem")
+                assert entry["method"] in ("exact", "theorem")
                 assert entry["name"] in CONDITION_NAMES
                 if entry["method"] == "theorem":
                     assert entry["status"] == "holds"
             theorems = {name for name, entry in doc["conditions"].items()
                         if entry["method"] == "theorem"}
             assert theorems == {"regularity", "closedness", "spin_c",
-                                "finiteness"}
+                                "finiteness"} | dimension
+
+
+def _model_with(**fields):
+    """vertex_multiplicities with `fields` of each model replaced; a value
+    may be a function of the vertex's trace value tau(p_v)."""
+    real = conditions.vertex_multiplicities
+
+    def patched(g, trace, v):
+        tau = trace.vertex_value(v)
+        return dataclasses.replace(real(g, trace, v), **{
+            name: value(tau) if callable(value) else value
+            for name, value in fields.items()})
+    return patched
+
+
+class TestDimension:
+    @pytest.mark.parametrize("factory", [lambda: tree_with_ends(2),
+                                         lambda: single_loop(3)],
+                             ids=["tree2", "loop3"])
+    @pytest.mark.parametrize("mutant,limit", [
+        # forward mass 2 tau(p_v): the limit 3 tau(p_v) misses its target
+        ({"forward_tail": lambda tau: 2 * tau}, lambda tau: 3 * tau),
+        # no mass beyond finitely many levels: finite rank, limit 0
+        ({"forward_tail": Fraction(0), "backward_depth": 0},
+         lambda tau: Fraction(0)),
+    ], ids=["forward_mass", "finite_rank"])
+    def test_mutant_model_flips_dimension_alone(self, factory, mutant, limit,
+                                                monkeypatch):
+        before = evaluate_all(factory(), level=1)
+        monkeypatch.setattr(conditions, "vertex_multiplicities",
+                            _model_with(**mutant))
+        after = evaluate_all(factory(), level=1)
+        flipped = {name for name in CONDITION_NAMES
+                   if after.entries[name].status != before.entries[name].status}
+        assert flipped == {"dimension"}
+        assert before.entries["dimension"].status == "holds"
+        assert after.entries["dimension"].status == "fails"
+        for s in after.entries["dimension"].witness["samples"]:
+            tau = Fraction(s["target"]) / 2
+            assert Fraction(s["limit"]) == limit(tau)
+
+    # every corpus 1-graph with a faithful trace and a vertex that reaches
+    # no sink; the largest gap on them is 0.06%
+    @pytest.mark.parametrize("name", sorted(set(GRAPH_CORPUS) - {
+        "sink_path", "loop_with_exit", "loop_with_exit_tree"}))
+    def test_windowed_profile_lies_near_the_exact_limit(self, name):
+        g = GRAPH_CORPUS[name]
+        witness = evaluate_all(g, level=1).entries["dimension"].witness
+        trace = solve_graph_trace(g)
+        for s in witness["samples"]:
+            exact = float(Fraction(s["limit"]))
+            model = vertex_multiplicities(g, trace, s["vertex"])
+            estimate = singular_profile(model, 10 ** 5).limit_estimate
+            assert abs(estimate - exact) <= 2e-3 * exact, s
+
+
+def shell_counts(k: int, w: int) -> np.ndarray:
+    """r_k(m), the number of n in Z^k with |n|^2 = m, for m <= w^2: k
+    convolutions with r_1, each a sum of shifts by the squares j^2 <= w^2,
+    in exact int64."""
+    top = w * w
+    r = np.zeros(top + 1, dtype=np.int64)
+    r[0] = 1
+    for _ in range(k):
+        nxt = np.zeros_like(r)
+        for j in range(-w, w + 1):
+            nxt[j * j:] += r[:top + 1 - j * j]
+        r = nxt
+    return r
+
+
+def lattice_dixmier_estimate(k: int, w: int) -> float:
+    """(F(w) - F(w/2)) / (log N(w) - log N(w/2)) with F(R) the sum of
+    (1 + |n|^2)^{-k/2} and N(R) the count over the n in Z^k with |n| <= R:
+    the O(1) terms of both cancel."""
+    r = shell_counts(k, w)
+    terms = r * (1.0 + np.arange(r.size)) ** (-k / 2)
+
+    def up_to(radius):
+        return terms[:radius * radius + 1].sum(), r[:radius * radius + 1].sum()
+    (f_out, n_out), (f_in, n_in) = up_to(w), up_to(w // 2)
+    return (f_out - f_in) / (math.log(n_out) - math.log(n_in))
+
+
+class TestLatticeOracle:
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_shell_count_reaches_the_unit_ball_volume(self, k):
+        # measured within 4e-4 of V_k at w = 128
+        ball = math.pi ** (k / 2) / math.gamma(k / 2 + 1)
+        assert lattice_dixmier_estimate(k, 128) == \
+            pytest.approx(ball, rel=1e-3)
+
+    @pytest.mark.parametrize("factory", [torus_2graph, two_vertex_2graph,
+                                         one_vertex_3graph])
+    def test_kgraph_witness_is_mass_times_the_lattice_limit(self, factory):
+        g = factory()
+        entry = evaluate_all(g, level=1).entries["dimension"]
+        assert (entry.status, entry.method) == ("holds", "theorem")
+        mass = Fraction(entry.witness["trace_mass"])
+        assert mass == sum(solve_kgraph_trace(g).values.values())
+        assert entry.witness["limit"] == pytest.approx(
+            float(mass) * lattice_dixmier_estimate(g.k, 128), rel=1e-3)

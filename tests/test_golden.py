@@ -11,21 +11,21 @@ keep them unchanged.  To rewrite them after an intended report change, run
     PYTHONPATH=src python tests/test_golden.py
 
 A change to the `conditions` report fields bumps REPORT_VERSION.  The
-report-version-1 goldens stay in tests/golden/v1/ and every change since
-is listed in V1_TO_V2 and V2_TO_V3: each v1 twin with those changes
-applied must equal its current golden byte for byte, so no status and no
-other field moves silently.  A V2_TO_V3 change applies only where the
-version-2 entry holds.
+goldens of the previous version stay in tests/golden/v3/ and every change
+since is listed in V3_TO_V4: each v3 twin with those changes applied must
+equal its current golden byte for byte, so no status and no other field
+moves silently.
 
 Since version 3, regularity, closedness, spin_c and finiteness report
 method "theorem" with their argument instead of a sample count.  The
 computations that produced those counts run here as oracles on every case
-whose report has a theorem entry, and must hold on the same samples.
+with a trace, and must hold on as many samples as version 1 counted.
 """
 
 import json
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -53,7 +53,7 @@ from graphtriple.traces import (NonDiagonalError,  # noqa: E402
                                 solve_graph_trace, solve_kgraph_trace)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-V1_DIR = GOLDEN_DIR / "v1"
+V3_DIR = GOLDEN_DIR / "v3"
 
 # name -> (presentation factory, truncation level); the 1-graphs below
 # the first six run at level 2 unless level 2 takes over a second
@@ -140,92 +140,70 @@ def test_conditions_report_matches_golden(name, tmp_path):
 
 DROP = object()
 
-# Every conditions-report change from report version 1, as (path, value);
-# DROP removes the field where the v1 report has it.
-V1_TO_V2 = [
-    (("report_version",), 2),
-    # the truncated Theta-span diagnostic of the commutant probe, which no
-    # verdict read; irreducibility rests on dimension_interior alone
-    (("conditions", "irreducibility", "witness", "theta_matrices"), DROP),
-    (("conditions", "irreducibility", "witness", "theta_span_dimension"), DROP),
-    (("conditions", "irreducibility", "witness", "theta_span_interior"), DROP),
-    (("conditions", "irreducibility", "witness", "truncation_artifacts"), DROP),
+
+def _dimension_method(old, g):
+    """The windowed v3 verdict becomes exact on a 1-graph and a theorem on
+    a k-graph; not_applicable entries keep theirs."""
+    if old != "numeric":
+        return old
+    return "exact" if isinstance(g, GraphPresentation) else "theorem"
+
+
+def _dimension_witness(old, g):
+    """The closed-form v4 witness, where the v3 estimate lies near it:
+    within 0.2% of 2 tau(p_v) at each 1-graph sample, and within 2% of
+    mass * V_k for the k-graph lattice fit (a box of 65^k points)."""
+    if "samples" in old:
+        trace = solve_graph_trace(g)
+        samples = []
+        for s in old["samples"]:
+            target = 2 * trace.vertex_value(s["vertex"])
+            assert s["target"] == float(target)
+            assert abs(s["limit"] - s["target"]) <= 2e-3 * s["target"]
+            samples.append({"vertex": s["vertex"], "limit": str(target),
+                            "target": str(target)})
+        return {"samples": samples}
+    if "measured_constant" in old:
+        mass = sum(solve_kgraph_trace(g).values.values(), Fraction(0))
+        limit = float(mass) * (math.pi ** (g.k / 2) / math.gamma(g.k / 2 + 1))
+        assert abs(old["measured_constant"] - limit) <= 0.02 * limit
+        return {"argument": THEOREMS["dimension"], "trace_mass": str(mass),
+                "constant": "pi^(k/2)/Gamma(k/2+1)", "limit": limit}
+    return old
+
+
+# Every conditions-report change from report version 3, as (path, new):
+# `new(old, presentation)` is the v4 value of the v3 value `old`, and DROP
+# removes the field.  Dimension is decided from closed forms, so the
+# window and tolerance that fed the v3 estimate leave the parameters.
+V3_TO_V4 = [
+    (("report_version",), lambda old, g: 4),
+    (("parameters", "window"), DROP),
+    (("parameters", "tolerance"), DROP),
+    (("conditions", "dimension", "method"), _dimension_method),
+    (("conditions", "dimension", "witness"), _dimension_witness),
 ]
 
 
-def _apply_changes(doc: dict, changes) -> dict:
-    for path, value in changes:
+def _apply_changes(doc: dict, changes, g) -> dict:
+    for path, new in changes:
         parent = doc
         for key in path[:-1]:
             parent = parent[key]
-        if value is DROP:
-            parent.pop(path[-1], None)
+        if new is DROP:
+            del parent[path[-1]]
         else:
-            parent[path[-1]] = value
+            parent[path[-1]] = new(parent[path[-1]], g)
     return doc
 
 
-def _holds(name, case=lambda witness: True):
-    """Applies where the v2 entry `name` holds with a witness of `case`."""
-    def applies(v2: dict) -> bool:
-        entry = v2["conditions"][name]
-        return entry["status"] == "holds" and case(entry["witness"])
-    return applies
-
-
-def _theorem(name, changes, case=lambda witness: True):
-    """method "theorem" and the (path under the entry, value) changes,
-    where the v2 entry `name` holds with a witness of `case`."""
-    applies = _holds(name, case)
-    return [(("conditions", name) + path, value, applies)
-            for path, value in [(("method",), "theorem"), *changes]]
-
-
-def _unital(witness):
-    return witness == {"case": "unital"}
-
-
-def _tree(witness):
-    return set(witness) == {"ends", "norm_samples"}
-
-
-# Every conditions-report change from report version 2, as (path, value,
-# applies); `applies` reads the v2 report before any change is made.  The
-# four verdicts that hold by construction state their argument in place of
-# the samples that re-derived them; finiteness keeps its case and a tree
-# its ends.
-V2_TO_V3 = [
-    (("report_version",), 3, lambda v2: True),
-    *_theorem("regularity",
-              [(("witness",), {"argument": THEOREMS["regularity"]})]),
-    *_theorem("closedness",
-              [(("witness",), {"argument": THEOREMS["closedness"]})]),
-    *_theorem("spin_c", [(("witness",), {"argument": THEOREMS["spin_c"]})]),
-    *_theorem("finiteness", [(("witness", "argument"), THEOREMS["unital"])],
-              _unital),
-    *_theorem("finiteness", [(("witness", "norm_samples"), DROP),
-                             (("witness", "argument"), THEOREMS["ends"])],
-              _tree),
-    # the k-graph first_order witness gains the 1-graph's failures list
-    (("conditions", "first_order", "witness", "failures"), [],
-     _holds("first_order", lambda witness: "failures" not in witness)),
-]
-
-
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_v1_twin_differs_only_by_listed_changes(name):
-    v1 = json.loads((V1_DIR / f"{name}.json").read_text())
-    assert v1["report_version"] == 1
-    v2 = _apply_changes(v1, V1_TO_V2)
-    v3 = _apply_changes(v2, [(path, value) for path, value, applies
-                             in V2_TO_V3 if applies(v2)])
+def test_v3_twin_differs_only_by_listed_changes(name):
+    v3 = json.loads((V3_DIR / f"{name}.json").read_text())
+    assert v3["report_version"] == 3
+    v4 = _apply_changes(v3, V3_TO_V4, CASES[name][0]())
     expected = _golden_path(name).read_text()
-    assert json.dumps(v3, sort_keys=True, indent=2) + "\n" == expected
-
-
-def _has_theorem_entry(name: str) -> bool:
-    report = json.loads(_golden_path(name).read_text())
-    return any(e["method"] == "theorem" for e in report["conditions"].values())
+    assert json.dumps(v4, sort_keys=True, indent=2) + "\n" == expected
 
 
 def _closedness_sample(amb, level):
@@ -252,16 +230,34 @@ def _norm_sample(amb):
                                    for j, key in enumerate(diag[i:i + 3])})
 
 
-THEOREM_CASES = sorted(name for name in CASES if _has_theorem_entry(name))
+# name -> (generators, closedness tuples, tree norm samples or None) that
+# the report-version-1 witnesses counted, for every case with a trace
+OLD_SAMPLE_COUNTS = {
+    "bi_infinite_path": (8, 68, 3),
+    "double_entry_tree": (10, 100, None),
+    "dyadic_tree_2": (21, 85, 3),
+    "one_vertex_3graph": (3, 8, None),
+    "single_exit_violating_2graph": (4, 8, None),
+    "single_loop_3": (3, 12, None),
+    "sink_path": (5, 41, None),
+    "torus_2graph": (2, 8, None),
+    "torus_2graph_L2": (2, 8, None),
+    "tree_with_ends_2": (11, 45, 3),
+    "tree_with_ends_3": (16, 65, 3),
+    "tree_with_ends_4_L2": (26, 230, 3),
+    "two_disjoint_loops": (2, 18, None),
+    "two_vertex_2graph": (4, 8, None),
+    "two_vertex_2graph_L2": (4, 8, None),
+}
 
 
-@pytest.mark.parametrize("name", THEOREM_CASES)
+@pytest.mark.parametrize("name", sorted(OLD_SAMPLE_COUNTS))
 def test_theorem_entries_hold_on_the_old_samples(name):
     """Each "theorem" verdict holds where the computation it replaced
     checked it, on as many samples as the version-1 report counted."""
     factory, level = CASES[name]
     g = factory()
-    old = json.loads((V1_DIR / f"{name}.json").read_text())["conditions"]
+    generators, tuples, norm_samples = OLD_SAMPLE_COUNTS[name]
     new = json.loads(_golden_path(name).read_text())["conditions"]
     if isinstance(g, GraphPresentation):
         trace = solve_graph_trace(g)
@@ -280,8 +276,7 @@ def test_theorem_entries_hold_on_the_old_samples(name):
         for m in blocks:
             jump = math.hypot(*(a + b for a, b in zip(m, n))) - math.hypot(*m)
             assert abs(jump) <= 1 + 1e-12
-    checked = old["regularity"]["witness"]["generators_checked"]
-    assert len(amb.edge_order) == checked
+    assert len(amb.edge_order) == generators
 
     checked = 0
     for tup in _closedness_sample(amb, level):
@@ -291,7 +286,7 @@ def test_theorem_entries_hold_on_the_old_samples(name):
             continue
         assert res["is_zero"], tup
         checked += 1
-    assert checked == old["closedness"]["witness"]["tuples_checked"]
+    assert checked == tuples
 
     assert spin_c_generation_check(tr)["pass"]
 
@@ -306,7 +301,7 @@ def test_theorem_entries_hold_on_the_old_samples(name):
             assert norms["hilbert_norm_sq"] >= \
                 norms["min_end_trace"] * norms["module_norm_sq"]
             samples += 1
-        assert samples == old["finiteness"]["witness"]["norm_samples"]
+        assert samples == norm_samples
 
 
 @pytest.mark.parametrize("name", sorted(SPECTRAL_CASES))
