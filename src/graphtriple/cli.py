@@ -87,6 +87,7 @@ def _parse_end_values(pairs):
 def _cmd_analyze(args) -> int:
     g = _load(args.input)
     if isinstance(g, GraphPresentation):
+        classification = g.classify()
         payload = {
             "structural": g.structural_report(),
             "ends": [
@@ -94,9 +95,8 @@ def _cmd_analyze(args) -> int:
                 for e in g.find_ends()
             ],
             "single_entry": _jsonable(g.single_entry_check()),
-            "classification": {
-                "kind": g.classify().kind, "n": g.classify().n,
-            },
+            "classification": {"kind": classification.kind,
+                               "n": classification.n},
             "hypotheses": hypothesis_check(g),
         }
     else:

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
+from functools import cached_property
+from typing import (AbstractSet, Callable, Dict, FrozenSet, Iterable,
+                    Iterator, List, Optional, Sequence, Set, Tuple)
 
 
 class GraphFormatError(ValueError):
@@ -118,13 +118,28 @@ class EdgeSkeleton:
         )
 
     def connected(self) -> bool:
-        if not self.vertices:
-            return True
-        g = nx.Graph()
-        g.add_nodes_from(self.vertices)
+        """Whether the underlying undirected graph is connected (the empty
+        graph is)."""
+        return self._connected
+
+    @cached_property
+    def _connected(self) -> bool:
+        # union-find with path halving; each joining edge merges two parts
+        parent = {v: v for v in self.vertices}
+
+        def find(v: str) -> str:
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            return v
+
+        parts = len(parent)
         for e in self.edges.values():
-            g.add_edge(e.source, e.range)
-        return nx.is_connected(g)
+            a, b = find(e.source), find(e.range)
+            if a != b:
+                parent[a] = b
+                parts -= 1
+        return parts <= 1
 
     def paths_with_degree(
         self, n: Tuple[int, ...], v: Optional[str], direction: str,
@@ -169,6 +184,138 @@ class EdgeSkeleton:
         else:
             words = go(v, n)
         return sorted(words)
+
+
+def strong_components(
+    vertices: Iterable[str], successors: Callable[[str], Iterable[str]],
+) -> List[Tuple[str, ...]]:
+    """Strongly connected components by Tarjan's algorithm (SIAM J. Comput.
+    1 (1972) 146-160), run with an explicit stack so that path length is
+    not bounded by the recursion limit.
+
+    Components come out in completion order, which is reverse topological:
+    every edge that leaves a component goes to one listed earlier, so sinks
+    come first.  Each component lists its vertices in sorted order."""
+    index: Dict[str, int] = {}
+    low: Dict[str, int] = {}
+    stack: List[str] = []
+    on_stack: Set[str] = set()
+    out: List[Tuple[str, ...]] = []
+
+    def visit(v: str) -> Tuple[str, Iterator[str]]:
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        on_stack.add(v)
+        return v, iter(successors(v))
+
+    for root in vertices:
+        if root in index:
+            continue
+        work = [visit(root)]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if w not in index:
+                    work.append(visit(w))
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while not comp or comp[-1] != v:
+                        comp.append(stack.pop())
+                        on_stack.discard(comp[-1])
+                    out.append(tuple(sorted(comp)))
+    return out
+
+
+@dataclass(frozen=True)
+class CoreCycle:
+    """The simple cycle kept for one cyclic component, its edges, and
+    whether the component holds a cycle with an exit."""
+
+    vertices: Tuple[str, ...]
+    edges: Tuple[str, ...]
+    has_exit: bool
+
+
+@dataclass(frozen=True)
+class CoreStructure:
+    """Everything the structural hypotheses read from the core, from one
+    strongly connected component pass.
+
+    A component is cyclic when it has more than one vertex or a self-loop.
+    The pass keeps one simple cycle per cyclic component: the walk along
+    each vertex's first inside out-edge from the least vertex.  A cyclic
+    component is *bare* when each of its vertices has exactly one out-edge
+    inside it (parallel edges count separately); the kept cycle is then its
+    only simple cycle.  In any other cyclic component every simple cycle
+    has an exit: one that misses a vertex of the component has an edge
+    leaving it, by strong connectivity, and one through every vertex meets
+    the vertex with two inside out-edges.  So a component holds a cycle
+    with an exit iff its kept cycle has one.  A vertex is backward-infinite
+    iff its backward cone holds a source tail or a vertex of a cyclic
+    component."""
+
+    components: Tuple[Tuple[str, ...], ...]
+    cycles: Tuple[CoreCycle, ...]
+    backward_depth: Dict[str, Optional[int]]
+    reaching_sink: FrozenSet[str]
+
+    @classmethod
+    def of(cls, g: "GraphPresentation") -> "CoreStructure":
+        def head(e: str) -> str:
+            return g.edges[e].range
+
+        comps = strong_components(
+            g.vertices, lambda v: (head(e) for e in g.out_edges(v)))
+        cycles: List[CoreCycle] = []
+        cyclic: Set[int] = set()
+        for i, comp in enumerate(comps):
+            members = set(comp)
+            inside = {v: [e for e in g.out_edges(v) if head(e) in members]
+                      for v in comp}
+            if not inside[comp[0]]:
+                continue  # a single vertex without a self-loop
+            cyclic.add(i)
+            walk: List[str] = []
+            seen: Dict[str, int] = {}
+            v = comp[0]
+            while v not in seen:
+                seen[v] = len(walk)
+                walk.append(inside[v][0])
+                v = head(walk[-1])
+            walk = walk[seen[v]:]
+            k = min(range(len(walk)), key=lambda j: g.edges[walk[j]].source)
+            walk = walk[k:] + walk[:k]
+            verts = tuple(g.edges[e].source for e in walk)
+            # a second out-edge at a cycle vertex leaves the cycle or runs
+            # parallel inside it, an exit either way
+            has_exit = any(v in g.tails or len(g.out_edges(v)) > 1
+                           for v in verts)
+            cycles.append(CoreCycle(verts, tuple(walk), has_exit))
+
+        depth: Dict[str, Optional[int]] = {}
+        for i in reversed(range(len(comps))):  # sources first
+            for v in comps[i]:
+                if i in cyclic or v in g.source_tails:
+                    depth[v] = None
+                    continue
+                preds = [depth[g.edges[e].source] for e in g.in_edges(v)]
+                depth[v] = None if None in preds else max(preds, default=-1) + 1
+        reaching: Set[str] = set()
+        for comp in comps:  # sinks first
+            if any(g.is_sink(v) or any(head(e) in reaching
+                                       for e in g.out_edges(v))
+                   for v in comp):
+                reaching.update(comp)
+        return cls(tuple(comps), tuple(sorted(cycles, key=lambda c: c.vertices)),
+                   depth, frozenset(reaching))
 
 
 _GRAPH_KEYS = {"k", "vertices", "edges", "tails", "source_tails"}
@@ -226,31 +373,21 @@ class GraphPresentation(EdgeSkeleton):
     def conceptual_in_degree(self, v: str) -> int:
         return len(self._in[v]) + (1 if v in self.source_tails else 0)
 
-    def _digraph(self) -> "nx.MultiDiGraph":
-        g = nx.MultiDiGraph()
-        g.add_nodes_from(self.vertices)
-        for eid in self.edge_order:
-            e = self.edges[eid]
-            g.add_edge(e.source, e.range, key=eid)
-        return g
+    @cached_property
+    def _core(self) -> "CoreStructure":
+        return CoreStructure.of(self)
+
+    def components(self) -> Tuple[Tuple[str, ...], ...]:
+        """Strongly connected components of the core, sinks first: every
+        edge that leaves a component goes to one listed earlier."""
+        return self._core.components
 
     def simple_cycles(self) -> List[Tuple[str, ...]]:
-        """Simple cycles of the core, as canonically rotated vertex tuples."""
-        cycles = []
-        for cyc in nx.simple_cycles(self._digraph()):
-            cyc = tuple(cyc)
-            k = cyc.index(min(cyc))
-            cycles.append(cyc[k:] + cyc[:k])
-        return sorted(set(cycles))
-
-    def cycle_edge_ids(self, cycle: Tuple[str, ...]) -> Tuple[str, ...]:
-        ids = []
-        n = len(cycle)
-        for i, v in enumerate(cycle):
-            w = cycle[(i + 1) % n]
-            cand = sorted(e for e in self._out[v] if self.edges[e].range == w)
-            ids.append(cand[0])
-        return tuple(ids)
+        """One simple cycle per cyclic component of the core (the one
+        `CoreStructure` keeps), least vertex first, in sorted order.  This is
+        every simple cycle exactly when each cyclic component is bare, as it
+        is whenever no loop has an exit."""
+        return sorted(c.vertices for c in self._core.cycles)
 
     def loop_has_exit(self, cycle: Tuple[str, ...]) -> bool:
         cset = set(cycle)
@@ -268,54 +405,24 @@ class GraphPresentation(EdgeSkeleton):
 
     def reaches_sink(self, v: str) -> bool:
         """Whether some finite forward path from v dies at a sink."""
-        seen = set()
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            if u in seen:
-                continue
-            seen.add(u)
-            if self.is_sink(u):
-                return True
-            stack.extend(self.edges[e].range for e in self._out[u])
-        return False
+        return v in self._core.reaching_sink
 
     def backward_infinite(self, v: str) -> bool:
-        """Whether v admits entering paths of every length."""
-        seen = set()
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            if u in seen:
-                # revisiting means a backward cycle feeds v
-                return True
-            seen.add(u)
-            if u in self.source_tails:
-                return True
-            for eid in self._in[u]:
-                stack.append(self.edges[eid].source)
-        return False
+        """Whether v admits entering paths of every length: its backward
+        cone holds a source tail or a vertex of a cyclic component."""
+        return self._core.backward_depth[v] is None
 
     def backward_depth(self, v: str) -> Optional[int]:
         """Length of the longest entering path, or None when unbounded."""
-        if self.backward_infinite(v):
-            return None
-        memo: Dict[str, int] = {}
-
-        def depth(u: str) -> int:
-            if u not in memo:
-                memo[u] = 0
-                preds = [self.edges[e].source for e in self._in[u]]
-                if preds:
-                    memo[u] = 1 + max(depth(p) for p in preds)
-            return memo[u]
-
-        return depth(v)
+        return self._core.backward_depth[v]
 
     # -- reports ------------------------------------------------------------
 
     def structural_report(self) -> dict:
-        cycles = self.simple_cycles()
+        """`loops` counts the cyclic components of the core, and
+        `loops_with_exit` those that hold a cycle with an exit; both are
+        simple-cycle counts when every cyclic component is a bare cycle."""
+        cycles = self._core.cycles
         sinks = sorted(v for v in self.vertices if self.is_sink(v))
         sources = sorted(v for v in self.vertices if self.is_source(v))
         return {
@@ -324,7 +431,7 @@ class GraphPresentation(EdgeSkeleton):
             "sinks": sinks,
             "sources": sources,
             "loops": len(cycles),
-            "loops_with_exit": sum(1 for c in cycles if self.loop_has_exit(c)),
+            "loops_with_exit": sum(1 for c in cycles if c.has_exit),
             "connected": self.connected(),
         }
 
@@ -333,16 +440,10 @@ class GraphPresentation(EdgeSkeleton):
         for v in self.vertices:
             if self.is_sink(v):
                 ends.append(End("sink", f"sink:{v}", (v,)))
-        for cyc in self.simple_cycles():
-            if not self.loop_has_exit(cyc):
-                ends.append(
-                    End(
-                        "loop",
-                        "loop:" + "-".join(cyc),
-                        cyc,
-                        self.cycle_edge_ids(cyc),
-                    )
-                )
+        for c in self._core.cycles:
+            if not c.has_exit:
+                ends.append(End("loop", "loop:" + "-".join(c.vertices),
+                                c.vertices, c.edges))
         for v in self.tails:
             ends.append(End("tail", f"tail:{v}", (v,)))
         return sorted(ends, key=lambda e: e.id)
@@ -362,19 +463,19 @@ class GraphPresentation(EdgeSkeleton):
             or any(self.is_sink(v) for v in self.vertices)
         ):
             return Classification("Other")
-        cycles = self.simple_cycles()
-        if cycles:
-            cyc = cycles[0]
-            if (
-                len(cycles) == 1
-                and not self.loop_has_exit(cyc)
-                and len(cyc) == len(self.vertices)
-                and not self.tails
-                and not self.source_tails
-            ):
-                return Classification("SingleLoop", len(cyc))
-            return Classification("Other")
-        return Classification("DirectedTree")
+        cycles = self._core.cycles
+        if not cycles:
+            return Classification("DirectedTree")
+        cyc = cycles[0]
+        if (
+            len(cycles) == 1
+            and not cyc.has_exit
+            and len(cyc.vertices) == len(self.vertices)
+            and not self.tails
+            and not self.source_tails
+        ):
+            return Classification("SingleLoop", len(cyc.vertices))
+        return Classification("Other")
 
     # -- transforms -----------------------------------------------------------
 

@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
 from .algebra import (AlgebraElement, GenKey, _as_degree_tuple, accumulate,
                       aligned, expand_key_to, kernel, key_degree,
                       key_source_mu, make_key)
@@ -408,6 +406,8 @@ def singular_profile(model: MultiplicityModel, window: int) -> SpectralProfile:
             window, [], [], None, None, None,
             {"error": "window too small for a stable estimate"},
         )
+    import numpy as np  # only the profiles need it; keep it off cold starts
+
     runs = _mass_runs(model, window)
     grid = np.arange(0, window + 1, dtype=np.float64)
     np.multiply(grid, grid, out=grid)
@@ -489,6 +489,8 @@ def kgraph_lattice_profile(g: KGraphPresentation, trace: KGraphTrace,
                            window: int = 64) -> SpectralProfile:
     """Numeric (k,infty) profile on the degree lattice.  `conditions` uses
     the closed form instead: trace mass times pi^(k/2)/Gamma(k/2+1)."""
+    import numpy as np
+
     k = g.k
     total_mass = float(sum(trace.values[v] for v in g.vertices))
     axes = [np.arange(-window, window + 1)] * k

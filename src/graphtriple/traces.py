@@ -88,24 +88,18 @@ def solve_graph_trace(
             if end.kind in ("sink", "loop"):
                 fixed[v] = ev[end.id]
 
+    # sinks first, so every out-edge of a vertex off the loop ends leads to
+    # a vertex that already has its value
     values: Dict[str, Fraction] = {}
-
-    def value(v: str) -> Fraction:
-        if v in values:
-            return values[v]
-        if v in fixed:
-            values[v] = fixed[v]
-            return values[v]
-        total = Fraction(0)
-        if v in g.tails:
-            total += ev[f"tail:{v}"]
-        for eid in g.out_edges(v):
-            total += value(g.edges[eid].range)
-        values[v] = total
-        return total
-
-    for v in g.vertices:
-        value(v)
+    for comp in g.components():
+        for v in comp:
+            if v in fixed:
+                values[v] = fixed[v]
+                continue
+            total = ev[f"tail:{v}"] if v in g.tails else Fraction(0)
+            for eid in g.out_edges(v):
+                total += values[g.edges[eid].range]
+            values[v] = total
     return GraphTrace(g, values, ev)
 
 
@@ -183,35 +177,25 @@ class FixedPointCanonicalForm:
 
 
 def _stationary_end(g: GraphPresentation) -> Dict[str, Optional[str]]:
-    """Map each core vertex to its end id when its forward cone is a chain."""
+    """Map each core vertex to its end id when its forward cone is a chain.
+
+    Sinks first, so a chain's next vertex is mapped before it.  A vertex of
+    a cyclic component that is not a loop end maps to None: the chain
+    stays in the component and meets a tail, a second out-edge or itself."""
+    on_end = {v: end.id for end in g.find_ends() if end.kind in ("sink", "loop")
+              for v in end.vertices}
     out: Dict[str, Optional[str]] = {}
-    ends = g.find_ends()
-    on_end: Dict[str, str] = {}
-    for end in ends:
-        if end.kind in ("sink", "loop"):
-            for v in end.vertices:
-                on_end[v] = end.id
-
-    def walk(v: str, seen: Tuple[str, ...]) -> Optional[str]:
-        if v in out:
-            return out[v]
-        if v in on_end:
-            out[v] = on_end[v]
-            return out[v]
-        if v in seen:
-            return None
-        outs = list(g.out_edges(v))
-        if v in g.tails and not outs:
-            out[v] = f"tail:{v}"
-            return out[v]
-        if v in g.tails or len(outs) != 1:
-            out[v] = None
-            return None
-        out[v] = walk(g.edges[outs[0]].range, seen + (v,))
-        return out[v]
-
-    for v in g.vertices:
-        walk(v, ())
+    for comp in g.components():
+        for v in comp:
+            outs = g.out_edges(v)
+            if v in on_end:
+                out[v] = on_end[v]
+            elif v in g.tails:
+                out[v] = None if outs else f"tail:{v}"
+            elif len(outs) == 1 and len(comp) == 1:
+                out[v] = out[g.edges[outs[0]].range]
+            else:
+                out[v] = None
     return out
 
 

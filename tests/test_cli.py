@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -21,6 +24,24 @@ def loop_file(tmp_path):
 def tree_file(tmp_path):
     path = tmp_path / "tree.json"
     path.write_text(json.dumps(graph_to_document(tree_with_ends(2))))
+    return str(path)
+
+
+@pytest.fixture
+def diamond_file(tmp_path):
+    """c -> a, c -> b, a -> v, b -> v and a tail at v: entering paths at v
+    stop at length 2, though two of them meet there."""
+    doc = {
+        "k": 1, "vertices": ["a", "b", "c", "v"], "tails": ["v"],
+        "edges": [
+            {"id": "e1", "source": "c", "range": "a"},
+            {"id": "e2", "source": "c", "range": "b"},
+            {"id": "e3", "source": "a", "range": "v"},
+            {"id": "e4", "source": "b", "range": "v"},
+        ],
+    }
+    path = tmp_path / "diamond.json"
+    path.write_text(json.dumps(doc))
     return str(path)
 
 
@@ -360,3 +381,55 @@ class TestSubcommands:
         target = tmp_path / "report.json"
         assert run(["analyze", loop_file, "--out", str(target)]) == 0
         assert json.loads(target.read_text())["structural"]["loops"] == 1
+
+
+class TestStructureEdgeCases:
+    def test_backward_diamond_dimension_limit(self, diamond_file, capsys):
+        # the tail gives c+ = 1, and the bounded backward depth c- = 0
+        run(["conditions", diamond_file, "--level", "1"])
+        doc = json.loads(capsys.readouterr().out)
+        samples = doc["conditions"]["dimension"]["witness"]["samples"]
+        (at_v,) = [s for s in samples if s["vertex"] == "v"]
+        assert (at_v["limit"], at_v["target"]) == ("1", "2")
+        assert run(["spectral", diamond_file, "--vertex", "v"]) == 0
+        assert abs(json.loads(capsys.readouterr().out)["limit"] - 1) < 0.01
+
+    def test_trace_on_a_path_longer_than_the_recursion_limit(
+            self, tmp_path, capsys):
+        verts = [f"p{i:04d}" for i in range(1500)]
+        doc = {
+            "k": 1, "vertices": verts, "tails": [verts[-1]],
+            "edges": [{"id": f"e{i:04d}", "source": u, "range": w}
+                      for i, (u, w) in enumerate(zip(verts, verts[1:]))],
+        }
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps(doc))
+        assert run(["trace", str(path)]) == 0
+        values = json.loads(capsys.readouterr().out)["vertices"]
+        assert len(values) == 1500 and set(values.values()) == {"1"}
+
+
+def test_cold_start_leaves_numpy_and_networkx_unloaded(tree_file):
+    """`conditions` and `clifford` run without importing numpy or networkx;
+    `spectral` still loads numpy, for the Dixmier profile."""
+    import graphtriple
+    src = str(Path(graphtriple.__file__).resolve().parents[1])
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from graphtriple.cli import run\n"
+        "heavy = ('numpy', 'networkx')\n"
+        "loaded = {}\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    run(['conditions', {tree_file!r}, '--level', '1'])\n"
+        "    run(['clifford', '--kmax', '3'])\n"
+        "    loaded['cold'] = [m for m in heavy if m in sys.modules]\n"
+        f"    run(['spectral', {tree_file!r}, '--vertex', 'b'])\n"
+        "    loaded['spectral'] = [m for m in heavy if m in sys.modules]\n"
+        "print(json.dumps(loaded))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == {"cold": [], "spectral": ["numpy"]}

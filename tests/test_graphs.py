@@ -177,6 +177,28 @@ class TestDepth:
         assert g.backward_depth("c") == 2
         assert g.backward_depth("a") == 0
 
+    def test_backward_diamond_is_finite(self):
+        # two entering paths of length 2 meet at v: a revisit, not a cycle
+        g = GraphPresentation(
+            ["a", "b", "c", "v"],
+            [Edge("e1", "c", "a"), Edge("e2", "c", "b"),
+             Edge("e3", "a", "v"), Edge("e4", "b", "v")],
+            tails=["v"],
+        )
+        assert not g.backward_infinite("v")
+        assert g.backward_depth("v") == 2
+
+    def test_backward_depth_of_a_long_path(self):
+        # deeper than the recursion limit
+        verts = [f"p{i:04d}" for i in range(1500)]
+        g = GraphPresentation(
+            verts, [Edge(f"e{i:04d}", u, w)
+                    for i, (u, w) in enumerate(zip(verts, verts[1:]))],
+            tails=[verts[-1]],
+        )
+        assert g.backward_depth(verts[-1]) == 1499
+        assert g.backward_infinite(verts[-1]) is False
+
 
 class TestExpansion:
     def test_tail_expansion_names_and_boundary(self):
