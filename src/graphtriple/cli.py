@@ -288,8 +288,16 @@ _COMMANDS = {
 }
 
 
+_PARSER = None
+
+
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command.  The parser is built on the first call and reused:
+    parse_args keeps its results in a fresh namespace each time."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (GraphFormatError, GraphValidationError) as exc:

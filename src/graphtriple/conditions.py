@@ -50,7 +50,7 @@ CONDITION_NAMES = (
     "irreducibility",
 )
 
-REPORT_VERSION = 4
+REPORT_VERSION = 5
 
 # The argument behind each verdict that holds by construction; the witness
 # of its "theorem" entry (Connes, CMP 182, 1996, for the conditions).

@@ -125,6 +125,17 @@ def generator_keys(ambient, max_length: int) -> List[GenKey]:
     return sorted(keys)
 
 
+def ck_generators(ambient) -> List[GenKey]:
+    """The Cuntz-Krieger generators p_v, S_e and S_e* (the keys with
+    |mu| + |nu| <= 1), |V| + 2|E| of them, in `generator_keys` order."""
+    keys = {((), (), v) for v in ambient.vertices}
+    for eid in ambient.edge_order:
+        w = ambient.path_range((eid,))
+        keys.add(((eid,), (), w))
+        keys.add(((), (eid,), w))
+    return sorted(keys)
+
+
 def to_basis_coordinates(tr: Truncation, a: AlgebraElement):
     """Expand an element over the maximal basis; returns (coords, leaked)."""
     coords: Dict[int, GaussianRational] = {}
@@ -282,24 +293,29 @@ class MultiplicityModel:
 
 def vertex_multiplicities(g: GraphPresentation, trace: GraphTrace,
                           v: str) -> MultiplicityModel:
-    """Exact tau~(p_v Phi_k) closed form from the graph-trace recursion."""
+    """Exact tau~(p_v Phi_k) closed form from the graph-trace recursion.
+
+    The mass at level j unrolls mass(u, j) = tail(u) + sum over edges e out
+    of u of mass(r(e), j - 1), with mass(u, 0) = tau(p_u), into a sweep over
+    path counts by length: with n_i(u) the number of paths of length i from
+    v to u, mass(v, j) = sum_{i<j} sum_u n_i(u) tail(u) + sum_u n_j(u)
+    tau(p_u).  The sweep keeps one frontier of counts, so its depth does not
+    grow with the horizon."""
     horizon = len(g.vertices) + 2
-    masses: Dict[Tuple[str, int], Fraction] = {}
-
-    def mass(u: str, steps: int) -> Fraction:
-        if steps == 0:
-            return trace.vertex_value(u)
-        key = (u, steps)
-        if key not in masses:
-            total = Fraction(0)
+    counts: Dict[str, int] = {v: 1}
+    tails = Fraction(0)
+    head = []
+    for _ in range(horizon + 1):
+        head.append(tails + sum((n * trace.vertex_value(u)
+                                 for u, n in counts.items()), Fraction(0)))
+        nxt: Dict[str, int] = {}
+        for u, n in counts.items():
             if u in g.tails:
-                total += trace.end_values[f"tail:{u}"]
+                tails += n * trace.end_values[f"tail:{u}"]
             for eid in g.out_edges(u):
-                total += mass(g.edges[eid].range, steps - 1)
-            masses[key] = total
-        return masses[key]
-
-    head = [mass(v, j) for j in range(horizon + 1)]
+                w = g.edges[eid].range
+                nxt[w] = nxt.get(w, 0) + n
+        counts = nxt
     if head[-1] != head[-2]:
         raise ValueError("forward mass failed to stabilize; presentation invalid")
     tail = head[-1]
@@ -586,11 +602,23 @@ def _det(m: List[List[Fraction]]) -> Fraction:
 
 
 def first_order_check(tr: Truncation) -> dict:
-    """[a, b^op] = 0 and [[D, a], b^op] = 0 exactly on all basis vectors.
+    """[a, b^op] = 0 and [[D, a], b^op] = 0 exactly on all basis vectors z.
 
-    a, b range over algebra generators with paths of length at most 1
-    (they generate the algebra; products follow by the derivation
-    property).  Products of single generators are key multisets, so the
+    a and b range over the Cuntz-Krieger generators p_v, S_e, S_e*
+    (`ck_generators`), which generate A_c = span{S_mu S_nu*} as an
+    algebra; that suffices (Connes' order-one argument, CMP 182, 1996).
+    For fixed b, the a with
+    [a, b^op] = 0 and [[D, a], b^op] = 0 form a subalgebra: [a1 a2, b^op]
+    = a1 [a2, b^op] + [a1, b^op] a2, and [D, .] is a derivation, [D, a1 a2]
+    = [D, a1] a2 + a1 [D, a2], so [[D, a1 a2], b^op] expands into terms
+    that each hold a vanishing commutator.  For fixed a, the b side is a
+    subalgebra because b -> b^op is an anti-homomorphism, (b1 b2)^op =
+    b2^op b1^op, and the commutators with a and with [D, a] are
+    derivations in their second slot.  Both identities are exact on the
+    module; the truncation samples them at its basis vectors, as a loop
+    over every S_mu S_nu* of the degree box did.
+
+    Products of single generators are key multisets, so the
     commutators compare termwise, falling back to the relation-aware zero
     test (`_aligned_difference` is empty) only on a syntactic mismatch.
 
@@ -607,7 +635,7 @@ def first_order_check(tr: Truncation) -> dict:
     amb = tr.ambient
     kern = kernel(amb)
     product = kern.product
-    gens = generator_keys(amb, 1)
+    gens = ck_generators(amb)
     gen_ids = [kern.key_id(ka) for ka in gens]
     weights = [sum(key_degree(amb, ka)) for ka in gens]
     by_key: Dict[int, Dict[int, Tuple[int, ...]]] = {}
@@ -711,6 +739,12 @@ def reality_check_1graph(tr: Truncation) -> dict:
     hold on every basis key by construction, and the verdict rests on
     J a* J = a_op alone.
 
+    a ranges over the Cuntz-Krieger generators p_v, S_e, S_e*
+    (`ck_generators`): the a with J a* J = a^op form a subalgebra, because
+    J (a1 a2)* J = (J a2* J)(J a1* J) = a2^op a1^op = (a1 a2)^op.  The
+    identity is exact on the module; the truncation samples it at its basis
+    vectors z, as a loop over every S_mu S_nu* of the degree box did.
+
     J a* J z = (a* z*)* is compared with z a as lists of kernel key ids: the
     involution swaps (mu, nu, v) to (nu, mu, v) key by key (a swap table on
     ids), and products of single generators carry coefficient 1, so the two
@@ -732,7 +766,7 @@ def reality_check_1graph(tr: Truncation) -> dict:
 
     failures = []
     gens = []
-    for ka in generator_keys(amb, 1):
+    for ka in ck_generators(amb):
         a = kern.key_id(ka)
         gens.append((ka, a, swap(a)))
     for kz, z_id in zip(tr.basis, tr.key_ids()):

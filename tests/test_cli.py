@@ -7,10 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from graphtriple.cli import EX_DATAERR, EX_NOINPUT, EX_USAGE, run
+from graphtriple.cli import (_COMMANDS, EX_DATAERR, EX_NOINPUT, EX_USAGE,
+                             build_parser, run)
 
 from corpus import single_loop, tree_with_ends
-from graphtriple.graphs import graph_to_document
+from graphtriple.graphs import graph_from_document, graph_to_document
+from graphtriple.spectral import vertex_multiplicities
+from graphtriple.traces import solve_graph_trace
 
 
 @pytest.fixture
@@ -383,6 +386,39 @@ class TestSubcommands:
         assert json.loads(target.read_text())["structural"]["loops"] == 1
 
 
+class TestParserReuse:
+    """`run` builds its parser once per process; no call may see another's
+    flags."""
+
+    @staticmethod
+    def _fresh(argv, capsys):
+        args = build_parser().parse_args(argv)
+        code = _COMMANDS[args.command](args)
+        return code, capsys.readouterr().out
+
+    def test_end_value_does_not_leak_into_the_next_call(self, tree_file,
+                                                        capsys):
+        with_value = ["conditions", tree_file, "--level", "1",
+                      "--end-value", "tail:c1=1/3"]
+        without = ["conditions", tree_file, "--level", "1"]
+        expected = [self._fresh(argv, capsys) for argv in (with_value, without)]
+        got = []
+        for argv in (with_value, without):
+            code = run(argv)
+            got.append((code, capsys.readouterr().out))
+        assert got == expected
+        assert got[0][1] != got[1][1]
+
+    def test_usage_error_then_valid_call(self, loop_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["conditions", loop_file, "--level", "0"])
+        assert exc.value.code == EX_USAGE
+        capsys.readouterr()
+        assert run(["conditions", loop_file, "--level", "1"]) == 0
+        assert capsys.readouterr().out == \
+            self._fresh(["conditions", loop_file, "--level", "1"], capsys)[1]
+
+
 class TestStructureEdgeCases:
     def test_backward_diamond_dimension_limit(self, diamond_file, capsys):
         # the tail gives c+ = 1, and the bounded backward depth c- = 0
@@ -394,19 +430,38 @@ class TestStructureEdgeCases:
         assert run(["spectral", diamond_file, "--vertex", "v"]) == 0
         assert abs(json.loads(capsys.readouterr().out)["limit"] - 1) < 0.01
 
-    def test_trace_on_a_path_longer_than_the_recursion_limit(
-            self, tmp_path, capsys):
+    @staticmethod
+    def _long_path(tmp_path, **extra):
+        """p0000 -> ... -> p1499 with a tail at p1499: longer than the
+        interpreter's recursion limit."""
         verts = [f"p{i:04d}" for i in range(1500)]
         doc = {
             "k": 1, "vertices": verts, "tails": [verts[-1]],
             "edges": [{"id": f"e{i:04d}", "source": u, "range": w}
                       for i, (u, w) in enumerate(zip(verts, verts[1:]))],
+            **extra,
         }
         path = tmp_path / "path.json"
         path.write_text(json.dumps(doc))
-        assert run(["trace", str(path)]) == 0
+        return doc, str(path)
+
+    def test_trace_on_a_path_longer_than_the_recursion_limit(
+            self, tmp_path, capsys):
+        _, path = self._long_path(tmp_path)
+        assert run(["trace", path]) == 0
         values = json.loads(capsys.readouterr().out)["vertices"]
         assert len(values) == 1500 and set(values.values()) == {"1"}
+
+    def test_spectral_on_a_path_longer_than_the_recursion_limit(
+            self, tmp_path, capsys):
+        # the source tail makes every backward level carry tau(p0000) = 1,
+        # and the tail at the far end every forward level: c+ + c- = 2
+        doc, path = self._long_path(tmp_path, source_tails=["p0000"])
+        assert run(["spectral", path, "--vertex", "p0000"]) == 0
+        assert abs(json.loads(capsys.readouterr().out)["limit"] - 2) < 0.01
+        g = graph_from_document(doc)
+        model = vertex_multiplicities(g, solve_graph_trace(g), "p0000")
+        assert model.dixmier_limit() == 2
 
 
 def test_cold_start_leaves_numpy_and_networkx_unloaded(tree_file):

@@ -168,7 +168,7 @@ class TestEvaluateAll:
         for g, dimension in ((single_loop(1), set()),
                              (torus_2graph(), {"dimension"})):
             doc = evaluate_all(g, level=1).to_json()
-            assert doc["report_version"] == 4
+            assert doc["report_version"] == 5
             assert doc["parameters"] == {"level": 1}
             assert set(doc["conditions"]) == set(CONDITION_NAMES)
             for entry in doc["conditions"].values():

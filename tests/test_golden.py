@@ -11,8 +11,8 @@ keep them unchanged.  To rewrite them after an intended report change, run
     PYTHONPATH=src python tests/test_golden.py
 
 A change to the `conditions` report fields bumps REPORT_VERSION.  The
-goldens of the previous version stay in tests/golden/v3/ and every change
-since is listed in V3_TO_V4: each v3 twin with those changes applied must
+goldens of the previous version stay in tests/golden/v4/ and every change
+since is listed in V4_TO_V5: each v4 twin with those changes applied must
 equal its current golden byte for byte, so no status and no other field
 moves silently.
 
@@ -25,7 +25,6 @@ with a trace, and must hold on as many samples as version 1 counted.
 import json
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -34,26 +33,29 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from corpus import (bi_infinite_path, double_entry_tree,  # noqa: E402
                     dyadic_tree, loop_with_exit, loop_with_exit_tree,
-                    one_vertex_3graph, single_exit_violating_2graph,
+                    one_vertex_3graph, one_vertex_kgraph,
+                    single_exit_violating_2graph,
                     single_loop, sink_path, torus_2graph, tree_with_ends,
                     two_disjoint_loops, two_extension_2graph,
                     two_vertex_2graph)
 from graphtriple.algebra import (AlgebraElement, delta_action,  # noqa: E402
                                  key_degree)
 from graphtriple.cli import run  # noqa: E402
-from graphtriple.conditions import THEOREMS  # noqa: E402
 from graphtriple.graphs import (GraphPresentation,  # noqa: E402
                                 GraphValidationError, graph_to_document)
 from graphtriple.scalars import GaussianRational  # noqa: E402
 from graphtriple.spectral import (build_truncation,  # noqa: E402
-                                  closedness_eval, generator_keys,
+                                  ck_generators, closedness_eval,
+                                  first_order_check, generator_keys,
+                                  reality_check_1graph,
                                   spin_c_generation_check)
 from graphtriple.traces import (NonDiagonalError,  # noqa: E402
                                 canonical_F_form, fixed_point_norms,
                                 solve_graph_trace, solve_kgraph_trace)
+from test_spectral import first_order_oracle, reality_oracle  # noqa: E402
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-V3_DIR = GOLDEN_DIR / "v3"
+V4_DIR = GOLDEN_DIR / "v4"
 
 # name -> (presentation factory, truncation level); the 1-graphs below
 # the first six run at level 2 unless level 2 takes over a second
@@ -76,6 +78,7 @@ CASES = {
     "tree_with_ends_4_L2": (lambda: tree_with_ends(4), 2),
     "loop_with_exit_tree": (loop_with_exit_tree, 2),
     "two_extension_2graph": (two_extension_2graph, 1),
+    "one_vertex_kgraph_4": (lambda: one_vertex_kgraph(4), 1),
 }
 
 # name -> (presentation factory, spectral flags); a case with
@@ -138,72 +141,54 @@ def test_conditions_report_matches_golden(name, tmp_path):
     assert _report(name, tmp_path) == expected
 
 
-DROP = object()
-
-
-def _dimension_method(old, g):
-    """The windowed v3 verdict becomes exact on a 1-graph and a theorem on
-    a k-graph; not_applicable entries keep theirs."""
-    if old != "numeric":
-        return old
-    return "exact" if isinstance(g, GraphPresentation) else "theorem"
-
-
-def _dimension_witness(old, g):
-    """The closed-form v4 witness, where the v3 estimate lies near it:
-    within 0.2% of 2 tau(p_v) at each 1-graph sample, and within 2% of
-    mass * V_k for the k-graph lattice fit (a box of 65^k points)."""
-    if "samples" in old:
+def _truncation(g, level):
+    """The trace and the truncation `conditions` builds (a k-graph at
+    level at most 2)."""
+    if isinstance(g, GraphPresentation):
         trace = solve_graph_trace(g)
-        samples = []
-        for s in old["samples"]:
-            target = 2 * trace.vertex_value(s["vertex"])
-            assert s["target"] == float(target)
-            assert abs(s["limit"] - s["target"]) <= 2e-3 * s["target"]
-            samples.append({"vertex": s["vertex"], "limit": str(target),
-                            "target": str(target)})
-        return {"samples": samples}
-    if "measured_constant" in old:
-        mass = sum(solve_kgraph_trace(g).values.values(), Fraction(0))
-        limit = float(mass) * (math.pi ** (g.k / 2) / math.gamma(g.k / 2 + 1))
-        assert abs(old["measured_constant"] - limit) <= 0.02 * limit
-        return {"argument": THEOREMS["dimension"], "trace_mass": str(mass),
-                "constant": "pi^(k/2)/Gamma(k/2+1)", "limit": limit}
-    return old
+    else:
+        trace = solve_kgraph_trace(g)
+        level = min(level, 2)
+    return trace, build_truncation(g, trace, level)
 
 
-# Every conditions-report change from report version 3, as (path, new):
-# `new(old, presentation)` is the v4 value of the v3 value `old`, and DROP
-# removes the field.  Dimension is decided from closed forms, so the
-# window and tolerance that fed the v3 estimate leave the parameters.
-V3_TO_V4 = [
-    (("report_version",), lambda old, g: 4),
-    (("parameters", "window"), DROP),
-    (("parameters", "tolerance"), DROP),
-    (("conditions", "dimension", "method"), _dimension_method),
-    (("conditions", "dimension", "witness"), _dimension_witness),
+def _ck_generator_count(old, g, level):
+    """|V| + 2|E| of the truncation's ambient: the p_v, S_e and S_e* that
+    first order now ranges over, in place of the degree-box keys."""
+    amb = _truncation(g, level)[1].ambient
+    assert old == len(generator_keys(amb, 1))
+    return len(amb.vertices) + 2 * len(amb.edge_order)
+
+
+# Every conditions-report change from report version 4, as (path, new):
+# `new(old, presentation, level)` is the v5 value of the v4 value `old`, at
+# a path the v4 report has (a not_applicable first_order entry keeps its
+# witness).  First order ranges over the Cuntz-Krieger generators.
+V4_TO_V5 = [
+    (("report_version",), lambda old, g, level: 5),
+    (("conditions", "first_order", "witness", "generators"),
+     _ck_generator_count),
 ]
 
 
-def _apply_changes(doc: dict, changes, g) -> dict:
+def _apply_changes(doc: dict, changes, g, level) -> dict:
     for path, new in changes:
         parent = doc
         for key in path[:-1]:
             parent = parent[key]
-        if new is DROP:
-            del parent[path[-1]]
-        else:
-            parent[path[-1]] = new(parent[path[-1]], g)
+        if path[-1] in parent:
+            parent[path[-1]] = new(parent[path[-1]], g, level)
     return doc
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_v3_twin_differs_only_by_listed_changes(name):
-    v3 = json.loads((V3_DIR / f"{name}.json").read_text())
-    assert v3["report_version"] == 3
-    v4 = _apply_changes(v3, V3_TO_V4, CASES[name][0]())
+def test_v4_twin_differs_only_by_listed_changes(name):
+    v4 = json.loads((V4_DIR / f"{name}.json").read_text())
+    assert v4["report_version"] == 4
+    factory, level = CASES[name]
+    v5 = _apply_changes(v4, V4_TO_V5, factory(), level)
     expected = _golden_path(name).read_text()
-    assert json.dumps(v4, sort_keys=True, indent=2) + "\n" == expected
+    assert json.dumps(v5, sort_keys=True, indent=2) + "\n" == expected
 
 
 def _closedness_sample(amb, level):
@@ -259,12 +244,7 @@ def test_theorem_entries_hold_on_the_old_samples(name):
     g = factory()
     generators, tuples, norm_samples = OLD_SAMPLE_COUNTS[name]
     new = json.loads(_golden_path(name).read_text())["conditions"]
-    if isinstance(g, GraphPresentation):
-        trace = solve_graph_trace(g)
-        tr = build_truncation(g, trace, level)
-    else:
-        trace = solve_kgraph_trace(g)
-        tr = build_truncation(g, trace, min(level, 2))
+    trace, tr = _truncation(g, level)
     amb = tr.ambient
 
     # regularity: delta = [|D|, .] moves block m to m + n by |m + n| - |m|
@@ -302,6 +282,31 @@ def test_theorem_entries_hold_on_the_old_samples(name):
                 norms["min_end_trace"] * norms["module_norm_sq"]
             samples += 1
         assert samples == norm_samples
+
+
+# the cases with a faithful trace, where first order and reality are decided
+TRACED = sorted(OLD_SAMPLE_COUNTS) + ["one_vertex_kgraph_4"]
+
+
+@pytest.mark.parametrize("name", TRACED)
+def test_generator_checks_match_their_oracles(name):
+    """First order and reality equal their plain loops over p_v, S_e, S_e*
+    dict for dict, and give the verdict of the loops over every degree-box
+    key S_mu S_nu* (d(mu), d(nu) in {0,1}^k) that they used to check.  The
+    4-graph's 256 degree-box keys are too many for the plain loop; its v4
+    twin, written by the degree-box check, pins that verdict instead."""
+    factory, level = CASES[name]
+    tr = _truncation(factory(), level)[1]
+    amb = tr.ambient
+    g0, box = ck_generators(amb), generator_keys(amb, 1)
+    result = first_order_check(tr)
+    assert result == first_order_oracle(tr, g0)
+    if name != "one_vertex_kgraph_4":
+        assert result["pass"] == first_order_oracle(tr, box)["pass"]
+    if amb.k == 1:
+        result = reality_check_1graph(tr)
+        assert result == reality_oracle(tr, g0)
+        assert result["pass"] == reality_oracle(tr, box)["pass"]
 
 
 @pytest.mark.parametrize("name", sorted(SPECTRAL_CASES))

@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 from graphtriple import spectral
 from graphtriple.algebra import (AlgebraElement, _multiply_keys, kernel,
                                  key_degree)
+from graphtriple.graphs import GraphPresentation
 from graphtriple.scalars import GaussianRational
 from graphtriple.spectral import (DecompositionError, MultiplicityModel,
                                   SpectralProfile, ThetaSum, Truncation,
-                                  build_truncation, closedness_eval,
-                                  commutant_probe, decompose_projection,
+                                  build_truncation, ck_generators,
+                                  closedness_eval, commutant_probe,
+                                  decompose_projection,
                                   direct_summation_oracle, first_order_check,
                                   first_order_left_counterexample,
                                   generator_keys, kgraph_lattice_profile,
@@ -27,47 +29,74 @@ from graphtriple.spectral import (DecompositionError, MultiplicityModel,
 from graphtriple.traces import (solve_graph_trace, solve_kgraph_trace,
                                 trace_functional)
 
-from corpus import (bi_infinite_path, single_loop, torus_2graph,
-                    tree_with_ends, two_disjoint_loops, two_extension_2graph)
+from corpus import (bi_infinite_path, single_exit_violating_2graph,
+                    single_loop, sink_path, torus_2graph, tree_with_ends,
+                    two_disjoint_loops, two_extension_2graph,
+                    two_vertex_2graph)
 
 
-def first_order_oracle(tr, max_generator_length=1):
-    """The plain (b, z, a) triple loop that `first_order_check` replaced:
-    a(zb) and (az)b formed for every triple, with no product index.
-    Products go through the generator key boundary _multiply_keys, which
-    reads the ambient's product memo, so a product seeded there reaches the
-    oracle and the checked function alike."""
+def first_order_oracle(tr, generators):
+    """The plain (b, z, a) triple loop that `first_order_check` replaced,
+    with a and b over `generators` (a list of keys): a(zb) and (az)b formed
+    for every triple, with no product index.  `ck_generators` gives the
+    generators the check uses, and `generator_keys(amb, 1)` the degree-box
+    keys S_mu S_nu* with d(mu), d(nu) in {0,1}^k that it used to range
+    over.  Products go through the generator key boundary _multiply_keys,
+    which reads the ambient's product memo, so a product seeded there
+    reaches the oracle and the checked function alike."""
     amb = tr.ambient
-    gens = generator_keys(amb, max_generator_length)
     weights = {}
-    for ka in gens:
+    for ka in generators:
         deg_a = key_degree(amb, ka)
         weights[ka] = deg_a[0] if amb.k == 1 else sum(deg_a)
     failures = []
-    for kb in gens:
+    for kb in generators:
         for kz in tr.basis:
             zb = _multiply_keys(amb, kz, kb)
-            for ka in gens:
+            for ka in generators:
                 az = _multiply_keys(amb, ka, kz)
                 left = [k2 for k1 in zb
                         for k2 in _multiply_keys(amb, ka, k1)]
                 right = [k2 for k1 in az
                          for k2 in _multiply_keys(amb, k1, kb)]
-                if left == right or sorted(left) == sorted(right):
-                    continue
-                diff = {}
-                for key in left:
-                    diff[key] = diff.get(key, GaussianRational(0)) + 1
-                for key in right:
-                    diff[key] = diff.get(key, GaussianRational(0)) - 1
-                if AlgebraElement(amb, diff).is_zero():
+                if not _differ(amb, left, right):
                     continue
                 failures.append({"kind": "[a,b_op]", "a": ka, "b": kb, "z": kz})
                 if weights[ka]:
                     failures.append(
                         {"kind": "[[D,a],b_op]", "a": ka, "b": kb, "z": kz}
                     )
-    return {"pass": not failures, "failures": failures, "generators": len(gens)}
+    return {"pass": not failures, "failures": failures,
+            "generators": len(generators)}
+
+
+def reality_oracle(tr, generators):
+    """The plain (z, a) loop for J a* J = a^op on a 1-graph truncation:
+    (a* z*)* against z a, with a over `generators`, through the same
+    product memo as `reality_check_1graph`."""
+    amb = tr.ambient
+    failures = []
+    for kz in tr.basis:
+        for ka in generators:
+            left = [spectral._swap(k) for k in _multiply_keys(
+                amb, spectral._swap(ka), spectral._swap(kz))]
+            right = _multiply_keys(amb, kz, ka)
+            if _differ(amb, left, right):
+                failures.append({"kind": "Ja*J=a_op", "a": ka, "z": kz})
+    return {"pass": not failures, "failures": failures}
+
+
+def _differ(amb, left, right) -> bool:
+    """Whether the sums of the keys in left and in right differ as elements
+    of the algebra (each key with coefficient 1)."""
+    if left == right or sorted(left) == sorted(right):
+        return False
+    diff = {}
+    for key in left:
+        diff[key] = diff.get(key, GaussianRational(0)) + 1
+    for key in right:
+        diff[key] = diff.get(key, GaussianRational(0)) - 1
+    return not AlgebraElement(amb, diff).is_zero()
 
 
 def torus_setup(level=2):
@@ -523,7 +552,10 @@ class TestFirstOrderAndFriends:
     @pytest.mark.parametrize("setup", [loop_setup, tree_setup, torus_setup])
     def test_first_order_matches_triple_loop_oracle(self, setup):
         _, _, tr = setup()
-        assert first_order_check(tr) == first_order_oracle(tr)
+        result = first_order_check(tr)
+        assert result == first_order_oracle(tr, ck_generators(tr.ambient))
+        degree_box = first_order_oracle(tr, generator_keys(tr.ambient, 1))
+        assert result["pass"] == degree_box["pass"]
 
     def test_index_reaches_triples_with_zero_products(self):
         # p_b . S_nu* is zero because nu starts at b~s1, not at b; a
@@ -535,7 +567,8 @@ class TestFirstOrderAndFriends:
         assert kz in tr.basis and _multiply_keys(amb, ka, kz) == []
         self._corrupt_product(amb, ka, kz, [kz])
         result = first_order_check(tr)
-        assert result == first_order_oracle(tr)
+        assert ka in ck_generators(amb)
+        assert result == first_order_oracle(tr, ck_generators(amb))
         assert not result["pass"]
         assert all(f["kind"] == "[a,b_op]" for f in result["failures"])
         assert {(f["a"], f["z"]) for f in result["failures"]} == {(ka, kz)}
@@ -551,6 +584,52 @@ class TestFirstOrderAndFriends:
         result = reality_check_1graph(tr)
         assert not result["pass"]
         assert result["failures"] == [{"kind": "Ja*J=a_op", "a": ka, "z": kz}]
+
+    # (factory, level): the seeded mutants below corrupt products of these
+    MUTANT_CASES = {
+        "single_loop_3": (lambda: single_loop(3), 1),
+        "two_disjoint_loops": (two_disjoint_loops, 2),
+        "sink_path": (sink_path, 2),
+        "bi_infinite_path": (bi_infinite_path, 2),
+        "torus_2graph": (torus_2graph, 1),
+        "two_vertex_2graph": (two_vertex_2graph, 1),
+        "single_exit_violating_2graph": (single_exit_violating_2graph, 1),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MUTANT_CASES))
+    def test_sampled_generator_products_flip_both_checks(self, name):
+        """Double a sampled nonzero product a.z, a in {p_v, S_e, S_e*} and z
+        a basis vector: first order fails, both over the Cuntz-Krieger
+        generators and over the degree-box keys, and each check equals its
+        plain loop.  On a 1-graph reality fails the same way, unless z =
+        a*: then both sides of J a* J z = z a read the doubled entry."""
+        factory, level = self.MUTANT_CASES[name]
+        g = factory()
+        if isinstance(g, GraphPresentation):
+            tr = build_truncation(g, solve_graph_trace(g), level)
+        else:
+            tr = build_truncation(g, solve_kgraph_trace(g), level)
+        amb = tr.ambient
+        kern = kernel(amb)
+        g0, box = ck_generators(amb), generator_keys(amb, 1)
+        pairs = [(ka, kz) for ka in g0 for kz in tr.basis
+                 if _multiply_keys(amb, ka, kz)]
+        assert first_order_check(tr)["pass"]
+        for ka, kz in random.Random(13).sample(pairs, min(6, len(pairs))):
+            entry = kern.key_id(ka), kern.key_id(kz)
+            exact = kern.products[entry]
+            kern.products[entry] = exact + exact
+            result = first_order_check(tr)
+            assert not result["pass"], (ka, kz)
+            assert result == first_order_oracle(tr, g0)
+            assert not first_order_oracle(tr, box)["pass"]
+            if amb.k == 1 and kz != spectral._swap(ka):
+                reality = reality_check_1graph(tr)
+                assert not reality["pass"], (ka, kz)
+                assert reality == reality_oracle(tr, g0)
+                assert not reality_oracle(tr, box)["pass"]
+            kern.products[entry] = exact
+        assert first_order_check(tr)["pass"]
 
     def test_left_action_counterexample_on_tree(self):
         _, _, tr = tree_setup(2)
