@@ -3,7 +3,8 @@
 Subcommands: analyze, trace, ktheory, hochschild, clifford, spectral,
 conditions.  Identical inputs and flags produce byte-identical output.
 Exit codes follow sysexits conventions: 64 usage, 65 invalid data, 66 no
-input; the conditions subcommand exits 0 when all nine hold, 2 when some
+input, 69 when the conditions subcommand's truncation exceeds its work
+budget; the conditions subcommand exits 0 when all nine hold, 2 when some
 fail and 3 when prerequisites were not applicable.
 """
 
@@ -15,8 +16,8 @@ import sys
 from fractions import Fraction
 
 from .clifford import KMAX, sign_table_check, volume_form
-from .conditions import (_jsonable, evaluate_all, hypothesis_check,
-                         kgraph_hypothesis_check)
+from .conditions import (WorkBudgetError, _jsonable, evaluate_all,
+                         hypothesis_check, kgraph_hypothesis_check)
 from .graphs import (GraphFormatError, GraphPresentation, GraphValidationError,
                      graph_from_document, read_document)
 from .hochschild import check_orientation_1graph, verify_cancellation_steps
@@ -28,6 +29,7 @@ from .traces import ktheory_ranks, solve_graph_trace, solve_kgraph_trace
 EX_USAGE = 64
 EX_DATAERR = 65
 EX_NOINPUT = 66
+EX_UNAVAILABLE = 69
 
 
 class _Parser(argparse.ArgumentParser):
@@ -216,6 +218,9 @@ def _cmd_conditions(args) -> int:
     except ValueError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EX_DATAERR
+    except WorkBudgetError as exc:
+        print(f"over budget: {exc}", file=sys.stderr)
+        return EX_UNAVAILABLE
     _emit(report, args)
     return report.exit_code()
 
@@ -288,16 +293,8 @@ _COMMANDS = {
 }
 
 
-_PARSER = None
-
-
 def run(argv=None) -> int:
-    """Run one command.  The parser is built on the first call and reused:
-    parse_args keeps its results in a fresh namespace each time."""
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
-    args = _PARSER.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (GraphFormatError, GraphValidationError) as exc:

@@ -33,7 +33,8 @@ from .clifford import SIGN_TABLE, reality_operator, volume_form
 from .graphs import GraphPresentation
 from .hochschild import boundary_coefficients_1graph, verify_cancellation_steps
 from .kgraphs import KGraphPresentation
-from .spectral import (build_truncation, commutant_probe, first_order_check,
+from .spectral import (Truncation, build_truncation, ck_generators,
+                       commutant_probe, first_order_check,
                        reality_check_1graph, vertex_multiplicities)
 from .traces import (NoFaithfulTraceError, solve_graph_trace,
                      solve_kgraph_trace)
@@ -51,6 +52,17 @@ CONDITION_NAMES = (
 )
 
 REPORT_VERSION = 5
+
+# First order, reality and the commutant probe form the product of every
+# Cuntz-Krieger generator with every basis key, and the product memo keeps
+# each one: about 0.5 kB a pair.  dyadic_tree(6) at level 1 has 990,028
+# pairs and takes 21 s and 483 MB.  A truncation with more than a million
+# is refused before any product is formed.
+PAIR_BUDGET = 1_000_000
+
+
+class WorkBudgetError(RuntimeError):
+    """The truncation needs more generator-basis products than PAIR_BUDGET."""
 
 # The argument behind each verdict that holds by construction; the witness
 # of its "theorem" entry (Connes, CMP 182, 1996, for the conditions).
@@ -183,6 +195,18 @@ def evaluate_all(
     return _evaluate_graph(presentation, end_values, level)
 
 
+def _truncation(presentation, trace, level: int) -> Truncation:
+    tr = build_truncation(presentation, trace, level)
+    gens = len(ck_generators(tr.ambient))
+    pairs = gens * len(tr.basis)
+    if pairs > PAIR_BUDGET:
+        raise WorkBudgetError(
+            f"the level {level} truncation has {len(tr.basis)} basis keys and"
+            f" {gens} generators: {pairs} generator-basis products exceed the"
+            f" budget of {PAIR_BUDGET}")
+    return tr
+
+
 def _na(name: str, broken: str) -> ConditionEntry:
     return ConditionEntry(
         name, "not_applicable", "exact",
@@ -213,7 +237,7 @@ def _evaluate_graph(g: GraphPresentation, end_values,
     if trace is None:
         return _shared_entries(entries, hyp, params, None, None)
 
-    tr = build_truncation(g, trace, level)
+    tr = _truncation(g, trace, level)
 
     # dimension: the exact Dixmier limit of p_v(1+D^2)^{-1/2} on samples
     interior = tr.ambient.interior_vertices()
@@ -275,7 +299,7 @@ def _evaluate_kgraph(g: KGraphPresentation, level) -> ConditionReport:
     except NoFaithfulTraceError:
         return _shared_entries(entries, hyp, params, None, None)
 
-    tr = build_truncation(g, trace, min(level, 2))
+    tr = _truncation(g, trace, min(level, 2))
 
     mass = sum(trace.values[v] for v in g.vertices)
     ball = math.pi ** (k / 2) / math.gamma(k / 2 + 1)

@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from graphtriple.cli import (_COMMANDS, EX_DATAERR, EX_NOINPUT, EX_USAGE,
-                             build_parser, run)
+from graphtriple.cli import (EX_DATAERR, EX_NOINPUT, EX_UNAVAILABLE, EX_USAGE,
+                             run)
 
 from corpus import single_loop, tree_with_ends
 from graphtriple.graphs import graph_from_document, graph_to_document
@@ -386,39 +386,6 @@ class TestSubcommands:
         assert json.loads(target.read_text())["structural"]["loops"] == 1
 
 
-class TestParserReuse:
-    """`run` builds its parser once per process; no call may see another's
-    flags."""
-
-    @staticmethod
-    def _fresh(argv, capsys):
-        args = build_parser().parse_args(argv)
-        code = _COMMANDS[args.command](args)
-        return code, capsys.readouterr().out
-
-    def test_end_value_does_not_leak_into_the_next_call(self, tree_file,
-                                                        capsys):
-        with_value = ["conditions", tree_file, "--level", "1",
-                      "--end-value", "tail:c1=1/3"]
-        without = ["conditions", tree_file, "--level", "1"]
-        expected = [self._fresh(argv, capsys) for argv in (with_value, without)]
-        got = []
-        for argv in (with_value, without):
-            code = run(argv)
-            got.append((code, capsys.readouterr().out))
-        assert got == expected
-        assert got[0][1] != got[1][1]
-
-    def test_usage_error_then_valid_call(self, loop_file, capsys):
-        with pytest.raises(SystemExit) as exc:
-            run(["conditions", loop_file, "--level", "0"])
-        assert exc.value.code == EX_USAGE
-        capsys.readouterr()
-        assert run(["conditions", loop_file, "--level", "1"]) == 0
-        assert capsys.readouterr().out == \
-            self._fresh(["conditions", loop_file, "--level", "1"], capsys)[1]
-
-
 class TestStructureEdgeCases:
     def test_backward_diamond_dimension_limit(self, diamond_file, capsys):
         # the tail gives c+ = 1, and the bounded backward depth c- = 0
@@ -463,12 +430,39 @@ class TestStructureEdgeCases:
         model = vertex_multiplicities(g, solve_graph_trace(g), "p0000")
         assert model.dixmier_limit() == 2
 
+    def test_conditions_on_a_long_path_stops_at_its_budget(self, tmp_path):
+        # 4,516 generators times 4,516 basis keys at level 1: refused before
+        # any product is formed, in bounded time and memory
+        _, path = self._long_path(tmp_path, source_tails=["p0000"])
+        done = _run_python(
+            "import resource\n"
+            "from graphtriple.cli import run\n"
+            f"code = run(['conditions', {path!r}, '--level', '1'])\n"
+            "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n",
+            timeout=60)
+        code, rss_kb = map(int, done.stdout.split())
+        assert code == EX_UNAVAILABLE
+        assert done.stderr.startswith("over budget: ")
+        assert "20394256 generator-basis products" in done.stderr
+        assert rss_kb < 200 * 1024
+
+
+def _run_python(code, timeout=None):
+    """Run code in a fresh interpreter that imports this checkout's
+    graphtriple."""
+    import graphtriple
+    src = str(Path(graphtriple.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=timeout)
+
 
 def test_cold_start_leaves_numpy_and_networkx_unloaded(tree_file):
     """`conditions` and `clifford` run without importing numpy or networkx;
     `spectral` still loads numpy, for the Dixmier profile."""
-    import graphtriple
-    src = str(Path(graphtriple.__file__).resolve().parents[1])
     code = (
         "import contextlib, io, json, sys\n"
         "from graphtriple.cli import run\n"
@@ -482,9 +476,5 @@ def test_cold_start_leaves_numpy_and_networkx_unloaded(tree_file):
         "    loaded['spectral'] = [m for m in heavy if m in sys.modules]\n"
         "print(json.dumps(loaded))\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, check=True)
+    done = _run_python(code)
     assert json.loads(done.stdout) == {"cold": [], "spectral": ["numpy"]}

@@ -130,6 +130,20 @@ class TestEvaluateAll:
         assert json.dumps(rep1.to_json(), sort_keys=True) == \
             json.dumps(rep2.to_json(), sort_keys=True)
 
+    @pytest.mark.parametrize("g, solve", [
+        (tree_with_ends(2), solve_graph_trace),
+        (torus_2graph(), solve_kgraph_trace),
+    ], ids=["tree2", "torus"])
+    def test_pair_budget_refuses_only_above_it(self, g, solve, monkeypatch):
+        tr = spectral.build_truncation(g, solve(g), 1)
+        pairs = len(spectral.ck_generators(tr.ambient)) * len(tr.basis)
+        report = evaluate_all(g, level=1).to_json()
+        monkeypatch.setattr(conditions, "PAIR_BUDGET", pairs)
+        assert evaluate_all(g, level=1).to_json() == report
+        monkeypatch.setattr(conditions, "PAIR_BUDGET", pairs - 1)
+        with pytest.raises(conditions.WorkBudgetError, match=f"{pairs} "):
+            evaluate_all(g, level=1)
+
     def test_k1_kgraph_presentation_is_a_value_error(self):
         from graphtriple.graphs import Edge
         from graphtriple.kgraphs import KGraphPresentation
