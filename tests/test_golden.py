@@ -79,6 +79,7 @@ CASES = {
     "loop_with_exit_tree": (loop_with_exit_tree, 2),
     "two_extension_2graph": (two_extension_2graph, 1),
     "one_vertex_kgraph_4": (lambda: one_vertex_kgraph(4), 1),
+    "dyadic_tree_5": (lambda: dyadic_tree(5), 2),
 }
 
 # name -> (presentation factory, spectral flags); a case with
