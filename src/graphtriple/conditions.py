@@ -26,9 +26,11 @@ theorem that the limit is the trace mass times the unit k-ball volume.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Optional, Union
 
+from .algebra import key_source_mu, key_source_nu
 from .clifford import SIGN_TABLE, reality_operator, volume_form
 from .graphs import GraphPresentation
 from .hochschild import boundary_coefficients_1graph, verify_cancellation_steps
@@ -53,11 +55,10 @@ CONDITION_NAMES = (
 
 REPORT_VERSION = 5
 
-# First order, reality and the commutant probe form the product of every
-# Cuntz-Krieger generator with every basis key, and the product memo keeps
-# each one: about 0.5 kB a pair.  dyadic_tree(6) at level 1 has 990,028
-# pairs and takes 21 s and 483 MB.  A truncation with more than a million
-# is refused before any product is formed.
+# First order, reality and the commutant probe form a.z only for a generator
+# a and a basis key z in one vertex bucket, ls(a) = rs(z), and keep it: about
+# 1.4 kB a pair on dyadic_tree(9) at level 2, 5 kB on the one-vertex 8-graph
+# (111,537 pairs, 143 s, 584 MB).  Over a million is refused before any.
 PAIR_BUDGET = 1_000_000
 
 
@@ -197,13 +198,14 @@ def evaluate_all(
 
 def _truncation(presentation, trace, level: int) -> Truncation:
     tr = build_truncation(presentation, trace, level)
-    gens = len(ck_generators(tr.ambient))
-    pairs = gens * len(tr.basis)
+    amb = tr.ambient
+    gens = Counter(key_source_mu(amb, key) for key in ck_generators(amb))
+    pairs = sum(gens[key_source_nu(amb, key)] for key in tr.basis)
     if pairs > PAIR_BUDGET:
         raise WorkBudgetError(
             f"the level {level} truncation has {len(tr.basis)} basis keys and"
-            f" {gens} generators: {pairs} generator-basis products exceed the"
-            f" budget of {PAIR_BUDGET}")
+            f" {sum(gens.values())} generators: {pairs} generator-basis"
+            f" products in shared buckets exceed the budget of {PAIR_BUDGET}")
     return tr
 
 

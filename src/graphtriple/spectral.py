@@ -635,7 +635,11 @@ def first_order_check(tr: Truncation) -> dict:
     by_key[z].  Every a outside both maps has a.z = 0 and a.k = 0 for each
     key k of zb, so both sides are empty.  When the two maps are equal every
     a passes; otherwise each a is compared on its own, and failures keep
-    the (b, z, a) order.
+    the (b, z, a) order.  Only pairs in one vertex bucket are formed: x.y =
+    0 unless rs(x) = ls(y) (`ProductKernel.sources`), as nu1 xi = mu2 eta
+    forces s(nu1) = s(mu2), and x.y keeps ls(x), rs(y).  So only (b, z) with
+    rs(z) = ls(b), and in by_key[k] only a with rs(a) = ls(k), are visited;
+    a corrupted product across buckets is out of scope by design.
     """
     amb = tr.ambient
     kern = kernel(amb)
@@ -643,13 +647,18 @@ def first_order_check(tr: Truncation) -> dict:
     gens = ck_generators(amb)
     gen_ids = [kern.key_id(ka) for ka in gens]
     weights = [sum(key_degree(amb, ka)) for ka in gens]
+    gens_by_rs, basis_by_rs = {}, {}  # rs -> (index or key, id), in order
+    for ia, ka in enumerate(gen_ids):
+        gens_by_rs.setdefault(kern.sources(ka)[1], []).append((ia, ka))
+    for kz, z in zip(tr.basis, tr.key_ids()):
+        basis_by_rs.setdefault(kern.sources(z)[1], []).append((kz, z))
     by_key: Dict[int, Dict[int, Tuple[int, ...]]] = {}
 
     def left_products(kid: int) -> Dict[int, Tuple[int, ...]]:
         hit = by_key.get(kid)
         if hit is None:
             hit = by_key[kid] = {}
-            for ia, ka in enumerate(gen_ids):
+            for ia, ka in gens_by_rs.get(kern.sources(kid)[0], ()):
                 prods = product(ka, kid)
                 if prods:
                     hit[ia] = prods
@@ -657,7 +666,7 @@ def first_order_check(tr: Truncation) -> dict:
 
     failures = []
     for kb, b in zip(gens, gen_ids):
-        for kz, z in zip(tr.basis, tr.key_ids()):
+        for kz, z in basis_by_rs.get(kern.sources(b)[0], ()):
             zb = product(z, b)
             if len(zb) == 1:
                 lefts = left_products(zb[0])
@@ -757,7 +766,11 @@ def reality_check_1graph(tr: Truncation) -> dict:
     involution swaps (mu, nu, v) to (nu, mu, v) key by key (a swap table on
     ids), and products of single generators carry coefficient 1, so the two
     sides agree when the swapped keys of a* z* and the keys of z a agree as
-    multisets.  Only a mismatch goes to the relation-aware zero test.
+    multisets.  Only a mismatch goes to the relation-aware zero test.  Only
+    the a with ls(a) = rs(z) are visited: x.y = 0 unless rs(x) = ls(y)
+    (`ProductKernel.sources`), as nu1 xi = mu2 eta forces s(nu1) = s(mu2),
+    and rs(a*) = ls(a), ls(z*) = rs(z); a corrupted product across buckets
+    is out of scope by design.
     """
     amb = tr.ambient
     if amb.k != 1:
@@ -773,13 +786,13 @@ def reality_check_1graph(tr: Truncation) -> dict:
         return hit
 
     failures = []
-    gens = []
+    gens_by_ls: Dict[str, list] = {}
     for ka in ck_generators(amb):
         a = kern.key_id(ka)
-        gens.append((ka, a, swap(a)))
+        gens_by_ls.setdefault(kern.sources(a)[0], []).append((ka, a, swap(a)))
     for kz, z_id in zip(tr.basis, tr.key_ids()):
         z_star = swap(z_id)
-        for ka, a, a_star in gens:
+        for ka, a, a_star in gens_by_ls.get(kern.sources(z_id)[1], ()):
             left = tuple(swap(k) for k in product(a_star, z_star))
             right = product(z_id, a)
             if left == right or sorted(left) == sorted(right):
@@ -831,7 +844,11 @@ def commutant_probe(tr: Truncation) -> dict:
     dimension equals the number of connected components (the constants per
     component), so irreducibility holds when it is 1 on a connected
     presentation.  The constraint rows come from key products with integer
-    coefficients (`_aligned_commutator`).
+    coefficients (`_aligned_commutator`).  For g = S_e, S_e* only the f =
+    S_mu S_mu* with s(mu) in {s(e), r(e)} = {ls(g), rs(g)} are visited: x.y
+    = 0 unless rs(x) = ls(y) (`ProductKernel.sources`), as nu1 xi = mu2 eta
+    forces s(nu1) = s(mu2); a corrupted product across buckets is out of
+    scope by design.
     """
     amb = tr.ambient
     diag = sorted(
@@ -843,14 +860,18 @@ def commutant_probe(tr: Truncation) -> dict:
         }
     )
     ech = SparseEchelon()
-    col_of = {key: i for i, key in enumerate(diag)}
+    cols_at: Dict[str, List[int]] = {}
+    for col, key in enumerate(diag):
+        cols_at.setdefault(key_source_mu(amb, key), []).append(col)
     for eid in amb.edge_order:
         s_e = make_key(amb, (eid,), ())
+        cols = sorted({*cols_at.get(key_source_mu(amb, s_e), ()),
+                       *cols_at.get(s_e[2], ())})
         for gen in (s_e, _swap(s_e)):
             rows: Dict[GenKey, Dict[int, int]] = {}
-            for key in diag:
-                for ckey, c in _aligned_commutator(amb, key, gen).items():
-                    rows.setdefault(ckey, {})[col_of[key]] = c
+            for col in cols:
+                for ckey, c in _aligned_commutator(amb, diag[col], gen).items():
+                    rows.setdefault(ckey, {})[col] = c
             for row in rows.values():
                 ech.insert(row)
     null = ech.nullspace(len(diag))

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from graphtriple import conditions
 from graphtriple.cli import (EX_DATAERR, EX_NOINPUT, EX_UNAVAILABLE, EX_USAGE,
                              run)
 
@@ -430,21 +431,35 @@ class TestStructureEdgeCases:
         model = vertex_multiplicities(g, solve_graph_trace(g), "p0000")
         assert model.dixmier_limit() == 2
 
-    def test_conditions_on_a_long_path_stops_at_its_budget(self, tmp_path):
-        # 4,516 generators times 4,516 basis keys at level 1: refused before
-        # any product is formed, in bounded time and memory
+    def test_conditions_on_a_long_path_runs_to_a_verdict(self, tmp_path):
+        # 4,516 generators and 4,516 basis keys at level 1, but only 13,544
+        # pairs share a vertex bucket; those are all the checks form, in
+        # bounded time and memory
         _, path = self._long_path(tmp_path, source_tails=["p0000"])
+        out = tmp_path / "report.json"
         done = _run_python(
             "import resource\n"
             "from graphtriple.cli import run\n"
-            f"code = run(['conditions', {path!r}, '--level', '1'])\n"
+            f"code = run(['conditions', {path!r}, '--level', '1',"
+            f" '--out', {str(out)!r}])\n"
             "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n",
             timeout=60)
         code, rss_kb = map(int, done.stdout.split())
-        assert code == EX_UNAVAILABLE
-        assert done.stderr.startswith("over budget: ")
-        assert "20394256 generator-basis products" in done.stderr
+        assert code == 0
+        report = json.loads(out.read_text())
+        statuses = {c["status"] for c in report["conditions"].values()}
+        assert len(report["conditions"]) == 9 and statuses == {"holds"}
         assert rss_kb < 200 * 1024
+
+    def test_conditions_over_its_budget_exits_69(
+            self, tree_file, capsys, monkeypatch):
+        # tree_with_ends(2) at level 1 forms 104 generator-basis products
+        monkeypatch.setattr(conditions, "PAIR_BUDGET", 103)
+        assert run(["conditions", tree_file, "--level", "1"]) == EX_UNAVAILABLE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("over budget: ")
+        assert " 104 generator-basis products" in captured.err
 
 
 def _run_python(code, timeout=None):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from graphtriple import conditions, hochschild, spectral
+from graphtriple.algebra import key_source_mu, key_source_nu
 from graphtriple.conditions import (CONDITION_NAMES, evaluate_all,
                                     hypothesis_check, kgraph_hypothesis_check)
 from graphtriple.spectral import singular_profile, vertex_multiplicities
@@ -135,8 +136,15 @@ class TestEvaluateAll:
         (torus_2graph(), solve_kgraph_trace),
     ], ids=["tree2", "torus"])
     def test_pair_budget_refuses_only_above_it(self, g, solve, monkeypatch):
+        # the budget counts the pairs the checks form: a generator a and a
+        # basis key z with ls(a) = rs(z), one bucket per vertex
         tr = spectral.build_truncation(g, solve(g), 1)
-        pairs = len(spectral.ck_generators(tr.ambient)) * len(tr.basis)
+        amb = tr.ambient
+        gens = spectral.ck_generators(amb)
+        pairs = sum(key_source_mu(amb, a) == key_source_nu(amb, z)
+                    for a in gens for z in tr.basis)
+        one_bucket = len(amb.vertices) == 1
+        assert (pairs == len(gens) * len(tr.basis)) == one_bucket
         report = evaluate_all(g, level=1).to_json()
         monkeypatch.setattr(conditions, "PAIR_BUDGET", pairs)
         assert evaluate_all(g, level=1).to_json() == report

@@ -39,20 +39,22 @@ from corpus import (bi_infinite_path, double_entry_tree,  # noqa: E402
                     two_disjoint_loops, two_extension_2graph,
                     two_vertex_2graph)
 from graphtriple.algebra import (AlgebraElement, delta_action,  # noqa: E402
-                                 key_degree)
+                                 kernel, key_degree)
 from graphtriple.cli import run  # noqa: E402
 from graphtriple.graphs import (GraphPresentation,  # noqa: E402
                                 GraphValidationError, graph_to_document)
 from graphtriple.scalars import GaussianRational  # noqa: E402
 from graphtriple.spectral import (build_truncation,  # noqa: E402
                                   ck_generators, closedness_eval,
-                                  first_order_check, generator_keys,
+                                  commutant_probe, first_order_check,
+                                  generator_keys,
                                   reality_check_1graph,
                                   spin_c_generation_check)
 from graphtriple.traces import (NonDiagonalError,  # noqa: E402
                                 canonical_F_form, fixed_point_norms,
                                 solve_graph_trace, solve_kgraph_trace)
-from test_spectral import first_order_oracle, reality_oracle  # noqa: E402
+from test_spectral import (commutant_oracle, first_order_oracle,  # noqa: E402
+                           reality_oracle)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 V4_DIR = GOLDEN_DIR / "v4"
@@ -308,6 +310,35 @@ def test_generator_checks_match_their_oracles(name):
         result = reality_check_1graph(tr)
         assert result == reality_oracle(tr, g0)
         assert result["pass"] == reality_oracle(tr, box)["pass"]
+
+
+@pytest.mark.parametrize("name", TRACED)
+def test_commutant_probe_matches_its_oracle(name):
+    factory, level = CASES[name]
+    tr = _truncation(factory(), level)[1]
+    assert commutant_probe(tr) == commutant_oracle(tr)
+
+
+@pytest.mark.parametrize("name", TRACED)
+def test_products_across_buckets_are_zero(name):
+    """Write a key S_mu S_nu* with ls = s(mu) and rs = s(nu): x.y can be
+    nonzero only if rs(x) = ls(y), which the bucketed checks rely on.  Every
+    generator a and basis key z with rs(a) != ls(z) have a.z = 0, and with
+    rs(z) != ls(a) z.a = 0; the products that are formed keep ls(x) and
+    rs(y)."""
+    factory, level = CASES[name]
+    tr = _truncation(factory(), level)[1]
+    kern = kernel(tr.ambient)
+    gens = [kern.key_id(key) for key in ck_generators(tr.ambient)]
+    for z in tr.key_ids():
+        for a in gens:
+            for x, y in ((a, z), (z, a)):
+                prods = kern.product(x, y)
+                if kern.sources(x)[1] != kern.sources(y)[0]:
+                    assert prods == (), (kern.keys[x], kern.keys[y])
+                for k in prods:
+                    assert kern.sources(k) == (kern.sources(x)[0],
+                                               kern.sources(y)[1])
 
 
 @pytest.mark.parametrize("name", sorted(SPECTRAL_CASES))

@@ -13,6 +13,7 @@ from graphtriple import spectral
 from graphtriple.algebra import (AlgebraElement, _multiply_keys, kernel,
                                  key_degree)
 from graphtriple.graphs import GraphPresentation
+from graphtriple.linalg import SparseEchelon
 from graphtriple.scalars import GaussianRational
 from graphtriple.spectral import (DecompositionError, MultiplicityModel,
                                   SpectralProfile, ThetaSum, Truncation,
@@ -84,6 +85,37 @@ def reality_oracle(tr, generators):
             if _differ(amb, left, right):
                 failures.append({"kind": "Ja*J=a_op", "a": ka, "z": kz})
     return {"pass": not failures, "failures": failures}
+
+
+def commutant_oracle(tr):
+    """The plain loop that `commutant_probe` replaced: f g - g f formed as
+    elements for every diagonal candidate f and every edge generator g =
+    S_e, S_e*, with no bucketing, and the solutions counted in the basis
+    frame."""
+    amb = tr.ambient
+    diag = sorted({((), (), v) for v in amb.vertices}
+                  | {key for key in generator_keys(amb, max(tr.level - 1, 1))
+                     if key[0] == key[1]})
+    ech = SparseEchelon()
+    for eid in amb.edge_order:
+        s_e = AlgebraElement.generator(amb, (eid,), ())
+        for g in (s_e, s_e.involution()):
+            rows = {}
+            for col, kf in enumerate(diag):
+                f = AlgebraElement(amb, {kf: GaussianRational(1)})
+                for ckey, c in (f * g - g * f).aligned_terms().items():
+                    rows.setdefault(ckey, {})[col] = c.re
+            for row in rows.values():
+                ech.insert(row)
+    solutions = SparseEchelon()
+    for vec in ech.nullspace(len(diag)):
+        f = AlgebraElement(amb, {diag[c]: GaussianRational(v)
+                                 for c, v in vec.items()})
+        coords, _ = to_basis_coordinates(tr, f)
+        row = {i: c.re for i, c in coords.items() if c.re}
+        if row:
+            solutions.insert(row)
+    return {"dimension_interior": solutions.rank()}
 
 
 def _differ(amb, left, right) -> bool:
@@ -558,19 +590,27 @@ class TestFirstOrderAndFriends:
         assert result["pass"] == degree_box["pass"]
 
     def test_index_reaches_triples_with_zero_products(self):
-        # p_b . S_nu* is zero because nu starts at b~s1, not at b; a
-        # nonzero a.z there must still reach the comparison
+        # S_e2* . S_e1 S_nu* is zero because e1 != e2, though both edges
+        # leave b: a and z share the bucket rs(a) = ls(z) = b, so a nonzero
+        # a.z there must still reach the comparison
         _, _, tr = tree_setup(2)
         amb = tr.ambient
-        ka = ((), (), "b")
-        kz = ((), ("b~se1", "e1"), "c1")
+        kern = kernel(amb)
+        ka = ((), ("e2",), "c2")
+        kz = (("e1",), ("b~se1", "e1"), "c1")
         assert kz in tr.basis and _multiply_keys(amb, ka, kz) == []
+        assert kern.sources(kern.key_id(ka))[1] == "b"
+        assert kern.sources(kern.key_id(kz))[0] == "b"
         self._corrupt_product(amb, ka, kz, [kz])
         result = first_order_check(tr)
         assert ka in ck_generators(amb)
         assert result == first_order_oracle(tr, ck_generators(amb))
         assert not result["pass"]
-        assert all(f["kind"] == "[a,b_op]" for f in result["failures"])
+        # S_e2* has degree -1, so each failure shows in both commutators
+        plain = [f for f in result["failures"] if f["kind"] == "[a,b_op]"]
+        assert result["failures"] == [
+            dict(f, kind=kind) for f in plain
+            for kind in ("[a,b_op]", "[[D,a],b_op]")]
         assert {(f["a"], f["z"]) for f in result["failures"]} == {(ka, kz)}
 
     def test_reality_fails_on_corrupted_product(self):
