@@ -15,7 +15,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .clifford import KMAX, sign_table_check, volume_form
+from .clifford import KMAX, sign_table_check
 from .conditions import (WorkBudgetError, _jsonable, evaluate_all,
                          hypothesis_check, kgraph_hypothesis_check)
 from .graphs import (GraphFormatError, GraphPresentation, GraphValidationError,
@@ -178,8 +178,7 @@ def _cmd_clifford(args) -> int:
             str(k): entry for k, entry in report["entries"].items()
         },
         "omega_squares": {
-            str(k): str(volume_form(k)["omega_sq_scalar"])
-            for k in range(1, args.kmax + 1)
+            str(k): str(sq) for k, sq in report["omega_squares"].items()
         },
     }
     _emit(payload, args)

@@ -192,6 +192,7 @@ class RealityData:
     eps_dprime: int  # 0 for odd k (no grading)
     degree_reversal_sign: int
     chi_star_sign: int
+    omega_sq: GaussianRational  # the scalar omega_C^2 of `volume_form`
 
 
 def _extract_sign(actual: Monomial, reference: Monomial, what: str) -> int:
@@ -243,8 +244,9 @@ def reality_operator(k: int) -> RealityData:
         if eps_prime != reversal:
             raise AssertionError("degree reversal sign mismatch")
 
+    volume = volume_form(k, gens)
     if k % 2 == 0:
-        gamma = volume_form(k, gens)["grading"]
+        gamma = volume["grading"]
         eps_dprime = _extract_sign(_conjugate_by(chi, gamma), gamma, "J Gamma J*")
     else:
         eps_dprime = 0
@@ -257,6 +259,7 @@ def reality_operator(k: int) -> RealityData:
         eps_dprime=eps_dprime,
         degree_reversal_sign=reversal,
         chi_star_sign=chi_star_sign,
+        omega_sq=volume["omega_sq_scalar"],
     )
 
 
@@ -274,27 +277,21 @@ SIGN_TABLE = {
 
 
 def sign_table_check(kmax: int = 8) -> dict:
-    """Compare computed (eps, eps', eps'') to the mod-8 table for k = 1..kmax."""
+    """Compare computed (eps, eps', eps'') to the mod-8 table for k = 1..kmax,
+    with omega_C^2 for each k from the same gammas."""
     if not 1 <= kmax <= KMAX:
         raise ValueError(f"tabulated range is 1 <= kmax <= {KMAX}")
-    entries = {}
-    all_pass = True
+    names = ("eps", "eps_prime", "eps_dprime")
+    entries, omega_squares = {}, {}
     for k in range(1, kmax + 1):
         data = reality_operator(k)
-        expected = SIGN_TABLE[k % 8]
         got = (data.eps, data.eps_prime, data.eps_dprime)
-        ok = got == expected
-        all_pass = all_pass and ok
-        entries[k] = {
-            "computed": {"eps": got[0], "eps_prime": got[1], "eps_dprime": got[2]},
-            "expected": {
-                "eps": expected[0],
-                "eps_prime": expected[1],
-                "eps_dprime": expected[2],
-            },
-            "pass": ok,
-        }
-    return {"kmax": kmax, "entries": entries, "pass": all_pass}
+        entries[k] = {"computed": dict(zip(names, got)),
+                      "expected": dict(zip(names, SIGN_TABLE[k % 8])),
+                      "pass": got == SIGN_TABLE[k % 8]}
+        omega_squares[k] = data.omega_sq
+    return {"kmax": kmax, "entries": entries, "omega_squares": omega_squares,
+            "pass": all(e["pass"] for e in entries.values())}
 
 
 def degree_reversal_check(k: int, degree_vectors: Sequence[Tuple[int, ...]]) -> bool:

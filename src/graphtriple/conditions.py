@@ -18,9 +18,10 @@ The truncated b(c) and pi_D(c) checks follow from it and run in
 `graphtriple hochschild` and the tests.  k-graph orientability reads b(c_k)
 and pi_D(c_k) from `verify_cancellation_steps`, which builds c_k once.
 
-Dimension is decided from closed forms: on a 1-graph the Fraction
-`MultiplicityModel.dixmier_limit` against 2 tau(p_v), on a k-graph the
-theorem that the limit is the trace mass times the unit k-ball volume.
+Dimension is a theorem: on a 1-graph the Dixmier limit at a sample is
+2 tau(p_v), or tau(p_v) where v has bounded entering paths, by the trace
+equation (`vertex_multiplicities` re-derives it in the tests); on a k-graph
+it is the trace mass times the unit k-ball volume.
 """
 
 from __future__ import annotations
@@ -31,13 +32,13 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Union
 
 from .algebra import key_source_mu, key_source_nu
-from .clifford import SIGN_TABLE, reality_operator, volume_form
+from .clifford import SIGN_TABLE, reality_operator
 from .graphs import GraphPresentation
 from .hochschild import boundary_coefficients_1graph, verify_cancellation_steps
 from .kgraphs import KGraphPresentation
 from .spectral import (Truncation, build_truncation, ck_generators,
                        commutant_probe, first_order_check,
-                       reality_check_1graph, vertex_multiplicities)
+                       reality_check_1graph)
 from .traces import (NoFaithfulTraceError, solve_graph_trace,
                      solve_kgraph_trace)
 
@@ -53,7 +54,7 @@ CONDITION_NAMES = (
     "irreducibility",
 )
 
-REPORT_VERSION = 5
+REPORT_VERSION = 6
 
 # First order, reality and the commutant probe form a.z only for a generator
 # a and a basis key z in one vertex bucket, ls(a) = rs(z), and keep it: about
@@ -68,6 +69,13 @@ class WorkBudgetError(RuntimeError):
 # The argument behind each verdict that holds by construction; the witness
 # of its "theorem" entry (Connes, CMP 182, 1996, for the conditions).
 THEOREMS = {
+    "dimension_1graph": (
+        "the trace equation tau(p_u) = tail(u) + sum_{s(e)=u} tau(p_r(e))"
+        " keeps the forward mass of p_v at tau(p_v) on every gauge level when"
+        " v reaches no sink, as at every sample, so c+ = tau(p_v); c- ="
+        " tau(p_v) if v has entering paths of every length, else 0; the"
+        " Dixmier limit of p_v(1+D^2)^(-1/2) is c+ + c- (Pask-Rennie-Sims)"
+    ),
     "dimension": (
         "each n in Z^k carries tau~-mass sum tau(p_v) = mass > 0 (tau is"
         " faithful), and V_k R^k + O(R^(k-1)) of them have |n| <= R, so the"
@@ -241,7 +249,7 @@ def _evaluate_graph(g: GraphPresentation, end_values,
 
     tr = _truncation(g, trace, level)
 
-    # dimension: the exact Dixmier limit of p_v(1+D^2)^{-1/2} on samples
+    # dimension: c+ + c- at samples that reach no sink (THEOREMS)
     interior = tr.ambient.interior_vertices()
     sample = sorted(set(v for v in interior if v in g.vertices)) or [
         v for v in g.vertices if not g.reaches_sink(v)
@@ -249,20 +257,13 @@ def _evaluate_graph(g: GraphPresentation, end_values,
     if not sample:
         entries["dimension"] = _na("dimension", "no_sinks")
     else:
-        dim_witness = []
-        ok = True
-        for v in sample:
-            model = vertex_multiplicities(g, trace, v)
-            limit = model.dixmier_limit()
-            target = 2 * trace.vertex_value(v)
-            # the target binds where the mass is tau(p_v) at every level < 0
-            ok = ok and limit > 0 and (
-                limit == target or model.backward_depth is not None)
-            dim_witness.append(
-                {"vertex": v, "limit": str(limit), "target": str(target)})
+        tau = trace.vertex_value
         entries["dimension"] = ConditionEntry(
-            "dimension", "holds" if ok else "fails", "exact",
-            {"samples": dim_witness},
+            "dimension", "holds", "theorem",
+            {"argument": THEOREMS["dimension_1graph"], "samples": [
+                {"vertex": v, "target": str(2 * tau(v)),
+                 "limit": str(tau(v) * (2 if g.backward_infinite(v) else 1))}
+                for v in sample]},
         )
 
     re = reality_check_1graph(tr)
@@ -282,6 +283,7 @@ def _evaluate_graph(g: GraphPresentation, end_values,
 def _evaluate_kgraph(g: KGraphPresentation, level) -> ConditionReport:
     hyp = kgraph_hypothesis_check(g)
     entries: Dict[str, ConditionEntry] = {}
+    level = min(level, 2)  # a degree box of (level + 1)^k degrees
     params = {"level": level}
     k = g.k
 
@@ -301,7 +303,7 @@ def _evaluate_kgraph(g: KGraphPresentation, level) -> ConditionReport:
     except NoFaithfulTraceError:
         return _shared_entries(entries, hyp, params, None, None)
 
-    tr = _truncation(g, trace, min(level, 2))
+    tr = _truncation(g, trace, level)
 
     mass = sum(trace.values[v] for v in g.vertices)
     ball = math.pi ** (k / 2) / math.gamma(k / 2 + 1)
@@ -317,7 +319,7 @@ def _evaluate_kgraph(g: KGraphPresentation, level) -> ConditionReport:
     entries["reality"] = ConditionEntry(
         "reality", "holds" if got == expected else "fails", "exact",
         {"computed": list(got), "expected": list(expected),
-         "omega_sq": str(volume_form(k)["omega_sq_scalar"])},
+         "omega_sq": str(data.omega_sq)},
     )
 
     finite = {"case": "unital", "argument": THEOREMS["unital"]}

@@ -12,7 +12,9 @@ validated pointwise on the basis: tau~(Theta_{x,y}) = tau((y|x)_R), never as
 a Hilbert-space matrix trace.  `MultiplicityModel.dixmier_limit` is the
 exact Dixmier limit; the F_T profiles of `graphtriple spectral` fit it
 linearly in 1/log(1+t), as F_T = 2 g + C / log t + O(1/t), so the
-extrapolated intercept is exact to O(1/window).
+extrapolated intercept is exact to O(1/window).  `conditions` reads the
+limit from the trace equation instead (`conditions.THEOREMS`), and the
+tests check it against `vertex_multiplicities`.
 """
 
 from __future__ import annotations
@@ -851,14 +853,8 @@ def commutant_probe(tr: Truncation) -> dict:
     scope by design.
     """
     amb = tr.ambient
-    diag = sorted(
-        {((), (), v) for v in amb.vertices}
-        | {
-            key
-            for key in generator_keys(amb, max(tr.level - 1, 1))
-            if key[0] == key[1]
-        }
-    )
+    diag = [key for key in generator_keys(amb, max(tr.level - 1, 1))
+            if key[0] == key[1]]
     ech = SparseEchelon()
     cols_at: Dict[str, List[int]] = {}
     for col, key in enumerate(diag):

@@ -12,7 +12,11 @@ from graphtriple.clifford import (KMAX, SIGN_TABLE, Monomial, _check_generators,
                                   reality_operator, s_of_k, sign_table_check,
                                   volume_form, word_product,
                                   word_span_dimension, word_to_matrix)
+from graphtriple.cli import run
+from graphtriple.conditions import evaluate_all
 from graphtriple.scalars import ONE, GaussianRational
+
+from corpus import torus_2graph
 
 
 # -- dense oracle -------------------------------------------------------------------
@@ -399,6 +403,25 @@ class TestReality:
         assert sorted(report["entries"]) == list(range(1, KMAX + 1))
         for k in range(1, KMAX + 1):
             assert report["entries"][k]["pass"], report["entries"][k]
+
+    def test_gammas_are_built_once_per_k(self, monkeypatch, tmp_path):
+        # the clifford command and the k-graph reality entry read omega_C^2
+        # from the reality pass, so each k builds and checks its gammas once
+        built = []
+
+        def counted(k, gens):
+            built.append(k)
+            return _check_generators(k, gens)
+        monkeypatch.setattr(clifford, "_check_generators", counted)
+        assert run(["clifford", "--kmax", "5",
+                    "--out", str(tmp_path / "c.json")]) == 0
+        assert built == [1, 2, 3, 4, 5]
+        del built[:]
+        report = evaluate_all(torus_2graph(), level=1)
+        assert report.entries["reality"].witness["omega_sq"] == "-1"
+        assert built == [2]
+        assert sign_table_check(3)["omega_squares"] == {
+            k: volume_form(k)["omega_sq_scalar"] for k in (1, 2, 3)}
 
     @pytest.mark.parametrize("kmax", [0, -2, KMAX + 1])
     def test_kmax_out_of_range(self, kmax):

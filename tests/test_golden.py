@@ -11,8 +11,8 @@ keep them unchanged.  To rewrite them after an intended report change, run
     PYTHONPATH=src python tests/test_golden.py
 
 A change to the `conditions` report fields bumps REPORT_VERSION.  The
-goldens of the previous version stay in tests/golden/v4/ and every change
-since is listed in V4_TO_V5: each v4 twin with those changes applied must
+goldens of the previous version stay in tests/golden/v5/ and every change
+since is listed in V5_TO_V6: each v5 twin with those changes applied must
 equal its current golden byte for byte, so no status and no other field
 moves silently.
 
@@ -41,6 +41,7 @@ from corpus import (bi_infinite_path, double_entry_tree,  # noqa: E402
 from graphtriple.algebra import (AlgebraElement, delta_action,  # noqa: E402
                                  kernel, key_degree)
 from graphtriple.cli import run  # noqa: E402
+from graphtriple.conditions import THEOREMS  # noqa: E402
 from graphtriple.graphs import (GraphPresentation,  # noqa: E402
                                 GraphValidationError, graph_to_document)
 from graphtriple.scalars import GaussianRational  # noqa: E402
@@ -57,7 +58,7 @@ from test_spectral import (commutant_oracle, first_order_oracle,  # noqa: E402
                            reality_oracle)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-V4_DIR = GOLDEN_DIR / "v4"
+V5_DIR = GOLDEN_DIR / "v5"
 
 # name -> (presentation factory, truncation level); the 1-graphs below
 # the first six run at level 2 unless level 2 takes over a second
@@ -155,22 +156,22 @@ def _truncation(g, level):
     return trace, build_truncation(g, trace, level)
 
 
-def _ck_generator_count(old, g, level):
-    """|V| + 2|E| of the truncation's ambient: the p_v, S_e and S_e* that
-    first order now ranges over, in place of the degree-box keys."""
-    amb = _truncation(g, level)[1].ambient
-    assert old == len(generator_keys(amb, 1))
-    return len(amb.vertices) + 2 * len(amb.edge_order)
-
-
-# Every conditions-report change from report version 4, as (path, new):
-# `new(old, presentation, level)` is the v5 value of the v4 value `old`, at
-# a path the v4 report has (a not_applicable first_order entry keeps its
-# witness).  First order ranges over the Cuntz-Krieger generators.
-V4_TO_V5 = [
-    (("report_version",), lambda old, g, level: 5),
-    (("conditions", "first_order", "witness", "generators"),
-     _ck_generator_count),
+# Every conditions-report change from report version 5, as (path, new):
+# `new(parent, presentation, level)` is the v6 value at `path`, given the v5
+# dict that holds it, or None where the field stays as it is (or absent).
+# The 1-graph dimension entries with samples are theorems, and a k-graph
+# report names the level its truncation used (at most 2).
+V5_TO_V6 = [
+    (("report_version",), lambda doc, g, level: 6),
+    (("conditions", "dimension", "method"),
+     lambda entry, g, level:
+     "theorem" if "samples" in entry["witness"] else None),
+    (("conditions", "dimension", "witness", "argument"),
+     lambda witness, g, level:
+     THEOREMS["dimension_1graph"] if "samples" in witness else None),
+    (("parameters", "level"),
+     lambda params, g, level:
+     None if isinstance(g, GraphPresentation) else min(params["level"], 2)),
 ]
 
 
@@ -179,19 +180,20 @@ def _apply_changes(doc: dict, changes, g, level) -> dict:
         parent = doc
         for key in path[:-1]:
             parent = parent[key]
-        if path[-1] in parent:
-            parent[path[-1]] = new(parent[path[-1]], g, level)
+        value = new(parent, g, level)
+        if value is not None:
+            parent[path[-1]] = value
     return doc
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_v4_twin_differs_only_by_listed_changes(name):
-    v4 = json.loads((V4_DIR / f"{name}.json").read_text())
-    assert v4["report_version"] == 4
+def test_v5_twin_differs_only_by_listed_changes(name):
+    v5 = json.loads((V5_DIR / f"{name}.json").read_text())
+    assert v5["report_version"] == 5
     factory, level = CASES[name]
-    v5 = _apply_changes(v4, V4_TO_V5, factory(), level)
+    v6 = _apply_changes(v5, V5_TO_V6, factory(), level)
     expected = _golden_path(name).read_text()
-    assert json.dumps(v5, sort_keys=True, indent=2) + "\n" == expected
+    assert json.dumps(v6, sort_keys=True, indent=2) + "\n" == expected
 
 
 def _closedness_sample(amb, level):
@@ -296,8 +298,9 @@ def test_generator_checks_match_their_oracles(name):
     """First order and reality equal their plain loops over p_v, S_e, S_e*
     dict for dict, and give the verdict of the loops over every degree-box
     key S_mu S_nu* (d(mu), d(nu) in {0,1}^k) that they used to check.  The
-    4-graph's 256 degree-box keys are too many for the plain loop; its v4
-    twin, written by the degree-box check, pins that verdict instead."""
+    4-graph's 256 degree-box keys are too many for the plain loop; its
+    golden pins that verdict instead: the degree-box check wrote its
+    first_order status under report v4, and each version since keeps it."""
     factory, level = CASES[name]
     tr = _truncation(factory(), level)[1]
     amb = tr.ambient
