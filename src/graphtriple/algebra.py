@@ -22,8 +22,8 @@ extensions (the prefix rule alone is not associative, which the small-case
 tests would catch).  One table per ambient (``kernel(ambient)``) keeps the
 kernel from redoing path work, with everything in it an int id:
 
-* words are interned with their source and range, an empty word once per
-  base vertex (which is both), and a compose table maps a word id pair to
+* words are interned with their range, an empty word once per base
+  vertex (its range), and a compose table maps a word id pair to
   the id of the composite, or -1 when it is not a path;
 * the meet table maps (nu1, mu2) word ids to the (xi, eta) pairs;
 * generator keys are interned, and (mu, nu) word ids map to a key id after
@@ -377,7 +377,6 @@ class ProductKernel:
         self.ambient = ambient
         self.words: List[Word] = []
         self.word_range: List[str] = []
-        self.word_source: List[str] = []
         self.word_ids: Dict[object, int] = {}
         self.composed: Dict[Tuple[int, int], int] = {}
         self.meets: Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]] = {}
@@ -393,15 +392,9 @@ class ProductKernel:
         if wid is None:
             wid = self.word_ids[word or base] = len(self.words)
             self.words.append(word)
-            amb = self.ambient
-            self.word_range.append(amb.path_range(word) if word else base)
-            self.word_source.append(amb.path_source(word) if word else base)
+            self.word_range.append(
+                self.ambient.path_range(word) if word else base)
         return wid
-
-    def sources(self, kid: int) -> Tuple[str, str]:
-        """(ls, rs) = (s(mu), s(nu)) of S_mu S_nu*; () starts at its vertex."""
-        mu, nu = self.key_words[kid]
-        return self.word_source[mu], self.word_source[nu]
 
     def key_id(self, key: GenKey) -> int:
         """Id of a generator key, interned as given."""

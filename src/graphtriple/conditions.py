@@ -5,12 +5,14 @@ not_applicable with a structured witness.  not_applicable is distinct from
 fails: when a prerequisite (typically the faithful trace) is missing, the
 report names the broken hypothesis instead of failing all nine.
 
-Once a faithful trace exists, regularity, closedness, spin_c and (on a
-single loop, a directed tree or a finite k-graph) finiteness hold on every
-presentation the parsers accept.  They are reported with method "theorem"
-and their argument (THEOREMS) as witness; `delta_action`,
-`closedness_eval`, `spin_c_generation_check` and `canonical_F_form` with
-`fixed_point_norms` re-derive them in the tests.
+Once a faithful trace exists, regularity, closedness, first order,
+spin_c, 1-graph reality and (on a single loop, a directed tree or a finite
+k-graph) finiteness hold on every presentation the parsers accept.  They
+are reported with method "theorem" and their argument (THEOREMS) as
+witness; `delta_action`, `closedness_eval`, `first_order_check`,
+`spin_c_generation_check`, `reality_check_1graph` and `canonical_F_form`
+with `fixed_point_norms` re-derive them in the tests.  On the truncation,
+only the commutant probe forms products, under PAIR_BUDGET.
 
 1-graph orientability is decided by the closed form of b(c) alone: c is a
 cycle iff every coefficient of `boundary_coefficients_1graph` vanishes.
@@ -27,18 +29,14 @@ it is the trace mass times the unit k-ball volume.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Optional, Union
 
-from .algebra import key_source_mu, key_source_nu
 from .clifford import SIGN_TABLE, reality_operator
 from .graphs import GraphPresentation
 from .hochschild import boundary_coefficients_1graph, verify_cancellation_steps
 from .kgraphs import KGraphPresentation
-from .spectral import (Truncation, build_truncation, ck_generators,
-                       commutant_probe, first_order_check,
-                       reality_check_1graph)
+from .spectral import Truncation, build_truncation, commutant_probe
 from .traces import (NoFaithfulTraceError, solve_graph_trace,
                      solve_kgraph_trace)
 
@@ -54,17 +52,18 @@ CONDITION_NAMES = (
     "irreducibility",
 )
 
-REPORT_VERSION = 6
+REPORT_VERSION = 7
 
-# First order, reality and the commutant probe form a.z only for a generator
-# a and a basis key z in one vertex bucket, ls(a) = rs(z), and keep it: about
-# 1.4 kB a pair on dyadic_tree(9) at level 2, 5 kB on the one-vertex 8-graph
-# (111,537 pairs, 143 s, 584 MB).  Over a million is refused before any.
-PAIR_BUDGET = 1_000_000
+# On the truncation only the commutant probe forms products: [f, S_e] and
+# [f, S_e*] for each diagonal candidate f at s(e) or r(e), counted before any
+# is formed.  A commutator took 0.9 kB (traced peak) and 40-80 us on trees
+# and paths (dyadic_tree(9) at level 2: 26,634 in 2.1 s), 1.1-2.5 kB and
+# 110 us on one-vertex k-graphs, so the budget caps the probe near 0.6 GB.
+PAIR_BUDGET = 250_000
 
 
 class WorkBudgetError(RuntimeError):
-    """The truncation needs more generator-basis products than PAIR_BUDGET."""
+    """The commutant probe needs more commutators than PAIR_BUDGET."""
 
 # The argument behind each verdict that holds by construction; the witness
 # of its "theorem" entry (Connes, CMP 182, 1996, for the conditions).
@@ -92,6 +91,16 @@ THEOREMS = {
         "tau vanishes off gauge degree 0, and at degree 0 the degree factor"
         " is 0: n for k = 1, and for k >= 2 the determinant of degree"
         " columns that sum to 0"
+    ),
+    "first_order": (
+        "b^op = J b* J^-1 acts on L^2(A, tau) by right multiplication"
+        " z -> z b, and a and [D, a] by left multiplication, since the gauge"
+        " degree adds under products; left and right multiplications commute"
+        " in the associative algebra A_c, so [a, b^op] = [[D, a], b^op] = 0"
+    ),
+    "reality_1graph": (
+        "J z = z* reverses products, so J a* J z = (a* z*)* = z a: J a* J"
+        " = a^op; J^2 = 1, and JDJ = -D as J negates the gauge degree"
     ),
     "spin_c": (
         "for k = 1, [D, S_mu S_nu*] = n S_mu S_nu* lies in A_c; for k >= 2"
@@ -206,14 +215,13 @@ def evaluate_all(
 
 def _truncation(presentation, trace, level: int) -> Truncation:
     tr = build_truncation(presentation, trace, level)
-    amb = tr.ambient
-    gens = Counter(key_source_mu(amb, key) for key in ck_generators(amb))
-    pairs = sum(gens[key_source_nu(amb, key)] for key in tr.basis)
-    if pairs > PAIR_BUDGET:
+    diag, edges = tr.diagonal_candidates()
+    commutators = 2 * sum(len(cols) for _, cols in edges)
+    if commutators > PAIR_BUDGET:
         raise WorkBudgetError(
-            f"the level {level} truncation has {len(tr.basis)} basis keys and"
-            f" {sum(gens.values())} generators: {pairs} generator-basis"
-            f" products in shared buckets exceed the budget of {PAIR_BUDGET}")
+            f"the level {level} truncation has {len(diag)} diagonal"
+            f" candidates and {len(edges)} edges: {commutators} commutators"
+            f" exceed the budget of {PAIR_BUDGET}")
     return tr
 
 
@@ -266,11 +274,9 @@ def _evaluate_graph(g: GraphPresentation, end_values,
                 for v in sample]},
         )
 
-    re = reality_check_1graph(tr)
     entries["reality"] = ConditionEntry(
-        "reality", "holds" if re["pass"] else "fails", "exact",
-        {"failures": re["failures"][:3]},
-    )
+        "reality", "holds", "theorem",
+        {"argument": THEOREMS["reality_1graph"]})
 
     finite = {
         "SingleLoop": {"case": "unital", "argument": THEOREMS["unital"]},
@@ -337,19 +343,13 @@ def _shared_entries(entries: Dict[str, ConditionEntry], hyp: dict,
     k-graph cases.
     """
     if tr is not None:
-        for name in ("regularity", "closedness", "spin_c"):
+        for name in ("regularity", "closedness", "first_order", "spin_c"):
             entries[name] = ConditionEntry(name, "holds", "theorem",
                                            {"argument": THEOREMS[name]})
         entries["finiteness"] = (
             ConditionEntry("finiteness", "holds", "theorem", finite)
             if finite is not None
             else _na("finiteness", "single_entry_tree_or_loop")
-        )
-
-        fo = first_order_check(tr)
-        entries["first_order"] = ConditionEntry(
-            "first_order", "holds" if fo["pass"] else "fails", "exact",
-            {"generators": fo["generators"], "failures": fo["failures"][:3]},
         )
 
         probe = commutant_probe(tr)

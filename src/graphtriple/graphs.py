@@ -390,18 +390,12 @@ class GraphPresentation(EdgeSkeleton):
         return sorted(c.vertices for c in self._core.cycles)
 
     def loop_has_exit(self, cycle: Tuple[str, ...]) -> bool:
-        cset = set(cycle)
-        for v in cycle:
-            if v in self.tails:
-                return True
-            for eid in self._out[v]:
-                if self.edges[eid].range not in cset:
-                    return True
-            # two parallel edges staying inside the cycle still mean an exit
-            inside = [e for e in self._out[v] if self.edges[e].range in cset]
-            if len(inside) > 1:
-                return True
-        return False
+        """Whether a simple cycle of the core (its vertices) has an exit:
+        by `CoreStructure`, exactly when the kept cycle of its component
+        has one."""
+        comp = next(c for c in self._core.components if cycle[0] in c)
+        return next(c.has_exit for c in self._core.cycles
+                    if c.vertices[0] in comp)
 
     def reaches_sink(self, v: str) -> bool:
         """Whether some finite forward path from v dies at a sink."""

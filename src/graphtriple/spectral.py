@@ -15,6 +15,11 @@ linearly in 1/log(1+t), as F_T = 2 g + C / log t + O(1/t), so the
 extrapolated intercept is exact to O(1/window).  `conditions` reads the
 limit from the trace equation instead (`conditions.THEOREMS`), and the
 tests check it against `vertex_multiplicities`.
+
+First order and 1-graph reality are identities of A_c (`conditions`
+reports them as theorems); `first_order_check` and `reality_check_1graph`
+are their test oracles.  Of this module, `conditions` forms products only
+in the commutant probe, over `Truncation.diagonal_candidates`.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .algebra import (AlgebraElement, GenKey, _as_degree_tuple, accumulate,
                       aligned, expand_key_to, kernel, key_degree,
-                      key_source_mu, make_key)
+                      key_source_mu, key_source_nu, make_key)
 from .clifford import word_span_dimension
 from .graphs import GraphPresentation
 from .kgraphs import KGraphPresentation
@@ -51,6 +56,7 @@ class Truncation:
     gram: Tuple[Fraction, ...]
     _index: Optional[Dict[GenKey, int]] = field(default=None, repr=False)
     _ids: Optional[List[int]] = field(default=None, repr=False)
+    _candidates: Optional[tuple] = field(default=None, repr=False)
 
     def index(self) -> Dict[GenKey, int]:
         if self._index is None:
@@ -63,6 +69,31 @@ class Truncation:
             kern = kernel(self.ambient)
             self._ids = [kern.key_id(key) for key in self.basis]
         return self._ids
+
+    def diagonal_candidates(
+            self) -> Tuple[List[GenKey], List[Tuple[GenKey, List[int]]]]:
+        """The diagonal candidates f = S_mu S_mu* of `commutant_probe`, and
+        for each edge e the key of S_e with the indices of the f to commute
+        with it and with S_e*: those with s(mu) in {s(e), r(e)} =
+        {ls(S_e), rs(S_e)}.  x.y = 0 unless rs(x) = ls(y) (see
+        `first_order_check`), so the others commute with both; a corrupted
+        product across buckets is out of scope by design.  Forms no
+        product."""
+        if self._candidates is None:
+            amb = self.ambient
+            diag = [key for key in generator_keys(amb, max(self.level - 1, 1))
+                    if key[0] == key[1]]
+            cols_at: Dict[str, List[int]] = {}
+            for col, key in enumerate(diag):
+                cols_at.setdefault(key_source_mu(amb, key), []).append(col)
+            edges = []
+            for eid in amb.edge_order:
+                s_e = make_key(amb, (eid,), ())
+                edges.append((s_e, sorted({
+                    *cols_at.get(key_source_mu(amb, s_e), ()),
+                    *cols_at.get(s_e[2], ())})))
+            self._candidates = diag, edges
+        return self._candidates
 
     def nu_target(self, degree: tuple) -> tuple:
         """The aligned nu-degree for basis vectors in the given degree class."""
@@ -606,103 +637,60 @@ def _det(m: List[List[Fraction]]) -> Fraction:
 def first_order_check(tr: Truncation) -> dict:
     """[a, b^op] = 0 and [[D, a], b^op] = 0 exactly on all basis vectors z.
 
+    Both hold in A_c by associativity (`conditions.THEOREMS["first_order"]`):
+    a and [D, a] act by left multiplication, b^op by right multiplication,
+    so `conditions` reports first order as a theorem and the tests run this
+    loop as its oracle; only a corrupted product can make it fail.
+
     a and b range over the Cuntz-Krieger generators p_v, S_e, S_e*
-    (`ck_generators`), which generate A_c = span{S_mu S_nu*} as an
-    algebra; on the whole module that suffices (Connes' order-one
-    argument, CMP 182, 1996).  For fixed b, the a with
-    [a, b^op] = 0 and [[D, a], b^op] = 0 form a subalgebra: [a1 a2, b^op]
-    = a1 [a2, b^op] + [a1, b^op] a2, and [D, .] is a derivation, [D, a1 a2]
-    = [D, a1] a2 + a1 [D, a2], so [[D, a1 a2], b^op] expands into terms
-    that each hold a vanishing commutator.  For fixed a, the b side is a
-    subalgebra because b -> b^op is an anti-homomorphism, (b1 b2)^op =
-    b2^op b1^op, and the commutators with a and with [D, a] are
-    derivations in their second slot.
-
-    The truncation only samples the identities at its basis vectors z, and
-    there the argument does not carry over: [a1 a2, b^op] z = a1 [a2,
-    b^op] z + [a1, b^op] (a2 z), and a2 z can leave the basis.  So this
-    check samples fewer identities than the loop over every S_mu S_nu* of
-    the degree box that it replaced, and passing it does not imply passing
-    that loop; the tests show both give the same verdict on the corpus.
-
-    Products of single generators are key multisets, so the
-    commutators compare termwise, falling back to the relation-aware zero
-    test (`_aligned_difference` is empty) only on a syntactic mismatch.
-
-    The loop works on key ids of the ambient's product kernel and runs over
-    a transposed left-product index: by_key[k] maps the index of each
-    generator a with a.k nonzero to the key ids of a.k, each (a, k) product
-    formed once.  For each (b, z), a(zb) is gathered per a from by_key over
-    the keys of zb (by_key itself when zb is one key) and (az)b from
-    by_key[z].  Every a outside both maps has a.z = 0 and a.k = 0 for each
-    key k of zb, so both sides are empty.  When the two maps are equal every
-    a passes; otherwise each a is compared on its own, and failures keep
-    the (b, z, a) order.  Only pairs in one vertex bucket are formed: x.y =
-    0 unless rs(x) = ls(y) (`ProductKernel.sources`), as nu1 xi = mu2 eta
-    forces s(nu1) = s(mu2), and x.y keeps ls(x), rs(y).  So only (b, z) with
-    rs(z) = ls(b), and in by_key[k] only a with rs(a) = ls(k), are visited;
-    a corrupted product across buckets is out of scope by design.
+    (`ck_generators`) and z over the basis.  Products of single generators
+    are key multisets, so a(zb) and (az)b compare termwise, falling back to
+    the relation-aware zero test only on a syntactic mismatch.  Failures
+    come in (b, z, a) order.  Only triples in one vertex bucket are formed:
+    writing S_mu S_nu* with ls = s(mu) and rs = s(nu), x.y = 0 unless
+    rs(x) = ls(y), as nu1 xi = mu2 eta forces s(nu1) = s(mu2), and x.y keeps
+    ls(x), rs(y).  So only the (b, z) with rs(z) = ls(b) and the a with
+    rs(a) = ls(z) are visited; a corrupted product across buckets is out of
+    scope by design.
     """
     amb = tr.ambient
     kern = kernel(amb)
     product = kern.product
     gens = ck_generators(amb)
-    gen_ids = [kern.key_id(ka) for ka in gens]
-    weights = [sum(key_degree(amb, ka)) for ka in gens]
-    gens_by_rs, basis_by_rs = {}, {}  # rs -> (index or key, id), in order
-    for ia, ka in enumerate(gen_ids):
-        gens_by_rs.setdefault(kern.sources(ka)[1], []).append((ia, ka))
-    for kz, z in zip(tr.basis, tr.key_ids()):
-        basis_by_rs.setdefault(kern.sources(z)[1], []).append((kz, z))
-    by_key: Dict[int, Dict[int, Tuple[int, ...]]] = {}
-
-    def left_products(kid: int) -> Dict[int, Tuple[int, ...]]:
-        hit = by_key.get(kid)
-        if hit is None:
-            hit = by_key[kid] = {}
-            for ia, ka in gens_by_rs.get(kern.sources(kid)[0], ()):
-                prods = product(ka, kid)
-                if prods:
-                    hit[ia] = prods
-        return hit
-
+    gens_at = _by_source(amb, gens, key_source_nu)
+    basis_at = _by_source(amb, tr.basis, key_source_nu)
     failures = []
-    for kb, b in zip(gens, gen_ids):
-        for kz, z in basis_by_rs.get(kern.sources(b)[0], ()):
+    for kb in gens:
+        b = kern.key_id(kb)
+        for kz in basis_at.get(key_source_mu(amb, kb), ()):
+            z = kern.key_id(kz)
             zb = product(z, b)
-            if len(zb) == 1:
-                lefts = left_products(zb[0])
-            else:
-                lefts = {}
-                for k1 in zb:
-                    for ia, prods in left_products(k1).items():
-                        lefts[ia] = lefts.get(ia, ()) + prods
-            rights = {}
-            for ia, az in left_products(z).items():
-                # a.z is almost always one key: reuse the memo's tuple
-                # instead of rebuilding it through a generator.
-                if len(az) == 1:
-                    right = product(az[0], b)
-                else:
-                    right = tuple(k2 for k1 in az for k2 in product(k1, b))
-                if right:
-                    rights[ia] = right
-            if lefts == rights:
-                continue
-            for ia in sorted(lefts.keys() | rights.keys()):
-                left = lefts.get(ia, ())
-                right = rights.get(ia, ())
-                if left == right or sorted(left) == sorted(right):
+            for ka in gens_at.get(key_source_mu(amb, kz), ()):
+                a = kern.key_id(ka)
+                left = [k2 for k1 in zb for k2 in product(a, k1)]
+                right = [k2 for k1 in product(a, z) for k2 in product(k1, b)]
+                if not _differ(kern, left, right):
                     continue
-                if not _aligned_difference(kern, left, right):
-                    continue
-                ka = gens[ia]
                 failures.append({"kind": "[a,b_op]", "a": ka, "b": kb, "z": kz})
-                if weights[ia]:
+                if sum(key_degree(amb, ka)):
                     failures.append(
                         {"kind": "[[D,a],b_op]", "a": ka, "b": kb, "z": kz}
                     )
     return {"pass": not failures, "failures": failures, "generators": len(gens)}
+
+
+def _by_source(amb, keys: Sequence[GenKey], source) -> Dict[str, List[GenKey]]:
+    """The keys grouped by source(amb, key), each group in the given order."""
+    out: Dict[str, List[GenKey]] = {}
+    for key in keys:
+        out.setdefault(source(amb, key), []).append(key)
+    return out
+
+
+def _differ(kern, left, right) -> bool:
+    """Whether the sums of the keys with ids in left and in right differ."""
+    return (sorted(left) != sorted(right)
+            and bool(_aligned_difference(kern, left, right)))
 
 
 def _aligned_difference(kern, left, right) -> Dict[GenKey, int]:
@@ -750,56 +738,33 @@ def _d_commutator_scalar(a: AlgebraElement) -> AlgebraElement:
 def reality_check_1graph(tr: Truncation) -> dict:
     """J x = x*: J a* J = right multiplication by a.
 
-    J is the key swap (mu, nu, v) -> (nu, mu, v).  It is its own inverse,
-    so J^2 = 1, and the swapped key has minus the degree, so JDJ = -D; both
-    hold on every basis key by construction, and the verdict rests on
-    J a* J = a_op alone.
+    This holds in A_c because the involution reverses products,
+    J a* J z = (a* z*)* = z a (`conditions.THEOREMS["reality_1graph"]`), so
+    `conditions` reports 1-graph reality as a theorem and the tests run
+    this loop as its oracle.  J is the key swap (mu, nu, v) -> (nu, mu, v):
+    it is its own inverse, so J^2 = 1, and the swapped key has minus the
+    degree, so JDJ = -D, on every basis key by construction.
 
     a ranges over the Cuntz-Krieger generators p_v, S_e, S_e*
-    (`ck_generators`): the a with J a* J = a^op form a subalgebra, because
-    J (a1 a2)* J = (J a2* J)(J a1* J) = a2^op a1^op = (a1 a2)^op, on the
-    whole module.  The truncation only samples the identity at its basis
-    vectors z, and at z the identity for a1 a2 needs it for a2 at z a1,
-    which can leave the basis.  So this samples fewer identities than the
-    degree-box loop it replaced, and the tests show both give the same
-    verdict on the corpus.
-
-    J a* J z = (a* z*)* is compared with z a as lists of kernel key ids: the
-    involution swaps (mu, nu, v) to (nu, mu, v) key by key (a swap table on
-    ids), and products of single generators carry coefficient 1, so the two
-    sides agree when the swapped keys of a* z* and the keys of z a agree as
-    multisets.  Only a mismatch goes to the relation-aware zero test.  Only
-    the a with ls(a) = rs(z) are visited: x.y = 0 unless rs(x) = ls(y)
-    (`ProductKernel.sources`), as nu1 xi = mu2 eta forces s(nu1) = s(mu2),
-    and rs(a*) = ls(a), ls(z*) = rs(z); a corrupted product across buckets
-    is out of scope by design.
+    (`ck_generators`) and z over the basis, and (a* z*)* is compared with
+    z a as kernel key ids, termwise first, then by the relation-aware zero
+    test.  Only the a with ls(a) = rs(z) are visited (see
+    `first_order_check`): rs(a*) = ls(a) and ls(z*) = rs(z).
     """
     amb = tr.ambient
     if amb.k != 1:
         raise ValueError("reality_check_1graph needs a 1-graph truncation")
     kern = kernel(amb)
     keys, product = kern.keys, kern.product
-    swapped: Dict[int, int] = {}
-
-    def swap(kid: int) -> int:
-        hit = swapped.get(kid)
-        if hit is None:
-            hit = swapped[kid] = kern.key_id(_swap(keys[kid]))
-        return hit
-
+    gens_at = _by_source(amb, ck_generators(amb), key_source_mu)
     failures = []
-    gens_by_ls: Dict[str, list] = {}
-    for ka in ck_generators(amb):
-        a = kern.key_id(ka)
-        gens_by_ls.setdefault(kern.sources(a)[0], []).append((ka, a, swap(a)))
-    for kz, z_id in zip(tr.basis, tr.key_ids()):
-        z_star = swap(z_id)
-        for ka, a, a_star in gens_by_ls.get(kern.sources(z_id)[1], ()):
-            left = tuple(swap(k) for k in product(a_star, z_star))
-            right = product(z_id, a)
-            if left == right or sorted(left) == sorted(right):
-                continue
-            if _aligned_difference(kern, left, right):
+    for kz, z in zip(tr.basis, tr.key_ids()):
+        z_star = kern.key_id(_swap(kz))
+        for ka in gens_at.get(key_source_nu(amb, kz), ()):
+            a_star = kern.key_id(_swap(ka))
+            left = [kern.key_id(_swap(keys[k])) for k in product(a_star, z_star)]
+            right = product(z, kern.key_id(ka))
+            if _differ(kern, left, right):
                 failures.append({"kind": "Ja*J=a_op", "a": ka, "z": kz})
     return {"pass": not failures, "failures": failures}
 
@@ -846,23 +811,13 @@ def commutant_probe(tr: Truncation) -> dict:
     dimension equals the number of connected components (the constants per
     component), so irreducibility holds when it is 1 on a connected
     presentation.  The constraint rows come from key products with integer
-    coefficients (`_aligned_commutator`).  For g = S_e, S_e* only the f =
-    S_mu S_mu* with s(mu) in {s(e), r(e)} = {ls(g), rs(g)} are visited: x.y
-    = 0 unless rs(x) = ls(y) (`ProductKernel.sources`), as nu1 xi = mu2 eta
-    forces s(nu1) = s(mu2); a corrupted product across buckets is out of
-    scope by design.
+    coefficients (`_aligned_commutator`), two commutators per candidate and
+    edge of `Truncation.diagonal_candidates`.
     """
     amb = tr.ambient
-    diag = [key for key in generator_keys(amb, max(tr.level - 1, 1))
-            if key[0] == key[1]]
+    diag, edges = tr.diagonal_candidates()
     ech = SparseEchelon()
-    cols_at: Dict[str, List[int]] = {}
-    for col, key in enumerate(diag):
-        cols_at.setdefault(key_source_mu(amb, key), []).append(col)
-    for eid in amb.edge_order:
-        s_e = make_key(amb, (eid,), ())
-        cols = sorted({*cols_at.get(key_source_mu(amb, s_e), ()),
-                       *cols_at.get(s_e[2], ())})
+    for s_e, cols in edges:
         for gen in (s_e, _swap(s_e)):
             rows: Dict[GenKey, Dict[int, int]] = {}
             for col in cols:

@@ -432,9 +432,9 @@ class TestStructureEdgeCases:
         assert model.dixmier_limit() == 2
 
     def test_conditions_on_a_long_path_runs_to_a_verdict(self, tmp_path):
-        # 4,516 generators and 4,516 basis keys at level 1, but only 13,544
-        # pairs share a vertex bucket; those are all the checks form, in
-        # bounded time and memory
+        # 3,011 diagonal candidates at level 1, but only 12,038 commutators
+        # with S_e and S_e* meet at a vertex; those are all the products
+        # `conditions` forms, in bounded time and memory
         _, path = self._long_path(tmp_path, source_tails=["p0000"])
         out = tmp_path / "report.json"
         done = _run_python(
@@ -453,13 +453,13 @@ class TestStructureEdgeCases:
 
     def test_conditions_over_its_budget_exits_69(
             self, tree_file, capsys, monkeypatch):
-        # tree_with_ends(2) at level 1 forms 104 generator-basis products
-        monkeypatch.setattr(conditions, "PAIR_BUDGET", 103)
+        # tree_with_ends(2) at level 1 forms 90 commutators
+        monkeypatch.setattr(conditions, "PAIR_BUDGET", 89)
         assert run(["conditions", tree_file, "--level", "1"]) == EX_UNAVAILABLE
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("over budget: ")
-        assert " 104 generator-basis products" in captured.err
+        assert " 90 commutators" in captured.err
 
 
 def _run_python(code, timeout=None):

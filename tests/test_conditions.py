@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphtriple import conditions, hochschild, spectral
-from graphtriple.algebra import key_source_mu, key_source_nu
+from graphtriple.algebra import key_source_mu
 from graphtriple.conditions import (CONDITION_NAMES, evaluate_all,
                                     hypothesis_check, kgraph_hypothesis_check)
 from graphtriple.graphs import Edge, GraphPresentation
@@ -139,20 +139,24 @@ class TestEvaluateAll:
         (torus_2graph(), solve_kgraph_trace),
     ], ids=["tree2", "torus"])
     def test_pair_budget_refuses_only_above_it(self, g, solve, monkeypatch):
-        # the budget counts the pairs the checks form: a generator a and a
-        # basis key z with ls(a) = rs(z), one bucket per vertex
+        # the budget counts the commutators the commutant probe forms:
+        # [f, S_e] and [f, S_e*] for each diagonal candidate f = S_mu S_mu*
+        # with s(mu) in {s(e), r(e)}
         tr = spectral.build_truncation(g, solve(g), 1)
         amb = tr.ambient
-        gens = spectral.ck_generators(amb)
-        pairs = sum(key_source_mu(amb, a) == key_source_nu(amb, z)
-                    for a in gens for z in tr.basis)
+        diag = [f for f in spectral.generator_keys(amb, 1) if f[0] == f[1]]
+        commutators = 2 * sum(
+            key_source_mu(amb, f) in (amb.edge_source(e), amb.edge_range(e))
+            for e in amb.edge_order for f in diag)
         one_bucket = len(amb.vertices) == 1
-        assert (pairs == len(gens) * len(tr.basis)) == one_bucket
+        assert (commutators == 2 * len(amb.edge_order) * len(diag)) == \
+            one_bucket
         report = evaluate_all(g, level=1).to_json()
-        monkeypatch.setattr(conditions, "PAIR_BUDGET", pairs)
+        monkeypatch.setattr(conditions, "PAIR_BUDGET", commutators)
         assert evaluate_all(g, level=1).to_json() == report
-        monkeypatch.setattr(conditions, "PAIR_BUDGET", pairs - 1)
-        with pytest.raises(conditions.WorkBudgetError, match=f"{pairs} "):
+        monkeypatch.setattr(conditions, "PAIR_BUDGET", commutators - 1)
+        with pytest.raises(conditions.WorkBudgetError,
+                           match=f" {commutators} commutators"):
             evaluate_all(g, level=1)
 
     def test_k1_kgraph_presentation_is_a_value_error(self):
@@ -177,6 +181,23 @@ class TestEvaluateAll:
         samples = report.entries["dimension"].witness["samples"]
         assert len(samples) == 300
         assert {(s["limit"], s["target"]) for s in samples} == {("2", "2")}
+
+    def test_conditions_runs_no_first_order_or_reality_loop(
+            self, monkeypatch):
+        # first order and 1-graph reality are theorems of A_c, so their
+        # product loops run only as the tests' oracles
+        def refuse(*args, **kwargs):
+            raise AssertionError("conditions ran a product loop")
+        for name in ("first_order_check", "reality_check_1graph"):
+            for module in (spectral, conditions):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        for g in [*GRAPH_CORPUS.values(), torus_2graph(), one_vertex_3graph(),
+                  two_vertex_2graph(), single_exit_violating_2graph()]:
+            report = evaluate_all(g, level=1)
+            assert report.entries["first_order"].status in (
+                "holds", "not_applicable")
+        report = evaluate_all(long_path(300), level=1)
+        assert report.all_hold()
 
     def test_conditions_computes_no_profile(self, monkeypatch):
         # dimension is decided from closed forms, so neither windowed
@@ -206,9 +227,11 @@ class TestEvaluateAll:
         assert len(calls) == 1
 
     def test_report_shape(self):
-        for g in (single_loop(1), torus_2graph()):
+        # reality is a theorem on a 1-graph; the k-graph sign table is exact
+        for g, exact in ((single_loop(1), set()),
+                         (torus_2graph(), {"reality"})):
             doc = evaluate_all(g, level=1).to_json()
-            assert doc["report_version"] == 6
+            assert doc["report_version"] == 7
             assert doc["parameters"] == {"level": 1}
             assert set(doc["conditions"]) == set(CONDITION_NAMES)
             for entry in doc["conditions"].values():
@@ -220,7 +243,8 @@ class TestEvaluateAll:
             theorems = {name for name, entry in doc["conditions"].items()
                         if entry["method"] == "theorem"}
             assert theorems == {"regularity", "closedness", "spin_c",
-                                "finiteness", "dimension"}
+                                "finiteness", "dimension", "first_order",
+                                "reality"} - exact
 
     def test_kgraph_reports_the_level_it_used(self):
         # a k-graph truncation stops at level 2, and its report says so

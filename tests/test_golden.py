@@ -11,8 +11,8 @@ keep them unchanged.  To rewrite them after an intended report change, run
     PYTHONPATH=src python tests/test_golden.py
 
 A change to the `conditions` report fields bumps REPORT_VERSION.  The
-goldens of the previous version stay in tests/golden/v5/ and every change
-since is listed in V5_TO_V6: each v5 twin with those changes applied must
+goldens of the previous version stay in tests/golden/v6/ and every change
+since is listed in V6_TO_V7: each v6 twin with those changes applied must
 equal its current golden byte for byte, so no status and no other field
 moves silently.
 
@@ -20,6 +20,8 @@ Since version 3, regularity, closedness, spin_c and finiteness report
 method "theorem" with their argument instead of a sample count.  The
 computations that produced those counts run here as oracles on every case
 with a trace, and must hold on as many samples as version 1 counted.
+Since version 7 first order and 1-graph reality are theorems too; their
+checks run here as oracles against their plain loops.
 """
 
 import json
@@ -39,7 +41,8 @@ from corpus import (bi_infinite_path, double_entry_tree,  # noqa: E402
                     two_disjoint_loops, two_extension_2graph,
                     two_vertex_2graph)
 from graphtriple.algebra import (AlgebraElement, delta_action,  # noqa: E402
-                                 kernel, key_degree)
+                                 kernel, key_degree, key_source_mu,
+                                 key_source_nu)
 from graphtriple.cli import run  # noqa: E402
 from graphtriple.conditions import THEOREMS  # noqa: E402
 from graphtriple.graphs import (GraphPresentation,  # noqa: E402
@@ -58,7 +61,7 @@ from test_spectral import (commutant_oracle, first_order_oracle,  # noqa: E402
                            reality_oracle)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-V5_DIR = GOLDEN_DIR / "v5"
+V6_DIR = GOLDEN_DIR / "v6"
 
 # name -> (presentation factory, truncation level); the 1-graphs below
 # the first six run at level 2 unless level 2 takes over a second
@@ -156,22 +159,29 @@ def _truncation(g, level):
     return trace, build_truncation(g, trace, level)
 
 
-# Every conditions-report change from report version 5, as (path, new):
-# `new(parent, presentation, level)` is the v6 value at `path`, given the v5
+def _holds(entry, g, graphs_only=False) -> bool:
+    return entry["status"] == "holds" and (
+        not graphs_only or isinstance(g, GraphPresentation))
+
+
+# Every conditions-report change from report version 6, as (path, new):
+# `new(parent, presentation, level)` is the v7 value at `path`, given the v6
 # dict that holds it, or None where the field stays as it is (or absent).
-# The 1-graph dimension entries with samples are theorems, and a k-graph
-# report names the level its truncation used (at most 2).
-V5_TO_V6 = [
-    (("report_version",), lambda doc, g, level: 6),
-    (("conditions", "dimension", "method"),
+# First order on both ranks and 1-graph reality are theorems where they
+# hold; not_applicable entries and k-graph reality stay.
+V6_TO_V7 = [
+    (("report_version",), lambda doc, g, level: 7),
+    (("conditions", "first_order", "method"),
+     lambda entry, g, level: "theorem" if _holds(entry, g) else None),
+    (("conditions", "first_order", "witness"),
      lambda entry, g, level:
-     "theorem" if "samples" in entry["witness"] else None),
-    (("conditions", "dimension", "witness", "argument"),
-     lambda witness, g, level:
-     THEOREMS["dimension_1graph"] if "samples" in witness else None),
-    (("parameters", "level"),
-     lambda params, g, level:
-     None if isinstance(g, GraphPresentation) else min(params["level"], 2)),
+     {"argument": THEOREMS["first_order"]} if _holds(entry, g) else None),
+    (("conditions", "reality", "method"),
+     lambda entry, g, level: "theorem" if _holds(entry, g, True) else None),
+    (("conditions", "reality", "witness"),
+     lambda entry, g, level:
+     {"argument": THEOREMS["reality_1graph"]} if _holds(entry, g, True)
+     else None),
 ]
 
 
@@ -187,13 +197,13 @@ def _apply_changes(doc: dict, changes, g, level) -> dict:
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_v5_twin_differs_only_by_listed_changes(name):
-    v5 = json.loads((V5_DIR / f"{name}.json").read_text())
-    assert v5["report_version"] == 5
+def test_v6_twin_differs_only_by_listed_changes(name):
+    v6 = json.loads((V6_DIR / f"{name}.json").read_text())
+    assert v6["report_version"] == 6
     factory, level = CASES[name]
-    v6 = _apply_changes(v5, V5_TO_V6, factory(), level)
+    v7 = _apply_changes(v6, V6_TO_V7, factory(), level)
     expected = _golden_path(name).read_text()
-    assert json.dumps(v6, sort_keys=True, indent=2) + "\n" == expected
+    assert json.dumps(v7, sort_keys=True, indent=2) + "\n" == expected
 
 
 def _closedness_sample(amb, level):
@@ -289,14 +299,15 @@ def test_theorem_entries_hold_on_the_old_samples(name):
         assert samples == norm_samples
 
 
-# the cases with a faithful trace, where first order and reality are decided
+# the cases with a faithful trace, where first order and 1-graph reality
+# hold by theorem; their checks are its oracles
 TRACED = sorted(OLD_SAMPLE_COUNTS) + ["one_vertex_kgraph_4"]
 
 
 @pytest.mark.parametrize("name", TRACED)
 def test_generator_checks_match_their_oracles(name):
-    """First order and reality equal their plain loops over p_v, S_e, S_e*
-    dict for dict, and give the verdict of the loops over every degree-box
+    """First order and reality pass, as their theorems say, equal their
+    plain loops over p_v, S_e, S_e* dict for dict, and give the verdict of the loops over every degree-box
     key S_mu S_nu* (d(mu), d(nu) in {0,1}^k) that they used to check.  The
     4-graph's 256 degree-box keys are too many for the plain loop; its
     golden pins that verdict instead: the degree-box check wrote its
@@ -306,12 +317,12 @@ def test_generator_checks_match_their_oracles(name):
     amb = tr.ambient
     g0, box = ck_generators(amb), generator_keys(amb, 1)
     result = first_order_check(tr)
-    assert result == first_order_oracle(tr, g0)
+    assert result["pass"] and result == first_order_oracle(tr, g0)
     if name != "one_vertex_kgraph_4":
         assert result["pass"] == first_order_oracle(tr, box)["pass"]
     if amb.k == 1:
         result = reality_check_1graph(tr)
-        assert result == reality_oracle(tr, g0)
+        assert result["pass"] and result == reality_oracle(tr, g0)
         assert result["pass"] == reality_oracle(tr, box)["pass"]
 
 
@@ -331,17 +342,22 @@ def test_products_across_buckets_are_zero(name):
     rs(y)."""
     factory, level = CASES[name]
     tr = _truncation(factory(), level)[1]
-    kern = kernel(tr.ambient)
-    gens = [kern.key_id(key) for key in ck_generators(tr.ambient)]
+    amb = tr.ambient
+    kern = kernel(amb)
+    gens = [kern.key_id(key) for key in ck_generators(amb)]
+
+    def sources(kid):
+        key = kern.keys[kid]
+        return key_source_mu(amb, key), key_source_nu(amb, key)
+
     for z in tr.key_ids():
         for a in gens:
             for x, y in ((a, z), (z, a)):
                 prods = kern.product(x, y)
-                if kern.sources(x)[1] != kern.sources(y)[0]:
+                if sources(x)[1] != sources(y)[0]:
                     assert prods == (), (kern.keys[x], kern.keys[y])
                 for k in prods:
-                    assert kern.sources(k) == (kern.sources(x)[0],
-                                               kern.sources(y)[1])
+                    assert sources(k) == (sources(x)[0], sources(y)[1])
 
 
 @pytest.mark.parametrize("name", sorted(SPECTRAL_CASES))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -11,8 +12,9 @@ from hypothesis import strategies as st
 
 from graphtriple import spectral
 from graphtriple.algebra import (AlgebraElement, _multiply_keys, kernel,
-                                 key_degree)
-from graphtriple.graphs import GraphPresentation
+                                 key_degree, key_source_mu, key_source_nu)
+from graphtriple.graphs import Edge, GraphPresentation
+from graphtriple.kgraphs import KGraphPresentation
 from graphtriple.linalg import SparseEchelon
 from graphtriple.scalars import GaussianRational
 from graphtriple.spectral import (DecompositionError, MultiplicityModel,
@@ -34,6 +36,7 @@ from corpus import (bi_infinite_path, single_exit_violating_2graph,
                     single_loop, sink_path, torus_2graph, tree_with_ends,
                     two_disjoint_loops, two_extension_2graph,
                     two_vertex_2graph)
+from test_structure import exitless_digraphs
 
 
 def first_order_oracle(tr, generators):
@@ -599,8 +602,7 @@ class TestFirstOrderAndFriends:
         ka = ((), ("e2",), "c2")
         kz = (("e1",), ("b~se1", "e1"), "c1")
         assert kz in tr.basis and _multiply_keys(amb, ka, kz) == []
-        assert kern.sources(kern.key_id(ka))[1] == "b"
-        assert kern.sources(kern.key_id(kz))[0] == "b"
+        assert key_source_nu(amb, ka) == key_source_mu(amb, kz) == "b"
         self._corrupt_product(amb, ka, kz, [kz])
         result = first_order_check(tr)
         assert ka in ck_generators(amb)
@@ -692,6 +694,50 @@ class TestFirstOrderAndFriends:
         tr = build_truncation(g, t, 1)
         rep = spin_c_generation_check(tr)
         assert rep["pass"] and rep["dimension"] == 4
+
+
+@st.composite
+def abelian_kgraphs(draw):
+    """Single-exit k-graphs, k = 2 or 3, on up to 4 vertices: the colour c
+    edge out of v runs to maps[c](v) for pairwise commuting permutations,
+    drawn one by one from the centraliser of those before.  Every vertex
+    receives one edge of each colour, so a faithful trace exists."""
+    k = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 4))
+    maps = []
+    for _ in range(k):
+        maps.append(draw(st.sampled_from([
+            p for p in itertools.permutations(range(n))
+            if all(p[q[i]] == q[p[i]] for q in maps for i in range(n))])))
+    verts = [f"v{i}" for i in range(n)]
+    edges = [Edge(f"e{c}{i}", verts[i], verts[m[i]], c + 1)
+             for c, m in enumerate(maps) for i in range(n)]
+    squares = [((f"e{c}{i}", f"e{d}{maps[c][i]}"),
+                (f"e{d}{i}", f"e{c}{maps[d][i]}"))
+               for c in range(k) for d in range(c + 1, k) for i in range(n)]
+    return KGraphPresentation(k, verts, edges, squares)
+
+
+class TestTheoremsOnRandomInputs:
+    """First order and 1-graph reality are identities of A_c, so their
+    checks pass on every input with a faithful trace; the seeded mutants
+    above show that the same loops can fail."""
+
+    @given(exitless_digraphs(), st.integers(1, 2))
+    @settings(max_examples=40, deadline=None)
+    def test_first_order_and_reality_hold_on_exitless_digraphs(
+            self, g, level):
+        tr = build_truncation(g, solve_graph_trace(g), level)
+        assert first_order_check(tr)["pass"]
+        assert reality_check_1graph(tr)["pass"]
+
+    @given(abelian_kgraphs(), st.integers(1, 2))
+    @settings(max_examples=25, deadline=None)
+    def test_first_order_holds_on_abelian_kgraphs(self, g, level):
+        # a 3-graph stays at level 1: at level 2 it has 125 basis keys a
+        # vertex
+        tr = build_truncation(g, solve_kgraph_trace(g), min(level, 4 - g.k))
+        assert first_order_check(tr)["pass"]
 
 
 class TestCommutant:

@@ -3,7 +3,7 @@ networkx simple-cycle route it replaced, kept here as the oracle.
 
 The oracle lists every simple cycle of the core.  The pass lists the
 strongly connected components instead, and the two must agree: on whether
-some loop has an exit, and, where none has, on the loops, the ends, the
+each loop has an exit, and, where none has, on the loops, the ends, the
 classification, the K-theory ranks and the trace.  Connectivity is checked
 against networkx, and backward depth against a count of entering paths in
 an expansion.
@@ -207,6 +207,8 @@ def check_against_oracle(g: GraphPresentation) -> None:
     report = g.structural_report()
     exits = any(oracle_has_exit(g, c) for c in cycles)
     assert (report["loops_with_exit"] > 0) == exits
+    for c in cycles:
+        assert g.loop_has_exit(c) == oracle_has_exit(g, c), c
     assert report["connected"] == g.connected() == oracle_connected(g)
     assert _stationary_end(g) == oracle_stationary_end(g)
     for v in g.vertices:
