@@ -3,9 +3,10 @@
 Subcommands: analyze, trace, ktheory, hochschild, clifford, spectral,
 conditions.  Identical inputs and flags produce byte-identical output.
 Exit codes follow sysexits conventions: 64 usage, 65 invalid data, 66 no
-input, 69 when the conditions subcommand's truncation exceeds its work
-budget; the conditions subcommand exits 0 when all nine hold, 2 when some
-fail and 3 when prerequisites were not applicable.
+input, 69 when the work exceeds a budget (the commutant probe of
+conditions, or the k-graph cycle c_k of hochschild); the conditions
+subcommand exits 0 when all nine hold, 2 when some fail and 3 when
+prerequisites were not applicable.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ import sys
 from fractions import Fraction
 
 from .clifford import KMAX, sign_table_check
-from .conditions import (WorkBudgetError, _jsonable, evaluate_all,
-                         hypothesis_check, kgraph_hypothesis_check)
+from .conditions import (_jsonable, evaluate_all, hypothesis_check,
+                         kgraph_hypothesis_check)
 from .graphs import (GraphFormatError, GraphPresentation, GraphValidationError,
-                     graph_from_document, read_document)
+                     WorkBudgetError, graph_from_document, read_document)
 from .hochschild import check_orientation_1graph, verify_cancellation_steps
 from .kgraphs import kgraph_from_document
 from .spectral import (singular_profile, total_multiplicities,
@@ -217,9 +218,6 @@ def _cmd_conditions(args) -> int:
     except ValueError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EX_DATAERR
-    except WorkBudgetError as exc:
-        print(f"over budget: {exc}", file=sys.stderr)
-        return EX_UNAVAILABLE
     _emit(report, args)
     return report.exit_code()
 
@@ -299,6 +297,9 @@ def run(argv=None) -> int:
     except (GraphFormatError, GraphValidationError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EX_DATAERR
+    except WorkBudgetError as exc:
+        print(f"over budget: {exc}", file=sys.stderr)
+        return EX_UNAVAILABLE
 
 
 def main() -> None:

@@ -14,11 +14,13 @@ witness; `delta_action`, `closedness_eval`, `first_order_check`,
 with `fixed_point_norms` re-derive them in the tests.  On the truncation,
 only the commutant probe forms products, under PAIR_BUDGET.
 
-1-graph orientability is decided by the closed form of b(c) alone: c is a
-cycle iff every coefficient of `boundary_coefficients_1graph` vanishes.
-The truncated b(c) and pi_D(c) checks follow from it and run in
-`graphtriple hochschild` and the tests.  k-graph orientability reads b(c_k)
-and pi_D(c_k) from `verify_cancellation_steps`, which builds c_k once.
+Orientability is read from the presentation on both ranks.  On a 1-graph,
+c is a cycle iff every coefficient of `boundary_coefficients_1graph`
+vanishes.  On a k-graph, b(c_k) = 0 and pi_D(c_k) = omega_C (x) 1 hold
+together exactly under the single exit condition
+(THEOREMS["orientability_kgraph"]), so no c_k is built.  The truncated
+b(c), pi_D(c) and the k-graph c_k checks (`check_orientation_1graph`,
+`verify_cancellation_steps`) run in `graphtriple hochschild` and the tests.
 
 Dimension is a theorem: on a 1-graph the Dixmier limit at a sample is
 2 tau(p_v), or tau(p_v) where v has bounded entering paths, by the trace
@@ -33,8 +35,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Union
 
 from .clifford import SIGN_TABLE, reality_operator
-from .graphs import GraphPresentation
-from .hochschild import boundary_coefficients_1graph, verify_cancellation_steps
+from .graphs import GraphPresentation, WorkBudgetError
+from .hochschild import boundary_coefficients_1graph
 from .kgraphs import KGraphPresentation
 from .spectral import Truncation, build_truncation, commutant_probe
 from .traces import (NoFaithfulTraceError, solve_graph_trace,
@@ -52,7 +54,7 @@ CONDITION_NAMES = (
     "irreducibility",
 )
 
-REPORT_VERSION = 7
+REPORT_VERSION = 8
 
 # On the truncation only the commutant probe forms products: [f, S_e] and
 # [f, S_e*] for each diagonal candidate f at s(e) or r(e), counted before any
@@ -60,10 +62,6 @@ REPORT_VERSION = 7
 # and paths (dyadic_tree(9) at level 2: 26,634 in 2.1 s), 1.1-2.5 kB and
 # 110 us on one-vertex k-graphs, so the budget caps the probe near 0.6 GB.
 PAIR_BUDGET = 250_000
-
-
-class WorkBudgetError(RuntimeError):
-    """The commutant probe needs more commutators than PAIR_BUDGET."""
 
 # The argument behind each verdict that holds by construction; the witness
 # of its "theorem" entry (Connes, CMP 182, 1996, for the conditions).
@@ -97,6 +95,18 @@ THEOREMS = {
         " z -> z b, and a and [D, a] by left multiplication, since the gauge"
         " degree adds under products; left and right multiplications commute"
         " in the associative algebra A_c, so [a, b^op] = [[D, a], b^op] = 0"
+    ),
+    "orientability_kgraph": (
+        "pi_D(c_k) = sum_mu S_mu* S_mu (x) omega_C = sum_w n(w) p_w (x)"
+        " omega_C, n(w) the number of degree-(1,...,1) paths mu with range w,"
+        " so pi_D(c_k) = omega_C (x) 1 iff n = 1 at every w; as every vertex"
+        " emits each colour, n = 1 iff every vertex receives exactly one edge"
+        " of each colour (single exit): backing up from w one colour at a"
+        " time gives one path, and n = 1 leaves one unit path out of each"
+        " vertex, so each colour's edges are a map f_c : V -> V, composing in"
+        " any order to the bijection v -> r(mu_v), and f_c first shows f_c"
+        " injective, hence bijective; single exit gives b(c_k) = 0 by the"
+        " three cancellation steps (Pask-Rennie-Sims)"
     ),
     "reality_1graph": (
         "J z = z* reverses products, so J a* J z = (a* z*)* = z a: J a* J"
@@ -179,7 +189,10 @@ def hypothesis_check(g: GraphPresentation) -> dict:
     }
 
 
-def kgraph_hypothesis_check(g: KGraphPresentation) -> dict:
+def kgraph_hypothesis_check(g: KGraphPresentation,
+                            exits: Optional[dict] = None) -> dict:
+    """`exits` is g.single_exit_check(), if the caller has it."""
+    exits = exits or g.single_exit_check()
     try:
         solve_kgraph_trace(g)
         trace_exists = True
@@ -190,7 +203,7 @@ def kgraph_hypothesis_check(g: KGraphPresentation) -> dict:
         "locally_finite": True,
         "no_sinks": True,  # enforced at parse: every vertex emits per color
         "faithful_graph_trace_exists": trace_exists,
-        "single_exit": g.single_exit_check()["holds"],
+        "single_exit": exits["holds"],
         "fg_ktheory": True,
         "ends_count": 0,
     }
@@ -287,22 +300,22 @@ def _evaluate_graph(g: GraphPresentation, end_values,
 
 
 def _evaluate_kgraph(g: KGraphPresentation, level) -> ConditionReport:
-    hyp = kgraph_hypothesis_check(g)
+    exits = g.single_exit_check()
+    hyp = kgraph_hypothesis_check(g, exits)
     entries: Dict[str, ConditionEntry] = {}
     level = min(level, 2)  # a degree box of (level + 1)^k degrees
     params = {"level": level}
     k = g.k
 
-    cancel = verify_cancellation_steps(g)
-    orient_ok = cancel["b_ck_zero"] and cancel["pi_D_is_volume_form"]
+    # orientability is single exit (THEOREMS), evaluable without the trace
+    witness = {"argument": THEOREMS["orientability_kgraph"]}
+    if not exits["holds"]:
+        witness["single_exit_violations"] = [
+            {"vertex": v, "color": c, "entering": n}
+            for (v, c), n in sorted(exits["violations"].items())]
     entries["orientability"] = ConditionEntry(
-        "orientability", "holds" if orient_ok else "fails", "exact",
-        {
-            "b_ck_zero": cancel["b_ck_zero"],
-            "pi_D_is_volume_form": cancel["pi_D_is_volume_form"],
-            "failing_step": None if cancel["pass"] else _failing_step(cancel),
-        },
-    )
+        "orientability", "holds" if exits["holds"] else "fails", "exact",
+        witness)
 
     try:
         trace = solve_kgraph_trace(g)
@@ -324,8 +337,8 @@ def _evaluate_kgraph(g: KGraphPresentation, level) -> ConditionReport:
     got = (data.eps, data.eps_prime, data.eps_dprime)
     entries["reality"] = ConditionEntry(
         "reality", "holds" if got == expected else "fails", "exact",
-        {"computed": list(got), "expected": list(expected),
-         "omega_sq": str(data.omega_sq)},
+        {"argument": THEOREMS["reality_1graph"], "computed": list(got),
+         "expected": list(expected), "omega_sq": str(data.omega_sq)},
     )
 
     finite = {"case": "unital", "argument": THEOREMS["unital"]}
@@ -361,18 +374,6 @@ def _shared_entries(entries: Dict[str, ConditionEntry], hyp: dict,
         if name not in entries:
             entries[name] = _na(name, "faithful_graph_trace_exists")
     return ConditionReport(entries, hyp, params)
-
-
-def _failing_step(cancel: dict) -> dict:
-    witness_of = {
-        "step1_middle_terms_vanish": "step1_witness",
-        "step2_elementary_tensors_equal": "step2_witness",
-        "step3_ck_cancellation": "step3_witness",
-    }
-    for step, wkey in witness_of.items():
-        if not cancel[step]:
-            return {"step": step, "witness": _jsonable(cancel[wkey])}
-    return {"step": "b_ck_zero", "witness": None}
 
 
 def _jsonable(obj):

@@ -28,6 +28,10 @@ class GraphValidationError(ValueError):
     """Raised when a presentation violates a structural invariant."""
 
 
+class WorkBudgetError(RuntimeError):
+    """A check would do more work than its budget allows."""
+
+
 @dataclass(frozen=True)
 class Edge:
     id: str

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from graphtriple import conditions
+from graphtriple import conditions, hochschild
 from graphtriple.cli import (EX_DATAERR, EX_NOINPUT, EX_UNAVAILABLE, EX_USAGE,
                              run)
 
@@ -460,6 +460,39 @@ class TestStructureEdgeCases:
         assert captured.out == ""
         assert captured.err.startswith("over budget: ")
         assert " 90 commutators" in captured.err
+
+    def test_hochschild_over_its_budget_exits_69(
+            self, torus_file, capsys, monkeypatch):
+        # the torus's c_2 has 2! x 1 = 2 terms
+        monkeypatch.setattr(hochschild, "CYCLE_BUDGET", 1)
+        assert run(["hochschild", torus_file]) == EX_UNAVAILABLE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("over budget: ")
+        assert " 2 terms" in captured.err
+        monkeypatch.setattr(hochschild, "CYCLE_BUDGET", 2)
+        assert run(["hochschild", torus_file]) == 0
+
+    def test_one_vertex_8graph(self, tmp_path, capsys):
+        # conditions reads orientability from single exit; hochschild
+        # would build 8! = 40,320 terms and refuses before building any
+        k = 8
+        doc = {
+            "k": k, "vertices": ["v"], "tails": [],
+            "edges": [{"id": f"g{c}", "source": "v", "range": "v",
+                       "color": c} for c in range(1, k + 1)],
+            "squares": [{"first": [f"g{c}", f"g{d}"],
+                         "second": [f"g{d}", f"g{c}"]}
+                        for c in range(1, k + 1) for d in range(c + 1, k + 1)],
+        }
+        path = tmp_path / "kgraph8.json"
+        path.write_text(json.dumps(doc))
+        assert run(["conditions", str(path), "--level", "1"]) == 0
+        capsys.readouterr()
+        assert run(["hochschild", str(path)]) == EX_UNAVAILABLE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert " 40320 terms" in captured.err
 
 
 def _run_python(code, timeout=None):

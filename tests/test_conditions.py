@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -12,15 +14,18 @@ from graphtriple.algebra import key_source_mu
 from graphtriple.conditions import (CONDITION_NAMES, evaluate_all,
                                     hypothesis_check, kgraph_hypothesis_check)
 from graphtriple.graphs import Edge, GraphPresentation
+from graphtriple.kgraphs import KGraphPresentation
 from graphtriple.spectral import singular_profile, vertex_multiplicities
 from graphtriple.traces import (NoFaithfulTraceError, solve_graph_trace,
                                 solve_kgraph_trace)
 
 from corpus import (bi_infinite_path, double_entry_tree, dyadic_tree,
                     loop_with_exit, loop_with_exit_tree, one_vertex_3graph,
-                    single_loop, sink_path, single_exit_violating_2graph,
-                    torus_2graph, tree_with_ends, two_disjoint_loops,
+                    one_vertex_kgraph, single_loop, sink_path,
+                    single_exit_violating_2graph, torus_2graph,
+                    tree_with_ends, two_disjoint_loops, two_extension_2graph,
                     two_vertex_2graph)
+from test_spectral import abelian_kgraphs
 from test_structure import digraphs, exitless_digraphs
 
 GRAPH_CORPUS = {
@@ -123,10 +128,15 @@ class TestEvaluateAll:
             "nonzero_boundary_coefficients"]["w"] == 1
 
     def test_single_exit_violation_fails_orientability(self):
+        # u receives no colour-1 edge and w receives two
         rep = evaluate_all(single_exit_violating_2graph(), level=2)
         entry = rep.entries["orientability"]
-        assert entry.status == "fails"
-        assert entry.witness["failing_step"]["step"] == "step3_ck_cancellation"
+        assert entry.status == "fails" and entry.method == "exact"
+        assert entry.witness == {
+            "argument": conditions.THEOREMS["orientability_kgraph"],
+            "single_exit_violations": [
+                {"vertex": "u", "color": 1, "entering": 0},
+                {"vertex": "w", "color": 1, "entering": 2}]}
 
     def test_report_json_deterministic(self):
         rep1 = evaluate_all(single_loop(1))
@@ -212,26 +222,50 @@ class TestEvaluateAll:
             assert evaluate_all(g, level=1).entries["dimension"].status \
                 == "holds"
 
-    def test_kgraph_cycle_is_built_once(self, monkeypatch):
-        calls = []
-        real = hochschild.orientation_cycle_kgraph
+    def test_conditions_builds_no_orientation_cycle(self, monkeypatch):
+        # k-graph orientability is single exit, so c_k, its boundary and
+        # pi_D(c_k) are built only by `graphtriple hochschild` and the tests
+        def refuse(*args, **kwargs):
+            raise AssertionError("conditions built c_k")
+        for name in ("verify_cancellation_steps", "orientation_cycle_kgraph",
+                     "pi_D_identity_check"):
+            for module in (hochschild, conditions):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        for g, holds in ((torus_2graph(), True), (two_vertex_2graph(), True),
+                         (one_vertex_3graph(), True),
+                         (one_vertex_kgraph(4), True),
+                         (single_exit_violating_2graph(), False),
+                         (two_extension_2graph(), False)):
+            entry = evaluate_all(g, level=1).entries["orientability"]
+            assert (entry.status == "holds") is holds
 
-        def counted(g):
-            calls.append(g)
-            return real(g)
-        for module in (hochschild, conditions):
-            monkeypatch.setattr(module, "orientation_cycle_kgraph", counted,
-                                raising=False)
-        report = evaluate_all(torus_2graph(), level=1)
-        assert report.entries["orientability"].status == "holds"
-        assert len(calls) == 1
+    def test_one_vertex_7graph_holds_in_seconds(self):
+        # c_k alone would have 5,040 terms; conditions builds none of them
+        assert evaluate_all(one_vertex_kgraph(7), level=1).all_hold()
+
+    def test_wrong_clifford_signs_flip_kgraph_reality_alone(
+            self, monkeypatch):
+        # the algebra half of k-graph reality is a theorem; the Clifford
+        # half is computed, so wrong signs from the gammas must fail it
+        real = conditions.reality_operator
+        g = torus_2graph()
+        before = evaluate_all(g, level=1).to_json()["conditions"]
+        monkeypatch.setattr(conditions, "reality_operator",
+                            lambda k: replace(real(k), eps=-real(k).eps))
+        after = evaluate_all(g, level=1).to_json()["conditions"]
+        assert before["reality"]["status"] == "holds"
+        assert after["reality"]["status"] == "fails"
+        assert after["reality"]["witness"]["argument"] == \
+            conditions.THEOREMS["reality_1graph"]
+        assert {n: e for n, e in after.items() if n != "reality"} == \
+            {n: e for n, e in before.items() if n != "reality"}
 
     def test_report_shape(self):
         # reality is a theorem on a 1-graph; the k-graph sign table is exact
         for g, exact in ((single_loop(1), set()),
                          (torus_2graph(), {"reality"})):
             doc = evaluate_all(g, level=1).to_json()
-            assert doc["report_version"] == 7
+            assert doc["report_version"] == 8
             assert doc["parameters"] == {"level": 1}
             assert set(doc["conditions"]) == set(CONDITION_NAMES)
             for entry in doc["conditions"].values():
@@ -358,3 +392,105 @@ class TestLatticeOracle:
         assert mass == sum(solve_kgraph_trace(g).values.values())
         assert entry.witness["limit"] == pytest.approx(
             float(mass) * lattice_dixmier_estimate(g.k, 128), rel=1e-3)
+
+
+@st.composite
+def twisted_2graphs(draw):
+    """2-graphs on 1-3 vertices that may fail single exit: colour-1 edge
+    counts A1 (every vertex emits), colour-2 counts A2 commuting with A1 (a
+    free count on one vertex, else A1, 1 or 1 + A1), and squares a random
+    bijection of the (1,2)-paths onto the (2,1)-paths with the same ends."""
+    n = draw(st.integers(1, 3))
+    verts = [f"v{i}" for i in range(n)]
+    rows = st.lists(st.integers(0, 2 if n == 1 else 1), min_size=n,
+                    max_size=n).filter(any)
+    a1 = draw(st.lists(rows, min_size=n, max_size=n))
+    if n == 1:
+        a2 = [[draw(st.integers(1, 2))]]
+    else:
+        c, d = draw(st.sampled_from([(1, 0), (0, 1), (1, 1)]))
+        a2 = [[c * (i == j) + d * a1[i][j] for j in range(n)]
+              for i in range(n)]
+    edges = [Edge(f"{name}{i}{j}{m}", verts[i], verts[j], colour)
+             for colour, name, counts in ((1, "a", a1), (2, "b", a2))
+             for i in range(n) for j in range(n) for m in range(counts[i][j])]
+    out = {c: [e for e in edges if e.color == c] for c in (1, 2)}
+    by_ends = {}
+    for first, second in ((1, 2), (2, 1)):
+        for e in out[first]:
+            for f in out[second]:
+                if e.range == f.source:
+                    by_ends.setdefault((e.source, f.range, first), []).append(
+                        (e.id, f.id))
+    squares = []
+    for (s, r, first), paths in sorted(by_ends.items()):
+        if first == 1:
+            images = draw(st.permutations(by_ends[(s, r, 2)]))
+            squares += list(zip(paths, images))
+    return KGraphPresentation(2, verts, edges, squares)
+
+
+@st.composite
+def product_kgraphs(draw):
+    """Products of k = 2 or 3 sink-free digraphs with at most 3 vertices in
+    all: colour c moves the c-th coordinate along an edge of the c-th
+    factor, and the squares are the commuting moves.  Single exit holds iff
+    every factor is a permutation."""
+    k = draw(st.integers(2, 3))
+    sizes = [1] * k
+    sizes[draw(st.integers(0, k - 1))] = draw(st.integers(1, 3))
+    factors = []
+    for n in sizes:
+        rows = st.lists(st.integers(0, 2 if n == 1 else 1), min_size=n,
+                        max_size=n).filter(any)
+        counts = draw(st.lists(rows, min_size=n, max_size=n))
+        factors.append([(i, j, f"{i}{j}{m}") for i in range(n)
+                        for j in range(n) for m in range(counts[i][j])])
+    points = list(itertools.product(*(range(n) for n in sizes)))
+    name = {x: "v" + "".join(map(str, x)) for x in points}
+
+    def move(x, c, j):
+        return x[:c] + (j,) + x[c + 1:]
+
+    def eid(c, x, label):
+        return f"c{c + 1}_{label}_{name[x]}"
+    edges = [Edge(eid(c, x, label), name[x], name[move(x, c, j)], c + 1)
+             for c, fac in enumerate(factors) for x in points
+             for i, j, label in fac if x[c] == i]
+    squares = [((eid(c, x, a), eid(d, move(x, c, j), b)),
+                (eid(d, x, b), eid(c, move(x, d, jd), a)))
+               for c in range(k) for d in range(c + 1, k) for x in points
+               for i, j, a in factors[c] if x[c] == i
+               for id_, jd, b in factors[d] if x[d] == id_]
+    return KGraphPresentation(k, [name[x] for x in points], edges, squares)
+
+
+class TestKGraphOrientabilityOracle:
+    """k-graph orientability is read from single exit; the cancellation
+    steps that build c_k are its oracle, on k-graphs that fail single
+    exit as well as on those that satisfy it."""
+
+    @staticmethod
+    def check(g):
+        cancel = hochschild.verify_cancellation_steps(g)
+        entry = evaluate_all(g, level=1).entries["orientability"]
+        holds = entry.status == "holds"
+        assert holds == (cancel["b_ck_zero"] and cancel["pi_D_is_volume_form"])
+        assert holds == g.single_exit_check()["holds"]
+        assert cancel["step1_middle_terms_vanish"]
+        assert cancel["step2_elementary_tensors_equal"]
+
+    @given(twisted_2graphs())
+    @settings(max_examples=40, deadline=None)
+    def test_twisted_2graphs(self, g):
+        self.check(g)
+
+    @given(product_kgraphs())
+    @settings(max_examples=40, deadline=None)
+    def test_product_kgraphs(self, g):
+        self.check(g)
+
+    @given(abelian_kgraphs())
+    @settings(max_examples=20, deadline=None)
+    def test_abelian_kgraphs(self, g):
+        self.check(g)

@@ -11,8 +11,8 @@ keep them unchanged.  To rewrite them after an intended report change, run
     PYTHONPATH=src python tests/test_golden.py
 
 A change to the `conditions` report fields bumps REPORT_VERSION.  The
-goldens of the previous version stay in tests/golden/v6/ and every change
-since is listed in V6_TO_V7: each v6 twin with those changes applied must
+goldens of the previous version stay in tests/golden/v7/ and every change
+since is listed in V7_TO_V8: each v7 twin with those changes applied must
 equal its current golden byte for byte, so no status and no other field
 moves silently.
 
@@ -21,7 +21,9 @@ method "theorem" with their argument instead of a sample count.  The
 computations that produced those counts run here as oracles on every case
 with a trace, and must hold on as many samples as version 1 counted.
 Since version 7 first order and 1-graph reality are theorems too; their
-checks run here as oracles against their plain loops.
+checks run here as oracles against their plain loops.  Since version 8
+k-graph orientability is read from the single exit condition; the
+cancellation steps that built c_k run here as its oracle.
 """
 
 import json
@@ -47,6 +49,7 @@ from graphtriple.cli import run  # noqa: E402
 from graphtriple.conditions import THEOREMS  # noqa: E402
 from graphtriple.graphs import (GraphPresentation,  # noqa: E402
                                 GraphValidationError, graph_to_document)
+from graphtriple.hochschild import verify_cancellation_steps  # noqa: E402
 from graphtriple.scalars import GaussianRational  # noqa: E402
 from graphtriple.spectral import (build_truncation,  # noqa: E402
                                   ck_generators, closedness_eval,
@@ -61,7 +64,7 @@ from test_spectral import (commutant_oracle, first_order_oracle,  # noqa: E402
                            reality_oracle)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
-V6_DIR = GOLDEN_DIR / "v6"
+V7_DIR = GOLDEN_DIR / "v7"
 
 # name -> (presentation factory, truncation level); the 1-graphs below
 # the first six run at level 2 unless level 2 takes over a second
@@ -159,29 +162,36 @@ def _truncation(g, level):
     return trace, build_truncation(g, trace, level)
 
 
-def _holds(entry, g, graphs_only=False) -> bool:
-    return entry["status"] == "holds" and (
-        not graphs_only or isinstance(g, GraphPresentation))
+def _kgraph_orientability(entry, g, level):
+    """The v8 k-graph orientability witness: the argument, and where a
+    vertex does not receive exactly one edge of some colour, each such
+    (vertex, colour) with its count of entering edges."""
+    if isinstance(g, GraphPresentation):
+        return None
+    witness = {"argument": THEOREMS["orientability_kgraph"]}
+    entering = {(v, c): 0 for v in g.vertices for c in range(1, g.k + 1)}
+    for e in g.edges.values():
+        entering[(e.range, e.color)] += 1
+    bad = [{"vertex": v, "color": c, "entering": n}
+           for (v, c), n in sorted(entering.items()) if n != 1]
+    if bad:
+        witness["single_exit_violations"] = bad
+    return witness
 
 
-# Every conditions-report change from report version 6, as (path, new):
-# `new(parent, presentation, level)` is the v7 value at `path`, given the v6
+# Every conditions-report change from report version 7, as (path, new):
+# `new(parent, presentation, level)` is the v8 value at `path`, given the v7
 # dict that holds it, or None where the field stays as it is (or absent).
-# First order on both ranks and 1-graph reality are theorems where they
-# hold; not_applicable entries and k-graph reality stay.
-V6_TO_V7 = [
-    (("report_version",), lambda doc, g, level: 7),
-    (("conditions", "first_order", "method"),
-     lambda entry, g, level: "theorem" if _holds(entry, g) else None),
-    (("conditions", "first_order", "witness"),
-     lambda entry, g, level:
-     {"argument": THEOREMS["first_order"]} if _holds(entry, g) else None),
-    (("conditions", "reality", "method"),
-     lambda entry, g, level: "theorem" if _holds(entry, g, True) else None),
+# k-graph orientability is read from single exit, and the k-graph reality
+# witness names the algebra half's argument beside the Clifford signs.
+V7_TO_V8 = [
+    (("report_version",), lambda doc, g, level: 8),
+    (("conditions", "orientability", "witness"), _kgraph_orientability),
     (("conditions", "reality", "witness"),
      lambda entry, g, level:
-     {"argument": THEOREMS["reality_1graph"]} if _holds(entry, g, True)
-     else None),
+     {"argument": THEOREMS["reality_1graph"], **entry["witness"]}
+     if not isinstance(g, GraphPresentation)
+     and entry["status"] != "not_applicable" else None),
 ]
 
 
@@ -197,13 +207,32 @@ def _apply_changes(doc: dict, changes, g, level) -> dict:
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_v6_twin_differs_only_by_listed_changes(name):
-    v6 = json.loads((V6_DIR / f"{name}.json").read_text())
-    assert v6["report_version"] == 6
+def test_v7_twin_differs_only_by_listed_changes(name):
+    v7 = json.loads((V7_DIR / f"{name}.json").read_text())
+    assert v7["report_version"] == 7
     factory, level = CASES[name]
-    v7 = _apply_changes(v6, V6_TO_V7, factory(), level)
+    v8 = _apply_changes(v7, V7_TO_V8, factory(), level)
     expected = _golden_path(name).read_text()
-    assert json.dumps(v7, sort_keys=True, indent=2) + "\n" == expected
+    assert json.dumps(v8, sort_keys=True, indent=2) + "\n" == expected
+
+
+KGRAPH_CASES = ("one_vertex_3graph", "one_vertex_kgraph_4",
+                "single_exit_violating_2graph", "torus_2graph",
+                "torus_2graph_L2", "two_extension_2graph",
+                "two_vertex_2graph", "two_vertex_2graph_L2")
+
+
+@pytest.mark.parametrize("name", KGRAPH_CASES)
+def test_kgraph_orientability_matches_the_cancellation_oracle(name):
+    """The single exit verdict is the one b(c_k) = 0 and
+    pi_D(c_k) = omega_C (x) 1 give, computed on c_k itself."""
+    g = CASES[name][0]()
+    assert not isinstance(g, GraphPresentation)
+    cancel = verify_cancellation_steps(g)
+    entry = json.loads(_golden_path(name).read_text())["conditions"][
+        "orientability"]
+    assert (entry["status"] == "holds") == (
+        cancel["b_ck_zero"] and cancel["pi_D_is_volume_form"])
 
 
 def _closedness_sample(amb, level):
