@@ -19,22 +19,14 @@ is the sum of S_{mu1 xi} S_{nu2 eta}* over the pairs (xi, eta) with
 nu1 xi = mu2 eta minimal.  For comparable paths that is one prefix collapse;
 for k-graph pairs of incomparable degree it sums over the minimal common
 extensions (the prefix rule alone is not associative, which the small-case
-tests would catch).  One table per ambient (``kernel(ambient)``) keeps the
-kernel from redoing path work, with everything in it an int id:
-
-* words are interned with their range, an empty word once per base
-  vertex (its range), and a compose table maps a word id pair to
-  the id of the composite, or -1 when it is not a path;
-* the meet table maps (nu1, mu2) word ids to the (xi, eta) pairs;
-* generator keys are interned, and (mu, nu) word ids map to a key id after
-  ``make_key``'s normal-form, path and range checks, run once per pair;
-* the product memo, also ``ambient._product_cache``, maps a key id pair to
-  the tuple of the product's key ids.
-
-By the factorisation property a word's colour-sorted normal form is
-unique, so equal paths share one id.  ``_multiply_keys`` is the generator
-key boundary over this table; the verification loops in ``spectral`` work
-on the ids and map back to keys only to report.
+tests would catch).  ``_multiply_keys`` is the one product on generator
+keys: it memoizes each product per key pair in ``ambient._product_cache``,
+as a tuple so that no caller can change the memo through a result.
+``make_key`` puts both words in colour-sorted normal form, unique by the
+factorisation property, so equal paths give one key.  ``conditions`` never
+repeats a product (the commutant probe forms each commutator once), but
+``graphtriple hochschild`` and the tests' oracle loops do, so the memo
+stays.
 
 Stored term maps are only unique up to the relation p_v = sum S_e S_e*, so
 equality and zero tests go through a depth-aligned expansion within each
@@ -366,118 +358,29 @@ def _prefix_divide(ambient, long: Word, long_v: str, short: Word,
     return ambient.divide_prefix(long, short)
 
 
-class ProductKernel:
-    """The interned product table of one ambient (see the module docstring).
-
-    Ids are list positions, handed out in order of first sight, so they are
-    only meaningful for the ambient that owns the table.
-    """
-
-    def __init__(self, ambient):
-        self.ambient = ambient
-        self.words: List[Word] = []
-        self.word_range: List[str] = []
-        self.word_ids: Dict[object, int] = {}
-        self.composed: Dict[Tuple[int, int], int] = {}
-        self.meets: Dict[Tuple[int, int], Tuple[Tuple[int, int], ...]] = {}
-        self.keys: List[GenKey] = []
-        self.key_words: List[Tuple[int, int]] = []
-        self.key_ids: Dict[GenKey, int] = {}
-        self.pair_key: Dict[Tuple[int, int], int] = {}
-        self.products: Dict[Tuple[int, int], Tuple[int, ...]] = {}
-
-    def word_id(self, word: Word, base: str = "") -> int:
-        """Id of a word; an empty word is the vertex path at base."""
-        wid = self.word_ids.get(word or base)
-        if wid is None:
-            wid = self.word_ids[word or base] = len(self.words)
-            self.words.append(word)
-            self.word_range.append(
-                self.ambient.path_range(word) if word else base)
-        return wid
-
-    def key_id(self, key: GenKey) -> int:
-        """Id of a generator key, interned as given."""
-        kid = self.key_ids.get(key)
-        if kid is None:
-            mu, nu, v = key
-            kid = self.key_ids[key] = len(self.keys)
-            self.keys.append(key)
-            pair = (self.word_id(mu, v), self.word_id(nu, v))
-            self.key_words.append(pair)
-            self.pair_key.setdefault(pair, kid)
-        return kid
-
-    def pair_key_id(self, mu: int, nu: int) -> int:
-        """Key id of S_mu S_nu* for word ids, through make_key on first sight."""
-        kid = self.pair_key.get((mu, nu))
-        if kid is None:
-            w1, w2 = self.words[mu], self.words[nu]
-            if w1 or w2:
-                kid = self.key_id(make_key(self.ambient, w1, w2))
-            else:
-                kid = self.key_id(((), (), self.word_range[mu]))
-            self.pair_key[(mu, nu)] = kid
-        return kid
-
-    def compose(self, w1: int, w2: int) -> int:
-        """Word id of w1 w2, or -1 when it is not a path."""
-        wid = self.composed.get((w1, w2))
-        if wid is None:
-            q = self.words[w2]
-            if not q:
-                wid = w1
-            else:
-                w = self.ambient.compose(self.words[w1], q)
-                wid = -1 if w is None else self.word_id(w)
-            self.composed[(w1, w2)] = wid
-        return wid
-
-    def meet(self, nu1: int, mu2: int) -> Tuple[Tuple[int, int], ...]:
-        """Word id pairs (xi, eta) with nu1 xi = mu2 eta minimal."""
-        hit = self.meets.get((nu1, mu2))
-        if hit is None:
-            v1, v2 = self.word_range[nu1], self.word_range[mu2]
-            hit = self.meets[(nu1, mu2)] = tuple(
-                (self.word_id(xi, v1), self.word_id(eta, v2))
-                for xi, eta in _meet(self.ambient, self.words[nu1], v1,
-                                     self.words[mu2], v2))
-        return hit
-
-    def product(self, k1: int, k2: int) -> Tuple[int, ...]:
-        """Key ids of the product of two keys, memoized per id pair."""
-        hit = self.products.get((k1, k2))
-        if hit is None:
-            hit = self.products[(k1, k2)] = _multiply_keys_uncached(self, k1, k2)
-        return hit
+def _multiply_keys(ambient, k1: GenKey, k2: GenKey) -> Tuple[GenKey, ...]:
+    """S_mu1 S_nu1* . S_mu2 S_nu2* as a tuple of generator keys, memoized
+    per key pair in ``ambient._product_cache``."""
+    memo = getattr(ambient, "_product_cache", None)
+    if memo is None:
+        memo = ambient._product_cache = {}
+    hit = memo.get((k1, k2))
+    if hit is None:
+        hit = memo[(k1, k2)] = _multiply_keys_uncached(ambient, k1, k2)
+    return hit
 
 
-def kernel(ambient) -> ProductKernel:
-    """The ambient's product table, created on first use."""
-    kern = getattr(ambient, "_kernel", None)
-    if kern is None:
-        kern = ambient._kernel = ProductKernel(ambient)
-        ambient._product_cache = kern.products
-    return kern
-
-
-def _multiply_keys(ambient, k1: GenKey, k2: GenKey) -> List[GenKey]:
-    """S_mu1 S_nu1* . S_mu2 S_nu2* as a list of generator keys."""
-    kern = kernel(ambient)
-    keys = kern.keys
-    return [keys[k] for k in kern.product(kern.key_id(k1), kern.key_id(k2))]
-
-
-def _multiply_keys_uncached(kern: ProductKernel, k1: int, k2: int) -> Tuple[int, ...]:
+def _multiply_keys_uncached(ambient, k1: GenKey, k2: GenKey
+                            ) -> Tuple[GenKey, ...]:
     """Emit S_{mu1 xi} S_{nu2 eta}* for each (xi, eta) in the meet of nu1, mu2."""
-    mu1, nu1 = kern.key_words[k1]
-    mu2, nu2 = kern.key_words[k2]
+    mu1, nu1, v1 = k1
+    mu2, nu2, v2 = k2
     out = []
-    for xi, eta in kern.meet(nu1, mu2):
-        mu = kern.compose(mu1, xi)
-        nu = kern.compose(nu2, eta)
-        if mu >= 0 and nu >= 0:
-            out.append(kern.pair_key_id(mu, nu))
+    for xi, eta in _meet(ambient, nu1, v1, mu2, v2):
+        mu = ambient.compose(mu1, xi) if xi else mu1
+        nu = ambient.compose(nu2, eta) if eta else nu2
+        if mu is not None and nu is not None:
+            out.append(make_key(ambient, mu, nu) if mu or nu else ((), (), v1))
     return tuple(out)
 
 

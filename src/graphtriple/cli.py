@@ -71,11 +71,13 @@ def _emit(payload, args) -> None:
         sys.stdout.write(text)
 
 
-def _parse_end_values(pairs):
-    if not pairs:
+def _end_values(args, g):
+    """The --end-value pairs as a dict, or None when there are none.  A
+    k-graph has no ends, so every pair given for one names no end."""
+    if not args.end_value:
         return None
     out = {}
-    for item in pairs:
+    for item in args.end_value:
         if "=" not in item:
             raise GraphValidationError(f"end value must be END=VALUE: {item!r}")
         key, val = item.split("=", 1)
@@ -84,6 +86,8 @@ def _parse_end_values(pairs):
         except (ValueError, ZeroDivisionError):
             raise GraphValidationError(
                 f"end value must be a rational number: {item!r}") from None
+    if not isinstance(g, GraphPresentation):
+        raise GraphValidationError(f"no such end: {', '.join(sorted(out))}")
     return out
 
 
@@ -116,8 +120,9 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_trace(args) -> int:
     g = _load(args.input)
+    end_values = _end_values(args, g)
     if isinstance(g, GraphPresentation):
-        trace = solve_graph_trace(g, _parse_end_values(args.end_value))
+        trace = solve_graph_trace(g, end_values)
         payload = {
             "vertices": {v: str(trace.values[v]) for v in g.vertices},
             "ends": {k: str(v) for k, v in trace.end_values.items()},
@@ -192,7 +197,7 @@ def _cmd_spectral(args) -> int:
         print("spectral profiles are computed for 1-graphs", file=sys.stderr)
         return EX_DATAERR
     try:
-        trace = solve_graph_trace(g, _parse_end_values(args.end_value))
+        trace = solve_graph_trace(g, _end_values(args, g))
         if args.vertex:
             if args.vertex not in g.vertices:
                 raise GraphValidationError(f"unknown vertex {args.vertex!r}")
@@ -212,7 +217,7 @@ def _cmd_conditions(args) -> int:
     try:
         report = evaluate_all(
             g,
-            end_values=_parse_end_values(args.end_value),
+            end_values=_end_values(args, g),
             level=args.level,
         )
     except ValueError as exc:

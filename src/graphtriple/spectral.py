@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .algebra import (AlgebraElement, GenKey, _as_degree_tuple, accumulate,
-                      aligned, expand_key_to, kernel, key_degree,
+                      _multiply_keys, aligned, expand_key_to, key_degree,
                       key_source_mu, key_source_nu, make_key)
 from .clifford import word_span_dimension
 from .graphs import GraphPresentation
@@ -55,20 +55,12 @@ class Truncation:
     basis: Tuple[GenKey, ...]
     gram: Tuple[Fraction, ...]
     _index: Optional[Dict[GenKey, int]] = field(default=None, repr=False)
-    _ids: Optional[List[int]] = field(default=None, repr=False)
     _candidates: Optional[tuple] = field(default=None, repr=False)
 
     def index(self) -> Dict[GenKey, int]:
         if self._index is None:
             self._index = {key: i for i, key in enumerate(self.basis)}
         return self._index
-
-    def key_ids(self) -> List[int]:
-        """The basis keys' ids in the ambient's product kernel."""
-        if self._ids is None:
-            kern = kernel(self.ambient)
-            self._ids = [kern.key_id(key) for key in self.basis]
-        return self._ids
 
     def diagonal_candidates(
             self) -> Tuple[List[GenKey], List[Tuple[GenKey, List[int]]]]:
@@ -654,22 +646,18 @@ def first_order_check(tr: Truncation) -> dict:
     scope by design.
     """
     amb = tr.ambient
-    kern = kernel(amb)
-    product = kern.product
     gens = ck_generators(amb)
     gens_at = _by_source(amb, gens, key_source_nu)
     basis_at = _by_source(amb, tr.basis, key_source_nu)
     failures = []
     for kb in gens:
-        b = kern.key_id(kb)
         for kz in basis_at.get(key_source_mu(amb, kb), ()):
-            z = kern.key_id(kz)
-            zb = product(z, b)
+            zb = _multiply_keys(amb, kz, kb)
             for ka in gens_at.get(key_source_mu(amb, kz), ()):
-                a = kern.key_id(ka)
-                left = [k2 for k1 in zb for k2 in product(a, k1)]
-                right = [k2 for k1 in product(a, z) for k2 in product(k1, b)]
-                if not _differ(kern, left, right):
+                left = [k2 for k1 in zb for k2 in _multiply_keys(amb, ka, k1)]
+                right = [k2 for k1 in _multiply_keys(amb, ka, kz)
+                         for k2 in _multiply_keys(amb, k1, kb)]
+                if not _differ(amb, left, right):
                     continue
                 failures.append({"kind": "[a,b_op]", "a": ka, "b": kb, "z": kz})
                 if sum(key_degree(amb, ka)):
@@ -687,21 +675,21 @@ def _by_source(amb, keys: Sequence[GenKey], source) -> Dict[str, List[GenKey]]:
     return out
 
 
-def _differ(kern, left, right) -> bool:
-    """Whether the sums of the keys with ids in left and in right differ."""
+def _differ(amb, left, right) -> bool:
+    """Whether the sums of the keys in left and in right differ."""
     return (sorted(left) != sorted(right)
-            and bool(_aligned_difference(kern, left, right)))
+            and bool(_aligned_difference(amb, left, right)))
 
 
-def _aligned_difference(kern, left, right) -> Dict[GenKey, int]:
-    """`aligned` of the sum of the keys with ids in left minus the sum of
-    those in right, in integers: empty iff the two sums are equal."""
+def _aligned_difference(amb, left, right) -> Dict[GenKey, int]:
+    """`aligned` of the sum of the keys in left minus the sum of those in
+    right, in integers: empty iff the two sums are equal."""
     counts: Dict[GenKey, int] = {}
-    for kid in left:
-        accumulate(counts, kern.keys[kid], 1)
-    for kid in right:
-        accumulate(counts, kern.keys[kid], -1)
-    return aligned(kern.ambient, counts)
+    for key in left:
+        accumulate(counts, key, 1)
+    for key in right:
+        accumulate(counts, key, -1)
+    return aligned(amb, counts)
 
 
 def first_order_left_counterexample(tr: Truncation) -> Optional[dict]:
@@ -747,24 +735,21 @@ def reality_check_1graph(tr: Truncation) -> dict:
 
     a ranges over the Cuntz-Krieger generators p_v, S_e, S_e*
     (`ck_generators`) and z over the basis, and (a* z*)* is compared with
-    z a as kernel key ids, termwise first, then by the relation-aware zero
+    z a as key lists, termwise first, then by the relation-aware zero
     test.  Only the a with ls(a) = rs(z) are visited (see
     `first_order_check`): rs(a*) = ls(a) and ls(z*) = rs(z).
     """
     amb = tr.ambient
     if amb.k != 1:
         raise ValueError("reality_check_1graph needs a 1-graph truncation")
-    kern = kernel(amb)
-    keys, product = kern.keys, kern.product
     gens_at = _by_source(amb, ck_generators(amb), key_source_mu)
     failures = []
-    for kz, z in zip(tr.basis, tr.key_ids()):
-        z_star = kern.key_id(_swap(kz))
+    for kz in tr.basis:
+        z_star = _swap(kz)
         for ka in gens_at.get(key_source_nu(amb, kz), ()):
-            a_star = kern.key_id(_swap(ka))
-            left = [kern.key_id(_swap(keys[k])) for k in product(a_star, z_star)]
-            right = product(z, kern.key_id(ka))
-            if _differ(kern, left, right):
+            left = [_swap(k) for k in _multiply_keys(amb, _swap(ka), z_star)]
+            right = _multiply_keys(amb, kz, ka)
+            if _differ(amb, left, right):
                 failures.append({"kind": "Ja*J=a_op", "a": ka, "z": kz})
     return {"pass": not failures, "failures": failures}
 
@@ -844,6 +829,5 @@ def commutant_probe(tr: Truncation) -> dict:
 
 def _aligned_commutator(amb, kf: GenKey, kg: GenKey) -> Dict[GenKey, int]:
     """`aligned_terms` of f g - g f for single generators f, g, in integers."""
-    kern = kernel(amb)
-    f, g = kern.key_id(kf), kern.key_id(kg)
-    return _aligned_difference(kern, kern.product(f, g), kern.product(g, f))
+    return _aligned_difference(amb, _multiply_keys(amb, kf, kg),
+                               _multiply_keys(amb, kg, kf))

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphtriple import algebra
 from graphtriple.algebra import (AlgebraElement, PresentationMismatchError,
                                  _expansion_family, _meet, _multiply_keys,
                                  _prefix_divide, accumulate, aligned,
-                                 delta_action, dirac_commutator, kernel,
+                                 delta_action, dirac_commutator,
                                  key_source_mu, key_source_nu, local_unit,
                                  make_key)
 from graphtriple.scalars import GaussianRational, I
@@ -442,8 +443,8 @@ class TestMeetTableKernel:
                 assert sorted(got) == sorted(_reference_product(amb, k1, k2))
                 two_terms += len(got) == 2
         assert two_terms
-        assert _multiply_keys(amb, ((), ("e1",), "v"), (("f1",), (), "v")) == [
-            (("f1",), ("e1",), "v"), (("f2",), ("e2",), "v")]
+        assert _multiply_keys(amb, ((), ("e1",), "v"), (("f1",), (), "v")) == (
+            (("f1",), ("e1",), "v"), (("f2",), ("e2",), "v"))
 
     def test_expansion_stops_at_a_sink(self):
         # sink_path: v -e-> w with w a sink, fed by a source tail at v
@@ -490,8 +491,8 @@ class TestMeetTableKernel:
 
 
 def _tuple_route_product(ambient, k1, k2):
-    """The product on generator keys with no id table: the meet of nu1 and
-    mu2, then compose and make_key on the words."""
+    """The product on generator keys with no memo: the meet of nu1 and mu2,
+    then compose and make_key on the words."""
     mu1, nu1, v1 = k1
     mu2, nu2, v2 = k2
     out = []
@@ -501,16 +502,10 @@ def _tuple_route_product(ambient, k1, k2):
         if mu is None or nu is None:
             continue
         out.append(make_key(ambient, mu, nu) if mu or nu else ((), (), v1))
-    return out
+    return tuple(out)
 
 
-class TestInternedKernel:
-    @staticmethod
-    def _id_product(amb, k1, k2):
-        kern = kernel(amb)
-        ids = kern.product(kern.key_id(k1), kern.key_id(k2))
-        return [kern.keys[k] for k in ids]
-
+class TestMemoizedProduct:
     @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
     def test_matches_tuple_route(self, name):
         make, solve, level = KERNEL_CASES[name]
@@ -520,9 +515,11 @@ class TestInternedKernel:
         for kg in generator_keys(amb, 1):
             for kz in tr.basis:
                 for k1, k2 in ((kg, kz), (kz, kg)):
-                    assert self._id_product(amb, k1, k2) == \
+                    assert _multiply_keys(amb, k1, k2) == \
                         _tuple_route_product(amb, k1, k2), (k1, k2)
-        assert len(amb._product_cache) == len(kernel(amb).products) > 0
+        memo = amb._product_cache
+        assert memo and all(prods == _tuple_route_product(amb, *pair)
+                            for pair, prods in memo.items())
 
     def test_two_term_meets_match_tuple_route(self):
         amb = two_extension_2graph()
@@ -530,27 +527,43 @@ class TestInternedKernel:
         two_terms = 0
         for k1 in gens:
             for k2 in gens:
-                got = self._id_product(amb, k1, k2)
+                got = _multiply_keys(amb, k1, k2)
                 assert got == _tuple_route_product(amb, k1, k2), (k1, k2)
                 two_terms += len(got) == 2
         assert two_terms
 
-    def test_equal_paths_share_ids(self):
-        amb = torus_2graph()
-        kern = kernel(amb)
-        e, f = ("e",), ("f",)
-        ef = kern.compose(kern.word_id(e), kern.word_id(f))
-        a, b = amb._swap[("e", "f")]
-        ba = kern.compose(kern.word_id((a,)), kern.word_id((b,)))
-        assert ef == ba == kern.word_id(amb.normal(("e", "f")))
+    def test_memo_forms_each_pair_once(self, monkeypatch):
+        amb = two_extension_2graph()
+        misses = []
+        uncached = algebra._multiply_keys_uncached
 
-    def test_empty_word_has_one_id_per_vertex(self):
+        def counting(ambient, k1, k2):
+            misses.append((k1, k2))
+            return uncached(ambient, k1, k2)
+
+        monkeypatch.setattr(algebra, "_multiply_keys_uncached", counting)
+        k1, k2 = ((), ("e1",), "v"), (("f1",), (), "v")
+        first = _multiply_keys(amb, k1, k2)
+        assert _multiply_keys(amb, k1, k2) is first
+        assert isinstance(first, tuple) and misses == [(k1, k2)]
+        assert amb._product_cache == {(k1, k2): first}
+
+    def test_equal_paths_give_one_key(self):
+        amb = torus_2graph()
+        a, b = amb._swap[("e", "f")]
+        ef = make_key(amb, ("e", "f"), ())
+        assert ef == make_key(amb, (a, b), ())
+        assert ef[0] == amb.normal(("e", "f"))
+        s_e, s_f = make_key(amb, ("e",), ()), make_key(amb, ("f",), ())
+        s_a, s_b = make_key(amb, (a,), ()), make_key(amb, (b,), ())
+        assert _multiply_keys(amb, s_e, s_f) == _multiply_keys(amb, s_a, s_b) \
+            == (ef,)
+
+    def test_vertex_paths_multiply_per_vertex(self):
         amb = two_vertex_2graph()
-        kern = kernel(amb)
-        u, w = kern.word_id((), "u"), kern.word_id((), "w")
-        assert u != w and kern.word_range[u] == "u"
-        assert kern.word_id((), "u") == u
-        # S_a* S_a = p_w for the edge a: u -> w, with p_w not yet interned
-        assert ((), (), "w") not in kern.key_ids
-        assert _multiply_keys(amb, ((), ("a",), "w"), (("a",), (), "w")) == [
-            ((), (), "w")]
+        p_u, p_w = ((), (), "u"), ((), (), "w")
+        assert _multiply_keys(amb, p_u, p_u) == (p_u,)
+        assert _multiply_keys(amb, p_u, p_w) == ()
+        # S_a* S_a = p_w for the edge a: u -> w
+        assert _multiply_keys(amb, ((), ("a",), "w"), (("a",), (), "w")) == (
+            p_w,)

@@ -270,6 +270,16 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("validation failure: ")
 
+    @pytest.mark.parametrize("command", ["trace", "conditions"])
+    def test_end_value_on_a_kgraph_is_data_error(self, command, torus_file,
+                                                 capsys):
+        # a k-graph has no ends, so any end value names no end of it
+        argv = [command, torus_file, "--end-value", "tail:q=5"]
+        assert run(argv) == EX_DATAERR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "validation failure: no such end: tail:q\n"
+
     def test_syntax_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphtriple import conditions, hochschild, spectral
+from graphtriple import algebra, conditions, hochschild, spectral
 from graphtriple.algebra import key_source_mu
 from graphtriple.conditions import (CONDITION_NAMES, evaluate_all,
                                     hypothesis_check, kgraph_hypothesis_check)
@@ -259,6 +259,31 @@ class TestEvaluateAll:
             conditions.THEOREMS["reality_1graph"]
         assert {n: e for n, e in after.items() if n != "reality"} == \
             {n: e for n, e in before.items() if n != "reality"}
+
+    @pytest.mark.parametrize("factory,level", [
+        (lambda: single_loop(3), 1), (lambda: tree_with_ends(2), 2)],
+        ids=["single_loop_3", "tree_with_ends_2"])
+    def test_dropped_edge_product_flips_irreducibility_alone(
+            self, factory, level, monkeypatch):
+        # p_{s(e)} S_e = S_e read as 0 leaves no nonzero f commuting with
+        # every S_e and S_e*; the other eight verdicts form no product
+        before = evaluate_all(factory(), level=level).to_json()["conditions"]
+        exact = algebra._multiply_keys_uncached
+
+        def dropped(amb, k1, k2):
+            (mu1, nu1, v1), (mu2, nu2, _) = k1, k2
+            if (not mu1 and not nu1 and len(mu2) == 1 and not nu2
+                    and amb.path_source(mu2) == v1):
+                return ()
+            return exact(amb, k1, k2)
+
+        monkeypatch.setattr(algebra, "_multiply_keys_uncached", dropped)
+        after = evaluate_all(factory(), level=level).to_json()["conditions"]
+        assert before["irreducibility"]["status"] == "holds"
+        assert after["irreducibility"]["status"] == "fails"
+        assert after["irreducibility"]["witness"]["dimension_interior"] == 0
+        assert {n: e for n, e in after.items() if n != "irreducibility"} == \
+            {n: e for n, e in before.items() if n != "irreducibility"}
 
     def test_report_shape(self):
         # reality is a theorem on a 1-graph; the k-graph sign table is exact

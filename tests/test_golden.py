@@ -1,11 +1,11 @@
 """Byte-for-byte golden reports for `graphtriple conditions`,
-`graphtriple spectral` and `graphtriple clifford`.
+`graphtriple spectral`, `graphtriple hochschild` and `graphtriple clifford`.
 
 The files in tests/golden/ hold the CLI output for a fixed set of corpus
 presentations, each at the truncation level given in CASES, for the
-spectral profiles in SPECTRAL_CASES and for the Clifford sign table at two
-values of --kmax.
-Refactors of the product kernel, the evaluators and the Clifford layer must
+spectral profiles in SPECTRAL_CASES, for the orientation cycle checks in
+HOCHSCHILD_CASES and for the Clifford sign table at two values of --kmax.
+Refactors of the key product, the evaluators and the Clifford layer must
 keep them unchanged.  To rewrite them after an intended report change, run
 
     PYTHONPATH=src python tests/test_golden.py
@@ -42,9 +42,9 @@ from corpus import (bi_infinite_path, double_entry_tree,  # noqa: E402
                     single_loop, sink_path, torus_2graph, tree_with_ends,
                     two_disjoint_loops, two_extension_2graph,
                     two_vertex_2graph)
-from graphtriple.algebra import (AlgebraElement, delta_action,  # noqa: E402
-                                 kernel, key_degree, key_source_mu,
-                                 key_source_nu)
+from graphtriple.algebra import (AlgebraElement,  # noqa: E402
+                                 _multiply_keys, delta_action, key_degree,
+                                 key_source_mu, key_source_nu)
 from graphtriple.cli import run  # noqa: E402
 from graphtriple.conditions import THEOREMS  # noqa: E402
 from graphtriple.graphs import (GraphPresentation,  # noqa: E402
@@ -101,6 +101,20 @@ SPECTRAL_CASES = {
     "spectral_sink_path_csv": (sink_path, ["--vertex", "v", "--format", "csv"]),
 }
 
+# name -> (presentation factory, hochschild flags): the 1-graphs at level 3
+# and the k-graphs, where `hochschild` builds c_k and forms its boundary
+HOCHSCHILD_CASES = {
+    "hochschild_tree_with_ends_2": (
+        lambda: tree_with_ends(2), ["--level", "3"]),
+    "hochschild_double_entry_tree": (double_entry_tree, ["--level", "3"]),
+    "hochschild_sink_path": (sink_path, ["--level", "3"]),
+    "hochschild_torus_2graph": (torus_2graph, []),
+    "hochschild_single_exit_violating_2graph": (
+        single_exit_violating_2graph, []),
+    "hochschild_two_extension_2graph": (two_extension_2graph, []),
+    "hochschild_one_vertex_kgraph_5": (lambda: one_vertex_kgraph(5), []),
+}
+
 CLIFFORD_CASES = {
     "clifford_kmax5": ["clifford", "--kmax", "5"],
     "clifford_kmax8": ["clifford", "--kmax", "8"],
@@ -137,6 +151,9 @@ def _report(name: str, workdir: Path) -> str:
     if name in SPECTRAL_CASES:
         factory, flags = SPECTRAL_CASES[name]
         argv = ["spectral", str(src)] + flags
+    elif name in HOCHSCHILD_CASES:
+        factory, flags = HOCHSCHILD_CASES[name]
+        argv = ["hochschild", str(src)] + flags
     else:
         factory, level = CASES[name]
         argv = ["conditions", str(src), "--level", str(level)]
@@ -372,25 +389,29 @@ def test_products_across_buckets_are_zero(name):
     factory, level = CASES[name]
     tr = _truncation(factory(), level)[1]
     amb = tr.ambient
-    kern = kernel(amb)
-    gens = [kern.key_id(key) for key in ck_generators(amb)]
+    gens = ck_generators(amb)
 
-    def sources(kid):
-        key = kern.keys[kid]
+    def sources(key):
         return key_source_mu(amb, key), key_source_nu(amb, key)
 
-    for z in tr.key_ids():
+    for z in tr.basis:
         for a in gens:
             for x, y in ((a, z), (z, a)):
-                prods = kern.product(x, y)
+                prods = _multiply_keys(amb, x, y)
                 if sources(x)[1] != sources(y)[0]:
-                    assert prods == (), (kern.keys[x], kern.keys[y])
+                    assert prods == (), (x, y)
                 for k in prods:
                     assert sources(k) == (sources(x)[0], sources(y)[1])
 
 
 @pytest.mark.parametrize("name", sorted(SPECTRAL_CASES))
 def test_spectral_report_matches_golden(name, tmp_path):
+    expected = _golden_path(name).read_text()
+    assert _report(name, tmp_path) == expected
+
+
+@pytest.mark.parametrize("name", sorted(HOCHSCHILD_CASES))
+def test_hochschild_report_matches_golden(name, tmp_path):
     expected = _golden_path(name).read_text()
     assert _report(name, tmp_path) == expected
 
@@ -406,6 +427,7 @@ if __name__ == "__main__":
 
     GOLDEN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for case in sorted(CASES) + sorted(SPECTRAL_CASES) + sorted(CLIFFORD_CASES):
+        for case in (sorted(CASES) + sorted(SPECTRAL_CASES)
+                     + sorted(HOCHSCHILD_CASES) + sorted(CLIFFORD_CASES)):
             _golden_path(case).write_text(_report(case, Path(tmp)))
             print(f"wrote {case}")
