@@ -35,7 +35,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Union
 
 from .clifford import SIGN_TABLE, reality_operator
-from .graphs import GraphPresentation, WorkBudgetError
+from .graphs import (GraphPresentation, GraphValidationError,
+                     WorkBudgetError)
 from .hochschild import boundary_coefficients_1graph
 from .kgraphs import KGraphPresentation
 from .spectral import Truncation, build_truncation, commutant_probe
@@ -222,6 +223,9 @@ def evaluate_all(
                 "a k = 1 presentation is evaluated as a 1-graph; build it"
                 " with graph_from_document or GraphPresentation"
             )
+        if end_values:  # a k-graph has no ends
+            raise GraphValidationError(
+                f"no such end: {', '.join(sorted(end_values))}")
         return _evaluate_kgraph(presentation, level)
     return _evaluate_graph(presentation, end_values, level)
 

@@ -33,7 +33,7 @@ from .algebra import (AlgebraElement, GenKey, _as_degree_tuple, accumulate,
                       _multiply_keys, aligned, expand_key_to, key_degree,
                       key_source_mu, key_source_nu, make_key)
 from .clifford import word_span_dimension
-from .graphs import GraphPresentation
+from .graphs import GraphPresentation, WorkBudgetError
 from .kgraphs import KGraphPresentation
 from .linalg import SparseEchelon
 from .scalars import GaussianRational
@@ -401,27 +401,44 @@ class SpectralProfile:
         return "\n".join(lines) + "\n"
 
 
-def _mass_runs(model: MultiplicityModel,
-               window: int) -> List[Tuple[int, int, float]]:
-    """Level mass at gauge levels 0..window as constant runs (start, stop,
-    value): forward mass plus tau(p_v) on 1..backward_depth.  The exact head
-    gives one run per level, then the tail gives at most two runs, with and
-    without the backward mass."""
-    n = window + 1
+# The profile walks its window in blocks of at most PROFILE_BLOCK levels: at
+# window 10^6 (2-CPU sandbox) 2^14 to 2^17 took 21-24 ms, against 22-25 ms for
+# whole-window buffers.  A window of PROFILE_BUDGET levels takes about 2.2 s.
+PROFILE_BLOCK = 1 << 15
+PROFILE_BUDGET = 10 ** 8
+
+
+def _mass_runs(model: MultiplicityModel, window: int, a: int,
+               b: int) -> List[Tuple[int, int, float]]:
+    """Level mass at gauge levels a..b-1 of 0..window as constant runs
+    (start, stop, value), counted from a: forward mass plus tau(p_v) on
+    1..backward_depth.  The exact head gives one run per level, then the
+    tail gives at most three runs, cut at 1 and after the backward mass."""
     vertex = float(model.vertex_mass)
     d = model.backward_depth
-    back_stop = n if d is None else min(d, window) + 1
+    back_stop = window + 1 if d is None else min(d, window) + 1
 
     def back(j: int) -> float:
         return vertex if 1 <= j < back_stop else 0.0
 
-    head = model.forward_head[:n]
-    runs = [(j, j + 1, float(h) + back(j)) for j, h in enumerate(head)]
+    head = model.forward_head[a:b]
+    runs = [(j, j + 1, float(h) + back(a + j)) for j, h in enumerate(head)]
     tail = float(model.forward_tail)
-    cuts = sorted({len(head), n}
-                  | {c for c in (1, back_stop) if len(head) < c < n})
-    runs.extend((a, b, tail + back(a)) for a, b in zip(cuts, cuts[1:]))
+    cuts = sorted({a + len(head), b}
+                  | {c for c in (1, back_stop) if a + len(head) < c < b})
+    runs.extend((x - a, y - a, tail + back(x)) for x, y in zip(cuts, cuts[1:]))
     return runs
+
+
+def _pairwise_sum(start: int, n: int, leaf):
+    """np.sum of n float64 terms from `start`, given leaf(a, b) = np.sum of
+    terms a..b-1: numpy halves n at a multiple of 8 down to 128 terms, so
+    this adds leaves of at most PROFILE_BLOCK terms, in order, up its tree."""
+    if n <= PROFILE_BLOCK:
+        return leaf(start, start + n)
+    half = n // 16 * 8  # n // 2 rounded down to a multiple of 8
+    return (_pairwise_sum(start, half, leaf)
+            + _pairwise_sum(start + half, n - half, leaf))
 
 
 def singular_profile(model: MultiplicityModel, window: int) -> SpectralProfile:
@@ -433,15 +450,19 @@ def singular_profile(model: MultiplicityModel, window: int) -> SpectralProfile:
     bounded backward depth) the operator has finite rank, F_T tends to 0
     and the limit is reported as 0.0 with no fit.
 
-    Two window-length float64 buffers are alive at once (16 bytes per
-    window step).  `grid` holds 1 + k^2, then the eigenvalues, then
-    eigenvalue * mass and its running sum; `level` holds the zeta terms,
-    then the level mass and its running sum.  The level mass is written run
-    by run from `_mass_runs`, and F_T = cum_int / log(1 + cum_mass) is only
-    formed at the sample points.  Every float is the one the whole-array
-    form gives: each elementwise step sees the same operands, and the zeta
-    sum keeps one full buffer because numpy's pairwise summation tree
-    depends on the whole array, so a chunked sum would change its bits."""
+    The window is walked in blocks of at most PROFILE_BLOCK levels, so
+    memory does not grow with the window and time is linear in it; a window
+    above PROFILE_BUDGET raises WorkBudgetError before any work.  Two block
+    buffers are reused: `grid` holds 1 + k^2, the eigenvalues, then
+    eigenvalue * mass and its running sum; `level` the zeta terms, then the
+    level mass and its running sum.  Slot 0 of each carries the running sum
+    so far, so cumsum adds in whole-window order, and `_pairwise_sum` adds
+    the blocks' zeta sums up numpy's tree: every reported float is the one
+    the whole-array form gives."""
+    if window > PROFILE_BUDGET:
+        raise WorkBudgetError(
+            f"a profile window of {window} levels exceeds the budget of"
+            f" {PROFILE_BUDGET}")
     if window < 100:
         return SpectralProfile(
             window, [], [], None, None, None,
@@ -449,35 +470,39 @@ def singular_profile(model: MultiplicityModel, window: int) -> SpectralProfile:
         )
     import numpy as np  # only the profiles need it; keep it off cold starts
 
-    runs = _mass_runs(model, window)
-    grid = np.arange(0, window + 1, dtype=np.float64)
-    np.multiply(grid, grid, out=grid)
-    np.add(grid, 1.0, out=grid)  # 1 + k^2
-
     s = 0.5 + 1.0 / math.log(window)
-    level = np.power(grid, -s)
-    for a, b, value in runs:
-        level[a:b] *= value
-    zeta = float(np.sum(level) * (s - 0.5))
+    idx = np.geomspace(8, window, num=48).astype(np.int64)
+    idx = np.unique(np.clip(idx, 8, window))
+    t_vals, int_vals = np.empty((2, len(idx)))
+    grid, level = np.zeros((2, PROFILE_BLOCK + 1))
 
-    np.sqrt(grid, out=grid)
-    np.divide(1.0, grid, out=grid)  # eigenvalues (1 + k^2)^{-1/2}
-    lead = [(float(grid[j]), model.mass(j)) for j in range(min(8, window))]
-    for a, b, value in runs:
-        grid[a:b] *= value
-        level[a:b] = value
-    cum_int = np.cumsum(grid, out=grid)
-    cum_mass = np.cumsum(level, out=level)
+    def block(a: int, b: int):
+        m = b - a
+        g, lv = grid[1:m + 1], level[1:m + 1]
+        np.square(np.arange(a, b, dtype=np.float64), out=g)
+        np.add(g, 1.0, out=g)  # 1 + k^2
+        np.power(g, -s, out=lv)
+        runs = _mass_runs(model, window, a, b)
+        for lo, hi, value in runs:
+            lv[lo:hi] *= value
+        zeta_terms = np.sum(lv)
+        np.sqrt(g, out=g)
+        np.divide(1.0, g, out=g)  # eigenvalues (1 + k^2)^{-1/2}
+        for lo, hi, value in runs:
+            g[lo:hi] *= value
+            lv[lo:hi] = value
+        np.cumsum(grid[:m + 1], out=grid[:m + 1])
+        np.cumsum(level[:m + 1], out=level[:m + 1])
+        i, j = np.searchsorted(idx, [a, b])
+        at = idx[i:j] - (a - 1)
+        t_vals[i:j], int_vals[i:j] = level[at], grid[at]
+        grid[0], level[0] = grid[m], level[m]
+        return zeta_terms
 
-    idx = np.unique(
-        np.clip(
-            np.geomspace(8, window, num=48).astype(np.int64),
-            8, window,
-        )
-    )
-    t_vals = cum_mass[idx]
+    zeta = float(_pairwise_sum(0, window + 1, block) * (s - 0.5))
+    lead = [(1.0 / math.sqrt(1.0 + j * j), model.mass(j)) for j in range(8)]
     with np.errstate(divide="ignore"):
-        f_vals = cum_int[idx] / np.log1p(t_vals)
+        f_vals = int_vals / np.log1p(t_vals)
     samples = [(float(t), float(f)) for t, f in zip(t_vals, f_vals)]
     raw_f = float(f_vals[-1])  # idx ends at the window
     if model.forward_tail == 0 and model.backward_depth is not None:

@@ -7,12 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from graphtriple import conditions, hochschild
+from graphtriple import conditions, hochschild, spectral
 from graphtriple.cli import (EX_DATAERR, EX_NOINPUT, EX_UNAVAILABLE, EX_USAGE,
                              run)
 
-from corpus import single_loop, tree_with_ends
-from graphtriple.graphs import graph_from_document, graph_to_document
+from corpus import single_loop, torus_2graph, tree_with_ends
+from graphtriple.graphs import (GraphValidationError, graph_from_document,
+                               graph_to_document)
 from graphtriple.spectral import vertex_multiplicities
 from graphtriple.traces import solve_graph_trace
 
@@ -280,6 +281,15 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "validation failure: no such end: tail:q\n"
 
+    def test_evaluate_all_refuses_end_values_on_a_kgraph(self):
+        # the library refuses what the CLI refuses; no end values is fine
+        with pytest.raises(GraphValidationError,
+                           match="^no such end: tail:q$"):
+            conditions.evaluate_all(torus_2graph(), end_values={"tail:q": 5},
+                                    level=1)
+        assert conditions.evaluate_all(torus_2graph(), end_values={},
+                                       level=1).exit_code() == 0
+
     def test_syntax_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
@@ -482,6 +492,20 @@ class TestStructureEdgeCases:
         assert " 2 terms" in captured.err
         monkeypatch.setattr(hochschild, "CYCLE_BUDGET", 2)
         assert run(["hochschild", torus_file]) == 0
+
+    def test_spectral_over_its_budget_exits_69(
+            self, loop_file, capsys, monkeypatch):
+        # refused before any buffer is allocated
+        over = str(spectral.PROFILE_BUDGET + 1)
+        assert run(["spectral", loop_file, "--window", over]) == EX_UNAVAILABLE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("over budget: ")
+        assert f" {over} levels" in captured.err
+        monkeypatch.setattr(spectral, "PROFILE_BUDGET", 1000)
+        assert run(["spectral", loop_file, "--window", "1001"]) == \
+            EX_UNAVAILABLE
+        assert run(["spectral", loop_file, "--window", "1000"]) == 0
 
     def test_one_vertex_8graph(self, tmp_path, capsys):
         # conditions reads orientability from single exit; hochschild

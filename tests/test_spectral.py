@@ -438,8 +438,10 @@ def _profile_or_error(fn, model, window):
     return (repr(prof.to_json()), prof.to_csv(), repr(prof.eigenvalues))
 
 
-_MASSES = st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 3),
-                           Fraction(2), Fraction(5, 2), Fraction(22, 7)])
+_MASSES_LIST = [Fraction(0), Fraction(1), Fraction(1, 3), Fraction(2),
+                Fraction(5, 2), Fraction(22, 7)]
+_MASSES = st.sampled_from(_MASSES_LIST)
+_BLOCK = spectral.PROFILE_BLOCK
 
 
 @st.composite
@@ -476,6 +478,20 @@ class TestProfileBuffers:
         assert _profile_or_error(singular_profile, model, 10 ** 6) == \
             _profile_or_error(singular_profile_oracle, model, 10 ** 6)
 
+    @pytest.mark.parametrize("window", [_BLOCK - 2, _BLOCK - 1, _BLOCK,
+                                        2 * _BLOCK + 6])
+    @pytest.mark.parametrize("model", [
+        MultiplicityModel(Fraction(3, 2), [Fraction(1), Fraction(5, 2)],
+                          Fraction(7, 3), None),
+        # head runs and the backward cut at the first block edge
+        MultiplicityModel(Fraction(1, 3),
+                          [_MASSES_LIST[j % 6] for j in range(_BLOCK + 3)],
+                          Fraction(2), _BLOCK - 1),
+    ], ids=["short-head", "head-across-edge"])
+    def test_matches_oracle_at_block_edges(self, model, window):
+        assert _profile_or_error(singular_profile, model, window) == \
+            _profile_or_error(singular_profile_oracle, model, window)
+
     def test_corpus_models_match_oracle(self):
         from corpus import sink_path
         for g in (single_loop(3), tree_with_ends(3), sink_path()):
@@ -499,6 +515,46 @@ class TestProfileBuffers:
         finally:
             tracemalloc.stop()
         assert peak <= 2.1 * 8 * (window + 1)
+
+    def test_peak_memory_does_not_grow_with_the_window(self):
+        g = tree_with_ends(2)
+        model = vertex_multiplicities(g, solve_graph_trace(g), "b")
+        block_bytes = 8 * (_BLOCK + 1)
+        peaks = []
+        for window in (10 ** 5, 4 * 10 ** 6):
+            singular_profile(model, window)  # warm-up: imports and caches
+            tracemalloc.start()
+            try:
+                singular_profile(model, window)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 4 * block_bytes
+        assert abs(peaks[0] - peaks[1]) <= block_bytes
+
+
+class TestPairwiseTree:
+    """`spectral._pairwise_sum` must add leaf sums up the tree that np.sum
+    uses, or the zeta residue moves with the block size."""
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 127, 128, 129, _BLOCK - 1,
+                                   _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7,
+                                   3 * _BLOCK + 5, 10 ** 6 + 1])
+    def test_leaf_sums_add_up_like_np_sum(self, n):
+        rng = np.random.default_rng(n)
+        # signs and magnitudes spread wide, so a reordered sum rounds apart
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+        leaves = []
+
+        def leaf(a, b):
+            leaves.append((a, b))
+            return np.sum(x[a:b])
+
+        total = spectral._pairwise_sum(0, n, leaf)
+        assert [a for a, _ in leaves] == [0] + [b for _, b in leaves[:-1]]
+        assert leaves[-1][1] == n
+        assert all(0 < b - a <= _BLOCK for a, b in leaves)
+        assert np.float64(total).tobytes() == np.sum(x).tobytes()
 
 
 class TestClosedness:
