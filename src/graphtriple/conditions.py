@@ -232,7 +232,7 @@ def evaluate_all(
 
 def _truncation(presentation, trace, level: int) -> Truncation:
     tr = build_truncation(presentation, trace, level)
-    diag, edges = tr.diagonal_candidates()
+    diag, edges = tr.diagonal_candidates
     commutators = 2 * sum(len(cols) for _, cols in edges)
     if commutators > PAIR_BUDGET:
         raise WorkBudgetError(
@@ -275,8 +275,8 @@ def _evaluate_graph(g: GraphPresentation, end_values,
     tr = _truncation(g, trace, level)
 
     # dimension: c+ + c- at samples that reach no sink (THEOREMS)
-    interior = tr.ambient.interior_vertices()
-    sample = sorted(set(v for v in interior if v in g.vertices)) or [
+    sample = [v for v in g.vertices
+              if not g.reaches_sink(v) and g.backward_infinite(v)] or [
         v for v in g.vertices if not g.reaches_sink(v)
     ]
     if not sample:

@@ -569,20 +569,6 @@ class ExpandedGraph(EdgeSkeleton):
             return None
         return nu[len(alpha):]
 
-    def interior_vertices(self) -> List[str]:
-        """Vertices with unbounded entering paths and no reachable sink, where
-        the semifinite trace identity holds at every degree."""
-        p = self.presentation
-        return [
-            v
-            for v in p.vertices
-            if not p.reaches_sink(v) and p.backward_infinite(v)
-        ] + [
-            v
-            for v in self.vertices
-            if "~t" in v and p.backward_infinite(v.split("~", 1)[0])
-        ]
-
 
 def read_document(text: str) -> object:
     """The JSON value of a presentation document's text."""

@@ -19,7 +19,8 @@ tests check it against `vertex_multiplicities`.
 First order and 1-graph reality are identities of A_c (`conditions`
 reports them as theorems); `first_order_check` and `reality_check_1graph`
 are their test oracles.  Of this module, `conditions` forms products only
-in the commutant probe, over `Truncation.diagonal_candidates`.
+in the commutant probe, over `Truncation.diagonal_candidates`; it never
+reads `Truncation.basis`, which is built on first read.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .algebra import (AlgebraElement, GenKey, _as_degree_tuple, accumulate,
@@ -52,40 +54,65 @@ class Truncation:
     ambient: object
     trace: object
     level: int
-    basis: Tuple[GenKey, ...]
-    gram: Tuple[Fraction, ...]
-    _index: Optional[Dict[GenKey, int]] = field(default=None, repr=False)
-    _candidates: Optional[tuple] = field(default=None, repr=False)
 
+    @cached_property
+    def basis(self) -> Tuple[GenKey, ...]:
+        """The orthogonal maximal generators, sorted.  A pair (mu, nu) into
+        w needs max(d(mu), d(nu)) = level in every colour, unless w is a
+        sink (only 1-graphs have sinks), where every pair up to the level
+        counts."""
+        amb, level = self.ambient, self.level
+        box = _degree_box(amb.k, level)
+        keys: Set[GenKey] = set()
+        for w in amb.vertices:
+            is_sink = not amb.out_edges(w)
+            into = {d: amb.paths_with_degree(d, w, "into", max_level=level)
+                    for d in box}
+            for da in box:
+                for db in box:
+                    if not is_sink and any(
+                            max(a, b) != level for a, b in zip(da, db)):
+                        continue
+                    for mu in into[da]:
+                        for nu in into[db]:
+                            keys.add((mu, nu, w))
+        return tuple(sorted(keys))
+
+    @cached_property
+    def gram(self) -> Tuple[Fraction, ...]:
+        return tuple(self.trace.vertex_value(w) for (_, _, w) in self.basis)
+
+    @cached_property
     def index(self) -> Dict[GenKey, int]:
-        if self._index is None:
-            self._index = {key: i for i, key in enumerate(self.basis)}
-        return self._index
+        return {key: i for i, key in enumerate(self.basis)}
 
+    @cached_property
     def diagonal_candidates(
             self) -> Tuple[List[GenKey], List[Tuple[GenKey, List[int]]]]:
-        """The diagonal candidates f = S_mu S_mu* of `commutant_probe`, and
-        for each edge e the key of S_e with the indices of the f to commute
-        with it and with S_e*: those with s(mu) in {s(e), r(e)} =
-        {ls(S_e), rs(S_e)}.  x.y = 0 unless rs(x) = ls(y) (see
-        `first_order_check`), so the others commute with both; a corrupted
-        product across buckets is out of scope by design.  Forms no
-        product."""
-        if self._candidates is None:
-            amb = self.ambient
-            diag = [key for key in generator_keys(amb, max(self.level - 1, 1))
-                    if key[0] == key[1]]
-            cols_at: Dict[str, List[int]] = {}
-            for col, key in enumerate(diag):
-                cols_at.setdefault(key_source_mu(amb, key), []).append(col)
-            edges = []
-            for eid in amb.edge_order:
-                s_e = make_key(amb, (eid,), ())
-                edges.append((s_e, sorted({
-                    *cols_at.get(key_source_mu(amb, s_e), ()),
-                    *cols_at.get(s_e[2], ())})))
-            self._candidates = diag, edges
-        return self._candidates
+        """The diagonal candidates f = S_mu S_mu* of `commutant_probe`, the
+        keys (mu, mu, w) with d(mu) in the degree box of side
+        max(level - 1, 1), sorted, and for each edge e the key of S_e with
+        the indices of the f to commute with it and with S_e*: those with
+        s(mu) in {s(e), r(e)} = {ls(S_e), rs(S_e)}.  x.y = 0 unless rs(x) =
+        ls(y) (see `first_order_check`), so the others commute with both; a
+        corrupted product across buckets is out of scope by design.  Forms
+        no product."""
+        amb = self.ambient
+        side = max(self.level - 1, 1)
+        box = _degree_box(amb.k, side)
+        diag = sorted((mu, mu, w) for w in amb.vertices for d in box
+                      for mu in amb.paths_with_degree(d, w, "into",
+                                                      max_level=side))
+        cols_at: Dict[str, List[int]] = {}
+        for col, key in enumerate(diag):
+            cols_at.setdefault(key_source_mu(amb, key), []).append(col)
+        edges = []
+        for eid in amb.edge_order:
+            s_e = make_key(amb, (eid,), ())
+            edges.append((s_e, sorted({
+                *cols_at.get(key_source_mu(amb, s_e), ()),
+                *cols_at.get(s_e[2], ())})))
+        return diag, edges
 
     def nu_target(self, degree: tuple) -> tuple:
         """The aligned nu-degree for basis vectors in the given degree class."""
@@ -93,12 +120,12 @@ class Truncation:
 
 
 def build_truncation(presentation, trace, level: int) -> Truncation:
-    """Enumerate the orthogonal maximal-generator basis at the given level.
+    """The truncation at the given level; its basis is built on first read.
 
     Tails expand two steps deeper than the level so that some basis vectors
-    live entirely away from the truncation cut.  A pair (mu, nu) into w
-    needs max(d(mu), d(nu)) = level in every colour, unless w is a sink
-    (only 1-graphs have sinks), where every pair up to the level counts.
+    live entirely away from the truncation cut.  The basis is empty only on
+    an empty ambient: a sink carries p_w, and where every vertex emits, some
+    vertex receives a path of degree (level, ..., level).
     """
     if level < 1:
         raise ValueError("truncation level must be >= 1")
@@ -106,27 +133,11 @@ def build_truncation(presentation, trace, level: int) -> Truncation:
         ambient = presentation.expand(level + 2)
     else:
         ambient = presentation
-    box = _degree_box(ambient.k, level)
-    keys: Set[GenKey] = set()
-    for w in ambient.vertices:
-        is_sink = not ambient.out_edges(w)
-        into = {d: ambient.paths_with_degree(d, w, "into", max_level=level)
-                for d in box}
-        for da in box:
-            for db in box:
-                if not is_sink and any(
-                        max(a, b) != level for a, b in zip(da, db)):
-                    continue
-                for mu in into[da]:
-                    for nu in into[db]:
-                        keys.add((mu, nu, w))
-    if not keys:
+    if not ambient.vertices:
         raise ValueError("degenerate presentation: empty truncation basis")
-    basis = tuple(sorted(keys))
-    gram = tuple(trace.vertex_value(w) for (_, _, w) in basis)
-    if any(g <= 0 for g in gram):
+    if any(trace.vertex_value(w) <= 0 for w in ambient.vertices):
         raise ValueError("trace must be faithful (positive on every vertex)")
-    return Truncation(ambient, trace, level, basis, gram)
+    return Truncation(ambient, trace, level)
 
 
 def _degree_box(k: int, level: int) -> List[Tuple[int, ...]]:
@@ -182,7 +193,7 @@ def _basis_indices(tr: Truncation, key: GenKey) -> Optional[List[int]]:
     mu, nu, _ = key
     if any(x > tr.level for x in amb.degree(mu) + amb.degree(nu)):
         return None
-    index = tr.index()
+    index = tr.index
     target = tr.nu_target(key_degree(amb, key))
     return [index[newkey] for newkey in expand_key_to(amb, key, target)]
 
@@ -822,10 +833,11 @@ def commutant_probe(tr: Truncation) -> dict:
     component), so irreducibility holds when it is 1 on a connected
     presentation.  The constraint rows come from key products with integer
     coefficients (`_aligned_commutator`), two commutators per candidate and
-    edge of `Truncation.diagonal_candidates`.
+    edge of `Truncation.diagonal_candidates`; the solutions are counted on
+    basis keys without building the basis.
     """
     amb = tr.ambient
-    diag, edges = tr.diagonal_candidates()
+    diag, edges = tr.diagonal_candidates
     ech = SparseEchelon()
     for s_e, cols in edges:
         for gen in (s_e, _swap(s_e)):
@@ -835,20 +847,19 @@ def commutant_probe(tr: Truncation) -> dict:
                     rows.setdefault(ckey, {})[col] = c
             for row in rows.values():
                 ech.insert(row)
-    null = ech.nullspace(len(diag))
     # candidates are dependent modulo the CK relations (e.g. p_v = S_e S_e*
-    # at single-exit vertices), so count solution elements in the common
-    # basis frame, not coefficient vectors
+    # at single-exit vertices), so count solution elements, not coefficient
+    # vectors: expanded to nu-degree (level, ..., level), each is a sum of
+    # basis keys, and the keys serve as columns in the basis order
+    full = (tr.level,) * amb.k
     sol_ech = SparseEchelon()
-    for vec in null:
-        f = AlgebraElement(
-            amb,
-            {diag[c]: GaussianRational(v) for c, v in vec.items()},
-        )
-        coords, _ = to_basis_coordinates(tr, f)
-        row = {i: c.re for i, c in coords.items() if c.re}
-        if row:
-            sol_ech.insert(row)
+    for vec in ech.nullspace(len(diag)):
+        sol: Dict[GenKey, Fraction] = {}
+        for c, v in vec.items():
+            for key in expand_key_to(amb, diag[c], full):
+                accumulate(sol, key, v)
+        if sol:
+            sol_ech.insert(sol)
     return {"dimension_interior": sol_ech.rank()}
 
 

@@ -94,7 +94,7 @@ def test_product_counters_see_the_commutant_probe(factory, level, products,
         trace = solve_graph_trace(g)
     else:
         trace = solve_kgraph_trace(g)
-    _, edges = build_truncation(g, trace, level).diagonal_candidates()
+    _, edges = build_truncation(g, trace, level).diagonal_candidates
     assert 4 * sum(len(cols) for _, cols in edges) == products
     src = tmp_path / "presentation.json"
     src.write_text(json.dumps(_document(g)))

@@ -290,6 +290,16 @@ class TestExitCodes:
         assert conditions.evaluate_all(torus_2graph(), end_values={},
                                        level=1).exit_code() == 0
 
+    def test_empty_presentation_is_degenerate(self, tmp_path, capsys):
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps(
+            {"k": 1, "vertices": [], "edges": [], "tails": []}))
+        assert run(["conditions", str(empty)]) == EX_DATAERR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "validation failure: degenerate presentation")
+
     def test_syntax_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
@@ -508,8 +518,10 @@ class TestStructureEdgeCases:
         assert run(["spectral", loop_file, "--window", "1000"]) == 0
 
     def test_one_vertex_8graph(self, tmp_path, capsys):
-        # conditions reads orientability from single exit; hochschild
-        # would build 8! = 40,320 terms and refuses before building any
+        # conditions reads orientability from single exit and builds no
+        # truncation basis (9^8 degree pairs at the default level);
+        # hochschild would build 8! = 40,320 terms and refuses before
+        # building any
         k = 8
         doc = {
             "k": k, "vertices": ["v"], "tails": [],
@@ -521,7 +533,13 @@ class TestStructureEdgeCases:
         }
         path = tmp_path / "kgraph8.json"
         path.write_text(json.dumps(doc))
-        assert run(["conditions", str(path), "--level", "1"]) == 0
+        out = tmp_path / "report.json"
+        for level in (["--level", "1"], []):
+            assert run(["conditions", str(path), "--out", str(out)]
+                       + level) == 0
+            entries = json.loads(out.read_text())["conditions"]
+            assert len(entries) == 9
+            assert all(e["status"] == "holds" for e in entries.values())
         capsys.readouterr()
         assert run(["hochschild", str(path)]) == EX_UNAVAILABLE
         captured = capsys.readouterr()

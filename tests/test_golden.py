@@ -46,13 +46,16 @@ from graphtriple.algebra import (AlgebraElement,  # noqa: E402
                                  _multiply_keys, delta_action, key_degree,
                                  key_source_mu, key_source_nu)
 from graphtriple.cli import run  # noqa: E402
-from graphtriple.conditions import THEOREMS  # noqa: E402
+from graphtriple.conditions import THEOREMS, evaluate_all  # noqa: E402
 from graphtriple.graphs import (GraphPresentation,  # noqa: E402
-                                GraphValidationError, graph_to_document)
+                                GraphValidationError, graph_from_document,
+                                graph_to_document)
 from graphtriple.hochschild import verify_cancellation_steps  # noqa: E402
+from graphtriple.kgraphs import kgraph_from_document  # noqa: E402
 from graphtriple.scalars import GaussianRational  # noqa: E402
-from graphtriple.spectral import (build_truncation,  # noqa: E402
-                                  ck_generators, closedness_eval,
+from graphtriple.spectral import (Truncation,  # noqa: E402
+                                  build_truncation, ck_generators,
+                                  closedness_eval,
                                   commutant_probe, first_order_check,
                                   generator_keys,
                                   reality_check_1graph,
@@ -166,6 +169,27 @@ def _report(name: str, workdir: Path) -> str:
 def test_conditions_report_matches_golden(name, tmp_path):
     expected = _golden_path(name).read_text()
     assert _report(name, tmp_path) == expected
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_conditions_reads_no_truncation_basis(name, monkeypatch):
+    """`evaluate_all` gives the golden report with `Truncation.basis`,
+    `gram` and `index` made to raise: the commutant probe counts in the
+    frame of the candidates' expansions, and nothing else of `conditions`
+    reads the truncation."""
+    def unread(self):
+        raise AssertionError("conditions read the truncation basis")
+
+    for attr in ("basis", "gram", "index"):
+        monkeypatch.setattr(Truncation, attr, property(unread),
+                            raising=False)
+    factory, level = CASES[name]
+    doc = json.loads(json.dumps(_document(factory())))
+    g = (graph_from_document(doc) if doc.get("k", 1) == 1
+         else kgraph_from_document(doc))
+    report = evaluate_all(g, level=level).to_json()
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert text == _golden_path(name).read_text()
 
 
 def _truncation(g, level):

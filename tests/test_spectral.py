@@ -36,7 +36,7 @@ from corpus import (bi_infinite_path, single_exit_violating_2graph,
                     single_loop, sink_path, torus_2graph, tree_with_ends,
                     two_disjoint_loops, two_extension_2graph,
                     two_vertex_2graph)
-from test_structure import exitless_digraphs
+from test_structure import digraphs, exitless_digraphs
 
 
 def first_order_oracle(tr, generators):
@@ -628,8 +628,8 @@ class TestFirstOrderAndFriends:
         ka = ((), ("e1",), "v")
         kz = (("f1",), (), "v")
         kb = (("e2",), (), "v")
-        basis = (((), (), "v"), kz)
-        tr = Truncation(amb, None, 1, basis, (1, 1))
+        tr = Truncation(amb, None, 1)
+        tr.basis, tr.gram = (((), (), "v"), kz), (1, 1)
         assert first_order_check(tr)["pass"]
         # S_e1* S_f1 = S_f1 S_e1* + S_f2 S_e2*; pair the extensions wrongly
         assert len(_multiply_keys(amb, ka, kz)) == 2
@@ -794,7 +794,44 @@ class TestTheoremsOnRandomInputs:
         assert first_order_check(tr)["pass"]
 
 
+class _UnitTrace:
+    """tau(p_v) = 1 on every vertex.  The basis and the commutant probe read
+    no trace value, so presentations with no faithful trace serve too."""
+
+    def vertex_value(self, v):
+        return Fraction(1)
+
+
+@st.composite
+def truncations(draw):
+    """Truncations of any digraph with tails and source tails at levels
+    1-3, and of abelian 2- and 3-graphs at levels 1-2."""
+    if draw(st.booleans()):
+        g, level = draw(digraphs()), draw(st.integers(1, 3))
+    else:
+        g, level = draw(abelian_kgraphs()), draw(st.integers(1, 2))
+    return build_truncation(g, _UnitTrace(), level)
+
+
 class TestCommutant:
+    @given(truncations())
+    @settings(max_examples=60, deadline=None)
+    def test_basis_is_nonempty(self, tr):
+        # build_truncation refuses only an empty ambient as degenerate
+        assert tr.basis
+
+    @given(truncations())
+    @settings(max_examples=60, deadline=None)
+    def test_probe_matches_its_oracle(self, tr):
+        assert commutant_probe(tr) == commutant_oracle(tr)
+
+    @given(truncations())
+    @settings(max_examples=60, deadline=None)
+    def test_candidates_are_the_diagonal_generators(self, tr):
+        keys = generator_keys(tr.ambient, max(tr.level - 1, 1))
+        diag, _ = tr.diagonal_candidates
+        assert diag == [key for key in keys if key[0] == key[1]]
+
     def test_loop_scalars(self):
         _, _, tr = loop_setup(3)
         assert commutant_probe(tr)["dimension_interior"] == 1
