@@ -23,10 +23,9 @@ tests would catch).  ``_multiply_keys`` is the one product on generator
 keys: it memoizes each product per key pair in ``ambient._product_cache``,
 as a tuple so that no caller can change the memo through a result.
 ``make_key`` puts both words in colour-sorted normal form, unique by the
-factorisation property, so equal paths give one key.  ``conditions`` never
-repeats a product (the commutant probe forms each commutator once), but
-``graphtriple hochschild`` and the tests' oracle loops do, so the memo
-stays.
+factorisation property, so equal paths give one key.  ``conditions``
+forms no product; ``graphtriple hochschild`` and the tests' oracle loops
+repeat products, so the memo stays.
 
 Stored term maps are only unique up to the relation p_v = sum S_e S_e*, so
 equality and zero tests go through a depth-aligned expansion within each

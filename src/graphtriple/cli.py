@@ -3,10 +3,10 @@
 Subcommands: analyze, trace, ktheory, hochschild, clifford, spectral,
 conditions.  Identical inputs and flags produce byte-identical output.
 Exit codes follow sysexits conventions: 64 usage, 65 invalid data, 66 no
-input, 69 when the work exceeds a budget (the commutant probe of
-conditions, or the k-graph cycle c_k of hochschild); the conditions
-subcommand exits 0 when all nine hold, 2 when some fail and 3 when
-prerequisites were not applicable.
+input, 69 when the work exceeds a budget (a k-graph with k > KMAX in
+conditions, the k-graph cycle c_k of hochschild, or the spectral window);
+the conditions subcommand exits 0 when all nine hold, 2 when some fail and
+3 when prerequisites were not applicable.
 """
 
 from __future__ import annotations

@@ -11,8 +11,11 @@ k-graph) finiteness hold on every presentation the parsers accept.  They
 are reported with method "theorem" and their argument (THEOREMS) as
 witness; `delta_action`, `closedness_eval`, `first_order_check`,
 `spin_c_generation_check`, `reality_check_1graph` and `canonical_F_form`
-with `fixed_point_norms` re-derive them in the tests.  On the truncation,
-only the commutant probe forms products, under PAIR_BUDGET.
+with `fixed_point_norms` re-derive them in the tests.
+
+Irreducibility is counted from the presentation (`commutant_dimension`,
+with `spectral.commutant_probe` as its oracle): `conditions` builds no
+truncation and forms no product, and refuses a k-graph with k > KMAX.
 
 Orientability is read from the presentation on both ranks.  On a 1-graph,
 c is a cycle iff every coefficient of `boundary_coefficients_1graph`
@@ -34,12 +37,11 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Union
 
-from .clifford import SIGN_TABLE, reality_operator
-from .graphs import (GraphPresentation, GraphValidationError,
-                     WorkBudgetError)
+from .clifford import KMAX, SIGN_TABLE, reality_operator
+from .graphs import (TAIL_MARGIN, GraphPresentation, GraphValidationError,
+                     WorkBudgetError, count_classes)
 from .hochschild import boundary_coefficients_1graph
 from .kgraphs import KGraphPresentation
-from .spectral import Truncation, build_truncation, commutant_probe
 from .traces import (NoFaithfulTraceError, solve_graph_trace,
                      solve_kgraph_trace)
 
@@ -56,13 +58,6 @@ CONDITION_NAMES = (
 )
 
 REPORT_VERSION = 8
-
-# On the truncation only the commutant probe forms products: [f, S_e] and
-# [f, S_e*] for each diagonal candidate f at s(e) or r(e), counted before any
-# is formed.  A commutator took 0.9 kB (traced peak) and 40-80 us on trees
-# and paths (dyadic_tree(9) at level 2: 26,634 in 2.1 s), 1.1-2.5 kB and
-# 110 us on one-vertex k-graphs, so the budget caps the probe near 0.6 GB.
-PAIR_BUDGET = 250_000
 
 # The argument behind each verdict that holds by construction; the witness
 # of its "theorem" entry (Connes, CMP 182, 1996, for the conditions).
@@ -230,16 +225,33 @@ def evaluate_all(
     return _evaluate_graph(presentation, end_values, level)
 
 
-def _truncation(presentation, trace, level: int) -> Truncation:
-    tr = build_truncation(presentation, trace, level)
-    diag, edges = tr.diagonal_candidates
-    commutators = 2 * sum(len(cols) for _, cols in edges)
-    if commutators > PAIR_BUDGET:
-        raise WorkBudgetError(
-            f"the level {level} truncation has {len(diag)} diagonal"
-            f" candidates and {len(edges)} edges: {commutators} commutators"
-            f" exceed the budget of {PAIR_BUDGET}")
-    return tr
+def commutant_dimension(ambient, level: int) -> int:
+    """The dimension of {f in span of S_mu S_mu*, d(mu) <= (m, ..., m):
+    [f, S_e] = [f, S_e*] = 0}, m = max(level - 1, 1), without a product.
+
+    Such an f is a depth-m cylinder function on boundary paths, constant
+    along edges, so it is fixed by one value on each terminal strongly
+    connected component (a sink, the cut end of a tail, an exitless
+    cycle), and depth m equates the terminals that one vertex receiving a
+    path of degree (m, ..., m) reaches (Bates-Pask-Raeburn-Szymanski, NYJM
+    6, 2000, on ideals).  The receivers are closed under edges and hold
+    every terminal but the sinks they miss, so the classes are those sinks
+    and the linked parts of the receivers.
+    """
+    if not ambient.vertices:
+        raise ValueError("degenerate presentation: empty truncation basis")
+    # push the vertex set m edges forward in each colour: no path is listed
+    receivers = set(ambient.vertices)
+    for colour in range(1, ambient.k + 1):
+        for _ in range(max(level - 1, 1)):
+            receivers = {ambient.edge_range(e) for v in receivers
+                         for e in ambient.out_edges(v)
+                         if ambient.edge_color(e) == colour}
+    missed = sum(not ambient.out_edges(v) for v in ambient.vertices
+                 if v not in receivers)
+    return missed + count_classes(receivers, (
+        (v, ambient.edge_range(e)) for v in receivers
+        for e in ambient.out_edges(v)))
 
 
 def _na(name: str, broken: str) -> ConditionEntry:
@@ -272,8 +284,6 @@ def _evaluate_graph(g: GraphPresentation, end_values,
     if trace is None:
         return _shared_entries(entries, hyp, params, None, None)
 
-    tr = _truncation(g, trace, level)
-
     # dimension: c+ + c- at samples that reach no sink (THEOREMS)
     sample = [v for v in g.vertices
               if not g.reaches_sink(v) and g.backward_infinite(v)] or [
@@ -300,14 +310,17 @@ def _evaluate_graph(g: GraphPresentation, end_values,
         "DirectedTree": {"ends": hyp["ends_count"],
                          "argument": THEOREMS["ends"]},
     }.get(g.classify().kind)
-    return _shared_entries(entries, hyp, params, tr, finite)
+    return _shared_entries(entries, hyp, params,
+                           g.expand(level + TAIL_MARGIN), finite)
 
 
 def _evaluate_kgraph(g: KGraphPresentation, level) -> ConditionReport:
+    if g.k > KMAX:  # reality builds the Clifford algebra of k gammas
+        raise WorkBudgetError(f"a {g.k}-graph exceeds KMAX = {KMAX}")
     exits = g.single_exit_check()
     hyp = kgraph_hypothesis_check(g, exits)
     entries: Dict[str, ConditionEntry] = {}
-    level = min(level, 2)  # a degree box of (level + 1)^k degrees
+    level = min(level, 2)  # where a k-graph truncation stops (reported)
     params = {"level": level}
     k = g.k
 
@@ -325,8 +338,6 @@ def _evaluate_kgraph(g: KGraphPresentation, level) -> ConditionReport:
         trace = solve_kgraph_trace(g)
     except NoFaithfulTraceError:
         return _shared_entries(entries, hyp, params, None, None)
-
-    tr = _truncation(g, trace, level)
 
     mass = sum(trace.values[v] for v in g.vertices)
     ball = math.pi ** (k / 2) / math.gamma(k / 2 + 1)
@@ -346,20 +357,20 @@ def _evaluate_kgraph(g: KGraphPresentation, level) -> ConditionReport:
     )
 
     finite = {"case": "unital", "argument": THEOREMS["unital"]}
-    return _shared_entries(entries, hyp, params, tr, finite)
+    return _shared_entries(entries, hyp, params, g, finite)
 
 
 def _shared_entries(entries: Dict[str, ConditionEntry], hyp: dict,
-                    params: dict, tr, finite: Optional[dict]
+                    params: dict, ambient, finite: Optional[dict]
                     ) -> ConditionReport:
     """Complete a report with the entries both ranks build alike.
 
-    `tr` is the truncation, or None when no faithful trace exists: then
-    every entry not yet made is not_applicable.  `finite` is the finiteness
-    witness, or None outside the single loop / directed tree / finite
-    k-graph cases.
+    `ambient` is the truncation's ambient at params["level"], or None when
+    no faithful trace exists: then every entry not yet made is
+    not_applicable.  `finite` is the finiteness witness, or None outside
+    the single loop / directed tree / finite k-graph cases.
     """
-    if tr is not None:
+    if ambient is not None:
         for name in ("regularity", "closedness", "first_order", "spin_c"):
             entries[name] = ConditionEntry(name, "holds", "theorem",
                                            {"argument": THEOREMS[name]})
@@ -369,10 +380,11 @@ def _shared_entries(entries: Dict[str, ConditionEntry], hyp: dict,
             else _na("finiteness", "single_entry_tree_or_loop")
         )
 
-        probe = commutant_probe(tr)
-        irr_ok = hyp["connected"] and probe["dimension_interior"] == 1
+        interior = commutant_dimension(ambient, params["level"])
+        irr_ok = hyp["connected"] and interior == 1
         entries["irreducibility"] = ConditionEntry(
-            "irreducibility", "holds" if irr_ok else "fails", "exact", probe,
+            "irreducibility", "holds" if irr_ok else "fails", "exact",
+            {"dimension_interior": interior},
         )
     for name in CONDITION_NAMES:
         if name not in entries:

@@ -57,6 +57,7 @@ class Classification:
 
 
 DEFAULT_TRUNCATION = 8
+TAIL_MARGIN = 2  # level-L truncations expand tails L + TAIL_MARGIN deep
 
 
 class TruncationExceededError(ValueError):
@@ -124,26 +125,8 @@ class EdgeSkeleton:
     def connected(self) -> bool:
         """Whether the underlying undirected graph is connected (the empty
         graph is)."""
-        return self._connected
-
-    @cached_property
-    def _connected(self) -> bool:
-        # union-find with path halving; each joining edge merges two parts
-        parent = {v: v for v in self.vertices}
-
-        def find(v: str) -> str:
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        parts = len(parent)
-        for e in self.edges.values():
-            a, b = find(e.source), find(e.range)
-            if a != b:
-                parent[a] = b
-                parts -= 1
-        return parts <= 1
+        return count_classes(self.vertices, (
+            (e.source, e.range) for e in self.edges.values())) <= 1
 
     def paths_with_degree(
         self, n: Tuple[int, ...], v: Optional[str], direction: str,
@@ -236,6 +219,27 @@ def strong_components(
                         on_stack.discard(comp[-1])
                     out.append(tuple(sorted(comp)))
     return out
+
+
+def count_classes(items: Iterable[str],
+                  links: Iterable[Tuple[str, str]]) -> int:
+    """The number of classes of the equivalence on items that the linked
+    pairs generate, by union-find with path halving."""
+    parent = {v: v for v in items}
+
+    def find(v: str) -> str:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    parts = len(parent)
+    for a, b in links:
+        a, b = find(a), find(b)
+        if a != b:
+            parent[a] = b
+            parts -= 1
+    return parts
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,9 @@ tests check it against `vertex_multiplicities`.
 
 First order and 1-graph reality are identities of A_c (`conditions`
 reports them as theorems); `first_order_check` and `reality_check_1graph`
-are their test oracles.  Of this module, `conditions` forms products only
-in the commutant probe, over `Truncation.diagonal_candidates`; it never
-reads `Truncation.basis`, which is built on first read.
+are their test oracles, and `commutant_probe` is the oracle of the
+irreducibility count `conditions.commutant_dimension`.  `conditions` uses
+nothing of this module; `Truncation.basis` is built on first read.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .algebra import (AlgebraElement, GenKey, _as_degree_tuple, accumulate,
                       _multiply_keys, aligned, expand_key_to, key_degree,
                       key_source_mu, key_source_nu, make_key)
 from .clifford import word_span_dimension
-from .graphs import GraphPresentation, WorkBudgetError
+from .graphs import TAIL_MARGIN, GraphPresentation, WorkBudgetError
 from .kgraphs import KGraphPresentation
 from .linalg import SparseEchelon
 from .scalars import GaussianRational
@@ -87,32 +87,16 @@ class Truncation:
         return {key: i for i, key in enumerate(self.basis)}
 
     @cached_property
-    def diagonal_candidates(
-            self) -> Tuple[List[GenKey], List[Tuple[GenKey, List[int]]]]:
+    def diagonal_candidates(self) -> List[GenKey]:
         """The diagonal candidates f = S_mu S_mu* of `commutant_probe`, the
         keys (mu, mu, w) with d(mu) in the degree box of side
-        max(level - 1, 1), sorted, and for each edge e the key of S_e with
-        the indices of the f to commute with it and with S_e*: those with
-        s(mu) in {s(e), r(e)} = {ls(S_e), rs(S_e)}.  x.y = 0 unless rs(x) =
-        ls(y) (see `first_order_check`), so the others commute with both; a
-        corrupted product across buckets is out of scope by design.  Forms
-        no product."""
+        max(level - 1, 1), sorted.  Forms no product."""
         amb = self.ambient
         side = max(self.level - 1, 1)
-        box = _degree_box(amb.k, side)
-        diag = sorted((mu, mu, w) for w in amb.vertices for d in box
+        return sorted((mu, mu, w) for w in amb.vertices
+                      for d in _degree_box(amb.k, side)
                       for mu in amb.paths_with_degree(d, w, "into",
                                                       max_level=side))
-        cols_at: Dict[str, List[int]] = {}
-        for col, key in enumerate(diag):
-            cols_at.setdefault(key_source_mu(amb, key), []).append(col)
-        edges = []
-        for eid in amb.edge_order:
-            s_e = make_key(amb, (eid,), ())
-            edges.append((s_e, sorted({
-                *cols_at.get(key_source_mu(amb, s_e), ()),
-                *cols_at.get(s_e[2], ())})))
-        return diag, edges
 
     def nu_target(self, degree: tuple) -> tuple:
         """The aligned nu-degree for basis vectors in the given degree class."""
@@ -122,15 +106,14 @@ class Truncation:
 def build_truncation(presentation, trace, level: int) -> Truncation:
     """The truncation at the given level; its basis is built on first read.
 
-    Tails expand two steps deeper than the level so that some basis vectors
-    live entirely away from the truncation cut.  The basis is empty only on
-    an empty ambient: a sink carries p_w, and where every vertex emits, some
-    vertex receives a path of degree (level, ..., level).
+    Tails expand TAIL_MARGIN steps deeper than the level.  The basis is
+    empty only on an empty ambient: a sink carries p_w, and where every
+    vertex emits, some vertex receives a path of degree (level, ..., level).
     """
     if level < 1:
         raise ValueError("truncation level must be >= 1")
     if isinstance(presentation, GraphPresentation):
-        ambient = presentation.expand(level + 2)
+        ambient = presentation.expand(level + TAIL_MARGIN)
     else:
         ambient = presentation
     if not ambient.vertices:
@@ -825,25 +808,26 @@ def spin_c_generation_check(tr: Truncation) -> dict:
 
 
 def commutant_probe(tr: Truncation) -> dict:
-    """Exact dimension of {f in span of diagonal generators: [f, A_c] = 0}.
+    """Exact dimension of {f in span of diagonal generators: [f, A_c] = 0},
+    by products: the test oracle of `conditions.commutant_dimension`, which
+    counts the same number from the ambient's terminal components.
 
     These are the candidates the irreducibility argument constrains: the
     fixed-point algebra elements commuting with every generator.  The
-    dimension equals the number of connected components (the constants per
-    component), so irreducibility holds when it is 1 on a connected
-    presentation.  The constraint rows come from key products with integer
-    coefficients (`_aligned_commutator`), two commutators per candidate and
-    edge of `Truncation.diagonal_candidates`; the solutions are counted on
-    basis keys without building the basis.
+    constraint rows come from key products with integer coefficients
+    (`_aligned_commutator`): [f, S_e] and [f, S_e*] for each edge e and
+    each f of `Truncation.diagonal_candidates`.  The solutions are counted
+    on basis keys without building the basis.
     """
     amb = tr.ambient
-    diag, edges = tr.diagonal_candidates
+    diag = tr.diagonal_candidates
     ech = SparseEchelon()
-    for s_e, cols in edges:
+    for eid in amb.edge_order:
+        s_e = make_key(amb, (eid,), ())
         for gen in (s_e, _swap(s_e)):
             rows: Dict[GenKey, Dict[int, int]] = {}
-            for col in cols:
-                for ckey, c in _aligned_commutator(amb, diag[col], gen).items():
+            for col, f in enumerate(diag):
+                for ckey, c in _aligned_commutator(amb, f, gen).items():
                     rows.setdefault(ckey, {})[col] = c
             for row in rows.values():
                 ech.insert(row)

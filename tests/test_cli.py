@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from graphtriple import conditions, hochschild, spectral
+from graphtriple.clifford import KMAX
 from graphtriple.cli import (EX_DATAERR, EX_NOINPUT, EX_UNAVAILABLE, EX_USAGE,
                              run)
 
@@ -462,9 +463,9 @@ class TestStructureEdgeCases:
         assert model.dixmier_limit() == 2
 
     def test_conditions_on_a_long_path_runs_to_a_verdict(self, tmp_path):
-        # 3,011 diagonal candidates at level 1, but only 12,038 commutators
-        # with S_e and S_e* meet at a vertex; those are all the products
-        # `conditions` forms, in bounded time and memory
+        # about 3,000 ambient vertices: the terminal components and the
+        # receivers of the irreducibility count are linear passes over them,
+        # in bounded time and memory
         _, path = self._long_path(tmp_path, source_tails=["p0000"])
         out = tmp_path / "report.json"
         done = _run_python(
@@ -481,15 +482,44 @@ class TestStructureEdgeCases:
         assert len(report["conditions"]) == 9 and statuses == {"holds"}
         assert rss_kb < 200 * 1024
 
-    def test_conditions_over_its_budget_exits_69(
-            self, tree_file, capsys, monkeypatch):
-        # tree_with_ends(2) at level 1 forms 90 commutators
-        monkeypatch.setattr(conditions, "PAIR_BUDGET", 89)
-        assert run(["conditions", tree_file, "--level", "1"]) == EX_UNAVAILABLE
+    @staticmethod
+    def _one_vertex_kgraph(tmp_path, k):
+        doc = {
+            "k": k, "vertices": ["v"], "tails": [],
+            "edges": [{"id": f"g{c}", "source": "v", "range": "v",
+                       "color": c} for c in range(1, k + 1)],
+            "squares": [{"first": [f"g{c}", f"g{d}"],
+                         "second": [f"g{d}", f"g{c}"]}
+                        for c in range(1, k + 1) for d in range(c + 1, k + 1)],
+        }
+        path = tmp_path / f"kgraph{k}.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize("k", [14, 15, 16])
+    def test_conditions_up_to_kmax(self, k, tmp_path, capsys):
+        # irreducibility is counted from the presentation, so the one
+        # budget left is the Clifford layer's KMAX
+        out = tmp_path / "report.json"
+        assert run(["conditions", self._one_vertex_kgraph(tmp_path, k),
+                    "--out", str(out)]) == 0
+        entries = json.loads(out.read_text())["conditions"]
+        assert len(entries) == 9
+        assert {e["status"] for e in entries.values()} == {"holds"}
+
+    def test_conditions_above_kmax_exits_69(self, tmp_path, capsys,
+                                            monkeypatch):
+        # refused before the trace, single exit or the Clifford algebra
+        def refuse(*args, **kwargs):
+            raise AssertionError("conditions worked above KMAX")
+        for name in ("solve_kgraph_trace", "reality_operator"):
+            monkeypatch.setattr(conditions, name, refuse)
+        path = self._one_vertex_kgraph(tmp_path, KMAX + 1)
+        assert run(["conditions", path]) == EX_UNAVAILABLE
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("over budget: ")
-        assert " 90 commutators" in captured.err
+        assert f"KMAX = {KMAX}" in captured.err
 
     def test_hochschild_over_its_budget_exits_69(
             self, torus_file, capsys, monkeypatch):
@@ -519,29 +549,18 @@ class TestStructureEdgeCases:
 
     def test_one_vertex_8graph(self, tmp_path, capsys):
         # conditions reads orientability from single exit and builds no
-        # truncation basis (9^8 degree pairs at the default level);
+        # truncation (9^8 degree pairs at the default level);
         # hochschild would build 8! = 40,320 terms and refuses before
         # building any
-        k = 8
-        doc = {
-            "k": k, "vertices": ["v"], "tails": [],
-            "edges": [{"id": f"g{c}", "source": "v", "range": "v",
-                       "color": c} for c in range(1, k + 1)],
-            "squares": [{"first": [f"g{c}", f"g{d}"],
-                         "second": [f"g{d}", f"g{c}"]}
-                        for c in range(1, k + 1) for d in range(c + 1, k + 1)],
-        }
-        path = tmp_path / "kgraph8.json"
-        path.write_text(json.dumps(doc))
+        path = self._one_vertex_kgraph(tmp_path, 8)
         out = tmp_path / "report.json"
         for level in (["--level", "1"], []):
-            assert run(["conditions", str(path), "--out", str(out)]
-                       + level) == 0
+            assert run(["conditions", path, "--out", str(out)] + level) == 0
             entries = json.loads(out.read_text())["conditions"]
             assert len(entries) == 9
             assert all(e["status"] == "holds" for e in entries.values())
         capsys.readouterr()
-        assert run(["hochschild", str(path)]) == EX_UNAVAILABLE
+        assert run(["hochschild", path]) == EX_UNAVAILABLE
         captured = capsys.readouterr()
         assert captured.out == ""
         assert " 40320 terms" in captured.err

@@ -1,8 +1,10 @@
+import ast
 import itertools
 import json
 import math
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphtriple import algebra, conditions, hochschild, spectral
-from graphtriple.algebra import key_source_mu
-from graphtriple.conditions import (CONDITION_NAMES, evaluate_all,
-                                    hypothesis_check, kgraph_hypothesis_check)
+from graphtriple.conditions import (CONDITION_NAMES, commutant_dimension,
+                                    evaluate_all, hypothesis_check,
+                                    kgraph_hypothesis_check)
 from graphtriple.graphs import Edge, GraphPresentation
 from graphtriple.kgraphs import KGraphPresentation
 from graphtriple.spectral import singular_profile, vertex_multiplicities
@@ -144,31 +146,6 @@ class TestEvaluateAll:
         assert json.dumps(rep1.to_json(), sort_keys=True) == \
             json.dumps(rep2.to_json(), sort_keys=True)
 
-    @pytest.mark.parametrize("g, solve", [
-        (tree_with_ends(2), solve_graph_trace),
-        (torus_2graph(), solve_kgraph_trace),
-    ], ids=["tree2", "torus"])
-    def test_pair_budget_refuses_only_above_it(self, g, solve, monkeypatch):
-        # the budget counts the commutators the commutant probe forms:
-        # [f, S_e] and [f, S_e*] for each diagonal candidate f = S_mu S_mu*
-        # with s(mu) in {s(e), r(e)}
-        tr = spectral.build_truncation(g, solve(g), 1)
-        amb = tr.ambient
-        diag = [f for f in spectral.generator_keys(amb, 1) if f[0] == f[1]]
-        commutators = 2 * sum(
-            key_source_mu(amb, f) in (amb.edge_source(e), amb.edge_range(e))
-            for e in amb.edge_order for f in diag)
-        one_bucket = len(amb.vertices) == 1
-        assert (commutators == 2 * len(amb.edge_order) * len(diag)) == \
-            one_bucket
-        report = evaluate_all(g, level=1).to_json()
-        monkeypatch.setattr(conditions, "PAIR_BUDGET", commutators)
-        assert evaluate_all(g, level=1).to_json() == report
-        monkeypatch.setattr(conditions, "PAIR_BUDGET", commutators - 1)
-        with pytest.raises(conditions.WorkBudgetError,
-                           match=f" {commutators} commutators"):
-            evaluate_all(g, level=1)
-
     def test_k1_kgraph_presentation_is_a_value_error(self):
         from graphtriple.graphs import Edge
         from graphtriple.kgraphs import KGraphPresentation
@@ -263,11 +240,13 @@ class TestEvaluateAll:
     @pytest.mark.parametrize("factory,level", [
         (lambda: single_loop(3), 1), (lambda: tree_with_ends(2), 2)],
         ids=["single_loop_3", "tree_with_ends_2"])
-    def test_dropped_edge_product_flips_irreducibility_alone(
+    def test_dropped_edge_product_flips_the_oracle_alone(
             self, factory, level, monkeypatch):
         # p_{s(e)} S_e = S_e read as 0 leaves no nonzero f commuting with
-        # every S_e and S_e*; the other eight verdicts form no product
-        before = evaluate_all(factory(), level=level).to_json()["conditions"]
+        # every S_e and S_e*: the product oracle reads 0, while the count
+        # and every verdict of `conditions`, which forms no product, stay
+        g = factory()
+        before = evaluate_all(g, level=level).to_json()["conditions"]
         exact = algebra._multiply_keys_uncached
 
         def dropped(amb, k1, k2):
@@ -278,12 +257,48 @@ class TestEvaluateAll:
             return exact(amb, k1, k2)
 
         monkeypatch.setattr(algebra, "_multiply_keys_uncached", dropped)
-        after = evaluate_all(factory(), level=level).to_json()["conditions"]
+        tr = spectral.build_truncation(g, solve_graph_trace(g), level)
+        assert spectral.commutant_probe(tr) == {"dimension_interior": 0}
+        assert commutant_dimension(tr.ambient, level) == 1
+        assert evaluate_all(g, level=level).to_json()["conditions"] == before
+        assert before["irreducibility"]["status"] == "holds"
+
+    def test_skipped_identification_flips_irreducibility_alone(
+            self, monkeypatch):
+        # the vertices receiving a path of length 1 link the two tail ends
+        # through b; they form a tree, so skipping any one link of it
+        # leaves the ends apart
+        g = tree_with_ends(2)
+        before = evaluate_all(g, level=2).to_json()["conditions"]
+        exact = conditions.count_classes
+
+        def skipped(items, links):
+            return exact(items, sorted(links)[1:])
+
+        monkeypatch.setattr(conditions, "count_classes", skipped)
+        after = evaluate_all(g, level=2).to_json()["conditions"]
         assert before["irreducibility"]["status"] == "holds"
         assert after["irreducibility"]["status"] == "fails"
-        assert after["irreducibility"]["witness"]["dimension_interior"] == 0
+        assert after["irreducibility"]["witness"] == {"dimension_interior": 2}
         assert {n: e for n, e in after.items() if n != "irreducibility"} == \
             {n: e for n, e in before.items() if n != "irreducibility"}
+
+    def test_irreducibility_depends_on_the_level_only_off_orientability(
+            self):
+        # u -> v -> x with tails at v and x and no source tail: at depth
+        # m = 2 no vertex receiving a path of length 2 reaches both tail
+        # ends, as v (length 1 from u) did; u, a source with no source
+        # tail, fails orientability at every level
+        g = GraphPresentation(["u", "v", "x"],
+                              [Edge("a", "u", "v"), Edge("b", "v", "x")],
+                              tails=["v", "x"])
+        for level, dim in ((1, 1), (2, 1), (3, 2)):
+            report = evaluate_all(g, level=level)
+            assert report.entries["irreducibility"].witness == {
+                "dimension_interior": dim}
+            assert report.entries["orientability"].status == "fails"
+            tr = spectral.build_truncation(g, solve_graph_trace(g), level)
+            assert spectral.commutant_probe(tr)["dimension_interior"] == dim
 
     def test_report_shape(self):
         # reality is a theorem on a 1-graph; the k-graph sign table is exact
@@ -519,3 +534,22 @@ class TestKGraphOrientabilityOracle:
     @settings(max_examples=20, deadline=None)
     def test_abelian_kgraphs(self, g):
         self.check(g)
+
+
+def test_conditions_imports_neither_spectral_nor_algebra():
+    """`conditions` reads every verdict from the presentation: the
+    truncation and the key product are the tests' oracles, so neither
+    module may come back into it."""
+    tree = ast.parse(Path(conditions.__file__).read_text())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                modules.add(node.module)
+            else:  # from . import x
+                modules.update(alias.name for alias in node.names)
+    parts = {part for name in modules for part in name.split(".")}
+    assert "graphs" in parts and "clifford" in parts
+    assert not parts & {"spectral", "algebra"}

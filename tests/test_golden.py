@@ -23,7 +23,9 @@ with a trace, and must hold on as many samples as version 1 counted.
 Since version 7 first order and 1-graph reality are theorems too; their
 checks run here as oracles against their plain loops.  Since version 8
 k-graph orientability is read from the single exit condition; the
-cancellation steps that built c_k run here as its oracle.
+cancellation steps that built c_k run here as its oracle.  Irreducibility
+is counted from the presentation's terminal components, with the same
+bytes, and the commutant probe runs here as its oracle.
 """
 
 import json
@@ -42,11 +44,13 @@ from corpus import (bi_infinite_path, double_entry_tree,  # noqa: E402
                     single_loop, sink_path, torus_2graph, tree_with_ends,
                     two_disjoint_loops, two_extension_2graph,
                     two_vertex_2graph)
+from graphtriple import algebra, spectral  # noqa: E402
 from graphtriple.algebra import (AlgebraElement,  # noqa: E402
                                  _multiply_keys, delta_action, key_degree,
                                  key_source_mu, key_source_nu)
 from graphtriple.cli import run  # noqa: E402
-from graphtriple.conditions import THEOREMS, evaluate_all  # noqa: E402
+from graphtriple.conditions import (THEOREMS,  # noqa: E402
+                                    commutant_dimension, evaluate_all)
 from graphtriple.graphs import (GraphPresentation,  # noqa: E402
                                 GraphValidationError, graph_from_document,
                                 graph_to_document)
@@ -173,16 +177,19 @@ def test_conditions_report_matches_golden(name, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_conditions_reads_no_truncation_basis(name, monkeypatch):
-    """`evaluate_all` gives the golden report with `Truncation.basis`,
-    `gram` and `index` made to raise: the commutant probe counts in the
-    frame of the candidates' expansions, and nothing else of `conditions`
-    reads the truncation."""
-    def unread(self):
-        raise AssertionError("conditions read the truncation basis")
+    """`evaluate_all` gives the golden report with `build_truncation`, the
+    key product `_multiply_keys`, and `Truncation.basis`, `gram` and
+    `index` made to raise: irreducibility is counted from the presentation,
+    and nothing of `conditions` builds a truncation or forms a product."""
+    def unread(*args, **kwargs):
+        raise AssertionError("conditions reached the truncation")
 
     for attr in ("basis", "gram", "index"):
         monkeypatch.setattr(Truncation, attr, property(unread),
                             raising=False)
+    for module in (algebra, spectral):
+        monkeypatch.setattr(module, "_multiply_keys", unread)
+    monkeypatch.setattr(spectral, "build_truncation", unread)
     factory, level = CASES[name]
     doc = json.loads(json.dumps(_document(factory())))
     g = (graph_from_document(doc) if doc.get("k", 1) == 1
@@ -401,6 +408,17 @@ def test_commutant_probe_matches_its_oracle(name):
     factory, level = CASES[name]
     tr = _truncation(factory(), level)[1]
     assert commutant_probe(tr) == commutant_oracle(tr)
+
+
+@pytest.mark.parametrize("name", TRACED)
+def test_commutant_dimension_matches_the_probe(name):
+    """The count `conditions` reports equals the product probe on the
+    golden presentation at levels 1-4 (1-2 on a k-graph)."""
+    g = CASES[name][0]()
+    for level in range(1, 5 if isinstance(g, GraphPresentation) else 3):
+        tr = _truncation(g, level)[1]
+        assert commutant_dimension(tr.ambient, tr.level) == \
+            commutant_probe(tr)["dimension_interior"], level
 
 
 @pytest.mark.parametrize("name", TRACED)

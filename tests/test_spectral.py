@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphtriple import spectral
+from graphtriple.conditions import commutant_dimension
 from graphtriple.algebra import (AlgebraElement, _multiply_keys, key_degree,
                                  key_source_mu, key_source_nu)
 from graphtriple.graphs import Edge, GraphPresentation
@@ -813,6 +814,19 @@ def truncations(draw):
     return build_truncation(g, _UnitTrace(), level)
 
 
+@st.composite
+def sourced_digraphs(draw):
+    """A `digraphs` presentation on up to 4 vertices with one more vertex
+    s, a source with no source tail, joined by one or two edges into it."""
+    g = draw(digraphs(max_vertices=4))
+    targets = draw(st.lists(st.sampled_from(g.vertices), min_size=1,
+                            max_size=2))
+    edges = [*g.edges.values(),
+             *(Edge(f"s{i}", "s", v) for i, v in enumerate(targets))]
+    return GraphPresentation([*g.vertices, "s"], edges, g.tails,
+                             g.source_tails)
+
+
 class TestCommutant:
     @given(truncations())
     @settings(max_examples=60, deadline=None)
@@ -827,9 +841,24 @@ class TestCommutant:
 
     @given(truncations())
     @settings(max_examples=60, deadline=None)
+    def test_count_matches_the_probe(self, tr):
+        assert commutant_dimension(tr.ambient, tr.level) == \
+            commutant_probe(tr)["dimension_interior"]
+
+    @given(sourced_digraphs(), st.integers(1, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_count_matches_the_probe_with_bare_sources(self, g, level):
+        # a source without a source tail receives no path, so how deep the
+        # candidates reach decides which terminals it identifies
+        tr = build_truncation(g, _UnitTrace(), level)
+        assert commutant_dimension(tr.ambient, level) == \
+            commutant_probe(tr)["dimension_interior"]
+
+    @given(truncations())
+    @settings(max_examples=60, deadline=None)
     def test_candidates_are_the_diagonal_generators(self, tr):
         keys = generator_keys(tr.ambient, max(tr.level - 1, 1))
-        diag, _ = tr.diagonal_candidates
+        diag = tr.diagonal_candidates
         assert diag == [key for key in keys if key[0] == key[1]]
 
     def test_loop_scalars(self):

@@ -156,10 +156,10 @@ def entering_depth(g: GraphPresentation, v: str) -> Optional[int]:
 
 
 @st.composite
-def digraphs(draw):
-    """Any presentation on up to 7 vertices: parallel edges, self-loops,
-    tails and source tails."""
-    n = draw(st.integers(1, 7))
+def digraphs(draw, max_vertices=7):
+    """Any presentation on up to max_vertices vertices: parallel edges,
+    self-loops, tails and source tails."""
+    n = draw(st.integers(1, max_vertices))
     verts = [f"v{i}" for i in range(n)]
     index = st.integers(0, n - 1)
     pairs = draw(st.lists(st.tuples(index, index), max_size=3 * n))
