@@ -7,11 +7,16 @@ input, 69 when the work exceeds a budget (a k-graph with k > KMAX in
 conditions, the k-graph cycle c_k of hochschild, or the spectral window);
 the conditions subcommand exits 0 when all nine hold, 2 when some fail and
 3 when prerequisites were not applicable.
+
+`run(argv)` may be called many times in one process.  The argument parser
+depends on no input, so the first call builds it and later calls reuse it;
+each call still reads its input and builds its work afresh.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -244,7 +249,9 @@ def _kmax(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The one parser of this process: parse_args keeps no state in it."""
     parser = _Parser(prog="graphtriple",
                      description="Verify noncommutative-manifold conditions "
                                  "for graph and k-graph algebras.")

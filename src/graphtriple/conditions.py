@@ -186,14 +186,17 @@ def hypothesis_check(g: GraphPresentation) -> dict:
 
 
 def kgraph_hypothesis_check(g: KGraphPresentation,
-                            exits: Optional[dict] = None) -> dict:
-    """`exits` is g.single_exit_check(), if the caller has it."""
+                            exits: Optional[dict] = None,
+                            trace_exists: Optional[bool] = None) -> dict:
+    """`exits` is g.single_exit_check() and `trace_exists` whether
+    solve_kgraph_trace(g) finds a trace, if the caller has them."""
     exits = exits or g.single_exit_check()
-    try:
-        solve_kgraph_trace(g)
-        trace_exists = True
-    except NoFaithfulTraceError:
-        trace_exists = False
+    if trace_exists is None:
+        try:
+            solve_kgraph_trace(g)
+            trace_exists = True
+        except NoFaithfulTraceError:
+            trace_exists = False
     return {
         "connected": g.connected(),
         "locally_finite": True,
@@ -318,7 +321,11 @@ def _evaluate_kgraph(g: KGraphPresentation, level) -> ConditionReport:
     if g.k > KMAX:  # reality builds the Clifford algebra of k gammas
         raise WorkBudgetError(f"a {g.k}-graph exceeds KMAX = {KMAX}")
     exits = g.single_exit_check()
-    hyp = kgraph_hypothesis_check(g, exits)
+    try:
+        trace = solve_kgraph_trace(g)
+    except NoFaithfulTraceError:
+        trace = None
+    hyp = kgraph_hypothesis_check(g, exits, trace is not None)
     entries: Dict[str, ConditionEntry] = {}
     level = min(level, 2)  # where a k-graph truncation stops (reported)
     params = {"level": level}
@@ -334,9 +341,7 @@ def _evaluate_kgraph(g: KGraphPresentation, level) -> ConditionReport:
         "orientability", "holds" if exits["holds"] else "fails", "exact",
         witness)
 
-    try:
-        trace = solve_kgraph_trace(g)
-    except NoFaithfulTraceError:
+    if trace is None:
         return _shared_entries(entries, hyp, params, None, None)
 
     mass = sum(trace.values[v] for v in g.vertices)

@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,13 +9,16 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphtriple import conditions, hochschild, spectral
 from graphtriple.clifford import KMAX
 from graphtriple.cli import (EX_DATAERR, EX_NOINPUT, EX_UNAVAILABLE, EX_USAGE,
                              run)
 
-from corpus import single_loop, torus_2graph, tree_with_ends
+from corpus import (loop_with_exit, single_loop, torus_2graph,
+                    tree_with_ends)
 from graphtriple.graphs import (GraphValidationError, graph_from_document,
                                graph_to_document)
 from graphtriple.spectral import vertex_multiplicities
@@ -597,3 +603,207 @@ def test_cold_start_leaves_numpy_and_networkx_unloaded(tree_file):
     )
     done = _run_python(code)
     assert json.loads(done.stdout) == {"cold": [], "spectral": ["numpy"]}
+
+
+def _call(argv):
+    """run(argv) in this process: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _kgraph_document(k, edges, squares):
+    """edges as (id, source, range, color), squares as (first, second)."""
+    return {
+        "k": k, "vertices": sorted({e[1] for e in edges}), "tails": [],
+        "edges": [{"id": i, "source": s, "range": r, "color": c}
+                  for i, s, r, c in edges],
+        "squares": [{"first": list(a), "second": list(b)}
+                    for a, b in squares],
+    }
+
+
+_TORUS_DOCUMENT = _kgraph_document(
+    2, [("e", "v", "v", 1), ("f", "v", "v", 2)], [(("e", "f"), ("f", "e"))])
+# two loops of each colour: g(v) = 2 g(v) has no positive solution
+_NO_TRACE_DOCUMENT = _kgraph_document(
+    2, [("e1", "v", "v", 1), ("e2", "v", "v", 1),
+        ("f1", "v", "v", 2), ("f2", "v", "v", 2)],
+    [(("e1", "f1"), ("f1", "e1")), (("e1", "f2"), ("f1", "e2")),
+     (("e2", "f1"), ("f2", "e1")), (("e2", "f2"), ("f2", "e2"))])
+
+
+class TestRepeatedCalls:
+    """run(argv) may be called many times in one process: the parser is
+    built once and each call still forms its work afresh."""
+
+    def test_parser_is_built_once(self, loop_file, torus_file, monkeypatch):
+        _call(["clifford", "--kmax", "1"])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        for argv in (["analyze", loop_file], ["trace", loop_file],
+                     ["ktheory", loop_file], ["hochschild", torus_file],
+                     ["spectral", loop_file, "--window", "100"],
+                     ["conditions", torus_file], ["clifford", "--kmax", "2"]):
+            assert _call(argv)[0] == 0, argv
+        assert _call(["conditions", loop_file, "--level", "0"])[0] == EX_USAGE
+        assert built == []
+
+    def test_no_state_leaks_between_calls(self, tree_file, tmp_path,
+                                          monkeypatch):
+        # the usage text wraps at the terminal width, so both sides get one
+        monkeypatch.setenv("COLUMNS", "80")
+        calls = [
+            ["conditions", tree_file, "--end-value", "tail:c1=1/2",
+             "--end-value", "tail:c2=3"],
+            ["conditions", tree_file],  # --end-value's append list is fresh
+            ["conditions", tree_file, "--level", "0"],
+            ["clifford", "--kmax", "3"],
+            ["clifford"],
+        ]
+
+        def report(out):
+            return out.read_bytes() if out.exists() else None
+
+        shared, alone = [], []
+        for i, argv in enumerate(calls):
+            out = tmp_path / f"shared{i}.json"
+            code, _, err = _call(argv + ["--out", str(out)])
+            shared.append((code, err, report(out)))
+        for i, argv in enumerate(calls):
+            out = tmp_path / f"alone{i}.json"
+            done = _run_python(
+                "from graphtriple.cli import run\n"
+                "try:\n"
+                f"    code = run({argv + ['--out', str(out)]!r})\n"
+                "except SystemExit as exc:\n"
+                "    code = exc.code\n"
+                "print(code)\n")
+            alone.append((int(done.stdout), done.stderr, report(out)))
+        assert shared == alone
+        assert [c for c, _, _ in shared] == [0, 0, EX_USAGE, 0, 0]
+        assert shared[0][2] != shared[1][2]
+        assert shared[2][2] is None and shared[2][1].startswith("usage:")
+
+    @pytest.mark.parametrize("doc,trace_exists", [
+        (_TORUS_DOCUMENT, True), (_NO_TRACE_DOCUMENT, False),
+    ], ids=["torus", "no_trace"])
+    def test_one_trace_solve_per_conditions_request(
+            self, doc, trace_exists, tmp_path, monkeypatch):
+        solves = []
+        solve = conditions.solve_kgraph_trace
+
+        def counted(g):
+            solves.append(g)
+            return solve(g)
+
+        monkeypatch.setattr(conditions, "solve_kgraph_trace", counted)
+        path = tmp_path / "kgraph.json"
+        path.write_text(json.dumps(doc))
+        first = _call(["conditions", str(path)])
+        assert len(solves) == 1
+        # a second identical request solves again: no trace is kept
+        assert _call(["conditions", str(path)]) == first
+        assert len(solves) == 2
+        hypotheses = json.loads(first[1])["hypotheses"]
+        assert hypotheses["faithful_graph_trace_exists"] is trace_exists
+
+
+_BASE_DOCUMENTS = [
+    graph_to_document(single_loop(2)),
+    graph_to_document(tree_with_ends(2)),
+    graph_to_document(loop_with_exit()),
+    _TORUS_DOCUMENT,
+    _NO_TRACE_DOCUMENT,
+    _kgraph_document(
+        2, [("a", "u", "w", 1), ("b", "w", "u", 1),
+            ("f", "u", "u", 2), ("g", "w", "w", 2)],
+        [(("a", "g"), ("f", "a")), (("b", "f"), ("g", "b"))]),
+]
+_DOCUMENT_EXITS = {0, 2, 3, EX_USAGE, EX_DATAERR, EX_NOINPUT, EX_UNAVAILABLE}
+_FUZZED_COMMANDS = [
+    ["analyze"], ["trace"], ["ktheory"], ["hochschild", "--level", "1"],
+    ["spectral", "--window", "64"], ["conditions", "--level", "1"],
+]
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A valid presentation (a small drawn digraph or a fixed k-graph) with
+    up to two faults drawn into it."""
+    if draw(st.booleans()):
+        names = ["u", "v", "w"][:draw(st.integers(1, 3))]
+        pairs = draw(st.lists(st.tuples(st.sampled_from(names),
+                                        st.sampled_from(names)), max_size=4))
+        doc = {"k": 1, "vertices": names, "tails": draw(st.lists(
+                   st.sampled_from(names), unique=True)),
+               "edges": [{"id": f"e{i}", "source": s, "range": r}
+                         for i, (s, r) in enumerate(pairs)]}
+    else:
+        doc = json.loads(json.dumps(draw(st.sampled_from(_BASE_DOCUMENTS))))
+    odd = st.one_of(st.none(), st.booleans(), st.integers(-1, 3),
+                    st.sampled_from(["2", 2.0, [2], {}]))
+    for _ in range(draw(st.integers(0, 2))):
+        fault = draw(st.sampled_from([
+            "k", "endpoint", "color", "squares", "drop_field", "extra_field",
+            "drop_edge", "tails"]))
+        edges = doc.get("edges")
+        if fault == "k":
+            doc["k"] = draw(odd)
+        elif fault in ("endpoint", "color", "drop_edge") and edges:
+            i = draw(st.integers(0, len(edges) - 1))
+            if fault == "drop_edge":
+                del edges[i]
+            elif fault == "color":
+                edges[i]["color"] = draw(odd)
+            else:
+                edges[i][draw(st.sampled_from(["source", "range"]))] = \
+                    draw(st.sampled_from(["v", "zz", 5]))
+        elif fault == "squares":
+            doc["squares"] = draw(st.sampled_from([
+                [], "ef", {"first": ["e", "f"]},
+                [{"first": ["e"], "second": ["f", "e"]}],
+                [{"first": ["e", "zz"], "second": ["zz", "e"]}],
+                [{"first": ["e", "f"], "second": ["e", "f"]}],
+                [{"first": ["e", "f"], "second": ["f", "e"], "third": []}],
+            ]))
+        elif fault == "drop_field":
+            doc.pop(draw(st.sampled_from(["k", "vertices", "edges", "tails"])),
+                    None)
+        elif fault == "extra_field":
+            doc[draw(st.sampled_from(["source_tails", "colour"]))] = \
+                draw(st.sampled_from([["v"], ["zz"], "v"]))
+        elif fault == "tails":
+            doc["tails"] = draw(st.sampled_from([["zz"], ["v"], [5], None]))
+    return json.dumps(doc)
+
+
+_DOCUMENT_TEXTS = st.one_of(_mutated_documents(), st.one_of(
+    st.one_of(st.none(), st.integers(), st.text(max_size=3),
+              st.lists(st.integers(), max_size=2)).map(json.dumps),
+    st.text(max_size=6),
+))
+
+
+class TestFuzzedDocuments:
+    @settings(max_examples=100, deadline=None)
+    @given(text=_DOCUMENT_TEXTS)
+    def test_no_traceback_and_identical_reruns(self, text, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+        path.write_text(text, encoding="utf-8")
+        for command in _FUZZED_COMMANDS:
+            argv = [command[0], str(path)] + command[1:]
+            first = _call(argv)
+            assert first[0] in _DOCUMENT_EXITS, (argv, first)
+            assert "Traceback" not in first[2]
+            assert _call(argv) == first
