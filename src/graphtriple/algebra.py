@@ -11,8 +11,7 @@ protocol: the rank ``k``, a tuple ``degree`` of a word, the sorted
 colour-sorted ``normal`` form, ``compose``, ``divide_prefix``, and the
 truncation boundary ``boundary_out`` / ``boundary_in`` (empty for a finite
 k-graph).  k = 1 is told apart only where a public result shows it: the
-int ``grade()`` labels, and the scalar ``dirac_commutator`` and
-``delta_action`` bound, which carry no Clifford factor.
+int ``grade()`` labels.
 
 Products reduce by the Cuntz-Krieger relations: S_mu1 S_nu1* . S_mu2 S_nu2*
 is the sum of S_{mu1 xi} S_{nu2 eta}* over the pairs (xi, eta) with
@@ -35,10 +34,9 @@ gauge degree class, where the generators are linearly independent.
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .scalars import GaussianRational, I, ONE
+from .scalars import GaussianRational, ONE
 
 Word = Tuple[str, ...]
 GenKey = Tuple[Word, Word, str]
@@ -188,37 +186,6 @@ class AlgebraElement:
                 name += f"S[{','.join(nu)}]*"
             bits.append(f"({self.terms[key]})*{name}")
         return " + ".join(bits)
-
-    def to_json(self) -> list:
-        out = []
-        for key in sorted(self.terms):
-            mu, nu, v = key
-            c = self.terms[key]
-            out.append({
-                "mu": list(mu),
-                "nu": list(nu),
-                "vertex": v,
-                "re": str(c.re),
-                "im": str(c.im),
-            })
-        return out
-
-    @staticmethod
-    def from_json(ambient, data: list) -> "AlgebraElement":
-        terms: Dict[GenKey, GaussianRational] = {}
-        for rec in data:
-            mu, nu = tuple(rec["mu"]), tuple(rec["nu"])
-            if not mu and not nu:
-                if "vertex" not in rec:
-                    raise ValueError("vertex required when mu and nu are empty")
-                key = ((), (), rec["vertex"])
-                if rec["vertex"] not in ambient.vertices:
-                    raise ValueError(f"unknown vertex {rec['vertex']!r}")
-            else:
-                key = make_key(ambient, mu, nu)
-            c = GaussianRational(Fraction(rec["re"]), Fraction(rec["im"]))
-            terms[key] = terms.get(key, GaussianRational(0)) + c
-        return AlgebraElement(ambient, terms)
 
 
 # -- key helpers ---------------------------------------------------------------------
@@ -417,75 +384,6 @@ def _meet(ambient, nu1: Word, v1: str, mu2: Word, v2: str
 
 
 # -- module level operation surface ------------------------------------------------
-
-
-def local_unit(elements: Iterable[AlgebraElement]) -> AlgebraElement:
-    """A vertex-projection sum phi with phi a = a phi = a for all inputs."""
-    elements = list(elements)
-    if not elements:
-        raise ValueError("local_unit needs at least one element")
-    amb = elements[0].ambient
-    verts = set()
-    for a in elements:
-        _check_same(elements[0], a)
-        verts.update(a.support_vertices())
-    return sum_of_vertex_projections(amb, verts)
-
-
-def dirac_commutator(a: AlgebraElement):
-    """[D, a]: degree scaling at k = 1, i*gamma^m weighted parts for k >= 2.
-
-    For k >= 2 the result is a dict {m: element_m} representing
-    sum_m gamma^m (x) element_m, with the i absorbed into element_m.
-    """
-    amb = a.ambient
-    if amb.k == 1:
-        out: Dict[GenKey, GaussianRational] = {}
-        for key, c in a.terms.items():
-            n = key_degree(amb, key)[0]
-            if n:
-                out[key] = c * n
-        return AlgebraElement(amb, out)
-    parts: Dict[int, Dict[GenKey, GaussianRational]] = {}
-    for key, c in a.terms.items():
-        n = key_degree(amb, key)
-        for m in range(amb.k):
-            if n[m]:
-                parts.setdefault(m + 1, {})[key] = c * n[m] * I
-    return {m: AlgebraElement(amb, terms) for m, terms in sorted(parts.items())}
-
-
-def delta_action(a: AlgebraElement, order: int) -> dict:
-    """Summary of delta^order = [|D|, .]^order applied to a.
-
-    On the Phi_m block decomposition a homogeneous degree-n part acts with
-    multiplier (|m+n| - |m|)^order, uniformly bounded by |n|^order, so
-    "bounded" always holds (conditions reports regularity as a theorem).
-    """
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    amb = a.ambient
-    per_degree = {}
-    worst_sq = Fraction(0)
-    for label in sorted(a.grade(), key=lambda d: (str(type(d)), d)):
-        n = _as_degree_tuple(amb, label)
-        nsq = Fraction(sum(x * x for x in n))
-        bound_sq = nsq ** order
-        per_degree[label] = bound_sq
-        worst_sq = max(worst_sq, bound_sq)
-    if amb.k == 1:
-        bound = Fraction(
-            max((abs(_as_degree_tuple(amb, d)[0]) for d in per_degree), default=0)
-        ) ** order
-    else:
-        bound = float(worst_sq) ** 0.5
-    return {
-        "bounded": True,
-        "order": order,
-        "norm_bound": bound,
-        "norm_bound_sq": worst_sq,
-        "per_degree_bound_sq": per_degree,
-    }
 
 
 def sum_of_vertex_projections(ambient, vertices: Optional[Iterable[str]] = None

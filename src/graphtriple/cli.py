@@ -3,8 +3,9 @@
 Subcommands: analyze, trace, ktheory, hochschild, clifford, spectral,
 conditions.  Identical inputs and flags produce byte-identical output.
 Exit codes follow sysexits conventions: 64 usage, 65 invalid data, 66 no
-input, 69 when the work exceeds a budget (a k-graph with k > KMAX in
-conditions, the k-graph cycle c_k of hochschild, or the spectral window);
+input, 69 when the work exceeds a budget (a k-graph with k > KMAX or a
+1-graph level over LEVEL_BUDGET in conditions, the k-graph cycle c_k of
+hochschild, or the spectral window);
 the conditions subcommand exits 0 when all nine hold, 2 when some fail and
 3 when prerequisites were not applicable.
 
@@ -257,9 +258,9 @@ def build_parser() -> _Parser:
                                  "for graph and k-graph algebras.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, end_value=False, level=False, formats=("json",)):
+    def common(p, end_value=False, level=None, formats=("json",)):
         """Add the input, --out and --format, and only the flags that the
-        subcommand reads."""
+        subcommand reads; `level` is the help text of --level."""
         p.add_argument("input", help="presentation document (JSON)")
         p.add_argument("--out", help="write the report to this file")
         p.add_argument("--format", choices=list(formats), default="json")
@@ -268,21 +269,22 @@ def build_parser() -> _Parser:
                            help="trace value for an end (default 1)")
         if level:
             p.add_argument("--level", type=_positive_int, default=3,
-                           help="truncation level L (default 3)")
+                           help=level)
 
     common(sub.add_parser("analyze", help="structural report"))
     common(sub.add_parser("trace", help="solve the graph trace"),
            end_value=True)
     common(sub.add_parser("ktheory", help="K-theory ranks"))
     common(sub.add_parser("hochschild", help="orientation cycle checks"),
-           level=True)
+           level="1-graph tail expansion depth of the truncated checks"
+                 " (default 3); a k-graph does not read it")
     sp = sub.add_parser("spectral", help="singular value profile")
     common(sp, end_value=True, formats=("json", "csv"))
     sp.add_argument("--window", type=_positive_int, default=100000,
                     help="spectral window N (default 100000)")
     sp.add_argument("--vertex", help="profile p_v instead of (1+D^2)^{-1/2}")
     cond = sub.add_parser("conditions", help="evaluate the nine conditions")
-    common(cond, end_value=True, level=True)
+    common(cond, end_value=True, level="truncation level L (default 3)")
     cl = sub.add_parser("clifford", help="reality sign table")
     cl.add_argument("--kmax", type=_kmax, default=8,
                     help=f"largest k in the table, 1..{KMAX} (default 8)")

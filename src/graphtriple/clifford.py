@@ -294,27 +294,6 @@ def sign_table_check(kmax: int = 8) -> dict:
             "pass": all(e["pass"] for e in entries.values())}
 
 
-def degree_reversal_check(k: int, degree_vectors: Sequence[Tuple[int, ...]]) -> bool:
-    """Exact check of J D Phi_n J* = (-1)^{floor((k+1)/2)(k+2)} D Phi_{-n}.
-
-    For k >= 2, D_n = sum_m n_m i gamma^m is linear in n with real
-    coefficients and J is antilinear, so the identity holds for every n in
-    Z^k (the given vectors included) exactly when it holds for each i gamma^m:
-    it is checked once per generator.
-    """
-    if k == 1:
-        # J D J acts on the degree -n block with eigenvalue n (conjugation
-        # flips the degree); the rule says this equals reversal * (-n)
-        reversal = (-1) ** (((k + 1) // 2) * (k + 2))
-        return all(n[0] == reversal * (-n[0]) for n in degree_vectors)
-    data = reality_operator(k)
-    flip = _sign_phase(-data.degree_reversal_sign)
-    return all(
-        _conjugate_by(data.chi, g.times_i(1)) == g.times_i(1 + flip)
-        for g in generators(k)
-    )
-
-
 # -- abstract gamma-word algebra ------------------------------------------------------
 
 
@@ -340,11 +319,6 @@ def word_product(w1: Word, w2: Word) -> Tuple[Fraction, Word]:
         s, word = word_times_generator(word, j)
         sign *= s
     return sign, word
-
-
-def word_to_matrix(word: Word, gens: Sequence[Monomial]) -> Monomial:
-    return reduce(matmul, (gens[j - 1] for j in word),
-                  Monomial.identity(len(gens[0].perm)))
 
 
 def word_span_dimension(generating_words: Sequence[Word]) -> int:

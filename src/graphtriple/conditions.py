@@ -9,13 +9,15 @@ Once a faithful trace exists, regularity, closedness, first order,
 spin_c, 1-graph reality and (on a single loop, a directed tree or a finite
 k-graph) finiteness hold on every presentation the parsers accept.  They
 are reported with method "theorem" and their argument (THEOREMS) as
-witness; `delta_action`, `closedness_eval`, `first_order_check`,
+witness; `closedness_eval`, `first_order_check`,
 `spin_c_generation_check`, `reality_check_1graph` and `canonical_F_form`
-with `fixed_point_norms` re-derive them in the tests.
+with `fixed_point_norms` re-derive them in the tests, and so does the
+tests' own `delta_action` (tests/oracles.py).
 
 Irreducibility is counted from the presentation (`commutant_dimension`,
 with `spectral.commutant_probe` as its oracle): `conditions` builds no
-truncation and forms no product, and refuses a k-graph with k > KMAX.
+truncation and forms no product, and refuses a k-graph with k > KMAX and
+a 1-graph level whose count would exceed LEVEL_BUDGET.
 
 Orientability is read from the presentation on both ranks.  On a 1-graph,
 c is a cycle iff every coefficient of `boundary_coefficients_1graph`
@@ -58,6 +60,15 @@ CONDITION_NAMES = (
 )
 
 REPORT_VERSION = 8
+
+# commutant_dimension pushes the 1-graph ambient's vertex set max(L - 1, 1)
+# times, so its work is that many passes over the ambient's vertices.  The
+# budget admits tree_with_ends(4) up to L = 1,008, a whole `conditions`
+# request of 1.6-1.7 s on a 2-CPU sandbox (Python 3.11.7); at the budget a
+# 5,000-vertex cycle took 3.0-3.9 s and a 32-tail star 5.2-5.4 s, since a
+# wider ambient costs more per pass and vertex.  A k-graph's level stops
+# at 2, so its count is one pass.
+LEVEL_BUDGET = 5_100_000
 
 # The argument behind each verdict that holds by construction; the witness
 # of its "theorem" entry (Connes, CMP 182, 1996, for the conditions).
@@ -266,6 +277,14 @@ def _na(name: str, broken: str) -> ConditionEntry:
 
 def _evaluate_graph(g: GraphPresentation, end_values,
                     level) -> ConditionReport:
+    # the ambient g.expand(level + TAIL_MARGIN), counted before it is built
+    size = len(g.vertices) + (level + TAIL_MARGIN) * (
+        len(g.tails) + len(g.source_tails))
+    passes = max(level - 1, 1)
+    if passes * size > LEVEL_BUDGET:
+        raise WorkBudgetError(
+            f"level {level} would push {size} vertices {passes} times,"
+            f" over the budget of {LEVEL_BUDGET}")
     hyp = hypothesis_check(g)
     entries: Dict[str, ConditionEntry] = {}
     params = {"level": level}

@@ -481,17 +481,6 @@ class GraphPresentation(EdgeSkeleton):
 
     # -- transforms -----------------------------------------------------------
 
-    def relabel(self, vmap: Dict[str, str], emap: Dict[str, str]) -> "GraphPresentation":
-        return GraphPresentation(
-            [vmap[v] for v in self.vertices],
-            [
-                Edge(emap[e.id], vmap[e.source], vmap[e.range], e.color)
-                for e in self.edges.values()
-            ],
-            [vmap[v] for v in self.tails],
-            [vmap[v] for v in self.source_tails],
-        )
-
     def expand(self, depth: int) -> "ExpandedGraph":
         """Materialize tails and source tails to the given depth."""
         return ExpandedGraph(self, depth)

@@ -188,15 +188,6 @@ class KGraphPresentation(EdgeSkeleton):
                 w = w[1:]
         return tuple(prefix), self.normal(w)
 
-    def segment(self, word: Word, m: Degree, n: Degree) -> Word:
-        """The unique middle factor word(m, n), in normal form."""
-        d = self.degree(word)
-        if not all(0 <= m[c] <= n[c] <= d[c] for c in range(self.k)):
-            raise ValueError(f"need 0 <= {m} <= {n} <= {d} componentwise")
-        _, rest = self.split_prefix(word, m)
-        mid, _ = self.split_prefix(rest, tuple(n[c] - m[c] for c in range(self.k)))
-        return mid
-
     def divide_prefix(self, nu: Word, alpha: Word) -> Optional[Word]:
         """Return nu' with nu = alpha . nu' (as paths), or None."""
         da, dn = self.degree(alpha), self.degree(nu)

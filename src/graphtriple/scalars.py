@@ -117,15 +117,6 @@ class GaussianRational:
             return f"{self.im}*i"
         return f"({self.re} + {self.im}*i)"
 
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {"re": str(self.re), "im": str(self.im)}
-
-    @staticmethod
-    def from_json(obj: dict) -> "GaussianRational":
-        return GaussianRational(Fraction(obj["re"]), Fraction(obj["im"]))
-
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)

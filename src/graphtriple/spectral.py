@@ -98,10 +98,6 @@ class Truncation:
                       for mu in amb.paths_with_degree(d, w, "into",
                                                       max_level=side))
 
-    def nu_target(self, degree: tuple) -> tuple:
-        """The aligned nu-degree for basis vectors in the given degree class."""
-        return tuple(self.level - max(d, 0) for d in degree)
-
 
 def build_truncation(presentation, trace, level: int) -> Truncation:
     """The truncation at the given level; its basis is built on first read.
@@ -153,32 +149,6 @@ def ck_generators(ambient) -> List[GenKey]:
         keys.add(((eid,), (), w))
         keys.add(((), (eid,), w))
     return sorted(keys)
-
-
-def to_basis_coordinates(tr: Truncation, a: AlgebraElement):
-    """Expand an element over the maximal basis; returns (coords, leaked)."""
-    coords: Dict[int, GaussianRational] = {}
-    leaked = False
-    for key, c in a.terms.items():
-        indices = _basis_indices(tr, key)
-        if indices is None:
-            leaked = True
-            continue
-        for i in indices:
-            accumulate(coords, i, c)
-    return coords, leaked
-
-
-def _basis_indices(tr: Truncation, key: GenKey) -> Optional[List[int]]:
-    """Basis indices of one generator's expansion; None when a path of the
-    generator is longer than the level in some colour (it leaks)."""
-    amb = tr.ambient
-    mu, nu, _ = key
-    if any(x > tr.level for x in amb.degree(mu) + amb.degree(nu)):
-        return None
-    index = tr.index
-    target = tr.nu_target(key_degree(amb, key))
-    return [index[newkey] for newkey in expand_key_to(amb, key, target)]
 
 
 # -- Theta decompositions and the semifinite trace ------------------------------------
@@ -532,19 +502,6 @@ def singular_profile(model: MultiplicityModel, window: int) -> SpectralProfile:
     )
 
 
-def direct_summation_oracle(model: MultiplicityModel, window: int) -> float:
-    """Independent F_T value at the full window by plain summation."""
-    total = 0.0
-    mass = 0.0
-    for k in range(0, window + 1):
-        fwd = float(model.mass(k))
-        bwd = float(model.mass(-k)) if k > 0 else 0.0
-        lam = 1.0 / math.sqrt(1.0 + k * k)
-        total += lam * (fwd + bwd)
-        mass += fwd + bwd
-    return total / math.log1p(mass)
-
-
 def kgraph_lattice_profile(g: KGraphPresentation, trace: KGraphTrace,
                            window: int = 64) -> SpectralProfile:
     """Numeric (k,infty) profile on the degree lattice.  `conditions` uses
@@ -709,25 +666,6 @@ def _aligned_difference(amb, left, right) -> Dict[GenKey, int]:
     for key in right:
         accumulate(counts, key, -1)
     return aligned(amb, counts)
-
-
-def first_order_left_counterexample(tr: Truncation) -> Optional[dict]:
-    """Witness that replacing b^op by the left action breaks first order."""
-    amb = tr.ambient
-    gens = generator_keys(amb, 1)
-    for ka in gens:
-        a = AlgebraElement(amb, {ka: GaussianRational(1)})
-        da = _d_commutator_scalar(a)
-        if not da.terms:
-            continue
-        for kb in gens:
-            b = AlgebraElement(amb, {kb: GaussianRational(1)})
-            for kz in tr.basis:
-                z = AlgebraElement(amb, {kz: GaussianRational(1)})
-                bad = da * (b * z) - b * (da * z)
-                if not bad.is_zero():
-                    return {"a": ka, "b": kb, "z": kz}
-    return None
 
 
 def _d_commutator_scalar(a: AlgebraElement) -> AlgebraElement:

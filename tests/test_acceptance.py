@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 from graphtriple.algebra import AlgebraElement
-from graphtriple.clifford import degree_reversal_check, reality_operator, SIGN_TABLE
+from graphtriple.clifford import reality_operator, SIGN_TABLE
 from graphtriple.conditions import (evaluate_all, hypothesis_check,
                                     kgraph_hypothesis_check)
 from graphtriple.graphs import Edge, GraphPresentation
@@ -21,9 +21,7 @@ from graphtriple.hochschild import (boundary_coefficients_1graph,
                                     verify_cancellation_steps)
 from graphtriple.scalars import GaussianRational
 from graphtriple.spectral import (build_truncation, closedness_eval,
-                                  decompose_projection,
-                                  direct_summation_oracle, first_order_check,
-                                  first_order_left_counterexample,
+                                  decompose_projection, first_order_check,
                                   generator_keys, reality_check_1graph,
                                   semifinite_trace, singular_profile,
                                   spin_c_generation_check,
@@ -37,6 +35,8 @@ from corpus import (ORIENTATION_CORPUS_1GRAPH, bi_infinite_path,
                     one_vertex_3graph, single_exit_violating_2graph,
                     single_loop, sink_path, torus_2graph, tree_with_ends,
                     two_disjoint_loops, two_vertex_2graph)
+from oracles import (degree_reversal_check, direct_summation_oracle,
+                     first_order_left_counterexample)
 
 
 def report(number: int, ok: bool, detail: str) -> None:

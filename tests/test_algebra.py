@@ -9,9 +9,7 @@ from graphtriple import algebra
 from graphtriple.algebra import (AlgebraElement, PresentationMismatchError,
                                  _expansion_family, _meet, _multiply_keys,
                                  _prefix_divide, accumulate, aligned,
-                                 delta_action, dirac_commutator,
-                                 key_source_mu, key_source_nu, local_unit,
-                                 make_key)
+                                 key_source_mu, key_source_nu, make_key)
 from graphtriple.scalars import GaussianRational, I
 from graphtriple.spectral import build_truncation, generator_keys
 from graphtriple.traces import solve_graph_trace, solve_kgraph_trace
@@ -19,6 +17,7 @@ from graphtriple.traces import solve_graph_trace, solve_kgraph_trace
 from corpus import (bi_infinite_path, double_entry_tree, one_vertex_3graph,
                     single_loop, sink_path, torus_2graph, tree_with_ends,
                     two_extension_2graph, two_vertex_2graph)
+from oracles import delta_action, dirac_commutator, local_unit
 
 
 def loop_ambient(level=3):
@@ -350,22 +349,6 @@ class TestDeltaAction:
         a = gen(g, ("e", "f"))  # degree (1,1)
         res = delta_action(a, 2)
         assert res["norm_bound_sq"] == Fraction(4)  # (|n|_2^2)^order = 2^2
-
-
-class TestSerialization:
-    def test_roundtrip(self):
-        amb = TREE_AMB
-        a = gen(amb, ("e1",)).scale(GaussianRational(Fraction(2, 3), 1)) + \
-            AlgebraElement.vertex(amb, "b")
-        b = AlgebraElement.from_json(amb, a.to_json())
-        assert b.equals(a)
-
-    def test_vertex_field_required_for_projections(self):
-        amb = TREE_AMB
-        with pytest.raises(ValueError):
-            AlgebraElement.from_json(
-                amb, [{"mu": [], "nu": [], "re": "1", "im": "0"}]
-            )
 
 
 def _reference_product(ambient, k1, k2):

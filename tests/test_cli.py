@@ -19,8 +19,8 @@ from graphtriple.cli import (EX_DATAERR, EX_NOINPUT, EX_UNAVAILABLE, EX_USAGE,
 
 from corpus import (loop_with_exit, single_loop, torus_2graph,
                     tree_with_ends)
-from graphtriple.graphs import (GraphValidationError, graph_from_document,
-                               graph_to_document)
+from graphtriple.graphs import (GraphPresentation, GraphValidationError,
+                               graph_from_document, graph_to_document)
 from graphtriple.spectral import vertex_multiplicities
 from graphtriple.traces import solve_graph_trace
 
@@ -526,6 +526,50 @@ class TestStructureEdgeCases:
         assert captured.out == ""
         assert captured.err.startswith("over budget: ")
         assert f"KMAX = {KMAX}" in captured.err
+
+    def test_conditions_over_its_level_budget_exits_69(
+            self, tmp_path, capsys, monkeypatch):
+        # tree_with_ends(4) has 7 vertices and 4 tails plus a source tail,
+        # so at level L its ambient has 7 + 5 (L + 2) vertices, pushed
+        # L - 1 times: L = 1,008 is the last level under the budget
+        g = tree_with_ends(4)
+        assert len(g.expand(1008 + 2).vertices) == 7 + 5 * 1010
+        assert 1007 * (7 + 5 * 1010) <= conditions.LEVEL_BUDGET \
+            < 1008 * (7 + 5 * 1011)
+        path = tmp_path / "tree4.json"
+        path.write_text(json.dumps(graph_to_document(g)))
+        calls = []
+        monkeypatch.setattr(conditions, "commutant_dimension",
+                            lambda ambient, level: calls.append(level) or 1)
+        assert run(["conditions", str(path), "--level", "1008"]) == 0
+        assert calls == [1008]
+        capsys.readouterr()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("conditions worked over its level budget")
+        for name in ("hypothesis_check", "solve_graph_trace",
+                     "boundary_coefficients_1graph", "commutant_dimension"):
+            monkeypatch.setattr(conditions, name, refuse)
+        monkeypatch.setattr(GraphPresentation, "expand", refuse)
+        for level in ("1009", "100000"):
+            assert run(["conditions", str(path), "--level", level]) == \
+                EX_UNAVAILABLE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("over budget: ")
+            assert f"budget of {conditions.LEVEL_BUDGET}" in captured.err
+
+    def test_conditions_at_level_1000_on_tree_with_ends_4(self, tmp_path):
+        # about 1.5 s: the largest level that the suite runs for real
+        path = tmp_path / "tree4.json"
+        path.write_text(json.dumps(graph_to_document(tree_with_ends(4))))
+        out = tmp_path / "report.json"
+        assert run(["conditions", str(path), "--level", "1000",
+                    "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["parameters"] == {"level": 1000}
+        assert report["conditions"]["irreducibility"]["witness"] == {
+            "dimension_interior": 1}
 
     def test_hochschild_over_its_budget_exits_69(
             self, torus_file, capsys, monkeypatch):

@@ -8,15 +8,15 @@ import pytest
 
 from graphtriple import clifford
 from graphtriple.clifford import (KMAX, SIGN_TABLE, Monomial, _check_generators,
-                                  degree_reversal_check, generators,
-                                  reality_operator, s_of_k, sign_table_check,
-                                  volume_form, word_product,
-                                  word_span_dimension, word_to_matrix)
+                                  generators, reality_operator, s_of_k,
+                                  sign_table_check, volume_form, word_product,
+                                  word_span_dimension)
 from graphtriple.cli import run
 from graphtriple.conditions import evaluate_all
 from graphtriple.scalars import ONE, GaussianRational
 
 from corpus import torus_2graph
+from oracles import degree_reversal_check, word_to_matrix
 
 
 # -- dense oracle -------------------------------------------------------------------

@@ -46,7 +46,7 @@ from corpus import (bi_infinite_path, double_entry_tree,  # noqa: E402
                     two_vertex_2graph)
 from graphtriple import algebra, spectral  # noqa: E402
 from graphtriple.algebra import (AlgebraElement,  # noqa: E402
-                                 _multiply_keys, delta_action, key_degree,
+                                 _multiply_keys, key_degree,
                                  key_source_mu, key_source_nu)
 from graphtriple.cli import run  # noqa: E402
 from graphtriple.conditions import (THEOREMS,  # noqa: E402
@@ -67,8 +67,8 @@ from graphtriple.spectral import (Truncation,  # noqa: E402
 from graphtriple.traces import (NonDiagonalError,  # noqa: E402
                                 canonical_F_form, fixed_point_norms,
                                 solve_graph_trace, solve_kgraph_trace)
-from test_spectral import (commutant_oracle, first_order_oracle,  # noqa: E402
-                           reality_oracle)
+from oracles import (commutant_oracle, delta_action,  # noqa: E402
+                     first_order_oracle, reality_oracle)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 V7_DIR = GOLDEN_DIR / "v7"

@@ -21,6 +21,7 @@ from corpus import (ORIENTATION_CORPUS_1GRAPH, double_entry_tree, dyadic_tree,
                     single_exit_violating_2graph, single_loop, sink_path,
                     torus_2graph, tree_with_ends, two_disjoint_loops,
                     two_vertex_2graph)
+from oracles import relabel
 
 # every 1-graph of the corpus, orientable or not
 ALL_1GRAPHS = ORIENTATION_CORPUS_1GRAPH + [
@@ -217,7 +218,7 @@ class TestRelabelingEquivariance:
         g = tree_with_ends(2)
         vmap = {v: f"X{i}" for i, v in enumerate(g.vertices)}
         emap = {e: f"Y{i}" for i, e in enumerate(g.edge_order)}
-        h = g.relabel(vmap, emap)
+        h = relabel(g, vmap, emap)
         cg = boundary_coefficients_1graph(g)
         ch = boundary_coefficients_1graph(h)
         assert {vmap[v]: c for v, c in cg.items()} == ch

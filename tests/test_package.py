@@ -1,0 +1,58 @@
+"""What the package ships: no test-only computation under src/, and the
+README's library example runs as written."""
+
+import ast
+import contextlib
+import io
+import re
+from pathlib import Path
+
+import graphtriple
+
+SRC = Path(graphtriple.__file__).parent
+README = Path(__file__).parent.parent / "README.md"
+
+# Functions that only the tests call live in tests/oracles.py; the JSON
+# round trip of an element, which nothing serialised, is gone.
+NOT_IN_SRC = {
+    "delta_action", "dirac_commutator", "local_unit",
+    "direct_summation_oracle", "first_order_left_counterexample",
+    "to_basis_coordinates", "_basis_indices",
+    "degree_reversal_check", "word_to_matrix",
+    "KGraphPresentation.segment", "GraphPresentation.relabel",
+    "Truncation.nu_target",
+    "AlgebraElement.to_json", "AlgebraElement.from_json",
+    "GaussianRational.to_json", "GaussianRational.from_json",
+}
+
+
+def _definitions(tree: ast.Module):
+    """Module-level function and class names, and Class.method names."""
+    defs = ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef
+    for node in tree.body:
+        if isinstance(node, defs):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs):
+                    yield f"{node.name}.{item.name}"
+
+
+def test_no_test_oracle_is_defined_under_src():
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        for name in _definitions(ast.parse(path.read_text())):
+            if name in NOT_IN_SRC:
+                found[name] = path.name
+    assert found == {}
+
+
+def test_readme_library_example_runs():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Library example\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert len(blocks) == 1
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(blocks[0], "README.md", "exec"), {})
+    assert abs(float(out.getvalue()) - 4.0) < 0.2

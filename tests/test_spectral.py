@@ -16,20 +16,16 @@ from graphtriple.algebra import (AlgebraElement, _multiply_keys, key_degree,
                                  key_source_mu, key_source_nu)
 from graphtriple.graphs import Edge, GraphPresentation
 from graphtriple.kgraphs import KGraphPresentation
-from graphtriple.linalg import SparseEchelon
 from graphtriple.scalars import GaussianRational
 from graphtriple.spectral import (DecompositionError, MultiplicityModel,
                                   SpectralProfile, ThetaSum, Truncation,
                                   build_truncation, ck_generators,
                                   closedness_eval, commutant_probe,
-                                  decompose_projection,
-                                  direct_summation_oracle, first_order_check,
-                                  first_order_left_counterexample,
+                                  decompose_projection, first_order_check,
                                   generator_keys, kgraph_lattice_profile,
                                   reality_check_1graph, semifinite_trace,
                                   singular_profile, spin_c_generation_check,
-                                  to_basis_coordinates, total_multiplicities,
-                                  vertex_multiplicities)
+                                  total_multiplicities, vertex_multiplicities)
 from graphtriple.traces import (solve_graph_trace, solve_kgraph_trace,
                                 trace_functional)
 
@@ -37,102 +33,10 @@ from corpus import (bi_infinite_path, single_exit_violating_2graph,
                     single_loop, sink_path, torus_2graph, tree_with_ends,
                     two_disjoint_loops, two_extension_2graph,
                     two_vertex_2graph)
+from oracles import (commutant_oracle, direct_summation_oracle,
+                     first_order_left_counterexample, first_order_oracle,
+                     reality_oracle, to_basis_coordinates)
 from test_structure import digraphs, exitless_digraphs
-
-
-def first_order_oracle(tr, generators):
-    """The plain (b, z, a) triple loop that `first_order_check` replaced,
-    with a and b over `generators` (a list of keys): a(zb) and (az)b formed
-    for every triple, with no product index.  `ck_generators` gives the
-    generators the check uses, and `generator_keys(amb, 1)` the degree-box
-    keys S_mu S_nu* with d(mu), d(nu) in {0,1}^k that it used to range
-    over.  Products go through the generator key boundary _multiply_keys,
-    which reads the ambient's product memo, so a product seeded there
-    reaches the oracle and the checked function alike."""
-    amb = tr.ambient
-    weights = {}
-    for ka in generators:
-        deg_a = key_degree(amb, ka)
-        weights[ka] = deg_a[0] if amb.k == 1 else sum(deg_a)
-    failures = []
-    for kb in generators:
-        for kz in tr.basis:
-            zb = _multiply_keys(amb, kz, kb)
-            for ka in generators:
-                az = _multiply_keys(amb, ka, kz)
-                left = [k2 for k1 in zb
-                        for k2 in _multiply_keys(amb, ka, k1)]
-                right = [k2 for k1 in az
-                         for k2 in _multiply_keys(amb, k1, kb)]
-                if not _differ(amb, left, right):
-                    continue
-                failures.append({"kind": "[a,b_op]", "a": ka, "b": kb, "z": kz})
-                if weights[ka]:
-                    failures.append(
-                        {"kind": "[[D,a],b_op]", "a": ka, "b": kb, "z": kz}
-                    )
-    return {"pass": not failures, "failures": failures,
-            "generators": len(generators)}
-
-
-def reality_oracle(tr, generators):
-    """The plain (z, a) loop for J a* J = a^op on a 1-graph truncation:
-    (a* z*)* against z a, with a over `generators`, through the same
-    product memo as `reality_check_1graph`."""
-    amb = tr.ambient
-    failures = []
-    for kz in tr.basis:
-        for ka in generators:
-            left = [spectral._swap(k) for k in _multiply_keys(
-                amb, spectral._swap(ka), spectral._swap(kz))]
-            right = _multiply_keys(amb, kz, ka)
-            if _differ(amb, left, right):
-                failures.append({"kind": "Ja*J=a_op", "a": ka, "z": kz})
-    return {"pass": not failures, "failures": failures}
-
-
-def commutant_oracle(tr):
-    """The plain loop that `commutant_probe` replaced: f g - g f formed as
-    elements for every diagonal candidate f and every edge generator g =
-    S_e, S_e*, with no bucketing, and the solutions counted in the basis
-    frame."""
-    amb = tr.ambient
-    diag = sorted({((), (), v) for v in amb.vertices}
-                  | {key for key in generator_keys(amb, max(tr.level - 1, 1))
-                     if key[0] == key[1]})
-    ech = SparseEchelon()
-    for eid in amb.edge_order:
-        s_e = AlgebraElement.generator(amb, (eid,), ())
-        for g in (s_e, s_e.involution()):
-            rows = {}
-            for col, kf in enumerate(diag):
-                f = AlgebraElement(amb, {kf: GaussianRational(1)})
-                for ckey, c in (f * g - g * f).aligned_terms().items():
-                    rows.setdefault(ckey, {})[col] = c.re
-            for row in rows.values():
-                ech.insert(row)
-    solutions = SparseEchelon()
-    for vec in ech.nullspace(len(diag)):
-        f = AlgebraElement(amb, {diag[c]: GaussianRational(v)
-                                 for c, v in vec.items()})
-        coords, _ = to_basis_coordinates(tr, f)
-        row = {i: c.re for i, c in coords.items() if c.re}
-        if row:
-            solutions.insert(row)
-    return {"dimension_interior": solutions.rank()}
-
-
-def _differ(amb, left, right) -> bool:
-    """Whether the sums of the keys in left and in right differ as elements
-    of the algebra (each key with coefficient 1)."""
-    if left == right or sorted(left) == sorted(right):
-        return False
-    diff = {}
-    for key in left:
-        diff[key] = diff.get(key, GaussianRational(0)) + 1
-    for key in right:
-        diff[key] = diff.get(key, GaussianRational(0)) - 1
-    return not AlgebraElement(amb, diff).is_zero()
 
 
 def torus_setup(level=2):
