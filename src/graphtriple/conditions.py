@@ -61,13 +61,14 @@ CONDITION_NAMES = (
 
 REPORT_VERSION = 8
 
-# commutant_dimension pushes the 1-graph ambient's vertex set max(L - 1, 1)
-# times, so its work is that many passes over the ambient's vertices.  The
-# budget admits tree_with_ends(4) up to L = 1,008, a whole `conditions`
-# request of 1.6-1.7 s on a 2-CPU sandbox (Python 3.11.7); at the budget a
-# 5,000-vertex cycle took 3.0-3.9 s and a 32-tail star 5.2-5.4 s, since a
-# wider ambient costs more per pass and vertex.  A k-graph's level stops
-# at 2, so its count is one pass.
+# commutant_dimension pushes the 1-graph ambient's vertex set up to
+# max(L - 1, 1) times, so its work is at most that many passes over the
+# ambient's vertices.  The budget admits tree_with_ends(4) up to L = 1,008,
+# a whole `conditions` request of 1.6-1.7 s on a 2-CPU sandbox (Python
+# 3.11.7); at the budget a 32-tail star took 5.2-5.4 s, since a wider
+# ambient costs more per pass and vertex, while a 5,000-vertex cycle, fixed
+# after one push, takes 0.9 s.  A k-graph's level stops at 2, so its count
+# is one pass.
 LEVEL_BUDGET = 5_100_000
 
 # The argument behind each verdict that holds by construction; the witness
@@ -254,13 +255,17 @@ def commutant_dimension(ambient, level: int) -> int:
     """
     if not ambient.vertices:
         raise ValueError("degenerate presentation: empty truncation basis")
-    # push the vertex set m edges forward in each colour: no path is listed
+    # push the vertex set m edges forward in each colour: no path is listed;
+    # once a push leaves the set unchanged, so would the colour's later ones
     receivers = set(ambient.vertices)
     for colour in range(1, ambient.k + 1):
         for _ in range(max(level - 1, 1)):
-            receivers = {ambient.edge_range(e) for v in receivers
-                         for e in ambient.out_edges(v)
-                         if ambient.edge_color(e) == colour}
+            pushed = {ambient.edge_range(e) for v in receivers
+                      for e in ambient.out_edges(v)
+                      if ambient.edge_color(e) == colour}
+            if pushed == receivers:
+                break
+            receivers = pushed
     missed = sum(not ambient.out_edges(v) for v in ambient.vertices
                  if v not in receivers)
     return missed + count_classes(receivers, (
@@ -277,9 +282,7 @@ def _na(name: str, broken: str) -> ConditionEntry:
 
 def _evaluate_graph(g: GraphPresentation, end_values,
                     level) -> ConditionReport:
-    # the ambient g.expand(level + TAIL_MARGIN), counted before it is built
-    size = len(g.vertices) + (level + TAIL_MARGIN) * (
-        len(g.tails) + len(g.source_tails))
+    size = g.expanded_size(level + TAIL_MARGIN)  # before it is built
     passes = max(level - 1, 1)
     if passes * size > LEVEL_BUDGET:
         raise WorkBudgetError(

@@ -485,6 +485,11 @@ class GraphPresentation(EdgeSkeleton):
         """Materialize tails and source tails to the given depth."""
         return ExpandedGraph(self, depth)
 
+    def expanded_size(self, depth: int) -> int:
+        """The vertex count of self.expand(depth), without building it."""
+        return len(self.vertices) + depth * (
+            len(self.tails) + len(self.source_tails))
+
     def fingerprint(self) -> tuple:
         return (
             1,

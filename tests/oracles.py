@@ -16,10 +16,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from graphtriple import clifford, kgraphs, spectral
 from graphtriple.algebra import (AlgebraElement, GenKey, _as_degree_tuple,
                                  _check_same, _multiply_keys, accumulate,
-                                 expand_key_to, key_degree,
+                                 expand_key_to, key_degree, key_source_mu,
                                  sum_of_vertex_projections)
-from graphtriple.clifford import Monomial
-from graphtriple.graphs import Edge, GraphPresentation
+from graphtriple.clifford import Monomial, word_product
+from graphtriple.graphs import Edge, GraphPresentation, count_classes
+from graphtriple.hochschild import HochschildChain
 from graphtriple.kgraphs import Degree, KGraphPresentation
 from graphtriple.linalg import SparseEchelon
 from graphtriple.scalars import GaussianRational, I
@@ -272,6 +273,23 @@ def commutant_oracle(tr):
     return {"dimension_interior": solutions.rank()}
 
 
+def commutant_count_every_push(ambient, level: int) -> int:
+    """`conditions.commutant_dimension` with every one of the
+    max(level - 1, 1) pushes a colour made, also after the receiver set
+    stops changing."""
+    receivers = set(ambient.vertices)
+    for colour in range(1, ambient.k + 1):
+        for _ in range(max(level - 1, 1)):
+            receivers = {ambient.edge_range(e) for v in receivers
+                         for e in ambient.out_edges(v)
+                         if ambient.edge_color(e) == colour}
+    missed = sum(not ambient.out_edges(v) for v in ambient.vertices
+                 if v not in receivers)
+    return missed + count_classes(receivers, (
+        (v, ambient.edge_range(e)) for v in receivers
+        for e in ambient.out_edges(v)))
+
+
 # -- profiles -------------------------------------------------------------------------
 
 
@@ -316,3 +334,80 @@ def degree_reversal_check(k: int, degree_vectors: Sequence[Tuple[int, ...]]) -> 
 def word_to_matrix(word: clifford.Word, gens: Sequence[Monomial]) -> Monomial:
     return reduce(matmul, (gens[j - 1] for j in word),
                   Monomial.identity(len(gens[0].perm)))
+
+
+# -- Hochschild -----------------------------------------------------------------------
+
+
+def pi_D(chain: HochschildChain):
+    """Replace tensor slots j >= 1 by Dirac commutators and multiply.
+
+    k = 1: [D, S_mu S_nu*] = (|mu|-|nu|) S_mu S_nu*, result an AlgebraElement.
+    k >= 2: slots contribute gamma^{color} weights as in the orientation
+    computation; the result is {gamma word: AlgebraElement} with the
+    self-adjoint commutator convention differing by the reported phase i^p.
+    """
+    amb = chain.ambient
+    if amb.k == 1:
+        out = AlgebraElement.zero(amb)
+        for fac, c in chain.terms.items():
+            acc = AlgebraElement(amb, {fac[0]: c})
+            for key in fac[1:]:
+                n = key_degree(amb, key)[0]
+                acc = acc * AlgebraElement(amb, {key: GaussianRational(n)})
+            out = out + acc
+        return out
+    words: Dict[Tuple[int, ...], AlgebraElement] = {}
+    for fac, c in chain.terms.items():
+        partial: List[Tuple[Tuple[int, ...], AlgebraElement]] = [
+            ((), AlgebraElement(amb, {fac[0]: c}))
+        ]
+        for key in fac[1:]:
+            n = key_degree(amb, key)
+            nxt: List[Tuple[Tuple[int, ...], AlgebraElement]] = []
+            for word, elt in partial:
+                for m in range(amb.k):
+                    if not n[m]:
+                        continue
+                    sign, word2 = word_product(word, (m + 1,))
+                    factor = AlgebraElement(
+                        amb, {key: GaussianRational(n[m]) * GaussianRational(Fraction(sign))}
+                    )
+                    nxt.append((word2, elt * factor))
+            partial = nxt
+        for word, elt in partial:
+            if word in words:
+                words[word] = words[word] + elt
+            else:
+                words[word] = elt
+    words = {w: e for w, e in words.items() if not e.is_zero()}
+    return {
+        "words": words,
+        "selfadjoint_phase": GaussianRational.i_power(chain.arity - 1),
+    }
+
+
+def pi_D_identity_oracle(chain: HochschildChain,
+                         vertices: Optional[Iterable[str]] = None) -> bool:
+    """pi_D(chain) = (omega_C (x)) identity on the given vertices, by element
+    products: at k = 1 the plain sum of their projections, for k >= 2 that
+    sum times i^ceil((k+1)/2) gamma^1...gamma^k."""
+    amb = chain.ambient
+    target = sum_of_vertex_projections(amb, vertices)
+    rep = pi_D(chain)
+    if amb.k == 1:
+        return _restrict_to_sources(rep, target.support_vertices()).equals(
+            target)
+    scalar = GaussianRational.i_power(clifford.volume_phase(amb.k))
+    full = tuple(range(1, amb.k + 1))
+    words = rep["words"]
+    return set(words) == {full} and words[full].equals(target.scale(scalar))
+
+
+def _restrict_to_sources(a: AlgebraElement, vertices: Iterable[str]) -> AlgebraElement:
+    vs = set(vertices)
+    return AlgebraElement(
+        a.ambient,
+        {k: c for k, c in a.terms.items()
+         if key_source_mu(a.ambient, k) in vs},
+    )

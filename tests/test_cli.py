@@ -583,6 +583,29 @@ class TestStructureEdgeCases:
         monkeypatch.setattr(hochschild, "CYCLE_BUDGET", 2)
         assert run(["hochschild", torus_file]) == 0
 
+    def test_hochschild_over_its_expansion_budget_exits_69(
+            self, tmp_path, capsys, monkeypatch):
+        # tree_with_ends(4) has 7 vertices and 4 tails plus a source tail,
+        # so at depth L its ambient has 7 + 5 L vertices: L = 1,998 is the
+        # last level under the budget and 1,999 the first refused
+        g = tree_with_ends(4)
+        assert len(g.expand(1998).vertices) == 7 + 5 * 1998
+        assert g.expanded_size(1998) <= hochschild.EXPANSION_BUDGET \
+            < g.expanded_size(1999)
+        path = tmp_path / "tree4.json"
+        path.write_text(json.dumps(graph_to_document(g)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("hochschild worked over its budget")
+        monkeypatch.setattr(GraphPresentation, "expand", refuse)
+        for level in ("1999", "100000"):
+            assert run(["hochschild", str(path), "--level", level]) == \
+                EX_UNAVAILABLE
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("over budget: ")
+            assert f"budget of {hochschild.EXPANSION_BUDGET}" in captured.err
+
     def test_spectral_over_its_budget_exits_69(
             self, loop_file, capsys, monkeypatch):
         # refused before any buffer is allocated

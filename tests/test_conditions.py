@@ -15,7 +15,7 @@ from graphtriple import algebra, conditions, hochschild, spectral
 from graphtriple.conditions import (CONDITION_NAMES, commutant_dimension,
                                     evaluate_all, hypothesis_check,
                                     kgraph_hypothesis_check)
-from graphtriple.graphs import Edge, GraphPresentation
+from graphtriple.graphs import TAIL_MARGIN, Edge, GraphPresentation
 from graphtriple.kgraphs import KGraphPresentation
 from graphtriple.spectral import singular_profile, vertex_multiplicities
 from graphtriple.traces import (NoFaithfulTraceError, solve_graph_trace,
@@ -27,6 +27,7 @@ from corpus import (bi_infinite_path, double_entry_tree, dyadic_tree,
                     single_exit_violating_2graph, torus_2graph,
                     tree_with_ends, two_disjoint_loops, two_extension_2graph,
                     two_vertex_2graph)
+from oracles import commutant_count_every_push
 from test_spectral import abelian_kgraphs
 from test_structure import digraphs, exitless_digraphs
 
@@ -299,6 +300,25 @@ class TestEvaluateAll:
             assert report.entries["orientability"].status == "fails"
             tr = spectral.build_truncation(g, solve_graph_trace(g), level)
             assert spectral.commutant_probe(tr)["dimension_interior"] == dim
+
+    @pytest.mark.parametrize("level", [1, 2, 3, 50])
+    @pytest.mark.parametrize("factory", [lambda: single_loop(40),
+                                         lambda: tree_with_ends(4)],
+                             ids=["cycle_40", "tree_with_ends_4"])
+    def test_commutant_count_stops_at_the_fixed_point(self, factory, level):
+        # a push that leaves the receivers as they are changes nothing
+        # later, so the count equals the one with every push made; a cycle
+        # is its own receiver set after one push at any level
+        g = factory()
+        amb = g.expand(level + TAIL_MARGIN)
+        assert commutant_dimension(amb, level) == \
+            commutant_count_every_push(amb, level)
+        calls = []
+        out_edges = amb.out_edges
+        amb.out_edges = lambda v: calls.append(v) or out_edges(v)
+        commutant_dimension(amb, level)
+        if not g.tails:
+            assert len(calls) == 2 * len(amb.vertices)
 
     def test_report_shape(self):
         # reality is a theorem on a 1-graph; the k-graph sign table is exact

@@ -11,6 +11,7 @@ from graphtriple.graphs import (Edge, GraphFormatError, GraphPresentation,
 from corpus import (bi_infinite_path, loop_with_exit, single_loop,
                     tree_with_ends, two_disjoint_loops)
 from oracles import relabel
+from test_structure import digraphs
 
 
 def doc(vertices, edges, tails=(), source_tails=None):
@@ -213,6 +214,12 @@ class TestExpansion:
         assert amb.paths_with_degree((2,), "v", "out-of") == [
             ("v~te1", "v~te2")]
         assert amb.paths_with_degree((2,), "v", "into") == [("v~se2", "v~se1")]
+
+    @given(digraphs(), st.integers(0, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_expanded_size_counts_the_expansion(self, g, depth):
+        # the budgets of conditions and hochschild read it before expanding
+        assert g.expanded_size(depth) == len(g.expand(depth).vertices)
 
 
 @st.composite

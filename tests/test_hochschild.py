@@ -5,23 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graphtriple import algebra, hochschild
 from graphtriple.algebra import AlgebraElement, make_key
 from graphtriple.hochschild import (HochschildChain,
                                     boundary_coefficients_1graph,
                                     check_orientation_1graph,
                                     orientation_cycle_1graph,
                                     orientation_cycle_kgraph,
-                                    permutation_sign, pi_D,
-                                    pi_D_identity_check,
+                                    permutation_sign, pi_D_identity_check,
                                     verify_cancellation_steps)
-from graphtriple.scalars import GaussianRational
+from graphtriple.scalars import ONE, GaussianRational
 
 from corpus import (ORIENTATION_CORPUS_1GRAPH, double_entry_tree, dyadic_tree,
-                    loop_with_exit, one_vertex_3graph,
+                    loop_with_exit, one_vertex_3graph, one_vertex_kgraph,
                     single_exit_violating_2graph, single_loop, sink_path,
                     torus_2graph, tree_with_ends, two_disjoint_loops,
-                    two_vertex_2graph)
-from oracles import relabel
+                    two_extension_2graph, two_vertex_2graph)
+from oracles import pi_D, pi_D_identity_oracle, relabel
+from test_conditions import product_kgraphs
+from test_spectral import abelian_kgraphs
+from test_structure import digraphs
 
 # every 1-graph of the corpus, orientable or not
 ALL_1GRAPHS = ORIENTATION_CORPUS_1GRAPH + [
@@ -196,6 +199,95 @@ class TestOrientationKGraph:
         assert rep["step2_elementary_tensors_equal"]
         assert rep["step3_ck_cancellation"]
         assert rep["pass"]
+
+
+def interior(amb):
+    """The vertices away from the cut on which check_orientation_1graph
+    reads pi_D(c)."""
+    return [v for v in amb.vertices
+            if amb.in_edges(v) and v not in amb.boundary_out]
+
+
+KGRAPHS = [torus_2graph(), two_vertex_2graph(), one_vertex_3graph(),
+           single_exit_violating_2graph(), two_extension_2graph(),
+           *(one_vertex_kgraph(k) for k in (4, 5, 6))]
+
+
+class TestPiDFromPaths:
+    """pi_D_identity_check reads each term's path and sign; the element
+    products of the tests' pi_D are its oracle."""
+
+    @given(digraphs(max_vertices=5), st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_oracle_on_digraphs(self, g, depth):
+        amb = g.expand(depth)
+        cycle = orientation_cycle_1graph(amb)
+        for vertices in (interior(amb), None):
+            assert pi_D_identity_check(cycle, vertices, scalar=ONE)["pass"] \
+                == pi_D_identity_oracle(cycle, vertices)
+
+    @given(st.one_of(abelian_kgraphs(), product_kgraphs()))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_oracle_on_abelian_kgraphs(self, g):
+        # product k-graphs fail single exit unless every factor is a
+        # permutation, and then pi_D(c_k) is not omega_C (x) 1
+        cycle = orientation_cycle_kgraph(g)
+        got = pi_D_identity_check(cycle)["pass"]
+        assert got == pi_D_identity_oracle(cycle)
+        assert got == g.single_exit_check()["holds"]
+
+    @pytest.mark.parametrize("g", KGRAPHS)
+    def test_matches_the_oracle_on_the_corpus(self, g):
+        cycle = orientation_cycle_kgraph(g)
+        assert pi_D_identity_check(cycle) == {
+            "pass": pi_D_identity_oracle(cycle)}
+
+    @pytest.mark.parametrize("g", [torus_2graph(), two_vertex_2graph(),
+                                   one_vertex_3graph(), one_vertex_kgraph(4)])
+    def test_negated_permutation_flips_pass(self, g, monkeypatch):
+        # the mutant cycle negates the identity permutation's terms, so
+        # each vertex's coefficient of gamma^1...gamma^k moves off omega_C's
+        assert pi_D_identity_check(orientation_cycle_kgraph(g))["pass"]
+        exact = hochschild.permutation_sign
+
+        def negated(sigma):
+            return -exact(sigma) if list(sigma) == sorted(sigma) else \
+                exact(sigma)
+        monkeypatch.setattr(hochschild, "permutation_sign", negated)
+        cycle = orientation_cycle_kgraph(g)
+        assert not pi_D_identity_check(cycle)["pass"]
+        assert not pi_D_identity_oracle(cycle)
+
+    def test_forms_no_product(self, monkeypatch):
+        cycles = [(orientation_cycle_kgraph(g), None, None, ok)
+                  for g, ok in ((torus_2graph(), True),
+                                (single_exit_violating_2graph(), False))]
+        for g, ok in ((tree_with_ends(2), True), (double_entry_tree(), False)):
+            amb = g.expand(2)
+            cycles.append((orientation_cycle_1graph(amb), interior(amb), ONE,
+                           ok))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("pi_D_identity_check formed a product")
+        for module in (algebra, hochschild):
+            monkeypatch.setattr(module, "_multiply_keys", refuse)
+        monkeypatch.setattr(AlgebraElement, "__mul__", refuse)
+        for cycle, vertices, scalar, ok in cycles:
+            assert pi_D_identity_check(cycle, vertices, scalar)["pass"] is ok
+
+    def test_slots_that_miss_the_path_raise(self):
+        g = torus_2graph()
+        star = make_key(g, (), ("e", "f"))
+        for slots in ((("e",), ()), (("f",), ("f",))):
+            bad = HochschildChain(g, 3, {
+                (star, make_key(g, ("e",), ()), make_key(g, *slots)): ONE})
+            with pytest.raises(ValueError):
+                pi_D_identity_check(bad)
+        amb = single_loop(2).expand(0)
+        forward = make_key(amb, ("e0",), ())
+        bad = HochschildChain(amb, 2, {(forward, forward): ONE})
+        with pytest.raises(ValueError):
+            pi_D_identity_check(bad, scalar=ONE)
 
 
 class TestPermutationSign:

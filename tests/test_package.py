@@ -19,6 +19,7 @@ NOT_IN_SRC = {
     "direct_summation_oracle", "first_order_left_counterexample",
     "to_basis_coordinates", "_basis_indices",
     "degree_reversal_check", "word_to_matrix",
+    "pi_D", "_restrict_to_sources",
     "KGraphPresentation.segment", "GraphPresentation.relabel",
     "Truncation.nu_target",
     "AlgebraElement.to_json", "AlgebraElement.from_json",
