@@ -4,10 +4,11 @@ Subcommands: analyze, trace, ktheory, hochschild, clifford, spectral,
 conditions.  Identical inputs and flags produce byte-identical output.
 Exit codes follow sysexits conventions: 64 usage, 65 invalid data, 66 no
 input, 69 when the work exceeds a budget (a k-graph with k > KMAX or a
-1-graph level over LEVEL_BUDGET in conditions, the k-graph cycle c_k or
-the 1-graph expansion of hochschild, or the spectral window);
+1-graph level over LEVEL_BUDGET in conditions, the k-graph cycle c_k of
+hochschild, or the spectral window), 73 when --out cannot be written;
 the conditions subcommand exits 0 when all nine hold, 2 when some fail and
-3 when prerequisites were not applicable.
+3 when prerequisites were not applicable.  Only a usage error leaves
+`run` through argparse's SystemExit; every other code is returned.
 
 `run(argv)` may be called many times in one process.  The argument parser
 depends on no input, so the first call builds it and later calls reuse it;
@@ -37,6 +38,7 @@ EX_USAGE = 64
 EX_DATAERR = 65
 EX_NOINPUT = 66
 EX_UNAVAILABLE = 69
+EX_CANTCREAT = 73
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,22 +48,27 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EX_USAGE)
 
 
+class _Failure(Exception):
+    """A request that cannot go on: its message and exit code."""
+
+    def __init__(self, message: str, code: int):
+        super().__init__(message)
+        self.code = code
+
+
 def _load(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        print(f"cannot read {path}: {exc}", file=sys.stderr)
-        sys.exit(EX_NOINPUT)
-    try:
-        doc = read_document(text)
-        k = doc.get("k", 1) if isinstance(doc, dict) else None
-        if type(k) is int and k == 1:
-            return graph_from_document(doc)
-        return kgraph_from_document(doc)
-    except (GraphFormatError, GraphValidationError) as exc:
-        print(f"validation failure: {exc}", file=sys.stderr)
-        sys.exit(EX_DATAERR)
+        raise _Failure(f"cannot read {path}: {exc}", EX_NOINPUT) from None
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"not UTF-8 text: {exc}") from None
+    doc = read_document(text)
+    k = doc.get("k", 1) if isinstance(doc, dict) else None
+    if type(k) is int and k == 1:
+        return graph_from_document(doc)
+    return kgraph_from_document(doc)
 
 
 def _emit(payload, args) -> None:
@@ -71,8 +78,12 @@ def _emit(payload, args) -> None:
         doc = payload.to_json() if hasattr(payload, "to_json") else payload
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _Failure(f"cannot write {args.out}: {exc}",
+                           EX_CANTCREAT) from None
     else:
         sys.stdout.write(text)
 
@@ -152,7 +163,7 @@ def _cmd_ktheory(args) -> int:
 def _cmd_hochschild(args) -> int:
     g = _load(args.input)
     if isinstance(g, GraphPresentation):
-        report = check_orientation_1graph(g, depth=args.level)
+        report = check_orientation_1graph(g)
         payload = {
             "boundary_coefficients": report["boundary_coefficients"],
             "b_cycle_zero": report["closed_form_zero"],
@@ -258,33 +269,30 @@ def build_parser() -> _Parser:
                                  "for graph and k-graph algebras.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, end_value=False, level=None, formats=("json",)):
-        """Add the input, --out and --format, and only the flags that the
-        subcommand reads; `level` is the help text of --level."""
+    def common(p, end_value=False, formats=("json",)):
+        """Add the input, --out and --format, and --end-value where the
+        subcommand reads it."""
         p.add_argument("input", help="presentation document (JSON)")
         p.add_argument("--out", help="write the report to this file")
         p.add_argument("--format", choices=list(formats), default="json")
         if end_value:
             p.add_argument("--end-value", action="append", metavar="END=VALUE",
                            help="trace value for an end (default 1)")
-        if level:
-            p.add_argument("--level", type=_positive_int, default=3,
-                           help=level)
 
     common(sub.add_parser("analyze", help="structural report"))
     common(sub.add_parser("trace", help="solve the graph trace"),
            end_value=True)
     common(sub.add_parser("ktheory", help="K-theory ranks"))
-    common(sub.add_parser("hochschild", help="orientation cycle checks"),
-           level="1-graph tail expansion depth of the truncated checks"
-                 " (default 3); a k-graph does not read it")
+    common(sub.add_parser("hochschild", help="orientation cycle checks"))
     sp = sub.add_parser("spectral", help="singular value profile")
     common(sp, end_value=True, formats=("json", "csv"))
     sp.add_argument("--window", type=_positive_int, default=100000,
                     help="spectral window N (default 100000)")
     sp.add_argument("--vertex", help="profile p_v instead of (1+D^2)^{-1/2}")
     cond = sub.add_parser("conditions", help="evaluate the nine conditions")
-    common(cond, end_value=True, level="truncation level L (default 3)")
+    common(cond, end_value=True)
+    cond.add_argument("--level", type=_positive_int, default=3,
+                      help="truncation level L (default 3)")
     cl = sub.add_parser("clifford", help="reality sign table")
     cl.add_argument("--kmax", type=_kmax, default=8,
                     help=f"largest k in the table, 1..{KMAX} (default 8)")
@@ -314,6 +322,9 @@ def run(argv=None) -> int:
     except WorkBudgetError as exc:
         print(f"over budget: {exc}", file=sys.stderr)
         return EX_UNAVAILABLE
+    except _Failure as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
 
 
 def main() -> None:

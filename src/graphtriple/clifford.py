@@ -23,7 +23,6 @@ Clifford-valued operators exactly, independent of the matrix dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from operator import matmul
 from typing import List, NamedTuple, Optional, Sequence, Tuple
@@ -297,23 +296,20 @@ def sign_table_check(kmax: int = 8) -> dict:
 # -- abstract gamma-word algebra ------------------------------------------------------
 
 
-def word_times_generator(word: Word, j: int) -> Tuple[Fraction, Word]:
+def word_times_generator(word: Word, j: int) -> Tuple[int, Word]:
     """Multiply a reduced word on the right by gamma^j, with (gamma^j)^2 = -1."""
-    sign = Fraction(1)
     if j in word:
         pos = word.index(j)
-        # move gamma^j leftward past len(word)-1-pos letters to meet its twin
-        sign *= (-1) ** (len(word) - 1 - pos)
-        sign *= -1  # (gamma^j)^2 = -1
-        return sign, word[:pos] + word[pos + 1:]
+        # move gamma^j leftward past len(word)-1-pos letters to meet its twin,
+        # then (gamma^j)^2 = -1
+        return -((-1) ** (len(word) - 1 - pos)), word[:pos] + word[pos + 1:]
     # insert keeping the word sorted
     pos = sum(1 for x in word if x < j)
-    sign *= (-1) ** (len(word) - pos)
-    return sign, word[:pos] + (j,) + word[pos:]
+    return (-1) ** (len(word) - pos), word[:pos] + (j,) + word[pos:]
 
 
-def word_product(w1: Word, w2: Word) -> Tuple[Fraction, Word]:
-    sign = Fraction(1)
+def word_product(w1: Word, w2: Word) -> Tuple[int, Word]:
+    sign = 1
     word = w1
     for j in w2:
         s, word = word_times_generator(word, j)

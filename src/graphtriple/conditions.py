@@ -24,8 +24,9 @@ c is a cycle iff every coefficient of `boundary_coefficients_1graph`
 vanishes.  On a k-graph, b(c_k) = 0 and pi_D(c_k) = omega_C (x) 1 hold
 together exactly under the single exit condition
 (THEOREMS["orientability_kgraph"]), so no c_k is built.  The truncated
-b(c), pi_D(c) and the k-graph c_k checks (`check_orientation_1graph`,
-`verify_cancellation_steps`) run in `graphtriple hochschild` and the tests.
+b(c) and pi_D(c) on the 1-graph with its tails expanded one step
+(`check_orientation_1graph`) and c_k with its cancellation steps
+(`verify_cancellation_steps`) run in `graphtriple hochschild` and the tests.
 
 Dimension is a theorem: on a 1-graph the Dixmier limit at a sample is
 2 tau(p_v), or tau(p_v) where v has bounded entering paths, by the trace

@@ -4,7 +4,9 @@ orientation cycles, pi_D of those cycles, and the cancellation diagnostics.
 Chains are exact linear combinations of tensors of single generators.  Zero
 tests canonicalize every tensor slot by the same depth-aligned Cuntz-Krieger
 expansion the algebra uses, since slot entries are only well defined modulo
-the relation p_v = sum S_e S_e*.
+the relation p_v = sum S_e S_e*.  `faces` lists the terms of the boundary of
+one tensor; `HochschildChain.boundary` sums them and
+`verify_cancellation_steps` reads its three steps off them.
 
 pi_D is read from each term's path and sign, one way on both ranks and
 with no algebra product (`pi_D_identity_check`): a term
@@ -17,14 +19,17 @@ For a 1-graph, b(c) = sum_v (|v|_1 - [v emits]) p_v on the conceptual
 graph (`boundary_coefficients_1graph`), so c is a cycle exactly when every
 coefficient vanishes, and that closed form is what `conditions` reports.
 On a truncation the boundary b(c) is that sum plus the boundary residue
-and pi_D(c) = sum_e p_{r(e)}; `check_orientation_1graph` computes both, under
-EXPANSION_BUDGET, and backs `graphtriple hochschild`.  For a k-graph,
-`verify_cancellation_steps` builds c_k once, under CYCLE_BUDGET, and
-reports b(c_k) = 0, the three cancellation steps and
-pi_D(c_k) = omega_C (x) 1 from it.  pi_D(c_k) = sum_w n(w) p_w (x) omega_C,
-with n(w) the number of degree-(1,...,1) paths with range w, so both hold
-exactly under the single exit condition, which is what `conditions`
-reports; here they are computed, as the tests' oracle.
+and pi_D(c) = sum_e p_{r(e)}; `check_orientation_1graph` computes both on
+the graph with its tails expanded one step, and backs
+`graphtriple hochschild`.  Both are local to each vertex's entering and
+leaving edges, so a deeper expansion gives the same verdicts.  For a
+k-graph, `verify_cancellation_steps` builds c_k once, under CYCLE_BUDGET,
+and walks the faces of its terms once: they give b(c_k), the three
+cancellation steps, and with pi_D(c_k) = omega_C (x) 1 the whole report.
+pi_D(c_k) = sum_w n(w) p_w (x) omega_C, with n(w) the number of
+degree-(1,...,1) paths with range w, so both hold exactly under the single
+exit condition, which is what `conditions` reports; here they are
+computed, as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import (AlgebraElement, GenKey, _multiply_keys, accumulate,
                       alignment_targets, expand_key_to, key_degree,
@@ -49,14 +54,6 @@ FactorTuple = Tuple[GenKey, ...]
 # 0.13 s at k = 5, 0.98 s at k = 6 and 8.1 s at k = 7; k = 8 took about
 # 130 s, so the budget admits the 7-graph and refuses the 8-graph.
 CYCLE_BUDGET = 5_040
-
-# check_orientation_1graph expands the 1-graph `depth` deep and works in
-# about linear time on the ambient's vertices: whole `hochschild` runs on
-# tree_with_ends(4) took 0.56, 0.89, 1.03 and 1.82 s at L = 200, 400, 800
-# and 1,600 (2-CPU sandbox, Python 3.11.7).  The budget admits it up to
-# L = 1,998 (1.7 s); at the budget a 10,000-vertex cycle took 2.4 s and a
-# 32-tail star at L = 300 (9,933 vertices) 1.7 s.
-EXPANSION_BUDGET = 10_000
 
 
 class HochschildChain:
@@ -80,18 +77,11 @@ class HochschildChain:
         """b(a_0 x ... x a_n) = sum (-1)^j ... a_j a_{j+1} ... + (-1)^n a_n a_0 x ..."""
         if self.arity < 2:
             raise ValueError("boundary needs arity >= 2")
-        amb = self.ambient
-        n = self.arity - 1
         out: Dict[FactorTuple, GaussianRational] = {}
         for fac, c in self.terms.items():
-            for j in range(n):
-                sign = GaussianRational((-1) ** j)
-                for key in _multiply_keys(amb, fac[j], fac[j + 1]):
-                    accumulate(out, fac[:j] + (key,) + fac[j + 2:], c * sign)
-            sign = GaussianRational((-1) ** n)
-            for key in _multiply_keys(amb, fac[n], fac[0]):
-                accumulate(out, (key,) + fac[1:n], c * sign)
-        return HochschildChain(amb, n, out)
+            for _, sign, face in faces(self.ambient, fac):
+                accumulate(out, face, c * sign)
+        return HochschildChain(self.ambient, self.arity - 1, out)
 
     def canonical_terms(self) -> Dict[FactorTuple, GaussianRational]:
         """Slotwise depth-aligned coefficients; empty iff the chain is zero."""
@@ -115,6 +105,19 @@ class HochschildChain:
         if not self.terms:
             return True
         return not self.canonical_terms()
+
+
+def faces(ambient, fac: FactorTuple
+          ) -> Iterator[Tuple[int, int, FactorTuple]]:
+    """The terms of b(a_0 (x) ... (x) a_n), as (j, (-1)^j, tensor): one for
+    each key of a_j a_{j+1} at j < n, and of a_n a_0, moved to the front,
+    at j = n."""
+    n = len(fac) - 1
+    for j in range(n):
+        for key in _multiply_keys(ambient, fac[j], fac[j + 1]):
+            yield j, (-1) ** j, fac[:j] + (key,) + fac[j + 2:]
+    for key in _multiply_keys(ambient, fac[n], fac[0]):
+        yield n, (-1) ** n, (key,) + fac[1:n]
 
 
 # -- orientation cycles ------------------------------------------------------------
@@ -205,25 +208,20 @@ def pi_D_identity_check(chain: HochschildChain,
         for pick in itertools.product(*choices):
             sign, word = word_product((), tuple(m for m, _ in pick))
             weight = sign * math.prod(n for _, n in pick)
-            accumulate(coeffs, (w, word), c * GaussianRational(weight))
+            accumulate(coeffs, (w, word), c * weight)
     targets = set(amb.vertices if vertices is None else vertices)
     full = tuple(range(1, amb.k + 1))
     got = {key: c for key, c in coeffs.items() if key[0] in targets}
     return {"pass": got == {(v, full): scalar for v in targets}}
 
 
-def check_orientation_1graph(g: GraphPresentation, depth: int = 3) -> dict:
+def check_orientation_1graph(g: GraphPresentation) -> dict:
     """Full 1-graph orientation report: conceptual b(c) coefficients, the
     truncated boundary against its expected boundary residue, and pi_D(c)
-    acting as the identity away from the truncation boundary.  Above
-    EXPANSION_BUDGET ambient vertices this raises WorkBudgetError before
-    expanding."""
-    size = g.expanded_size(depth)
-    if size > EXPANSION_BUDGET:
-        raise WorkBudgetError(
-            f"depth {depth} would expand to {size} vertices, over the"
-            f" budget of {EXPANSION_BUDGET}")
-    amb = g.expand(depth)
+    acting as the identity away from the truncation boundary.  The ambient
+    is g with its tails expanded one step, the smallest that holds each
+    tail's first edge: |V| + |tails| + |source tails| vertices."""
+    amb = g.expand(1)
     cycle = orientation_cycle_1graph(amb)
     coeffs = boundary_coefficients_1graph(g)
     closed_form_zero = all(v == 0 for v in coeffs.values())
@@ -254,86 +252,76 @@ def check_orientation_1graph(g: GraphPresentation, depth: int = 3) -> dict:
 
 
 def verify_cancellation_steps(g: KGraphPresentation) -> dict:
-    """Independently verify the three steps behind b(c_k) = 0.
+    """Verify the three steps behind b(c_k) = 0 on the faces of c_k.
 
-    (i) middle boundary terms vanish pairwise under the transpositions
-    t_j = (j, j+1) via the A_j / B_j partition; (ii) the paired elementary
-    tensors agree termwise; (iii) every head term is cancelled by the
-    Cuntz-Krieger sum over entering edges (single exit makes the matching
-    one-to-one).  Reports the failing step and a witness otherwise (the
-    last failure found wins).  Steps (i) and (ii) hold on every k-graph
-    by the factorisation property: for sigma and sigma t_j the merged slot
-    S_{mu^sigma_j} S_{mu^sigma_j+1} is the same segment of mu, of degree
-    e_sigma(j) + e_sigma(j+1) after the first j - 1 factors, and the other
-    slots agree too.
+    c_k is built once, and each term c S_mu* (x) S_f1 (x) ... (x) S_fk,
+    its slots the edges of mu in the colour order sigma, has its faces
+    walked once.  (i) The middle faces j = 1..k-1 cancel for each mu and
+    j: sigma and sigma t_j, t_j = (j, j+1), pair A_j with B_j.  (ii) Each
+    pair gives the same tensor: S_fj S_fj+1 is the same segment of mu.
+    (iii) Face 0 is S_lambda* (x) S_f2 (x) ... with mu = f1 lambda; it is
+    cancelled through the Cuntz-Krieger sum over the edges of colour
+    sigma(1) that enter s(lambda), so each (lambda, sigma) must head one
+    term (single exit makes the matching one-to-one).  Steps (i) and (ii)
+    hold on every k-graph by the factorisation property.  A failing step
+    reports a witness (the last failure found wins).
 
-    c_k is built once, and both b(c_k) = 0 (`b_ck_zero`) and
-    pi_D(c_k) = omega_C (x) 1 (`pi_D_is_volume_form`, from
-    `pi_D_identity_check`) are read off it.  `pass` is the three steps and
-    b(c_k) = 0; it does not include pi_D.  c_k has k! |Lambda^(1,..,1)|
-    terms; above CYCLE_BUDGET of them this raises WorkBudgetError before
-    building anything.
+    All the faces summed give b(c_k) (`b_ck_zero`), and
+    pi_D(c_k) = omega_C (x) 1 (`pi_D_is_volume_form`) is read off c_k by
+    `pi_D_identity_check`.  `pass` is the three steps and b(c_k) = 0; it
+    does not include pi_D.  c_k has k! |Lambda^(1,..,1)| terms; above
+    CYCLE_BUDGET of them this raises WorkBudgetError before building
+    anything.
     """
     k = g.k
-    mus = g.unit_degree_paths()
-    terms = math.factorial(k) * len(mus)
+    paths = len(g.unit_degree_paths())
+    terms = math.factorial(k) * paths
     if terms > CYCLE_BUDGET:
         raise WorkBudgetError(
-            f"c_k has {k}! x {len(mus)} = {terms} terms, over the budget"
+            f"c_k has {k}! x {paths} = {terms} terms, over the budget"
             f" of {CYCLE_BUDGET}")
-    perms = list(itertools.permutations(range(1, k + 1)))
+    cycle = orientation_cycle_kgraph(g)
+
+    boundary: Dict[FactorTuple, GaussianRational] = {}
+    middle: Dict[tuple, Dict[tuple, Tuple[FactorTuple, GaussianRational]]] = {}
+    head_counts: Dict[tuple, int] = {}
+    for fac, c in cycle.terms.items():
+        mu = fac[0][1]
+        sigma = tuple(g.edge_color(p[0]) for p, _, _ in fac[1:])
+        for j, sign, face in faces(g, fac):
+            coeff = c * sign
+            accumulate(boundary, face, coeff)
+            if j == 0:
+                head = (face[0][1], sigma)
+                head_counts[head] = head_counts.get(head, 0) + 1
+            elif j < k:
+                middle.setdefault((mu, j), {})[sigma] = (face, coeff)
 
     step1_ok, step1_witness = True, None
     step2_ok, step2_witness = True, None
-    head_counts: Dict[tuple, int] = {}
-    for mu in mus:
-        star = make_key(g, (), mu)
-        pieces = {sigma: g.factorize(mu, sigma) for sigma in perms}
-        for sigma, factors in pieces.items():
-            lam = ()
-            for piece in factors[1:]:
-                lam = g.compose(lam, piece)
-            head_counts[(lam, sigma)] = head_counts.get((lam, sigma), 0) + 1
-        for j in range(1, k):
-            merged = {sigma: _merged_tensor(g, star, factors, j)
-                      for sigma, factors in pieces.items()}
-            total: Dict[FactorTuple, GaussianRational] = {}
-            for sigma, tensor in merged.items():
-                accumulate(total, tensor, permutation_sign(sigma))
-                if sigma[j - 1] > sigma[j]:
-                    continue  # sigma in B_j; its pair in A_j compares it
-                tau = sigma[:j - 1] + (sigma[j], sigma[j - 1]) + sigma[j + 1:]
-                if tensor != merged[tau]:
-                    step2_ok, step2_witness = False, {
-                        "mu": mu, "sigma": sigma, "j": j,
-                    }
-            if total:
-                step1_ok, step1_witness = False, {"mu": mu, "j": j}
+    for (mu, j), by_sigma in middle.items():
+        total: Dict[FactorTuple, GaussianRational] = {}
+        for sigma, (face, coeff) in by_sigma.items():
+            accumulate(total, face, coeff)
+            tau = sigma[:j - 1] + (sigma[j], sigma[j - 1]) + sigma[j + 1:]
+            if sigma[j - 1] < sigma[j] and face != by_sigma[tau][0]:
+                step2_ok, step2_witness = False, {
+                    "mu": mu, "sigma": sigma, "j": j,
+                }
+        if total:
+            step1_ok, step1_witness = False, {"mu": mu, "j": j}
 
     step3_ok, step3_witness = True, None
     for (lam, sigma), count in sorted(head_counts.items()):
         if count != 1:
-            step3_ok = False
-            step3_witness = {
+            step3_ok, step3_witness = False, {
                 "vertex": g.path_source(lam) if lam else None,
                 "lambda": lam,
                 "sigma": sigma,
                 "head_multiplicity": count,
             }
-            continue
-        color = sigma[0]
-        w = g.path_range(lam)
-        ck = AlgebraElement.zero(g)
-        for eid in g.out_edges(w):
-            if g.edge_color(eid) == color:
-                e = AlgebraElement.generator(g, (eid,), ())
-                ck = ck + e * e.involution()
-        if not ck.equals(AlgebraElement.vertex(g, w)):
-            step3_ok = False
-            step3_witness = {"vertex": w, "color": color, "ck_sum_defect": True}
 
-    cycle = orientation_cycle_kgraph(g)
-    b_zero = cycle.boundary().is_zero()
+    b_zero = HochschildChain(g, k, boundary).is_zero()
     return {
         "step1_middle_terms_vanish": step1_ok,
         "step1_witness": step1_witness,
@@ -345,11 +333,3 @@ def verify_cancellation_steps(g: KGraphPresentation) -> dict:
         "pi_D_is_volume_form": pi_D_identity_check(cycle)["pass"],
         "pass": step1_ok and step2_ok and step3_ok and b_zero,
     }
-
-
-def _merged_tensor(g: KGraphPresentation, star: GenKey,
-                   pieces: Tuple[Word, ...], j: int) -> FactorTuple:
-    """S_mu* (x) ... (x) S_{mu^s_j} S_{mu^s_{j+1}} (x) ... with slots merged at j."""
-    merged = make_key(g, g.compose(pieces[j - 1], pieces[j]), ())
-    return ((star,) + tuple(make_key(g, p, ()) for p in pieces[:j - 1])
-            + (merged,) + tuple(make_key(g, p, ()) for p in pieces[j + 1:]))

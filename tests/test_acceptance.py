@@ -109,7 +109,7 @@ def test_criterion_3_orientation_1graphs():
     ok = True
     assert len(ORIENTATION_CORPUS_1GRAPH) >= 10
     for name, g in ORIENTATION_CORPUS_1GRAPH:
-        rep = check_orientation_1graph(g, depth=3)
+        rep = check_orientation_1graph(g)
         ok = ok and rep["closed_form_zero"]
         ok = ok and rep["truncated_boundary_is_boundary_residue"]
         ok = ok and rep["pi_D_identity_on_interior"]

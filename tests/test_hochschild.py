@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from graphtriple.hochschild import (HochschildChain,
                                     orientation_cycle_kgraph,
                                     permutation_sign, pi_D_identity_check,
                                     verify_cancellation_steps)
+from graphtriple.kgraphs import KGraphPresentation
 from graphtriple.scalars import ONE, GaussianRational
 
 from corpus import (ORIENTATION_CORPUS_1GRAPH, double_entry_tree, dyadic_tree,
@@ -34,6 +36,12 @@ ALL_1GRAPHS = ORIENTATION_CORPUS_1GRAPH + [
     ("double_entry_tree", double_entry_tree()),
     ("two_disjoint_loops", two_disjoint_loops()),
 ]
+
+
+# every k-graph of the corpus, single exit or not
+KGRAPHS = [torus_2graph(), two_vertex_2graph(), one_vertex_3graph(),
+           single_exit_violating_2graph(), two_extension_2graph(),
+           *(one_vertex_kgraph(k) for k in (4, 5, 6))]
 
 
 def chain_of(amb, *factors, coeff=GaussianRational(1)):
@@ -118,25 +126,69 @@ class TestOrientation1Graph:
 
     @pytest.mark.parametrize("name,g", ORIENTATION_CORPUS_1GRAPH)
     def test_corpus_orientable(self, name, g):
-        rep = check_orientation_1graph(g, depth=3)
+        rep = check_orientation_1graph(g)
         assert rep["closed_form_zero"], name
         assert rep["truncated_boundary_is_boundary_residue"], name
         assert rep["pi_D_identity_on_interior"], name
 
     def test_double_entry_not_orientable(self):
-        rep = check_orientation_1graph(double_entry_tree(), depth=3)
+        rep = check_orientation_1graph(double_entry_tree())
         assert not rep["closed_form_zero"]
         assert not rep["orientable"]
 
-    @pytest.mark.parametrize("level", [1, 2, 3])
     @pytest.mark.parametrize("name,g", ALL_1GRAPHS)
-    def test_truncated_checks_agree_with_closed_form(self, name, g, level):
+    def test_truncated_checks_agree_with_closed_form(self, name, g):
         # conditions decides 1-graph orientability from b(c)'s coefficients
         # alone; the truncated checks must give the same verdict
         closed = all(c == 0 for c in boundary_coefficients_1graph(g).values())
-        rep = check_orientation_1graph(g, depth=level)
+        rep = check_orientation_1graph(g)
         assert rep["orientable"] == closed, name
         assert rep["truncated_boundary_is_boundary_residue"] == closed, name
+
+
+def closed_forms(g, amb):
+    """b(c) and pi_D(c) on amb = g.expand(d), from g alone: on the core,
+    b(c) = sum_v (|v|_1 - [v emits]) p_v and pi_D(c) = sum_v |v|_1 p_v;
+    each added tail vertex is entered once, so it adds p_w to pi_D(c), and
+    to b(c) the residue p_w at the outer end of a tail and -p_w at the
+    outer end of a source tail."""
+    def projections(weights):
+        return AlgebraElement(amb, {((), (), v): GaussianRational(n)
+                                    for v, n in weights.items()})
+    added = set(amb.vertices) - set(g.vertices)
+    b = {**boundary_coefficients_1graph(g),
+         **{w: 1 for w in amb.boundary_out},
+         **{w: -1 for w in amb.boundary_in}}
+    pi = {**{v: g.conceptual_in_degree(v) for v in g.vertices},
+          **{w: 1 for w in added - set(amb.boundary_in)}}
+    return projections(b), projections(pi)
+
+
+class TestDepthIndependence:
+    """The truncated b(c) and pi_D(c) are their closed forms at every tail
+    depth, so `check_orientation_1graph` reads them at depth 1."""
+
+    @staticmethod
+    def check(g, depth):
+        amb = g.expand(depth)
+        cycle = orientation_cycle_1graph(amb)
+        b, pi = closed_forms(g, amb)
+        got = AlgebraElement(
+            amb, {fac[0]: c for fac, c in cycle.boundary().terms.items()})
+        assert got.equals(b)
+        assert pi_D(cycle).equals(pi)
+        assert pi_D_identity_check(cycle, interior(amb), ONE)["pass"] \
+            == check_orientation_1graph(g)["pi_D_identity_on_interior"]
+
+    @pytest.mark.parametrize("depth", range(1, 7))
+    @pytest.mark.parametrize("name,g", ALL_1GRAPHS)
+    def test_corpus(self, name, g, depth):
+        self.check(g, depth)
+
+    @given(digraphs(max_vertices=5), st.integers(1, 6))
+    @settings(max_examples=80, deadline=None)
+    def test_digraphs_with_tails_and_source_tails(self, g, depth):
+        self.check(g, depth)
 
 
 class TestOrientationKGraph:
@@ -200,17 +252,49 @@ class TestOrientationKGraph:
         assert rep["step3_ck_cancellation"]
         assert rep["pass"]
 
+    @pytest.mark.parametrize("g", KGRAPHS)
+    def test_factorises_each_term_once_and_forms_no_element_product(
+            self, g, monkeypatch):
+        # c_k is built once, and its faces give every step and b(c_k)
+        calls = []
+        factorize = KGraphPresentation.factorize
+
+        def counted(self, mu, sigma):
+            calls.append((mu, tuple(sigma)))
+            return factorize(self, mu, sigma)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("formed an element product")
+        monkeypatch.setattr(KGraphPresentation, "factorize", counted)
+        monkeypatch.setattr(AlgebraElement, "__mul__", refuse)
+        rep = verify_cancellation_steps(g)
+        assert len(calls) == len(set(calls)) \
+            == math.factorial(g.k) * len(g.unit_degree_paths())
+        assert rep["pass"] == g.single_exit_check()["holds"]
+
+    @pytest.mark.parametrize("g", [torus_2graph(), two_vertex_2graph(),
+                                   one_vertex_3graph()])
+    def test_negated_permutation_fails_step1(self, g, monkeypatch):
+        # the mutant cycle gives the identity permutation the sign of its
+        # transpositions, so each middle face of mu pairs up uncancelled
+        exact = hochschild.permutation_sign
+
+        def negated(sigma):
+            return -exact(sigma) if list(sigma) == sorted(sigma) else \
+                exact(sigma)
+        monkeypatch.setattr(hochschild, "permutation_sign", negated)
+        rep = verify_cancellation_steps(g)
+        assert not rep["step1_middle_terms_vanish"] and not rep["pass"]
+        assert rep["step1_witness"] == {"mu": g.unit_degree_paths()[-1],
+                                        "j": g.k - 1}
+        assert rep["step2_elementary_tensors_equal"]
+
 
 def interior(amb):
     """The vertices away from the cut on which check_orientation_1graph
     reads pi_D(c)."""
     return [v for v in amb.vertices
             if amb.in_edges(v) and v not in amb.boundary_out]
-
-
-KGRAPHS = [torus_2graph(), two_vertex_2graph(), one_vertex_3graph(),
-           single_exit_violating_2graph(), two_extension_2graph(),
-           *(one_vertex_kgraph(k) for k in (4, 5, 6))]
 
 
 class TestPiDFromPaths:
