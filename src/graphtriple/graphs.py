@@ -304,14 +304,14 @@ class CoreStructure:
             verts = tuple(g.edges[e].source for e in walk)
             # a second out-edge at a cycle vertex leaves the cycle or runs
             # parallel inside it, an exit either way
-            has_exit = any(v in g.tails or len(g.out_edges(v)) > 1
+            has_exit = any(v in g.tail_set or len(g.out_edges(v)) > 1
                            for v in verts)
             cycles.append(CoreCycle(verts, tuple(walk), has_exit))
 
         depth: Dict[str, Optional[int]] = {}
         for i in reversed(range(len(comps))):  # sources first
             for v in comps[i]:
-                if i in cyclic or v in g.source_tails:
+                if i in cyclic or v in g.source_tail_set:
                     depth[v] = None
                     continue
                 preds = [depth[g.edges[e].source] for e in g.in_edges(v)]
@@ -343,6 +343,9 @@ class GraphPresentation(EdgeSkeleton):
         self.vertices: Tuple[str, ...] = tuple(sorted(vertices))
         self.tails: Tuple[str, ...] = tuple(sorted(tails))
         self.source_tails: Tuple[str, ...] = tuple(sorted(source_tails))
+        # the sorted tuples are what reports print; membership tests use sets
+        self.tail_set: FrozenSet[str] = frozenset(self.tails)
+        self.source_tail_set: FrozenSet[str] = frozenset(self.source_tails)
         self._validate(edges)
         self._index_edges(edges)
 
@@ -358,14 +361,14 @@ class GraphPresentation(EdgeSkeleton):
         for v in self.tails:
             if v not in vset:
                 raise GraphValidationError(f"tail mark on undeclared vertex {v!r}")
-        if len(set(self.tails)) != len(self.tails):
+        if len(self.tail_set) != len(self.tails):
             raise GraphValidationError("duplicate tail mark")
         for v in self.source_tails:
             if v not in vset:
                 raise GraphValidationError(
                     f"source tail mark on undeclared vertex {v!r}"
                 )
-        if len(set(self.source_tails)) != len(self.source_tails):
+        if len(self.source_tail_set) != len(self.source_tails):
             raise GraphValidationError("duplicate source tail mark")
         # a tail mark makes its vertex emit, so marked vertices are never
         # sinks; the smallest tail graph is a single marked vertex
@@ -373,13 +376,13 @@ class GraphPresentation(EdgeSkeleton):
     # -- basic structure ----------------------------------------------------
 
     def is_sink(self, v: str) -> bool:
-        return not self._out[v] and v not in self.tails
+        return not self._out[v] and v not in self.tail_set
 
     def is_source(self, v: str) -> bool:
-        return not self._in[v] and v not in self.source_tails
+        return not self._in[v] and v not in self.source_tail_set
 
     def conceptual_in_degree(self, v: str) -> int:
-        return len(self._in[v]) + (1 if v in self.source_tails else 0)
+        return len(self._in[v]) + (1 if v in self.source_tail_set else 0)
 
     @cached_property
     def _core(self) -> "CoreStructure":

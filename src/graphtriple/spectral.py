@@ -25,6 +25,7 @@ nothing of this module; `Truncation.basis` is built on first read.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -299,7 +300,7 @@ def vertex_multiplicities(g: GraphPresentation, trace: GraphTrace,
                                  for u, n in counts.items()), Fraction(0)))
         nxt: Dict[str, int] = {}
         for u, n in counts.items():
-            if u in g.tails:
+            if u in g.tail_set:
                 tails += n * trace.end_values[f"tail:{u}"]
             for eid in g.out_edges(u):
                 w = g.edges[eid].range
@@ -366,8 +367,9 @@ class SpectralProfile:
 
 
 # The profile walks its window in blocks of at most PROFILE_BLOCK levels: at
-# window 10^6 (2-CPU sandbox) 2^14 to 2^17 took 21-24 ms, against 22-25 ms for
-# whole-window buffers.  A window of PROFILE_BUDGET levels takes about 2.2 s.
+# window 10^6 (2-CPU sandbox, integer masses) blocks of 2^14 to 2^17 took
+# 12-13 ms at best, against 17 ms for whole-window buffers.  A window of
+# PROFILE_BUDGET levels takes about 1.3 s.
 PROFILE_BLOCK = 1 << 15
 PROFILE_BUDGET = 10 ** 8
 
@@ -405,6 +407,44 @@ def _pairwise_sum(start: int, n: int, leaf):
             + _pairwise_sum(start + half, n - half, leaf))
 
 
+def _exact_level_prefix(model: MultiplicityModel, window: int,
+                        idx) -> Optional[List[float]]:
+    """The cumulative level mass sum_{j<=i} mass(j) at each level i of idx,
+    as the float the running sum of the per-level floats gives, or None when
+    that sum may round.
+
+    When every level mass on 0..window is k/2^e (one e <= 1074, so 2^-e is
+    a float; integer k >= 0) and 2^e times their total is below 2^53, every
+    per-level float and every partial sum is exact, so the running sum is
+    the integer prefix over 2^e, which int / int returns exactly.  Every
+    denominator is checked, not only the largest: a mass of 1/3 beside 1/4
+    makes the running sum round."""
+    head = model.forward_head[:window + 1]
+    n = len(head)
+    d = model.backward_depth
+    back_stop = window + 1 if d is None else min(d, window) + 1
+    tail = model.forward_tail if n <= window else Fraction(0)
+    vertex = model.vertex_mass if back_stop > 1 else Fraction(0)
+    masses = head + [tail, vertex]
+    scale = max(m.denominator for m in masses)
+    if (scale & (scale - 1) or scale.bit_length() > 1075
+            or any(m < 0 or scale % m.denominator for m in masses)):
+        return None
+    head_sums = list(itertools.accumulate(
+        h.numerator * (scale // h.denominator) for h in head))
+    tail_k = tail.numerator * (scale // tail.denominator)
+    vertex_k = vertex.numerator * (scale // vertex.denominator)
+
+    def prefix(i: int) -> int:
+        return ((head_sums[min(i, n - 1)] if n else 0)
+                + tail_k * max(0, i + 1 - n)
+                + vertex_k * max(0, min(i, back_stop - 1)))
+
+    if prefix(window) >= 1 << 53:
+        return None
+    return [prefix(int(i)) / scale for i in idx]
+
+
 def singular_profile(model: MultiplicityModel, window: int) -> SpectralProfile:
     """F_T profile of the operator with eigenvalue (1+k^2)^{-1/2} at gauge
     degree k and tau~-mass model.mass(k), sampled at 48 geometrically spaced
@@ -418,11 +458,13 @@ def singular_profile(model: MultiplicityModel, window: int) -> SpectralProfile:
     memory does not grow with the window and time is linear in it; a window
     above PROFILE_BUDGET raises WorkBudgetError before any work.  Two block
     buffers are reused: `grid` holds 1 + k^2, the eigenvalues, then
-    eigenvalue * mass and its running sum; `level` the zeta terms, then the
-    level mass and its running sum.  Slot 0 of each carries the running sum
-    so far, so cumsum adds in whole-window order, and `_pairwise_sum` adds
-    the blocks' zeta sums up numpy's tree: every reported float is the one
-    the whole-array form gives."""
+    eigenvalue * mass and its running sum; `level` the zeta terms.  The
+    sampled cumulative level mass comes from `_exact_level_prefix` when the
+    masses are dyadic; otherwise `level` then holds the level mass and its
+    running sum.  Slot 0 of each running-sum buffer carries the sum so far,
+    so cumsum adds in whole-window order, and `_pairwise_sum` adds the
+    blocks' zeta sums up numpy's tree: every reported float is the one the
+    whole-array form gives."""
     if window > PROFILE_BUDGET:
         raise WorkBudgetError(
             f"a profile window of {window} levels exceeds the budget of"
@@ -437,7 +479,10 @@ def singular_profile(model: MultiplicityModel, window: int) -> SpectralProfile:
     s = 0.5 + 1.0 / math.log(window)
     idx = np.geomspace(8, window, num=48).astype(np.int64)
     idx = np.unique(np.clip(idx, 8, window))
+    exact = _exact_level_prefix(model, window, idx)
     t_vals, int_vals = np.empty((2, len(idx)))
+    if exact is not None:
+        t_vals[:] = exact
     grid, level = np.zeros((2, PROFILE_BLOCK + 1))
 
     def block(a: int, b: int):
@@ -454,13 +499,17 @@ def singular_profile(model: MultiplicityModel, window: int) -> SpectralProfile:
         np.divide(1.0, g, out=g)  # eigenvalues (1 + k^2)^{-1/2}
         for lo, hi, value in runs:
             g[lo:hi] *= value
-            lv[lo:hi] = value
         np.cumsum(grid[:m + 1], out=grid[:m + 1])
-        np.cumsum(level[:m + 1], out=level[:m + 1])
         i, j = np.searchsorted(idx, [a, b])
         at = idx[i:j] - (a - 1)
-        t_vals[i:j], int_vals[i:j] = level[at], grid[at]
-        grid[0], level[0] = grid[m], level[m]
+        int_vals[i:j] = grid[at]
+        grid[0] = grid[m]
+        if exact is None:
+            for lo, hi, value in runs:
+                lv[lo:hi] = value
+            np.cumsum(level[:m + 1], out=level[:m + 1])
+            t_vals[i:j] = level[at]
+            level[0] = level[m]
         return zeta_terms
 
     zeta = float(_pairwise_sum(0, window + 1, block) * (s - 0.5))

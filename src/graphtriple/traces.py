@@ -96,7 +96,7 @@ def solve_graph_trace(
             if v in fixed:
                 values[v] = fixed[v]
                 continue
-            total = ev[f"tail:{v}"] if v in g.tails else Fraction(0)
+            total = ev[f"tail:{v}"] if v in g.tail_set else Fraction(0)
             for eid in g.out_edges(v):
                 total += values[g.edges[eid].range]
             values[v] = total
@@ -190,7 +190,7 @@ def _stationary_end(g: GraphPresentation) -> Dict[str, Optional[str]]:
             outs = g.out_edges(v)
             if v in on_end:
                 out[v] = on_end[v]
-            elif v in g.tails:
+            elif v in g.tail_set:
                 out[v] = None if outs else f"tail:{v}"
             elif len(outs) == 1 and len(comp) == 1:
                 out[v] = out[g.edges[outs[0]].range]
@@ -259,7 +259,7 @@ def _fold_into_ends(presentation: GraphPresentation, queue: list,
             add(src, end_id, c)
             continue
         successors = [presentation.edges[e].range for e in presentation.out_edges(u)]
-        if u in presentation.tails:
+        if u in presentation.tail_set:
             # the tail branch is already stationary
             add(src, f"tail:{u}", c)
         elif not successors:

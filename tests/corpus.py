@@ -1,5 +1,7 @@
 """Hand-built presentations shared across the test modules."""
 
+import random
+
 from graphtriple.graphs import Edge, GraphPresentation
 from graphtriple.kgraphs import KGraphPresentation
 
@@ -70,6 +72,20 @@ def dyadic_tree(depth: int) -> GraphPresentation:
                 nxt.append(w)
         level = nxt
     return GraphPresentation(verts, edges, tails=level, source_tails=["r"])
+
+
+def random_tree(n: int, seed: int = 0) -> GraphPresentation:
+    """A random single-entry tree on v0..v{n-1}: vertex i hangs off one of
+    the 50 vertices before it, every leaf carries a tail and the root v0 a
+    source tail."""
+    rng = random.Random(seed)
+    verts = [f"v{i}" for i in range(n)]
+    parents = [rng.randrange(max(0, i - 50), i) for i in range(1, n)]
+    edges = [Edge(f"e{i}", f"v{p}", f"v{i}")
+             for i, p in enumerate(parents, start=1)]
+    leaves = set(range(n)) - set(parents)
+    return GraphPresentation(verts, edges, tails=[f"v{i}" for i in leaves],
+                             source_tails=["v0"])
 
 
 def sink_path() -> GraphPresentation:

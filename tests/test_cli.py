@@ -17,12 +17,12 @@ from graphtriple.clifford import KMAX
 from graphtriple.cli import (EX_CANTCREAT, EX_DATAERR, EX_NOINPUT,
                              EX_UNAVAILABLE, EX_USAGE, run)
 
-from corpus import (loop_with_exit, single_loop, torus_2graph,
-                    tree_with_ends)
+from corpus import (loop_with_exit, random_tree, single_loop,
+                    torus_2graph, tree_with_ends)
 from graphtriple.graphs import (GraphPresentation, GraphValidationError,
                                graph_from_document, graph_to_document)
 from graphtriple.spectral import vertex_multiplicities
-from graphtriple.traces import solve_graph_trace
+from graphtriple.traces import canonical_F_form_numeric, solve_graph_trace
 
 
 @pytest.fixture
@@ -862,3 +862,38 @@ class TestFuzzedDocuments:
             assert first[0] in _DOCUMENT_EXITS, (argv, first)
             assert "Traceback" not in first[2]
             assert _call(argv) == first
+
+
+def test_no_request_tests_membership_on_the_tail_tuples(tmp_path,
+                                                        monkeypatch):
+    """`tails` and `source_tails` are sorted tuples for the reports; every
+    membership test goes through the frozensets beside them, so none is
+    O(n) per vertex on a large tree."""
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(graph_to_document(random_tree(300))))
+    tested = []
+
+    class CountingTuple(tuple):
+        def __contains__(self, item):
+            tested.append(item)
+            return tuple.__contains__(self, item)
+
+    init = GraphPresentation.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.tails = CountingTuple(self.tails)
+        self.source_tails = CountingTuple(self.source_tails)
+
+    monkeypatch.setattr(GraphPresentation, "__init__", counting_init)
+    for argv in (["analyze", str(path)], ["trace", str(path)],
+                 ["conditions", str(path)],
+                 ["spectral", str(path), "--vertex", "v0",
+                  "--window", "1000"]):
+        code, _, err = _call(argv)
+        assert code in (0, 2, 3), (argv, err)
+    # the fixed-point canonical form no request reaches, walked from every
+    # vertex to its ends
+    g = random_tree(300)
+    canonical_F_form_numeric([(1, v) for v in g.vertices], g)
+    assert tested == []

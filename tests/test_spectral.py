@@ -346,6 +346,8 @@ def _profile_or_error(fn, model, window):
 _MASSES_LIST = [Fraction(0), Fraction(1), Fraction(1, 3), Fraction(2),
                 Fraction(5, 2), Fraction(22, 7)]
 _MASSES = st.sampled_from(_MASSES_LIST)
+_DYADIC = [Fraction(1, 4), Fraction(3, 8), Fraction(0), Fraction(2),
+           Fraction(5, 2)]
 _BLOCK = spectral.PROFILE_BLOCK
 
 
@@ -396,6 +398,57 @@ class TestProfileBuffers:
     def test_matches_oracle_at_block_edges(self, model, window):
         assert _profile_or_error(singular_profile, model, window) == \
             _profile_or_error(singular_profile_oracle, model, window)
+
+    @pytest.mark.parametrize("model, window, exact", [
+        # the largest denominator is a power of two, another is not
+        (MultiplicityModel(Fraction(1, 2), [Fraction(1, 4), Fraction(1, 3)],
+                           Fraction(3, 4), None), 10 ** 5, False),
+        # dyadic, but 2^e times the window total reaches 2^53
+        (MultiplicityModel(Fraction(1), [Fraction(3, 2)], Fraction(2 ** 34),
+                           None), 10 ** 6, False),
+        # integer masses whose window total is just below 2^53
+        (MultiplicityModel(Fraction(1), [Fraction(3)], Fraction(2 ** 32),
+                           7), 10 ** 6, True),
+        # dyadic, a head longer than one block, the backward cut mid-block
+        (MultiplicityModel(Fraction(3, 4),
+                           [_DYADIC[j % 5] for j in range(_BLOCK + 100)],
+                           Fraction(1, 8), _BLOCK + _BLOCK // 2),
+         3 * _BLOCK, True),
+    ], ids=["mixed-denominators", "total-over-2^53", "total-under-2^53",
+            "long-dyadic-head"])
+    def test_exactness_guard_matches_oracle(self, model, window, exact):
+        assert (spectral._exact_level_prefix(model, window, [window])
+                is not None) == exact
+        assert _profile_or_error(singular_profile, model, window) == \
+            _profile_or_error(singular_profile_oracle, model, window)
+
+    @pytest.mark.parametrize("mass, cumsums_per_block", [
+        (None, 1), (Fraction(1, 3), 2)], ids=["tree3-integer", "one-third"])
+    def test_exact_route_runs_one_cumsum_per_block(self, mass,
+                                                   cumsums_per_block,
+                                                   monkeypatch):
+        """Dyadic masses read the cumulative level mass off the model; only
+        the eigenvalue * mass running sum is left in the block walk."""
+        g = tree_with_ends(3)
+        model = vertex_multiplicities(g, solve_graph_trace(g), "b")
+        if mass is not None:
+            model = MultiplicityModel(mass, [mass] * 3, mass, None)
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np, "cumsum", counting("cumsum", np.cumsum))
+        # one call of _mass_runs per block
+        monkeypatch.setattr(spectral, "_mass_runs",
+                            counting("block", spectral._mass_runs))
+        singular_profile(model, 10 ** 6)
+        blocks = calls.count("block")
+        assert blocks >= (10 ** 6 + 1) / _BLOCK
+        assert calls.count("cumsum") == cumsums_per_block * blocks
 
     def test_corpus_models_match_oracle(self):
         from corpus import sink_path
