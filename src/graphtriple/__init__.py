@@ -9,25 +9,24 @@ for semifinite nonunital noncommutative manifolds, exactly or by a stated
 theorem; Dixmier limits come from closed forms.
 """
 
-from .algebra import AlgebraElement
-from .graphs import Edge, End, GraphPresentation, parse_graph
-from .kgraphs import KGraphPresentation, parse_kgraph
-from .scalars import GaussianRational
-from .traces import GraphTrace, solve_graph_trace, trace_functional
+import importlib
+
+# Each re-exported name and the module that defines it: the module is
+# imported on the name's first access, so `import graphtriple` and a
+# subcommand load only the layers they use.
+_EXPORTS = {"AlgebraElement": "algebra", "Edge": "graphs", "End": "graphs",
+            "GaussianRational": "scalars", "GraphPresentation": "graphs",
+            "GraphTrace": "traces", "KGraphPresentation": "kgraphs",
+            "parse_graph": "graphs", "parse_kgraph": "kgraphs",
+            "solve_graph_trace": "traces", "trace_functional": "traces"}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraElement",
-    "Edge",
-    "End",
-    "GaussianRational",
-    "GraphPresentation",
-    "GraphTrace",
-    "KGraphPresentation",
-    "parse_graph",
-    "parse_kgraph",
-    "solve_graph_trace",
-    "trace_functional",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__),
+                   name)

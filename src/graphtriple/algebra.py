@@ -388,7 +388,12 @@ def _meet(ambient, nu1: Word, v1: str, mu2: Word, v2: str
 
 def sum_of_vertex_projections(ambient, vertices: Optional[Iterable[str]] = None
                               ) -> AlgebraElement:
-    out = AlgebraElement.zero(ambient)
-    for v in sorted(vertices if vertices is not None else ambient.vertices):
-        out = out + AlgebraElement.vertex(ambient, v)
-    return out
+    """sum_v p_v over `vertices` (all of the ambient's by default), built
+    as one element; ValueError for a vertex the ambient does not have."""
+    known = set(ambient.vertices)
+    terms: Dict[GenKey, GaussianRational] = {}
+    for v in sorted(vertices if vertices is not None else known):
+        if v not in known:
+            raise ValueError(f"unknown vertex {v!r}")
+        accumulate(terms, ((), (), v), ONE)
+    return AlgebraElement(ambient, terms)

@@ -13,6 +13,10 @@ the conditions subcommand exits 0 when all nine hold, 2 when some fail and
 `run(argv)` may be called many times in one process.  The argument parser
 depends on no input, so the first call builds it and later calls reuse it;
 each call still reads its input and builds its work afresh.
+
+Importing this module loads only `graphs`, `kgraphs` and `clifford` (for
+KMAX); each subcommand imports the layers it runs, so `clifford` loads no
+other and `conditions` never loads `algebra`, `hochschild` or `spectral`.
 """
 
 from __future__ import annotations
@@ -24,15 +28,9 @@ import sys
 from fractions import Fraction
 
 from .clifford import KMAX, sign_table_check
-from .conditions import (_jsonable, evaluate_all, hypothesis_check,
-                         kgraph_hypothesis_check)
 from .graphs import (GraphFormatError, GraphPresentation, GraphValidationError,
                      WorkBudgetError, graph_from_document, read_document)
-from .hochschild import check_orientation_1graph, verify_cancellation_steps
 from .kgraphs import kgraph_from_document
-from .spectral import (singular_profile, total_multiplicities,
-                       vertex_multiplicities)
-from .traces import ktheory_ranks, solve_graph_trace, solve_kgraph_trace
 
 EX_USAGE = 64
 EX_DATAERR = 65
@@ -108,7 +106,18 @@ def _end_values(args, g):
     return out
 
 
+def _jsonable(obj):
+    """obj with dict keys as strings, sequences as lists and other
+    non-JSON leaves as their str()."""
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(x) for x in obj]
+    return obj if isinstance(obj, (str, int, float, bool, type(None))) else str(obj)
+
+
 def _cmd_analyze(args) -> int:
+    from .conditions import hypothesis_check, kgraph_hypothesis_check
     g = _load(args.input)
     if isinstance(g, GraphPresentation):
         classification = g.classify()
@@ -136,6 +145,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    from .traces import solve_graph_trace, solve_kgraph_trace
     g = _load(args.input)
     end_values = _end_values(args, g)
     if isinstance(g, GraphPresentation):
@@ -152,6 +162,7 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_ktheory(args) -> int:
+    from .traces import ktheory_ranks
     g = _load(args.input)
     if not isinstance(g, GraphPresentation):
         print("K-theory ranks are computed for 1-graphs", file=sys.stderr)
@@ -161,6 +172,7 @@ def _cmd_ktheory(args) -> int:
 
 
 def _cmd_hochschild(args) -> int:
+    from .hochschild import check_orientation_1graph, verify_cancellation_steps
     g = _load(args.input)
     if isinstance(g, GraphPresentation):
         report = check_orientation_1graph(g)
@@ -209,6 +221,9 @@ def _cmd_clifford(args) -> int:
 
 
 def _cmd_spectral(args) -> int:
+    from .spectral import (singular_profile, total_multiplicities,
+                           vertex_multiplicities)
+    from .traces import solve_graph_trace
     g = _load(args.input)
     if not isinstance(g, GraphPresentation):
         print("spectral profiles are computed for 1-graphs", file=sys.stderr)
@@ -230,6 +245,7 @@ def _cmd_spectral(args) -> int:
 
 
 def _cmd_conditions(args) -> int:
+    from .conditions import evaluate_all
     g = _load(args.input)
     try:
         report = evaluate_all(

@@ -20,13 +20,14 @@ truncation and forms no product, and refuses a k-graph with k > KMAX and
 a 1-graph level whose count would exceed LEVEL_BUDGET.
 
 Orientability is read from the presentation on both ranks.  On a 1-graph,
-c is a cycle iff every coefficient of `boundary_coefficients_1graph`
-vanishes.  On a k-graph, b(c_k) = 0 and pi_D(c_k) = omega_C (x) 1 hold
-together exactly under the single exit condition
-(THEOREMS["orientability_kgraph"]), so no c_k is built.  The truncated
-b(c) and pi_D(c) on the 1-graph with its tails expanded one step
-(`check_orientation_1graph`) and c_k with its cancellation steps
-(`verify_cancellation_steps`) run in `graphtriple hochschild` and the tests.
+c is a cycle iff every coefficient of `graphs.boundary_coefficients_1graph`
+vanishes, so `conditions` imports neither `hochschild` nor `algebra`.  On
+a k-graph, b(c_k) = 0 and pi_D(c_k) = omega_C (x) 1 hold together exactly
+under the single exit condition (THEOREMS["orientability_kgraph"]), so no
+c_k is built.  The truncated b(c) and pi_D(c) on the 1-graph with its
+tails expanded one step (`check_orientation_1graph`) and c_k with its
+cancellation steps (`verify_cancellation_steps`) run in
+`graphtriple hochschild` and the tests.
 
 Dimension is a theorem: on a 1-graph the Dixmier limit at a sample is
 2 tau(p_v), or tau(p_v) where v has bounded entering paths, by the trace
@@ -42,8 +43,8 @@ from typing import Dict, Optional, Union
 
 from .clifford import KMAX, SIGN_TABLE, reality_operator
 from .graphs import (TAIL_MARGIN, GraphPresentation, GraphValidationError,
-                     WorkBudgetError, count_classes)
-from .hochschild import boundary_coefficients_1graph
+                     WorkBudgetError, boundary_coefficients_1graph,
+                     count_classes)
 from .kgraphs import KGraphPresentation
 from .traces import (NoFaithfulTraceError, solve_graph_trace,
                      solve_kgraph_trace)
@@ -418,13 +419,3 @@ def _shared_entries(entries: Dict[str, ConditionEntry], hyp: dict,
         if name not in entries:
             entries[name] = _na(name, "faithful_graph_trace_exists")
     return ConditionReport(entries, hyp, params)
-
-
-def _jsonable(obj):
-    """obj with dict keys as strings, sequences as lists and other
-    non-JSON leaves as their str()."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    return obj if isinstance(obj, (str, int, float, bool, type(None))) else str(obj)

@@ -503,6 +503,17 @@ class GraphPresentation(EdgeSkeleton):
         )
 
 
+def boundary_coefficients_1graph(g: GraphPresentation) -> Dict[str, int]:
+    """Closed form of the Hochschild boundary b(c) of the orientation cycle
+    on the conceptual graph: (|v|_1 - 1) p_v at non-sinks and |v|_1 p_v at
+    sinks (tail interiors all vanish), read off the presentation."""
+    out = {}
+    for v in g.vertices:
+        entries = g.conceptual_in_degree(v)
+        out[v] = entries if g.is_sink(v) else entries - 1
+    return out
+
+
 class ExpandedGraph(EdgeSkeleton):
     """Finite window of the conceptual graph: core plus depth-d tail segments.
 

@@ -16,7 +16,8 @@ sign to the coefficient of p_r(mu) at each gamma word, and vertex
 projections are independent.
 
 For a 1-graph, b(c) = sum_v (|v|_1 - [v emits]) p_v on the conceptual
-graph (`boundary_coefficients_1graph`), so c is a cycle exactly when every
+graph (`boundary_coefficients_1graph`, read off the presentation in
+`graphs` and imported here), so c is a cycle exactly when every
 coefficient vanishes, and that closed form is what `conditions` reports.
 On a truncation the boundary b(c) is that sum plus the boundary residue
 and pi_D(c) = sum_e p_{r(e)}; `check_orientation_1graph` computes both on
@@ -43,7 +44,8 @@ from .algebra import (AlgebraElement, GenKey, _multiply_keys, accumulate,
                       alignment_targets, expand_key_to, key_degree,
                       make_key, sum_of_vertex_projections)
 from .clifford import volume_phase, word_product
-from .graphs import ExpandedGraph, GraphPresentation, WorkBudgetError
+from .graphs import (ExpandedGraph, GraphPresentation, WorkBudgetError,
+                     boundary_coefficients_1graph)
 from .kgraphs import KGraphPresentation, Word
 from .scalars import GaussianRational, ONE
 
@@ -131,16 +133,6 @@ def orientation_cycle_1graph(ambient: ExpandedGraph) -> HochschildChain:
         forward = make_key(ambient, (eid,), ())
         terms[(star, forward)] = ONE
     return HochschildChain(ambient, 2, terms)
-
-
-def boundary_coefficients_1graph(g: GraphPresentation) -> Dict[str, int]:
-    """Closed form of b(c) on the conceptual graph: (|v|_1 - 1) p_v at
-    non-sinks and |v|_1 p_v at sinks (tail interiors all vanish)."""
-    out = {}
-    for v in g.vertices:
-        entries = g.conceptual_in_degree(v)
-        out[v] = entries if g.is_sink(v) else entries - 1
-    return out
 
 
 def orientation_cycle_kgraph(g: KGraphPresentation) -> HochschildChain:

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
-from .algebra import AlgebraElement, key_source_mu
 from .graphs import End, GraphPresentation, GraphValidationError
 from .kgraphs import KGraphPresentation
 from .linalg import SparseEchelon
 from .scalars import GaussianRational
+
+if TYPE_CHECKING:
+    from .algebra import AlgebraElement
 
 
 class NoFaithfulTraceError(GraphValidationError):
@@ -210,6 +212,7 @@ def canonical_F_form(
     mu != nu and GraphValidationError for a vertex with no forward
     extension.
     """
+    from .algebra import key_source_mu
     queue = []
     for key, c in f.terms.items():
         mu, nu, v = key

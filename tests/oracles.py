@@ -28,6 +28,18 @@ from graphtriple.spectral import (MultiplicityModel, Truncation,
                                   _d_commutator_scalar, generator_keys)
 
 
+# -- elements ------------------------------------------------------------------------
+
+
+def sum_of_vertex_projections_fold(ambient, vertices=None) -> AlgebraElement:
+    """sum_v p_v folded one vertex projection at a time, each vertex
+    checked against the ambient by `AlgebraElement.vertex`."""
+    out = AlgebraElement.zero(ambient)
+    for v in sorted(vertices if vertices is not None else ambient.vertices):
+        out = out + AlgebraElement.vertex(ambient, v)
+    return out
+
+
 # -- presentations --------------------------------------------------------------------
 
 

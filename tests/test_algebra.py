@@ -9,15 +9,17 @@ from graphtriple import algebra
 from graphtriple.algebra import (AlgebraElement, PresentationMismatchError,
                                  _expansion_family, _meet, _multiply_keys,
                                  _prefix_divide, accumulate, aligned,
-                                 key_source_mu, key_source_nu, make_key)
+                                 key_source_mu, key_source_nu, make_key,
+                                 sum_of_vertex_projections)
 from graphtriple.scalars import GaussianRational, I
 from graphtriple.spectral import build_truncation, generator_keys
 from graphtriple.traces import solve_graph_trace, solve_kgraph_trace
 
 from corpus import (bi_infinite_path, double_entry_tree, one_vertex_3graph,
-                    single_loop, sink_path, torus_2graph, tree_with_ends,
-                    two_extension_2graph, two_vertex_2graph)
-from oracles import delta_action, dirac_commutator, local_unit
+                    random_tree, single_loop, sink_path, torus_2graph,
+                    tree_with_ends, two_extension_2graph, two_vertex_2graph)
+from oracles import (delta_action, dirac_commutator, local_unit,
+                     sum_of_vertex_projections_fold)
 
 
 def loop_ambient(level=3):
@@ -550,3 +552,54 @@ class TestMemoizedProduct:
         # S_a* S_a = p_w for the edge a: u -> w
         assert _multiply_keys(amb, ((), ("a",), "w"), (("a",), (), "w")) == (
             p_w,)
+
+
+class TestSumOfVertexProjections:
+    AMBIENTS = {
+        "tree_with_ends_2": tree_ambient,
+        "bi_infinite_path": lambda: bi_infinite_path().expand(2),
+        "random_tree_2000": lambda: random_tree(2000, 1).expand(1),
+        "torus_2graph": torus_2graph,
+        "two_vertex_2graph": two_vertex_2graph,
+    }
+
+    @pytest.mark.parametrize("name", list(AMBIENTS))
+    def test_matches_the_fold(self, name):
+        amb = self.AMBIENTS[name]()
+        subsets = [None, amb.vertices[::2], amb.vertices[:1], ()]
+        if hasattr(amb, "boundary_out"):
+            subsets += [amb.boundary_out, amb.boundary_in]
+        for vertices in subsets:
+            got = sum_of_vertex_projections(amb, vertices)
+            want = sum_of_vertex_projections_fold(amb, vertices)
+            assert got.ambient is amb
+            assert list(got.terms.items()) == list(want.terms.items())
+
+    def test_repeated_vertex_adds_its_projection_twice(self):
+        amb = tree_ambient()
+        v = amb.vertices[0]
+        got = sum_of_vertex_projections(amb, [v, v])
+        assert got.terms == sum_of_vertex_projections_fold(amb, [v, v]).terms
+        assert got.terms == {((), (), v): GaussianRational(2)}
+
+    @pytest.mark.parametrize("n", [10, 2000])
+    def test_builds_one_element(self, n, monkeypatch):
+        amb = random_tree(n, 1).expand(1)
+        built = []
+        init = AlgebraElement.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(AlgebraElement, "__init__", counted)
+        out = sum_of_vertex_projections(amb)
+        assert len(built) == 1
+        assert len(out.terms) == len(amb.vertices)
+
+    def test_unknown_vertex_is_a_value_error(self):
+        amb = tree_ambient()
+        for vertices in (["no_such_vertex"], [amb.vertices[0], "zz"]):
+            with pytest.raises(ValueError, match="unknown vertex"):
+                sum_of_vertex_projections(amb, vertices)
+            with pytest.raises(ValueError, match="unknown vertex"):
+                sum_of_vertex_projections_fold(amb, vertices)

@@ -102,3 +102,28 @@ def test_traced_conditions_forms_no_product(factory, level, tmp_path):
     assert tracer.counts["algebra.product_calls"] == 0
     assert tracer.counts["algebra.product_misses"] == 0
     assert tracer.memo_entries == 0
+
+
+@pytest.mark.parametrize("argv,span", [
+    (["spectral", "{input}", "--vertex", "b", "--window", "1000"],
+     "spectral.profile"),
+    (["clifford", "--kmax", "3"], "clifford.sign_table"),
+], ids=["spectral_vertex", "clifford"])
+def test_traced_subcommand_opens_its_layer_spans(argv, span, tmp_path):
+    """Each subcommand imports its layer when it runs, after the tracer
+    has patched that layer, so the traced run still opens the layer's
+    spans."""
+    src = tmp_path / "presentation.json"
+    src.write_text(json.dumps(_document(tree_with_ends(2))))
+    argv = [a.replace("{input}", str(src)) for a in argv]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.begin(argv[0])
+        assert cli.run(argv + ["--out", str(tmp_path / "out.json")]) == 0
+        tracer.end()
+    finally:
+        tracer.uninstall()
+    names = [s[0] for s in tracer.spans]
+    assert names[0] == "cli.run"
+    assert span in names

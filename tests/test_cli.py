@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphtriple
 from graphtriple import conditions, hochschild, spectral
 from graphtriple.clifford import KMAX
 from graphtriple.cli import (EX_CANTCREAT, EX_DATAERR, EX_NOINPUT,
@@ -658,6 +659,69 @@ def test_cold_start_leaves_numpy_and_networkx_unloaded(tree_file):
     )
     done = _run_python(code)
     assert json.loads(done.stdout) == {"cold": [], "spectral": ["numpy"]}
+
+
+# The graphtriple modules each subcommand loads in a fresh process: every
+# request needs `graphs` and `kgraphs` to parse and `clifford` for the
+# parser's KMAX; the other layers load only when a subcommand runs them.
+_START = {"graphtriple", "graphtriple.cli", "graphtriple.graphs",
+          "graphtriple.kgraphs", "graphtriple.clifford", "graphtriple.scalars"}
+_TRACE = {"graphtriple.traces", "graphtriple.linalg"}
+
+
+@pytest.mark.parametrize("argv,added", [
+    (["clifford", "--kmax", "3"], set()),
+    (["conditions", "{tree}", "--level", "1"],
+     {"graphtriple.conditions", *_TRACE}),
+    (["conditions", "{torus}"], {"graphtriple.conditions", *_TRACE}),
+    (["analyze", "{tree}"], {"graphtriple.conditions", *_TRACE}),
+    (["spectral", "{tree}", "--vertex", "b", "--window", "1000"],
+     {"graphtriple.spectral", "graphtriple.algebra", *_TRACE}),
+    (["hochschild", "{tree}"],
+     {"graphtriple.hochschild", "graphtriple.algebra"}),
+    (["hochschild", "{torus}"],
+     {"graphtriple.hochschild", "graphtriple.algebra"}),
+], ids=["clifford", "conditions_1graph", "conditions_2graph", "analyze",
+        "spectral", "hochschild_1graph", "hochschild_2graph"])
+def test_cold_start_loads_only_the_layers_a_subcommand_runs(
+        argv, added, tree_file, torus_file):
+    argv = [a.format(tree=tree_file, torus=torus_file) for a in argv]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from graphtriple.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = run({argv!r})\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules\n"
+        "                               if m.split('.')[0] == 'graphtriple')]))\n"
+    )
+    exit_code, loaded = json.loads(_run_python(code).stdout)
+    assert exit_code == 0
+    assert set(loaded) == _START | added
+
+
+def test_package_import_loads_no_layer():
+    """`import graphtriple` loads no layer module; each name in __all__
+    resolves on first access to the object its layer defines."""
+    code = (
+        "import json, sys\n"
+        "import graphtriple\n"
+        "bare = sorted(m for m in sys.modules\n"
+        "              if m.split('.')[0] == 'graphtriple')\n"
+        "names = {}\n"
+        "exec('from graphtriple import *', names)\n"
+        "print(json.dumps([bare, sorted(n for n in names if n in\n"
+        "                               graphtriple.__all__)]))\n"
+    )
+    bare, star = json.loads(_run_python(code).stdout)
+    assert bare == ["graphtriple"]
+    assert star == sorted(graphtriple.__all__)
+    for name in graphtriple.__all__:
+        value = getattr(graphtriple, name)
+        if name != "__version__":
+            module = sys.modules[value.__module__]
+            assert getattr(module, name) is value
+            assert module.__name__.startswith("graphtriple.")
+    assert not hasattr(graphtriple, "no_such_name")
 
 
 def _call(argv):
