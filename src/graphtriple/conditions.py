@@ -16,8 +16,8 @@ tests' own `delta_action` (tests/oracles.py).
 
 Irreducibility is counted from the presentation (`commutant_dimension`,
 with `spectral.commutant_probe` as its oracle): `conditions` builds no
-truncation and forms no product, and refuses a k-graph with k > KMAX and
-a 1-graph level whose count would exceed LEVEL_BUDGET.
+truncation, expands no tail and forms no product, so its work does not
+grow with the level; it refuses only a k-graph with k > KMAX.
 
 Orientability is read from the presentation on both ranks.  On a 1-graph,
 c is a cycle iff every coefficient of `graphs.boundary_coefficients_1graph`
@@ -42,9 +42,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Union
 
 from .clifford import KMAX, SIGN_TABLE, reality_operator
-from .graphs import (TAIL_MARGIN, GraphPresentation, GraphValidationError,
-                     WorkBudgetError, boundary_coefficients_1graph,
-                     count_classes)
+from .graphs import (GraphPresentation, GraphValidationError, WorkBudgetError,
+                     boundary_coefficients_1graph, count_classes)
 from .kgraphs import KGraphPresentation
 from .traces import (NoFaithfulTraceError, solve_graph_trace,
                      solve_kgraph_trace)
@@ -62,16 +61,6 @@ CONDITION_NAMES = (
 )
 
 REPORT_VERSION = 8
-
-# commutant_dimension pushes the 1-graph ambient's vertex set up to
-# max(L - 1, 1) times, so its work is at most that many passes over the
-# ambient's vertices.  The budget admits tree_with_ends(4) up to L = 1,008,
-# a whole `conditions` request of 1.6-1.7 s on a 2-CPU sandbox (Python
-# 3.11.7); at the budget a 32-tail star took 5.2-5.4 s, since a wider
-# ambient costs more per pass and vertex, while a 5,000-vertex cycle, fixed
-# after one push, takes 0.9 s.  A k-graph's level stops at 2, so its count
-# is one pass.
-LEVEL_BUDGET = 5_100_000
 
 # The argument behind each verdict that holds by construction; the witness
 # of its "theorem" entry (Connes, CMP 182, 1996, for the conditions).
@@ -242,9 +231,11 @@ def evaluate_all(
     return _evaluate_graph(presentation, end_values, level)
 
 
-def commutant_dimension(ambient, level: int) -> int:
+def commutant_dimension(g: Union[GraphPresentation, KGraphPresentation],
+                        level: int) -> int:
     """The dimension of {f in span of S_mu S_mu*, d(mu) <= (m, ..., m):
-    [f, S_e] = [f, S_e*] = 0}, m = max(level - 1, 1), without a product.
+    [f, S_e] = [f, S_e*] = 0}, m = max(level - 1, 1), on the truncation at
+    `level`, without a product or the truncation's ambient.
 
     Such an f is a depth-m cylinder function on boundary paths, constant
     along edges, so it is fixed by one value on each terminal strongly
@@ -254,25 +245,36 @@ def commutant_dimension(ambient, level: int) -> int:
     6, 2000, on ideals).  The receivers are closed under edges and hold
     every terminal but the sinks they miss, so the classes are those sinks
     and the linked parts of the receivers.
+
+    On a 1-graph the receivers are the vertices with backward depth None
+    or >= m: the ambient's source tails run deeper than m.  A tail's chain
+    vertices at depth >= m, its cut end among them, link to its root, or
+    form a class of their own when the root is no receiver.  On a k-graph
+    the vertex set is pushed m edges forward in each colour.
     """
-    if not ambient.vertices:
+    if not g.vertices:
         raise ValueError("degenerate presentation: empty truncation basis")
-    # push the vertex set m edges forward in each colour: no path is listed;
-    # once a push leaves the set unchanged, so would the colour's later ones
-    receivers = set(ambient.vertices)
-    for colour in range(1, ambient.k + 1):
-        for _ in range(max(level - 1, 1)):
-            pushed = {ambient.edge_range(e) for v in receivers
-                      for e in ambient.out_edges(v)
-                      if ambient.edge_color(e) == colour}
-            if pushed == receivers:
-                break
-            receivers = pushed
-    missed = sum(not ambient.out_edges(v) for v in ambient.vertices
-                 if v not in receivers)
+    m = max(level - 1, 1)
+    if isinstance(g, GraphPresentation):
+        receivers = {v for v in g.vertices
+                     if (depth := g.backward_depth(v)) is None or depth >= m}
+        missed = sum(not g.out_edges(v) or v in g.tail_set
+                     for v in g.vertices if v not in receivers)
+    else:
+        # no path is listed; once a push leaves the set unchanged, so
+        # would the colour's later ones.  A k-graph has no sinks to miss
+        receivers = set(g.vertices)
+        for colour in range(1, g.k + 1):
+            for _ in range(m):
+                pushed = {g.edge_range(e) for v in receivers
+                          for e in g.out_edges(v)
+                          if g.edge_color(e) == colour}
+                if pushed == receivers:
+                    break
+                receivers = pushed
+        missed = 0
     return missed + count_classes(receivers, (
-        (v, ambient.edge_range(e)) for v in receivers
-        for e in ambient.out_edges(v)))
+        (v, g.edge_range(e)) for v in receivers for e in g.out_edges(v)))
 
 
 def _na(name: str, broken: str) -> ConditionEntry:
@@ -284,12 +286,6 @@ def _na(name: str, broken: str) -> ConditionEntry:
 
 def _evaluate_graph(g: GraphPresentation, end_values,
                     level) -> ConditionReport:
-    size = g.expanded_size(level + TAIL_MARGIN)  # before it is built
-    passes = max(level - 1, 1)
-    if passes * size > LEVEL_BUDGET:
-        raise WorkBudgetError(
-            f"level {level} would push {size} vertices {passes} times,"
-            f" over the budget of {LEVEL_BUDGET}")
     hyp = hypothesis_check(g)
     entries: Dict[str, ConditionEntry] = {}
     params = {"level": level}
@@ -338,7 +334,7 @@ def _evaluate_graph(g: GraphPresentation, end_values,
                          "argument": THEOREMS["ends"]},
     }.get(g.classify().kind)
     return _shared_entries(entries, hyp, params,
-                           g.expand(level + TAIL_MARGIN), finite)
+                           commutant_dimension(g, level), finite)
 
 
 def _evaluate_kgraph(g: KGraphPresentation, level) -> ConditionReport:
@@ -386,20 +382,21 @@ def _evaluate_kgraph(g: KGraphPresentation, level) -> ConditionReport:
     )
 
     finite = {"case": "unital", "argument": THEOREMS["unital"]}
-    return _shared_entries(entries, hyp, params, g, finite)
+    return _shared_entries(entries, hyp, params,
+                           commutant_dimension(g, level), finite)
 
 
 def _shared_entries(entries: Dict[str, ConditionEntry], hyp: dict,
-                    params: dict, ambient, finite: Optional[dict]
-                    ) -> ConditionReport:
+                    params: dict, interior: Optional[int],
+                    finite: Optional[dict]) -> ConditionReport:
     """Complete a report with the entries both ranks build alike.
 
-    `ambient` is the truncation's ambient at params["level"], or None when
+    `interior` is `commutant_dimension` at params["level"], or None when
     no faithful trace exists: then every entry not yet made is
     not_applicable.  `finite` is the finiteness witness, or None outside
     the single loop / directed tree / finite k-graph cases.
     """
-    if ambient is not None:
+    if interior is not None:
         for name in ("regularity", "closedness", "first_order", "spin_c"):
             entries[name] = ConditionEntry(name, "holds", "theorem",
                                            {"argument": THEOREMS[name]})
@@ -408,8 +405,6 @@ def _shared_entries(entries: Dict[str, ConditionEntry], hyp: dict,
             if finite is not None
             else _na("finiteness", "single_entry_tree_or_loop")
         )
-
-        interior = commutant_dimension(ambient, params["level"])
         irr_ok = hyp["connected"] and interior == 1
         entries["irreducibility"] = ConditionEntry(
             "irreducibility", "holds" if irr_ok else "fails", "exact",

@@ -125,6 +125,10 @@ class EdgeSkeleton:
     def connected(self) -> bool:
         """Whether the underlying undirected graph is connected (the empty
         graph is)."""
+        return self._connected
+
+    @cached_property
+    def _connected(self) -> bool:  # one union-find per skeleton
         return count_classes(self.vertices, (
             (e.source, e.range) for e in self.edges.values())) <= 1
 
@@ -487,11 +491,6 @@ class GraphPresentation(EdgeSkeleton):
     def expand(self, depth: int) -> "ExpandedGraph":
         """Materialize tails and source tails to the given depth."""
         return ExpandedGraph(self, depth)
-
-    def expanded_size(self, depth: int) -> int:
-        """The vertex count of self.expand(depth), without building it."""
-        return len(self.vertices) + depth * (
-            len(self.tails) + len(self.source_tails))
 
     def fingerprint(self) -> tuple:
         return (

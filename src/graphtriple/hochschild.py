@@ -82,7 +82,7 @@ class HochschildChain:
         out: Dict[FactorTuple, GaussianRational] = {}
         for fac, c in self.terms.items():
             for _, sign, face in faces(self.ambient, fac):
-                accumulate(out, face, c * sign)
+                accumulate(out, face, c if sign > 0 else -c)
         return HochschildChain(self.ambient, self.arity - 1, out)
 
     def canonical_terms(self) -> Dict[FactorTuple, GaussianRational]:
@@ -281,7 +281,7 @@ def verify_cancellation_steps(g: KGraphPresentation) -> dict:
         mu = fac[0][1]
         sigma = tuple(g.edge_color(p[0]) for p, _, _ in fac[1:])
         for j, sign, face in faces(g, fac):
-            coeff = c * sign
+            coeff = c if sign > 0 else -c
             accumulate(boundary, face, coeff)
             if j == 0:
                 head = (face[0][1], sigma)

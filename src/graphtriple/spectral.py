@@ -797,7 +797,7 @@ def spin_c_generation_check(tr: Truncation) -> dict:
 def commutant_probe(tr: Truncation) -> dict:
     """Exact dimension of {f in span of diagonal generators: [f, A_c] = 0},
     by products: the test oracle of `conditions.commutant_dimension`, which
-    counts the same number from the ambient's terminal components.
+    counts the same number from the presentation.
 
     These are the candidates the irreducibility argument constrains: the
     fixed-point algebra elements commuting with every generator.  The

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphtriple
-from graphtriple import conditions, hochschild, spectral
+from graphtriple import conditions, graphs, hochschild, spectral
 from graphtriple.clifford import KMAX
 from graphtriple.cli import (EX_CANTCREAT, EX_DATAERR, EX_NOINPUT,
                              EX_UNAVAILABLE, EX_USAGE, run)
@@ -539,40 +539,70 @@ class TestStructureEdgeCases:
         assert captured.err.startswith("over budget: ")
         assert f"KMAX = {KMAX}" in captured.err
 
-    def test_conditions_over_its_level_budget_exits_69(
-            self, tmp_path, capsys, monkeypatch):
-        # tree_with_ends(4) has 7 vertices and 4 tails plus a source tail,
-        # so at level L its ambient has 7 + 5 (L + 2) vertices, pushed
-        # L - 1 times: L = 1,008 is the last level under the budget
-        g = tree_with_ends(4)
-        assert len(g.expand(1008 + 2).vertices) == 7 + 5 * 1010
-        assert 1007 * (7 + 5 * 1010) <= conditions.LEVEL_BUDGET \
-            < 1008 * (7 + 5 * 1011)
+    def test_conditions_at_level_1e9_expands_no_tail(
+            self, tmp_path, monkeypatch):
+        # the count reads the backward depths, so a level of 10^9 costs
+        # what level 1,000 does and gives the same witness
         path = tmp_path / "tree4.json"
-        path.write_text(json.dumps(graph_to_document(g)))
-        calls = []
-        monkeypatch.setattr(conditions, "commutant_dimension",
-                            lambda ambient, level: calls.append(level) or 1)
-        assert run(["conditions", str(path), "--level", "1008"]) == 0
-        assert calls == [1008]
-        capsys.readouterr()
+        path.write_text(json.dumps(graph_to_document(tree_with_ends(4))))
 
         def refuse(*args, **kwargs):
-            raise AssertionError("conditions worked over its level budget")
-        for name in ("hypothesis_check", "solve_graph_trace",
-                     "boundary_coefficients_1graph", "commutant_dimension"):
-            monkeypatch.setattr(conditions, name, refuse)
+            raise AssertionError("conditions expanded the tails")
         monkeypatch.setattr(GraphPresentation, "expand", refuse)
-        for level in ("1009", "100000"):
-            assert run(["conditions", str(path), "--level", level]) == \
-                EX_UNAVAILABLE
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.startswith("over budget: ")
-            assert f"budget of {conditions.LEVEL_BUDGET}" in captured.err
+        witnesses = []
+        for level in ("1000", "1000000000"):
+            out = tmp_path / f"report{level}.json"
+            assert run(["conditions", str(path), "--level", level,
+                        "--out", str(out)]) == 0
+            report = json.loads(out.read_text())
+            assert report["parameters"] == {"level": int(level)}
+            witnesses.append(report["conditions"]["irreducibility"])
+        assert witnesses[0] == witnesses[1]
+        assert witnesses[0]["witness"] == {"dimension_interior": 1}
+
+    def test_conditions_counts_classes_twice(self, tree_file, monkeypatch):
+        # one union-find for connectivity, which the hypotheses, the trace
+        # and classify share, and one for irreducibility
+        calls = []
+        exact = graphs.count_classes
+
+        def counted(items, links):
+            calls.append(1)
+            return exact(items, links)
+
+        monkeypatch.setattr(graphs, "count_classes", counted)
+        monkeypatch.setattr(conditions, "count_classes", counted)
+        assert run(["conditions", tree_file]) == 0
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("level", ["3", "1000000"])
+    def test_conditions_work_is_linear_in_the_presentation(
+            self, tmp_path, level):
+        # every Python and builtin call of one request, counted: ten times
+        # the vertices may cost at most twelve times the calls, whatever
+        # the level
+        def calls_on(n):
+            path = tmp_path / f"tree{n}.json"
+            path.write_text(json.dumps(graph_to_document(random_tree(n, 1))))
+            count = [0]
+
+            def profile(frame, event, arg):
+                if event in ("call", "c_call"):
+                    count[0] += 1
+
+            sys.setprofile(profile)
+            try:
+                code = run(["conditions", str(path), "--level", level,
+                            "--out", str(tmp_path / "report.json")])
+            finally:
+                sys.setprofile(None)
+            assert code == 0
+            return count[0]
+
+        small, large = calls_on(2000), calls_on(20000)
+        assert large <= 12 * small
 
     def test_conditions_at_level_1000_on_tree_with_ends_4(self, tmp_path):
-        # about 1.5 s: the largest level that the suite runs for real
         path = tmp_path / "tree4.json"
         path.write_text(json.dumps(graph_to_document(tree_with_ends(4))))
         out = tmp_path / "report.json"

@@ -28,7 +28,7 @@ from corpus import (bi_infinite_path, double_entry_tree, dyadic_tree,
                     tree_with_ends, two_disjoint_loops, two_extension_2graph,
                     two_vertex_2graph)
 from oracles import commutant_count_every_push
-from test_spectral import abelian_kgraphs
+from test_spectral import abelian_kgraphs, sourced_digraphs
 from test_structure import digraphs, exitless_digraphs
 
 GRAPH_CORPUS = {
@@ -260,7 +260,7 @@ class TestEvaluateAll:
         monkeypatch.setattr(algebra, "_multiply_keys_uncached", dropped)
         tr = spectral.build_truncation(g, solve_graph_trace(g), level)
         assert spectral.commutant_probe(tr) == {"dimension_interior": 0}
-        assert commutant_dimension(tr.ambient, level) == 1
+        assert commutant_dimension(g, level) == 1
         assert evaluate_all(g, level=level).to_json()["conditions"] == before
         assert before["irreducibility"]["status"] == "holds"
 
@@ -306,19 +306,47 @@ class TestEvaluateAll:
                                          lambda: tree_with_ends(4)],
                              ids=["cycle_40", "tree_with_ends_4"])
     def test_commutant_count_stops_at_the_fixed_point(self, factory, level):
-        # a push that leaves the receivers as they are changes nothing
-        # later, so the count equals the one with every push made; a cycle
-        # is its own receiver set after one push at any level
+        # the count equals the one on the expansion with every push made,
+        # and reads each vertex's out-edges once whatever the level
         g = factory()
-        amb = g.expand(level + TAIL_MARGIN)
-        assert commutant_dimension(amb, level) == \
-            commutant_count_every_push(amb, level)
+        assert commutant_dimension(g, level) == commutant_count_every_push(
+            g.expand(level + TAIL_MARGIN), level)
         calls = []
-        out_edges = amb.out_edges
-        amb.out_edges = lambda v: calls.append(v) or out_edges(v)
-        commutant_dimension(amb, level)
-        if not g.tails:
-            assert len(calls) == 2 * len(amb.vertices)
+        out_edges = g.out_edges
+        g.out_edges = lambda v: calls.append(v) or out_edges(v)
+        for deep in (level, 10 ** 9):
+            calls.clear()
+            commutant_dimension(g, deep)
+            assert len(calls) == len(g.vertices)
+
+    @pytest.mark.parametrize("level", [1, 2, 3, 50])
+    @pytest.mark.parametrize("factory", [torus_2graph, two_vertex_2graph,
+                                         lambda: one_vertex_kgraph(3)],
+                             ids=["torus", "two_vertex", "one_vertex_3"])
+    def test_kgraph_push_stops_at_the_fixed_point(self, factory, level):
+        # a push that leaves the receivers as they are changes nothing
+        # later; every vertex of these k-graphs receives each colour, so
+        # each colour makes one push at any level
+        g = factory()
+        assert commutant_dimension(g, level) == \
+            commutant_count_every_push(g, level)
+        calls = []
+        out_edges = g.out_edges
+        g.out_edges = lambda v: calls.append(v) or out_edges(v)
+        commutant_dimension(g, level)
+        assert len(calls) == (g.k + 1) * len(g.vertices)
+
+    @pytest.mark.parametrize("graphs", [digraphs(), exitless_digraphs(),
+                                        sourced_digraphs()],
+                             ids=["digraphs", "exitless", "sourced"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_count_equals_the_push_on_the_expansion(self, graphs, data):
+        # the backward depths give the receivers that m pushes through the
+        # tails expanded L + TAIL_MARGIN deep would give
+        g, level = data.draw(graphs), data.draw(st.integers(1, 9))
+        assert commutant_dimension(g, level) == commutant_count_every_push(
+            g.expand(level + TAIL_MARGIN), level)
 
     def test_report_shape(self):
         # reality is a theorem on a 1-graph; the k-graph sign table is exact
@@ -573,3 +601,20 @@ def test_conditions_imports_neither_spectral_nor_algebra():
     parts = {part for name in modules for part in name.split(".")}
     assert "graphs" in parts and "clifford" in parts
     assert not parts & {"spectral", "algebra"}
+
+
+def test_conditions_expands_no_tail_and_has_no_level_budget():
+    """The 1-graph count reads the presentation's backward depths, so no
+    expansion, and no budget on the level, may come back into it."""
+    tree = ast.parse(Path(conditions.__file__).read_text())
+    called = {node.func.attr if isinstance(node.func, ast.Attribute)
+              else getattr(node.func, "id", None)
+              for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assigned = {target.id for node in ast.walk(tree)
+                if isinstance(node, (ast.Assign, ast.AnnAssign))
+                for target in (node.targets if isinstance(node, ast.Assign)
+                               else [node.target])
+                if isinstance(target, ast.Name)}
+    assert "count_classes" in called and "CONDITION_NAMES" in assigned
+    assert not called & {"expand", "expanded_size"}
+    assert "LEVEL_BUDGET" not in assigned

@@ -416,7 +416,7 @@ def test_commutant_dimension_matches_the_probe(name):
     g = CASES[name][0]()
     for level in range(1, 5 if isinstance(g, GraphPresentation) else 3):
         tr = _truncation(g, level)[1]
-        assert commutant_dimension(tr.ambient, tr.level) == \
+        assert commutant_dimension(g, tr.level) == \
             commutant_probe(tr)["dimension_interior"], level
 
 

@@ -96,6 +96,21 @@ class TestBoundary:
             ch.boundary()
 
 
+    @pytest.mark.parametrize("cycle", [
+        lambda: orientation_cycle_1graph(tree_with_ends(2).expand(1)),
+        lambda: orientation_cycle_kgraph(one_vertex_3graph())],
+        ids=["tree_with_ends_2", "one_vertex_3graph"])
+    def test_applies_the_face_sign_by_negation(self, cycle, monkeypatch):
+        # a face's coefficient is its term's, negated at odd j
+        chain = cycle()
+        expected = chain.boundary().terms
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("multiplied a coefficient by its sign")
+        monkeypatch.setattr(GaussianRational, "__mul__", refuse)
+        assert chain.boundary().terms == expected
+
+
 class TestOrientation1Graph:
     def test_one_edge_loop_volume_form(self):
         g = single_loop(1)

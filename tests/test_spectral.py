@@ -799,7 +799,9 @@ class TestCommutant:
     @given(truncations())
     @settings(max_examples=60, deadline=None)
     def test_count_matches_the_probe(self, tr):
-        assert commutant_dimension(tr.ambient, tr.level) == \
+        # a 1-graph's ambient is its expansion, a k-graph its own ambient
+        g = getattr(tr.ambient, "presentation", tr.ambient)
+        assert commutant_dimension(g, tr.level) == \
             commutant_probe(tr)["dimension_interior"]
 
     @given(sourced_digraphs(), st.integers(1, 5))
@@ -808,7 +810,7 @@ class TestCommutant:
         # a source without a source tail receives no path, so how deep the
         # candidates reach decides which terminals it identifies
         tr = build_truncation(g, _UnitTrace(), level)
-        assert commutant_dimension(tr.ambient, level) == \
+        assert commutant_dimension(g, level) == \
             commutant_probe(tr)["dimension_interior"]
 
     @given(truncations())
