@@ -8,10 +8,9 @@ The ambient is a k-graph, and an expanded 1-graph (``ExpandedGraph``) is
 the case k = 1 (factorisation property, Kumjian-Pask 2000).  Both give one
 protocol: the rank ``k``, a tuple ``degree`` of a word, the sorted
 ``paths_with_degree(n, v, direction, max_level)``, ``edge_color``, the
-colour-sorted ``normal`` form, ``compose``, ``divide_prefix``, and the
-truncation boundary ``boundary_out`` / ``boundary_in`` (empty for a finite
-k-graph).  k = 1 is told apart only where a public result shows it: the
-int ``grade()`` labels.
+colour-sorted ``normal`` form, ``compose`` and ``divide_prefix``.  k = 1
+is told apart only where a public result shows it: the int ``grade()``
+labels.
 
 Products reduce by the Cuntz-Krieger relations: S_mu1 S_nu1* . S_mu2 S_nu2*
 is the sum of S_{mu1 xi} S_{nu2 eta}* over the pairs (xi, eta) with
@@ -381,19 +380,3 @@ def _meet(ambient, nu1: Word, v1: str, mu2: Word, v2: str
         if eta is not None:
             out.append((xi, eta))
     return out
-
-
-# -- module level operation surface ------------------------------------------------
-
-
-def sum_of_vertex_projections(ambient, vertices: Optional[Iterable[str]] = None
-                              ) -> AlgebraElement:
-    """sum_v p_v over `vertices` (all of the ambient's by default), built
-    as one element; ValueError for a vertex the ambient does not have."""
-    known = set(ambient.vertices)
-    terms: Dict[GenKey, GaussianRational] = {}
-    for v in sorted(vertices if vertices is not None else known):
-        if v not in known:
-            raise ValueError(f"unknown vertex {v!r}")
-        accumulate(terms, ((), (), v), ONE)
-    return AlgebraElement(ambient, terms)

@@ -24,8 +24,8 @@ c is a cycle iff every coefficient of `graphs.boundary_coefficients_1graph`
 vanishes, so `conditions` imports neither `hochschild` nor `algebra`.  On
 a k-graph, b(c_k) = 0 and pi_D(c_k) = omega_C (x) 1 hold together exactly
 under the single exit condition (THEOREMS["orientability_kgraph"]), so no
-c_k is built.  The truncated b(c) and pi_D(c) on the 1-graph with its
-tails expanded one step (`check_orientation_1graph`) and c_k with its
+c_k is built.  The 1-graph's truncated b(c) and pi_D(c), read off the
+presentation as well (`check_orientation_1graph`), and c_k with its
 cancellation steps (`verify_cancellation_steps`) run in
 `graphtriple hochschild` and the tests.
 

@@ -70,9 +70,6 @@ class EdgeSkeleton:
     ``_out`` / ``_in`` edge tuples.  An expanded 1-graph has every edge of
     colour 1, so ``paths_with_degree`` serves it as the case k = 1."""
 
-    boundary_out: AbstractSet[str] = frozenset()
-    boundary_in: AbstractSet[str] = frozenset()
-
     def _index_edges(self, edges: Sequence[Edge]) -> None:
         """Index the edges; GraphValidationError on a repeated vertex or edge
         id, or on an edge that joins an undeclared vertex."""
@@ -272,18 +269,26 @@ class CoreStructure:
     the vertex with two inside out-edges.  So a component holds a cycle
     with an exit iff its kept cycle has one.  A vertex is backward-infinite
     iff its backward cone holds a source tail or a vertex of a cyclic
-    component."""
+    component.  The sinks, the sources, the ends and the vertices whose
+    conceptual in-degree is not 1 are listed once, as tuples, so no report
+    can change them through its result."""
 
     components: Tuple[Tuple[str, ...], ...]
     cycles: Tuple[CoreCycle, ...]
     backward_depth: Dict[str, Optional[int]]
     reaching_sink: FrozenSet[str]
+    sinks: Tuple[str, ...]
+    sources: Tuple[str, ...]
+    ends: Tuple[End, ...]
+    entry_violations: Tuple[Tuple[str, int], ...]
 
     @classmethod
     def of(cls, g: "GraphPresentation") -> "CoreStructure":
         def head(e: str) -> str:
             return g.edges[e].range
 
+        sinks = tuple(v for v in g.vertices if g.is_sink(v))
+        sink_set = frozenset(sinks)
         comps = strong_components(
             g.vertices, lambda v: (head(e) for e in g.out_edges(v)))
         cycles: List[CoreCycle] = []
@@ -322,12 +327,20 @@ class CoreStructure:
                 depth[v] = None if None in preds else max(preds, default=-1) + 1
         reaching: Set[str] = set()
         for comp in comps:  # sinks first
-            if any(g.is_sink(v) or any(head(e) in reaching
-                                       for e in g.out_edges(v))
+            if any(v in sink_set or any(head(e) in reaching
+                                        for e in g.out_edges(v))
                    for v in comp):
                 reaching.update(comp)
-        return cls(tuple(comps), tuple(sorted(cycles, key=lambda c: c.vertices)),
-                   depth, frozenset(reaching))
+        cycles.sort(key=lambda c: c.vertices)
+        ends = [End("sink", f"sink:{v}", (v,)) for v in sinks]
+        ends += [End("loop", "loop:" + "-".join(c.vertices), c.vertices,
+                     c.edges) for c in cycles if not c.has_exit]
+        ends += [End("tail", f"tail:{v}", (v,)) for v in g.tails]
+        entries = ((v, g.conceptual_in_degree(v)) for v in g.vertices)
+        return cls(tuple(comps), tuple(cycles), depth, frozenset(reaching),
+                   sinks, tuple(v for v in g.vertices if g.is_source(v)),
+                   tuple(sorted(ends, key=lambda e: e.id)),
+                   tuple((v, n) for v, n in entries if n != 1))
 
 
 _GRAPH_KEYS = {"k", "vertices", "edges", "tails", "source_tails"}
@@ -431,45 +444,29 @@ class GraphPresentation(EdgeSkeleton):
         """`loops` counts the cyclic components of the core, and
         `loops_with_exit` those that hold a cycle with an exit; both are
         simple-cycle counts when every cyclic component is a bare cycle."""
-        cycles = self._core.cycles
-        sinks = sorted(v for v in self.vertices if self.is_sink(v))
-        sources = sorted(v for v in self.vertices if self.is_source(v))
+        core = self._core
         return {
             "row_finite": True,
             "locally_finite": True,
-            "sinks": sinks,
-            "sources": sources,
-            "loops": len(cycles),
-            "loops_with_exit": sum(1 for c in cycles if c.has_exit),
+            "sinks": list(core.sinks),
+            "sources": list(core.sources),
+            "loops": len(core.cycles),
+            "loops_with_exit": sum(1 for c in core.cycles if c.has_exit),
             "connected": self.connected(),
         }
 
     def find_ends(self) -> List[End]:
-        ends: List[End] = []
-        for v in self.vertices:
-            if self.is_sink(v):
-                ends.append(End("sink", f"sink:{v}", (v,)))
-        for c in self._core.cycles:
-            if not c.has_exit:
-                ends.append(End("loop", "loop:" + "-".join(c.vertices),
-                                c.vertices, c.edges))
-        for v in self.tails:
-            ends.append(End("tail", f"tail:{v}", (v,)))
-        return sorted(ends, key=lambda e: e.id)
+        return list(self._core.ends)
 
     def single_entry_check(self) -> dict:
-        violations = {
-            v: self.conceptual_in_degree(v)
-            for v in self.vertices
-            if self.conceptual_in_degree(v) != 1
-        }
-        return {"holds": not violations, "violations": violations}
+        violations = self._core.entry_violations
+        return {"holds": not violations, "violations": dict(violations)}
 
     def classify(self) -> Classification:
         if (
             not self.connected()
-            or not self.single_entry_check()["holds"]
-            or any(self.is_sink(v) for v in self.vertices)
+            or self._core.entry_violations
+            or self._core.sinks
         ):
             return Classification("Other")
         cycles = self._core.cycles
@@ -519,8 +516,7 @@ class ExpandedGraph(EdgeSkeleton):
     Serves as the ambient for exact path algebra, as a k-graph with k = 1:
     every edge has colour 1 and a path's degree is the 1-tuple of its
     length.  Vertices added for a tail rooted at v are named ``v~t1..v~td``
-    (and ``v~s1..`` for source tails); the outermost added vertices form the
-    truncation boundary.
+    (and ``v~s1..`` for source tails).
     """
 
     def __init__(self, presentation: GraphPresentation, depth: int):
@@ -533,8 +529,6 @@ class ExpandedGraph(EdgeSkeleton):
         edges = [
             Edge(e.id, e.source, e.range, 1) for e in presentation.edges.values()
         ]
-        self.boundary_out: Set[str] = set()
-        self.boundary_in: Set[str] = set()
         for root in presentation.tails:
             prev = root
             for j in range(1, depth + 1):
@@ -542,7 +536,6 @@ class ExpandedGraph(EdgeSkeleton):
                 verts.append(v)
                 edges.append(Edge(f"{root}~te{j}", prev, v, 1))
                 prev = v
-            self.boundary_out.add(prev)
         for root in presentation.source_tails:
             prev = root
             for j in range(1, depth + 1):
@@ -550,7 +543,6 @@ class ExpandedGraph(EdgeSkeleton):
                 verts.append(v)
                 edges.append(Edge(f"{root}~se{j}", v, prev, 1))
                 prev = v
-            self.boundary_in.add(prev)
         self.vertices: Tuple[str, ...] = tuple(sorted(verts))
         self._index_edges(edges)
 

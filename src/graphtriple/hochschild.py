@@ -1,5 +1,6 @@
 """Hochschild chains over the path algebra, the boundary operator, the
-orientation cycles, pi_D of those cycles, and the cancellation diagnostics.
+k-graph orientation cycle c_k, pi_D of it, the cancellation diagnostics,
+and the 1-graph orientation report.
 
 Chains are exact linear combinations of tensors of single generators.  Zero
 tests canonicalize every tensor slot by the same depth-aligned Cuntz-Krieger
@@ -8,8 +9,8 @@ the relation p_v = sum S_e S_e*.  `faces` lists the terms of the boundary of
 one tensor; `HochschildChain.boundary` sums them and
 `verify_cancellation_steps` reads its three steps off them.
 
-pi_D is read from each term's path and sign, one way on both ranks and
-with no algebra product (`pi_D_identity_check`): a term
+pi_D(c_k) is read from each term's path and sign, with no algebra
+product (`pi_D_identity_check`): a term
 c S_mu* (x) S_p1 (x) ... (x) S_pn whose slots compose to mu multiplies out
 to p_r(mu), so it adds c times its slots' degree weights and a Clifford
 sign to the coefficient of p_r(mu) at each gamma word, and vertex
@@ -19,14 +20,13 @@ For a 1-graph, b(c) = sum_v (|v|_1 - [v emits]) p_v on the conceptual
 graph (`boundary_coefficients_1graph`, read off the presentation in
 `graphs` and imported here), so c is a cycle exactly when every
 coefficient vanishes, and that closed form is what `conditions` reports.
-On a truncation the boundary b(c) is that sum plus the boundary residue
-and pi_D(c) = sum_e p_{r(e)}; `check_orientation_1graph` computes both on
-the graph with its tails expanded one step, and backs
-`graphtriple hochschild`.  Both are local to each vertex's entering and
-leaving edges, so a deeper expansion gives the same verdicts.  For a
-k-graph, `verify_cancellation_steps` builds c_k once, under CYCLE_BUDGET,
-and walks the faces of its terms once: they give b(c_k), the three
-cancellation steps, and with pi_D(c_k) = omega_C (x) 1 the whole report.
+`check_orientation_1graph` reads the rest of the 1-graph report of
+`graphtriple hochschild`, the truncated b(c) against its boundary residue
+and pi_D(c) on the interior, off the presentation too, with no chain and
+no product.  For a k-graph, `verify_cancellation_steps` builds c_k
+once, under CYCLE_BUDGET, and walks the faces of its terms once: they
+give b(c_k), the three cancellation steps, and with
+pi_D(c_k) = omega_C (x) 1 the whole report.
 pi_D(c_k) = sum_w n(w) p_w (x) omega_C, with n(w) the number of
 degree-(1,...,1) paths with range w, so both hold exactly under the single
 exit condition, which is what `conditions` reports; here they are
@@ -38,16 +38,15 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .algebra import (AlgebraElement, GenKey, _multiply_keys, accumulate,
-                      alignment_targets, expand_key_to, key_degree,
-                      make_key, sum_of_vertex_projections)
+from .algebra import (GenKey, _multiply_keys, accumulate, alignment_targets,
+                      expand_key_to, key_degree, make_key)
 from .clifford import volume_phase, word_product
-from .graphs import (ExpandedGraph, GraphPresentation, WorkBudgetError,
+from .graphs import (GraphPresentation, WorkBudgetError,
                      boundary_coefficients_1graph)
 from .kgraphs import KGraphPresentation, Word
-from .scalars import GaussianRational, ONE
+from .scalars import GaussianRational
 
 FactorTuple = Tuple[GenKey, ...]
 
@@ -125,16 +124,6 @@ def faces(ambient, fac: FactorTuple
 # -- orientation cycles ------------------------------------------------------------
 
 
-def orientation_cycle_1graph(ambient: ExpandedGraph) -> HochschildChain:
-    """c = sum over edges of S_e* (x) S_e (tails contribute their expansion)."""
-    terms: Dict[FactorTuple, GaussianRational] = {}
-    for eid in ambient.edge_order:
-        star = make_key(ambient, (), (eid,))
-        forward = make_key(ambient, (eid,), ())
-        terms[(star, forward)] = ONE
-    return HochschildChain(ambient, 2, terms)
-
-
 def orientation_cycle_kgraph(g: KGraphPresentation) -> HochschildChain:
     """c_k = i^ceil((k+1)/2) sum_mu (1/k!) sum_sigma (-1)^sigma
     S_mu* (x) S_{mu^sigma_1} (x) ... (x) S_{mu^sigma_k}."""
@@ -166,11 +155,9 @@ def permutation_sign(sigma: Sequence[int]) -> int:
 # -- pi_D of an orientation cycle --------------------------------------------------
 
 
-def pi_D_identity_check(chain: HochschildChain,
-                        vertices: Optional[Iterable[str]] = None,
-                        scalar: Optional[GaussianRational] = None) -> dict:
-    """Check pi_D(chain) = scalar gamma^1...gamma^k (x) 1 on the given
-    vertices (all of them by default), from each term's path and sign.
+def pi_D_identity_check(chain: HochschildChain) -> dict:
+    """Check pi_D(chain) = i^ceil((k+1)/2) gamma^1...gamma^k (x) 1, the
+    normalisation of c_k, from each term's path and sign.
 
     pi_D replaces slot j >= 1 by [D, S_pj] = sum_m d(pj)_m gamma^m S_pj and
     multiplies.  A term c S_mu* (x) S_p1 (x) ... (x) S_pn whose slots
@@ -178,14 +165,11 @@ def pi_D_identity_check(chain: HochschildChain,
     c times the slot weights and the Clifford sign of each word
     gamma^m1...gamma^mn to the coefficient of p_r(mu) at that word; any
     other term raises ValueError.  Vertex projections are independent, so
-    the check is exact: on each given vertex the word gamma^1...gamma^k
-    has coefficient `scalar` and every other word 0.  `scalar` defaults to
-    omega_C's i^ceil((k+1)/2), the normalisation of c_k; the 1-graph cycle
-    c omits it (D = N there, and the one word gamma^1 stands for N).
+    the check is exact: on each vertex the word gamma^1...gamma^k has
+    coefficient omega_C's i^ceil((k+1)/2) and every other word 0.
     """
     amb = chain.ambient
-    if scalar is None:
-        scalar = GaussianRational.i_power(volume_phase(amb.k))
+    scalar = GaussianRational.i_power(volume_phase(amb.k))
     coeffs: Dict[Tuple[str, Tuple[int, ...]], GaussianRational] = {}
     for fac, c in chain.terms.items():
         (head, mu, w), slots = fac[0], fac[1:]
@@ -201,42 +185,43 @@ def pi_D_identity_check(chain: HochschildChain,
             sign, word = word_product((), tuple(m for m, _ in pick))
             weight = sign * math.prod(n for _, n in pick)
             accumulate(coeffs, (w, word), c * weight)
-    targets = set(amb.vertices if vertices is None else vertices)
     full = tuple(range(1, amb.k + 1))
-    got = {key: c for key, c in coeffs.items() if key[0] in targets}
-    return {"pass": got == {(v, full): scalar for v in targets}}
+    return {"pass": coeffs == {(v, full): scalar for v in amb.vertices}}
 
 
 def check_orientation_1graph(g: GraphPresentation) -> dict:
-    """Full 1-graph orientation report: conceptual b(c) coefficients, the
-    truncated boundary against its expected boundary residue, and pi_D(c)
-    acting as the identity away from the truncation boundary.  The ambient
-    is g with its tails expanded one step, the smallest that holds each
-    tail's first edge: |V| + |tails| + |source tails| vertices."""
-    amb = g.expand(1)
-    cycle = orientation_cycle_1graph(amb)
+    """Full 1-graph orientation report for c = sum_e S_e* (x) S_e, read off
+    the presentation: the conceptual b(c) coefficients, the truncated
+    boundary against its boundary residue, and pi_D(c) acting as the
+    identity away from the truncation boundary.
+
+    The truncation is g with each tail and source tail expanded one step:
+    tail ends v~t1, source-tail ends v~s1.  There b(c) = sum_e (S_e* S_e -
+    S_e S_e*) is sum_w |w|_in p_w - sum_{w emits} p_w, and the boundary
+    residue is sum p_{v~t1} - sum p_{v~s1}.  Each v~t1 is entered once and
+    emits nothing, each v~s1 emits once and is entered by nothing, and each
+    core vertex is entered |v|_1 times, counting its source tail, and emits
+    when it is not a sink.  So their difference is
+    sum_v `boundary_coefficients_1graph(g)`[v] p_v over the core, and since
+    vertex projections are independent, the truncated boundary is the
+    residue exactly when the closed form vanishes.
+
+    pi_D(c) = sum_e S_e* [N, S_e] = sum_e p_r(e) puts |w|_in on p_w.  The
+    interior is the vertices that are entered and are not tail ends: no
+    v~s1, no v~t1, and the core vertices with |v|_1 >= 1.  pi_D(c) is the
+    identity there exactly when every core vertex has |v|_1 <= 1.  Both
+    arguments are local to a vertex's entering and leaving edges, so a
+    deeper expansion gives the same verdicts.
+    """
     coeffs = boundary_coefficients_1graph(g)
     closed_form_zero = all(v == 0 for v in coeffs.values())
-
-    residue = (sum_of_vertex_projections(amb, amb.boundary_out)
-               - sum_of_vertex_projections(amb, amb.boundary_in))
-    bc = cycle.boundary()
-    bc_elt = AlgebraElement(
-        amb, {fac[0]: c for fac, c in bc.terms.items()}
-    )
-    interior_zero = (bc_elt - residue).is_zero()
-
-    interior = [
-        v for v in amb.vertices
-        if amb.in_edges(v) and v not in amb.boundary_out
-    ]
-    pid = pi_D_identity_check(cycle, interior, scalar=ONE)
+    identity = all(g.conceptual_in_degree(v) <= 1 for v in g.vertices)
     return {
         "boundary_coefficients": coeffs,
         "closed_form_zero": closed_form_zero,
-        "truncated_boundary_is_boundary_residue": interior_zero,
-        "pi_D_identity_on_interior": pid["pass"],
-        "orientable": closed_form_zero and interior_zero and pid["pass"],
+        "truncated_boundary_is_boundary_residue": closed_form_zero,
+        "pi_D_identity_on_interior": identity,
+        "orientable": closed_form_zero and identity,
     }
 
 

@@ -30,10 +30,7 @@ _EDGE_KEYS = {"id", "source", "range", "color"}
 
 
 class KGraphPresentation(EdgeSkeleton):
-    """Validated k-graph presentation; also the ambient for its path algebra.
-
-    A finite k-graph has no truncation boundary, so ``boundary_out`` and
-    ``boundary_in`` stay empty."""
+    """Validated k-graph presentation; also the ambient for its path algebra."""
 
     def __init__(self, k: int, vertices: Sequence[str], edges: Sequence[Edge],
                  squares: Sequence[Tuple[Word, Word]]):

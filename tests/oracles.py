@@ -17,13 +17,14 @@ from graphtriple import clifford, kgraphs, spectral
 from graphtriple.algebra import (AlgebraElement, GenKey, _as_degree_tuple,
                                  _check_same, _multiply_keys, accumulate,
                                  expand_key_to, key_degree, key_source_mu,
-                                 sum_of_vertex_projections)
+                                 make_key)
 from graphtriple.clifford import Monomial, word_product
-from graphtriple.graphs import Edge, GraphPresentation, count_classes
-from graphtriple.hochschild import HochschildChain
+from graphtriple.graphs import (Edge, ExpandedGraph, GraphPresentation,
+                                boundary_coefficients_1graph, count_classes)
+from graphtriple.hochschild import FactorTuple, HochschildChain
 from graphtriple.kgraphs import Degree, KGraphPresentation
 from graphtriple.linalg import SparseEchelon
-from graphtriple.scalars import GaussianRational, I
+from graphtriple.scalars import ONE, GaussianRational, I
 from graphtriple.spectral import (MultiplicityModel, Truncation,
                                   _d_commutator_scalar, generator_keys)
 
@@ -31,13 +32,17 @@ from graphtriple.spectral import (MultiplicityModel, Truncation,
 # -- elements ------------------------------------------------------------------------
 
 
-def sum_of_vertex_projections_fold(ambient, vertices=None) -> AlgebraElement:
-    """sum_v p_v folded one vertex projection at a time, each vertex
-    checked against the ambient by `AlgebraElement.vertex`."""
-    out = AlgebraElement.zero(ambient)
-    for v in sorted(vertices if vertices is not None else ambient.vertices):
-        out = out + AlgebraElement.vertex(ambient, v)
-    return out
+def sum_of_vertex_projections(ambient, vertices: Optional[Iterable[str]] = None
+                              ) -> AlgebraElement:
+    """sum_v p_v over `vertices` (all of the ambient's by default), built
+    as one element; ValueError for a vertex the ambient does not have."""
+    known = set(ambient.vertices)
+    terms: Dict[GenKey, GaussianRational] = {}
+    for v in sorted(vertices if vertices is not None else known):
+        if v not in known:
+            raise ValueError(f"unknown vertex {v!r}")
+        accumulate(terms, ((), (), v), ONE)
+    return AlgebraElement(ambient, terms)
 
 
 # -- presentations --------------------------------------------------------------------
@@ -423,3 +428,55 @@ def _restrict_to_sources(a: AlgebraElement, vertices: Iterable[str]) -> AlgebraE
         {k: c for k, c in a.terms.items()
          if key_source_mu(a.ambient, k) in vs},
     )
+
+
+def orientation_cycle_1graph(ambient: ExpandedGraph) -> HochschildChain:
+    """c = sum over edges of S_e* (x) S_e (tails contribute their expansion)."""
+    terms: Dict[FactorTuple, GaussianRational] = {}
+    for eid in ambient.edge_order:
+        star = make_key(ambient, (), (eid,))
+        forward = make_key(ambient, (eid,), ())
+        terms[(star, forward)] = ONE
+    return HochschildChain(ambient, 2, terms)
+
+
+def truncation_ends(g: GraphPresentation, depth: int):
+    """The outermost vertices of g.expand(depth): the tail ends v~t{depth}
+    and the source-tail ends v~s{depth} (the marked vertices themselves at
+    depth 0)."""
+    def end(v, mark):
+        return f"{v}~{mark}{depth}" if depth else v
+    return ({end(v, "t") for v in g.tails},
+            {end(v, "s") for v in g.source_tails})
+
+
+def orientation_1graph_oracle(g: GraphPresentation, depth: int = 1) -> dict:
+    """`hochschild.check_orientation_1graph` by element arithmetic on g with
+    its tails expanded `depth` steps: b(c) summed through the key product
+    and tested against the boundary residue for zero, and pi_D(c) by
+    element products on the interior (the vertices that are entered and
+    are not tail ends)."""
+    amb = g.expand(depth)
+    cycle = orientation_cycle_1graph(amb)
+    coeffs = boundary_coefficients_1graph(g)
+    closed_form_zero = all(v == 0 for v in coeffs.values())
+
+    tail_ends, source_ends = truncation_ends(g, depth)
+    residue = (sum_of_vertex_projections(amb, tail_ends)
+               - sum_of_vertex_projections(amb, source_ends))
+    bc = cycle.boundary()
+    bc_elt = AlgebraElement(
+        amb, {fac[0]: c for fac, c in bc.terms.items()}
+    )
+    interior_zero = (bc_elt - residue).is_zero()
+
+    interior = [v for v in amb.vertices
+                if amb.in_edges(v) and v not in tail_ends]
+    pid = pi_D_identity_oracle(cycle, interior)
+    return {
+        "boundary_coefficients": coeffs,
+        "closed_form_zero": closed_form_zero,
+        "truncated_boundary_is_boundary_residue": interior_zero,
+        "pi_D_identity_on_interior": pid,
+        "orientable": closed_form_zero and interior_zero and pid,
+    }

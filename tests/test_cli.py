@@ -575,32 +575,66 @@ class TestStructureEdgeCases:
         assert run(["conditions", tree_file]) == 0
         assert len(calls) == 2
 
+    @staticmethod
+    def _calls_on(tmp_path, n, command, *options):
+        """Every Python and builtin call of one request on random_tree(n, 1),
+        counted."""
+        path = tmp_path / f"tree{n}.json"
+        path.write_text(json.dumps(graph_to_document(random_tree(n, 1))))
+        count = [0]
+
+        def profile(frame, event, arg):
+            if event in ("call", "c_call"):
+                count[0] += 1
+
+        sys.setprofile(profile)
+        try:
+            code = run([command, str(path), *options,
+                        "--out", str(tmp_path / "report.json")])
+        finally:
+            sys.setprofile(None)
+        assert code == 0
+        return count[0]
+
     @pytest.mark.parametrize("level", ["3", "1000000"])
     def test_conditions_work_is_linear_in_the_presentation(
             self, tmp_path, level):
-        # every Python and builtin call of one request, counted: ten times
-        # the vertices may cost at most twelve times the calls, whatever
-        # the level
-        def calls_on(n):
-            path = tmp_path / f"tree{n}.json"
-            path.write_text(json.dumps(graph_to_document(random_tree(n, 1))))
-            count = [0]
-
-            def profile(frame, event, arg):
-                if event in ("call", "c_call"):
-                    count[0] += 1
-
-            sys.setprofile(profile)
-            try:
-                code = run(["conditions", str(path), "--level", level,
-                            "--out", str(tmp_path / "report.json")])
-            finally:
-                sys.setprofile(None)
-            assert code == 0
-            return count[0]
-
-        small, large = calls_on(2000), calls_on(20000)
+        # ten times the vertices may cost at most twelve times the calls,
+        # whatever the level
+        small, large = (self._calls_on(tmp_path, n, "conditions", "--level",
+                                       level) for n in (2000, 20000))
         assert large <= 12 * small
+
+    def test_hochschild_work_is_linear_in_the_presentation(self, tmp_path):
+        # the 1-graph report is read off the presentation
+        small, large = (self._calls_on(tmp_path, n, "hochschild")
+                        for n in (2000, 20000))
+        assert large <= 12 * small
+
+    def test_conditions_lists_the_structure_once(self, tmp_path,
+                                                 monkeypatch):
+        # the hypotheses, the trace and classify share one list of sinks,
+        # sources, ends and single-entry violations
+        g = random_tree(2000, 1)
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(graph_to_document(g)))
+        n_ends = len(g.find_ends())
+        ends, sink_tests = [], []
+        end, is_sink = graphs.End, GraphPresentation.is_sink
+
+        def built(*args, **kwargs):
+            ends.append(1)
+            return end(*args, **kwargs)
+
+        def counted(self, v):
+            sink_tests.append(v)
+            return is_sink(self, v)
+        monkeypatch.setattr(graphs, "End", built)
+        monkeypatch.setattr(GraphPresentation, "is_sink", counted)
+        assert run(["conditions", str(path),
+                    "--out", str(tmp_path / "report.json")]) == 0
+        assert len(ends) == n_ends
+        assert len(sink_tests) <= 2 * len(g.vertices)
 
     def test_conditions_at_level_1000_on_tree_with_ends_4(self, tmp_path):
         path = tmp_path / "tree4.json"

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from graphtriple import algebra, hochschild
 from graphtriple.algebra import AlgebraElement, make_key
+from graphtriple.graphs import GraphPresentation
 from graphtriple.hochschild import (HochschildChain,
                                     boundary_coefficients_1graph,
                                     check_orientation_1graph,
-                                    orientation_cycle_1graph,
                                     orientation_cycle_kgraph,
                                     permutation_sign, pi_D_identity_check,
                                     verify_cancellation_steps)
@@ -23,7 +23,8 @@ from corpus import (ORIENTATION_CORPUS_1GRAPH, double_entry_tree, dyadic_tree,
                     single_exit_violating_2graph, single_loop, sink_path,
                     torus_2graph, tree_with_ends, two_disjoint_loops,
                     two_extension_2graph, two_vertex_2graph)
-from oracles import pi_D, pi_D_identity_oracle, relabel
+from oracles import (orientation_1graph_oracle, orientation_cycle_1graph,
+                     pi_D, pi_D_identity_oracle, relabel, truncation_ends)
 from test_conditions import product_kgraphs
 from test_spectral import abelian_kgraphs
 from test_structure import digraphs
@@ -161,39 +162,42 @@ class TestOrientation1Graph:
         assert rep["truncated_boundary_is_boundary_residue"] == closed, name
 
 
-def closed_forms(g, amb):
-    """b(c) and pi_D(c) on amb = g.expand(d), from g alone: on the core,
-    b(c) = sum_v (|v|_1 - [v emits]) p_v and pi_D(c) = sum_v |v|_1 p_v;
-    each added tail vertex is entered once, so it adds p_w to pi_D(c), and
-    to b(c) the residue p_w at the outer end of a tail and -p_w at the
-    outer end of a source tail."""
+def closed_forms(g, depth):
+    """b(c) and pi_D(c) on amb = g.expand(depth), from g alone: on the
+    core, b(c) = sum_v (|v|_1 - [v emits]) p_v and pi_D(c) =
+    sum_v |v|_1 p_v; each added tail vertex is entered once, so it adds p_w
+    to pi_D(c), and to b(c) the residue p_w at the outer end of a tail and
+    -p_w at the outer end of a source tail."""
+    amb = g.expand(depth)
+
     def projections(weights):
         return AlgebraElement(amb, {((), (), v): GaussianRational(n)
                                     for v, n in weights.items()})
     added = set(amb.vertices) - set(g.vertices)
+    tail_ends, source_ends = truncation_ends(g, depth)
     b = {**boundary_coefficients_1graph(g),
-         **{w: 1 for w in amb.boundary_out},
-         **{w: -1 for w in amb.boundary_in}}
+         **{w: 1 for w in tail_ends},
+         **{w: -1 for w in source_ends}}
     pi = {**{v: g.conceptual_in_degree(v) for v in g.vertices},
-          **{w: 1 for w in added - set(amb.boundary_in)}}
-    return projections(b), projections(pi)
+          **{w: 1 for w in added - source_ends}}
+    return amb, projections(b), projections(pi)
 
 
 class TestDepthIndependence:
     """The truncated b(c) and pi_D(c) are their closed forms at every tail
-    depth, so `check_orientation_1graph` reads them at depth 1."""
+    depth, and the element route on each depth gives the report that
+    `check_orientation_1graph` reads off the presentation."""
 
     @staticmethod
     def check(g, depth):
-        amb = g.expand(depth)
+        amb, b, pi = closed_forms(g, depth)
         cycle = orientation_cycle_1graph(amb)
-        b, pi = closed_forms(g, amb)
         got = AlgebraElement(
             amb, {fac[0]: c for fac, c in cycle.boundary().terms.items()})
         assert got.equals(b)
         assert pi_D(cycle).equals(pi)
-        assert pi_D_identity_check(cycle, interior(amb), ONE)["pass"] \
-            == check_orientation_1graph(g)["pi_D_identity_on_interior"]
+        assert check_orientation_1graph(g) == \
+            orientation_1graph_oracle(g, depth)
 
     @pytest.mark.parametrize("depth", range(1, 7))
     @pytest.mark.parametrize("name,g", ALL_1GRAPHS)
@@ -204,6 +208,32 @@ class TestDepthIndependence:
     @settings(max_examples=80, deadline=None)
     def test_digraphs_with_tails_and_source_tails(self, g, depth):
         self.check(g, depth)
+
+    @pytest.mark.parametrize("name,identity", [("sink_path", True),
+                                               ("double_entry_tree", False)])
+    def test_each_verdict_can_fail(self, name, identity):
+        # sink_path: pi_D(c) is the identity but b(c) = p_w; the double
+        # entry tree fails both
+        g = dict(ALL_1GRAPHS)[name]
+        rep = check_orientation_1graph(g)
+        assert rep == orientation_1graph_oracle(g)
+        assert not rep["closed_form_zero"]
+        assert not rep["truncated_boundary_is_boundary_residue"]
+        assert rep["pi_D_identity_on_interior"] is identity
+        assert not rep["orientable"]
+
+    def test_builds_no_expansion_chain_element_or_product(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("check_orientation_1graph left the "
+                                 "presentation")
+        monkeypatch.setattr(GraphPresentation, "expand", refuse)
+        monkeypatch.setattr(AlgebraElement, "__init__", refuse)
+        monkeypatch.setattr(HochschildChain, "__init__", refuse)
+        for module in (algebra, hochschild):
+            monkeypatch.setattr(module, "_multiply_keys", refuse)
+        for name, g in ALL_1GRAPHS:
+            rep = check_orientation_1graph(g)
+            assert rep["orientable"] == rep["closed_form_zero"], name
 
 
 class TestOrientationKGraph:
@@ -305,25 +335,9 @@ class TestOrientationKGraph:
         assert rep["step2_elementary_tensors_equal"]
 
 
-def interior(amb):
-    """The vertices away from the cut on which check_orientation_1graph
-    reads pi_D(c)."""
-    return [v for v in amb.vertices
-            if amb.in_edges(v) and v not in amb.boundary_out]
-
-
 class TestPiDFromPaths:
     """pi_D_identity_check reads each term's path and sign; the element
     products of the tests' pi_D are its oracle."""
-
-    @given(digraphs(max_vertices=5), st.integers(1, 4))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_the_oracle_on_digraphs(self, g, depth):
-        amb = g.expand(depth)
-        cycle = orientation_cycle_1graph(amb)
-        for vertices in (interior(amb), None):
-            assert pi_D_identity_check(cycle, vertices, scalar=ONE)["pass"] \
-                == pi_D_identity_oracle(cycle, vertices)
 
     @given(st.one_of(abelian_kgraphs(), product_kgraphs()))
     @settings(max_examples=40, deadline=None)
@@ -358,21 +372,17 @@ class TestPiDFromPaths:
         assert not pi_D_identity_oracle(cycle)
 
     def test_forms_no_product(self, monkeypatch):
-        cycles = [(orientation_cycle_kgraph(g), None, None, ok)
+        cycles = [(orientation_cycle_kgraph(g), ok)
                   for g, ok in ((torus_2graph(), True),
                                 (single_exit_violating_2graph(), False))]
-        for g, ok in ((tree_with_ends(2), True), (double_entry_tree(), False)):
-            amb = g.expand(2)
-            cycles.append((orientation_cycle_1graph(amb), interior(amb), ONE,
-                           ok))
 
         def refuse(*args, **kwargs):
             raise AssertionError("pi_D_identity_check formed a product")
         for module in (algebra, hochschild):
             monkeypatch.setattr(module, "_multiply_keys", refuse)
         monkeypatch.setattr(AlgebraElement, "__mul__", refuse)
-        for cycle, vertices, scalar, ok in cycles:
-            assert pi_D_identity_check(cycle, vertices, scalar)["pass"] is ok
+        for cycle, ok in cycles:
+            assert pi_D_identity_check(cycle)["pass"] is ok
 
     def test_slots_that_miss_the_path_raise(self):
         g = torus_2graph()
@@ -382,11 +392,6 @@ class TestPiDFromPaths:
                 (star, make_key(g, ("e",), ()), make_key(g, *slots)): ONE})
             with pytest.raises(ValueError):
                 pi_D_identity_check(bad)
-        amb = single_loop(2).expand(0)
-        forward = make_key(amb, ("e0",), ())
-        bad = HochschildChain(amb, 2, {(forward, forward): ONE})
-        with pytest.raises(ValueError):
-            pi_D_identity_check(bad, scalar=ONE)
 
 
 class TestPermutationSign:

@@ -20,6 +20,7 @@ NOT_IN_SRC = {
     "to_basis_coordinates", "_basis_indices",
     "degree_reversal_check", "word_to_matrix",
     "pi_D", "_restrict_to_sources",
+    "orientation_cycle_1graph", "sum_of_vertex_projections",
     "KGraphPresentation.segment", "GraphPresentation.relabel",
     "Truncation.nu_target",
     "AlgebraElement.to_json", "AlgebraElement.from_json",
@@ -46,6 +47,21 @@ def test_no_test_oracle_is_defined_under_src():
             if name in NOT_IN_SRC:
                 found[name] = path.name
     assert found == {}
+
+
+def test_hochschild_names_no_expansion_or_element():
+    # the 1-graph report is read off the presentation; only c_k is a chain
+    tree = ast.parse((SRC / "hochschild.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+    assert not names & {"expand", "ExpandedGraph", "AlgebraElement",
+                        "sum_of_vertex_projections"}
 
 
 def test_readme_library_example_runs():
