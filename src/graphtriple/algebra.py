@@ -7,7 +7,7 @@ p_v is the key ((), (), v).
 The ambient is a k-graph, and an expanded 1-graph (``ExpandedGraph``) is
 the case k = 1 (factorisation property, Kumjian-Pask 2000).  Both give one
 protocol: the rank ``k``, a tuple ``degree`` of a word, the sorted
-``paths_with_degree(n, v, direction, max_level)``, ``edge_color``, the
+``paths_with_degree(n, v, direction)``, ``edge_color``, the
 colour-sorted ``normal`` form, ``compose`` and ``divide_prefix``.  k = 1
 is told apart only where a public result shows it: the int ``grade()``
 labels.
@@ -372,7 +372,7 @@ def _meet(ambient, nu1: Word, v1: str, mu2: Word, v2: str
         return []
     ext = tuple(max(a, b) - a for a, b in zip(dn, dm))
     out = []
-    for xi in ambient.paths_with_degree(ext, v1, "out-of", max_level=max(ext)):
+    for xi in ambient.paths_with_degree(ext, v1, "out-of"):
         full = ambient.compose(nu1, xi)
         if full is None:
             continue

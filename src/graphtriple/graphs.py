@@ -56,12 +56,7 @@ class Classification:
     n: Optional[int] = None
 
 
-DEFAULT_TRUNCATION = 8
 TAIL_MARGIN = 2  # level-L truncations expand tails L + TAIL_MARGIN deep
-
-
-class TruncationExceededError(ValueError):
-    """Raised when an enumeration exceeds the configured truncation level."""
 
 
 class EdgeSkeleton:
@@ -75,22 +70,24 @@ class EdgeSkeleton:
         id, or on an edge that joins an undeclared vertex."""
         if len(set(self.vertices)) != len(self.vertices):
             raise GraphValidationError("duplicate vertex identifier")
-        self._out: Dict[str, Tuple[str, ...]] = {v: () for v in self.vertices}
-        self._in: Dict[str, Tuple[str, ...]] = {v: () for v in self.vertices}
+        out: Dict[str, List[str]] = {v: [] for v in self.vertices}
+        into: Dict[str, List[str]] = {v: [] for v in self.vertices}
         self.edges: Dict[str, Edge] = {}
         for e in edges:
             if e.id in self.edges:
                 raise GraphValidationError(f"duplicate edge id {e.id!r}")
             for v in (e.source, e.range):
-                if v not in self._out:
+                if v not in out:
                     raise GraphValidationError(
                         f"edge {e.id!r} references undeclared vertex {v!r}")
             self.edges[e.id] = e
         self.edge_order: Tuple[str, ...] = tuple(sorted(self.edges))
         for eid in self.edge_order:
             e = self.edges[eid]
-            self._out[e.source] += (eid,)
-            self._in[e.range] += (eid,)
+            out[e.source].append(eid)
+            into[e.range].append(eid)
+        self._out = {v: tuple(es) for v, es in out.items()}
+        self._in = {v: tuple(es) for v, es in into.items()}
 
     def out_edges(self, v: str) -> Tuple[str, ...]:
         return self._out[v]
@@ -129,16 +126,10 @@ class EdgeSkeleton:
         return count_classes(self.vertices, (
             (e.source, e.range) for e in self.edges.values())) <= 1
 
-    def paths_with_degree(
-        self, n: Tuple[int, ...], v: Optional[str], direction: str,
-        max_level: int = DEFAULT_TRUNCATION,
-    ) -> List[Tuple[str, ...]]:
+    def paths_with_degree(self, n: Tuple[int, ...], v: Optional[str],
+                          direction: str) -> List[Tuple[str, ...]]:
         """All colour-sorted paths of degree n into / out of v (None = all),
         in lexicographic order."""
-        if any(c > max_level for c in n):
-            raise TruncationExceededError(
-                f"degree {n} exceeds truncation level {max_level}"
-            )
         if direction not in ("into", "out-of"):
             raise ValueError("direction must be 'into' or 'out-of'")
 

@@ -233,9 +233,7 @@ class KGraphPresentation(EdgeSkeleton):
 
     def unit_degree_paths(self) -> List[Word]:
         """All paths of degree (1,...,1), i.e. the sum range of the cycle c_k."""
-        return self.paths_with_degree(
-            tuple([1] * self.k), None, "out-of", max_level=max(1, self.k)
-        )
+        return self.paths_with_degree(tuple([1] * self.k), None, "out-of")
 
 
 def parse_kgraph(text: str) -> KGraphPresentation:

@@ -67,8 +67,7 @@ class Truncation:
         keys: Set[GenKey] = set()
         for w in amb.vertices:
             is_sink = not amb.out_edges(w)
-            into = {d: amb.paths_with_degree(d, w, "into", max_level=level)
-                    for d in box}
+            into = {d: amb.paths_with_degree(d, w, "into") for d in box}
             for da in box:
                 for db in box:
                     if not is_sink and any(
@@ -96,8 +95,7 @@ class Truncation:
         side = max(self.level - 1, 1)
         return sorted((mu, mu, w) for w in amb.vertices
                       for d in _degree_box(amb.k, side)
-                      for mu in amb.paths_with_degree(d, w, "into",
-                                                      max_level=side))
+                      for mu in amb.paths_with_degree(d, w, "into"))
 
 
 def build_truncation(presentation, trace, level: int) -> Truncation:
@@ -133,8 +131,7 @@ def generator_keys(ambient, max_length: int) -> List[GenKey]:
     keys: Set[GenKey] = set()
     for w in ambient.vertices:
         into = [p for d in box
-                for p in ambient.paths_with_degree(d, w, "into",
-                                                   max_level=max_length)]
+                for p in ambient.paths_with_degree(d, w, "into")]
         for mu in into:
             for nu in into:
                 keys.add((mu, nu, w))
@@ -214,9 +211,9 @@ def decompose_projection(v: str, degree: int | Tuple[int, ...],
         x = AlgebraElement.vertex(amb, v)
         parts.append((one, x, x))
     else:
-        for alpha in amb.paths_with_degree(pos, v, "out-of", max_level=tr.level):
+        for alpha in amb.paths_with_degree(pos, v, "out-of"):
             anchor = amb.path_range(alpha) if alpha else v
-            betas = amb.paths_with_degree(neg, anchor, "into", max_level=tr.level)
+            betas = amb.paths_with_degree(neg, anchor, "into")
             if betas:
                 x = AlgebraElement.generator(amb, alpha, betas[0])
                 parts.append((one, x, x))
@@ -407,42 +404,31 @@ def _pairwise_sum(start: int, n: int, leaf):
             + _pairwise_sum(start + half, n - half, leaf))
 
 
-def _exact_level_prefix(model: MultiplicityModel, window: int,
-                        idx) -> Optional[List[float]]:
+def _level_prefix(model: MultiplicityModel, window: int, idx) -> List[float]:
     """The cumulative level mass sum_{j<=i} mass(j) at each level i of idx,
-    as the float the running sum of the per-level floats gives, or None when
-    that sum may round.
-
-    When every level mass on 0..window is k/2^e (one e <= 1074, so 2^-e is
-    a float; integer k >= 0) and 2^e times their total is below 2^53, every
-    per-level float and every partial sum is exact, so the running sum is
-    the integer prefix over 2^e, which int / int returns exactly.  Every
-    denominator is checked, not only the largest: a mass of 1/3 beside 1/4
-    makes the running sum round."""
+    rounded once to a float: over the lcm of the denominators every prefix
+    is an integer k, and k / lcm rounds correctly (to inf past the largest
+    float)."""
     head = model.forward_head[:window + 1]
     n = len(head)
     d = model.backward_depth
     back_stop = window + 1 if d is None else min(d, window) + 1
     tail = model.forward_tail if n <= window else Fraction(0)
     vertex = model.vertex_mass if back_stop > 1 else Fraction(0)
-    masses = head + [tail, vertex]
-    scale = max(m.denominator for m in masses)
-    if (scale & (scale - 1) or scale.bit_length() > 1075
-            or any(m < 0 or scale % m.denominator for m in masses)):
-        return None
-    head_sums = list(itertools.accumulate(
-        h.numerator * (scale // h.denominator) for h in head))
-    tail_k = tail.numerator * (scale // tail.denominator)
-    vertex_k = vertex.numerator * (scale // vertex.denominator)
+    scale = math.lcm(*(m.denominator for m in head + [tail, vertex]))
+    head_sums = list(itertools.accumulate(int(h * scale) for h in head))
+    tail_k, vertex_k = int(tail * scale), int(vertex * scale)
 
-    def prefix(i: int) -> int:
-        return ((head_sums[min(i, n - 1)] if n else 0)
-                + tail_k * max(0, i + 1 - n)
-                + vertex_k * max(0, min(i, back_stop - 1)))
+    def prefix(i: int) -> float:
+        k = ((head_sums[min(i, n - 1)] if n else 0)
+             + tail_k * max(0, i + 1 - n)
+             + vertex_k * max(0, min(i, back_stop - 1)))
+        try:
+            return k / scale
+        except OverflowError:
+            return math.inf if k > 0 else -math.inf
 
-    if prefix(window) >= 1 << 53:
-        return None
-    return [prefix(int(i)) / scale for i in idx]
+    return [prefix(int(i)) for i in idx]
 
 
 def singular_profile(model: MultiplicityModel, window: int) -> SpectralProfile:
@@ -458,13 +444,12 @@ def singular_profile(model: MultiplicityModel, window: int) -> SpectralProfile:
     memory does not grow with the window and time is linear in it; a window
     above PROFILE_BUDGET raises WorkBudgetError before any work.  Two block
     buffers are reused: `grid` holds 1 + k^2, the eigenvalues, then
-    eigenvalue * mass and its running sum; `level` the zeta terms.  The
-    sampled cumulative level mass comes from `_exact_level_prefix` when the
-    masses are dyadic; otherwise `level` then holds the level mass and its
-    running sum.  Slot 0 of each running-sum buffer carries the sum so far,
-    so cumsum adds in whole-window order, and `_pairwise_sum` adds the
-    blocks' zeta sums up numpy's tree: every reported float is the one the
-    whole-array form gives."""
+    eigenvalue * mass and its running sum; `level` the zeta terms.  Slot 0
+    of `grid` carries the sum so far, so cumsum adds in whole-window order,
+    and `_pairwise_sum` adds the blocks' zeta sums up numpy's tree: those
+    floats are the ones the whole-array form gives.  The sampled cumulative
+    level mass t is the exact prefix of the model's masses, rounded once
+    (`_level_prefix`)."""
     if window > PROFILE_BUDGET:
         raise WorkBudgetError(
             f"a profile window of {window} levels exceeds the budget of"
@@ -479,10 +464,8 @@ def singular_profile(model: MultiplicityModel, window: int) -> SpectralProfile:
     s = 0.5 + 1.0 / math.log(window)
     idx = np.geomspace(8, window, num=48).astype(np.int64)
     idx = np.unique(np.clip(idx, 8, window))
-    exact = _exact_level_prefix(model, window, idx)
-    t_vals, int_vals = np.empty((2, len(idx)))
-    if exact is not None:
-        t_vals[:] = exact
+    t_vals = np.array(_level_prefix(model, window, idx))
+    int_vals = np.empty(len(idx))
     grid, level = np.zeros((2, PROFILE_BLOCK + 1))
 
     def block(a: int, b: int):
@@ -504,12 +487,6 @@ def singular_profile(model: MultiplicityModel, window: int) -> SpectralProfile:
         at = idx[i:j] - (a - 1)
         int_vals[i:j] = grid[at]
         grid[0] = grid[m]
-        if exact is None:
-            for lo, hi, value in runs:
-                lv[lo:hi] = value
-            np.cumsum(level[:m + 1], out=level[:m + 1])
-            t_vals[i:j] = level[at]
-            level[0] = level[m]
         return zeta_terms
 
     zeta = float(_pairwise_sum(0, window + 1, block) * (s - 0.5))

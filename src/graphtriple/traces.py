@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
-from .graphs import End, GraphPresentation, GraphValidationError
+from .graphs import (End, GraphPresentation, GraphValidationError,
+                     strong_components)
 from .kgraphs import KGraphPresentation
 from .linalg import SparseEchelon
 from .scalars import GaussianRational
@@ -109,9 +110,14 @@ def solve_kgraph_trace(g: KGraphPresentation) -> KGraphTrace:
     """Solve the per-color harmonic system g(v) = sum_{s(e)=v, color c} g(r(e)).
 
     Finite k-graphs only; raises NoFaithfulTraceError when no positive
-    solution exists.
+    solution exists.  The columns are the strong components, upstream
+    first, with sorted names inside each, so elimination writes upstream
+    values in terms of downstream ones, and the one candidate is the sum of
+    the nullspace basis: every free column 1.
     """
-    verts = list(g.vertices)
+    comps = strong_components(
+        g.vertices, lambda v: (g.edges[e].range for e in g.out_edges(v)))
+    verts = [v for comp in reversed(comps) for v in comp]
     index = {v: i for i, v in enumerate(verts)}
     ech = SparseEchelon()
     for c in range(1, g.k + 1):
@@ -122,16 +128,11 @@ def solve_kgraph_trace(g: KGraphPresentation) -> KGraphTrace:
                     j = index[g.edges[eid].range]
                     row[j] = row.get(j, Fraction(0)) - 1
             ech.insert({j: x for j, x in row.items() if x})
-    basis = [[vec.get(i, Fraction(0)) for i in range(len(verts))]
-             for vec in ech.nullspace(len(verts))]
-    candidates = list(basis)
-    if basis:
-        candidates.append([sum(col) for col in zip(*basis)])
-    for vec in candidates:
-        if all(x > 0 for x in vec):
-            return KGraphTrace(g, {v: vec[index[v]] for v in verts})
-        if all(x < 0 for x in vec):
-            return KGraphTrace(g, {v: -vec[index[v]] for v in verts})
+    basis = ech.nullspace(len(verts))
+    total = {v: sum((vec.get(index[v], 0) for vec in basis), Fraction(0))
+             for v in g.vertices}
+    if basis and all(x > 0 for x in total.values()):
+        return KGraphTrace(g, total)
     raise NoFaithfulTraceError("no positive solution to the k-graph trace system")
 
 

@@ -3,7 +3,7 @@
 import random
 
 from graphtriple.graphs import Edge, GraphPresentation
-from graphtriple.kgraphs import KGraphPresentation
+from graphtriple.kgraphs import KGraphPresentation, kgraph_from_document
 
 
 def single_loop(n: int = 1) -> GraphPresentation:
@@ -152,6 +152,33 @@ def two_vertex_2graph() -> KGraphPresentation:
         ],
         [(("a", "g"), ("f", "a")), (("b", "f"), ("g", "b"))],
     )
+
+
+def two_loop_fan_doc(u: str = "u") -> dict:
+    """A 2-graph document: a loop of each colour at a and at b, and a vertex
+    u with one edge of each colour into a (x1, x2) and into b (y1, y2),
+    squared by x1 a2 = x2 a1 and y1 b2 = y2 b1.  Its trace is g(a) = g(b)
+    = 1, g(u) = 2, whatever u is called."""
+    def edge(eid, source, range_, color):
+        return {"id": eid, "source": source, "range": range_, "color": color}
+
+    def square(first, second):
+        return {"first": first, "second": second}
+    return {
+        "k": 2, "vertices": ["a", "b", u], "tails": [],
+        "edges": [edge("a1", "a", "a", 1), edge("a2", "a", "a", 2),
+                  edge("b1", "b", "b", 1), edge("b2", "b", "b", 2),
+                  edge("x1", u, "a", 1), edge("x2", u, "a", 2),
+                  edge("y1", u, "b", 1), edge("y2", u, "b", 2)],
+        "squares": [square(["a1", "a2"], ["a2", "a1"]),
+                    square(["b1", "b2"], ["b2", "b1"]),
+                    square(["x1", "a2"], ["x2", "a1"]),
+                    square(["y1", "b2"], ["y2", "b1"])],
+    }
+
+
+def two_loop_fan_2graph(u: str = "u") -> KGraphPresentation:
+    return kgraph_from_document(two_loop_fan_doc(u))
 
 
 def two_extension_2graph() -> KGraphPresentation:

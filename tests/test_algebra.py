@@ -376,7 +376,7 @@ def _reference_product(ambient, k1, k2):
     ext = tuple(max(a, b) - a for a, b in zip(dn, dm))
     anchor = ambient.path_range(nu1) if nu1 else v1
     out = []
-    for xi in ambient.paths_with_degree(ext, anchor, "out-of", max_level=max(ext)):
+    for xi in ambient.paths_with_degree(ext, anchor, "out-of"):
         full = ambient.compose(nu1, xi)
         if full is None:
             continue

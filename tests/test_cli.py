@@ -19,7 +19,7 @@ from graphtriple.cli import (EX_CANTCREAT, EX_DATAERR, EX_NOINPUT,
                              EX_UNAVAILABLE, EX_USAGE, run)
 
 from corpus import (loop_with_exit, random_tree, single_loop,
-                    torus_2graph, tree_with_ends)
+                    torus_2graph, tree_with_ends, two_loop_fan_doc)
 from graphtriple.graphs import (GraphPresentation, GraphValidationError,
                                graph_from_document, graph_to_document)
 from graphtriple.spectral import vertex_multiplicities
@@ -337,6 +337,24 @@ class TestSubcommands:
         assert run(["hochschild", loop_file]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["orientable"] and doc["b_cycle_zero"]
+
+    @pytest.mark.parametrize("u", ["u", "0u"])
+    def test_kgraph_trace_does_not_depend_on_vertex_names(self, u, tmp_path,
+                                                          capsys):
+        path = tmp_path / "fan.json"
+        path.write_text(json.dumps(two_loop_fan_doc(u)))
+        assert run(["trace", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "vertices": {"a": "1", "b": "1", u: "2"}}
+        run(["conditions", str(path)])
+        report = json.loads(capsys.readouterr().out)
+        assert report["hypotheses"]["faithful_graph_trace_exists"]
+        statuses = {k: e["status"] for k, e in report["conditions"].items()}
+        assert statuses == {
+            "closedness": "holds", "dimension": "holds", "finiteness": "holds",
+            "first_order": "holds", "irreducibility": "fails",
+            "orientability": "fails", "reality": "holds",
+            "regularity": "holds", "spin_c": "holds"}
 
     def test_hochschild_kgraph(self, torus_file, capsys):
         assert run(["hochschild", torus_file]) == 0

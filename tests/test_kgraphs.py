@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphtriple.graphs import (Edge, GraphFormatError, GraphValidationError,
-                               TruncationExceededError)
+from graphtriple.graphs import Edge, GraphFormatError, GraphValidationError
 from graphtriple.kgraphs import KGraphPresentation, parse_kgraph
 
 from corpus import (one_vertex_3graph, one_vertex_kgraph,
@@ -173,11 +172,6 @@ class TestEnumeration:
         assert not chk["holds"]
         assert chk["violations"][("w", 1)] == 2
         assert chk["violations"][("u", 1)] == 0
-
-    def test_truncation_guard(self):
-        g = torus_2graph()
-        with pytest.raises(TruncationExceededError):
-            g.paths_with_degree((9, 0), "v", "out-of")
 
     def test_k1_embedding_agrees_with_plain_enumeration(self):
         g = KGraphPresentation(

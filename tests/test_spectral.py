@@ -259,9 +259,10 @@ class TestProfiles:
 
 def singular_profile_oracle(model, window, sample_count=48):
     """`singular_profile` as it was with about nine window-length arrays:
-    every array built whole, f_vals over the whole window, plus the
-    finite-rank rule (limit 0.0, no fit).  The two-buffer version must
-    report the same floats bit for bit."""
+    every float array built whole, plus the finite-rank rule (limit 0.0, no
+    fit).  The cumulative level mass is exact: a window-length list of
+    integers over the common denominator, divided once at each sample.  The
+    two-buffer version must report the same floats bit for bit."""
     if window < 100:
         return SpectralProfile(
             window, [], [], None, None, None,
@@ -283,18 +284,27 @@ def singular_profile_oracle(model, window, sample_count=48):
         back[min(d, window) + 1:] = 0.0
     level_mass = level_mass + back
 
-    cum_mass = np.cumsum(level_mass)
-    cum_int = np.cumsum(lam * level_mass)
-    with np.errstate(divide="ignore"):
-        f_vals = cum_int / np.log1p(cum_mass)
-
     idx = np.unique(
         np.clip(
             np.geomspace(8, window, num=sample_count).astype(np.int64),
             8, window,
         )
     )
-    samples = [(float(cum_mass[i]), float(f_vals[i])) for i in idx]
+    scale = math.lcm(*(m.denominator for m in
+                       [*head, model.forward_tail, model.vertex_mass]))
+    level_int = [int(h * scale) for h in head[:window + 1]]
+    level_int += ([int(model.forward_tail * scale)]
+                  * (window + 1 - len(level_int)))
+    vertex_int = int(model.vertex_mass * scale)
+    for j in range(1, window + 1 if d is None else min(d, window) + 1):
+        level_int[j] += vertex_int
+    cum_mass_int = list(itertools.accumulate(level_int))
+    t_vals = np.array([cum_mass_int[i] / scale for i in idx])
+
+    cum_int = np.cumsum(lam * level_mass)
+    with np.errstate(divide="ignore"):
+        f_vals = cum_int[idx] / np.log1p(t_vals)
+    samples = [(float(t), float(f)) for t, f in zip(t_vals, f_vals)]
 
     s = 0.5 + 1.0 / math.log(window)
     zeta = float(np.sum(level_mass * (1.0 + ks * ks) ** (-s)) * (s - 0.5))
@@ -305,9 +315,9 @@ def singular_profile_oracle(model, window, sample_count=48):
             {"finite_rank": True, "raw_F_at_window": float(f_vals[-1])},
         )
 
-    tail_idx = idx[idx >= max(64, window // 1024)]
-    x = 1.0 / np.log1p(cum_mass[tail_idx])
-    y = f_vals[tail_idx]
+    tail = idx >= max(64, window // 1024)
+    x = 1.0 / np.log1p(t_vals[tail])
+    y = f_vals[tail]
     coeffs = np.polyfit(x, y, 1)
     limit = float(coeffs[1])
     resid = y - np.polyval(coeffs, x)
@@ -399,36 +409,62 @@ class TestProfileBuffers:
         assert _profile_or_error(singular_profile, model, window) == \
             _profile_or_error(singular_profile_oracle, model, window)
 
-    @pytest.mark.parametrize("model, window, exact", [
+    @pytest.mark.parametrize("model, window", [
         # the largest denominator is a power of two, another is not
         (MultiplicityModel(Fraction(1, 2), [Fraction(1, 4), Fraction(1, 3)],
-                           Fraction(3, 4), None), 10 ** 5, False),
-        # dyadic, but 2^e times the window total reaches 2^53
+                           Fraction(3, 4), None), 10 ** 5),
+        # dyadic, but the window total reaches 2^53
         (MultiplicityModel(Fraction(1), [Fraction(3, 2)], Fraction(2 ** 34),
-                           None), 10 ** 6, False),
+                           None), 10 ** 6),
         # integer masses whose window total is just below 2^53
         (MultiplicityModel(Fraction(1), [Fraction(3)], Fraction(2 ** 32),
-                           7), 10 ** 6, True),
+                           7), 10 ** 6),
         # dyadic, a head longer than one block, the backward cut mid-block
         (MultiplicityModel(Fraction(3, 4),
                            [_DYADIC[j % 5] for j in range(_BLOCK + 100)],
                            Fraction(1, 8), _BLOCK + _BLOCK // 2),
-         3 * _BLOCK, True),
+         3 * _BLOCK),
     ], ids=["mixed-denominators", "total-over-2^53", "total-under-2^53",
             "long-dyadic-head"])
-    def test_exactness_guard_matches_oracle(self, model, window, exact):
-        assert (spectral._exact_level_prefix(model, window, [window])
-                is not None) == exact
+    def test_exactness_guard_matches_oracle(self, model, window):
         assert _profile_or_error(singular_profile, model, window) == \
             _profile_or_error(singular_profile_oracle, model, window)
 
-    @pytest.mark.parametrize("mass, cumsums_per_block", [
-        (None, 1), (Fraction(1, 3), 2)], ids=["tree3-integer", "one-third"])
-    def test_exact_route_runs_one_cumsum_per_block(self, mass,
-                                                   cumsums_per_block,
-                                                   monkeypatch):
-        """Dyadic masses read the cumulative level mass off the model; only
-        the eigenvalue * mass running sum is left in the block walk."""
+    @pytest.mark.parametrize("model", [
+        MultiplicityModel(Fraction(1, 2), [Fraction(1, 4), Fraction(1, 3)],
+                          Fraction(3, 4), None),
+        MultiplicityModel(Fraction(1), [Fraction(3, 2)], Fraction(2 ** 40),
+                          None),
+        MultiplicityModel(Fraction(1, 3), [Fraction(1, 3)] * 3,
+                          Fraction(1, 3), None),
+        MultiplicityModel(Fraction(22, 7), [Fraction(22, 7)] * 2,
+                          Fraction(22, 7), 5),
+    ], ids=["mixed-denominators", "total-over-2^53", "one-third",
+            "22/7-depth-5"])
+    def test_sampled_mass_is_the_exact_prefix_rounded_once(self, model):
+        """A float running sum rounds on each of these models; t must not.
+        Gauge level j carries mass(j) + mass(-j), level 0 mass(0) alone."""
+        window = 10 ** 5
+        exact = list(itertools.accumulate(
+            model.mass(j) + (model.mass(-j) if j else 0)
+            for j in range(window + 1)))
+        idx = np.unique(np.clip(np.geomspace(8, window, num=48)
+                                .astype(np.int64), 8, window))
+        samples = singular_profile(model, window).f_samples
+        assert [t for t, _ in samples] == [float(exact[i]) for i in idx]
+
+    def test_mass_past_the_largest_float_samples_inf(self):
+        model = MultiplicityModel(Fraction(1), [Fraction(1)],
+                                  Fraction(10 ** 305), None)
+        samples = singular_profile(model, 10 ** 6).f_samples
+        assert samples[0][0] == float(Fraction(10 ** 305) * 8 + 9)
+        assert samples[-1] == (math.inf, 0.0)
+
+    @pytest.mark.parametrize("mass", [None, Fraction(1, 3)],
+                             ids=["tree3-integer", "one-third"])
+    def test_exact_route_runs_one_cumsum_per_block(self, mass, monkeypatch):
+        """The cumulative level mass is read off the model; only the
+        eigenvalue * mass running sum is left in the block walk."""
         g = tree_with_ends(3)
         model = vertex_multiplicities(g, solve_graph_trace(g), "b")
         if mass is not None:
@@ -448,7 +484,7 @@ class TestProfileBuffers:
         singular_profile(model, 10 ** 6)
         blocks = calls.count("block")
         assert blocks >= (10 ** 6 + 1) / _BLOCK
-        assert calls.count("cumsum") == cumsums_per_block * blocks
+        assert calls.count("cumsum") == blocks
 
     def test_corpus_models_match_oracle(self):
         from corpus import sink_path

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from graphtriple.algebra import AlgebraElement
 from graphtriple.graphs import Edge, GraphPresentation
+from graphtriple.kgraphs import KGraphPresentation
 from graphtriple.scalars import GaussianRational
 from graphtriple.traces import (FixedPointCanonicalForm, NoFaithfulTraceError,
                                 NonDiagonalError, canonical_F_form,
@@ -15,8 +17,10 @@ from graphtriple.traces import (FixedPointCanonicalForm, NoFaithfulTraceError,
 
 from corpus import (bi_infinite_path, double_entry_tree, dyadic_tree,
                     loop_with_exit, single_loop, sink_path, torus_2graph,
-                    tree_with_ends, two_vertex_2graph)
+                    tree_with_ends, two_loop_fan_2graph, two_vertex_2graph)
 from oracles import relabel
+from test_conditions import product_kgraphs, twisted_2graphs
+from test_spectral import abelian_kgraphs
 
 
 class TestSolveGraphTrace:
@@ -72,6 +76,50 @@ class TestSolveGraphTrace:
         assert all(v > 0 for v in t.values.values())
         t2 = solve_kgraph_trace(two_vertex_2graph())
         assert t2.values["u"] == t2.values["w"]
+
+
+def rename_vertices(g: KGraphPresentation, vmap) -> KGraphPresentation:
+    """g with its vertices renamed by vmap; edge ids and squares kept."""
+    return KGraphPresentation(
+        g.k, [vmap[v] for v in g.vertices],
+        [Edge(e.id, vmap[e.source], vmap[e.range], e.color)
+         for e in g.edges.values()],
+        list(g._swap.items()))
+
+
+def _trace_or_none(g):
+    try:
+        return solve_kgraph_trace(g).values
+    except NoFaithfulTraceError:
+        return None
+
+
+class TestKGraphTraceLabels:
+    @given(st.one_of(twisted_2graphs(), product_kgraphs(), abelian_kgraphs())
+           .filter(lambda g: len(g.vertices) <= 4))
+    @settings(max_examples=300, deadline=None)
+    def test_verdict_does_not_depend_on_vertex_names(self, g):
+        verdicts = set()
+        for names in itertools.permutations(g.vertices):
+            h = rename_vertices(g, dict(zip(g.vertices, names)))
+            values = _trace_or_none(h)
+            verdicts.add(values is not None)
+            if values is None:
+                continue
+            assert all(x > 0 for x in values.values())
+            for c in range(1, h.k + 1):
+                for v in h.vertices:
+                    assert values[v] == sum(
+                        values[h.edges[e].range] for e in h.out_edges(v)
+                        if h.edges[e].color == c)
+        assert len(verdicts) == 1
+
+    def test_upstream_vertex_named_before_or_after_its_loops(self):
+        """u reaches the loops at a and at b by one edge of each colour, so
+        g(u) = g(a) + g(b) in both colours, whatever u is called."""
+        for u in ("u", "0u"):
+            assert solve_kgraph_trace(two_loop_fan_2graph(u)).values == {
+                "a": 1, "b": 1, u: 2}
 
 
 class TestTraceFunctional:
