@@ -52,8 +52,8 @@ FactorTuple = Tuple[GenKey, ...]
 
 # verify_cancellation_steps builds c_k, k! |Lambda^(1,..,1)| terms.  On
 # one-vertex k-graphs (one term per permutation, 2-CPU sandbox) it takes
-# 0.13 s at k = 5, 0.98 s at k = 6 and 8.1 s at k = 7; k = 8 took about
-# 130 s, so the budget admits the 7-graph and refuses the 8-graph.
+# 0.02 s at k = 5, 0.13 s at k = 6 and 1.1-1.3 s at k = 7; k = 8 took
+# 11.6 s and 158 MB, so the budget admits the 7-graph and refuses the 8-graph.
 CYCLE_BUDGET = 5_040
 
 

@@ -25,8 +25,10 @@ nothing of this module; `Truncation.basis` is built on first read.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -363,11 +365,11 @@ class SpectralProfile:
         return "\n".join(lines) + "\n"
 
 
-# The profile walks its window in blocks of at most PROFILE_BLOCK levels: at
-# window 10^6 (2-CPU sandbox, integer masses) blocks of 2^14 to 2^17 took
-# 12-13 ms at best, against 17 ms for whole-window buffers.  A window of
-# PROFILE_BUDGET levels takes about 1.3 s.
-PROFILE_BLOCK = 1 << 15
+# The profile walks its window in blocks of at most PROFILE_BLOCK levels, the
+# zeta side on a worker thread.  On a 2-CPU sandbox (integer masses), blocks
+# of 2^14, 2^15, 2^16 and 2^17 took a median 11.5, 8.7, 8.2 and 8.4 ms at
+# window 10^6, and 1.12, 0.87, 0.68 and 0.63 s at PROFILE_BUDGET levels.
+PROFILE_BLOCK = 1 << 16
 PROFILE_BUDGET = 10 ** 8
 
 
@@ -440,16 +442,16 @@ def singular_profile(model: MultiplicityModel, window: int) -> SpectralProfile:
     bounded backward depth) the operator has finite rank, F_T tends to 0
     and the limit is reported as 0.0 with no fit.
 
-    The window is walked in blocks of at most PROFILE_BLOCK levels, so
-    memory does not grow with the window and time is linear in it; a window
-    above PROFILE_BUDGET raises WorkBudgetError before any work.  Two block
-    buffers are reused: `grid` holds 1 + k^2, the eigenvalues, then
-    eigenvalue * mass and its running sum; `level` the zeta terms.  Slot 0
-    of `grid` carries the sum so far, so cumsum adds in whole-window order,
-    and `_pairwise_sum` adds the blocks' zeta sums up numpy's tree: those
-    floats are the ones the whole-array form gives.  The sampled cumulative
-    level mass t is the exact prefix of the model's masses, rounded once
-    (`_level_prefix`)."""
+    The window is walked in blocks of at most PROFILE_BLOCK levels (the
+    leaves of `_pairwise_sum`), so memory does not grow with the window and
+    time is linear in it; a window above PROFILE_BUDGET raises
+    WorkBudgetError before any work.  A thread in a copy of the caller's
+    context (np.errstate included) sums each block's zeta terms while the
+    caller runs the eigenvalue * mass cumsum, slot 0 of `grid` carrying the
+    sum so far so that it adds in whole-window order.  `_pairwise_sum` adds
+    the zeta sums up numpy's tree: those floats are the ones the whole-array
+    form gives.  The sampled cumulative level mass t is the exact prefix of
+    the model's masses, rounded once (`_level_prefix`)."""
     if window > PROFILE_BUDGET:
         raise WorkBudgetError(
             f"a profile window of {window} levels exceeds the budget of"
@@ -466,30 +468,47 @@ def singular_profile(model: MultiplicityModel, window: int) -> SpectralProfile:
     idx = np.unique(np.clip(idx, 8, window))
     t_vals = np.array(_level_prefix(model, window, idx))
     int_vals = np.empty(len(idx))
-    grid, level = np.zeros((2, PROFILE_BLOCK + 1))
+    spans = []  # (a, b, mass runs) per block
+    _pairwise_sum(0, window + 1, lambda a, b: spans.append(
+        (a, b, _mass_runs(model, window, a, b))) or 0.0)
+    offsets = np.arange(PROFILE_BLOCK, dtype=np.float64)  # k = offsets + a
 
-    def block(a: int, b: int):
-        m = b - a
-        g, lv = grid[1:m + 1], level[1:m + 1]
-        np.square(np.arange(a, b, dtype=np.float64), out=g)
-        np.add(g, 1.0, out=g)  # 1 + k^2
-        np.power(g, -s, out=lv)
-        runs = _mass_runs(model, window, a, b)
-        for lo, hi, value in runs:
-            lv[lo:hi] *= value
-        zeta_terms = np.sum(lv)
-        np.sqrt(g, out=g)
-        np.divide(1.0, g, out=g)  # eigenvalues (1 + k^2)^{-1/2}
-        for lo, hi, value in runs:
-            g[lo:hi] *= value
-        np.cumsum(grid[:m + 1], out=grid[:m + 1])
-        i, j = np.searchsorted(idx, [a, b])
-        at = idx[i:j] - (a - 1)
-        int_vals[i:j] = grid[at]
-        grid[0] = grid[m]
-        return zeta_terms
+    def weighted(buf, f):
+        """Each span (a, b) with buf[:b - a] = f(1 + k^2) * mass(k)."""
+        for a, b, runs in spans:
+            x = np.add(offsets[:b - a], a, out=buf[:b - a])
+            f(np.add(np.square(x, out=x), 1.0, out=x))
+            for lo, hi, value in runs:
+                x[lo:hi] *= value
+            yield a, b, x
 
-    zeta = float(_pairwise_sum(0, window + 1, block) * (s - 0.5))
+    leaf_sums, failed = {}, []
+
+    def zeta_side():
+        try:
+            for a, _, x in weighted(np.empty(PROFILE_BLOCK),
+                                    lambda x: np.power(x, -s, out=x)):
+                leaf_sums[a] = np.sum(x)
+        except BaseException as exc:
+            failed.append(exc)
+
+    worker = threading.Thread(target=contextvars.copy_context().run,
+                              args=(zeta_side,))
+    worker.start()
+    try:
+        grid = np.zeros(PROFILE_BLOCK + 1)  # grid[0] carries the sum so far
+        for a, b, _ in weighted(grid[1:], lambda x: np.divide(
+                1.0, np.sqrt(x, out=x), out=x)):
+            np.cumsum(grid[:b - a + 1], out=grid[:b - a + 1])
+            i, j = np.searchsorted(idx, [a, b])
+            int_vals[i:j] = grid[idx[i:j] - (a - 1)]
+            grid[0] = grid[b - a]
+    finally:
+        worker.join()
+    if failed:
+        raise failed[0]
+    zeta = float(_pairwise_sum(0, window + 1, lambda a, b: leaf_sums[a])
+                 * (s - 0.5))
     lead = [(1.0 / math.sqrt(1.0 + j * j), model.mass(j)) for j in range(8)]
     with np.errstate(divide="ignore"):
         f_vals = int_vals / np.log1p(t_vals)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -359,6 +360,9 @@ _MASSES = st.sampled_from(_MASSES_LIST)
 _DYADIC = [Fraction(1, 4), Fraction(3, 8), Fraction(0), Fraction(2),
            Fraction(5, 2)]
 _BLOCK = spectral.PROFILE_BLOCK
+# a fixed level count whose edges the tests probe besides the block's own:
+# half of a 2^16 block, and a whole block of 2^15
+_EDGE = 1 << 15
 
 
 @st.composite
@@ -395,8 +399,9 @@ class TestProfileBuffers:
         assert _profile_or_error(singular_profile, model, 10 ** 6) == \
             _profile_or_error(singular_profile_oracle, model, 10 ** 6)
 
-    @pytest.mark.parametrize("window", [_BLOCK - 2, _BLOCK - 1, _BLOCK,
-                                        2 * _BLOCK + 6])
+    @pytest.mark.parametrize("window", [_EDGE - 2, _EDGE - 1, _EDGE,
+                                        2 * _EDGE + 6, _BLOCK - 2, _BLOCK - 1,
+                                        _BLOCK, 2 * _BLOCK + 6])
     @pytest.mark.parametrize("model", [
         MultiplicityModel(Fraction(3, 2), [Fraction(1), Fraction(5, 2)],
                           Fraction(7, 3), None),
@@ -527,13 +532,77 @@ class TestProfileBuffers:
         assert abs(peaks[0] - peaks[1]) <= block_bytes
 
 
+class TestProfileWorker:
+    """The zeta side of the profile runs on a worker thread; it must behave
+    like inline code: the caller's errstate, its errors, no thread left."""
+
+    @staticmethod
+    def _model():
+        g = tree_with_ends(2)
+        return vertex_multiplicities(g, solve_graph_trace(g), "b")
+
+    @pytest.mark.parametrize("side", ["power", "cumsum"],
+                             ids=["zeta-side", "eigenvalue-side"])
+    def test_an_error_on_either_side_raises_in_the_caller(self, side,
+                                                         monkeypatch):
+        def broken(*args, **kwargs):
+            raise ArithmeticError(f"broken {side}")
+
+        monkeypatch.setattr(np, side, broken)
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError, match=f"broken {side}"):
+            singular_profile(self._model(), 10 ** 6)
+        assert threading.active_count() == before
+
+    def test_zeta_side_runs_off_the_caller_under_its_errstate(self,
+                                                             monkeypatch):
+        """np.power runs on another thread, under the caller's errstate, and
+        that thread is gone when the call returns."""
+        seen = []
+
+        def recording(*args, **kwargs):
+            seen.append((threading.get_ident(), np.geterr()))
+            return power(*args, **kwargs)
+
+        power = np.power
+        monkeypatch.setattr(np, "power", recording)
+        before = threading.active_count()
+        with np.errstate(over="raise", under="ignore"):
+            expected = np.geterr()
+            singular_profile(self._model(), 10 ** 6)
+        assert threading.active_count() == before  # joined on success too
+        assert seen
+        assert threading.get_ident() not in {ident for ident, _ in seen}
+        assert all(err == expected for _, err in seen)
+
+    # masses +-1.7e308 on levels 0..3: both window sums overflow, while the
+    # exact level mass t stays finite (0 from level 3 on) and no fit is made
+    _HUGE = MultiplicityModel(
+        Fraction(0), [Fraction(17 * 10 ** 307)] * 2
+        + [Fraction(-17 * 10 ** 307)] * 2, Fraction(0), 0)
+
+    def test_overflow_raises_under_errstate_raise(self):
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            singular_profile(self._HUGE, 10 ** 6)
+
+    def test_overflow_is_quiet_under_errstate_ignore(self):
+        model = self._HUGE
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prof = singular_profile(model, 10 ** 6)
+        assert _profile_or_error(lambda m, w: prof, model, 10 ** 6) == \
+            _profile_or_error(singular_profile_oracle, model, 10 ** 6)
+
+
 class TestPairwiseTree:
     """`spectral._pairwise_sum` must add leaf sums up the tree that np.sum
     uses, or the zeta residue moves with the block size."""
 
-    @pytest.mark.parametrize("n", [1, 7, 8, 127, 128, 129, _BLOCK - 1,
-                                   _BLOCK, _BLOCK + 1, 2 * _BLOCK + 7,
-                                   3 * _BLOCK + 5, 10 ** 6 + 1])
+    @pytest.mark.parametrize("n", [1, 7, 8, 127, 128, 129, _EDGE - 1, _EDGE,
+                                   _EDGE + 1, 2 * _EDGE + 7, 3 * _EDGE + 5,
+                                   _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                   2 * _BLOCK + 7, 3 * _BLOCK + 5,
+                                   10 ** 6 + 1])
     def test_leaf_sums_add_up_like_np_sum(self, n):
         rng = np.random.default_rng(n)
         # signs and magnitudes spread wide, so a reordered sum rounds apart
