@@ -7,14 +7,18 @@ j gamma^j j = (-1)^{s(k)} gamma^j for odd j and (-1)^{s(k)+1} gamma^j for
 even j, where s(k) = floor(k/2)(k+1) - k.  (For k = 4n the roles of odd and
 even indices swap, which the labeling handles by swapping the tensor pair.)
 
-Every gamma matrix, every product of them and the reality operator chi are
-monomial: each row holds exactly one nonzero entry, a power of i.  Such an
-operator is stored as a `Monomial` (perm, phase): row r holds i**phase[r] in
-column perm[r].  Products, adjoints, entrywise conjugation, scaling by i**q
-and Kronecker products are then O(n) integer work mod 4 on 2^floor(k/2) rows
-(the phase form of Aaronson-Gottesman, PRA 70, 052328, 2004), and every
-identity below is checked exactly by tuple equality.  The sign table is
-tabulated for k = 1..16, two Bott periods.
+Every gamma matrix, every product of them, chi and omega lie in the Pauli
+group: each is i**q times a tensor product of sigma_1 = X, sigma_3 = Z,
+sigma_2 = iXZ and the identity.  Such an operator is stored as a `Pauli`
+(x, z, phase, qubits), meaning i**phase X^x Z^z on floor(k/2) tensor
+factors, with bit j of x and of z for the factor j places from the last, so
+X^x Z^z e_r = (-1)^popcount(z & r) e_(r ^ x).  Products, adjoints, entrywise
+conjugation, scaling by i**q and Kronecker products are then a few integer
+operations on the bit strings, whatever the dimension 2^floor(k/2): a
+product is two XORs and a popcount (the phase form of Aaronson-Gottesman,
+PRA 70, 052328, 2004).  The strings X^x Z^z are linearly independent and the
+phase is kept mod 4, so every identity below is checked exactly by tuple
+equality.  The sign table is tabulated for k = 1..16, two Bott periods.
 
 The module also carries the abstract gamma-word algebra used to represent
 Clifford-valued operators exactly, independent of the matrix dimension.
@@ -34,63 +38,59 @@ Word = Tuple[int, ...]
 KMAX = 16
 
 
-class Monomial(NamedTuple):
-    """A monomial matrix: row r holds i**phase[r] in column perm[r]."""
+class Pauli(NamedTuple):
+    """i**phase X^x Z^z on `qubits` tensor factors of C^2."""
 
-    perm: Tuple[int, ...]
-    phase: Tuple[int, ...]
+    x: int
+    z: int
+    phase: int
+    qubits: int
 
     @staticmethod
-    def identity(n: int) -> "Monomial":
-        return Monomial(tuple(range(n)), (0,) * n)
+    def identity(qubits: int) -> "Pauli":
+        return Pauli(0, 0, 0, qubits)
 
-    def __matmul__(self, other: "Monomial") -> "Monomial":
-        perm, phase = other
-        return Monomial(
-            tuple(perm[c] for c in self.perm),
-            tuple((q + phase[c]) % 4 for c, q in zip(self.perm, self.phase)),
-        )
+    def __matmul__(self, other: "Pauli") -> "Pauli":
+        # Z^z1 X^x2 = (-1)^popcount(z1 & x2) X^x2 Z^z1
+        x1, z1, q1, n = self
+        x2, z2, q2, _ = other
+        return Pauli(x1 ^ x2, z1 ^ z2, (q1 + q2 + 2 * (z1 & x2).bit_count()) % 4, n)
 
-    def __neg__(self) -> "Monomial":
+    def __neg__(self) -> "Pauli":
         return self.times_i(2)
 
-    def times_i(self, q: int) -> "Monomial":
+    def times_i(self, q: int) -> "Pauli":
         """i**q times this operator."""
-        return Monomial(self.perm, tuple((p + q) % 4 for p in self.phase))
+        x, z, p, n = self
+        return Pauli(x, z, (p + q) % 4, n)
 
-    def conj(self) -> "Monomial":
-        """Entrywise complex conjugate."""
-        return Monomial(self.perm, tuple(-q % 4 for q in self.phase))
+    def conj(self) -> "Pauli":
+        """Entrywise complex conjugate (X and Z are real)."""
+        return Pauli(self.x, self.z, -self.phase % 4, self.qubits)
 
-    def adjoint(self) -> "Monomial":
-        perm = [0] * len(self.perm)
-        phase = [0] * len(self.perm)
-        for r, (c, q) in enumerate(zip(self.perm, self.phase)):
-            perm[c], phase[c] = r, -q % 4
-        return Monomial(tuple(perm), tuple(phase))
+    def adjoint(self) -> "Pauli":
+        # (X^x Z^z)^dagger = Z^z X^x = (-1)^popcount(x & z) X^x Z^z
+        x, z, q, n = self
+        return Pauli(x, z, (2 * (x & z).bit_count() - q) % 4, n)
 
-    def kron(self, other: "Monomial") -> "Monomial":
-        n = len(other.perm)
-        return Monomial(
-            tuple(c * n + d for c in self.perm for d in other.perm),
-            tuple((p + q) % 4 for p in self.phase for q in other.phase),
-        )
+    def kron(self, other: "Pauli") -> "Pauli":
+        x, z, q, n = other
+        return Pauli(self.x << n | x, self.z << n | z, (self.phase + q) % 4,
+                     self.qubits + n)
 
     def is_real(self) -> bool:
-        return all(q % 2 == 0 for q in self.phase)
+        return self.phase % 2 == 0
 
     def scalar(self) -> Optional[GaussianRational]:
         """Return c with self = c*Id, or None."""
-        if self.perm != tuple(range(len(self.perm))) or len(set(self.phase)) != 1:
-            return None
-        return GaussianRational.i_power(self.phase[0])
+        return None if self.x or self.z else GaussianRational.i_power(self.phase)
 
 
-_I1 = Monomial.identity(1)
-_I2 = Monomial.identity(2)
-_SIGMA1 = Monomial((1, 0), (0, 0))
-_SIGMA2 = Monomial((1, 0), (3, 1))  # [[0, -i], [i, 0]]
-_SIGMA3 = Monomial((0, 1), (0, 2))
+_I1 = Pauli.identity(0)
+_I2 = Pauli.identity(1)
+_SIGMA1 = Pauli(1, 0, 0, 1)
+_SIGMA2 = Pauli(1, 1, 1, 1)  # i X Z = [[0, -i], [i, 0]]
+_SIGMA3 = Pauli(0, 1, 0, 1)
 
 
 def _sign_phase(sign: int) -> int:
@@ -105,18 +105,18 @@ def s_of_k(k: int) -> int:
     return (k // 2) * (k + 1) - k
 
 
-def _jordan_wigner(m: int) -> Tuple[List[Monomial], List[Monomial], Monomial]:
-    """Pairwise anticommuting X_j, Y_j (j=1..m) and Z on dimension 2^m."""
+def _jordan_wigner(m: int) -> Tuple[List[Pauli], List[Pauli], Pauli]:
+    """Pairwise anticommuting X_j, Y_j (j=1..m) and Z on m tensor factors."""
 
     def string(factors):
-        return reduce(Monomial.kron, factors, _I1)
+        return reduce(Pauli.kron, factors, _I1)
 
     xs = [string([_SIGMA3] * j + [_SIGMA1] + [_I2] * (m - j - 1)) for j in range(m)]
     ys = [string([_SIGMA3] * j + [_SIGMA2] + [_I2] * (m - j - 1)) for j in range(m)]
     return xs, ys, string([_SIGMA3] * m)
 
 
-def generators(k: int) -> List[Monomial]:
+def generators(k: int) -> List[Pauli]:
     """The k anti-Hermitian generators with the required conjugation pattern."""
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -127,21 +127,17 @@ def generators(k: int) -> List[Monomial]:
         xs, ys, z = _jordan_wigner(m)
         ixs = [x.times_i(1) for x in xs]  # imaginary symmetric
         iys = [y.times_i(1) for y in ys]  # real antisymmetric
-        gens = []
-        swap = k % 4 == 0  # dimensions 4n reverse the odd/even pattern
-        for j in range(m):
-            if swap:
-                gens.extend([iys[j], ixs[j]])
-            else:
-                gens.extend([ixs[j], iys[j]])
+        # dimensions 4n reverse the odd/even pattern
+        pairs = zip(iys, ixs) if k % 4 == 0 else zip(ixs, iys)
+        gens = [g for pair in pairs for g in pair]
         if k % 2 == 1:
             gens.append(z.times_i(1))
     _check_generators(k, gens)
     return gens
 
 
-def _check_generators(k: int, gens: Sequence[Monomial]) -> None:
-    minus_one = -Monomial.identity(len(gens[0].perm))
+def _check_generators(k: int, gens: Sequence[Pauli]) -> None:
+    minus_one = -Pauli.identity(gens[0].qubits)
     sk = s_of_k(k)
     for j, gj in enumerate(gens, start=1):
         sign = (-1) ** sk if j % 2 == 1 else (-1) ** (sk + 1)
@@ -161,7 +157,7 @@ def volume_phase(k: int) -> int:
     return -((k + 1) // -2)
 
 
-def volume_form(k: int, gens: Sequence[Monomial] = None) -> dict:
+def volume_form(k: int, gens: Sequence[Pauli] = None) -> dict:
     """omega_C = i^ceil((k+1)/2) gamma^1 ... gamma^k, with omega_C^2 reported.
 
     With this scalar, omega_C^2 = -Id for every even k; the normalized
@@ -185,7 +181,7 @@ def volume_form(k: int, gens: Sequence[Monomial] = None) -> dict:
 class RealityData:
     k: int
     s_k: int
-    chi: Monomial
+    chi: Pauli
     eps: int
     eps_prime: int
     eps_dprime: int  # 0 for odd k (no grading)
@@ -194,7 +190,7 @@ class RealityData:
     omega_sq: GaussianRational  # the scalar omega_C^2 of `volume_form`
 
 
-def _extract_sign(actual: Monomial, reference: Monomial, what: str) -> int:
+def _extract_sign(actual: Pauli, reference: Pauli, what: str) -> int:
     if actual == reference:
         return 1
     if actual == -reference:
@@ -202,7 +198,7 @@ def _extract_sign(actual: Monomial, reference: Monomial, what: str) -> int:
     raise AssertionError(f"{what} is not +-1 times the reference")
 
 
-def _conjugate_by(chi: Monomial, op: Monomial) -> Monomial:
+def _conjugate_by(chi: Pauli, op: Pauli) -> Pauli:
     """J op J* = chi conj(op) chi^dagger."""
     return chi @ op.conj() @ chi.adjoint()
 
@@ -210,8 +206,8 @@ def _conjugate_by(chi: Monomial, op: Monomial) -> Monomial:
 def reality_operator(k: int) -> RealityData:
     """Build J = chi o j and compute its signs by exact matrix identities."""
     gens = generators(k)
-    n = len(gens[0].perm)
-    chi = reduce(matmul, gens[1::2], Monomial.identity(n))  # gamma^2 gamma^4 ...
+    n = gens[0].qubits
+    chi = reduce(matmul, gens[1::2], Pauli.identity(n))  # gamma^2 gamma^4 ...
     if not chi.is_real():
         raise AssertionError("chi must have real entries")
     m = k // 2
@@ -219,10 +215,10 @@ def reality_operator(k: int) -> RealityData:
     if chi.adjoint() != chi.times_i(_sign_phase(chi_star_sign)):
         raise AssertionError("chi adjoint sign mismatch")
     # J antiunitary: J*J = chi^dagger chi = Id
-    if chi.adjoint() @ chi != Monomial.identity(n):
+    if chi.adjoint() @ chi != Pauli.identity(n):
         raise AssertionError("J is not antiunitary")
     # J^2 = chi conj(chi) = chi^2 since chi is real
-    eps = _extract_sign(chi @ chi, Monomial.identity(n), "J^2")
+    eps = _extract_sign(chi @ chi, Pauli.identity(n), "J^2")
 
     # JD = eps' DJ through the degree-reversal identity
     # J D_n J* = chi conj(D_n) chi^dagger must equal sign * D_{-n}

@@ -18,7 +18,7 @@ from graphtriple.algebra import (AlgebraElement, GenKey, _as_degree_tuple,
                                  _check_same, _multiply_keys, accumulate,
                                  expand_key_to, key_degree, key_source_mu,
                                  make_key)
-from graphtriple.clifford import Monomial, word_product
+from graphtriple.clifford import Pauli, word_product
 from graphtriple.graphs import (Edge, ExpandedGraph, GraphPresentation,
                                 boundary_coefficients_1graph, count_classes)
 from graphtriple.hochschild import FactorTuple, HochschildChain
@@ -348,9 +348,9 @@ def degree_reversal_check(k: int, degree_vectors: Sequence[Tuple[int, ...]]) -> 
     )
 
 
-def word_to_matrix(word: clifford.Word, gens: Sequence[Monomial]) -> Monomial:
+def word_to_matrix(word: clifford.Word, gens: Sequence[Pauli]) -> Pauli:
     return reduce(matmul, (gens[j - 1] for j in word),
-                  Monomial.identity(len(gens[0].perm)))
+                  Pauli.identity(gens[0].qubits))
 
 
 # -- Hochschild -----------------------------------------------------------------------

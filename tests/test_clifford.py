@@ -1,13 +1,15 @@
 import itertools
-import random
+import json
 from dataclasses import replace
 from fractions import Fraction
 from typing import Tuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphtriple import clifford
-from graphtriple.clifford import (KMAX, SIGN_TABLE, Monomial, _check_generators,
+from graphtriple.clifford import (KMAX, SIGN_TABLE, Pauli, _check_generators,
                                   generators, reality_operator, s_of_k,
                                   sign_table_check, volume_form, word_product,
                                   word_span_dimension)
@@ -21,7 +23,7 @@ from oracles import degree_reversal_check, word_to_matrix
 
 # -- dense oracle -------------------------------------------------------------------
 #
-# The exact dense GaussianRational matrices and the construction the monomial
+# The exact dense GaussianRational matrices and the construction the Pauli
 # form replaced.  They are slow (every product is Fraction arithmetic on
 # 2^floor(k/2)-square matrices), so the comparison below stops at k = 6.
 
@@ -119,13 +121,26 @@ def matrix_from_json(rows: list) -> Matrix:
     return tuple(out)
 
 
-def to_dense(op: Monomial) -> Matrix:
-    """The dense matrix of a monomial operator."""
-    n = len(op.perm)
-    return tuple(
-        tuple(GaussianRational.i_power(q) if j == c else _G0 for j in range(n))
-        for c, q in zip(op.perm, op.phase)
-    )
+# the 2x2 factor X^a Z^b for the bits (a, b); X Z = -i sigma_2
+_FACTORS = {(0, 0): identity(2), (1, 0): _SIGMA1, (0, 1): _SIGMA3,
+            (1, 1): mat_mul(_SIGMA1, _SIGMA3)}
+
+
+def to_dense(op: Pauli) -> Matrix:
+    """The dense matrix of i**phase X^x Z^z: the Kronecker product of the 2x2
+    factors picked by the bits, the first factor from the highest bit, times
+    i**phase.  It never uses `Pauli`'s own product rule."""
+    assert op.x >> op.qubits == op.z >> op.qubits == 0
+    out = identity(1)
+    for j in reversed(range(op.qubits)):
+        out = kron(out, _FACTORS[op.x >> j & 1, op.z >> j & 1])
+    return mat_scale(GaussianRational.i_power(op.phase), out)
+
+
+def paulis(qubits: int):
+    """Pauli strings on the given number of tensor factors."""
+    bits = st.integers(0, 2 ** qubits - 1)
+    return st.builds(Pauli, bits, bits, st.integers(0, 3), st.just(qubits))
 
 
 def dense_generators(k: int):
@@ -238,29 +253,33 @@ class TestDenseOracle:
         assert data.chi_star_sign == ddata["chi_star_sign"]
         assert (data.eps, data.eps_prime, data.eps_dprime) == ddata["signs"]
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_operations_match_dense(self, seed):
-        rng = random.Random(seed)
-
-        def draw(n):
-            perm = list(range(n))
-            rng.shuffle(perm)
-            return Monomial(tuple(perm), tuple(rng.randrange(4) for _ in range(n)))
-
-        a, b, c = draw(4), draw(4), draw(2)
+    @pytest.mark.parametrize("qubits", range(4))
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_operations_match_dense(self, qubits, data):
+        # a and b on `qubits` factors, c on 0-3 factors
+        a, b = data.draw(paulis(qubits)), data.draw(paulis(qubits))
+        c = data.draw(st.integers(0, 3).flatmap(paulis))
         da, db, dc = to_dense(a), to_dense(b), to_dense(c)
         assert mat_eq(to_dense(a @ b), mat_mul(da, db))
         assert mat_eq(to_dense(a.adjoint()), mat_adjoint(da))
         assert mat_eq(to_dense(a.conj()), mat_conj(da))
         assert mat_eq(to_dense(-a), mat_neg(da))
-        for q in range(4):
+        for q in range(-1, 6):
             assert mat_eq(to_dense(a.times_i(q)),
                           mat_scale(GaussianRational.i_power(q), da))
         assert mat_eq(to_dense(a.kron(c)), kron(da, dc))
         assert mat_eq(to_dense(c.kron(a)), kron(dc, da))
-        assert a.is_real() == mat_is_real(da)
-        assert a.scalar() == scalar_multiple_of_identity(da)
-        assert Monomial.identity(4).times_i(3).scalar() == GaussianRational(0, -1)
+        for op, dense in ((a, da), (c, dc)):
+            assert op.is_real() == mat_is_real(dense)
+            assert op.scalar() == scalar_multiple_of_identity(dense)
+
+    def test_pauli_constants_are_the_sigmas(self):
+        assert to_dense(clifford._SIGMA1) == _SIGMA1
+        assert to_dense(clifford._SIGMA2) == _SIGMA2
+        assert to_dense(clifford._SIGMA3) == _SIGMA3
+        assert Pauli.identity(2).times_i(3).scalar() == GaussianRational(0, -1)
+        assert Pauli.identity(0).times_i(1).scalar() == GaussianRational(0, 1)
 
 
 class TestGenerators:
@@ -276,7 +295,7 @@ class TestGenerators:
     def test_invariants_beyond_eight(self, k):
         gens = generators(k)
         assert len(gens) == k
-        assert all(len(g.perm) == 2 ** (k // 2) for g in gens)
+        assert all(g.qubits == k // 2 for g in gens)
 
     def test_k1_is_forced(self):
         gens = [to_dense(g) for g in generators(1)]
@@ -305,35 +324,50 @@ class TestGenerators:
 
 
 class TestGeneratorCheckMutants:
-    """One phase of one generator changed: the generator checks must raise."""
-
-    @staticmethod
-    def _mutate(k, j, row, dq):
-        gens = generators(k)
-        perm, phase = gens[j]
-        phase = list(phase)
-        phase[row] = (phase[row] + dq) % 4
-        gens[j] = Monomial(perm, tuple(phase))
-        return gens
+    """One generator changed: each generator check, run in order, must raise
+    its own message, so the checks before it still pass on the mutant."""
 
     def test_real_entry_breaks_conjugation_pattern(self):
-        # gamma^1 at k = 2 is i sigma_1: one entry i -> -1 is no longer imaginary
-        gens = self._mutate(2, 0, 0, 1)
-        with pytest.raises(AssertionError, match="conjugation pattern"):
+        # gamma^1 at k = 2 is i sigma_1; times i it is the real -sigma_1
+        gens = generators(2)
+        gens[0] = gens[0].times_i(1)
+        with pytest.raises(AssertionError,
+                           match=r"^gamma\^1 violates the conjugation pattern$"):
             _check_generators(2, gens)
 
     def test_sign_flip_breaks_anti_hermitian(self):
-        # an off-diagonal entry negated without its mirror entry
-        gens = self._mutate(4, 1, 0, 2)
-        with pytest.raises(AssertionError, match="anti-Hermitian"):
+        # gamma^2 at k = 4 is i X (x) I; a Z under its X negates one
+        # off-diagonal entry without its mirror entry: i X Z (x) I keeps the
+        # conjugation pattern but is Hermitian
+        gens = generators(4)
+        x, z, q, n = gens[1]
+        assert (x, z) == (0b10, 0)
+        gens[1] = Pauli(x, z ^ x, q, n)
+        with pytest.raises(AssertionError,
+                           match=r"^gamma\^2 is not anti-Hermitian$"):
+            _check_generators(4, gens)
+
+    def test_extra_factor_breaks_the_square(self):
+        # an anti-Hermitian Pauli string squares to -1 on its own factors, so
+        # only a generator on the wrong number of factors reaches this check:
+        # gamma^2 at k = 4 on three factors squares to -1 (x) I (x) I (x) I
+        gens = generators(4)
+        gens[1] = gens[1].kron(Pauli.identity(1))
+        with pytest.raises(AssertionError,
+                           match=r"^gamma\^2 does not square to -1$"):
             _check_generators(4, gens)
 
     @pytest.mark.parametrize("k", [3, 5])
     def test_diagonal_sign_flip_breaks_anticommutation(self, k):
-        # gamma^k = i Z is diagonal: negating one entry keeps it anti-Hermitian
-        # with the same conjugation pattern and square, but not anticommuting
-        gens = self._mutate(k, k - 1, 0, 2)
-        with pytest.raises(AssertionError, match="anticommutator"):
+        # gamma^k = i Z (x) ... (x) Z is diagonal: dropping its last Z factor
+        # flips diagonal signs and keeps it anti-Hermitian with the same
+        # conjugation pattern and square, but it no longer anticommutes
+        gens = generators(k)
+        x, z, q, n = gens[k - 1]
+        assert (x, z, n) == (0, 2 ** n - 1, k // 2)
+        gens[k - 1] = Pauli(x, z & ~1, q, n)
+        with pytest.raises(AssertionError,
+                           match=rf"^gamma\^{k}, gamma\^\d+ anticommutator wrong$"):
             _check_generators(k, gens)
 
 
@@ -465,7 +499,7 @@ class TestReality:
         # chi = gamma^2 gamma^4 ... with its last factor dropped
         gens = generators(k)
         real = reality_operator
-        mutated = Monomial.identity(len(gens[0].perm))
+        mutated = Pauli.identity(gens[0].qubits)
         for g in gens[1::2][:-1]:
             mutated = mutated @ g
         monkeypatch.setattr(clifford, "reality_operator",
@@ -491,6 +525,38 @@ class TestReality:
     @pytest.mark.parametrize("k", range(9, KMAX + 1))
     def test_degree_reversal_beyond_eight(self, k):
         assert degree_reversal_check(k, [(1,) * k])
+
+
+class TestWork:
+    """The Clifford work is polynomial in k: every operator is a Pauli string
+    on floor(k/2) factors, never a 2^floor(k/2)-row array."""
+
+    @pytest.mark.parametrize("k", range(1, KMAX + 1))
+    def test_every_operator_is_a_string_on_k_over_2_factors(self, k):
+        gens = generators(k)
+        data, vf = reality_operator(k), volume_form(k, gens)
+        ops = gens + [data.chi, vf["omega"]]
+        if k % 2 == 0:
+            ops.append(vf["grading"])
+        for op in ops:
+            assert type(op) is Pauli
+            assert op.qubits == k // 2
+            assert 0 <= op.x < 2 ** (k // 2) and 0 <= op.z < 2 ** (k // 2)
+            assert 0 <= op.phase < 4
+
+    def test_sign_table_is_the_cli_report(self, capsys):
+        # the report that `test_cli` reads for two Bott periods
+        assert run(["clifford", "--kmax", str(KMAX), "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        report = sign_table_check(KMAX)
+        assert doc == {
+            "pass": report["pass"],
+            "table": {str(k): e for k, e in report["entries"].items()},
+            "omega_squares": {str(k): str(sq)
+                              for k, sq in report["omega_squares"].items()},
+        }
+        assert report["pass"]
+        assert sorted(report["entries"]) == list(range(1, KMAX + 1))
 
 
 class TestSerialization:

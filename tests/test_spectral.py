@@ -258,6 +258,14 @@ class TestProfiles:
         assert round(prof1.limit_estimate, 3) == round(prof2.limit_estimate, 3)
 
 
+def _rounded_ratio(k, scale):
+    """k / scale rounded once to a float, to +-inf past the largest float."""
+    try:
+        return k / scale
+    except OverflowError:
+        return math.inf if k > 0 else -math.inf
+
+
 def singular_profile_oracle(model, window, sample_count=48):
     """`singular_profile` as it was with about nine window-length arrays:
     every float array built whole, plus the finite-rank rule (limit 0.0, no
@@ -300,7 +308,7 @@ def singular_profile_oracle(model, window, sample_count=48):
     for j in range(1, window + 1 if d is None else min(d, window) + 1):
         level_int[j] += vertex_int
     cum_mass_int = list(itertools.accumulate(level_int))
-    t_vals = np.array([cum_mass_int[i] / scale for i in idx])
+    t_vals = np.array([_rounded_ratio(cum_mass_int[i], scale) for i in idx])
 
     cum_int = np.cumsum(lam * level_mass)
     with np.errstate(divide="ignore"):
@@ -429,8 +437,11 @@ class TestProfileBuffers:
                            [_DYADIC[j % 5] for j in range(_BLOCK + 100)],
                            Fraction(1, 8), _BLOCK + _BLOCK // 2),
          3 * _BLOCK),
+        # mass 1e308 on levels 0..5: the exact prefix passes the largest float
+        (MultiplicityModel(Fraction(10 ** 308), [Fraction(10 ** 308)] * 6,
+                           Fraction(0), 5), 10 ** 5),
     ], ids=["mixed-denominators", "total-over-2^53", "total-under-2^53",
-            "long-dyadic-head"])
+            "long-dyadic-head", "prefix-past-the-largest-float"])
     def test_exactness_guard_matches_oracle(self, model, window):
         assert _profile_or_error(singular_profile, model, window) == \
             _profile_or_error(singular_profile_oracle, model, window)
