@@ -2,11 +2,12 @@
 for graph and k-graph C*-algebras.
 
 Given a finitely presented directed graph or k-graph, the package builds
-the Cuntz-Krieger path algebra with exact Gaussian-rational coefficients,
-the gauge spectral triple data at a truncation, the Hochschild orientation
-cycles and the Clifford/reality operators, and checks the nine conditions
-for semifinite nonunital noncommutative manifolds, exactly or by a stated
-theorem; Dixmier limits come from closed forms.
+the Cuntz-Krieger path algebra, the gauge spectral triple data at a
+truncation, the Hochschild orientation cycles and the Clifford/reality
+operators in integer arithmetic, and checks the nine conditions for
+semifinite nonunital noncommutative manifolds, exactly or by a stated
+theorem; Dixmier limits come from closed forms.  Gaussian rationals remain
+only in the path-algebra elements that serve as the tests' oracles.
 """
 
 import importlib

@@ -31,8 +31,6 @@ from functools import reduce
 from operator import matmul
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .scalars import GaussianRational, ONE
-
 Word = Tuple[int, ...]
 
 KMAX = 16
@@ -81,9 +79,9 @@ class Pauli(NamedTuple):
     def is_real(self) -> bool:
         return self.phase % 2 == 0
 
-    def scalar(self) -> Optional[GaussianRational]:
-        """Return c with self = c*Id, or None."""
-        return None if self.x or self.z else GaussianRational.i_power(self.phase)
+    def scalar(self) -> Optional[int]:
+        """Return the phase q with self = i**q Id, or None."""
+        return None if self.x or self.z else self.phase
 
 
 _I1 = Pauli.identity(0)
@@ -158,20 +156,18 @@ def volume_phase(k: int) -> int:
 
 
 def volume_form(k: int, gens: Sequence[Pauli] = None) -> dict:
-    """omega_C = i^ceil((k+1)/2) gamma^1 ... gamma^k, with omega_C^2 reported.
+    """omega_C = i^ceil((k+1)/2) gamma^1 ... gamma^k, with the int
+    omega_C^2 = +-1 reported (a Pauli string squares to an even phase).
 
     With this scalar, omega_C^2 = -Id for every even k; the normalized
     grading i*omega_C (even k) squares to +Id and is what the sign table uses.
     """
     gens = list(gens) if gens is not None else generators(k)
     omega = reduce(matmul, gens).times_i(volume_phase(k))
-    sq_scalar = (omega @ omega).scalar()
-    out = {
-        "k": k,
-        "omega": omega,
-        "omega_sq_scalar": sq_scalar,
-        "squares_to_identity": sq_scalar == ONE,
-    }
+    q = (omega @ omega).scalar()
+    if q not in (0, 2):
+        raise AssertionError("omega_C^2 is not +-Id")
+    out = {"k": k, "omega": omega, "omega_sq_scalar": 1 - q}
     if k % 2 == 0:
         out["grading"] = omega.times_i(1)
     return out
@@ -187,7 +183,7 @@ class RealityData:
     eps_dprime: int  # 0 for odd k (no grading)
     degree_reversal_sign: int
     chi_star_sign: int
-    omega_sq: GaussianRational  # the scalar omega_C^2 of `volume_form`
+    omega_sq: int  # omega_C^2 = +-1 of `volume_form`
 
 
 def _extract_sign(actual: Pauli, reference: Pauli, what: str) -> int:

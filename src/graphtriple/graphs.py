@@ -585,8 +585,9 @@ def document_edges(doc: object, fields: AbstractSet[str],
 
     GraphFormatError unless doc is a JSON object with no field outside
     `fields`, with k, vertices, edges and tails present, a positive int k,
-    every other field an array, string vertices, and every edge record an
-    object with exactly `edge_fields`: string id, source, range, int color.
+    every other field an array, string vertices and tail marks, and every
+    edge record an object with exactly `edge_fields`: string id, source,
+    range, int color.
     """
     if not isinstance(doc, dict):
         raise GraphFormatError("presentation document must be a JSON object")
@@ -601,8 +602,9 @@ def document_edges(doc: object, fields: AbstractSet[str],
     for key in sorted(fields - {"k"}):
         if key in doc and not isinstance(doc[key], list):
             raise GraphFormatError(f"field {key!r} must be an array")
-    if not all(isinstance(v, str) for v in doc["vertices"]):
-        raise GraphFormatError("vertices must be strings")
+    for key in ("vertices", "tails", "source_tails"):
+        if not all(isinstance(v, str) for v in doc.get(key, ())):
+            raise GraphFormatError(f"{key} must be strings")
     for rec in doc["edges"]:
         if not isinstance(rec, dict):
             raise GraphFormatError("edge records must be objects")

@@ -2,10 +2,12 @@
 k-graph orientation cycle c_k, pi_D of it, the cancellation diagnostics,
 and the 1-graph orientation report.
 
-Chains are exact linear combinations of tensors of single generators.  Zero
-tests canonicalize every tensor slot by the same depth-aligned Cuntz-Krieger
-expansion the algebra uses, since slot entries are only well defined modulo
-the relation p_v = sum S_e S_e*.  `faces` lists the terms of the boundary of
+Chains are integer combinations of tensors of single generators: the
+k-graph cycle is held as k! i^-ceil((k+1)/2) c_k, with the permutation
+signs as coefficients, and no verdict read off c_k moves under a nonzero
+scalar.  Zero tests canonicalize every tensor slot by the depth-aligned
+Cuntz-Krieger expansion of the algebra, since slot entries are only well
+defined modulo the relation p_v = sum S_e S_e*.  `faces` lists the terms of the boundary of
 one tensor; `HochschildChain.boundary` sums them and
 `verify_cancellation_steps` reads its three steps off them.
 
@@ -37,23 +39,22 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import (GenKey, _multiply_keys, accumulate, alignment_targets,
                       expand_key_to, key_degree, make_key)
-from .clifford import volume_phase, word_product
+from .clifford import word_product
 from .graphs import (GraphPresentation, WorkBudgetError,
                      boundary_coefficients_1graph)
 from .kgraphs import KGraphPresentation, Word
-from .scalars import GaussianRational
 
 FactorTuple = Tuple[GenKey, ...]
 
 # verify_cancellation_steps builds c_k, k! |Lambda^(1,..,1)| terms.  On
-# one-vertex k-graphs (one term per permutation, 2-CPU sandbox) it takes
-# 0.02 s at k = 5, 0.13 s at k = 6 and 1.1-1.3 s at k = 7; k = 8 took
-# 11.6 s and 158 MB, so the budget admits the 7-graph and refuses the 8-graph.
+# one-vertex k-graphs (one term per permutation, 2-CPU sandbox, in-process,
+# best of 3) it takes 0.01 s at k = 5, 0.06-0.08 s at k = 6 and 0.5-0.7 s
+# at k = 7; k = 8 took 5.3 s and 129 MB, so the budget admits the 7-graph
+# and refuses the 8-graph.
 CYCLE_BUDGET = 5_040
 
 
@@ -63,28 +64,28 @@ class HochschildChain:
     __slots__ = ("ambient", "arity", "terms")
 
     def __init__(self, ambient, arity: int,
-                 terms: Optional[Dict[FactorTuple, GaussianRational]] = None):
+                 terms: Optional[Dict[FactorTuple, int]] = None):
         self.ambient = ambient
         self.arity = arity
-        self.terms: Dict[FactorTuple, GaussianRational] = {}
+        self.terms: Dict[FactorTuple, int] = {}
         if terms:
             for fac, c in terms.items():
                 if len(fac) != arity:
                     raise ValueError("factor tuple arity mismatch")
-                if not c.is_zero():
+                if c:
                     self.terms[fac] = c
 
     def boundary(self) -> "HochschildChain":
         """b(a_0 x ... x a_n) = sum (-1)^j ... a_j a_{j+1} ... + (-1)^n a_n a_0 x ..."""
         if self.arity < 2:
             raise ValueError("boundary needs arity >= 2")
-        out: Dict[FactorTuple, GaussianRational] = {}
+        out: Dict[FactorTuple, int] = {}
         for fac, c in self.terms.items():
             for _, sign, face in faces(self.ambient, fac):
                 accumulate(out, face, c if sign > 0 else -c)
         return HochschildChain(self.ambient, self.arity - 1, out)
 
-    def canonical_terms(self) -> Dict[FactorTuple, GaussianRational]:
+    def canonical_terms(self) -> Dict[FactorTuple, int]:
         """Slotwise depth-aligned coefficients; empty iff the chain is zero."""
         amb = self.ambient
         slot_maps: List[Dict[GenKey, List[GenKey]]] = []
@@ -95,7 +96,7 @@ class HochschildChain:
                 key: expand_key_to(amb, key, targets[key_degree(amb, key)])
                 for key in keys
             })
-        out: Dict[FactorTuple, GaussianRational] = {}
+        out: Dict[FactorTuple, int] = {}
         for fac, c in self.terms.items():
             for combo in itertools.product(*(slot_maps[i][fac[i]]
                                              for i in range(self.arity))):
@@ -125,20 +126,17 @@ def faces(ambient, fac: FactorTuple
 
 
 def orientation_cycle_kgraph(g: KGraphPresentation) -> HochschildChain:
-    """c_k = i^ceil((k+1)/2) sum_mu (1/k!) sum_sigma (-1)^sigma
-    S_mu* (x) S_{mu^sigma_1} (x) ... (x) S_{mu^sigma_k}."""
+    """k! i^-ceil((k+1)/2) c_k = sum_mu sum_sigma (-1)^sigma S_mu* (x)
+    S_{mu^sigma_1} (x) ... (x) S_{mu^sigma_k}, int coefficients."""
     k = g.k
-    scalar = GaussianRational.i_power(volume_phase(k))
-    inv_fact = GaussianRational(Fraction(1, math.factorial(k)))
-    terms: Dict[FactorTuple, GaussianRational] = {}
+    terms: Dict[FactorTuple, int] = {}
     for mu in g.unit_degree_paths():
         star = make_key(g, (), mu)
         for sigma in itertools.permutations(range(1, k + 1)):
-            sign = permutation_sign(sigma)
             factors = tuple(
                 make_key(g, piece, ()) for piece in g.factorize(mu, sigma)
             )
-            accumulate(terms, (star,) + factors, scalar * inv_fact * sign)
+            accumulate(terms, (star,) + factors, permutation_sign(sigma))
     return HochschildChain(g, k + 1, terms)
 
 
@@ -156,8 +154,9 @@ def permutation_sign(sigma: Sequence[int]) -> int:
 
 
 def pi_D_identity_check(chain: HochschildChain) -> dict:
-    """Check pi_D(chain) = i^ceil((k+1)/2) gamma^1...gamma^k (x) 1, the
-    normalisation of c_k, from each term's path and sign.
+    """Check pi_D(chain) = k! gamma^1...gamma^k (x) 1 from each term's path
+    and sign.  For chain = k! i^-p c_k, p = ceil((k+1)/2), pi_D is linear,
+    so pi_D(c_k) = omega_C (x) 1 = i^p gamma^1...gamma^k (x) 1 exactly then.
 
     pi_D replaces slot j >= 1 by [D, S_pj] = sum_m d(pj)_m gamma^m S_pj and
     multiplies.  A term c S_mu* (x) S_p1 (x) ... (x) S_pn whose slots
@@ -166,11 +165,10 @@ def pi_D_identity_check(chain: HochschildChain) -> dict:
     gamma^m1...gamma^mn to the coefficient of p_r(mu) at that word; any
     other term raises ValueError.  Vertex projections are independent, so
     the check is exact: on each vertex the word gamma^1...gamma^k has
-    coefficient omega_C's i^ceil((k+1)/2) and every other word 0.
+    coefficient k! and every other word 0.
     """
     amb = chain.ambient
-    scalar = GaussianRational.i_power(volume_phase(amb.k))
-    coeffs: Dict[Tuple[str, Tuple[int, ...]], GaussianRational] = {}
+    coeffs: Dict[Tuple[str, Tuple[int, ...]], int] = {}
     for fac, c in chain.terms.items():
         (head, mu, w), slots = fac[0], fac[1:]
         path: Optional[Word] = ()
@@ -185,8 +183,8 @@ def pi_D_identity_check(chain: HochschildChain) -> dict:
             sign, word = word_product((), tuple(m for m, _ in pick))
             weight = sign * math.prod(n for _, n in pick)
             accumulate(coeffs, (w, word), c * weight)
-    full = tuple(range(1, amb.k + 1))
-    return {"pass": coeffs == {(v, full): scalar for v in amb.vertices}}
+    full, fact = tuple(range(1, amb.k + 1)), math.factorial(amb.k)
+    return {"pass": coeffs == {(v, full): fact for v in amb.vertices}}
 
 
 def check_orientation_1graph(g: GraphPresentation) -> dict:
@@ -259,8 +257,8 @@ def verify_cancellation_steps(g: KGraphPresentation) -> dict:
             f" of {CYCLE_BUDGET}")
     cycle = orientation_cycle_kgraph(g)
 
-    boundary: Dict[FactorTuple, GaussianRational] = {}
-    middle: Dict[tuple, Dict[tuple, Tuple[FactorTuple, GaussianRational]]] = {}
+    boundary: Dict[FactorTuple, int] = {}
+    middle: Dict[tuple, Dict[tuple, Tuple[FactorTuple, int]]] = {}
     head_counts: Dict[tuple, int] = {}
     for fac, c in cycle.terms.items():
         mu = fac[0][1]
@@ -277,7 +275,7 @@ def verify_cancellation_steps(g: KGraphPresentation) -> dict:
     step1_ok, step1_witness = True, None
     step2_ok, step2_witness = True, None
     for (mu, j), by_sigma in middle.items():
-        total: Dict[FactorTuple, GaussianRational] = {}
+        total: Dict[FactorTuple, int] = {}
         for sigma, (face, coeff) in by_sigma.items():
             accumulate(total, face, coeff)
             tau = sigma[:j - 1] + (sigma[j], sigma[j - 1]) + sigma[j + 1:]

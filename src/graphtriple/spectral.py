@@ -38,7 +38,8 @@ from .algebra import (AlgebraElement, GenKey, _as_degree_tuple, accumulate,
                       _multiply_keys, aligned, expand_key_to, key_degree,
                       key_source_mu, key_source_nu, make_key)
 from .clifford import word_span_dimension
-from .graphs import TAIL_MARGIN, GraphPresentation, WorkBudgetError
+from .graphs import (TAIL_MARGIN, GraphPresentation, GraphValidationError,
+                     WorkBudgetError)
 from .kgraphs import KGraphPresentation
 from .linalg import SparseEchelon
 from .scalars import GaussianRational
@@ -342,7 +343,6 @@ def total_multiplicities(g: GraphPresentation, trace: GraphTrace) -> Multiplicit
 @dataclass
 class SpectralProfile:
     window: int
-    eigenvalues: List[Tuple[float, Fraction]]  # leading (value, tau-mass) pairs
     f_samples: List[Tuple[float, float]]
     limit_estimate: Optional[float]
     band: Optional[Tuple[float, float]]
@@ -451,16 +451,24 @@ def singular_profile(model: MultiplicityModel, window: int) -> SpectralProfile:
     sum so far so that it adds in whole-window order.  `_pairwise_sum` adds
     the zeta sums up numpy's tree: those floats are the ones the whole-array
     form gives.  The sampled cumulative level mass t is the exact prefix of
-    the model's masses, rounded once (`_level_prefix`)."""
+    the model's masses, rounded once (`_level_prefix`).  A level mass past
+    the largest float raises GraphValidationError before the walk."""
     if window > PROFILE_BUDGET:
         raise WorkBudgetError(
             f"a profile window of {window} levels exceeds the budget of"
             f" {PROFILE_BUDGET}")
     if window < 100:
         return SpectralProfile(
-            window, [], [], None, None, None,
+            window, [], None, None, None,
             {"error": "window too small for a stable estimate"},
         )
+    try:
+        for m in (model.vertex_mass, model.forward_tail,
+                  *model.forward_head[:window + 1]):
+            float(m)
+    except OverflowError:
+        raise GraphValidationError(
+            "a level mass exceeds the largest float") from None
     import numpy as np  # only the profiles need it; keep it off cold starts
 
     s = 0.5 + 1.0 / math.log(window)
@@ -509,14 +517,13 @@ def singular_profile(model: MultiplicityModel, window: int) -> SpectralProfile:
         raise failed[0]
     zeta = float(_pairwise_sum(0, window + 1, lambda a, b: leaf_sums[a])
                  * (s - 0.5))
-    lead = [(1.0 / math.sqrt(1.0 + j * j), model.mass(j)) for j in range(8)]
     with np.errstate(divide="ignore"):
         f_vals = int_vals / np.log1p(t_vals)
     samples = [(float(t), float(f)) for t, f in zip(t_vals, f_vals)]
     raw_f = float(f_vals[-1])  # idx ends at the window
     if model.forward_tail == 0 and model.backward_depth is not None:
         return SpectralProfile(
-            window, lead, samples, 0.0, (0.0, 0.0), zeta,
+            window, samples, 0.0, (0.0, 0.0), zeta,
             {"finite_rank": True, "raw_F_at_window": raw_f},
         )
 
@@ -534,7 +541,6 @@ def singular_profile(model: MultiplicityModel, window: int) -> SpectralProfile:
 
     return SpectralProfile(
         window=window,
-        eigenvalues=lead,
         f_samples=samples,
         limit_estimate=limit,
         band=lim_band,
@@ -571,7 +577,6 @@ def kgraph_lattice_profile(g: KGraphPresentation, trace: KGraphTrace,
     coeffs = np.polyfit(x, y, 1)
     return SpectralProfile(
         window=window,
-        eigenvalues=[(float(lam[0]), Fraction(int(total_mass)))],
         f_samples=samples,
         limit_estimate=float(coeffs[1]),
         band=(float(np.min(y)), float(np.max(y))),

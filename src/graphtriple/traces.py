@@ -17,10 +17,10 @@ from .graphs import (End, GraphPresentation, GraphValidationError,
                      strong_components)
 from .kgraphs import KGraphPresentation
 from .linalg import SparseEchelon
-from .scalars import GaussianRational
 
 if TYPE_CHECKING:
     from .algebra import AlgebraElement
+    from .scalars import GaussianRational
 
 
 class NoFaithfulTraceError(GraphValidationError):
@@ -138,6 +138,7 @@ def solve_kgraph_trace(g: KGraphPresentation) -> KGraphTrace:
 
 def trace_functional(trace, a: AlgebraElement) -> GaussianRational:
     """Linear extension of tau(S_mu S_nu*) = delta_{mu,nu} tau(p_{r(mu)})."""
+    from .scalars import GaussianRational
     amb = a.ambient
     _check_ambient_matches_trace(trace, amb)
     total = GaussianRational(0)
@@ -214,6 +215,7 @@ def canonical_F_form(
     extension.
     """
     from .algebra import key_source_mu
+    from .scalars import GaussianRational
     queue = []
     for key, c in f.terms.items():
         mu, nu, v = key
@@ -272,7 +274,7 @@ def _fold_into_ends(presentation: GraphPresentation, queue: list,
             queue.append((src, w, c))
     terms = {k: c for k, c in terms.items() if c}
     return FixedPointCanonicalForm(presentation, ends, terms,
-                                   exact=isinstance(zero, GaussianRational))
+                                   exact=not isinstance(zero, complex))
 
 
 def fixed_point_norms(form: FixedPointCanonicalForm, trace: GraphTrace) -> dict:

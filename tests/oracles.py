@@ -368,7 +368,7 @@ def pi_D(chain: HochschildChain):
     if amb.k == 1:
         out = AlgebraElement.zero(amb)
         for fac, c in chain.terms.items():
-            acc = AlgebraElement(amb, {fac[0]: c})
+            acc = AlgebraElement(amb, {fac[0]: GaussianRational.coerce(c)})
             for key in fac[1:]:
                 n = key_degree(amb, key)[0]
                 acc = acc * AlgebraElement(amb, {key: GaussianRational(n)})
@@ -377,7 +377,7 @@ def pi_D(chain: HochschildChain):
     words: Dict[Tuple[int, ...], AlgebraElement] = {}
     for fac, c in chain.terms.items():
         partial: List[Tuple[Tuple[int, ...], AlgebraElement]] = [
-            ((), AlgebraElement(amb, {fac[0]: c}))
+            ((), AlgebraElement(amb, {fac[0]: GaussianRational.coerce(c)}))
         ]
         for key in fac[1:]:
             n = key_degree(amb, key)
@@ -408,17 +408,18 @@ def pi_D_identity_oracle(chain: HochschildChain,
                          vertices: Optional[Iterable[str]] = None) -> bool:
     """pi_D(chain) = (omega_C (x)) identity on the given vertices, by element
     products: at k = 1 the plain sum of their projections, for k >= 2 that
-    sum times i^ceil((k+1)/2) gamma^1...gamma^k."""
+    sum times k! gamma^1...gamma^k, since the chain of
+    `orientation_cycle_kgraph` is k! i^-ceil((k+1)/2) c_k."""
     amb = chain.ambient
     target = sum_of_vertex_projections(amb, vertices)
     rep = pi_D(chain)
     if amb.k == 1:
         return _restrict_to_sources(rep, target.support_vertices()).equals(
             target)
-    scalar = GaussianRational.i_power(clifford.volume_phase(amb.k))
     full = tuple(range(1, amb.k + 1))
     words = rep["words"]
-    return set(words) == {full} and words[full].equals(target.scale(scalar))
+    return set(words) == {full} and words[full].equals(
+        target.scale(math.factorial(amb.k)))
 
 
 def _restrict_to_sources(a: AlgebraElement, vertices: Iterable[str]) -> AlgebraElement:

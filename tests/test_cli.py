@@ -114,6 +114,13 @@ class TestExitCodes:
         {"k": 2, "vertices": ["v"], "edges": [], "tails": [], "squares": {}},
         {"k": 2, "vertices": ["v"], "edges": [], "tails": [],
          "squares": [{"first": "ef", "second": ["f", "e"]}]},
+        # tail marks that are not strings
+        {"k": 1, "vertices": ["v"], "edges": [], "tails": ["v", 5]},
+        {"k": 1, "vertices": ["v"], "edges": [], "tails": [["v"]]},
+        {"k": 1, "vertices": ["v"], "edges": [], "tails": [],
+         "source_tails": [{"a": 1}]},
+        {"k": 1, "vertices": ["v", "w"], "edges": [], "tails": [],
+         "source_tails": ["w", 1.5]},
     ])
     def test_non_array_fields_are_format_errors(self, doc, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -276,6 +283,19 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("validation failure: ")
+
+    def test_spectral_mass_past_the_largest_float_is_data_error(
+            self, tree_file, capsys):
+        # the level mass 1e400 has no float, so the profile is refused
+        # before its walk rather than raising OverflowError inside it
+        argv = ["spectral", tree_file, "--vertex", "b", "--end-value",
+                "tail:c1=1e400", "--end-value", "tail:c2=1", "--window",
+                "1000"]
+        assert run(argv) == EX_DATAERR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("validation failure: a level mass exceeds"
+                                " the largest float\n")
 
     @pytest.mark.parametrize("command", ["trace", "conditions"])
     def test_end_value_on_a_kgraph_is_data_error(self, command, torus_file,
@@ -747,7 +767,7 @@ def test_cold_start_leaves_numpy_and_networkx_unloaded(tree_file):
 # request needs `graphs` and `kgraphs` to parse and `clifford` for the
 # parser's KMAX; the other layers load only when a subcommand runs them.
 _START = {"graphtriple", "graphtriple.cli", "graphtriple.graphs",
-          "graphtriple.kgraphs", "graphtriple.clifford", "graphtriple.scalars"}
+          "graphtriple.kgraphs", "graphtriple.clifford"}
 _TRACE = {"graphtriple.traces", "graphtriple.linalg"}
 
 
@@ -758,11 +778,12 @@ _TRACE = {"graphtriple.traces", "graphtriple.linalg"}
     (["conditions", "{torus}"], {"graphtriple.conditions", *_TRACE}),
     (["analyze", "{tree}"], {"graphtriple.conditions", *_TRACE}),
     (["spectral", "{tree}", "--vertex", "b", "--window", "1000"],
-     {"graphtriple.spectral", "graphtriple.algebra", *_TRACE}),
+     {"graphtriple.spectral", "graphtriple.algebra", "graphtriple.scalars",
+      *_TRACE}),
     (["hochschild", "{tree}"],
-     {"graphtriple.hochschild", "graphtriple.algebra"}),
+     {"graphtriple.hochschild", "graphtriple.algebra", "graphtriple.scalars"}),
     (["hochschild", "{torus}"],
-     {"graphtriple.hochschild", "graphtriple.algebra"}),
+     {"graphtriple.hochschild", "graphtriple.algebra", "graphtriple.scalars"}),
 ], ids=["clifford", "conditions_1graph", "conditions_2graph", "analyze",
         "spectral", "hochschild_1graph", "hochschild_2graph"])
 def test_cold_start_loads_only_the_layers_a_subcommand_runs(
@@ -985,7 +1006,8 @@ def _mutated_documents(draw):
             doc[draw(st.sampled_from(["source_tails", "colour"]))] = \
                 draw(st.sampled_from([["v"], ["zz"], "v"]))
         elif fault == "tails":
-            doc["tails"] = draw(st.sampled_from([["zz"], ["v"], [5], None]))
+            doc["tails"] = draw(st.sampled_from(
+                [["zz"], ["v"], [5], None, [["v"]], ["v", 5]]))
     return json.dumps(doc)
 
 

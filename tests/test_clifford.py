@@ -243,6 +243,7 @@ class TestDenseOracle:
             assert mat_eq(to_dense(g), d)
         vf, dvf = volume_form(k), dense_volume_form(k, dense)
         assert mat_eq(to_dense(vf["omega"]), dvf["omega"])
+        assert type(vf["omega_sq_scalar"]) is int
         assert vf["omega_sq_scalar"] == dvf["omega_sq_scalar"]
         assert str(vf["omega_sq_scalar"]) == str(dvf["omega_sq_scalar"])
         assert ("grading" in vf) == ("grading" in dvf) == (k % 2 == 0)
@@ -272,14 +273,18 @@ class TestDenseOracle:
         assert mat_eq(to_dense(c.kron(a)), kron(dc, da))
         for op, dense in ((a, da), (c, dc)):
             assert op.is_real() == mat_is_real(dense)
-            assert op.scalar() == scalar_multiple_of_identity(dense)
+            q = op.scalar()
+            assert (None if q is None else GaussianRational.i_power(q)) \
+                == scalar_multiple_of_identity(dense)
 
     def test_pauli_constants_are_the_sigmas(self):
         assert to_dense(clifford._SIGMA1) == _SIGMA1
         assert to_dense(clifford._SIGMA2) == _SIGMA2
         assert to_dense(clifford._SIGMA3) == _SIGMA3
-        assert Pauli.identity(2).times_i(3).scalar() == GaussianRational(0, -1)
-        assert Pauli.identity(0).times_i(1).scalar() == GaussianRational(0, 1)
+        for qubits, q, dense in ((2, 3, GaussianRational(0, -1)),
+                                 (0, 1, GaussianRational(0, 1))):
+            got = Pauli.identity(qubits).times_i(q).scalar()
+            assert got == q and GaussianRational.i_power(got) == dense
 
 
 class TestGenerators:

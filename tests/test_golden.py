@@ -463,6 +463,18 @@ def test_clifford_report_matches_golden(name, tmp_path):
     assert _report(name, tmp_path) == expected
 
 
+@pytest.mark.parametrize("name", sorted(
+    [*CASES, *SPECTRAL_CASES, *HOCHSCHILD_CASES, *CLIFFORD_CASES]))
+def test_report_builds_no_gaussian_rational(name, tmp_path, monkeypatch):
+    """Every golden report comes out with GaussianRational refused: c_k
+    holds int permutation signs and omega_C^2 is the int +-1, so no
+    subcommand reaches the rational scalar type."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a subcommand built a GaussianRational")
+    monkeypatch.setattr(GaussianRational, "__init__", refuse)
+    assert _report(name, tmp_path) == _golden_path(name).read_text()
+
+
 if __name__ == "__main__":
     import tempfile
 

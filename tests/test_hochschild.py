@@ -239,19 +239,23 @@ class TestDepthIndependence:
 class TestOrientationKGraph:
     def test_c2_torus_expansion(self):
         # expanding the cycle formula by hand for the two permutations of
-        # Sigma_2: i^2 (1/2)(S_ef* (x) S_e (x) S_f - S_ef* (x) S_f (x) S_e)
+        # Sigma_2: c_2 = i^2 (1/2)(S_ef* (x) S_e (x) S_f - S_ef* (x) S_f (x) S_e),
+        # held as 2! i^-2 c_2, whose coefficients are the signs +1, -1
         g = torus_2graph()
         c2 = orientation_cycle_kgraph(g)
         star = make_key(g, (), ("e", "f"))
         se = make_key(g, ("e",), ())
         sf = make_key(g, ("f",), ())
-        expected = {
-            (star, se, sf): GaussianRational(Fraction(-1, 2)),
-            (star, sf, se): GaussianRational(Fraction(1, 2)),
-        }
+        expected = {(star, se, sf): 1, (star, sf, se): -1}
         assert set(c2.terms) == set(expected)
         for fac, c in expected.items():
-            assert c2.terms[fac] == c
+            assert type(c2.terms[fac]) is int and c2.terms[fac] == c
+        # and c_2 itself, i^2 / 2! times the chain, is the hand expansion
+        by_hand = {(star, se, sf): GaussianRational(Fraction(-1, 2)),
+                   (star, sf, se): GaussianRational(Fraction(1, 2))}
+        for fac, c in by_hand.items():
+            assert GaussianRational.i_power(2) * Fraction(1, 2) \
+                * c2.terms[fac] == c
 
     @pytest.mark.parametrize("g", [
         torus_2graph(), two_vertex_2graph(), one_vertex_3graph(),
@@ -272,13 +276,15 @@ class TestOrientationKGraph:
 
     def test_k1_cycle_scalar_discrepancy(self):
         # at k = 1 the degree-(1) cycle formula carries the extra scalar i
-        # that the plain 1-graph cycle omits; both are emitted
+        # that the plain 1-graph cycle omits; the chain holds 1! i^-1 c_1,
+        # so its coefficient is 1 and c_1 = i * chain
         from graphtriple.kgraphs import KGraphPresentation
         from graphtriple.graphs import Edge
         g = KGraphPresentation(1, ["v"], [Edge("e", "v", "v", 1)], [])
         ck = orientation_cycle_kgraph(g)
-        fac = next(iter(ck.terms))
-        assert ck.terms[fac] == GaussianRational(0, 1)  # i^ceil(1) = i
+        (fac, c), = ck.terms.items()
+        assert type(c) is int and c == 1
+        assert GaussianRational.i_power(1) * c == GaussianRational(0, 1)
 
     def test_single_exit_violation_detected(self):
         g = single_exit_violating_2graph()

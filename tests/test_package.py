@@ -49,19 +49,29 @@ def test_no_test_oracle_is_defined_under_src():
     assert found == {}
 
 
-def test_hochschild_names_no_expansion_or_element():
-    # the 1-graph report is read off the presentation; only c_k is a chain
-    tree = ast.parse((SRC / "hochschild.py").read_text())
+def _names(module: str) -> set:
     names = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse((SRC / module).read_text())):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.asname or node.name)
-    assert not names & {"expand", "ExpandedGraph", "AlgebraElement",
-                        "sum_of_vertex_projections"}
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module)
+    return names
+
+
+def test_hochschild_names_no_expansion_or_element():
+    # the 1-graph report is read off the presentation; only c_k is a chain
+    assert not _names("hochschild.py") & {
+        "expand", "ExpandedGraph", "AlgebraElement",
+        "sum_of_vertex_projections"}
+    # c_k and omega_C^2 are ints: no rational scalar type in either layer
+    for module in ("hochschild.py", "clifford.py"):
+        assert not _names(module) & {"GaussianRational", "Fraction",
+                                     "scalars", "fractions"}, module
 
 
 def test_readme_library_example_runs():

@@ -15,7 +15,7 @@ from graphtriple import spectral
 from graphtriple.conditions import commutant_dimension
 from graphtriple.algebra import (AlgebraElement, _multiply_keys, key_degree,
                                  key_source_mu, key_source_nu)
-from graphtriple.graphs import Edge, GraphPresentation
+from graphtriple.graphs import Edge, GraphPresentation, GraphValidationError
 from graphtriple.kgraphs import KGraphPresentation
 from graphtriple.scalars import GaussianRational
 from graphtriple.spectral import (DecompositionError, MultiplicityModel,
@@ -274,7 +274,7 @@ def singular_profile_oracle(model, window, sample_count=48):
     two-buffer version must report the same floats bit for bit."""
     if window < 100:
         return SpectralProfile(
-            window, [], [], None, None, None,
+            window, [], None, None, None,
             {"error": "window too small for a stable estimate"},
         )
     ks = np.arange(0, window + 1, dtype=np.float64)
@@ -317,10 +317,9 @@ def singular_profile_oracle(model, window, sample_count=48):
 
     s = 0.5 + 1.0 / math.log(window)
     zeta = float(np.sum(level_mass * (1.0 + ks * ks) ** (-s)) * (s - 0.5))
-    lead = [(float(lam[j]), model.mass(j)) for j in range(min(8, window))]
     if model.forward_tail == 0 and model.backward_depth is not None:
         return SpectralProfile(
-            window, lead, samples, 0.0, (0.0, 0.0), zeta,
+            window, samples, 0.0, (0.0, 0.0), zeta,
             {"finite_rank": True, "raw_F_at_window": float(f_vals[-1])},
         )
 
@@ -337,7 +336,6 @@ def singular_profile_oracle(model, window, sample_count=48):
 
     return SpectralProfile(
         window=window,
-        eigenvalues=lead,
         f_samples=samples,
         limit_estimate=limit,
         band=lim_band,
@@ -351,15 +349,15 @@ def singular_profile_oracle(model, window, sample_count=48):
 
 
 def _profile_or_error(fn, model, window):
-    """The reported bits of a profile: float reprs of the JSON document,
-    the CSV text and the eigenvalue pairs; or the exception raised."""
+    """The reported bits of a profile: float reprs of the JSON document
+    and the CSV text; or the exception raised."""
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
             prof = fn(model, window)
         except Exception as exc:  # the two must raise alike
             return ("raised", type(exc).__name__, str(exc))
-    return (repr(prof.to_json()), prof.to_csv(), repr(prof.eigenvalues))
+    return (repr(prof.to_json()), prof.to_csv())
 
 
 _MASSES_LIST = [Fraction(0), Fraction(1), Fraction(1, 3), Fraction(2),
@@ -475,6 +473,22 @@ class TestProfileBuffers:
         samples = singular_profile(model, 10 ** 6).f_samples
         assert samples[0][0] == float(Fraction(10 ** 305) * 8 + 9)
         assert samples[-1] == (math.inf, 0.0)
+
+    @pytest.mark.parametrize("model", [
+        MultiplicityModel(Fraction(10 ** 400), [Fraction(1)], Fraction(1), 3),
+        MultiplicityModel(Fraction(1), [Fraction(1), Fraction(10 ** 400)],
+                          Fraction(1), None),
+        MultiplicityModel(Fraction(1), [Fraction(1)], Fraction(10 ** 400),
+                          None),
+    ], ids=["vertex", "head", "tail"])
+    def test_mass_without_a_float_is_refused_before_the_walk(
+            self, model, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("walked a mass with no float")
+        monkeypatch.setattr(spectral, "_mass_runs", refuse)
+        with pytest.raises(GraphValidationError,
+                           match="^a level mass exceeds the largest float$"):
+            singular_profile(model, 1000)
 
     @pytest.mark.parametrize("mass", [None, Fraction(1, 3)],
                              ids=["tree3-integer", "one-third"])
