@@ -74,7 +74,11 @@ def _emit(payload, args) -> None:
         text = payload.to_csv()
     else:
         doc = payload.to_json() if hasattr(payload, "to_json") else payload
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        try:
+            text = json.dumps(doc, sort_keys=True, indent=2,
+                              allow_nan=False) + "\n"
+        except ValueError as exc:  # an inf or nan, which JSON cannot hold
+            raise _Failure(f"validation failure: {exc}", EX_DATAERR) from None
     if getattr(args, "out", None):
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -25,9 +25,11 @@ coefficient vanishes, and that closed form is what `conditions` reports.
 `check_orientation_1graph` reads the rest of the 1-graph report of
 `graphtriple hochschild`, the truncated b(c) against its boundary residue
 and pi_D(c) on the interior, off the presentation too, with no chain and
-no product.  For a k-graph, `verify_cancellation_steps` builds c_k
-once, under CYCLE_BUDGET, and walks the faces of its terms once: they
-give b(c_k), the three cancellation steps, and with
+no product.  For a k-graph, `verify_cancellation_steps` counts the terms
+of c_k against CYCLE_BUDGET before it lists a path, builds c_k once (each
+path's colour orders walked as a tree, so each split of an edge off the
+path is shared by the orders below it), and walks the faces of its terms
+once: they give b(c_k), the three cancellation steps, and with
 pi_D(c_k) = omega_C (x) 1 the whole report.
 pi_D(c_k) = sum_w n(w) p_w (x) omega_C, with n(w) the number of
 degree-(1,...,1) paths with range w, so both hold exactly under the single
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .algebra import (GenKey, _multiply_keys, accumulate, alignment_targets,
                       expand_key_to, key_degree, make_key)
@@ -51,10 +53,10 @@ from .kgraphs import KGraphPresentation, Word
 FactorTuple = Tuple[GenKey, ...]
 
 # verify_cancellation_steps builds c_k, k! |Lambda^(1,..,1)| terms.  On
-# one-vertex k-graphs (one term per permutation, 2-CPU sandbox, in-process,
-# best of 3) it takes 0.01 s at k = 5, 0.06-0.08 s at k = 6 and 0.5-0.7 s
-# at k = 7; k = 8 took 5.3 s and 129 MB, so the budget admits the 7-graph
-# and refuses the 8-graph.
+# one-vertex k-graphs (one term per permutation, 2 CPUs, Python 3.11.7,
+# in-process, 3-9 runs) it takes 0.006-0.007 s at k = 5, 0.04 s at k = 6
+# and 0.32-0.41 s at k = 7; k = 8 took 3.2 s and 117 MB, so the budget
+# admits the 7-graph and refuses the 8-graph.
 CYCLE_BUDGET = 5_040
 
 
@@ -127,27 +129,28 @@ def faces(ambient, fac: FactorTuple
 
 def orientation_cycle_kgraph(g: KGraphPresentation) -> HochschildChain:
     """k! i^-ceil((k+1)/2) c_k = sum_mu sum_sigma (-1)^sigma S_mu* (x)
-    S_{mu^sigma_1} (x) ... (x) S_{mu^sigma_k}, int coefficients."""
-    k = g.k
+    S_{mu^sigma_1} (x) ... (x) S_{mu^sigma_k}, int coefficients.
+
+    The colour orders of each mu are walked as a tree, in lexicographic
+    order: a node splits the edge of its colour off what is left of mu
+    once, for every order below it, and picking the i-th smallest colour
+    left (from 0) adds i inversions, so multiplies the sign by (-1)^i."""
+    units = {c: tuple(int(d == c) for d in range(1, g.k + 1))
+             for c in range(1, g.k + 1)}
     terms: Dict[FactorTuple, int] = {}
+
+    def walk(rest: Word, colours: Tuple[int, ...], head: FactorTuple,
+             sign: int) -> None:
+        if not colours:
+            accumulate(terms, head, sign)
+        for i, c in enumerate(colours):
+            edge, after = g.split_prefix(rest, units[c])
+            walk(after, colours[:i] + colours[i + 1:],
+                 head + (make_key(g, edge, ()),), -sign if i % 2 else sign)
+
     for mu in g.unit_degree_paths():
-        star = make_key(g, (), mu)
-        for sigma in itertools.permutations(range(1, k + 1)):
-            factors = tuple(
-                make_key(g, piece, ()) for piece in g.factorize(mu, sigma)
-            )
-            accumulate(terms, (star,) + factors, permutation_sign(sigma))
-    return HochschildChain(g, k + 1, terms)
-
-
-def permutation_sign(sigma: Sequence[int]) -> int:
-    inversions = sum(
-        1
-        for i in range(len(sigma))
-        for j in range(i + 1, len(sigma))
-        if sigma[i] > sigma[j]
-    )
-    return -1 if inversions % 2 else 1
+        walk(mu, tuple(units), (make_key(g, (), mu),), 1)
+    return HochschildChain(g, g.k + 1, terms)
 
 
 # -- pi_D of an orientation cycle --------------------------------------------------
@@ -245,11 +248,17 @@ def verify_cancellation_steps(g: KGraphPresentation) -> dict:
     pi_D(c_k) = omega_C (x) 1 (`pi_D_is_volume_form`) is read off c_k by
     `pi_D_identity_check`.  `pass` is the three steps and b(c_k) = 0; it
     does not include pi_D.  c_k has k! |Lambda^(1,..,1)| terms; above
-    CYCLE_BUDGET of them this raises WorkBudgetError before building
-    anything.
+    CYCLE_BUDGET of them this raises WorkBudgetError before listing a
+    path, since the paths are counted colour by colour.
     """
     k = g.k
-    paths = len(g.unit_degree_paths())
+    # N_c(v), the colour-sorted paths from v with one edge of each colour
+    # c..k, counted from colour k down, so no path is listed to count them
+    counts = dict.fromkeys(g.vertices, 1)
+    for c in range(k, 0, -1):
+        counts = {v: sum(counts[g.edge_range(e)] for e in g.out_edges(v)
+                         if g.edge_color(e) == c) for v in g.vertices}
+    paths = sum(counts.values())
     terms = math.factorial(k) * paths
     if terms > CYCLE_BUDGET:
         raise WorkBudgetError(

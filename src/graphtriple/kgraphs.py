@@ -138,27 +138,34 @@ class KGraphPresentation(EdgeSkeleton):
             d[self.edges[eid].color - 1] += 1
         return tuple(d)
 
+    def _pull(self, word: Word, m: Sequence[int]) -> Tuple[Word, Word]:
+        """Move m[c-1] edges of each colour c, colour 1 first, to the front
+        by square moves: the colour-sorted prefix of degree m and the rest.
+        Each pulled edge is the first of its colour, carried left one
+        square at a time."""
+        prefix: List[str] = []
+        rest = list(word)
+        for c, count in enumerate(m, 1):
+            for _ in range(count):
+                j = next(i for i, eid in enumerate(rest)
+                         if self.edges[eid].color == c)
+                e = rest.pop(j)
+                for i in range(j - 1, -1, -1):
+                    e, rest[i] = self._swap[(rest[i], e)]
+                prefix.append(e)
+        return tuple(prefix), tuple(rest)
+
     def normal(self, word: Word) -> Word:
-        """Color-sorted normal form, reached by leftmost square moves."""
+        """Color-sorted normal form: the whole word pulled, colour by colour."""
         cache = getattr(self, "_normal_cache", None)
         if cache is None:
             cache = {}
             self._normal_cache = cache
         w = tuple(word)
         hit = cache.get(w)
-        if hit is not None:
-            return hit
-        original = w
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(w) - 1):
-                if self.edges[w[i]].color > self.edges[w[i + 1]].color:
-                    w = self._swap_at(w, i)
-                    changed = True
-                    break
-        cache[original] = w
-        return w
+        if hit is None:
+            hit = cache[w] = self._pull(w, self.degree(w))[0]
+        return hit
 
     def compose(self, p: Word, q: Word) -> Optional[Word]:
         if p and q and self.path_range(p) != self.path_source(q):
@@ -167,53 +174,19 @@ class KGraphPresentation(EdgeSkeleton):
 
     def split_prefix(self, word: Word, m: Degree) -> Tuple[Word, Word]:
         """Factor word = prefix . rest with d(prefix) = m (unique by UFP)."""
-        need = list(m)
         d = self.degree(word)
-        if any(not 0 <= need[c] <= d[c] for c in range(self.k)):
+        if any(not 0 <= m[c] <= d[c] for c in range(self.k)):
             raise ValueError(f"degree {m} out of range for path of degree {d}")
-        prefix: List[str] = []
-        w = tuple(word)
-        for c in range(1, self.k + 1):
-            for _ in range(need[c - 1]):
-                j = next(
-                    i for i, eid in enumerate(w) if self.edges[eid].color == c
-                )
-                while j > 0:
-                    w = self._swap_at(w, j - 1)
-                    j -= 1
-                prefix.append(w[0])
-                w = w[1:]
-        return tuple(prefix), self.normal(w)
+        prefix, rest = self._pull(word, m)
+        return prefix, self.normal(rest)
 
     def divide_prefix(self, nu: Word, alpha: Word) -> Optional[Word]:
         """Return nu' with nu = alpha . nu' (as paths), or None."""
         da, dn = self.degree(alpha), self.degree(nu)
         if any(da[c] > dn[c] for c in range(self.k)):
             return None
-        try:
-            prefix, rest = self.split_prefix(nu, da)
-        except ValueError:
-            return None
-        if self.normal(prefix) != self.normal(alpha):
-            return None
-        return rest
-
-    def factorize(self, mu: Word, sigma: Sequence[int]) -> Tuple[Word, ...]:
-        """Split a degree-(1,..,1) path into single edges ordered by sigma.
-
-        sigma is a permutation of 1..k; factor i has color sigma(i).
-        """
-        if self.degree(mu) != tuple([1] * self.k):
-            raise ValueError("factorize requires a path of degree (1,...,1)")
-        if sorted(sigma) != list(range(1, self.k + 1)):
-            raise ValueError(f"{sigma} is not a permutation of 1..{self.k}")
-        factors: List[Word] = []
-        rest = tuple(mu)
-        for c in sigma:
-            target = tuple(1 if i == c - 1 else 0 for i in range(self.k))
-            head, rest = self.split_prefix(rest, target)
-            factors.append(head)
-        return tuple(factors)
+        prefix, rest = self._pull(nu, da)
+        return self.normal(rest) if prefix == self.normal(alpha) else None
 
     def single_exit_check(self) -> dict:
         """Single exit condition: |Lambda^{e_i} v| = 1 for all v, i.

@@ -409,8 +409,8 @@ def _pairwise_sum(start: int, n: int, leaf):
 def _level_prefix(model: MultiplicityModel, window: int, idx) -> List[float]:
     """The cumulative level mass sum_{j<=i} mass(j) at each level i of idx,
     rounded once to a float: over the lcm of the denominators every prefix
-    is an integer k, and k / lcm rounds correctly (to inf past the largest
-    float)."""
+    is an integer k, and k / lcm rounds correctly.  A prefix past the
+    largest float raises GraphValidationError."""
     head = model.forward_head[:window + 1]
     n = len(head)
     d = model.backward_depth
@@ -428,7 +428,8 @@ def _level_prefix(model: MultiplicityModel, window: int, idx) -> List[float]:
         try:
             return k / scale
         except OverflowError:
-            return math.inf if k > 0 else -math.inf
+            raise GraphValidationError("the cumulative level mass exceeds"
+                                       " the largest float") from None
 
     return [prefix(int(i)) for i in idx]
 
@@ -451,8 +452,9 @@ def singular_profile(model: MultiplicityModel, window: int) -> SpectralProfile:
     sum so far so that it adds in whole-window order.  `_pairwise_sum` adds
     the zeta sums up numpy's tree: those floats are the ones the whole-array
     form gives.  The sampled cumulative level mass t is the exact prefix of
-    the model's masses, rounded once (`_level_prefix`).  A level mass past
-    the largest float raises GraphValidationError before the walk."""
+    the model's masses, rounded once (`_level_prefix`).  A level mass, or
+    the cumulative mass at the window, past the largest float raises
+    GraphValidationError before the walk."""
     if window > PROFILE_BUDGET:
         raise WorkBudgetError(
             f"a profile window of {window} levels exceeds the budget of"

@@ -7,6 +7,7 @@ summation) so that the tests can compare the package's closed forms and
 fast routes against it, and catch a seeded fault that it would miss.
 """
 
+import itertools
 import math
 from fractions import Fraction
 from functools import reduce
@@ -71,6 +72,61 @@ def segment(g: KGraphPresentation, word: kgraphs.Word, m: Degree,
     _, rest = g.split_prefix(word, m)
     mid, _ = g.split_prefix(rest, tuple(n[c] - m[c] for c in range(g.k)))
     return mid
+
+
+def normal_by_bubbles(g: KGraphPresentation,
+                      word: kgraphs.Word) -> kgraphs.Word:
+    """`KGraphPresentation.normal` by bubble sort: the leftmost adjacent
+    pair out of colour order moves across its square, until none is."""
+    w = tuple(word)
+    while True:
+        i = next((i for i in range(len(w) - 1)
+                  if g.edge_color(w[i]) > g.edge_color(w[i + 1])), None)
+        if i is None:
+            return w
+        w = g._swap_at(w, i)
+
+
+def factorize(g: KGraphPresentation, mu: kgraphs.Word,
+              sigma: Sequence[int]) -> Tuple[kgraphs.Word, ...]:
+    """Split a degree-(1,..,1) path into single edges ordered by sigma, a
+    permutation of 1..k (factor i has colour sigma(i)), afresh for each
+    sigma: the first edge of colour sigma(i) left is carried to the front
+    one square at a time, and what follows it is bubble-sorted."""
+    if g.degree(mu) != (1,) * g.k:
+        raise ValueError("factorize requires a path of degree (1,...,1)")
+    if sorted(sigma) != list(range(1, g.k + 1)):
+        raise ValueError(f"{sigma} is not a permutation of 1..{g.k}")
+    factors = []
+    rest = tuple(mu)
+    for c in sigma:
+        j = next(i for i, eid in enumerate(rest) if g.edge_color(eid) == c)
+        for i in range(j - 1, -1, -1):
+            rest = g._swap_at(rest, i)
+        factors.append(rest[:1])
+        rest = normal_by_bubbles(g, rest[1:])
+    return tuple(factors)
+
+
+def permutation_sign(sigma: Sequence[int]) -> int:
+    """(-1)^sigma by counting inversions."""
+    inversions = sum(1 for i, j in itertools.combinations(range(len(sigma)), 2)
+                     if sigma[i] > sigma[j])
+    return -1 if inversions % 2 else 1
+
+
+def orientation_cycle_oracle(g: KGraphPresentation) -> HochschildChain:
+    """`hochschild.orientation_cycle_kgraph` with each mu factorised afresh
+    in every colour order, in `itertools.permutations` order, and each term
+    signed by its inversion count."""
+    terms: Dict[FactorTuple, int] = {}
+    for mu in g.unit_degree_paths():
+        star = make_key(g, (), mu)
+        for sigma in itertools.permutations(range(1, g.k + 1)):
+            slots = tuple(make_key(g, piece, ())
+                          for piece in factorize(g, mu, sigma))
+            accumulate(terms, (star,) + slots, permutation_sign(sigma))
+    return HochschildChain(g, g.k + 1, terms)
 
 
 # -- algebra --------------------------------------------------------------------------

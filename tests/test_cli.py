@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -296,6 +297,35 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == ("validation failure: a level mass exceeds"
                                 " the largest float\n")
+
+    def test_spectral_cumulative_mass_past_the_largest_float_is_data_error(
+            self, tree_file, capsys):
+        # each level mass 2e305 has a float, but their sum up to level 1000
+        # does not: refused, where the report once held bare Infinity
+        argv = ["spectral", tree_file, "--vertex", "b", "--end-value",
+                "tail:c1=1e305", "--end-value", "tail:c2=1e305", "--window",
+                "1000"]
+        assert run(argv) == EX_DATAERR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("validation failure: the cumulative level"
+                                " mass exceeds the largest float\n")
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_report_without_a_json_float_is_data_error(
+            self, value, loop_file, capsys, monkeypatch):
+        # JSON has no inf or nan: a report holding one is refused, never
+        # written as a bare Infinity or NaN token
+        class Profile:
+            def to_json(self):
+                return {"limit_estimate": value}
+        monkeypatch.setattr(spectral, "singular_profile",
+                            lambda model, window: Profile())
+        assert run(["spectral", loop_file]) == EX_DATAERR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("validation failure: Out of range float"
+                                f" values are not JSON compliant: {value}\n")
 
     @pytest.mark.parametrize("command", ["trace", "conditions"])
     def test_end_value_on_a_kgraph_is_data_error(self, command, torus_file,

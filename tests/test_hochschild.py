@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -8,12 +9,12 @@ from hypothesis import strategies as st
 
 from graphtriple import algebra, hochschild
 from graphtriple.algebra import AlgebraElement, make_key
-from graphtriple.graphs import GraphPresentation
+from graphtriple.graphs import Edge, GraphPresentation, WorkBudgetError
 from graphtriple.hochschild import (HochschildChain,
                                     boundary_coefficients_1graph,
                                     check_orientation_1graph,
                                     orientation_cycle_kgraph,
-                                    permutation_sign, pi_D_identity_check,
+                                    pi_D_identity_check,
                                     verify_cancellation_steps)
 from graphtriple.kgraphs import KGraphPresentation
 from graphtriple.scalars import ONE, GaussianRational
@@ -24,8 +25,9 @@ from corpus import (ORIENTATION_CORPUS_1GRAPH, double_entry_tree, dyadic_tree,
                     torus_2graph, tree_with_ends, two_disjoint_loops,
                     two_extension_2graph, two_vertex_2graph)
 from oracles import (orientation_1graph_oracle, orientation_cycle_1graph,
-                     pi_D, pi_D_identity_oracle, relabel, truncation_ends)
-from test_conditions import product_kgraphs
+                     orientation_cycle_oracle, permutation_sign, pi_D,
+                     pi_D_identity_oracle, relabel, truncation_ends)
+from test_conditions import product_kgraphs, twisted_2graphs
 from test_spectral import abelian_kgraphs
 from test_structure import digraphs
 
@@ -43,6 +45,33 @@ ALL_1GRAPHS = ORIENTATION_CORPUS_1GRAPH + [
 KGRAPHS = [torus_2graph(), two_vertex_2graph(), one_vertex_3graph(),
            single_exit_violating_2graph(), two_extension_2graph(),
            *(one_vertex_kgraph(k) for k in (4, 5, 6))]
+
+
+def two_loops_per_colour(k):
+    """One vertex with two loops of each colour, squares commuting them:
+    2^k paths of degree (1,...,1), so c_k has k! 2^k terms."""
+    edges = [Edge(f"g{c}{m}", "v", "v", c)
+             for c in range(1, k + 1) for m in (0, 1)]
+    squares = [((f"g{c}{m}", f"g{d}{n}"), (f"g{d}{n}", f"g{c}{m}"))
+               for c in range(1, k + 1) for d in range(c + 1, k + 1)
+               for m in (0, 1) for n in (0, 1)]
+    return KGraphPresentation(k, ["v"], edges, squares)
+
+
+def negate_identity_order(monkeypatch):
+    """Make hochschild.orientation_cycle_kgraph a mutant that gives each
+    identity-order term (slot colours 1, ..., k) the sign of its
+    transpositions."""
+    exact = hochschild.orientation_cycle_kgraph
+
+    def mutant(g):
+        chain = exact(g)
+        for fac, c in chain.terms.items():
+            colours = [g.edge_color(p[0]) for p, _, _ in fac[1:]]
+            if colours == sorted(colours):
+                chain.terms[fac] = -c
+        return chain
+    monkeypatch.setattr(hochschild, "orientation_cycle_kgraph", mutant)
 
 
 def chain_of(amb, *factors, coeff=GaussianRational(1)):
@@ -303,24 +332,27 @@ class TestOrientationKGraph:
         assert rep["step3_ck_cancellation"]
         assert rep["pass"]
 
-    @pytest.mark.parametrize("g", KGRAPHS)
-    def test_factorises_each_term_once_and_forms_no_element_product(
+    @pytest.mark.parametrize("g", KGRAPHS + [one_vertex_kgraph(7)])
+    def test_one_split_per_order_tree_node_and_no_product(
             self, g, monkeypatch):
-        # c_k is built once, and its faces give every step and b(c_k)
+        # the colour orders of each mu are a tree with k!/(k-j)! nodes at
+        # depth j, and each node splits one edge off once (13,699 splits a
+        # path at k = 7, where a fresh factorisation per order makes
+        # k k! = 35,280); its faces then give every step and b(c_k)
         calls = []
-        factorize = KGraphPresentation.factorize
+        split_prefix = KGraphPresentation.split_prefix
 
-        def counted(self, mu, sigma):
-            calls.append((mu, tuple(sigma)))
-            return factorize(self, mu, sigma)
+        def counted(self, word, m):
+            calls.append((word, m))
+            return split_prefix(self, word, m)
 
         def refuse(*args, **kwargs):
             raise AssertionError("formed an element product")
-        monkeypatch.setattr(KGraphPresentation, "factorize", counted)
+        monkeypatch.setattr(KGraphPresentation, "split_prefix", counted)
         monkeypatch.setattr(AlgebraElement, "__mul__", refuse)
         rep = verify_cancellation_steps(g)
-        assert len(calls) == len(set(calls)) \
-            == math.factorial(g.k) * len(g.unit_degree_paths())
+        nodes = sum(math.perm(g.k, j) for j in range(1, g.k + 1))
+        assert len(calls) == nodes * len(g.unit_degree_paths())
         assert rep["pass"] == g.single_exit_check()["holds"]
 
     @pytest.mark.parametrize("g", [torus_2graph(), two_vertex_2graph(),
@@ -328,17 +360,100 @@ class TestOrientationKGraph:
     def test_negated_permutation_fails_step1(self, g, monkeypatch):
         # the mutant cycle gives the identity permutation the sign of its
         # transpositions, so each middle face of mu pairs up uncancelled
-        exact = hochschild.permutation_sign
-
-        def negated(sigma):
-            return -exact(sigma) if list(sigma) == sorted(sigma) else \
-                exact(sigma)
-        monkeypatch.setattr(hochschild, "permutation_sign", negated)
+        negate_identity_order(monkeypatch)
         rep = verify_cancellation_steps(g)
         assert not rep["step1_middle_terms_vanish"] and not rep["pass"]
         assert rep["step1_witness"] == {"mu": g.unit_degree_paths()[-1],
                                         "j": g.k - 1}
         assert rep["step2_elementary_tensors_equal"]
+
+    @pytest.mark.parametrize("g", [torus_2graph(), two_vertex_2graph(),
+                                   one_vertex_3graph(), one_vertex_kgraph(4)])
+    def test_product_without_square_moves_fails_step2(self, g, monkeypatch):
+        # the mutant product of two paths concatenates them and leaves the
+        # word out of colour order, so the middle faces of sigma and sigma
+        # t_j give two words for one segment of mu; the heads of face 0,
+        # star times path, do not move
+        exact = hochschild._multiply_keys
+
+        def unmoved(amb, x, y):
+            if x[0] and y[0] and not x[1] and not y[1]:
+                return ((x[0] + y[0], (), y[2]),)
+            return exact(amb, x, y)
+        monkeypatch.setattr(hochschild, "_multiply_keys", unmoved)
+        rep = verify_cancellation_steps(g)
+        assert not rep["step2_elementary_tensors_equal"] and not rep["pass"]
+        assert rep["step2_witness"]["mu"] == g.unit_degree_paths()[-1]
+        assert rep["step2_witness"]["j"] == g.k - 1
+        assert rep["step3_ck_cancellation"]
+
+    @pytest.mark.parametrize("g", [torus_2graph(), two_vertex_2graph(),
+                                   one_vertex_3graph(), one_vertex_kgraph(4)])
+    def test_star_product_listed_twice_fails_step3(self, g, monkeypatch):
+        # the mutant product of a star and a path lists each key twice, so
+        # face 0 of each term gives its (lambda, sigma) two heads; the
+        # middle faces, path times path, do not move
+        exact = hochschild._multiply_keys
+
+        def doubled(amb, x, y):
+            keys = exact(amb, x, y)
+            return keys + keys if x[1] and not x[0] and y[0] else keys
+        monkeypatch.setattr(hochschild, "_multiply_keys", doubled)
+        rep = verify_cancellation_steps(g)
+        assert not rep["step3_ck_cancellation"] and not rep["pass"]
+        assert rep["step3_witness"]["head_multiplicity"] == 2
+        assert rep["step1_middle_terms_vanish"]
+        assert rep["step2_elementary_tensors_equal"]
+
+    @pytest.mark.parametrize("g", KGRAPHS)
+    def test_budget_counts_the_paths_it_would_list(self, g, monkeypatch):
+        paths = len(g.unit_degree_paths())
+        monkeypatch.setattr(hochschild, "CYCLE_BUDGET", 0)
+        with pytest.raises(WorkBudgetError, match=(
+                f"^c_k has {g.k}! x {paths} = "
+                f"{math.factorial(g.k) * paths} terms, ")):
+            verify_cancellation_steps(g)
+
+    @pytest.mark.parametrize("k", [6, 10, 14])
+    def test_over_budget_refuses_before_listing_a_path(self, k,
+                                                       monkeypatch):
+        # two loops of each colour: the path count doubles with each colour
+        g = two_loops_per_colour(k)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("listed the paths before refusing")
+        monkeypatch.setattr(KGraphPresentation, "unit_degree_paths", refuse)
+        with pytest.raises(WorkBudgetError, match=(
+                f"^c_k has {k}! x {2 ** k} = "
+                f"{math.factorial(k) * 2 ** k} terms, over the budget")):
+            verify_cancellation_steps(g)
+
+
+class TestCycleAgainstTheOracle:
+    """c_k walked as a colour-order tree holds the items of the oracle,
+    which factorises each mu afresh in every order, in the same order:
+    witnesses read that order."""
+
+    @staticmethod
+    def check(g):
+        cycle = orientation_cycle_kgraph(g)
+        oracle = orientation_cycle_oracle(g)
+        assert list(cycle.terms.items()) == list(oracle.terms.items())
+        with mock.patch.object(hochschild, "orientation_cycle_kgraph",
+                               orientation_cycle_oracle):
+            expected = verify_cancellation_steps(g)
+        assert verify_cancellation_steps(g) == expected
+
+    @pytest.mark.parametrize(
+        "g", KGRAPHS + [one_vertex_kgraph(2), one_vertex_kgraph(3)])
+    def test_corpus_and_one_vertex_kgraphs(self, g):
+        self.check(g)
+
+    @given(st.one_of(abelian_kgraphs(), product_kgraphs(),
+                     twisted_2graphs()))
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_kgraphs(self, g):
+        self.check(g)
 
 
 class TestPiDFromPaths:
@@ -367,13 +482,8 @@ class TestPiDFromPaths:
         # the mutant cycle negates the identity permutation's terms, so
         # each vertex's coefficient of gamma^1...gamma^k moves off omega_C's
         assert pi_D_identity_check(orientation_cycle_kgraph(g))["pass"]
-        exact = hochschild.permutation_sign
-
-        def negated(sigma):
-            return -exact(sigma) if list(sigma) == sorted(sigma) else \
-                exact(sigma)
-        monkeypatch.setattr(hochschild, "permutation_sign", negated)
-        cycle = orientation_cycle_kgraph(g)
+        negate_identity_order(monkeypatch)
+        cycle = hochschild.orientation_cycle_kgraph(g)
         assert not pi_D_identity_check(cycle)["pass"]
         assert not pi_D_identity_oracle(cycle)
 
@@ -401,6 +511,8 @@ class TestPiDFromPaths:
 
 
 class TestPermutationSign:
+    """The oracle's inversion-count sign against bubble-sort parity."""
+
     def test_against_inversion_count(self):
         for n in (2, 3, 4):
             for sigma in itertools.permutations(range(1, n + 1)):

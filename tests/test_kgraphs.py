@@ -10,8 +10,10 @@ from graphtriple.kgraphs import KGraphPresentation, parse_kgraph
 
 from corpus import (one_vertex_3graph, one_vertex_kgraph,
                     single_exit_violating_2graph, torus_2graph,
-                    two_vertex_2graph)
-from oracles import segment
+                    two_extension_2graph, two_vertex_2graph)
+from oracles import factorize, normal_by_bubbles, segment
+from test_conditions import product_kgraphs, twisted_2graphs
+from test_spectral import abelian_kgraphs
 
 
 def torus_doc(squares=({"first": ["e", "f"], "second": ["f", "e"]},)):
@@ -126,22 +128,25 @@ class TestSegments:
 
 
 class TestFactorize:
+    """The tests' factorisation, the route `hochschild` took before it
+    walked the colour orders as a tree, which is now its oracle."""
+
     def test_torus_identity_and_flip(self):
         g = torus_2graph()
         mu = g.normal(("e", "f"))
-        assert g.factorize(mu, (1, 2)) == (("e",), ("f",))
-        assert g.factorize(mu, (2, 1)) == (("f",), ("e",))
+        assert factorize(g, mu, (1, 2)) == (("e",), ("f",))
+        assert factorize(g, mu, (2, 1)) == (("f",), ("e",))
 
     def test_two_vertex_example(self):
         g = two_vertex_2graph()
         mu = g.normal(("a", "g"))  # = fa by the square
-        assert g.factorize(mu, (1, 2)) == (("a",), ("g",))
-        assert g.factorize(mu, (2, 1)) == (("f",), ("a",))
+        assert factorize(g, mu, (1, 2)) == (("a",), ("g",))
+        assert factorize(g, mu, (2, 1)) == (("f",), ("a",))
 
     def test_degree_mismatch(self):
         g = torus_2graph()
         with pytest.raises(ValueError):
-            g.factorize(("e",), (1, 2))
+            factorize(g, ("e",), (1, 2))
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_all_permutations_recompose(self, k):
@@ -149,7 +154,7 @@ class TestFactorize:
         for v in g.vertices:
             for mu in g.paths_with_degree(tuple([1] * k), v, "out-of"):
                 for sigma in itertools.permutations(range(1, k + 1)):
-                    factors = g.factorize(mu, sigma)
+                    factors = factorize(g, mu, sigma)
                     assert [g.degree(f) for f in factors] == [
                         tuple(1 if i == s - 1 else 0 for i in range(k))
                         for s in sigma
@@ -158,6 +163,60 @@ class TestFactorize:
                     for f in factors:
                         whole = g.compose(whole, f)
                     assert whole == g.normal(mu)
+
+
+# the corpus k-graphs, and drawn abelian, product and twisted ones
+CORPUS_KGRAPHS = [torus_2graph(), two_vertex_2graph(), one_vertex_3graph(),
+                  single_exit_violating_2graph(), two_extension_2graph(),
+                  *(one_vertex_kgraph(k) for k in (2, 4))]
+
+
+@st.composite
+def shuffled_words(draw):
+    """A k-graph, a colour-sorted path of degree at most 2 in each colour,
+    and a word for the same path reached from it by random square moves."""
+    g = draw(st.one_of(st.sampled_from(CORPUS_KGRAPHS), abelian_kgraphs(),
+                       product_kgraphs(), twisted_2graphs()))
+    n = tuple(draw(st.lists(st.integers(0, 2), min_size=g.k,
+                            max_size=g.k)))
+    paths = g.paths_with_degree(n, draw(st.sampled_from(g.vertices)),
+                                "out-of")
+    sorted_word = draw(st.sampled_from(paths)) if paths else ()
+    word = sorted_word
+    for i in draw(st.lists(st.integers(0, max(len(word) - 2, 0)),
+                           max_size=12)):
+        if len(word) > 1 and g.edge_color(word[i]) != g.edge_color(word[i + 1]):
+            word = g._swap_at(word, i)
+    return g, sorted_word, word
+
+
+class TestWordsAgainstBubbles:
+    """normal, split_prefix and divide_prefix share one pull routine; the
+    bubble sort of leftmost square moves is their oracle."""
+
+    @given(shuffled_words())
+    @settings(max_examples=150, deadline=None)
+    def test_normal_is_the_bubble_normal_form(self, case):
+        g, sorted_word, word = case
+        assert g.normal(word) == normal_by_bubbles(g, word) == sorted_word
+
+    @given(shuffled_words(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_split_and_divide_recompose(self, case, data):
+        g, sorted_word, word = case
+        d = g.degree(word)
+        m = tuple(data.draw(st.integers(0, n)) for n in d)
+        prefix, rest = g.split_prefix(word, m)
+        assert g.degree(prefix) == m
+        assert prefix == normal_by_bubbles(g, prefix)
+        assert rest == normal_by_bubbles(g, rest)
+        assert g.compose(prefix, rest) == sorted_word
+        if word:
+            # only the path's own prefix of degree m divides it
+            for alpha in g.paths_with_degree(m, g.path_source(word),
+                                             "out-of"):
+                assert g.divide_prefix(word, alpha) == (
+                    rest if alpha == prefix else None)
 
 
 class TestEnumeration:

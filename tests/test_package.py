@@ -22,6 +22,7 @@ NOT_IN_SRC = {
     "pi_D", "_restrict_to_sources",
     "orientation_cycle_1graph", "sum_of_vertex_projections",
     "KGraphPresentation.segment", "GraphPresentation.relabel",
+    "KGraphPresentation.factorize", "permutation_sign",
     "Truncation.nu_target", "_exact_level_prefix", "TruncationExceededError",
     "AlgebraElement.to_json", "AlgebraElement.from_json",
     "GaussianRational.to_json", "GaussianRational.from_json",

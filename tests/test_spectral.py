@@ -259,11 +259,13 @@ class TestProfiles:
 
 
 def _rounded_ratio(k, scale):
-    """k / scale rounded once to a float, to +-inf past the largest float."""
+    """k / scale rounded once to a float; past the largest float there is
+    no profile to report."""
     try:
         return k / scale
     except OverflowError:
-        return math.inf if k > 0 else -math.inf
+        raise GraphValidationError("the cumulative level mass exceeds"
+                                   " the largest float") from None
 
 
 def singular_profile_oracle(model, window, sample_count=48):
@@ -467,12 +469,19 @@ class TestProfileBuffers:
         samples = singular_profile(model, window).f_samples
         assert [t for t, _ in samples] == [float(exact[i]) for i in idx]
 
-    def test_mass_past_the_largest_float_samples_inf(self):
+    def test_cumulative_mass_past_the_largest_float_is_refused(
+            self, monkeypatch):
+        # every level mass has a float, but the mass summed up to the
+        # window does not, so no sample t has one: refused before the walk
         model = MultiplicityModel(Fraction(1), [Fraction(1)],
                                   Fraction(10 ** 305), None)
-        samples = singular_profile(model, 10 ** 6).f_samples
-        assert samples[0][0] == float(Fraction(10 ** 305) * 8 + 9)
-        assert samples[-1] == (math.inf, 0.0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("walked a mass with no float")
+        monkeypatch.setattr(spectral, "_mass_runs", refuse)
+        with pytest.raises(GraphValidationError, match=(
+                "^the cumulative level mass exceeds the largest float$")):
+            singular_profile(model, 10 ** 6)
 
     @pytest.mark.parametrize("model", [
         MultiplicityModel(Fraction(10 ** 400), [Fraction(1)], Fraction(1), 3),
