@@ -14,9 +14,9 @@ the conditions subcommand exits 0 when all nine hold, 2 when some fail and
 depends on no input, so the first call builds it and later calls reuse it;
 each call still reads its input and builds its work afresh.
 
-Importing this module loads only `graphs`, `kgraphs` and `clifford` (for
-KMAX); each subcommand imports the layers it runs, so `clifford` loads no
-other and `conditions` never loads `algebra`, `hochschild` or `spectral`.
+Importing this module loads only `graphs` and `kgraphs`; each subcommand
+imports the layers it runs, so `clifford` loads no other (nor `fractions`)
+and `conditions` never loads `algebra`, `hochschild` or `spectral`.
 """
 
 from __future__ import annotations
@@ -25,11 +25,10 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
-from .clifford import KMAX, sign_table_check
-from .graphs import (GraphFormatError, GraphPresentation, GraphValidationError,
-                     WorkBudgetError, graph_from_document, read_document)
+from .graphs import (KMAX, GraphFormatError, GraphPresentation,
+                     GraphValidationError, WorkBudgetError,
+                     graph_from_document, read_document)
 from .kgraphs import kgraph_from_document
 
 EX_USAGE = 64
@@ -95,6 +94,7 @@ def _end_values(args, g):
     k-graph has no ends, so every pair given for one names no end."""
     if not args.end_value:
         return None
+    from fractions import Fraction
     out = {}
     for item in args.end_value:
         if "=" not in item:
@@ -111,11 +111,11 @@ def _end_values(args, g):
 
 
 def _jsonable(obj):
-    """obj with dict keys as strings, sequences as lists and other
-    non-JSON leaves as their str()."""
+    """obj with dict keys as strings, plain lists and tuples as lists and
+    other non-JSON leaves, records included, as their str()."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if type(obj) in (list, tuple):
         return [_jsonable(x) for x in obj]
     return obj if isinstance(obj, (str, int, float, bool, type(None))) else str(obj)
 
@@ -210,6 +210,7 @@ def _cmd_hochschild(args) -> int:
 
 
 def _cmd_clifford(args) -> int:
+    from .clifford import sign_table_check
     report = sign_table_check(args.kmax)
     payload = {
         "pass": report["pass"],

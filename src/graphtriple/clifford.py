@@ -26,14 +26,13 @@ Clifford-valued operators exactly, independent of the matrix dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import matmul
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-Word = Tuple[int, ...]
+from .graphs import KMAX
 
-KMAX = 16
+Word = Tuple[int, ...]
 
 
 class Pauli(NamedTuple):
@@ -173,8 +172,7 @@ def volume_form(k: int, gens: Sequence[Pauli] = None) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class RealityData:
+class RealityData(NamedTuple):
     k: int
     s_k: int
     chi: Pauli

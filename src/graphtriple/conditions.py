@@ -38,12 +38,11 @@ it is the trace mass times the unit k-ball volume.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import Dict, NamedTuple, Optional, Union
 
-from .clifford import KMAX, SIGN_TABLE, reality_operator
-from .graphs import (GraphPresentation, GraphValidationError, WorkBudgetError,
-                     boundary_coefficients_1graph, count_classes)
+from .graphs import (KMAX, GraphPresentation, GraphValidationError,
+                     WorkBudgetError, boundary_coefficients_1graph,
+                     count_classes)
 from .kgraphs import KGraphPresentation
 from .traces import (NoFaithfulTraceError, solve_graph_trace,
                      solve_kgraph_trace)
@@ -127,8 +126,7 @@ THEOREMS = {
 }
 
 
-@dataclass
-class ConditionEntry:
+class ConditionEntry(NamedTuple):
     name: str
     status: str  # holds | fails | not_applicable
     method: str  # exact | theorem (holds by the THEOREMS argument)
@@ -143,8 +141,7 @@ class ConditionEntry:
         }
 
 
-@dataclass
-class ConditionReport:
+class ConditionReport(NamedTuple):
     entries: Dict[str, ConditionEntry]
     hypotheses: dict
     parameters: dict
@@ -372,6 +369,7 @@ def _evaluate_kgraph(g: KGraphPresentation, level) -> ConditionReport:
          "constant": "pi^(k/2)/Gamma(k/2+1)", "limit": float(mass) * ball},
     )
 
+    from .clifford import SIGN_TABLE, reality_operator
     data = reality_operator(k)
     expected = SIGN_TABLE[k % 8]
     got = (data.eps, data.eps_prime, data.eps_dprime)

@@ -14,10 +14,9 @@ All operations are pure; presentations are immutable after construction.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from typing import (AbstractSet, Callable, Dict, FrozenSet, Iterable,
-                    Iterator, List, Optional, Sequence, Set, Tuple)
+                    Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple)
 
 
 class GraphFormatError(ValueError):
@@ -32,16 +31,17 @@ class WorkBudgetError(RuntimeError):
     """A check would do more work than its budget allows."""
 
 
-@dataclass(frozen=True)
-class Edge:
+KMAX = 16  # the largest k whose Clifford algebra is built and tabulated
+
+
+class Edge(NamedTuple):
     id: str
     source: str
     range: str
     color: int = 1
 
 
-@dataclass(frozen=True)
-class End:
+class End(NamedTuple):
     """A sink, a loop without exit, or an infinite no-exit path."""
 
     kind: str  # "sink" | "loop" | "tail"
@@ -50,8 +50,7 @@ class End:
     cycle_edges: Tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     kind: str  # "SingleLoop" | "DirectedTree" | "Other"
     n: Optional[int] = None
 
@@ -234,8 +233,7 @@ def count_classes(items: Iterable[str],
     return parts
 
 
-@dataclass(frozen=True)
-class CoreCycle:
+class CoreCycle(NamedTuple):
     """The simple cycle kept for one cyclic component, its edges, and
     whether the component holds a cycle with an exit."""
 
@@ -244,8 +242,7 @@ class CoreCycle:
     has_exit: bool
 
 
-@dataclass(frozen=True)
-class CoreStructure:
+class CoreStructure(NamedTuple):
     """Everything the structural hypotheses read from the core, from one
     strongly connected component pass.
 

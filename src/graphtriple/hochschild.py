@@ -45,7 +45,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from .algebra import (GenKey, _multiply_keys, accumulate, alignment_targets,
                       expand_key_to, key_degree, make_key)
-from .clifford import word_product
 from .graphs import (GraphPresentation, WorkBudgetError,
                      boundary_coefficients_1graph)
 from .kgraphs import KGraphPresentation, Word
@@ -170,6 +169,7 @@ def pi_D_identity_check(chain: HochschildChain) -> dict:
     the check is exact: on each vertex the word gamma^1...gamma^k has
     coefficient k! and every other word 0.
     """
+    from .clifford import word_product
     amb = chain.ambient
     coeffs: Dict[Tuple[str, Tuple[int, ...]], int] = {}
     for fac, c in chain.terms.items():

@@ -9,9 +9,8 @@ tau(S_mu S_nu*) = delta_{mu,nu} g(r(mu)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .graphs import (End, GraphPresentation, GraphValidationError,
                      strong_components)
@@ -31,8 +30,7 @@ class NonDiagonalError(ValueError):
     """Raised when a fixed-point-algebra input is not diagonal."""
 
 
-@dataclass(frozen=True)
-class GraphTrace:
+class GraphTrace(NamedTuple):
     """Faithful graph trace: core vertex values plus per-end values."""
 
     presentation: GraphPresentation
@@ -49,8 +47,7 @@ class GraphTrace:
         return self.values[root]
 
 
-@dataclass(frozen=True)
-class KGraphTrace:
+class KGraphTrace(NamedTuple):
     presentation: KGraphPresentation
     values: Dict[str, Fraction]
 
@@ -170,8 +167,7 @@ def ktheory_ranks(g: GraphPresentation) -> dict:
 # -- fixed point algebra ----------------------------------------------------------
 
 
-@dataclass
-class FixedPointCanonicalForm:
+class FixedPointCanonicalForm(NamedTuple):
     """f = sum c_{v,n} S_{(v,n)} S_{(v,n)}* with (v,n) the path from v into end n."""
 
     presentation: GraphPresentation

@@ -14,14 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphtriple
-from graphtriple import conditions, graphs, hochschild, spectral
+from graphtriple import clifford, conditions, graphs, hochschild, spectral
 from graphtriple.clifford import KMAX
 from graphtriple.cli import (EX_CANTCREAT, EX_DATAERR, EX_NOINPUT,
-                             EX_UNAVAILABLE, EX_USAGE, run)
+                             EX_UNAVAILABLE, EX_USAGE, _jsonable, run)
 
 from corpus import (loop_with_exit, random_tree, single_loop,
                     torus_2graph, tree_with_ends, two_loop_fan_doc)
-from graphtriple.graphs import (GraphPresentation, GraphValidationError,
+from graphtriple.graphs import (Edge, GraphPresentation, GraphValidationError,
                                graph_from_document, graph_to_document)
 from graphtriple.spectral import vertex_multiplicities
 from graphtriple.traces import canonical_F_form_numeric, solve_graph_trace
@@ -598,8 +598,8 @@ class TestStructureEdgeCases:
         # refused before the trace, single exit or the Clifford algebra
         def refuse(*args, **kwargs):
             raise AssertionError("conditions worked above KMAX")
-        for name in ("solve_kgraph_trace", "reality_operator"):
-            monkeypatch.setattr(conditions, name, refuse)
+        monkeypatch.setattr(conditions, "solve_kgraph_trace", refuse)
+        monkeypatch.setattr(clifford, "reality_operator", refuse)
         path = self._one_vertex_kgraph(tmp_path, KMAX + 1)
         assert run(["conditions", path]) == EX_UNAVAILABLE
         captured = capsys.readouterr()
@@ -760,6 +760,15 @@ class TestStructureEdgeCases:
         assert " 40320 terms" in captured.err
 
 
+def test_a_record_in_a_report_prints_as_its_repr():
+    # records are NamedTuples, hence tuples: only plain lists and tuples
+    # become JSON arrays, so a record keeps the text a dataclass printed
+    edge = Edge("e", "v", "w")
+    assert _jsonable({("v", 1): [edge, ("a", 1)]}) == {
+        "('v', 1)": ["Edge(id='e', source='v', range='w', color=1)",
+                     ["a", 1]]}
+
+
 def _run_python(code, timeout=None):
     """Run code in a fresh interpreter that imports this checkout's
     graphtriple."""
@@ -794,30 +803,41 @@ def test_cold_start_leaves_numpy_and_networkx_unloaded(tree_file):
 
 
 # The graphtriple modules each subcommand loads in a fresh process: every
-# request needs `graphs` and `kgraphs` to parse and `clifford` for the
-# parser's KMAX; the other layers load only when a subcommand runs them.
+# request needs `graphs` (which holds KMAX for the parser) and `kgraphs` to
+# parse; the other layers load only when a subcommand runs them, `clifford`
+# only for the sign table and the k-graph reality and pi_D checks.
 _START = {"graphtriple", "graphtriple.cli", "graphtriple.graphs",
-          "graphtriple.kgraphs", "graphtriple.clifford"}
+          "graphtriple.kgraphs"}
 _TRACE = {"graphtriple.traces", "graphtriple.linalg"}
+_CLIFFORD = {"graphtriple.clifford"}
 
 
 @pytest.mark.parametrize("argv,added", [
-    (["clifford", "--kmax", "3"], set()),
+    (["clifford", "--kmax", "3"], _CLIFFORD),
     (["conditions", "{tree}", "--level", "1"],
      {"graphtriple.conditions", *_TRACE}),
-    (["conditions", "{torus}"], {"graphtriple.conditions", *_TRACE}),
+    (["conditions", "{torus}"],
+     {"graphtriple.conditions", *_TRACE, *_CLIFFORD}),
     (["analyze", "{tree}"], {"graphtriple.conditions", *_TRACE}),
+    (["trace", "{tree}", "--end-value", "tail:c1=1/2",
+      "--end-value", "tail:c2=1/4"], _TRACE),
+    (["ktheory", "{tree}"], _TRACE),
     (["spectral", "{tree}", "--vertex", "b", "--window", "1000"],
      {"graphtriple.spectral", "graphtriple.algebra", "graphtriple.scalars",
       *_TRACE}),
     (["hochschild", "{tree}"],
      {"graphtriple.hochschild", "graphtriple.algebra", "graphtriple.scalars"}),
     (["hochschild", "{torus}"],
-     {"graphtriple.hochschild", "graphtriple.algebra", "graphtriple.scalars"}),
+     {"graphtriple.hochschild", "graphtriple.algebra", "graphtriple.scalars",
+      *_CLIFFORD}),
 ], ids=["clifford", "conditions_1graph", "conditions_2graph", "analyze",
-        "spectral", "hochschild_1graph", "hochschild_2graph"])
+        "trace", "ktheory", "spectral", "hochschild_1graph",
+        "hochschild_2graph"])
 def test_cold_start_loads_only_the_layers_a_subcommand_runs(
         argv, added, tree_file, torus_file):
+    """Besides its layers, no subcommand but `spectral` (numpy imports
+    `inspect`) loads `dataclasses` or `inspect`, and `clifford` loads no
+    `fractions`."""
     argv = [a.format(tree=tree_file, torus=torus_file) for a in argv]
     code = (
         "import contextlib, io, json, sys\n"
@@ -825,11 +845,17 @@ def test_cold_start_loads_only_the_layers_a_subcommand_runs(
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = run({argv!r})\n"
         "print(json.dumps([code, sorted(m for m in sys.modules\n"
-        "                               if m.split('.')[0] == 'graphtriple')]))\n"
+        "                               if m.split('.')[0] == 'graphtriple'),\n"
+        "                  sorted({'dataclasses', 'inspect', 'fractions'}\n"
+        "                         & set(sys.modules))]))\n"
     )
-    exit_code, loaded = json.loads(_run_python(code).stdout)
+    exit_code, loaded, stdlib = json.loads(_run_python(code).stdout)
     assert exit_code == 0
     assert set(loaded) == _START | added
+    if argv[0] != "spectral":
+        assert not {"dataclasses", "inspect"} & set(stdlib)
+    if argv[0] == "clifford":
+        assert "fractions" not in stdlib
 
 
 def test_package_import_loads_no_layer():

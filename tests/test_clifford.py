@@ -1,6 +1,5 @@
 import itertools
 import json
-from dataclasses import replace
 from fractions import Fraction
 from typing import Tuple
 
@@ -508,7 +507,7 @@ class TestReality:
         for g in gens[1::2][:-1]:
             mutated = mutated @ g
         monkeypatch.setattr(clifford, "reality_operator",
-                            lambda kk: replace(real(kk), chi=mutated))
+                            lambda kk: real(kk)._replace(chi=mutated))
         vectors = [tuple(1 if i == j else 0 for i in range(k)) for j in range(k)]
         assert not degree_reversal_check(k, vectors)
         monkeypatch.undo()

@@ -2,7 +2,6 @@ import ast
 import itertools
 import json
 import math
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphtriple import algebra, conditions, hochschild, spectral
+from graphtriple import algebra, clifford, conditions, hochschild, spectral
 from graphtriple.conditions import (CONDITION_NAMES, commutant_dimension,
                                     evaluate_all, hypothesis_check,
                                     kgraph_hypothesis_check)
@@ -225,11 +224,11 @@ class TestEvaluateAll:
             self, monkeypatch):
         # the algebra half of k-graph reality is a theorem; the Clifford
         # half is computed, so wrong signs from the gammas must fail it
-        real = conditions.reality_operator
+        real = clifford.reality_operator
         g = torus_2graph()
         before = evaluate_all(g, level=1).to_json()["conditions"]
-        monkeypatch.setattr(conditions, "reality_operator",
-                            lambda k: replace(real(k), eps=-real(k).eps))
+        monkeypatch.setattr(clifford, "reality_operator",
+                            lambda k: real(k)._replace(eps=-real(k).eps))
         after = evaluate_all(g, level=1).to_json()["conditions"]
         assert before["reality"]["status"] == "holds"
         assert after["reality"]["status"] == "fails"

@@ -1,10 +1,11 @@
-"""Byte-for-byte golden reports for `graphtriple conditions`,
-`graphtriple spectral`, `graphtriple hochschild` and `graphtriple clifford`.
+"""Byte-for-byte golden reports for every `graphtriple` subcommand.
 
 The files in tests/golden/ hold the CLI output for a fixed set of corpus
 presentations, each at the truncation level given in CASES, for the
 spectral profiles in SPECTRAL_CASES, for the orientation cycle checks in
-HOCHSCHILD_CASES and for the Clifford sign table at two values of --kmax.
+HOCHSCHILD_CASES, for the Clifford sign table at two values of --kmax, and
+for the analyze, trace and ktheory reports in REPORT_CASES, where a
+refusal is kept as its exit code and message.
 Refactors of the key product, the evaluators and the Clifford layer must
 keep them unchanged.  To rewrite them after an intended report change, run
 
@@ -28,6 +29,8 @@ is counted from the presentation's terminal components, with the same
 bytes, and the commutant probe runs here as its oracle.
 """
 
+import contextlib
+import io
 import json
 import math
 import sys
@@ -127,6 +130,18 @@ CLIFFORD_CASES = {
 }
 
 
+# name -> (subcommand, presentation factory)
+REPORT_CASES = {
+    "analyze_tree_with_ends_2": ("analyze", lambda: tree_with_ends(2)),
+    "analyze_loop_with_exit": ("analyze", loop_with_exit),
+    "analyze_torus_2graph": ("analyze", torus_2graph),
+    "trace_tree_with_ends_2": ("trace", lambda: tree_with_ends(2)),
+    "trace_loop_with_exit": ("trace", loop_with_exit),
+    "ktheory_tree_with_ends_2": ("ktheory", lambda: tree_with_ends(2)),
+    "ktheory_loop_with_exit": ("ktheory", loop_with_exit),
+}
+
+
 def _document(g) -> dict:
     if isinstance(g, GraphPresentation):
         return graph_to_document(g)
@@ -160,11 +175,18 @@ def _report(name: str, workdir: Path) -> str:
     elif name in HOCHSCHILD_CASES:
         factory = HOCHSCHILD_CASES[name]
         argv = ["hochschild", str(src)]
+    elif name in REPORT_CASES:
+        command, factory = REPORT_CASES[name]
+        argv = [command, str(src)]
     else:
         factory, level = CASES[name]
         argv = ["conditions", str(src), "--level", str(level)]
     src.write_text(json.dumps(_document(factory())))
-    run(argv + ["--out", str(out)])
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = run(argv + ["--out", str(out)])
+    if not out.exists():
+        return json.dumps({"exit": code, "stderr": err.getvalue()},
+                          indent=2) + "\n"
     return out.read_text()
 
 
@@ -463,8 +485,15 @@ def test_clifford_report_matches_golden(name, tmp_path):
     assert _report(name, tmp_path) == expected
 
 
+@pytest.mark.parametrize("name", sorted(REPORT_CASES))
+def test_structure_and_trace_report_matches_golden(name, tmp_path):
+    expected = _golden_path(name).read_text()
+    assert _report(name, tmp_path) == expected
+
+
 @pytest.mark.parametrize("name", sorted(
-    [*CASES, *SPECTRAL_CASES, *HOCHSCHILD_CASES, *CLIFFORD_CASES]))
+    [*CASES, *SPECTRAL_CASES, *HOCHSCHILD_CASES, *CLIFFORD_CASES,
+     *REPORT_CASES]))
 def test_report_builds_no_gaussian_rational(name, tmp_path, monkeypatch):
     """Every golden report comes out with GaussianRational refused: c_k
     holds int permutation signs and omega_C^2 is the int +-1, so no
@@ -481,6 +510,7 @@ if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for case in (sorted(CASES) + sorted(SPECTRAL_CASES)
-                     + sorted(HOCHSCHILD_CASES) + sorted(CLIFFORD_CASES)):
+                     + sorted(HOCHSCHILD_CASES) + sorted(CLIFFORD_CASES)
+                     + sorted(REPORT_CASES)):
             _golden_path(case).write_text(_report(case, Path(tmp)))
             print(f"wrote {case}")

@@ -75,6 +75,23 @@ def test_hochschild_names_no_expansion_or_element():
                                      "scalars", "fractions"}, module
 
 
+def test_no_module_imports_dataclasses():
+    # records are NamedTuples: dataclasses loads inspect, ast, dis and
+    # tokenize on every cold start
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "dataclasses" for m in mods):
+                found.append(path.name)
+    assert found == []
+
+
 def test_readme_library_example_runs():
     text = README.read_text(encoding="utf-8")
     section = text.split("\n## Library example\n", 1)[1].split("\n## ", 1)[0]
