@@ -4,8 +4,8 @@ Subcommands: analyze, trace, ktheory, hochschild, clifford, spectral,
 conditions.  Identical inputs and flags produce byte-identical output.
 Exit codes follow sysexits conventions: 64 usage, 65 invalid data, 66 no
 input, 69 when the work exceeds a budget (a k-graph with k > KMAX in
-conditions, the k-graph cycle c_k of hochschild, or the spectral
-window), 73 when --out cannot be written;
+conditions, the k-graph cycle c_k of hochschild, the unit-degree paths
+analyze lists, or the spectral window), 73 when --out cannot be written;
 the conditions subcommand exits 0 when all nine hold, 2 when some fail and
 3 when prerequisites were not applicable.  Only a usage error leaves
 `run` through argparse's SystemExit; every other code is returned.
@@ -29,7 +29,7 @@ import sys
 from .graphs import (KMAX, GraphFormatError, GraphPresentation,
                      GraphValidationError, WorkBudgetError,
                      graph_from_document, read_document)
-from .kgraphs import kgraph_from_document
+from .kgraphs import CYCLE_BUDGET, kgraph_from_document
 
 EX_USAGE = 64
 EX_DATAERR = 65
@@ -137,6 +137,10 @@ def _cmd_analyze(args) -> int:
             "hypotheses": hypothesis_check(g),
         }
     else:
+        paths = g.unit_degree_path_count()
+        if paths > CYCLE_BUDGET:
+            raise WorkBudgetError(f"{paths} paths of degree (1,...,1) to"
+                                  f" list, over the budget of {CYCLE_BUDGET}")
         payload = {
             "k": g.k,
             "single_exit": _jsonable(g.single_exit_check()),

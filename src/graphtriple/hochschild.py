@@ -47,17 +47,9 @@ from .algebra import (GenKey, _multiply_keys, accumulate, alignment_targets,
                       expand_key_to, key_degree, make_key)
 from .graphs import (GraphPresentation, WorkBudgetError,
                      boundary_coefficients_1graph)
-from .kgraphs import KGraphPresentation, Word
+from .kgraphs import CYCLE_BUDGET, KGraphPresentation, Word
 
 FactorTuple = Tuple[GenKey, ...]
-
-# verify_cancellation_steps builds c_k, k! |Lambda^(1,..,1)| terms.  On
-# one-vertex k-graphs (one term per permutation, 2 CPUs, Python 3.11.7,
-# in-process, 3-9 runs) it takes 0.006-0.007 s at k = 5, 0.04 s at k = 6
-# and 0.32-0.41 s at k = 7; k = 8 took 3.2 s and 117 MB, so the budget
-# admits the 7-graph and refuses the 8-graph.
-CYCLE_BUDGET = 5_040
-
 
 class HochschildChain:
     """Exact tensor chain; arity is the number of tensor factors."""
@@ -249,16 +241,10 @@ def verify_cancellation_steps(g: KGraphPresentation) -> dict:
     `pi_D_identity_check`.  `pass` is the three steps and b(c_k) = 0; it
     does not include pi_D.  c_k has k! |Lambda^(1,..,1)| terms; above
     CYCLE_BUDGET of them this raises WorkBudgetError before listing a
-    path, since the paths are counted colour by colour.
+    path (`KGraphPresentation.unit_degree_path_count`).
     """
     k = g.k
-    # N_c(v), the colour-sorted paths from v with one edge of each colour
-    # c..k, counted from colour k down, so no path is listed to count them
-    counts = dict.fromkeys(g.vertices, 1)
-    for c in range(k, 0, -1):
-        counts = {v: sum(counts[g.edge_range(e)] for e in g.out_edges(v)
-                         if g.edge_color(e) == c) for v in g.vertices}
-    paths = sum(counts.values())
+    paths = g.unit_degree_path_count()
     terms = math.factorial(k) * paths
     if terms > CYCLE_BUDGET:
         raise WorkBudgetError(

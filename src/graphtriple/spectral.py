@@ -7,14 +7,15 @@ every color (or die at a sink).  These are pairwise orthogonal under
 them through the Cuntz-Krieger relations.  D scales a basis vector by its
 gauge degree (tensored with i sum gamma^m n_m for k-graphs).
 
-The semifinite trace is evaluated exclusively through Theta-decompositions
-validated pointwise on the basis: tau~(Theta_{x,y}) = tau((y|x)_R), never as
-a Hilbert-space matrix trace.  `MultiplicityModel.dixmier_limit` is the
-exact Dixmier limit; the F_T profiles of `graphtriple spectral` fit it
-linearly in 1/log(1+t), as F_T = 2 g + C / log t + O(1/t), so the
-extrapolated intercept is exact to O(1/window).  `conditions` reads the
-limit from the trace equation instead (`conditions.THEOREMS`), and the
-tests check it against `vertex_multiplicities`.
+The semifinite trace's level masses tau~(p_v Phi_k) are read off the
+graph trace (`vertex_multiplicities`); the tests check them against
+pointwise-validated Theta-decompositions.  `MultiplicityModel.dixmier_limit`
+is the exact Dixmier limit; the F_T profiles of `graphtriple spectral`,
+summed run by run in closed form, fit it linearly in 1/log(1+t), as
+F_T = 2 g + C / log t + O(1/t), so the extrapolated intercept is exact to
+O(1/window).  `conditions` reads the limit from the trace equation instead
+(`conditions.THEOREMS`), and the tests check it against
+`vertex_multiplicities`.
 
 First order and 1-graph reality are identities of A_c (`conditions`
 reports them as theorems); `first_order_check` and `reality_check_1graph`
@@ -25,27 +26,21 @@ nothing of this module; `Truncation.basis` is built on first read.
 
 from __future__ import annotations
 
-import contextvars
 import itertools
 import math
-import threading
 from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from .algebra import (AlgebraElement, GenKey, _as_degree_tuple, accumulate,
-                      _multiply_keys, aligned, expand_key_to, key_degree,
-                      key_source_mu, key_source_nu, make_key)
+from .algebra import (AlgebraElement, GenKey, _multiply_keys, accumulate,
+                      aligned, expand_key_to, key_degree, key_source_mu,
+                      key_source_nu, make_key)
 from .graphs import (TAIL_MARGIN, GraphPresentation, GraphValidationError,
                      WorkBudgetError)
 from .kgraphs import KGraphPresentation
 from .linalg import SparseEchelon
 from .scalars import GaussianRational
 from .traces import GraphTrace, KGraphTrace, trace_functional
-
-
-class DecompositionError(AssertionError):
-    """A Theta-decomposition failed its pointwise validation."""
 
 
 # -- truncation --------------------------------------------------------------------
@@ -148,93 +143,6 @@ def ck_generators(ambient) -> List[GenKey]:
     return sorted(keys)
 
 
-# -- Theta decompositions and the semifinite trace ------------------------------------
-
-
-class ThetaSum(NamedTuple):
-    """sum_i c_i Theta_{x_i, y_i} acting by z -> x_i Phi(y_i* z)."""
-
-    parts: List[Tuple[GaussianRational, AlgebraElement, AlgebraElement]]
-
-    def apply(self, z: AlgebraElement) -> AlgebraElement:
-        out = AlgebraElement.zero(z.ambient)
-        for c, x, y in self.parts:
-            inner = (y.involution() * z).expectation()
-            out = out + (x * inner).scale(c)
-        return out
-
-    def tau_tilde(self, trace) -> GaussianRational:
-        """tau~(Theta_{x,y}) = tau((y|x)_R) = tau(Phi(y* x)), extended linearly."""
-        total = GaussianRational(0)
-        for c, x, y in self.parts:
-            total = total + c * trace_functional(
-                trace, (y.involution() * x).expectation()
-            )
-        return total
-
-    def compose(self, other: "ThetaSum") -> "ThetaSum":
-        """Theta_{x,y} Theta_{w,z} = Theta_{x Phi(y* w), z}."""
-        parts = []
-        for c1, x, y in self.parts:
-            for c2, w, z in other.parts:
-                mid = (y.involution() * w).expectation()
-                parts.append((c1 * c2, x * mid, z))
-        return ThetaSum(parts)
-
-
-def semifinite_trace(theta: ThetaSum, trace) -> GaussianRational:
-    return theta.tau_tilde(trace)
-
-
-def decompose_projection(v: str, degree: int | Tuple[int, ...],
-                         tr: Truncation) -> ThetaSum:
-    """Rank-one decomposition of p_v Phi_degree on the truncated module.
-
-    degree is an int (1-graphs) or a tuple with one entry per colour, each
-    at most the level in absolute value.  Split it as pos - neg with pos,
-    neg >= 0: the sum is of Theta_{x,x} with x = S_alpha S_beta*, over the
-    paths alpha of degree pos out of v, with beta the first path of degree
-    neg into r(alpha) (alpha skipped when there is none).  Degree zero is
-    Theta_{p_v, p_v}.  Validated pointwise on every basis vector.
-    """
-    amb = tr.ambient
-    degree = _as_degree_tuple(amb, degree)
-    if any(abs(d) > tr.level for d in degree):
-        raise ValueError("|degree| exceeds the truncation level")
-    pos = tuple(max(d, 0) for d in degree)
-    neg = tuple(max(-d, 0) for d in degree)
-    parts = []
-    one = GaussianRational(1)
-    if not any(degree):
-        x = AlgebraElement.vertex(amb, v)
-        parts.append((one, x, x))
-    else:
-        for alpha in amb.paths_with_degree(pos, v, "out-of"):
-            anchor = amb.path_range(alpha) if alpha else v
-            betas = amb.paths_with_degree(neg, anchor, "into")
-            if betas:
-                x = AlgebraElement.generator(amb, alpha, betas[0])
-                parts.append((one, x, x))
-    theta = ThetaSum(parts)
-    _validate_projection_decomposition(theta, v, degree, tr)
-    return theta
-
-
-def _validate_projection_decomposition(theta: ThetaSum, v: str, degree: tuple,
-                                       tr: Truncation) -> None:
-    amb = tr.ambient
-    for key in tr.basis:
-        z = AlgebraElement(amb, {key: GaussianRational(1)})
-        in_block = (
-            key_degree(amb, key) == degree and key_source_mu(amb, key) == v
-        )
-        target = z if in_block else AlgebraElement.zero(amb)
-        if not (theta.apply(z) - target).is_zero():
-            raise DecompositionError(
-                f"Theta sum for p_{v} Phi_{degree} fails on basis vector {key}"
-            )
-
-
 # -- multiplicity model and singular value profiles -----------------------------------
 
 
@@ -319,13 +227,11 @@ def total_multiplicities(g: GraphPresentation, trace: GraphTrace) -> Multiplicit
             " use a vertex symbol p_v"
         )
     models = [vertex_multiplicities(g, trace, v) for v in g.vertices]
-    depths = [m.backward_depth for m in models]
-    if not all(d is None for d in depths):
+    if any(m.backward_depth is not None for m in models):
         raise ValueError("unital presentations without loops have no profile")
     width = max(len(m.forward_head) for m in models)
-    head = [
-        sum((m.mass(j) for m in models), Fraction(0)) for j in range(width)
-    ]
+    head = [sum((m.mass(j) for m in models), Fraction(0))
+            for j in range(width)]
     return MultiplicityModel(
         vertex_mass=sum((m.vertex_mass for m in models), Fraction(0)),
         forward_head=head,
@@ -358,24 +264,18 @@ class SpectralProfile(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-# The profile walks its window in blocks of at most PROFILE_BLOCK levels, the
-# zeta side on a worker thread.  On a 2-CPU sandbox (integer masses), blocks
-# of 2^14, 2^15, 2^16 and 2^17 took a median 11.5, 8.7, 8.2 and 8.4 ms at
-# window 10^6, and 1.12, 0.87, 0.68 and 0.63 s at PROFILE_BUDGET levels.
-# Each thread squares its own k: handing 1 + k^2, or its square root, from
-# the worker to the caller block by block (a queue of copies) gave the same
-# bits but took a median 9.0-10.3 or 8.1-11.4 ms at window 10^6 against
-# 6.9-7.7 ms, and 12.2-12.4 or 10.5-11.3 ms against 10.6-10.9 on one core.
-PROFILE_BLOCK = 1 << 16
-PROFILE_BUDGET = 10 ** 8
+PROFILE_BUDGET = 10 ** 18  # the largest window checked against mpmath
+_K0, _SHORT_RUN, _BINOMIAL_TERMS = 16, 64, 8
+_EM_COEFFS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
+              -691 / 1307674368000)
 
 
-def _mass_runs(model: MultiplicityModel, window: int, a: int,
-               b: int) -> List[Tuple[int, int, float]]:
-    """Level mass at gauge levels a..b-1 of 0..window as constant runs
-    (start, stop, value), counted from a: forward mass plus tau(p_v) on
-    1..backward_depth.  The exact head gives one run per level, then the
-    tail gives at most three runs, cut at 1 and after the backward mass."""
+def _mass_runs(model: MultiplicityModel,
+               window: int) -> List[Tuple[int, int, float]]:
+    """Level mass at gauge levels 0..window as constant runs (start, stop,
+    value): forward mass plus tau(p_v) on 1..backward_depth.  The exact
+    head gives one run per level, then the tail gives at most three runs,
+    cut at 1 and after the backward mass."""
     vertex = float(model.vertex_mass)
     d = model.backward_depth
     back_stop = window + 1 if d is None else min(d, window) + 1
@@ -383,24 +283,74 @@ def _mass_runs(model: MultiplicityModel, window: int, a: int,
     def back(j: int) -> float:
         return vertex if 1 <= j < back_stop else 0.0
 
-    head = model.forward_head[a:b]
-    runs = [(j, j + 1, float(h) + back(a + j)) for j, h in enumerate(head)]
+    head = model.forward_head[:window + 1]
+    runs = [(j, j + 1, float(h) + back(j)) for j, h in enumerate(head)]
     tail = float(model.forward_tail)
-    cuts = sorted({a + len(head), b}
-                  | {c for c in (1, back_stop) if a + len(head) < c < b})
-    runs.extend((x - a, y - a, tail + back(x)) for x, y in zip(cuts, cuts[1:]))
+    cuts = sorted({len(head), window + 1}
+                  | {c for c in (1, back_stop) if len(head) < c < window + 1})
+    runs.extend((x, y, tail + back(x)) for x, y in zip(cuts, cuts[1:]))
     return runs
 
 
-def _pairwise_sum(start: int, n: int, leaf):
-    """np.sum of n float64 terms from `start`, given leaf(a, b) = np.sum of
-    terms a..b-1: numpy halves n at a multiple of 8 down to 128 terms, so
-    this adds leaves of at most PROFILE_BLOCK terms, in order, up its tree."""
-    if n <= PROFILE_BLOCK:
-        return leaf(start, start + n)
-    half = n // 16 * 8  # n // 2 rounded down to a multiple of 8
-    return (_pairwise_sum(start, half, leaf)
-            + _pairwise_sum(start + half, n - half, leaf))
+def _edge_terms(p: float, x: int) -> float:
+    """The Euler-Maclaurin terms of sum_k k^-p at the end x: -x^-p / 2 -
+    sum_m B_2m / (2m)! (p)_(2m-1) x^(1-p-2m), B_2m / (2m)! in _EM_COEFFS."""
+    out, rising, power = -x ** -p / 2, p, x ** (-p - 1)
+    for m, coeff in enumerate(_EM_COEFFS, 1):
+        out -= coeff * rising * power
+        rising *= (p + 2 * m - 1) * (p + 2 * m)
+        power /= x * x
+    return out
+
+
+def _level_sum(s: float, a: int, b: int) -> float:
+    """sum_{a <= k < b} (1 + k^2)^-s, term by term for up to _SHORT_RUN
+    terms and below _K0.  From m = max(a, _K0) on, (1 + k^2)^-s =
+    sum_j C(-s, j) k^(-2s-2j), j < _BINOMIAL_TERMS, and each power k^-p is
+    summed by Euler-Maclaurin, its integral from m to b taken as
+    m^q expm1(q log(b/m)) / q, q = 1 - p, so that b near m loses nothing."""
+    if b - a <= _SHORT_RUN:
+        return sum((1 + k * k) ** -s for k in range(a, b))
+    m = max(a, _K0)
+    total = sum((1 + k * k) ** -s for k in range(a, m))
+    log_ratio, c, p = math.log1p((b - m) / m), 1.0, 2 * s
+    for j in range(_BINOMIAL_TERMS):
+        q = 1 - p
+        integral = (log_ratio if q == 0
+                    else m ** q * math.expm1(q * log_ratio) / q)
+        total += c * (integral + _edge_terms(p, b) - _edge_terms(p, m))
+        c *= (-s - j) / (j + 1)
+        p += 2
+    return total
+
+
+def _run_sums(runs, stops: Sequence[int], s: float) -> List[float]:
+    """sum_{k < n} mass(k) (1 + k^2)^-s at each n of the ascending stops,
+    the mass given as the constant runs of `_mass_runs`."""
+    out, total, i = [], 0.0, 0
+    for a, b, value in runs:
+        while i < len(stops) and stops[i] <= b:
+            out.append(total + value * _level_sum(s, a, stops[i]))
+            i += 1
+        total += value * _level_sum(s, a, b)
+    return out
+
+
+def _sample_levels(window: int) -> List[int]:
+    """The distinct levels of np.geomspace(8, window, 48).astype(int64):
+    10^(lo + i step) truncated, lo = log10(8), step = (log10(window) -
+    lo) / 47, with the ends 8 and the window exact."""
+    lo = math.log10(8)
+    step = (math.log10(window) - lo) / 47
+    return sorted({8, window,
+                   *(int(10.0 ** (lo + i * step)) for i in range(1, 47))})
+
+
+def _over_log1p(x: float, t: float) -> float:
+    """x / log(1 + t) as numpy gives it: x * inf (+-inf, or nan at x = 0)
+    where the log is 0, log(0) = -inf, nan where t < -1 has no log."""
+    log = math.log1p(t) if t > -1 else -math.inf if t == -1 else math.nan
+    return x / log if log else x * math.inf
 
 
 def _level_prefix(model: MultiplicityModel, window: int, idx) -> List[float]:
@@ -434,122 +384,58 @@ def _level_prefix(model: MultiplicityModel, window: int, idx) -> List[float]:
 def singular_profile(model: MultiplicityModel, window: int) -> SpectralProfile:
     """F_T profile of the operator with eigenvalue (1+k^2)^{-1/2} at gauge
     degree k and tau~-mass model.mass(k), sampled at 48 geometrically spaced
-    levels, plus the extrapolated limit.
+    levels (`_sample_levels`), plus the limit extrapolated by least squares
+    in 1/log(1+t).  When the level mass ends at c+ + c- = 0
+    (`MultiplicityModel.dixmier_limit`), the operator has finite rank and
+    the limit is reported as 0.0 with no fit.
 
-    When the mass sits on finitely many levels (no forward tail and a
-    bounded backward depth) the operator has finite rank, F_T tends to 0
-    and the limit is reported as 0.0 with no fit.
-
-    The window is walked in blocks of at most PROFILE_BLOCK levels (the
-    leaves of `_pairwise_sum`), so memory does not grow with the window and
-    time is linear in it; a window above PROFILE_BUDGET raises
-    WorkBudgetError before any work.  A thread in a copy of the caller's
-    context (np.errstate included) sums each block's zeta terms while the
-    caller runs the eigenvalue * mass cumsum, slot 0 of `grid` carrying the
-    sum so far so that it adds in whole-window order.  `_pairwise_sum` adds
-    the zeta sums up numpy's tree: those floats are the ones the whole-array
-    form gives.  The sampled cumulative level mass t is the exact prefix of
-    the model's masses, rounded once (`_level_prefix`).  A level mass, or
-    the cumulative mass at the window, past the largest float raises
-    GraphValidationError before the walk."""
+    Each sum over the window adds value * `_level_sum` per run of the level
+    mass (`_mass_runs`), so time is O(runs + samples) and memory constant.
+    The sampled cumulative mass t is the exact prefix, rounded once
+    (`_level_prefix`).  A window above PROFILE_BUDGET raises WorkBudgetError,
+    and a level mass, or the cumulative mass at the window, past the largest
+    float GraphValidationError, before any sum."""
     if window > PROFILE_BUDGET:
         raise WorkBudgetError(
             f"a profile window of {window} levels exceeds the budget of"
             f" {PROFILE_BUDGET}")
     if window < 100:
-        return SpectralProfile(
-            window, [], None, None, None,
-            {"error": "window too small for a stable estimate"},
-        )
+        return SpectralProfile(window, [], None, None, None, {
+            "error": "window too small for a stable estimate"})
     try:
-        for m in (model.vertex_mass, model.forward_tail,
-                  *model.forward_head[:window + 1]):
-            float(m)
+        list(map(float, (model.vertex_mass, model.forward_tail,
+                         *model.forward_head[:window + 1])))
     except OverflowError:
         raise GraphValidationError(
             "a level mass exceeds the largest float") from None
-    import numpy as np  # only the profiles need it; keep it off cold starts
 
+    levels = _sample_levels(window)
+    t_vals = _level_prefix(model, window, levels)
+    runs = _mass_runs(model, window)
+    int_vals = _run_sums(runs, [n + 1 for n in levels], 0.5)
     s = 0.5 + 1.0 / math.log(window)
-    idx = np.geomspace(8, window, num=48).astype(np.int64)
-    idx = np.unique(np.clip(idx, 8, window))
-    t_vals = np.array(_level_prefix(model, window, idx))
-    int_vals = np.empty(len(idx))
-    spans = []  # (a, b, mass runs) per block
-    _pairwise_sum(0, window + 1, lambda a, b: spans.append(
-        (a, b, _mass_runs(model, window, a, b))) or 0.0)
-    offsets = np.arange(PROFILE_BLOCK, dtype=np.float64)  # k = offsets + a
-
-    def weighted(buf, f):
-        """Each span (a, b) with buf[:b - a] = f(1 + k^2) * mass(k)."""
-        for a, b, runs in spans:
-            x = np.add(offsets[:b - a], a, out=buf[:b - a])
-            f(np.add(np.square(x, out=x), 1.0, out=x))
-            for lo, hi, value in runs:
-                x[lo:hi] *= value
-            yield a, b, x
-
-    leaf_sums, failed = {}, []
-
-    def zeta_side():
-        try:
-            for a, _, x in weighted(np.empty(PROFILE_BLOCK),
-                                    lambda x: np.power(x, -s, out=x)):
-                leaf_sums[a] = np.sum(x)
-        except BaseException as exc:
-            failed.append(exc)
-
-    worker = threading.Thread(target=contextvars.copy_context().run,
-                              args=(zeta_side,))
-    worker.start()
-    try:
-        grid = np.zeros(PROFILE_BLOCK + 1)  # grid[0] carries the sum so far
-        for a, b, _ in weighted(grid[1:], lambda x: np.divide(
-                1.0, np.sqrt(x, out=x), out=x)):
-            np.cumsum(grid[:b - a + 1], out=grid[:b - a + 1])
-            i, j = np.searchsorted(idx, [a, b])
-            int_vals[i:j] = grid[idx[i:j] - (a - 1)]
-            grid[0] = grid[b - a]
-    finally:
-        worker.join()
-    if failed:
-        raise failed[0]
-    zeta = float(_pairwise_sum(0, window + 1, lambda a, b: leaf_sums[a])
-                 * (s - 0.5))
-    with np.errstate(divide="ignore"):
-        f_vals = int_vals / np.log1p(t_vals)
-    samples = [(float(t), float(f)) for t, f in zip(t_vals, f_vals)]
-    raw_f = float(f_vals[-1])  # idx ends at the window
-    if model.forward_tail == 0 and model.backward_depth is not None:
-        return SpectralProfile(
-            window, samples, 0.0, (0.0, 0.0), zeta,
-            {"finite_rank": True, "raw_F_at_window": raw_f},
-        )
+    zeta = _run_sums(runs, [window + 1], s)[0] * (s - 0.5)
+    f_vals = [_over_log1p(x, t) for x, t in zip(int_vals, t_vals)]
+    samples = list(zip(t_vals, f_vals))
+    raw_f = f_vals[-1]  # levels end at the window
+    if model.dixmier_limit() == 0:
+        return SpectralProfile(window, samples, 0.0, (0.0, 0.0), zeta, {
+            "finite_rank": True, "raw_F_at_window": raw_f})
 
     # F(t) = L + C / log(1+t) + O(1/t): linear fit in x = 1/log(1+t)
-    tail = idx >= max(64, window // 1024)
-    x = 1.0 / np.log1p(t_vals[tail])
-    y = f_vals[tail]
-    coeffs = np.polyfit(x, y, 1)
-    limit = float(coeffs[1])
-    resid = y - np.polyval(coeffs, x)
-    lim_band = (
-        float(min(np.min(y), limit)),
-        float(max(np.max(y), limit)),
-    )
-
+    cut = max(64, window // 1024)
+    xs = [_over_log1p(1.0, t) for n, t in zip(levels, t_vals) if n >= cut]
+    ys = [f for n, f in zip(levels, f_vals) if n >= cut]
+    x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
+    sxx = sum((x - x_mean) * (x - x_mean) for x in xs)
+    sxy = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+    slope = sxy / sxx if sxx else math.nan
+    limit = y_mean - slope * x_mean
+    resid = max(abs(y - (slope * x + limit)) for x, y in zip(xs, ys))
     return SpectralProfile(
-        window=window,
-        f_samples=samples,
-        limit_estimate=limit,
-        band=lim_band,
-        zeta_residue=zeta,
-        diagnostics={
-            "fit_slope": float(coeffs[0]),
-            "fit_residual_max": float(np.max(np.abs(resid))),
-            "raw_F_at_window": raw_f,
-        },
-    )
+        window, samples, limit, (min(*ys, limit), max(*ys, limit)), zeta,
+        {"fit_slope": slope, "fit_residual_max": resid,
+         "raw_F_at_window": raw_f})
 
 
 def kgraph_lattice_profile(g: KGraphPresentation, trace: KGraphTrace,

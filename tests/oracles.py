@@ -10,9 +10,12 @@ fast routes against it, and catch a seeded fault that it would miss.
 import itertools
 import math
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import matmul
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Dict, Iterable, List, NamedTuple, Optional, Sequence,
+                    Tuple)
+
+import mpmath
 
 from graphtriple import clifford, kgraphs, spectral
 from graphtriple.algebra import (AlgebraElement, GenKey, _as_degree_tuple,
@@ -28,6 +31,7 @@ from graphtriple.linalg import SparseEchelon
 from graphtriple.scalars import ONE, GaussianRational, I
 from graphtriple.spectral import (MultiplicityModel, Truncation,
                                   _d_commutator_scalar, generator_keys)
+from graphtriple.traces import trace_functional
 
 
 # -- elements ------------------------------------------------------------------------
@@ -363,7 +367,161 @@ def commutant_count_every_push(ambient, level: int) -> int:
         for e in ambient.out_edges(v)))
 
 
+# -- Theta decompositions and the semifinite trace ------------------------------------
+
+
+class DecompositionError(AssertionError):
+    """A Theta-decomposition failed its pointwise validation."""
+
+
+class ThetaSum(NamedTuple):
+    """sum_i c_i Theta_{x_i, y_i} acting by z -> x_i Phi(y_i* z)."""
+
+    parts: List[Tuple[GaussianRational, AlgebraElement, AlgebraElement]]
+
+    def apply(self, z: AlgebraElement) -> AlgebraElement:
+        out = AlgebraElement.zero(z.ambient)
+        for c, x, y in self.parts:
+            inner = (y.involution() * z).expectation()
+            out = out + (x * inner).scale(c)
+        return out
+
+    def tau_tilde(self, trace) -> GaussianRational:
+        """tau~(Theta_{x,y}) = tau((y|x)_R) = tau(Phi(y* x)), extended linearly."""
+        total = GaussianRational(0)
+        for c, x, y in self.parts:
+            total = total + c * trace_functional(
+                trace, (y.involution() * x).expectation()
+            )
+        return total
+
+    def compose(self, other: "ThetaSum") -> "ThetaSum":
+        """Theta_{x,y} Theta_{w,z} = Theta_{x Phi(y* w), z}."""
+        parts = []
+        for c1, x, y in self.parts:
+            for c2, w, z in other.parts:
+                mid = (y.involution() * w).expectation()
+                parts.append((c1 * c2, x * mid, z))
+        return ThetaSum(parts)
+
+
+def semifinite_trace(theta: ThetaSum, trace) -> GaussianRational:
+    return theta.tau_tilde(trace)
+
+
+def decompose_projection(v: str, degree: int | Tuple[int, ...],
+                         tr: Truncation) -> ThetaSum:
+    """Rank-one decomposition of p_v Phi_degree on the truncated module.
+
+    degree is an int (1-graphs) or a tuple with one entry per colour, each
+    at most the level in absolute value.  Split it as pos - neg with pos,
+    neg >= 0: the sum is of Theta_{x,x} with x = S_alpha S_beta*, over the
+    paths alpha of degree pos out of v, with beta the first path of degree
+    neg into r(alpha) (alpha skipped when there is none).  Degree zero is
+    Theta_{p_v, p_v}.  Validated pointwise on every basis vector.
+    """
+    amb = tr.ambient
+    degree = _as_degree_tuple(amb, degree)
+    if any(abs(d) > tr.level for d in degree):
+        raise ValueError("|degree| exceeds the truncation level")
+    pos = tuple(max(d, 0) for d in degree)
+    neg = tuple(max(-d, 0) for d in degree)
+    parts = []
+    one = GaussianRational(1)
+    if not any(degree):
+        x = AlgebraElement.vertex(amb, v)
+        parts.append((one, x, x))
+    else:
+        for alpha in amb.paths_with_degree(pos, v, "out-of"):
+            anchor = amb.path_range(alpha) if alpha else v
+            betas = amb.paths_with_degree(neg, anchor, "into")
+            if betas:
+                x = AlgebraElement.generator(amb, alpha, betas[0])
+                parts.append((one, x, x))
+    theta = ThetaSum(parts)
+    _validate_projection_decomposition(theta, v, degree, tr)
+    return theta
+
+
+def _validate_projection_decomposition(theta: ThetaSum, v: str, degree: tuple,
+                                       tr: Truncation) -> None:
+    amb = tr.ambient
+    for key in tr.basis:
+        z = AlgebraElement(amb, {key: GaussianRational(1)})
+        in_block = (
+            key_degree(amb, key) == degree and key_source_mu(amb, key) == v
+        )
+        target = z if in_block else AlgebraElement.zero(amb)
+        if not (theta.apply(z) - target).is_zero():
+            raise DecompositionError(
+                f"Theta sum for p_{v} Phi_{degree} fails on basis vector {key}"
+            )
+
+
 # -- profiles -------------------------------------------------------------------------
+
+
+# levels below this are summed term by term at 40 digits
+_MP_DIRECT = 1000
+
+
+@lru_cache(maxsize=None)
+def _mp_prefix(s: float, n: int) -> mpmath.mpf:
+    """sum_{k<n} (1 + k^2)^-s at 40 digits: term by term below
+    _MP_DIRECT, and from there as sum_j C(-s, j) k^(-2s-2j), j < 9, each
+    power summed by Hurwitz zeta differences (digamma at s = 1/2)."""
+    with mpmath.workdps(40):
+        s_mp = mpmath.mpf(s)
+        if n <= _MP_DIRECT:
+            return mpmath.fsum((1 + mpmath.mpf(k) ** 2) ** -s_mp
+                               for k in range(n))
+        total, c = _mp_prefix(s, _MP_DIRECT), mpmath.mpf(1)
+        for j in range(9):
+            p = 2 * s_mp + 2 * j
+            if p == 1:
+                total += c * (mpmath.digamma(n) - mpmath.digamma(_MP_DIRECT))
+            else:
+                total += c * (mpmath.zeta(p, _MP_DIRECT) - mpmath.zeta(p, n))
+            c *= (-s_mp - j) / (j + 1)
+        return total
+
+
+def mpmath_level_sum(s: float, a: int, b: int) -> mpmath.mpf:
+    """sum_{a <= k < b} (1 + k^2)^-s at 40 digits."""
+    with mpmath.workdps(40):
+        return _mp_prefix(s, b) - _mp_prefix(s, a)
+
+
+def mpmath_profile_oracle(model: MultiplicityModel, window: int,
+                          levels: Sequence[int]):
+    """F at each of the levels and the zeta residue of `singular_profile`,
+    at 40 digits.  The level mass, mass(j) + mass(-j) at j >= 1, is read
+    off the model as exact runs; t is its exact prefix."""
+    head = len(model.forward_head)
+    depth = model.backward_depth
+    cuts = {0, 1, window + 1, *range(min(head, window + 1))}
+    if depth is not None:
+        cuts.add(depth + 1)
+    cuts = sorted(c for c in cuts if c <= window + 1)
+    runs = [(a, b, model.mass(a) + (model.mass(-a) if a else 0))
+            for a, b in zip(cuts, cuts[1:])]
+
+    def mp(x: Fraction) -> mpmath.mpf:
+        return mpmath.mpf(x.numerator) / x.denominator
+
+    def weighted(s: float, n: int) -> mpmath.mpf:
+        return mpmath.fsum(mp(v) * mpmath_level_sum(s, a, min(b, n))
+                           for a, b, v in runs if a < n)
+
+    with mpmath.workdps(40):
+        f_vals = []
+        for n in levels:
+            t = sum((v * (min(b, n + 1) - a) for a, b, v in runs if a <= n),
+                    Fraction(0))
+            f_vals.append(weighted(0.5, n + 1) / mpmath.log1p(mp(t)))
+        s = 0.5 + 1.0 / math.log(window)
+        zeta = weighted(s, window + 1) * (mpmath.mpf(s) - mpmath.mpf(0.5))
+    return f_vals, zeta
 
 
 def direct_summation_oracle(model: MultiplicityModel, window: int) -> float:

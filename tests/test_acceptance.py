@@ -21,9 +21,8 @@ from graphtriple.hochschild import (boundary_coefficients_1graph,
                                     verify_cancellation_steps)
 from graphtriple.scalars import GaussianRational
 from graphtriple.spectral import (build_truncation, closedness_eval,
-                                  decompose_projection, first_order_check,
-                                  generator_keys, reality_check_1graph,
-                                  semifinite_trace, singular_profile,
+                                  first_order_check, generator_keys,
+                                  reality_check_1graph, singular_profile,
                                   spin_c_generation_check,
                                   total_multiplicities, vertex_multiplicities)
 from graphtriple.traces import (canonical_F_form, fixed_point_norms,
@@ -35,8 +34,9 @@ from corpus import (ORIENTATION_CORPUS_1GRAPH, bi_infinite_path,
                     one_vertex_3graph, single_exit_violating_2graph,
                     single_loop, sink_path, torus_2graph, tree_with_ends,
                     two_disjoint_loops, two_vertex_2graph)
-from oracles import (degree_reversal_check, direct_summation_oracle,
-                     first_order_left_counterexample)
+from oracles import (decompose_projection, degree_reversal_check,
+                     direct_summation_oracle, first_order_left_counterexample,
+                     semifinite_trace)
 
 
 def report(number: int, ok: bool, detail: str) -> None:

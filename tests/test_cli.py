@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from corpus import (loop_with_exit, random_tree, single_loop,
                     torus_2graph, tree_with_ends, two_loop_fan_doc)
 from graphtriple.graphs import (Edge, GraphPresentation, GraphValidationError,
                                graph_from_document, graph_to_document)
+from graphtriple.kgraphs import KGraphPresentation
 from graphtriple.spectral import vertex_multiplicities
 from graphtriple.traces import canonical_F_form_numeric, solve_graph_trace
 
@@ -288,7 +290,7 @@ class TestExitCodes:
     def test_spectral_mass_past_the_largest_float_is_data_error(
             self, tree_file, capsys):
         # the level mass 1e400 has no float, so the profile is refused
-        # before its walk rather than raising OverflowError inside it
+        # before any sum rather than raising OverflowError inside one
         argv = ["spectral", tree_file, "--vertex", "b", "--end-value",
                 "tail:c1=1e400", "--end-value", "tail:c2=1", "--window",
                 "1000"]
@@ -727,9 +729,38 @@ class TestStructureEdgeCases:
         monkeypatch.setattr(hochschild, "CYCLE_BUDGET", 2)
         assert run(["hochschild", torus_file]) == 0
 
+    @pytest.mark.parametrize("k", [12, 13])
+    def test_analyze_lists_unit_degree_paths_within_the_budget(
+            self, k, tmp_path, monkeypatch):
+        # two loops of each colour: 2^k paths of degree (1,...,1), so
+        # k = 12 lists 4,096 and k = 13 counts 8,192 and lists none
+        loops = [(f"g{c}{m}", "v", "v", c)
+                 for c in range(1, k + 1) for m in (0, 1)]
+        squares = [((f"g{c}{m}", f"g{d}{n}"), (f"g{d}{n}", f"g{c}{m}"))
+                   for c in range(1, k + 1) for d in range(c + 1, k + 1)
+                   for m in (0, 1) for n in (0, 1)]
+        path = tmp_path / "loops.json"
+        path.write_text(json.dumps(_kgraph_document(k, loops, squares)))
+        out = tmp_path / "report.json"
+        if k == 12:
+            assert run(["analyze", str(path), "--out", str(out)]) == 0
+            assert len(json.loads(out.read_text())["unit_degree_paths"]) \
+                == 4096
+            return
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("listed the paths before refusing")
+        monkeypatch.setattr(KGraphPresentation, "unit_degree_paths", refuse)
+        assert _call(["analyze", str(path), "--out", str(out)]) == (
+            EX_UNAVAILABLE, "", "over budget: 8192 paths of degree"
+            " (1,...,1) to list, over the budget of 5040\n")
+        assert not out.exists()
+
     def test_spectral_over_its_budget_exits_69(
             self, loop_file, capsys, monkeypatch):
-        # refused before any buffer is allocated
+        # the sums are closed forms, so the budget is the largest window
+        # they were checked at; refused before any sum
+        assert spectral.PROFILE_BUDGET == 10 ** 18
         over = str(spectral.PROFILE_BUDGET + 1)
         assert run(["spectral", loop_file, "--window", over]) == EX_UNAVAILABLE
         captured = capsys.readouterr()
@@ -740,6 +771,19 @@ class TestStructureEdgeCases:
         assert run(["spectral", loop_file, "--window", "1001"]) == \
             EX_UNAVAILABLE
         assert run(["spectral", loop_file, "--window", "1000"]) == 0
+
+    def test_spectral_at_window_1e12_takes_under_50_ms(self, tmp_path):
+        # O(runs + samples): parsing, the trace and the profile together
+        path = tmp_path / "tree3.json"
+        path.write_text(json.dumps(graph_to_document(tree_with_ends(3))))
+        argv = ["spectral", str(path), "--vertex", "b",
+                "--window", str(10 ** 12)]
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            assert _call(argv)[0] == 0
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.05
 
     def test_one_vertex_8graph(self, tmp_path, capsys):
         # conditions reads orientability from single exit and builds no
@@ -783,8 +827,8 @@ def _run_python(code, timeout=None):
 
 
 def test_cold_start_leaves_numpy_and_networkx_unloaded(tree_file):
-    """`conditions` and `clifford` run without importing numpy or networkx;
-    `spectral` still loads numpy, for the Dixmier profile."""
+    """`conditions`, `clifford` and `spectral` run without importing numpy
+    or networkx: the Dixmier profile sums in closed form with `math`."""
     code = (
         "import contextlib, io, json, sys\n"
         "from graphtriple.cli import run\n"
@@ -799,7 +843,7 @@ def test_cold_start_leaves_numpy_and_networkx_unloaded(tree_file):
         "print(json.dumps(loaded))\n"
     )
     done = _run_python(code)
-    assert json.loads(done.stdout) == {"cold": [], "spectral": ["numpy"]}
+    assert json.loads(done.stdout) == {"cold": [], "spectral": []}
 
 
 # The graphtriple modules each subcommand loads in a fresh process: every
@@ -835,9 +879,8 @@ _CLIFFORD = {"graphtriple.clifford"}
         "hochschild_2graph"])
 def test_cold_start_loads_only_the_layers_a_subcommand_runs(
         argv, added, tree_file, torus_file):
-    """Besides its layers, no subcommand but `spectral` (numpy imports
-    `inspect`) loads `dataclasses` or `inspect`, and `clifford` loads no
-    `fractions`."""
+    """Besides its layers, no subcommand loads `dataclasses` or `inspect`,
+    and `clifford` loads no `fractions`."""
     argv = [a.format(tree=tree_file, torus=torus_file) for a in argv]
     code = (
         "import contextlib, io, json, sys\n"
@@ -852,8 +895,7 @@ def test_cold_start_loads_only_the_layers_a_subcommand_runs(
     exit_code, loaded, stdlib = json.loads(_run_python(code).stdout)
     assert exit_code == 0
     assert set(loaded) == _START | added
-    if argv[0] != "spectral":
-        assert not {"dataclasses", "inspect"} & set(stdlib)
+    assert not {"dataclasses", "inspect"} & set(stdlib)
     if argv[0] == "clifford":
         assert "fractions" not in stdlib
 

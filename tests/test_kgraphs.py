@@ -224,6 +224,12 @@ class TestEnumeration:
         g = torus_2graph()
         assert g.paths_with_degree((1, 1), "v", "out-of") == [("e", "f")]
 
+    @given(st.one_of(st.sampled_from(CORPUS_KGRAPHS), abelian_kgraphs(),
+                     product_kgraphs(), twisted_2graphs()))
+    @settings(max_examples=60, deadline=None)
+    def test_unit_degree_path_count_is_the_list_length(self, g):
+        assert g.unit_degree_path_count() == len(g.unit_degree_paths())
+
     def test_single_exit_checks(self):
         assert torus_2graph().single_exit_check()["holds"]
         assert two_vertex_2graph().single_exit_check()["holds"]

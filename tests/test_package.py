@@ -24,6 +24,9 @@ NOT_IN_SRC = {
     "KGraphPresentation.segment", "GraphPresentation.relabel",
     "KGraphPresentation.factorize", "permutation_sign",
     "Truncation.nu_target", "_exact_level_prefix", "TruncationExceededError",
+    "ThetaSum", "semifinite_trace", "decompose_projection",
+    "_validate_projection_decomposition", "DecompositionError",
+    "_pairwise_sum",
     "AlgebraElement.to_json", "AlgebraElement.from_json",
     "GaussianRational.to_json", "GaussianRational.from_json",
 }
@@ -90,6 +93,27 @@ def test_no_module_imports_dataclasses():
             if any(m.split(".")[0] == "dataclasses" for m in mods):
                 found.append(path.name)
     assert found == []
+
+
+def test_no_level_walk_is_left():
+    # the Dixmier profile sums its mass runs in closed form: no worker
+    # thread, no block size, and no numpy in `singular_profile`
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {a.name for node in ast.walk(tree)
+                 if isinstance(node, ast.Import) for a in node.names}
+        names |= {node.module for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)}
+        assert not names & {"threading", "contextvars"}, path.name
+        assert not {"PROFILE_BLOCK", "_pairwise_sum"} & (
+            {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(tree)
+               if isinstance(n, ast.Attribute)}), path.name
+    tree = ast.parse((SRC / "spectral.py").read_text())
+    profile, = (node for node in tree.body if isinstance(node, ast.FunctionDef)
+                and node.name == "singular_profile")
+    assert not [node for node in ast.walk(profile)
+                if isinstance(node, (ast.Import, ast.ImportFrom))]
 
 
 def test_readme_library_example_runs():
