@@ -292,36 +292,50 @@ def _mass_runs(model: MultiplicityModel,
     return runs
 
 
-def _edge_terms(p: float, x: int) -> float:
-    """The Euler-Maclaurin terms of sum_k k^-p at the end x: -x^-p / 2 -
-    sum_m B_2m / (2m)! (p)_(2m-1) x^(1-p-2m), B_2m / (2m)! in _EM_COEFFS."""
-    out, rising, power = -x ** -p / 2, p, x ** (-p - 1)
+def _em_weights(p: float) -> List[float]:
+    """B_2m / (2m)! (p)_(2m-1) for m = 1..6, B_2m / (2m)! in _EM_COEFFS."""
+    out, rising = [], p
     for m, coeff in enumerate(_EM_COEFFS, 1):
-        out -= coeff * rising * power
+        out.append(coeff * rising)
         rising *= (p + 2 * m - 1) * (p + 2 * m)
+    return out
+
+
+def _edge_terms(p: float, weights: Sequence[float], x: int) -> float:
+    """The Euler-Maclaurin terms of sum_k k^-p at the end x: -x^-p / 2 -
+    sum_m w_m x^(1-p-2m), w_m the `_em_weights` of p."""
+    out, power = -x ** -p / 2, x ** (-p - 1)
+    for w in weights:
+        out -= w * power
         power /= x * x
     return out
 
 
-def _level_sum(s: float, a: int, b: int) -> float:
-    """sum_{a <= k < b} (1 + k^2)^-s, term by term for up to _SHORT_RUN
-    terms and below _K0.  From m = max(a, _K0) on, (1 + k^2)^-s =
-    sum_j C(-s, j) k^(-2s-2j), j < _BINOMIAL_TERMS, and each power k^-p is
-    summed by Euler-Maclaurin, its integral from m to b taken as
-    m^q expm1(q log(b/m)) / q, q = 1 - p, so that b near m loses nothing."""
-    if b - a <= _SHORT_RUN:
-        return sum((1 + k * k) ** -s for k in range(a, b))
-    m = max(a, _K0)
-    total = sum((1 + k * k) ** -s for k in range(a, m))
-    log_ratio, c, p = math.log1p((b - m) / m), 1.0, 2 * s
-    for j in range(_BINOMIAL_TERMS):
-        q = 1 - p
-        integral = (log_ratio if q == 0
-                    else m ** q * math.expm1(q * log_ratio) / q)
-        total += c * (integral + _edge_terms(p, b) - _edge_terms(p, m))
+def _level_sums(s: float, a: int, ends: Sequence[int]) -> List[float]:
+    """sum_{a <= k < b} (1 + k^2)^-s at each b of ends, term by term for up
+    to _SHORT_RUN terms and below _K0.  From m = max(a, _K0) on, (1 +
+    k^2)^-s = sum_j C(-s, j) k^(-2s-2j), j < _BINOMIAL_TERMS, and each power
+    k^-p is summed by Euler-Maclaurin, its integral from m to b taken as
+    m^q expm1(q log(b/m)) / q, q = 1 - p, so that b near m loses nothing.
+    The lower end m (its sum below _K0, m^q and edge terms) and the
+    Euler-Maclaurin weights are taken once for all the ends."""
+    long = [b for b in ends if b - a > _SHORT_RUN]
+    m, c, p = max(a, _K0), 1.0, 2 * s
+    logs = [math.log1p((b - m) / m) for b in long]
+    below = sum((1 + k * k) ** -s for k in range(a, m)) if long else 0
+    totals = [below] * len(long)
+    for j in range(_BINOMIAL_TERMS if long else 0):
+        q, weights = 1 - p, _em_weights(p)
+        m_q, lower = m ** q, _edge_terms(p, weights, m)
+        for i, (b, log_ratio) in enumerate(zip(long, logs)):
+            integral = (log_ratio if q == 0
+                        else m_q * math.expm1(q * log_ratio) / q)
+            totals[i] += c * (integral + _edge_terms(p, weights, b) - lower)
         c *= (-s - j) / (j + 1)
         p += 2
-    return total
+    by_end = iter(totals)
+    return [next(by_end) if b - a > _SHORT_RUN
+            else sum((1 + k * k) ** -s for k in range(a, b)) for b in ends]
 
 
 def _run_sums(runs, stops: Sequence[int], s: float) -> List[float]:
@@ -329,10 +343,13 @@ def _run_sums(runs, stops: Sequence[int], s: float) -> List[float]:
     the mass given as the constant runs of `_mass_runs`."""
     out, total, i = [], 0.0, 0
     for a, b, value in runs:
-        while i < len(stops) and stops[i] <= b:
-            out.append(total + value * _level_sum(s, a, stops[i]))
-            i += 1
-        total += value * _level_sum(s, a, b)
+        j = i
+        while j < len(stops) and stops[j] <= b:
+            j += 1
+        *inner, whole = _level_sums(s, a, [*stops[i:j], b])
+        out.extend(total + value * x for x in inner)
+        total += value * whole
+        i = j
     return out
 
 
@@ -389,8 +406,10 @@ def singular_profile(model: MultiplicityModel, window: int) -> SpectralProfile:
     (`MultiplicityModel.dixmier_limit`), the operator has finite rank and
     the limit is reported as 0.0 with no fit.
 
-    Each sum over the window adds value * `_level_sum` per run of the level
-    mass (`_mass_runs`), so time is O(runs + samples) and memory constant.
+    Each sum over the window adds value * `_level_sums` per run of the
+    level mass (`_mass_runs`), one call for the run's stops and its end, so
+    each run's lower end is taken once; time is O(runs + samples) and
+    memory constant.
     The sampled cumulative mass t is the exact prefix, rounded once
     (`_level_prefix`).  A window above PROFILE_BUDGET raises WorkBudgetError,
     and a level mass, or the cumulative mass at the window, past the largest

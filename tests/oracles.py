@@ -29,7 +29,8 @@ from graphtriple.hochschild import FactorTuple, HochschildChain
 from graphtriple.kgraphs import Degree, KGraphPresentation
 from graphtriple.linalg import SparseEchelon
 from graphtriple.scalars import ONE, GaussianRational, I
-from graphtriple.spectral import (MultiplicityModel, Truncation,
+from graphtriple.spectral import (_BINOMIAL_TERMS, _EM_COEFFS, _K0,
+                                  _SHORT_RUN, MultiplicityModel, Truncation,
                                   _d_commutator_scalar, generator_keys)
 from graphtriple.traces import trace_functional
 
@@ -459,6 +460,38 @@ def _validate_projection_decomposition(theta: ThetaSum, v: str, degree: tuple,
 
 
 # -- profiles -------------------------------------------------------------------------
+
+
+def _edge_terms_one_end(p: float, x: int) -> float:
+    """The Euler-Maclaurin terms of sum_k k^-p at the end x: -x^-p / 2 -
+    sum_m B_2m / (2m)! (p)_(2m-1) x^(1-p-2m), B_2m / (2m)! in _EM_COEFFS."""
+    out, rising, power = -x ** -p / 2, p, x ** (-p - 1)
+    for m, coeff in enumerate(_EM_COEFFS, 1):
+        out -= coeff * rising * power
+        rising *= (p + 2 * m - 1) * (p + 2 * m)
+        power /= x * x
+    return out
+
+
+def level_sum_oracle(s: float, a: int, b: int) -> float:
+    """sum_{a <= k < b} (1 + k^2)^-s as `spectral._level_sums` gives it
+    for one end, with every lower-end term and weight recomputed: term by
+    term for up to _SHORT_RUN terms and below _K0, and from m = max(a, _K0)
+    on by 8 binomial terms, each power summed by Euler-Maclaurin."""
+    if b - a <= _SHORT_RUN:
+        return sum((1 + k * k) ** -s for k in range(a, b))
+    m = max(a, _K0)
+    total = sum((1 + k * k) ** -s for k in range(a, m))
+    log_ratio, c, p = math.log1p((b - m) / m), 1.0, 2 * s
+    for j in range(_BINOMIAL_TERMS):
+        q = 1 - p
+        integral = (log_ratio if q == 0
+                    else m ** q * math.expm1(q * log_ratio) / q)
+        total += c * (integral + _edge_terms_one_end(p, b)
+                      - _edge_terms_one_end(p, m))
+        c *= (-s - j) / (j + 1)
+        p += 2
+    return total
 
 
 # levels below this are summed term by term at 40 digits

@@ -26,7 +26,7 @@ NOT_IN_SRC = {
     "Truncation.nu_target", "_exact_level_prefix", "TruncationExceededError",
     "ThetaSum", "semifinite_trace", "decompose_projection",
     "_validate_projection_decomposition", "DecompositionError",
-    "_pairwise_sum",
+    "_pairwise_sum", "_level_sum", "level_sum_oracle", "_edge_terms_one_end",
     "AlgebraElement.to_json", "AlgebraElement.from_json",
     "GaussianRational.to_json", "GaussianRational.from_json",
 }

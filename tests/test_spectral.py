@@ -36,8 +36,9 @@ from oracles import (DecompositionError, ThetaSum,
                      _validate_projection_decomposition, commutant_oracle,
                      decompose_projection, direct_summation_oracle,
                      first_order_left_counterexample, first_order_oracle,
-                     mpmath_level_sum, mpmath_profile_oracle, reality_oracle,
-                     semifinite_trace, to_basis_coordinates)
+                     level_sum_oracle, mpmath_level_sum,
+                     mpmath_profile_oracle, reality_oracle, semifinite_trace,
+                     to_basis_coordinates)
 from test_structure import digraphs, exitless_digraphs
 
 
@@ -559,10 +560,9 @@ class TestProfileBuffers:
         assert abs(peaks[0] - peaks[1]) <= 4096
 
 
-class TestProfileWorker:
-    """The profile once ran its zeta side on a worker thread under the
-    caller's errstate; it is pure math now, and an overflow stays quiet
-    under any errstate, with the oracle's profile."""
+class TestProfileOverflow:
+    """The profile sums in pure math, so a window sum that overflows stays
+    quiet under any numpy errstate and gives the oracle's profile."""
 
     # masses +-1.7e308 on levels 0..3: both window sums overflow, while the
     # exact level mass t stays finite (0 from level 3 on) and no fit is made
@@ -606,18 +606,73 @@ class TestProfileAccuracy:
     def test_level_sums_within_1e_15(self):
         """H_s(n) at n from 2 to 10^18, and runs of 65 to 1,000 levels
         that start as far out as 10^17, at s = 1/2 and three zeta
-        exponents."""
+        exponents.  The ends of one start go in one call, so the lower end
+        they share is what is held to mpmath."""
         ends = [int(10 ** (e / 10)) + 1 for e in range(3, 181, 7)]
+        ends.append(10 ** 18)
         for s in (0.5, *(0.5 + 1.0 / math.log(w)
                          for w in (100, 10 ** 6, 10 ** 18))):
-            for n in ends + [10 ** 18]:
-                assert _close(spectral._level_sum(s, 0, n),
-                              mpmath_level_sum(s, 0, n), 1e-15), (s, n)
+            for n, got in zip(ends, spectral._level_sums(s, 0, ends),
+                              strict=True):
+                assert _close(got, mpmath_level_sum(s, 0, n), 1e-15), (s, n)
             for a in (16, 17, 100, 10 ** 6, 10 ** 12, 10 ** 17):
-                for length in (65, 66, 1000):
-                    assert _close(spectral._level_sum(s, a, a + length),
-                                  mpmath_level_sum(s, a, a + length),
-                                  1e-15), (s, a, length)
+                runs = [a + length for length in (65, 66, 1000)]
+                for b, got in zip(runs, spectral._level_sums(s, a, runs),
+                                  strict=True):
+                    assert _close(got, mpmath_level_sum(s, a, b),
+                                  1e-15), (s, a, b)
+
+
+@st.composite
+def level_sum_cases(draw):
+    s = draw(st.sampled_from([0.5, *(0.5 + 1.0 / math.log(10 ** e)
+                                     for e in range(2, 19))])
+             | st.floats(0.5, 1.0, exclude_min=True))
+    a = draw(st.integers(0, 40) | st.integers(0, 10 ** 17))
+    ends = draw(st.lists(st.integers(a, a + 64) | st.integers(a, 10 ** 18),
+                         min_size=1, max_size=8))
+    return s, a, ends
+
+
+class TestLevelSums:
+    """`_level_sums` takes each run's lower end and the Euler-Maclaurin
+    weights once, with the same floats as one end at a time."""
+
+    @given(level_sum_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_one_end_at_a_time(self, case):
+        s, a, ends = case
+        assert spectral._level_sums(s, a, ends) == [
+            level_sum_oracle(s, a, b) for b in ends]
+
+    def test_lower_end_taken_once_per_run(self, monkeypatch):
+        """8 edge terms per end more than _SHORT_RUN past its run's start,
+        plus 8 for the lower end of each such run; the lower end, its sum
+        below _K0 included, is taken beside the 8 weight lists of the run."""
+        calls = {"_edge_terms": 0, "_em_weights": 0}
+        for name in calls:
+            def counted(*args, _f=getattr(spectral, name), _name=name):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(spectral, name, counted)
+        g = tree_with_ends(3)
+        trace = solve_graph_trace(g)
+        window = 10 ** 6
+        levels = spectral._sample_levels(window)
+        for v in g.vertices:
+            model = vertex_multiplicities(g, trace, v)
+            long_ends = long_runs = 0
+            for stops in ([n + 1 for n in levels], [window + 1]):
+                for a, b, _ in spectral._mass_runs(model, window):
+                    ends = [n for n in stops if a < n <= b] + [b]
+                    long = [n for n in ends if n - a > spectral._SHORT_RUN]
+                    long_ends += len(long)
+                    long_runs += bool(long)
+            calls.update(dict.fromkeys(calls, 0))
+            singular_profile(model, window)
+            assert calls == {"_edge_terms": 8 * (long_ends + long_runs),
+                             "_em_weights": 8 * long_runs}, v
+            assert calls["_edge_terms"] <= 352, v
 
 
 class TestSampleLevels:
