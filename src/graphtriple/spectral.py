@@ -26,10 +26,9 @@ nothing of this module; `Truncation.basis` is built on first read.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .algebra import (AlgebraElement, GenKey, _multiply_keys, accumulate,
@@ -270,25 +269,24 @@ _EM_COEFFS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
               -691 / 1307674368000)
 
 
-def _mass_runs(model: MultiplicityModel,
-               window: int) -> List[Tuple[int, int, float]]:
-    """Level mass at gauge levels 0..window as constant runs (start, stop,
-    value): forward mass plus tau(p_v) on 1..backward_depth.  The exact
-    head gives one run per level, then the tail gives at most three runs,
-    cut at 1 and after the backward mass."""
-    vertex = float(model.vertex_mass)
+def _mass_runs(model: MultiplicityModel, window: int
+               ) -> List[Tuple[int, int, Fraction, Fraction]]:
+    """Level mass at gauge levels 0..window as exact constant runs (start,
+    stop, forward, backward): forward mass, and tau(p_v) backward on
+    1..backward_depth.  The exact head gives one run per level, then the
+    tail gives at most three runs, cut at 1 and after the backward mass."""
     d = model.backward_depth
     back_stop = window + 1 if d is None else min(d, window) + 1
 
-    def back(j: int) -> float:
-        return vertex if 1 <= j < back_stop else 0.0
+    def back(j: int) -> Fraction:
+        return model.vertex_mass if 1 <= j < back_stop else Fraction(0)
 
     head = model.forward_head[:window + 1]
-    runs = [(j, j + 1, float(h) + back(j)) for j, h in enumerate(head)]
-    tail = float(model.forward_tail)
+    runs = [(j, j + 1, h, back(j)) for j, h in enumerate(head)]
     cuts = sorted({len(head), window + 1}
                   | {c for c in (1, back_stop) if len(head) < c < window + 1})
-    runs.extend((x, y, tail + back(x)) for x, y in zip(cuts, cuts[1:]))
+    runs.extend((x, y, model.forward_tail, back(x))
+                for x, y in zip(cuts, cuts[1:]))
     return runs
 
 
@@ -338,17 +336,20 @@ def _level_sums(s: float, a: int, ends: Sequence[int]) -> List[float]:
             else sum((1 + k * k) ** -s for k in range(a, b)) for b in ends]
 
 
-def _run_sums(runs, stops: Sequence[int], s: float) -> List[float]:
-    """sum_{k < n} mass(k) (1 + k^2)^-s at each n of the ascending stops,
-    the mass given as the constant runs of `_mass_runs`."""
-    out, total, i = [], 0.0, 0
+def _run_sums(runs, stops: Sequence[int], sums) -> list:
+    """sum_{k < n} value * term(k) at each n of the ascending stops, the
+    runs (start, stop, value) constant, and sums(a, ends) the sums of
+    term(k) from a to each of the ends; integer values and sums stay
+    exact.  A stop equal to its run's end is passed once, as that end."""
+    out, total, i = [], 0, 0
     for a, b, value in runs:
         j = i
         while j < len(stops) and stops[j] <= b:
             j += 1
-        *inner, whole = _level_sums(s, a, [*stops[i:j], b])
-        out.extend(total + value * x for x in inner)
-        total += value * whole
+        closed = j > i and stops[j - 1] == b
+        at = sums(a, stops[i:j] if closed else [*stops[i:j], b])
+        out.extend(total + value * x for x in at[:j - i])
+        total += value * at[-1]
         i = j
     return out
 
@@ -370,34 +371,6 @@ def _over_log1p(x: float, t: float) -> float:
     return x / log if log else x * math.inf
 
 
-def _level_prefix(model: MultiplicityModel, window: int, idx) -> List[float]:
-    """The cumulative level mass sum_{j<=i} mass(j) at each level i of idx,
-    rounded once to a float: over the lcm of the denominators every prefix
-    is an integer k, and k / lcm rounds correctly.  A prefix past the
-    largest float raises GraphValidationError."""
-    head = model.forward_head[:window + 1]
-    n = len(head)
-    d = model.backward_depth
-    back_stop = window + 1 if d is None else min(d, window) + 1
-    tail = model.forward_tail if n <= window else Fraction(0)
-    vertex = model.vertex_mass if back_stop > 1 else Fraction(0)
-    scale = math.lcm(*(m.denominator for m in head + [tail, vertex]))
-    head_sums = list(itertools.accumulate(int(h * scale) for h in head))
-    tail_k, vertex_k = int(tail * scale), int(vertex * scale)
-
-    def prefix(i: int) -> float:
-        k = ((head_sums[min(i, n - 1)] if n else 0)
-             + tail_k * max(0, i + 1 - n)
-             + vertex_k * max(0, min(i, back_stop - 1)))
-        try:
-            return k / scale
-        except OverflowError:
-            raise GraphValidationError("the cumulative level mass exceeds"
-                                       " the largest float") from None
-
-    return [prefix(int(i)) for i in idx]
-
-
 def singular_profile(model: MultiplicityModel, window: int) -> SpectralProfile:
     """F_T profile of the operator with eigenvalue (1+k^2)^{-1/2} at gauge
     degree k and tau~-mass model.mass(k), sampled at 48 geometrically spaced
@@ -406,14 +379,16 @@ def singular_profile(model: MultiplicityModel, window: int) -> SpectralProfile:
     (`MultiplicityModel.dixmier_limit`), the operator has finite rank and
     the limit is reported as 0.0 with no fit.
 
-    Each sum over the window adds value * `_level_sums` per run of the
-    level mass (`_mass_runs`), one call for the run's stops and its end, so
-    each run's lower end is taken once; time is O(runs + samples) and
-    memory constant.
-    The sampled cumulative mass t is the exact prefix, rounded once
-    (`_level_prefix`).  A window above PROFILE_BUDGET raises WorkBudgetError,
-    and a level mass, or the cumulative mass at the window, past the largest
-    float GraphValidationError, before any sum."""
+    The level mass is laid out once, as the exact runs of `_mass_runs`,
+    and `_run_sums` walks them three times: for the cumulative mass t,
+    each run's integer mass over the lcm of the denominators, so that t is
+    the exact prefix divided once; then, with float(forward) +
+    float(backward) per run, for the F sums and the zeta residue, one
+    `_level_sums` call per run for its stops and its end, so each run's
+    lower end is taken once.  Time is O(runs + samples) and memory
+    constant.  A window above PROFILE_BUDGET raises WorkBudgetError, and a
+    level mass, or the cumulative mass at the window, past the largest
+    float GraphValidationError, before any float sum."""
     if window > PROFILE_BUDGET:
         raise WorkBudgetError(
             f"a profile window of {window} levels exceeds the budget of"
@@ -429,11 +404,21 @@ def singular_profile(model: MultiplicityModel, window: int) -> SpectralProfile:
             "a level mass exceeds the largest float") from None
 
     levels = _sample_levels(window)
-    t_vals = _level_prefix(model, window, levels)
-    runs = _mass_runs(model, window)
-    int_vals = _run_sums(runs, [n + 1 for n in levels], 0.5)
+    stops = [n + 1 for n in levels]
+    exact = _mass_runs(model, window)
+    scale = math.lcm(*((f + g).denominator for _, _, f, g in exact))
+    counts = _run_sums([(a, b, int((f + g) * scale)) for a, b, f, g in exact],
+                       stops, lambda a, ends: [b - a for b in ends])
+    try:
+        t_vals = [k / scale for k in counts]
+    except OverflowError:
+        raise GraphValidationError("the cumulative level mass exceeds"
+                                   " the largest float") from None
+    runs = [(a, b, float(f) + float(g)) for a, b, f, g in exact]
+    int_vals = _run_sums(runs, stops, partial(_level_sums, 0.5))
     s = 0.5 + 1.0 / math.log(window)
-    zeta = _run_sums(runs, [window + 1], s)[0] * (s - 0.5)
+    zeta = _run_sums(runs, [window + 1], partial(_level_sums, s))[0]
+    zeta *= s - 0.5
     f_vals = [_over_log1p(x, t) for x, t in zip(int_vals, t_vals)]
     samples = list(zip(t_vals, f_vals))
     raw_f = f_vals[-1]  # levels end at the window

@@ -553,15 +553,18 @@ class TestStructureEdgeCases:
     def test_conditions_on_a_long_path_runs_to_a_verdict(self, tmp_path):
         # about 3,000 ambient vertices: the terminal components and the
         # receivers of the irreducibility count are linear passes over them,
-        # in bounded time and memory
+        # in bounded time and memory.  The child's own peak is VmHWM: Linux
+        # carries ru_maxrss across fork and exec from a large parent.
         _, path = self._long_path(tmp_path, source_tails=["p0000"])
         out = tmp_path / "report.json"
         done = _run_python(
-            "import resource\n"
+            "import re\n"
             "from graphtriple.cli import run\n"
             f"code = run(['conditions', {path!r}, '--level', '1',"
             f" '--out', {str(out)!r}])\n"
-            "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n",
+            "with open('/proc/self/status') as status:\n"
+            "    peak = re.search(r'VmHWM:\\s*(\\d+) kB', status.read())\n"
+            "print(code, peak.group(1))\n",
             timeout=60)
         code, rss_kb = map(int, done.stdout.split())
         assert code == 0

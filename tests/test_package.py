@@ -23,7 +23,8 @@ NOT_IN_SRC = {
     "orientation_cycle_1graph", "sum_of_vertex_projections",
     "KGraphPresentation.segment", "GraphPresentation.relabel",
     "KGraphPresentation.factorize", "permutation_sign",
-    "Truncation.nu_target", "_exact_level_prefix", "TruncationExceededError",
+    "Truncation.nu_target", "_exact_level_prefix", "_level_prefix",
+    "TruncationExceededError",
     "ThetaSum", "semifinite_trace", "decompose_projection",
     "_validate_projection_decomposition", "DecompositionError",
     "_pairwise_sum", "_level_sum", "level_sum_oracle", "_edge_terms_one_end",

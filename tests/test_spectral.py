@@ -495,7 +495,7 @@ class TestProfileBuffers:
 
         def refuse(*args, **kwargs):
             raise AssertionError("summed a mass with no float")
-        monkeypatch.setattr(spectral, "_mass_runs", refuse)
+        monkeypatch.setattr(spectral, "_level_sums", refuse)
         with pytest.raises(GraphValidationError, match=(
                 "^the cumulative level mass exceeds the largest float$")):
             singular_profile(model, 10 ** 6)
@@ -511,7 +511,7 @@ class TestProfileBuffers:
             self, model, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("summed a mass with no float")
-        monkeypatch.setattr(spectral, "_mass_runs", refuse)
+        monkeypatch.setattr(spectral, "_level_sums", refuse)
         with pytest.raises(GraphValidationError,
                            match="^a level mass exceeds the largest float$"):
             singular_profile(model, 1000)
@@ -648,13 +648,20 @@ class TestLevelSums:
     def test_lower_end_taken_once_per_run(self, monkeypatch):
         """8 edge terms per end more than _SHORT_RUN past its run's start,
         plus 8 for the lower end of each such run; the lower end, its sum
-        below _K0 included, is taken beside the 8 weight lists of the run."""
+        below _K0 included, is taken beside the 8 weight lists of the run.
+        A stop at its run's end is that end, so no end is passed twice."""
         calls = {"_edge_terms": 0, "_em_weights": 0}
         for name in calls:
             def counted(*args, _f=getattr(spectral, name), _name=name):
                 calls[_name] += 1
                 return _f(*args)
             monkeypatch.setattr(spectral, name, counted)
+        passed = []
+
+        def level_sums(s, a, ends, _f=spectral._level_sums):
+            passed.append(list(ends))
+            return _f(s, a, ends)
+        monkeypatch.setattr(spectral, "_level_sums", level_sums)
         g = tree_with_ends(3)
         trace = solve_graph_trace(g)
         window = 10 ** 6
@@ -663,16 +670,18 @@ class TestLevelSums:
             model = vertex_multiplicities(g, trace, v)
             long_ends = long_runs = 0
             for stops in ([n + 1 for n in levels], [window + 1]):
-                for a, b, _ in spectral._mass_runs(model, window):
-                    ends = [n for n in stops if a < n <= b] + [b]
+                for a, b, _, _ in spectral._mass_runs(model, window):
+                    ends = sorted({n for n in stops if a < n <= b} | {b})
                     long = [n for n in ends if n - a > spectral._SHORT_RUN]
                     long_ends += len(long)
                     long_runs += bool(long)
             calls.update(dict.fromkeys(calls, 0))
+            passed.clear()
             singular_profile(model, window)
             assert calls == {"_edge_terms": 8 * (long_ends + long_runs),
                              "_em_weights": 8 * long_runs}, v
-            assert calls["_edge_terms"] <= 352, v
+            assert calls["_edge_terms"] <= 336, v
+            assert passed and all(len(set(e)) == len(e) for e in passed), v
 
 
 class TestSampleLevels:
