@@ -247,7 +247,9 @@ def commutant_dimension(g: Union[GraphPresentation, KGraphPresentation],
     or >= m: the ambient's source tails run deeper than m.  A tail's chain
     vertices at depth >= m, its cut end among them, link to its root, or
     form a class of their own when the root is no receiver.  On a k-graph
-    the vertex set is pushed m edges forward in each colour.
+    the vertex set is pushed m edges forward in each colour.  When every
+    vertex is a receiver, the links are all the edges, and the count is
+    the one `connected()` already took.
     """
     if not g.vertices:
         raise ValueError("degenerate presentation: empty truncation basis")
@@ -270,6 +272,8 @@ def commutant_dimension(g: Union[GraphPresentation, KGraphPresentation],
                     break
                 receivers = pushed
         missed = 0
+    if len(receivers) == len(g.vertices):  # the links are all the edges
+        return g.weak_components
     return missed + count_classes(receivers, (
         (v, g.edge_range(e)) for v in receivers for e in g.out_edges(v)))
 
@@ -312,13 +316,15 @@ def _evaluate_graph(g: GraphPresentation, end_values,
     if not sample:
         entries["dimension"] = _na("dimension", "no_sinks")
     else:
-        tau = trace.vertex_value
+        samples = []
+        for v in sample:
+            tau = trace.values[v]
+            target = str(2 * tau)
+            samples.append({"vertex": v, "target": target, "limit":
+                            target if g.backward_infinite(v) else str(tau)})
         entries["dimension"] = ConditionEntry(
             "dimension", "holds", "theorem",
-            {"argument": THEOREMS["dimension_1graph"], "samples": [
-                {"vertex": v, "target": str(2 * tau(v)),
-                 "limit": str(tau(v) * (2 if g.backward_infinite(v) else 1))}
-                for v in sample]},
+            {"argument": THEOREMS["dimension_1graph"], "samples": samples},
         )
 
     entries["reality"] = ConditionEntry(

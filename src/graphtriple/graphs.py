@@ -65,28 +65,32 @@ class EdgeSkeleton:
     colour 1, so ``paths_with_degree`` serves it as the case k = 1."""
 
     def _index_edges(self, edges: Sequence[Edge]) -> None:
-        """Index the edges; GraphValidationError on a repeated vertex or edge
-        id, or on an edge that joins an undeclared vertex."""
+        """Index the edges in one pass, as they are read: ``edges`` by id,
+        the sorted ``edge_order``, and each vertex's out- and in-edge ids,
+        sorted.  GraphValidationError on a repeated vertex or edge id, or
+        on an edge that joins an undeclared vertex."""
         if len(set(self.vertices)) != len(self.vertices):
             raise GraphValidationError("duplicate vertex identifier")
         out: Dict[str, List[str]] = {v: [] for v in self.vertices}
         into: Dict[str, List[str]] = {v: [] for v in self.vertices}
-        self.edges: Dict[str, Edge] = {}
+        index: Dict[str, Edge] = {}
         for e in edges:
-            if e.id in self.edges:
-                raise GraphValidationError(f"duplicate edge id {e.id!r}")
-            for v in (e.source, e.range):
-                if v not in out:
-                    raise GraphValidationError(
-                        f"edge {e.id!r} references undeclared vertex {v!r}")
-            self.edges[e.id] = e
-        self.edge_order: Tuple[str, ...] = tuple(sorted(self.edges))
-        for eid in self.edge_order:
-            e = self.edges[eid]
-            out[e.source].append(eid)
-            into[e.range].append(eid)
-        self._out = {v: tuple(es) for v, es in out.items()}
-        self._in = {v: tuple(es) for v, es in into.items()}
+            eid = e.id
+            if eid in index:
+                raise GraphValidationError(f"duplicate edge id {eid!r}")
+            try:
+                out[e.source].append(eid)
+                into[e.range].append(eid)
+            except KeyError:
+                v = e.range if e.source in out else e.source
+                raise GraphValidationError(
+                    f"edge {eid!r} references undeclared vertex {v!r}"
+                ) from None
+            index[eid] = e
+        self.edges: Dict[str, Edge] = index
+        self.edge_order: Tuple[str, ...] = tuple(sorted(index))
+        self._out = {v: tuple(sorted(es)) for v, es in out.items()}
+        self._in = {v: tuple(sorted(es)) for v, es in into.items()}
 
     def out_edges(self, v: str) -> Tuple[str, ...]:
         return self._out[v]
@@ -118,12 +122,14 @@ class EdgeSkeleton:
     def connected(self) -> bool:
         """Whether the underlying undirected graph is connected (the empty
         graph is)."""
-        return self._connected
+        return self.weak_components <= 1
 
     @cached_property
-    def _connected(self) -> bool:  # one union-find per skeleton
+    def weak_components(self) -> int:
+        """The number of connected parts of the underlying undirected
+        graph, by one union-find per skeleton."""
         return count_classes(self.vertices, (
-            (e.source, e.range) for e in self.edges.values())) <= 1
+            (e.source, e.range) for e in self.edges.values()))
 
     def paths_with_degree(self, n: Tuple[int, ...], v: Optional[str],
                           direction: str) -> List[Tuple[str, ...]]:
@@ -179,36 +185,35 @@ def strong_components(
     stack: List[str] = []
     on_stack: Set[str] = set()
     out: List[Tuple[str, ...]] = []
-
-    def visit(v: str) -> Tuple[str, Iterator[str]]:
-        index[v] = low[v] = len(index)
-        stack.append(v)
-        on_stack.add(v)
-        return v, iter(successors(v))
-
     for root in vertices:
         if root in index:
             continue
-        work = [visit(root)]
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(successors(root)))]
         while work:
             v, it = work[-1]
             for w in it:
-                if w not in index:
-                    work.append(visit(w))
+                if w not in index:  # visit w
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(successors(w))))
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
+                if w in on_stack and index[w] < low[v]:
+                    low[v] = index[w]
             else:
                 work.pop()
-                if work:
-                    u = work[-1][0]
-                    low[u] = min(low[u], low[v])
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
                 if low[v] == index[v]:
-                    comp = []
-                    while not comp or comp[-1] != v:
+                    comp = [stack.pop()]
+                    while comp[-1] != v:
                         comp.append(stack.pop())
-                        on_stack.discard(comp[-1])
-                    out.append(tuple(sorted(comp)))
+                    on_stack.difference_update(comp)
+                    out.append(tuple(sorted(comp)) if len(comp) > 1
+                               else (v,))
     return out
 
 
@@ -272,61 +277,69 @@ class CoreStructure(NamedTuple):
 
     @classmethod
     def of(cls, g: "GraphPresentation") -> "CoreStructure":
-        def head(e: str) -> str:
-            return g.edges[e].range
+        edges, out, into = g.edges, g._out, g._in
+        tail_set, source_tail_set = g.tail_set, g.source_tail_set
 
-        sinks = tuple(v for v in g.vertices if g.is_sink(v))
+        sinks = tuple(filter(g.is_sink, g.vertices))
         sink_set = frozenset(sinks)
-        comps = strong_components(
-            g.vertices, lambda v: (head(e) for e in g.out_edges(v)))
+        heads = {v: [edges[e].range for e in es] for v, es in out.items()}
+        comps = strong_components(g.vertices, heads.__getitem__)
         cycles: List[CoreCycle] = []
-        cyclic: Set[int] = set()
-        for i, comp in enumerate(comps):
+        cyclic: Set[str] = set()
+        # filled as each component is reached, sinks first: its successors
+        # are in already
+        reaching: Set[str] = set()
+        for comp in comps:
+            v = comp[0]
+            if len(comp) == 1 and v not in (hs := heads[v]):
+                # a single vertex without a self-loop
+                if v in sink_set or not reaching.isdisjoint(hs):
+                    reaching.add(v)
+                continue
             members = set(comp)
-            inside = {v: [e for e in g.out_edges(v) if head(e) in members]
-                      for v in comp}
-            if not inside[comp[0]]:
-                continue  # a single vertex without a self-loop
-            cyclic.add(i)
+            cyclic |= members
+            inside = {u: [e for e in out[u] if edges[e].range in members]
+                      for u in comp}
+            if not reaching.isdisjoint(h for u in comp for h in heads[u]):
+                reaching |= members
             walk: List[str] = []
             seen: Dict[str, int] = {}
-            v = comp[0]
             while v not in seen:
                 seen[v] = len(walk)
                 walk.append(inside[v][0])
-                v = head(walk[-1])
+                v = edges[walk[-1]].range
             walk = walk[seen[v]:]
-            k = min(range(len(walk)), key=lambda j: g.edges[walk[j]].source)
+            k = min(range(len(walk)), key=lambda j: edges[walk[j]].source)
             walk = walk[k:] + walk[:k]
-            verts = tuple(g.edges[e].source for e in walk)
+            verts = tuple(edges[e].source for e in walk)
             # a second out-edge at a cycle vertex leaves the cycle or runs
             # parallel inside it, an exit either way
-            has_exit = any(v in g.tail_set or len(g.out_edges(v)) > 1
-                           for v in verts)
+            has_exit = any(u in tail_set or len(out[u]) > 1 for u in verts)
             cycles.append(CoreCycle(verts, tuple(walk), has_exit))
 
         depth: Dict[str, Optional[int]] = {}
-        for i in reversed(range(len(comps))):  # sources first
-            for v in comps[i]:
-                if i in cyclic or v in g.source_tail_set:
+        for comp in reversed(comps):  # sources first
+            for v in comp:
+                if v in cyclic or v in source_tail_set:
                     depth[v] = None
                     continue
-                preds = [depth[g.edges[e].source] for e in g.in_edges(v)]
-                depth[v] = None if None in preds else max(preds, default=-1) + 1
-        reaching: Set[str] = set()
-        for comp in comps:  # sinks first
-            if any(v in sink_set or any(head(e) in reaching
-                                        for e in g.out_edges(v))
-                   for v in comp):
-                reaching.update(comp)
+                d: Optional[int] = 0
+                for e in into[v]:
+                    p = depth[edges[e].source]
+                    if p is None:
+                        d = None
+                        break
+                    if p >= d:
+                        d = p + 1
+                depth[v] = d
         cycles.sort(key=lambda c: c.vertices)
         ends = [End("sink", f"sink:{v}", (v,)) for v in sinks]
         ends += [End("loop", "loop:" + "-".join(c.vertices), c.vertices,
                      c.edges) for c in cycles if not c.has_exit]
         ends += [End("tail", f"tail:{v}", (v,)) for v in g.tails]
-        entries = ((v, g.conceptual_in_degree(v)) for v in g.vertices)
+        entries = zip(g.vertices, map(g.conceptual_in_degree, g.vertices))
         return cls(tuple(comps), tuple(cycles), depth, frozenset(reaching),
-                   sinks, tuple(v for v in g.vertices if g.is_source(v)),
+                   sinks, tuple(filter(g.is_source, g.vertices)),
                    tuple(sorted(ends, key=lambda e: e.id)),
                    tuple((v, n) for v, n in entries if n != 1))
 
@@ -569,6 +582,10 @@ def read_document(text: str) -> object:
         raise GraphFormatError(
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise GraphFormatError("arrays or objects nested too deeply") from None
+    except ValueError as exc:  # an integer past the int-digit limit
+        raise GraphFormatError(f"number out of range: {exc}") from None
 
 
 def parse_graph(text: str) -> GraphPresentation:
@@ -602,7 +619,18 @@ def document_edges(doc: object, fields: AbstractSet[str],
     for key in ("vertices", "tails", "source_tails"):
         if not all(isinstance(v, str) for v in doc.get(key, ())):
             raise GraphFormatError(f"{key} must be strings")
+    edges: List[Edge] = []
+    width, coloured = len(edge_fields), "color" in edge_fields
     for rec in doc["edges"]:
+        # one test per field: with width fields, these are exactly the ones
+        if (isinstance(rec, dict) and len(rec) == width
+                and isinstance(ident := rec.get("id"), str)
+                and isinstance(source := rec.get("source"), str)
+                and isinstance(target := rec.get("range"), str)
+                and type(color := rec.get("color", None if coloured else 1))
+                is int):
+            edges.append(Edge(ident, source, target, color))
+            continue
         if not isinstance(rec, dict):
             raise GraphFormatError("edge records must be objects")
         extra = set(rec) - edge_fields
@@ -613,9 +641,8 @@ def document_edges(doc: object, fields: AbstractSet[str],
         if not all(isinstance(rec[f], str) for f in ("id", "source", "range")):
             raise GraphFormatError(
                 f"edge id, source and range must be strings: {rec}")
-        if "color" in rec and type(rec["color"]) is not int:
-            raise GraphFormatError(f"edge color must be an integer: {rec}")
-    return [Edge(**rec) for rec in doc["edges"]]
+        raise GraphFormatError(f"edge color must be an integer: {rec}")
+    return edges
 
 
 def graph_from_document(doc: object) -> GraphPresentation:

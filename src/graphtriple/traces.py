@@ -31,7 +31,9 @@ class NonDiagonalError(ValueError):
 
 
 class GraphTrace(NamedTuple):
-    """Faithful graph trace: core vertex values plus per-end values."""
+    """Faithful graph trace: core vertex values plus per-end values.  An
+    integer end value is held as an int, and so is a vertex value that
+    only such ends feed; the others are Fractions."""
 
     presentation: GraphPresentation
     values: Dict[str, Fraction]
@@ -72,33 +74,35 @@ def solve_graph_trace(
     unknown = sorted(set(end_values or ()) - {end.id for end in ends})
     if unknown:
         raise GraphValidationError(f"no such end: {', '.join(unknown)}")
+    # str() prints an integral Fraction as its int, so ints change no report
     ev: Dict[str, Fraction] = {}
     for end in ends:
         if end_values is None:
-            ev[end.id] = Fraction(1)
+            value = 1
         else:
             if end.id not in end_values:
                 raise GraphValidationError(f"missing end value for {end.id}")
-            ev[end.id] = Fraction(end_values[end.id])
-        if ev[end.id] <= 0:
+            value = Fraction(end_values[end.id])
+            if value.denominator == 1:
+                value = value.numerator
+        if value <= 0:
             raise GraphValidationError(f"end value for {end.id} must be positive")
-    fixed: Dict[str, Fraction] = {}
-    for end in ends:
-        for v in end.vertices:
-            if end.kind in ("sink", "loop"):
-                fixed[v] = ev[end.id]
+        ev[end.id] = value
+    fixed = {v: ev[end.id] for end in ends if end.kind != "tail"
+             for v in end.vertices}
 
     # sinks first, so every out-edge of a vertex off the loop ends leads to
     # a vertex that already has its value
+    edges, out_edges, tail_set = g.edges, g.out_edges, g.tail_set
     values: Dict[str, Fraction] = {}
     for comp in g.components():
         for v in comp:
             if v in fixed:
                 values[v] = fixed[v]
                 continue
-            total = ev[f"tail:{v}"] if v in g.tail_set else Fraction(0)
-            for eid in g.out_edges(v):
-                total += values[g.edges[eid].range]
+            total = ev[f"tail:{v}"] if v in tail_set else 0
+            for eid in out_edges(v):
+                total += values[edges[eid].range]
             values[v] = total
     return GraphTrace(g, values, ev)
 

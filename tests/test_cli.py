@@ -9,6 +9,7 @@ import sys
 import time
 import warnings
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ import graphtriple
 from graphtriple import clifford, conditions, graphs, hochschild, spectral
 from graphtriple.clifford import KMAX
 from graphtriple.cli import (EX_CANTCREAT, EX_DATAERR, EX_NOINPUT,
-                             EX_UNAVAILABLE, EX_USAGE, _jsonable, run)
+                             EX_UNAVAILABLE, EX_USAGE, _json, _jsonable, run)
 
 from corpus import (loop_with_exit, random_tree, single_loop,
                     torus_2graph, tree_with_ends, two_loop_fan_doc)
@@ -274,7 +275,10 @@ class TestExitCodes:
         ["tail:c1=abc", "tail:c2=1"],
         ["tail:c1=1/0", "tail:c2=1"],
         ["tail:c1=1", "tail:c2=1", "tail:zz=5"],
-    ], ids=["not_a_number", "zero_denominator", "unknown_end"])
+        # a value whose decimal digits str() refuses to write
+        ["tail:c1=1e5000", "tail:c2=1"],
+    ], ids=["not_a_number", "zero_denominator", "unknown_end",
+            "past_the_digit_limit"])
     def test_bad_end_value_is_data_error(self, command, values, tree_file,
                                          capsys):
         # spectral profiles a vertex, so that only the end value can fail
@@ -328,6 +332,24 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == ("validation failure: Out of range float"
                                 f" values are not JSON compliant: {value}\n")
+
+    @pytest.mark.parametrize("command", ["conditions", "analyze"])
+    @pytest.mark.parametrize("text,message", [
+        ("[" * 100000 + "]" * 100000,
+         "arrays or objects nested too deeply\n"),
+        ('{"k": ' + "7" * 5000 + ', "vertices": [], "edges": [], "tails": []}',
+         "number out of range: Exceeds the limit (4300 digits)"),
+    ], ids=["deep_nesting", "long_integer"])
+    def test_json_past_the_parser_limits_is_data_error(
+            self, command, text, message, tmp_path, capsys):
+        # the parser raises RecursionError or the int-digit ValueError, not
+        # a JSONDecodeError: both are refused as invalid data
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        assert run([command, str(path)]) == EX_DATAERR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("validation failure: " + message)
 
     @pytest.mark.parametrize("command", ["trace", "conditions"])
     def test_end_value_on_a_kgraph_is_data_error(self, command, torus_file,
@@ -633,9 +655,12 @@ class TestStructureEdgeCases:
         assert witnesses[0] == witnesses[1]
         assert witnesses[0]["witness"] == {"dimension_interior": 1}
 
-    def test_conditions_counts_classes_twice(self, tree_file, monkeypatch):
-        # one union-find for connectivity, which the hypotheses, the trace
-        # and classify share, and one for irreducibility
+    @staticmethod
+    def _union_finds(tmp_path, monkeypatch, graph, code):
+        """The union-find runs of one conditions request on graph, which
+        must exit with code."""
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(graph_to_document(graph)))
         calls = []
         exact = graphs.count_classes
 
@@ -645,8 +670,23 @@ class TestStructureEdgeCases:
 
         monkeypatch.setattr(graphs, "count_classes", counted)
         monkeypatch.setattr(conditions, "count_classes", counted)
-        assert run(["conditions", tree_file]) == 0
-        assert len(calls) == 2
+        assert run(["conditions", str(path)]) == code
+        return len(calls)
+
+    def test_conditions_counts_classes_twice(self, tmp_path, monkeypatch):
+        # one union-find for connectivity, which the hypotheses, the trace
+        # and classify share, and one for irreducibility: the source a has
+        # no source tail, so neither vertex receives a path of length 2 at
+        # level 3 (and a breaks orientability)
+        g = GraphPresentation(["a", "b"], [Edge("e", "a", "b")], tails=["b"])
+        assert self._union_finds(tmp_path, monkeypatch, g, 2) == 2
+
+    def test_conditions_counts_classes_once_when_all_receive(
+            self, tmp_path, monkeypatch):
+        # every vertex of tree_with_ends(2) is a receiver, so the links of
+        # irreducibility's count are all the edges: connectivity's count
+        assert self._union_finds(tmp_path, monkeypatch, tree_with_ends(2),
+                                 0) == 1
 
     @staticmethod
     def _calls_on(tmp_path, n, command, *options):
@@ -676,6 +716,14 @@ class TestStructureEdgeCases:
         # whatever the level
         small, large = (self._calls_on(tmp_path, n, "conditions", "--level",
                                        level) for n in (2000, 20000))
+        assert large <= 12 * small
+
+    @pytest.mark.parametrize("command", ["analyze", "trace", "ktheory"])
+    def test_structure_work_is_linear_in_the_presentation(self, tmp_path,
+                                                         command):
+        # one parse pass and one structure pass
+        small, large = (self._calls_on(tmp_path, n, command)
+                        for n in (2000, 20000))
         assert large <= 12 * small
 
     def test_hochschild_work_is_linear_in_the_presentation(self, tmp_path):
@@ -814,6 +862,62 @@ def test_a_record_in_a_report_prints_as_its_repr():
     assert _jsonable({("v", 1): [edge, ("a", 1)]}) == {
         "('v', 1)": ["Edge(id='e', source='v', range='w', color=1)",
                      ["a", 1]]}
+
+
+class _Pair(NamedTuple):
+    first: object
+    second: object
+
+
+def _stdlib_report(doc) -> str:
+    """The report text `_json` must match byte for byte."""
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+
+
+# surrogates and control characters included: all are written as escapes
+_TEXT = st.text(st.characters(blacklist_categories=()), max_size=6)
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), _TEXT,
+    st.integers(-10 ** 30, 10 ** 30), st.sampled_from([2 ** 64, -2 ** 63]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, 1.7976931348623157e308]))
+# keys of one kind per object, as the stdlib sorts them before coercing
+_KEYS = st.sampled_from([
+    _TEXT, st.integers(-10 ** 20, 10 ** 20),
+    st.floats(allow_nan=False, allow_infinity=False), st.booleans(),
+    st.none()])
+_JSON_TREES = st.recursive(_LEAVES, lambda children: st.one_of(
+    st.lists(children, max_size=4),
+    st.lists(children, max_size=4).map(tuple),
+    st.builds(_Pair, children, children),
+    _KEYS.flatmap(lambda keys: st.dictionaries(keys, children, max_size=4)),
+), max_leaves=30)
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=_JSON_TREES)
+def test_report_writer_matches_the_stdlib_encoder(doc):
+    assert _json(doc, "\n") == _stdlib_report(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    math.inf, [1, -math.inf], {"a": {"b": math.nan}}, {math.inf: 1},
+    {"a": 1, None: 2}, {(1, 2): 3}, [{"a": object()}], {1: {2, 3}},
+    "a" * 3 + "\ud800", 10 ** 5000,
+], ids=["inf", "minus_inf_in_list", "nan_in_dict", "inf_key",
+        "unsortable_keys", "tuple_key", "object", "set", "lone_surrogate",
+        "past_the_digit_limit"])
+def test_report_writer_fails_as_the_stdlib_encoder_does(doc):
+    # the same exception with the same text, or the same text when the
+    # stdlib writes one
+    try:
+        want = _stdlib_report(doc)
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc)) as got:
+            _json(doc, "\n")
+        assert str(got.value) == str(exc)
+    else:
+        assert _json(doc, "\n") == want
 
 
 def _run_python(code, timeout=None):

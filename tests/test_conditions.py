@@ -267,8 +267,12 @@ class TestEvaluateAll:
             self, monkeypatch):
         # the vertices receiving a path of length 1 link the two tail ends
         # through b; they form a tree, so skipping any one link of it
-        # leaves the ends apart
-        g = tree_with_ends(2)
+        # leaves the ends apart.  The source a receives none, so the count
+        # links the receivers itself rather than reading connectivity's
+        g = GraphPresentation(
+            ["a", "b", "c1", "c2"],
+            [Edge("e", "a", "b"), Edge("e1", "b", "c1"),
+             Edge("e2", "b", "c2")], tails=["c1", "c2"])
         before = evaluate_all(g, level=2).to_json()["conditions"]
         exact = conditions.count_classes
 
@@ -301,12 +305,18 @@ class TestEvaluateAll:
             assert spectral.commutant_probe(tr)["dimension_interior"] == dim
 
     @pytest.mark.parametrize("level", [1, 2, 3, 50])
-    @pytest.mark.parametrize("factory", [lambda: single_loop(40),
-                                         lambda: tree_with_ends(4)],
-                             ids=["cycle_40", "tree_with_ends_4"])
-    def test_commutant_count_stops_at_the_fixed_point(self, factory, level):
+    @pytest.mark.parametrize("factory,reads", [
+        (lambda: single_loop(40), 0), (lambda: tree_with_ends(4), 0),
+        # the source a has no source tail, so a receives no path
+        (lambda: GraphPresentation(
+            ["a", "b", "c"], [Edge("e", "a", "b"), Edge("f", "b", "c")],
+            tails=["c"]), 3),
+    ], ids=["cycle_40", "tree_with_ends_4", "bare_source"])
+    def test_commutant_count_stops_at_the_fixed_point(self, factory, reads,
+                                                      level):
         # the count equals the one on the expansion with every push made,
-        # and reads each vertex's out-edges once whatever the level
+        # and reads each vertex's out-edges once whatever the level, or
+        # none when every vertex receives: the count is connectivity's then
         g = factory()
         assert commutant_dimension(g, level) == commutant_count_every_push(
             g.expand(level + TAIL_MARGIN), level)
@@ -316,7 +326,7 @@ class TestEvaluateAll:
         for deep in (level, 10 ** 9):
             calls.clear()
             commutant_dimension(g, deep)
-            assert len(calls) == len(g.vertices)
+            assert len(calls) == reads
 
     @pytest.mark.parametrize("level", [1, 2, 3, 50])
     @pytest.mark.parametrize("factory", [torus_2graph, two_vertex_2graph,
@@ -325,7 +335,8 @@ class TestEvaluateAll:
     def test_kgraph_push_stops_at_the_fixed_point(self, factory, level):
         # a push that leaves the receivers as they are changes nothing
         # later; every vertex of these k-graphs receives each colour, so
-        # each colour makes one push at any level
+        # each colour makes one push at any level, and the count is the
+        # one connectivity took
         g = factory()
         assert commutant_dimension(g, level) == \
             commutant_count_every_push(g, level)
@@ -333,7 +344,7 @@ class TestEvaluateAll:
         out_edges = g.out_edges
         g.out_edges = lambda v: calls.append(v) or out_edges(v)
         commutant_dimension(g, level)
-        assert len(calls) == (g.k + 1) * len(g.vertices)
+        assert len(calls) == g.k * len(g.vertices)
 
     @pytest.mark.parametrize("graphs", [digraphs(), exitless_digraphs(),
                                         sourced_digraphs()],

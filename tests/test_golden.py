@@ -4,8 +4,9 @@ The files in tests/golden/ hold the CLI output for a fixed set of corpus
 presentations, each at the truncation level given in CASES, for the
 spectral profiles in SPECTRAL_CASES, for the orientation cycle checks in
 HOCHSCHILD_CASES, for the Clifford sign table at two values of --kmax, and
-for the analyze, trace and ktheory reports in REPORT_CASES, where a
-refusal is kept as its exit code and message.
+for the analyze, trace and ktheory reports and the conditions reports
+with end values in REPORT_CASES, where a refusal is kept as its exit code
+and message.
 Refactors of the key product, the evaluators and the Clifford layer must
 keep them unchanged.  To rewrite them after an intended report change, run
 
@@ -130,15 +131,23 @@ CLIFFORD_CASES = {
 }
 
 
-# name -> (subcommand, presentation factory)
+# end values that mix an integer and a fraction: the trace keeps ints where
+# only integer ends are reached, and the reports print both kinds alike
+THIRDS = ["--end-value", "tail:c1=1/3", "--end-value", "tail:c2=2"]
+
+# name -> (subcommand, presentation factory, flags)
 REPORT_CASES = {
-    "analyze_tree_with_ends_2": ("analyze", lambda: tree_with_ends(2)),
-    "analyze_loop_with_exit": ("analyze", loop_with_exit),
-    "analyze_torus_2graph": ("analyze", torus_2graph),
-    "trace_tree_with_ends_2": ("trace", lambda: tree_with_ends(2)),
-    "trace_loop_with_exit": ("trace", loop_with_exit),
-    "ktheory_tree_with_ends_2": ("ktheory", lambda: tree_with_ends(2)),
-    "ktheory_loop_with_exit": ("ktheory", loop_with_exit),
+    "analyze_tree_with_ends_2": ("analyze", lambda: tree_with_ends(2), []),
+    "analyze_loop_with_exit": ("analyze", loop_with_exit, []),
+    "analyze_torus_2graph": ("analyze", torus_2graph, []),
+    "trace_tree_with_ends_2": ("trace", lambda: tree_with_ends(2), []),
+    "trace_loop_with_exit": ("trace", loop_with_exit, []),
+    "trace_tree_with_ends_2_thirds": (
+        "trace", lambda: tree_with_ends(2), THIRDS),
+    "conditions_tree_with_ends_2_thirds": (
+        "conditions", lambda: tree_with_ends(2), THIRDS),
+    "ktheory_tree_with_ends_2": ("ktheory", lambda: tree_with_ends(2), []),
+    "ktheory_loop_with_exit": ("ktheory", loop_with_exit, []),
 }
 
 
@@ -176,8 +185,8 @@ def _report(name: str, workdir: Path) -> str:
         factory = HOCHSCHILD_CASES[name]
         argv = ["hochschild", str(src)]
     elif name in REPORT_CASES:
-        command, factory = REPORT_CASES[name]
-        argv = [command, str(src)]
+        command, factory, flags = REPORT_CASES[name]
+        argv = [command, str(src)] + flags
     else:
         factory, level = CASES[name]
         argv = ["conditions", str(src), "--level", str(level)]

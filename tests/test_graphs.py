@@ -46,6 +46,27 @@ class TestParse:
         with pytest.raises(GraphValidationError, match="duplicate edge"):
             parse_graph(doc(["v"], [("e", "v", "v"), ("e", "v", "v")]))
 
+    @pytest.mark.parametrize("vertices, edges, message", [
+        # identifiers are checked before repeats, repeats before references
+        (["v", "v"], [("e~", "v", "v")], "identifier 'e~'"),
+        (["v", "v"], [("e", "v", "w")], "duplicate vertex identifier"),
+        (["v"], [("e", "v", "w"), ("e", "v", "v")],
+         "edge 'e' references undeclared vertex 'w'"),
+        (["v"], [("e", "v", "v"), ("e", "x", "v")], "duplicate edge id 'e'"),
+        (["v"], [("e", "x", "y")], "edge 'e' references undeclared vertex 'x'"),
+        (["v"], [("e", "v", "y")], "edge 'e' references undeclared vertex 'y'"),
+    ])
+    def test_first_fault_is_reported(self, vertices, edges, message):
+        with pytest.raises(GraphValidationError) as err:
+            parse_graph(doc(vertices, edges))
+        assert str(err.value).startswith(message)
+
+    @pytest.mark.parametrize("ids", [["e2", "e0", "e1"], ["e0", "e1", "e2"]])
+    def test_edge_lists_are_sorted_whatever_the_document_order(self, ids):
+        g = parse_graph(doc(["v", "w"], [(i, "v", "w") for i in ids]))
+        assert g.out_edges("v") == g.in_edges("w") == ("e0", "e1", "e2")
+        assert g.edge_order == ("e0", "e1", "e2")
+
     def test_syntax_error_carries_position(self):
         with pytest.raises(GraphFormatError, match="line 1"):
             parse_graph("{not json")

@@ -96,6 +96,22 @@ def test_no_module_imports_dataclasses():
     assert found == []
 
 
+def test_no_indented_json_encoder():
+    # reports go through the CLI's writer: json.dump(s) with an indent
+    # takes the stdlib's pure-Python encoder
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = (node.func.attr if isinstance(node.func, ast.Attribute)
+                    else getattr(node.func, "id", None))
+            if name in ("dump", "dumps") and any(
+                    k.arg == "indent" for k in node.keywords):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_no_level_walk_is_left():
     # the Dixmier profile sums its mass runs in closed form: no worker
     # thread, no block size, and no numpy in `singular_profile`
