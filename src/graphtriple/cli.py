@@ -133,7 +133,7 @@ def _json(obj, pad: str) -> str:
 
 
 def _emit(payload, args) -> None:
-    if getattr(args, "format", "json") == "csv" and hasattr(payload, "to_csv"):
+    if args.format == "csv" and hasattr(payload, "to_csv"):
         text = payload.to_csv()
     else:
         doc = payload.to_json() if hasattr(payload, "to_json") else payload
@@ -141,7 +141,7 @@ def _emit(payload, args) -> None:
             text = _json(doc, "\n") + "\n"
         except ValueError as exc:  # an inf or nan, or an int too long
             raise _Failure(f"validation failure: {exc}", EX_DATAERR) from None
-    if getattr(args, "out", None):
+    if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -173,16 +173,6 @@ def _end_values(args, g):
     return out
 
 
-def _jsonable(obj):
-    """obj with dict keys as strings, plain lists and tuples as lists and
-    other non-JSON leaves, records included, as their str()."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if type(obj) in (list, tuple):
-        return [_jsonable(x) for x in obj]
-    return obj if isinstance(obj, (str, int, float, bool, type(None))) else str(obj)
-
-
 def _cmd_analyze(args) -> int:
     from .conditions import hypothesis_check, kgraph_hypothesis_check
     g = _load(args.input)
@@ -194,7 +184,7 @@ def _cmd_analyze(args) -> int:
                 {"kind": e.kind, "id": e.id, "vertices": list(e.vertices)}
                 for e in g.find_ends()
             ],
-            "single_entry": _jsonable(g.single_entry_check()),
+            "single_entry": g.single_entry_check(),
             "classification": {"kind": classification.kind,
                                "n": classification.n},
             "hypotheses": hypothesis_check(g),
@@ -204,9 +194,11 @@ def _cmd_analyze(args) -> int:
         if paths > CYCLE_BUDGET:
             raise WorkBudgetError(f"{paths} paths of degree (1,...,1) to"
                                   f" list, over the budget of {CYCLE_BUDGET}")
+        exits = g.single_exit_check()
         payload = {
             "k": g.k,
-            "single_exit": _jsonable(g.single_exit_check()),
+            "single_exit": {"holds": exits["holds"], "violations": {
+                str(key): n for key, n in exits["violations"].items()}},
             "connected": g.connected(),
             "unit_degree_paths": [list(p) for p in g.unit_degree_paths()],
             "hypotheses": kgraph_hypothesis_check(g),
@@ -268,11 +260,8 @@ def _cmd_hochschild(args) -> int:
                     cancel["step2_elementary_tensors_equal"],
                 "step3_ck_cancellation": cancel["step3_ck_cancellation"],
             },
-            "witnesses": _jsonable({
-                "step1": cancel["step1_witness"],
-                "step2": cancel["step2_witness"],
-                "step3": cancel["step3_witness"],
-            }),
+            "witnesses": {f"step{i}": cancel[f"step{i}_witness"]
+                          for i in (1, 2, 3)},
             "pi_D_is_volume_form": cancel["pi_D_is_volume_form"],
         }
     _emit(payload, args)

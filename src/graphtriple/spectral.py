@@ -12,10 +12,10 @@ graph trace (`vertex_multiplicities`); the tests check them against
 pointwise-validated Theta-decompositions.  `MultiplicityModel.dixmier_limit`
 is the exact Dixmier limit; the F_T profiles of `graphtriple spectral`,
 summed run by run in closed form, fit it linearly in 1/log(1+t), as
-F_T = 2 g + C / log t + O(1/t), so the extrapolated intercept is exact to
-O(1/window).  `conditions` reads the limit from the trace equation instead
-(`conditions.THEOREMS`), and the tests check it against
-`vertex_multiplicities`.
+F_T = 2 g + C / log t + O(1/t), so the intercept is exact to O(1/window);
+the k-graph lattice profile walks its shells |n|^2 = j as runs on the same
+grid and fit.  `conditions` reads both limits from closed forms instead
+(`conditions.THEOREMS`), checked against the profiles in the tests.
 
 First order and 1-graph reality are identities of A_c (`conditions`
 reports them as theorems); `first_order_check` and `reality_check_1graph`
@@ -26,6 +26,7 @@ nothing of this module; `Truncation.basis` is built on first read.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import cached_property, partial
@@ -354,10 +355,15 @@ def _run_sums(runs, stops: Sequence[int], sums) -> list:
     return out
 
 
+def _lengths(a: int, ends: Sequence[int]) -> List[int]:
+    """The levels from a to each end: with it, `_run_sums` adds the values."""
+    return [b - a for b in ends]
+
+
 def _sample_levels(window: int) -> List[int]:
-    """The distinct levels of np.geomspace(8, window, 48).astype(int64):
-    10^(lo + i step) truncated, lo = log10(8), step = (log10(window) -
-    lo) / 47, with the ends 8 and the window exact."""
+    """The profiles' one grid: 48 levels 10^(lo + i step) truncated, each
+    once, lo = log10(8), step = (log10(window) - lo) / 47, with the ends 8
+    and the window exact."""
     lo = math.log10(8)
     step = (math.log10(window) - lo) / 47
     return sorted({8, window,
@@ -365,10 +371,19 @@ def _sample_levels(window: int) -> List[int]:
 
 
 def _over_log1p(x: float, t: float) -> float:
-    """x / log(1 + t) as numpy gives it: x * inf (+-inf, or nan at x = 0)
+    """x / log(1 + t) as IEEE floats give it: x * inf (+-inf, or nan at x = 0)
     where the log is 0, log(0) = -inf, nan where t < -1 has no log."""
     log = math.log1p(t) if t > -1 else -math.inf if t == -1 else math.nan
     return x / log if log else x * math.inf
+
+
+def _fit_line(xs, ys) -> Tuple[float, float]:
+    """Least-squares slope (nan if the xs are all equal) and intercept."""
+    x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
+    sxx = sum((x - x_mean) * (x - x_mean) for x in xs)
+    sxy = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+    slope = sxy / sxx if sxx else math.nan
+    return slope, y_mean - slope * x_mean
 
 
 def singular_profile(model: MultiplicityModel, window: int) -> SpectralProfile:
@@ -408,7 +423,7 @@ def singular_profile(model: MultiplicityModel, window: int) -> SpectralProfile:
     exact = _mass_runs(model, window)
     scale = math.lcm(*((f + g).denominator for _, _, f, g in exact))
     counts = _run_sums([(a, b, int((f + g) * scale)) for a, b, f, g in exact],
-                       stops, lambda a, ends: [b - a for b in ends])
+                       stops, _lengths)
     try:
         t_vals = [k / scale for k in counts]
     except OverflowError:
@@ -430,11 +445,7 @@ def singular_profile(model: MultiplicityModel, window: int) -> SpectralProfile:
     cut = max(64, window // 1024)
     xs = [_over_log1p(1.0, t) for n, t in zip(levels, t_vals) if n >= cut]
     ys = [f for n, f in zip(levels, f_vals) if n >= cut]
-    x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
-    sxx = sum((x - x_mean) * (x - x_mean) for x in xs)
-    sxy = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
-    slope = sxy / sxx if sxx else math.nan
-    limit = y_mean - slope * x_mean
+    slope, limit = _fit_line(xs, ys)
     resid = max(abs(y - (slope * x + limit)) for x, y in zip(xs, ys))
     return SpectralProfile(
         window, samples, limit, (min(*ys, limit), max(*ys, limit)), zeta,
@@ -444,34 +455,34 @@ def singular_profile(model: MultiplicityModel, window: int) -> SpectralProfile:
 
 def kgraph_lattice_profile(g: KGraphPresentation, trace: KGraphTrace,
                            window: int = 64) -> SpectralProfile:
-    """Numeric (k,infty) profile on the degree lattice.  `conditions` uses
-    the closed form instead: trace mass times pi^(k/2)/Gamma(k/2+1)."""
-    import numpy as np
-
+    """Numeric (k,infty) profile: eigenvalue (1 + |n|^2)^(-k/2), with the
+    trace mass, at each n of [-window, window]^k, sampled and fitted as in
+    `singular_profile` (the fit past N/16 of the N points; ValueError if
+    N < 9), each shell |n|^2 = j, counted by k convolutions, one run.
+    `conditions` uses the closed form: mass times pi^(k/2)/Gamma(k/2+1)."""
     k = g.k
-    total_mass = float(sum(trace.values[v] for v in g.vertices))
-    axes = [np.arange(-window, window + 1)] * k
-    grids = np.meshgrid(*axes, indexing="ij")
-    norm_sq = sum(gx * gx for gx in grids).astype(np.float64).ravel()
-    lam = (1.0 + norm_sq) ** (-k / 2.0)
-    lam = -np.sort(-lam)
-    cum_int = np.cumsum(lam * total_mass)
-    cum_mass = np.cumsum(np.full(lam.shape, total_mass))
-    f_vals = cum_int / np.log1p(cum_mass)
-    idx = np.unique(np.geomspace(8, len(lam) - 1, num=32).astype(np.int64))
-    samples = [(float(cum_mass[i]), float(f_vals[i])) for i in idx]
-    tail = idx[idx > len(lam) // 16]
-    x = 1.0 / np.log1p(cum_mass[tail])
-    y = f_vals[tail]
-    coeffs = np.polyfit(x, y, 1)
-    return SpectralProfile(
-        window=window,
-        f_samples=samples,
-        limit_estimate=float(coeffs[1]),
-        band=(float(np.min(y)), float(np.max(y))),
-        zeta_residue=None,
-        diagnostics={"measured_constant": float(coeffs[1])},
-    )
+    mass = float(sum(trace.values[v] for v in g.vertices))
+    shells = [1]  # shells[j]: the points of the box so far with |n|^2 = j
+    for _ in range(k):
+        size, nxt = len(shells), [0] * (len(shells) + window * window)
+        for x in range(window + 1):
+            at, times = x * x, 2 if x else 1
+            nxt[at:at + size] = [a + times * b for a, b in
+                                 zip(nxt[at:at + size], shells)]
+        shells = nxt
+    ends = list(itertools.accumulate(shells))
+    runs = [(b - n, b, (1.0 + j) ** (-k / 2) * mass)
+            for j, (n, b) in enumerate(zip(shells, ends))]
+    levels = _sample_levels(ends[-1] - 1)
+    sums = _run_sums(runs, [n + 1 for n in levels], _lengths)
+    t_vals = [(n + 1) * mass for n in levels]
+    f_vals = [_over_log1p(x, t) for x, t in zip(sums, t_vals, strict=True)]
+    cut = ends[-1] // 16
+    xs = [_over_log1p(1.0, t) for n, t in zip(levels, t_vals) if n > cut]
+    ys = [f for n, f in zip(levels, f_vals) if n > cut]
+    _, limit = _fit_line(xs, ys)
+    return SpectralProfile(window, list(zip(t_vals, f_vals)), limit,
+                           (min(ys), max(ys)), None, {"measured_constant": limit})
 
 
 # -- condition evaluators ----------------------------------------------------------------

@@ -68,8 +68,7 @@ def solve_graph_trace(
     when end_values misses an end or names one the presentation lacks.
     """
     ends = g.find_ends()
-    report = g.structural_report()
-    if report["loops_with_exit"]:
+    if any(c.has_exit for c in g._core.cycles):
         raise NoFaithfulTraceError("a loop has an exit; no faithful graph trace")
     unknown = sorted(set(end_values or ()) - {end.id for end in ends})
     if unknown:
@@ -160,12 +159,12 @@ def _check_ambient_matches_trace(trace, ambient) -> None:
 
 def ktheory_ranks(g: GraphPresentation) -> dict:
     """K_0 rank = number of ends, K_1 rank = number of loops."""
-    report = g.structural_report()
-    if report["loops_with_exit"]:
+    cycles = g._core.cycles
+    if any(c.has_exit for c in cycles):
         raise GraphValidationError(
             "K-theory formula requires that no loop has an exit"
         )
-    return {"k0": len(g.find_ends()), "k1": report["loops"]}
+    return {"k0": len(g.find_ends()), "k1": len(cycles)}
 
 
 # -- fixed point algebra ----------------------------------------------------------

@@ -570,6 +570,21 @@ def direct_summation_oracle(model: MultiplicityModel, window: int) -> float:
     return total / math.log1p(mass)
 
 
+def lattice_profile_oracle(g: KGraphPresentation, trace, window: int):
+    """The arrays the numpy body of `kgraph_lattice_profile` built: the
+    spectrum (1 + |n|^2)^(-k/2) over the box [-window, window]^k, largest
+    first, its cumulative mass (the trace mass per point) and its cumulative
+    integral, each summed point by point."""
+    import numpy as np
+    k = g.k
+    total_mass = float(sum(trace.values[v] for v in g.vertices))
+    grids = np.meshgrid(*[np.arange(-window, window + 1)] * k, indexing="ij")
+    norm_sq = sum(gx * gx for gx in grids).astype(np.float64).ravel()
+    lam = -np.sort(-(1.0 + norm_sq) ** (-k / 2.0))
+    return (lam, np.cumsum(np.full(lam.shape, total_mass)),
+            np.cumsum(lam * total_mass))
+
+
 # -- Clifford -------------------------------------------------------------------------
 
 

@@ -19,7 +19,7 @@ import graphtriple
 from graphtriple import clifford, conditions, graphs, hochschild, spectral
 from graphtriple.clifford import KMAX
 from graphtriple.cli import (EX_CANTCREAT, EX_DATAERR, EX_NOINPUT,
-                             EX_UNAVAILABLE, EX_USAGE, _json, _jsonable, run)
+                             EX_UNAVAILABLE, EX_USAGE, _json, run)
 
 from corpus import (loop_with_exit, random_tree, single_loop,
                     torus_2graph, tree_with_ends, two_loop_fan_doc)
@@ -688,6 +688,23 @@ class TestStructureEdgeCases:
         assert self._union_finds(tmp_path, monkeypatch, tree_with_ends(2),
                                  0) == 1
 
+    @pytest.mark.parametrize("command", ["trace", "spectral", "ktheory"])
+    def test_loop_counts_run_no_union_find(self, command, tmp_path,
+                                           monkeypatch):
+        # only `analyze` and `conditions` read connectivity; the trace and
+        # the K-theory ranks read the loops off the core's cycles
+        def refuse(items, links):
+            raise AssertionError(f"{command} ran a union-find")
+
+        monkeypatch.setattr(graphs, "count_classes", refuse)
+        for graph, code in ((single_loop(3), 0),
+                            (loop_with_exit(), EX_DATAERR)):
+            path = tmp_path / "graph.json"
+            path.write_text(json.dumps(graph_to_document(graph)))
+            with contextlib.redirect_stderr(io.StringIO()):
+                assert run([command, str(path), "--out",
+                            str(tmp_path / "out.json")]) == code
+
     @staticmethod
     def _calls_on(tmp_path, n, command, *options):
         """Every Python and builtin call of one request on random_tree(n, 1),
@@ -853,15 +870,6 @@ class TestStructureEdgeCases:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert " 40320 terms" in captured.err
-
-
-def test_a_record_in_a_report_prints_as_its_repr():
-    # records are NamedTuples, hence tuples: only plain lists and tuples
-    # become JSON arrays, so a record keeps the text a dataclass printed
-    edge = Edge("e", "v", "w")
-    assert _jsonable({("v", 1): [edge, ("a", 1)]}) == {
-        "('v', 1)": ["Edge(id='e', source='v', range='w', color=1)",
-                     ["a", 1]]}
 
 
 class _Pair(NamedTuple):

@@ -140,6 +140,8 @@ REPORT_CASES = {
     "analyze_tree_with_ends_2": ("analyze", lambda: tree_with_ends(2), []),
     "analyze_loop_with_exit": ("analyze", loop_with_exit, []),
     "analyze_torus_2graph": ("analyze", torus_2graph, []),
+    "analyze_single_exit_violating_2graph": (
+        "analyze", single_exit_violating_2graph, []),
     "trace_tree_with_ends_2": ("trace", lambda: tree_with_ends(2), []),
     "trace_loop_with_exit": ("trace", loop_with_exit, []),
     "trace_tree_with_ends_2_thirds": (

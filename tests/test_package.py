@@ -7,6 +7,8 @@ import io
 import re
 from pathlib import Path
 
+import pytest
+
 import graphtriple
 
 SRC = Path(graphtriple.__file__).parent
@@ -79,11 +81,10 @@ def test_hochschild_names_no_expansion_or_element():
                                      "scalars", "fractions"}, module
 
 
-def test_no_module_imports_dataclasses():
-    # records are NamedTuples: dataclasses loads inspect, ast, dis and
-    # tokenize on every cold start
+def _importers(package: str) -> list:
+    """The modules under src/graphtriple/ that import the package."""
     found = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 mods = [a.name for a in node.names]
@@ -91,9 +92,15 @@ def test_no_module_imports_dataclasses():
                 mods = [node.module or ""]
             else:
                 continue
-            if any(m.split(".")[0] == "dataclasses" for m in mods):
+            if any(m.split(".")[0] == package for m in mods):
                 found.append(path.name)
-    assert found == []
+    return found
+
+
+def test_no_module_imports_dataclasses():
+    # records are NamedTuples: dataclasses loads inspect, ast, dis and
+    # tokenize on every cold start
+    assert _importers("dataclasses") == []
 
 
 def test_no_indented_json_encoder():
@@ -131,6 +138,16 @@ def test_no_level_walk_is_left():
                 and node.name == "singular_profile")
     assert not [node for node in ast.walk(profile)
                 if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def test_no_runtime_dependency():
+    # the profiles sum with `math`; numpy is left to the test extra
+    assert _importers("numpy") == []
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((README.parent / "pyproject.toml").read_text())
+    assert project["project"]["dependencies"] == []
+    assert any(d.startswith("numpy") for d in
+               project["project"]["optional-dependencies"]["test"])
 
 
 def test_readme_library_example_runs():

@@ -28,17 +28,17 @@ from graphtriple.spectral import (MultiplicityModel, SpectralProfile,
 from graphtriple.traces import (solve_graph_trace, solve_kgraph_trace,
                                 trace_functional)
 
-from corpus import (bi_infinite_path, single_exit_violating_2graph,
-                    single_loop, sink_path, torus_2graph, tree_with_ends,
-                    two_disjoint_loops, two_extension_2graph,
-                    two_vertex_2graph)
+from corpus import (bi_infinite_path, one_vertex_3graph, one_vertex_kgraph,
+                    single_exit_violating_2graph, single_loop, sink_path,
+                    torus_2graph, tree_with_ends, two_disjoint_loops,
+                    two_extension_2graph, two_vertex_2graph)
 from oracles import (DecompositionError, ThetaSum,
                      _validate_projection_decomposition, commutant_oracle,
                      decompose_projection, direct_summation_oracle,
                      first_order_left_counterexample, first_order_oracle,
-                     level_sum_oracle, mpmath_level_sum,
-                     mpmath_profile_oracle, reality_oracle, semifinite_trace,
-                     to_basis_coordinates)
+                     lattice_profile_oracle, level_sum_oracle,
+                     mpmath_level_sum, mpmath_profile_oracle, reality_oracle,
+                     semifinite_trace, to_basis_coordinates)
 from test_structure import digraphs, exitless_digraphs
 
 
@@ -234,6 +234,40 @@ class TestProfiles:
         t = solve_kgraph_trace(g)
         prof = kgraph_lattice_profile(g, t, window=48)
         assert prof.limit_estimate > 0
+
+    @pytest.mark.parametrize("factory,window", [
+        (torus_2graph, 48), (torus_2graph, 64), (two_vertex_2graph, 40),
+        (one_vertex_3graph, 16), (one_vertex_3graph, 64),
+        (lambda: one_vertex_kgraph(4), 12)],
+        ids=["torus_48", "torus_64", "two_vertex_40", "3graph_16",
+             "3graph_64", "4graph_12"])
+    def test_kgraph_lattice_profile_matches_the_box_arrays(self, factory,
+                                                           window):
+        # the shell runs give the point-by-point cumulative mass exactly
+        # and its integral within 1e-12 relative (measured); the fit
+        # reads the tail past N/16
+        g = factory()
+        t = solve_kgraph_trace(g)
+        prof = kgraph_lattice_profile(g, t, window=window)
+        lam, cum_mass, cum_int = lattice_profile_oracle(g, t, window)
+        levels = spectral._sample_levels(lam.size - 1)
+        assert len(prof.f_samples) == len(levels) == 48
+        for (t_val, f_val), n in zip(prof.f_samples, levels):
+            assert t_val == cum_mass[n]
+            assert f_val == pytest.approx(
+                cum_int[n] / math.log1p(cum_mass[n]), rel=1e-9, abs=0)
+        tail = [f for n, (_, f) in zip(levels, prof.f_samples)
+                if n > lam.size // 16]
+        assert prof.band == (min(tail), max(tail))
+        assert prof.diagnostics == {"measured_constant": prof.limit_estimate}
+
+    def test_kgraph_lattice_profile_refuses_a_box_below_the_grid(self):
+        # the sample grid starts at level 8, so the box needs 9 points
+        g = KGraphPresentation(1, ["v"], [Edge("e", "v", "v", 1)], [])
+        t = solve_kgraph_trace(g)
+        with pytest.raises(ValueError):
+            kgraph_lattice_profile(g, t, window=3)
+        assert kgraph_lattice_profile(g, t, window=4).f_samples[-1][0] == 9.0
 
     def test_zeta_residue_agrees_with_half_limit(self):
         # (s - 1/2) * sum m_k (1+k^2)^{-s} at s = 1/2 + 1/log N is within
